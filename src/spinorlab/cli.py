@@ -1,20 +1,24 @@
 """Command-line surface: verification runs and classification reports.
 
 Subcommands: ``report``, ``verify-all``, ``algebra``, ``transform``,
-``position``, ``content``.  JSON output is byte-deterministic for a fixed
-configuration; every float is serialized with 17 significant digits.
+``position``, ``content``.  ``algebra``, ``transform`` and ``position`` run
+the matching rows of the check registry and print the ``verify-all``
+document.  JSON output is byte-deterministic for a fixed configuration; every
+float is serialized with 17 significant digits.
 
 Exit codes: 0 pass, 1 check failure, 2 usage error, 3 numerical indeterminacy.
 """
 
 import argparse
+import math
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import equations as eqs
 from . import poincare, position
-from .suite import RunConfig, run_verify_all
+from .suite import RunConfig, run_checks
 from .symmetry import IndeterminateVerdict, classify_equation
 
 
@@ -28,6 +32,8 @@ def _json_scalar(x):
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, (float, np.floating)):
+        if not math.isfinite(x):
+            raise ValueError(f"{x!r} has no JSON form")
         return format(float(x), ".17g")
     if isinstance(x, str):
         return '"' + x.replace("\\", "\\\\").replace('"', '\\"') + '"'
@@ -101,22 +107,20 @@ def _emit(args, doc, markdown):
 
 # -- subcommands ---------------------------------------------------------------
 
-def _cfg(args) -> RunConfig:
-    return RunConfig(seed=args.seed, samples=args.samples,
-                     holdout=args.holdout, tol=args.tol, mass=args.mass,
-                     kappa=args.kappa,
-                     corrupt_reduction=getattr(args, "corrupt_reduction", False))
+def _given(args) -> dict:
+    """The RunConfig fields set on the command line (flags default to absent)."""
+    return {f.name: getattr(args, f.name) for f in fields(RunConfig)
+            if hasattr(args, f.name)}
 
 
-def _equation(args, name):
-    return eqs.catalog_equation(name, m=args.mass, kappa=args.kappa,
-                                corrupt_reduction=getattr(args, "corrupt_reduction",
-                                                     False))
+def _equation(cfg, name):
+    return eqs.catalog_equation(name, m=cfg.mass, kappa=cfg.kappa,
+                                corrupt_reduction=cfg.corrupt_reduction)
 
 
 def cmd_report(args) -> int:
-    cfg = _cfg(args)
-    eq = _equation(args, args.equation)
+    cfg = RunConfig(**_given(args))
+    eq = _equation(cfg, args.equation)
     report = classify_equation(eq, seed=cfg.seed, n_fit=cfg.samples,
                                n_holdout=cfg.holdout)
     doc = _report_doc(report)
@@ -127,72 +131,15 @@ def cmd_report(args) -> int:
     return 0 if report.agreement else 1
 
 
-def cmd_verify_all(args) -> int:
-    cfg = _cfg(args)
-    checks = run_verify_all(cfg)
-    _emit(args, _checks_doc(checks), _checks_markdown(checks, "verify-all"))
-    if not all(c.passed for c in checks):
-        failing = [c.name for c in checks if not c.passed]
+def cmd_checks(args) -> int:
+    """verify-all, or the registry rows of ``args.groups`` for ``args.subject``."""
+    given = _given(args)
+    checks = run_checks(RunConfig(**given), args.groups, args.subject, given)
+    _emit(args, _checks_doc(checks), _checks_markdown(checks, args.command))
+    failing = [c.name for c in checks if not c.passed]
+    if failing:
         print(f"failing checks: {', '.join(failing)}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def cmd_algebra(args) -> int:
-    cfg = _cfg(args)
-    gs = poincare.generator_set(args.generators, m=cfg.mass)
-    from .opcalc import sample_momenta
-    samples = sample_momenta(gs.d, max(cfg.samples // 2, 4), cfg.seed)
-    resid, second = poincare.algebra_residual(gs, samples)
-    doc = {"generators": args.generators, "closure_residual": resid,
-           "second_order_residual": second,
-           "pass": resid <= 1e-8 and second <= 1e-10}
-    md = (f"# Algebra closure: {args.generators}\n\n"
-          f"closure residual: {resid:.3e}\n"
-          f"second-order residual: {second:.3e}\n")
-    _emit(args, doc, md)
-    return 0 if doc["pass"] else 1
-
-
-def cmd_transform(args) -> int:
-    cfg = _cfg(args)
-    from .opcalc import sample_momenta
-    samples = sample_momenta(3, cfg.samples, cfg.seed)
-    if args.name == "tU2*tU1":
-        u = eqs.composed_tu(m=cfg.mass)
-    else:
-        u = eqs.catalog_unitary(args.name, m=cfg.mass)
-    unit = eqs.unitarity_residual(u, samples)
-    doc = {"name": args.name, "unitarity_residual": unit}
-    if u.source is not None and u.target is not None:
-        doc["transform_residual"] = eqs.verify_transform(
-            u, samples, m=cfg.mass, kappa=cfg.kappa,
-            corrupt_reduction=cfg.corrupt_reduction)
-    if u.exponential is not None:
-        doc["exp_vs_closed"] = eqs.exp_closed_residual(u, samples)
-    ok = all(v <= cfg.tol * 10 for k, v in doc.items()
-             if isinstance(v, float))
-    doc["pass"] = ok
-    md = f"# Transformation {args.name}\n\n" + "\n".join(
-        f"{k}: {v:.3e}" for k, v in doc.items() if isinstance(v, float)) + "\n"
-    _emit(args, doc, md)
-    return 0 if ok else 1
-
-
-def cmd_position(args) -> int:
-    cfg = _cfg(args)
-    from .opcalc import sample_momenta
-    samples = sample_momenta(3, cfg.samples, cfg.seed)
-    rep = position.verify_position(args.name, samples)
-    ok = (rep["closed_vs_conjugation"] <= cfg.tol
-          and rep["canonical_commutator"] <= 1e-10)
-    doc = dict(rep)
-    doc["name"] = args.name
-    doc["pass"] = ok
-    md = f"# Position operator {args.name}\n\n" + "\n".join(
-        f"{k}: {v:.3e}" for k, v in rep.items()) + "\n"
-    _emit(args, doc, md)
-    return 0 if ok else 1
+    return 1 if failing else 0
 
 
 _CONTENT_SETS = {"dirac_massless": "psi", "chi_4c": "chi",
@@ -201,9 +148,9 @@ _CONTENT_SETS = {"dirac_massless": "psi", "chi_4c": "chi",
 
 
 def cmd_content(args) -> int:
-    cfg = _cfg(args)
+    cfg = RunConfig(**_given(args))
     from .opcalc import sample_momenta
-    eq = _equation(args, args.equation)
+    eq = _equation(cfg, args.equation)
     gs = poincare.generator_set(_CONTENT_SETS[args.equation])
     samples = sample_momenta(3, cfg.samples, cfg.seed)
     branches = poincare.irrep_content_by_branch(eq, gs, samples)
@@ -218,17 +165,17 @@ def cmd_content(args) -> int:
     return 0
 
 
+_HELP = {"corrupt_reduction": "negative control: rebuild the two-component "
+                              "reduction with the inconsistent sigma_2 p2 term"}
+
+
 def _add_common(p):
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--samples", type=int, default=12)
-    p.add_argument("--holdout", type=int, default=4)
-    p.add_argument("--tol", type=float, default=1e-9)
+    """One flag per RunConfig field; an absent flag takes the field's default."""
     p.add_argument("--format", choices=("json", "md"), default="json")
-    p.add_argument("--mass", type=float, default=1.0)
-    p.add_argument("--kappa", type=float, default=1.0)
-    p.add_argument("--corrupt-reduction", dest="corrupt_reduction", action="store_true",
-                   help="negative control: rebuild the two-component "
-                        "reduction with the inconsistent sigma_2 p2 term")
+    for f in fields(RunConfig):
+        kind = {"action": "store_true"} if f.type is bool else {"type": f.type}
+        p.add_argument("--" + f.name.replace("_", "-"), help=_HELP.get(f.name),
+                       default=argparse.SUPPRESS, **kind)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -245,23 +192,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-all", help="run every verification check")
     _add_common(p)
-    p.set_defaults(func=cmd_verify_all)
+    p.set_defaults(func=cmd_checks, groups=None, subject=None)
 
-    p = sub.add_parser("algebra", help="generator-algebra closure residuals")
-    p.add_argument("--generators", required=True,
-                   choices=poincare.GENERATOR_NAMES)
-    _add_common(p)
-    p.set_defaults(func=cmd_algebra)
-
-    p = sub.add_parser("transform", help="unitarity/transform residuals")
-    p.add_argument("--name", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_transform)
-
-    p = sub.add_parser("position", help="position-operator residuals")
-    p.add_argument("--name", required=True, choices=position.POSITION_NAMES)
-    _add_common(p)
-    p.set_defaults(func=cmd_position)
+    # the (groups, subject) filters over the check registry
+    for command, flag, choices, groups in (
+            ("algebra", "--generators", poincare.GENERATOR_NAMES,
+             ("algebra", "algebra_second_order")),
+            ("transform", "--name", None,
+             ("unitary", "exp_vs_closed", "transform")),
+            ("position", "--name", position.POSITION_NAMES,
+             ("position", "position_canonical"))):
+        p = sub.add_parser(command, help=f"the {', '.join(groups)} checks "
+                                         "of one subject")
+        p.add_argument(flag, dest="subject", required=True, choices=choices)
+        _add_common(p)
+        p.set_defaults(func=cmd_checks, groups=groups)
 
     p = sub.add_parser("content", help="energy-sign/helicity irrep content")
     p.add_argument("--equation", required=True,

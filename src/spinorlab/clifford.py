@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dagger, mat_max
+from .linalg import dagger, mat_max, worst
 
 _PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -115,15 +115,13 @@ def spin_matrix(g: GammaSet, a: int, b: int) -> SpinMatrix:
 
 def verify_clifford(g: GammaSet) -> float:
     """Max residual over all square/anticommutation and Hermiticity relations."""
-    residual = 0.0
     n = g.gammas[0].shape[0]
     eye = np.eye(n)
+    out = []
     for a in range(5):
-        residual = max(residual, mat_max(
-            g.gamma(a) @ g.gamma(a) - g.square_sign(a) * eye))
-        for b in range(a + 1, 5):
-            anti = g.gamma(a) @ g.gamma(b) + g.gamma(b) @ g.gamma(a)
-            residual = max(residual, mat_max(anti))
-    for mu, sign in ((0, 1.0), (1, -1.0), (2, -1.0), (3, -1.0), (4, 1.0)):
-        residual = max(residual, mat_max(dagger(g.gamma(mu)) - sign * g.gamma(mu)))
-    return residual
+        out.append(mat_max(g.gamma(a) @ g.gamma(a) - g.square_sign(a) * eye))
+        out += [mat_max(g.gamma(a) @ g.gamma(b) + g.gamma(b) @ g.gamma(a))
+                for b in range(a + 1, 5)]
+    out += [mat_max(dagger(g.gamma(mu)) - sign * g.gamma(mu))
+            for mu, sign in ((0, 1.0), (1, -1.0), (2, -1.0), (3, -1.0), (4, 1.0))]
+    return worst(out)

@@ -28,8 +28,8 @@ import numpy as np
 
 from . import dual
 from .clifford import gamma_set, pauli, spin_matrix
-from .linalg import dagger, mat_max, unitarity_defect
-from .opcalc import ExpField, OperatorField, sample_momenta
+from .linalg import dagger, mat_max, unitarity_defect, worst
+from .opcalc import ExpField, OperatorField
 
 _REP = gamma_set("rep26")
 G0, G1, G2, G3, G4 = _REP.gammas
@@ -261,6 +261,11 @@ def _u2_like_norm(p):
     return dual.sqrt(2.0 * E * (E + abs_p3(p)))
 
 
+def _theta_half_over_pp(p):
+    """theta/(2|p_perp|), theta = atan(|p_perp|/|p3|): the U2 and V1 exponent."""
+    return 0.5 * dual.atan(p_perp(p) / abs_p3(p)) / p_perp(p)
+
+
 def catalog_unitary(name: str, m: float = 1.0) -> UnitarySpec:
     """Build a catalog transformation by its stable public name."""
     if name == "U1":
@@ -279,12 +284,9 @@ def catalog_unitary(name: str, m: float = 1.0) -> UnitarySpec:
             (lambda p: p[0] / _u2_like_norm(p), G1),
             (lambda p: p[1] / _u2_like_norm(p), G2),
         ])
-        # generator (theta/2) * gamma_a p_a / |p_perp|, theta = atan(|p_perp|/|p3|)
-        def theta_half_over_pp(p):
-            return 0.5 * dual.atan(p_perp(p) / abs_p3(p)) / p_perp(p)
         expo = ExpField(OperatorField(4, 3, [
-            (lambda p: theta_half_over_pp(p) * p[0], G1),
-            (lambda p: theta_half_over_pp(p) * p[1], G2),
+            (lambda p: _theta_half_over_pp(p) * p[0], G1),
+            (lambda p: _theta_half_over_pp(p) * p[1], G2),
         ]))
         return UnitarySpec("U2", 4, 3, closed, expo,
                            source="chi_4c", target="phi_diag")
@@ -313,11 +315,9 @@ def catalog_unitary(name: str, m: float = 1.0) -> UnitarySpec:
             (lambda p: 1j * p[0] / _u2_like_norm(p), S1),
             (lambda p: 1j * p[1] / _u2_like_norm(p), S2),
         ])
-        def theta_half_over_pp(p):
-            return 0.5 * dual.atan(p_perp(p) / abs_p3(p)) / p_perp(p)
         expo = ExpField(OperatorField(2, 3, [
-            (lambda p: 1j * theta_half_over_pp(p) * p[0], S1),
-            (lambda p: 1j * theta_half_over_pp(p) * p[1], S2),
+            (lambda p: 1j * _theta_half_over_pp(p) * p[0], S1),
+            (lambda p: 1j * _theta_half_over_pp(p) * p[1], S2),
         ]))
         target = OperatorField(2, 3, [(energy, S3)])     # diagonal s3*E
         return UnitarySpec("V1", 2, 3, closed, expo,
@@ -364,13 +364,6 @@ def composed_tu(m: float = 1.0) -> UnitarySpec:
                        source="dirac_massless", target="phi_diag")
 
 
-def _resolve_target(t, m, kappa, corrupt_reduction=False):
-    if isinstance(t, OperatorField):
-        return t
-    return catalog_equation(t, m=m, kappa=kappa,
-                            corrupt_reduction=corrupt_reduction).hamiltonian
-
-
 def verify_transform(u: UnitarySpec, samples, m: float = 1.0,
                      kappa: float = 1.0, corrupt_reduction: bool = False) -> float:
     """max_p | u H_src u^-1 - H_tgt |; the conjugation uses u^-1 = u^dagger."""
@@ -378,38 +371,35 @@ def verify_transform(u: UnitarySpec, samples, m: float = 1.0,
         raise ValueError(f"{u.name} has no source/target wiring")
     hs = catalog_equation(u.source, m=m, kappa=kappa,
                           corrupt_reduction=corrupt_reduction).hamiltonian
-    ht = _resolve_target(u.target, m, kappa)
-    worst = 0.0
+    ht = u.target if isinstance(u.target, OperatorField) else \
+        catalog_equation(u.target, m=m, kappa=kappa).hamiltonian
+    out = []
     for p in samples:
         up = u.closed(p)
         if unitarity_defect(up) > 1e-8:
             raise ValueError(f"{u.name} is not unitary at {p}")
-        worst = max(worst, mat_max(up @ hs(p) @ dagger(up) - ht(p)))
-    return worst
+        out.append(mat_max(up @ hs(p) @ dagger(up) - ht(p)))
+    return worst(out)
 
 
 def unitarity_residual(u: UnitarySpec, samples) -> float:
-    return max(unitarity_defect(u.closed(p)) for p in samples)
+    return worst(unitarity_defect(u.closed(p)) for p in samples)
 
 
 def exp_closed_residual(u: UnitarySpec, samples) -> float:
     if u.exponential is None:
         raise ValueError(f"{u.name} has no exponential form")
-    return max(mat_max(u.closed(p) - u.exponential(p)) for p in samples)
+    return worst(mat_max(u.closed(p) - u.exponential(p)) for p in samples)
 
 
 def tu2_alt_normalization_residual(samples) -> float:
-    """On p3 > 0 the catalog tU2 equals the |p3|-normalized variant."""
+    """On p3 > 0 the catalog tU2 equals U2, its |p3|-normalized variant."""
     tu2 = catalog_unitary("tU2").closed
-    alt = OperatorField(4, 3, [
-        (lambda p: (energy(p) + p[2]) / _u2_like_norm(p), I4),
-        (lambda p: p[0] / _u2_like_norm(p), G1),
-        (lambda p: p[1] / _u2_like_norm(p), G2),
-    ])
+    alt = catalog_unitary("U2").closed
     pos = [p for p in samples if p[2] > 0]
     if not pos:
         raise ValueError("need at least one p3 > 0 sample")
-    return max(mat_max(tu2(p) - alt(p)) for p in pos)
+    return worst(mat_max(tu2(p) - alt(p)) for p in pos)
 
 
 # -- projectors ------------------------------------------------------------
@@ -438,31 +428,31 @@ def massive_constraint_field(m: float) -> OperatorField:
 def verify_projectors(samples, m: float = 1.0) -> dict:
     """Residuals of every projector identity in the catalog."""
     res = {}
-    res["q_idempotent"] = max(mat_max(Q_PLUS @ Q_PLUS - Q_PLUS),
-                              mat_max(Q_MINUS @ Q_MINUS - Q_MINUS))
+    res["q_idempotent"] = worst([mat_max(Q_PLUS @ Q_PLUS - Q_PLUS),
+                                 mat_max(Q_MINUS @ Q_MINUS - Q_MINUS)])
     res["q_orthogonal"] = mat_max(Q_PLUS @ Q_MINUS)
     res["q_complete"] = mat_max(Q_PLUS + Q_MINUS - I4)
 
     hchi = catalog_equation("chi_4c").hamiltonian
-    res["q_commutes_hchi"] = max(
+    res["q_commutes_hchi"] = worst(
         mat_max(Q_PLUS @ hchi(p) - hchi(p) @ Q_PLUS) for p in samples)
 
     kf = massive_constraint_field(m)
-    res["k_squares_to_one"] = max(mat_max(kf(p) @ kf(p) - I4) for p in samples)
+    res["k_squares_to_one"] = worst(mat_max(kf(p) @ kf(p) - I4) for p in samples)
     proj = [0.5 * (I4 - kf(p)) for p in samples]
-    res["k_projector_idempotent"] = max(mat_max(q @ q - q) for q in proj)
+    res["k_projector_idempotent"] = worst(mat_max(q @ q - q) for q in proj)
     hm = catalog_equation("dirac_massive", m=m).hamiltonian
-    res["k_commutes_massive"] = max(
+    res["k_commutes_massive"] = worst(
         mat_max(kf(p) @ hm(p) - hm(p) @ kf(p)) for p in samples)
 
     cp = chirality_projector_field(+1.0)
     cm = chirality_projector_field(-1.0)
-    res["chirality_idempotent"] = max(
-        max(mat_max(cp(p) @ cp(p) - cp(p)), mat_max(cm(p) @ cm(p) - cm(p)))
-        for p in samples)
-    res["chirality_complementary"] = max(
-        max(mat_max(cp(p) + cm(p) - I4), mat_max(cp(p) @ cm(p)))
-        for p in samples)
+    res["chirality_idempotent"] = worst(
+        r for p in samples for r in (mat_max(cp(p) @ cp(p) - cp(p)),
+                                     mat_max(cm(p) @ cm(p) - cm(p))))
+    res["chirality_complementary"] = worst(
+        r for p in samples for r in (mat_max(cp(p) + cm(p) - I4),
+                                     mat_max(cp(p) @ cm(p))))
     return res
 
 
@@ -473,42 +463,33 @@ def block_reduction_residual(samples) -> float:
     h4 = catalog_equation("chi_4c").hamiltonian
     hp = catalog_equation("chi_plus").hamiltonian
     hm = catalog_equation("chi_minus").hamiltonian
-    worst = 0.0
+    out = []
     for p in samples:
         full = h4(p)
-        worst = max(worst,
-                    mat_max(full[:2, :2] - hp(p)),
-                    mat_max(full[2:, 2:] - hm(p)),
-                    mat_max(full[:2, 2:]), mat_max(full[2:, :2]))
-    return worst
+        out += [mat_max(full[:2, :2] - hp(p)), mat_max(full[2:, 2:] - hm(p)),
+                mat_max(full[:2, 2:]), mat_max(full[2:, :2])]
+    return worst(out)
 
 
 def dispersion_residual(eq: EquationSpec, samples) -> float:
     if eq.dispersion is None:
         raise ValueError(f"{eq.name} has no dispersion contract")
     eye = np.eye(eq.dim)
-    worst = 0.0
+    out = []
     for p in samples:
         h = eq.hamiltonian(p)
-        worst = max(worst, mat_max(h @ h - eq.dispersion(p) * eye))
-    return worst
+        out.append(mat_max(h @ h - eq.dispersion(p) * eye))
+    return worst(out)
 
 
 def lambda_consistency_residual(samples) -> float:
     """lambda*S_0l*p_l with lambda = -2i reproduces the massless operator."""
     s0l = [spin_matrix(_REP, 0, l).value for l in (1, 2, 3)]
     h = catalog_equation("dirac_massless").hamiltonian
-    worst = 0.0
-    for p in samples:
-        op = sum((-2j) * s0l[l] * p[l] for l in range(3))
-        worst = max(worst, mat_max(op - h(p)))
-    return worst
+    return worst(mat_max(sum((-2j) * s0l[l] * p[l] for l in range(3)) - h(p))
+                 for p in samples)
 
 
 def hermiticity_residual(eq: EquationSpec, samples) -> float:
-    return max(mat_max(eq.hamiltonian(p) - dagger(eq.hamiltonian(p)))
-               for p in samples)
-
-
-def default_samples(d: int, n: int = 12, seed: int = 42) -> list:
-    return sample_momenta(d, n, seed)
+    return worst(mat_max(eq.hamiltonian(p) - dagger(eq.hamiltonian(p)))
+                 for p in samples)

@@ -5,16 +5,15 @@ the kernel simply wraps numpy/scipy LAPACK routines behind the contracts the
 rest of the package relies on.
 """
 
-from typing import NamedTuple
+import math
+from typing import Iterable, NamedTuple
 
 import numpy as np
 import scipy.linalg
 
-# Default tolerance constants: double precision with short flop chains on
-# norm-O(10) matrices.
-TOL_EQ = 1e-9           # entrywise equality of verified identities
-TOL_NULLSPACE = 1e-8    # relative singular-value cutoff for nullspaces
-TOL_UNITARY = 1e-10     # unitarity defect
+# Relative singular-value cutoff for nullspaces: double precision with short
+# flop chains on norm-O(10) matrices.
+TOL_NULLSPACE = 1e-8
 
 
 def as_cmatrix(m) -> np.ndarray:
@@ -31,8 +30,19 @@ def mat_max(m) -> float:
     return 0.0 if m.size == 0 else float(np.max(np.abs(m)))
 
 
-def commute_residual(a, b) -> float:
-    return mat_max(a @ b - b @ a)
+def worst(residuals: Iterable[float]) -> float:
+    """Largest residual (0.0 for none); NaN as soon as any residual is NaN.
+
+    The builtin ``max`` keeps its running value when compared with NaN, so a
+    NaN residual would read as a pass; every residual reduction goes here.
+    """
+    out = 0.0
+    for r in residuals:
+        if math.isnan(r):
+            return math.nan
+        if r > out:
+            out = r
+    return float(out)
 
 
 def expm(m) -> np.ndarray:
@@ -85,13 +95,3 @@ def cond2(m) -> float:
     s = np.linalg.svd(as_cmatrix(m), compute_uv=False)
     return np.inf if s[-1] == 0.0 else float(s[0] / s[-1])
 
-
-def proportional(a, b, tol: float = TOL_EQ) -> bool:
-    """True when a = c*b for some complex scalar c (projective equality)."""
-    a = as_cmatrix(a)
-    b = as_cmatrix(b)
-    denom = np.vdot(b, b)
-    if denom == 0:
-        return mat_max(a) <= tol
-    c = np.vdot(b, a) / denom
-    return mat_max(a - c * b) <= tol * max(1.0, mat_max(a))

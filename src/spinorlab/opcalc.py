@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import dual
-from .linalg import dagger, mat_max
+from .linalg import dagger, mat_max, worst
 
 Point = Sequence[float]
 
@@ -229,13 +229,10 @@ class DiffOp1:
         return self + other.scale(-1.0)
 
     def scale(self, c) -> "DiffOp1":
+        """Multiply by a constant or by a scalar function of p (on the left;
+        a scalar function commutes past the derivatives)."""
         return DiffOp1(self.a.scale(c), tuple(f.scale(c) for f in self.b),
                        self.x0.scale(c) if self.x0 is not None else None)
-
-    def scale_field(self, fn) -> "DiffOp1":
-        """Left-multiply by a scalar function of p (commutes past derivatives)."""
-        return DiffOp1(self.a.scale(fn), tuple(f.scale(fn) for f in self.b),
-                       self.x0.scale(fn) if self.x0 is not None else None)
 
     def at(self, p: Point, x0_value: float = 0.0):
         """(A_eff, (B_k,)) matrices at p with x0 folded in at a fixed value."""
@@ -311,12 +308,9 @@ def diffop_commutator(g1: DiffOp1, g2: DiffOp1, p: Point) -> PointOp:
             bk = bk + 1j * (B1[l] @ dB2[k][l] - B2[l] @ dB1[k][l])
         b.append(bk)
 
-    second = 0.0
-    for k in range(d):
-        for l in range(k, d):
-            sym = (B1[k] @ B2[l] - B2[k] @ B1[l]
-                   + B1[l] @ B2[k] - B2[l] @ B1[k])
-            second = max(second, 0.5 * mat_max(sym))
+    second = worst(0.5 * mat_max(B1[k] @ B2[l] - B2[k] @ B1[l]
+                                 + B1[l] @ B2[k] - B2[l] @ B1[k])
+                   for k in range(d) for l in range(k, d))
 
     if g1.x0 is None and g2.x0 is None:
         x0_a, x0_b, x0_sq = zero, tuple(zero for _ in range(d)), zero

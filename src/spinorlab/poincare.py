@@ -20,7 +20,7 @@ import numpy as np
 
 from .clifford import gamma_set, pauli, spin_matrix
 from .equations import abs_p3, catalog_equation, e3, energy
-from .linalg import mat_max
+from .linalg import mat_max, worst
 from .opcalc import (DiffOp1, OperatorField, conjugate_by_unitary,
                      diffop_commutator)
 
@@ -201,8 +201,7 @@ def _metric(d: int):
 
 def _jj_rhs(gs: GeneratorSet, mu, nu, rho, sig, sign: float) -> DiffOp1:
     g = _metric(gs.d)
-    zero = DiffOp1.from_field(OperatorField.zero(gs.dim, gs.d))
-    out = zero
+    out = DiffOp1.from_field(OperatorField.zero(gs.dim, gs.d))
     for coeff, a, b in ((g[nu] if nu == rho else 0.0, mu, sig),
                         (g[mu] if mu == sig else 0.0, nu, rho),
                         (-(g[mu] if mu == rho else 0.0), nu, sig),
@@ -214,8 +213,7 @@ def _jj_rhs(gs: GeneratorSet, mu, nu, rho, sig, sign: float) -> DiffOp1:
 
 def _jp_rhs(gs: GeneratorSet, mu, nu, lam, sign: float) -> DiffOp1:
     g = _metric(gs.d)
-    zero = DiffOp1.from_field(OperatorField.zero(gs.dim, gs.d))
-    out = zero
+    out = DiffOp1.from_field(OperatorField.zero(gs.dim, gs.d))
     if nu == lam:
         out = out + gs.P[mu].scale(1j * sign * g[nu])
     if mu == lam:
@@ -253,21 +251,19 @@ def _rhs(gs, k1, k2, sign_jj, sign_jp):
 
 def _closure_residual(gs, samples, sign_jj, sign_jp,
                       x0_values=X0_VALUES):
-    worst = 0.0
-    worst_second = 0.0
+    first, second = [], []
     for k1, k2 in _relation_list(gs):
         op1, op2 = _get(gs, k1), _get(gs, k2)
         rhs = _rhs(gs, k1, k2, sign_jj, sign_jp)
         for p in samples:
             comm = diffop_commutator(op1, op2, p)
-            worst_second = max(worst_second, comm.second_order)
+            second.append(comm.second_order)
             for x0v in x0_values:
                 ac, bc = comm.fold(x0v)
                 ae, be = rhs.at(p, x0v)
-                worst = max(worst, mat_max(ac - ae))
-                for bck, bek in zip(bc, be):
-                    worst = max(worst, mat_max(bck - bek))
-    return worst, worst_second
+                first.append(mat_max(ac - ae))
+                first += [mat_max(bck - bek) for bck, bek in zip(bc, be)]
+    return worst(first), worst(second)
 
 
 _CALIBRATION = {}
@@ -303,17 +299,16 @@ def set_covariance_residual(gs_src: GeneratorSet, gs_tgt: GeneratorSet,
                             u: OperatorField, samples,
                             x0_values=X0_VALUES) -> float:
     """max | u G_src u^-1 - G_tgt | over members, samples, x0 values."""
-    worst = 0.0
+    out = []
     for (name1, op1), (name2, op2) in zip(gs_src.members(), gs_tgt.members()):
         conj = conjugate_by_unitary(u.adjoint(), op1, probe=samples[:2])
         for p in samples:
             for x0v in x0_values:
                 a1, b1 = conj.at(p, x0v)
                 a2, b2 = op2.at(p, x0v)
-                worst = max(worst, mat_max(a1 - a2))
-                for x, y in zip(b1, b2):
-                    worst = max(worst, mat_max(x - y))
-    return worst
+                out.append(mat_max(a1 - a2))
+                out += [mat_max(x - y) for x, y in zip(b1, b2)]
+    return worst(out)
 
 
 # -- helicity and irrep content ----------------------------------------------
@@ -329,7 +324,7 @@ def helicity_field(gs: GeneratorSet, check_points) -> OperatorField:
     jvec = {1: gs.j(2, 3), 2: gs.j(3, 1), 3: gs.j(1, 2)}
     h_op = None
     for k in (1, 2, 3):
-        term = jvec[k].scale_field(
+        term = jvec[k].scale(
             lambda p, _k=k: p[_k - 1] / energy(p))
         h_op = term if h_op is None else h_op + term
     for p in check_points:
@@ -348,19 +343,21 @@ def _half_integer(x, tol=1e-7) -> float:
     return r
 
 
-def irrep_content(eq, gs: GeneratorSet, samples) -> tuple:
+def irrep_content(eq, gs: GeneratorSet, samples, u=None) -> tuple:
     """Multiset of (energy sign, helicity) labels, identical at every sample.
 
     H(p) is diagonalized at each sample; within each energy-sign eigenspace
-    the helicity field is jointly diagonalized.  A content that varies across
-    samples raises ContentNotInvariant.
+    the helicity field is jointly diagonalized.  Given a unitary field ``u``,
+    both are first conjugated to u H u^dagger and u h u^dagger.  A content
+    that varies across samples raises ContentNotInvariant.
     """
     h_field = helicity_field(gs, samples[:2])
+    ham = eq.hamiltonian
+    if u is not None:
+        ham, h_field = u @ ham @ u.adjoint(), u @ h_field @ u.adjoint()
     contents = set()
-    content = None
     for p in samples:
-        hmat = eq.hamiltonian(p)
-        w, v = np.linalg.eigh(hmat)
+        w, v = np.linalg.eigh(ham(p))
         labels = []
         for sign in (1.0, -1.0):
             idx = np.where(np.sign(w) == sign)[0]
@@ -385,29 +382,3 @@ def irrep_content_by_branch(eq, gs: GeneratorSet, samples) -> dict:
         if branch:
             out[key] = irrep_content(eq, gs, branch)
     return out
-
-
-def conjugated_content(eq, gs: GeneratorSet, u: OperatorField,
-                       samples) -> tuple:
-    """Content of the realization conjugated by a catalog unitary field."""
-    h_field = helicity_field(gs, samples[:2])
-    contents = set()
-    content = None
-    for p in samples:
-        up = u(p)
-        hmat = up @ eq.hamiltonian(p) @ up.conj().T
-        hel_mat = up @ h_field(p) @ up.conj().T
-        w, v = np.linalg.eigh(hmat)
-        labels = []
-        for sign in (1.0, -1.0):
-            idx = np.where(np.sign(w) == sign)[0]
-            if idx.size == 0:
-                continue
-            q = v[:, idx]
-            hel = np.linalg.eigvalsh(q.conj().T @ hel_mat @ q)
-            labels.extend((int(sign), _half_integer(x)) for x in hel)
-        content = tuple(sorted(labels))
-        contents.add(content)
-    if len(contents) != 1:
-        raise ContentNotInvariant("conjugated content not invariant")
-    return content

@@ -17,7 +17,7 @@ import numpy as np
 
 from .clifford import gamma_set, pauli, spin_matrix
 from .equations import abs_p3, catalog_unitary, e3, energy
-from .linalg import dagger, mat_max
+from .linalg import dagger, mat_max, worst
 from .opcalc import (DiffOp1, OperatorField, conjugate_by_unitary,
                      diffop_commutator)
 
@@ -166,24 +166,20 @@ def verify_position(name: str, samples) -> dict:
     dim = _CONJUGATION[name][0]
     eye = np.eye(dim)
 
-    match = 0.0
-    canonical = 0.0
-    herm = 0.0
-    noncomm = 0.0
+    match, canonical, herm, noncomm = [], [], [], []
     for p in samples:
         for j in range(3):
             ab = built[j].a(p)
-            match = max(match, mat_max(ab - closed[j].a(p)))
-            herm = max(herm, mat_max(ab - dagger(ab)))
+            match.append(mat_max(ab - closed[j].a(p)))
+            herm.append(mat_max(ab - dagger(ab)))
             for k in range(3):
                 # [X_j, p_k]: only i * B_jk survives; must be i delta_jk
                 bracket = 1j * built[j].b[k](p)
-                canonical = max(canonical,
-                                mat_max(bracket - (1j if j == k else 0.0) * eye))
+                canonical.append(mat_max(bracket - (1j if j == k else 0.0) * eye))
             for k in range(j + 1, 3):
                 comm = diffop_commutator(built[j], built[k], p)
-                noncomm = max(noncomm, mat_max(comm.a))
-    return {"closed_vs_conjugation": match,
-            "canonical_commutator": canonical,
-            "hermiticity": herm,
-            "component_noncommutativity": noncomm}
+                noncomm.append(mat_max(comm.a))
+    return {"closed_vs_conjugation": worst(match),
+            "canonical_commutator": worst(canonical),
+            "hermiticity": worst(herm),
+            "component_noncommutativity": worst(noncomm)}

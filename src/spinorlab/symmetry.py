@@ -28,7 +28,7 @@ import numpy as np
 
 from .equations import EquationSpec
 from .linalg import (TOL_NULLSPACE, cond2, dagger, mat_max, polar_unitary,
-                     svd_nullspace)
+                     svd_nullspace, worst)
 from .opcalc import sample_momenta
 
 HOLDOUT_TOL = 1e-7            # relative residual for confirmed invariance
@@ -135,11 +135,8 @@ def _stacked_matrix(pairs, dim):
 
 def _relative_residual(m, pairs) -> float:
     nm = np.linalg.norm(m)
-    worst = 0.0
-    for ht, h in pairs:
-        r = np.linalg.norm(h @ m - m @ ht) / (np.linalg.norm(h) * nm)
-        worst = max(worst, r)
-    return worst
+    return worst(np.linalg.norm(h @ m - m @ ht) / (np.linalg.norm(h) * nm)
+                 for ht, h in pairs)
 
 
 @dataclass(frozen=True)
@@ -161,14 +158,6 @@ class NonInvariance:
         return self.certificate / self.sigma_max
 
 
-def _fit_points(eq, n_fit, seed):
-    return sample_momenta(eq.d, n_fit, seed)
-
-
-def _holdout_points(eq, n_holdout, seed):
-    return sample_momenta(eq.d, n_holdout, seed + 7919)
-
-
 def solve_intertwiner(eq: EquationSpec, g: SymmetryElement,
                       n_fit: int = 12, n_holdout: int = 4,
                       seed: int = 42) -> Union[Intertwiner, NonInvariance]:
@@ -178,8 +167,7 @@ def solve_intertwiner(eq: EquationSpec, g: SymmetryElement,
     if n_holdout < 4:
         raise ValueError("n_holdout must be >= 4")
     dim = eq.dim
-    fit = _fit_points(eq, n_fit, seed)
-    pairs = _condition_pairs(eq, g, fit)
+    pairs = _condition_pairs(eq, g, sample_momenta(eq.d, n_fit, seed))
     stacked = _stacked_matrix(pairs, dim)
     svals = np.linalg.svd(stacked, compute_uv=False)
     smax, smin = svals[0], svals[-1]
@@ -201,8 +189,8 @@ def solve_intertwiner(eq: EquationSpec, g: SymmetryElement,
             w = rng.normal(size=nullity) + 1j * rng.normal(size=nullity)
             candidates.append((w @ basis).reshape(dim, dim))
 
-    holdout = _holdout_points(eq, n_holdout, seed)
-    hold_pairs = _condition_pairs(eq, g, holdout)
+    hold_pairs = _condition_pairs(eq, g,
+                                  sample_momenta(eq.d, n_holdout, seed + 7919))
     for m in candidates:
         if cond2(m) > 1e6:
             continue
@@ -365,9 +353,7 @@ def verify_projection_relations(seed: int = 42, n_fit: int = 12,
         m = out.matrix
         qp = np.conj(Q_PLUS) if g.conjugate else Q_PLUS
         qm = np.conj(Q_MINUS) if g.conjugate else Q_MINUS
-        if swaps:
-            r = max(mat_max(m @ qp - Q_MINUS @ m), mat_max(m @ qm - Q_PLUS @ m))
-        else:
-            r = max(mat_max(m @ qp - Q_PLUS @ m), mat_max(m @ qm - Q_MINUS @ m))
-        res[label] = r
+        to_p, to_m = (Q_MINUS, Q_PLUS) if swaps else (Q_PLUS, Q_MINUS)
+        res[label] = worst([mat_max(m @ qp - to_p @ m),
+                            mat_max(m @ qm - to_m @ m)])
     return res

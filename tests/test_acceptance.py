@@ -157,10 +157,10 @@ def test_criterion_08_irrep_content():
                                   poincare.generator_set("weyl"), S3)
     assert len(weyl) == 2
     for uname in ("U1", "U2"):
-        conj = poincare.conjugated_content(
+        conj = poincare.irrep_content(
             eqs.catalog_equation("dirac_massless"),
-            poincare.generator_set("psi"),
-            eqs.catalog_unitary(uname).closed, S3)
+            poincare.generator_set("psi"), S3,
+            u=eqs.catalog_unitary(uname).closed)
         assert conj == psi
     _announce(8, True, "irrep content: four labels for the massless "
               "four-component equation, two for Weyl, sample- and "

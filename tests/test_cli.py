@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from spinorlab.cli import dumps, main
@@ -99,20 +100,23 @@ def test_verify_all_sample_count_robust():
     assert json.loads(out)["pass"] is True
 
 
+def checks_by_name(out):
+    return {c["name"]: c for c in json.loads(out)["checks"]}
+
+
 def test_algebra_command():
     code, out, _ = run_cli("algebra", "--generators", "chi2")
     assert code == 0
-    doc = json.loads(out)
-    assert doc["pass"] is True
-    assert doc["closure_residual"] <= 1e-8
+    assert json.loads(out)["pass"] is True
+    assert checks_by_name(out)["algebra/chi2"]["residual"] <= 1e-8
 
 
 def test_transform_command():
     code, out, _ = run_cli("transform", "--name", "U2")
     assert code == 0
-    doc = json.loads(out)
-    assert doc["transform_residual"] <= 1e-9
-    assert doc["exp_vs_closed"] <= 1e-9
+    checks = checks_by_name(out)
+    assert checks["transform/U2"]["residual"] <= 1e-9
+    assert checks["exp_vs_closed/U2"]["residual"] <= 1e-9
 
 
 def test_position_command():
@@ -139,3 +143,32 @@ def test_invalid_config_rejected():
 
 def test_main_entry_returns_int():
     assert main(["report", "--equation", "weyl_plus"]) == 0
+
+
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), np.float64("-inf")])
+def test_dumps_rejects_non_finite_floats(x):
+    with pytest.raises(ValueError):
+        dumps({"checks": [{"residual": x}]})
+
+
+@pytest.mark.parametrize("argv", [
+    ["position", "--name", "XW", "--mass", "7"],
+    ["algebra", "--generators", "psi", "--tol", "1e-8"],
+    ["transform", "--name", "U1", "--corrupt-reduction"],
+    ["transform", "--name", "bogus"],
+    ["algebra", "--generators", "flat", "--mass", "nan"],
+])
+def test_unread_flag_empty_selection_or_bad_value_exits_2(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_swallowed_nan_fails_and_never_prints_invalid_json(capsys):
+    argv = ["transform", "--name", "V2", "--mass", "1e200"]
+    with np.errstate(all="ignore"):
+        assert main(argv) == 2
+        assert capsys.readouterr().out == ""
+        assert main(argv + ["--format", "md"]) == 1
+    out = capsys.readouterr().out
+    assert "| transform/V2 | nan | 1e-09 | false |" in out
+    assert "| true |" not in out

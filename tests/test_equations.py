@@ -166,3 +166,10 @@ def test_claims_are_attached():
     assert catalog_equation("chi_plus").claims
     assert len(catalog_equation("dirac_massless").claims) == 32
     assert catalog_equation("desitter").claims
+
+
+def test_dispersion_residual_propagates_nan():
+    # m*m overflows, so H^2 - (p^2 + m^2) holds inf - inf on its diagonal
+    eq = catalog_equation("dirac_massive", m=1e200)
+    with np.errstate(all="ignore"):
+        assert np.isnan(dispersion_residual(eq, S3_SAMPLES))

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import proportional
 from spinorlab.clifford import gamma_set, pauli
-from spinorlab.linalg import (expm, mat_max, polar_unitary, proportional,
-                              svd_nullspace, unitarity_defect)
+from spinorlab.linalg import (expm, mat_max, polar_unitary, svd_nullspace,
+                              unitarity_defect, worst)
 
 
 def series_expm(m, terms=30):
@@ -127,3 +128,16 @@ def test_nullspace_vectors_annihilate(seed, dim, rank):
     assert len(res.vectors) >= dim - rank
     for v in res.vectors:
         assert np.linalg.norm(m @ v) <= 10 * tol * smax
+
+
+def test_worst_is_the_max_and_zero_for_none():
+    assert worst([]) == 0.0
+    assert worst(iter([1e-16, 3.0, 2.0])) == 3.0
+    assert worst([np.float64(0.5), np.inf]) == np.inf
+
+
+@pytest.mark.parametrize("at", range(4))
+def test_worst_propagates_nan_at_any_position(at):
+    values = [1e-16, 2.0, 0.0, 1.0]
+    values[at] = np.nan
+    assert np.isnan(worst(values))

@@ -6,8 +6,7 @@ from spinorlab.equations import catalog_equation, catalog_unitary
 from spinorlab.linalg import mat_max
 from spinorlab.opcalc import diffop_commutator, sample_momenta
 from spinorlab.poincare import (ContentNotInvariant, algebra_residual,
-                                conjugated_content, generator_set,
-                                helicity_field, irrep_content,
+                                generator_set, helicity_field, irrep_content,
                                 irrep_content_by_branch,
                                 set_covariance_residual, structure_signs)
 
@@ -139,7 +138,7 @@ def test_content_invariant_under_conjugation():
     base = irrep_content(eq, gs, S3)
     for uname in ("U1", "U2"):
         u = catalog_unitary(uname).closed
-        assert conjugated_content(eq, gs, u, S3) == base
+        assert irrep_content(eq, gs, S3, u=u) == base
 
 
 def test_helicity_requires_d3():

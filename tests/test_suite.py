@@ -1,0 +1,73 @@
+import math
+from dataclasses import fields
+
+import pytest
+
+from spinorlab import equations as eqs
+from spinorlab import poincare, position, symmetry
+from spinorlab.cli import build_parser
+from spinorlab.suite import REGISTRY, RunConfig, run_checks, run_verify_all
+
+CFG = RunConfig()
+
+FILTERED = (
+    [("algebra", "--generators", n) for n in poincare.GENERATOR_NAMES]
+    + [("transform", "--name", n)
+       for n in eqs.UNITARY_NAMES + ("tU2*tU1", "tU2_alt_norm_p3pos")]
+    + [("position", "--name", n) for n in position.POSITION_NAMES])
+
+
+@pytest.fixture(scope="module")
+def verify_all():
+    return {c.name: c for c in run_verify_all(CFG)}
+
+
+def _filtered(command, flag, subject):
+    args = build_parser().parse_args([command, flag, subject])
+    return args.groups, run_checks(CFG, args.groups, args.subject)
+
+
+@pytest.mark.parametrize("command,flag,subject", FILTERED)
+def test_filtered_checks_equal_verify_all(verify_all, command, flag, subject):
+    groups, checks = _filtered(command, flag, subject)
+    assert checks
+    for c in checks:
+        assert c.name.partition("/")[0] in groups
+        assert c == verify_all[c.name]          # exact residuals and tols
+
+
+@pytest.mark.parametrize("command", ["algebra", "transform", "position"])
+def test_filters_reach_every_check_of_their_groups(verify_all, command):
+    names = []
+    for cmd, flag, subject in FILTERED:
+        if cmd == command:
+            groups, checks = _filtered(cmd, flag, subject)
+            names += [c.name for c in checks]
+    assert sorted(names) == sorted(n for n in verify_all
+                                   if n.partition("/")[0] in groups)
+
+
+def test_every_config_field_is_read_by_some_entry():
+    reads = frozenset().union(*(e.reads for e in REGISTRY))
+    assert reads == {f.name for f in fields(RunConfig)}
+
+
+def test_holdout_reaches_the_intertwiner_solver(monkeypatch):
+    seen = []
+    solve = symmetry.solve_intertwiner
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["n_holdout"])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(symmetry, "solve_intertwiner", spy)
+    entry, = [e for e in REGISTRY if "projection_relations" in e.groups]
+    list(entry.run(RunConfig(holdout=9)))
+    assert seen and set(seen) == {9}
+
+
+@pytest.mark.parametrize("field", ["mass", "kappa"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_run_config_rejects_non_finite_parameters(field, value):
+    with pytest.raises(ValueError):
+        RunConfig(**{field: value})

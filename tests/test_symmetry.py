@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from helpers import proportional
 from spinorlab.clifford import pauli
 from spinorlab.equations import catalog_equation
-from spinorlab.linalg import mat_max, proportional
+from spinorlab.linalg import mat_max
 from spinorlab.opcalc import sample_momenta
 from spinorlab.symmetry import (Intertwiner, NonInvariance, SymmetryElement,
                                 classify_equation, group_elements,
