@@ -6,7 +6,7 @@ from .equations import (EQUATION_NAMES, UNITARY_NAMES, EquationSpec,
                         UnitarySpec, catalog_equation, catalog_unitary,
                         verify_projectors, verify_transform)
 from .linalg import expm, polar_unitary, svd_nullspace
-from .opcalc import (DiffOp1, OperatorField, conjugate_by_unitary,
+from .opcalc import (DiffOp1, OperatorField, as_batch, conjugate_by_unitary,
                      diffop_commutator, sample_momenta)
 from .poincare import (GENERATOR_NAMES, algebra_residual, generator_set,
                        helicity_field, irrep_content)
@@ -23,8 +23,9 @@ __all__ = [
     "EQUATION_NAMES", "UNITARY_NAMES", "EquationSpec", "UnitarySpec",
     "catalog_equation", "catalog_unitary", "verify_projectors",
     "verify_transform", "expm", "polar_unitary", "svd_nullspace",
-    "DiffOp1", "OperatorField", "conjugate_by_unitary", "diffop_commutator",
-    "sample_momenta", "GENERATOR_NAMES", "algebra_residual", "generator_set",
+    "DiffOp1", "OperatorField", "as_batch", "conjugate_by_unitary",
+    "diffop_commutator", "sample_momenta", "GENERATOR_NAMES",
+    "algebra_residual", "generator_set",
     "helicity_field", "irrep_content", "POSITION_NAMES",
     "position_closed_form", "position_from_unitary", "verify_position",
     "ClassificationReport", "Intertwiner", "NonInvariance", "SymmetryElement",

@@ -1,18 +1,27 @@
-"""Forward-mode dual scalars for exact derivatives of momentum coefficient functions."""
+"""Forward-mode dual numbers for exact derivatives of momentum coefficient functions.
+
+A momentum component is a float at one point or an ``(n,)`` array over a
+batch of points; every function here accepts either, elementwise, so one
+coefficient closure serves both.
+"""
 
 import cmath
 import math
+
+import numpy as np
 
 
 class Dual:
     """A scalar carrying a first derivative along one real direction.
 
     Both components may themselves be ``Dual``, so nested evaluation yields
-    exact second derivatives.  Only the operations the field catalog needs
-    are implemented.
+    exact second derivatives, or ndarrays, so one ``Dual`` carries a whole
+    batch.  Only the operations the field catalog needs are implemented.
     """
 
     __slots__ = ("val", "eps")
+    # ndarray * Dual defers to Dual.__rmul__ instead of building an object array
+    __array_ufunc__ = None
 
     def __init__(self, val, eps=0.0):
         self.val = val
@@ -78,9 +87,14 @@ def seed(p, k):
 
 
 def sqrt(x):
+    """Square root; a negative real entry raises ValueError, as math.sqrt does."""
     if isinstance(x, Dual):
         s = sqrt(x.val)
         return Dual(s, x.eps / (2.0 * s))
+    if isinstance(x, np.ndarray):
+        if x.dtype.kind != "c" and np.count_nonzero(x < 0):
+            raise ValueError("math domain error")
+        return np.sqrt(x)
     if isinstance(x, complex):
         return cmath.sqrt(x)
     return math.sqrt(x)
@@ -89,12 +103,20 @@ def sqrt(x):
 def atan(x):
     if isinstance(x, Dual):
         return Dual(atan(x.val), x.eps / (1.0 + x.val * x.val))
+    if isinstance(x, np.ndarray):
+        # math.atan per entry: numpy's arctan may round differently
+        return np.array([math.atan(v) for v in x.flat]).reshape(x.shape)
     return math.atan(x)
 
 
 def sign(x):
     """Sign of the (real) value; derivative-free, undefined at 0 by contract."""
     v = value(x)
+    if isinstance(v, np.ndarray):
+        v = v.real
+        if np.count_nonzero(v) != v.size:
+            raise ValueError("singular point: sign of zero")
+        return np.where(v > 0, 1.0, -1.0)
     if isinstance(v, complex):
         v = v.real
     if v == 0:

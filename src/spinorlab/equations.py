@@ -28,7 +28,7 @@ import numpy as np
 
 from . import dual
 from .clifford import gamma_set, pauli, spin_matrix
-from .linalg import dagger, mat_max, unitarity_defect, worst
+from .linalg import NotUnitary, dagger, mat_max, unitarity_defect, worst
 from .opcalc import ExpField, OperatorField
 
 _REP = gamma_set("rep26")
@@ -376,8 +376,8 @@ def verify_transform(u: UnitarySpec, samples, m: float = 1.0,
     out = []
     for p in samples:
         up = u.closed(p)
-        if unitarity_defect(up) > 1e-8:
-            raise ValueError(f"{u.name} is not unitary at {p}")
+        if not (unitarity_defect(up) <= 1e-8):
+            raise NotUnitary(f"{u.name} is not unitary at {p}")
         out.append(mat_max(up @ hs(p) @ dagger(up) - ht(p)))
     return worst(out)
 

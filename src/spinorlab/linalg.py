@@ -67,7 +67,8 @@ def svd_nullspace(m, tol: float = TOL_NULLSPACE) -> NullspaceResult:
     if tol <= 0:
         raise ValueError("tol must be positive")
     m = as_cmatrix(np.atleast_2d(m))
-    _, s, vh = np.linalg.svd(m)
+    # a tall stack needs only the square vh; a wide one needs all its rows
+    _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
     smax = s[0] if s.size else 0.0
     if smax == 0.0:
         return NullspaceResult([np.eye(m.shape[1], dtype=complex)[i]
@@ -84,6 +85,10 @@ def polar_unitary(m) -> np.ndarray:
         raise ValueError("no unitary representative")
     u, _ = scipy.linalg.polar(m)
     return u
+
+
+class NotUnitary(ValueError):
+    """A field that must be unitary is not (or is not finite) at a sample point."""
 
 
 def unitarity_defect(u) -> float:

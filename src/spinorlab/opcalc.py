@@ -5,9 +5,17 @@ differential operators A(p) + sum_k B_k(p) (i d/dp_k) + x0*C(p), their
 commutators, and conjugation by unitary fields.
 
 A field is stored as a finite sum of scalar coefficient functions times
-constant matrices.  Coefficient functions accept components that are plain
-floats or :class:`spinorlab.dual.Dual` scalars; the latter is how derivatives
-are taken, so the pass/fail paths never touch finite differences.
+constant matrices.  A momentum argument is a tuple of d components, each a
+float (one point: fields evaluate to (dim, dim) matrices) or an (n,) array
+(a batch, see :func:`as_batch`: fields evaluate to (n, dim, dim) stacks),
+through the same code.  Coefficient functions also accept
+:class:`spinorlab.dual.Dual` components; that is how derivatives are taken,
+so the pass/fail paths never touch finite differences.
+
+:meth:`DiffOp1.jet` evaluates an operator's parts and their exact first
+derivatives once on a momentum argument; :func:`diffop_commutator` is stacked
+matrix algebra on two jets, so an operator shared by many relations is
+evaluated once per batch.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import dual
-from .linalg import dagger, mat_max, worst
+from .linalg import NotUnitary, dagger, mat_max, worst
 
 Point = Sequence[float]
 
@@ -66,6 +74,20 @@ def sample_momenta(d: int, n: int, seed: int = 42,
     return pts
 
 
+def as_batch(points) -> tuple:
+    """A list of points as one momentum argument: d arrays of shape (n,)."""
+    return tuple(np.array(c) for c in zip(*points))
+
+
+def _add_term(out, c, mat):
+    """out + c * mat for a scalar or (n,) coefficient c; a zero scalar adds nothing."""
+    if isinstance(c, np.ndarray):
+        return out + c[..., None, None] * mat
+    if c != 0:
+        return out + c * mat
+    return out
+
+
 def _dcoeff(fn: Callable, k: int) -> Callable:
     def dfn(p, _fn=fn, _k=k):
         return dual.eps(_fn(dual.seed(p, _k)))
@@ -104,21 +126,23 @@ class OperatorField:
         return cls.scalar(lambda p, _k=k: p[_k], dim, d)
 
     # -- evaluation --------------------------------------------------------
+    def _zeros(self, p: Point) -> np.ndarray:
+        shape = getattr(p[0], "shape", ())
+        return np.zeros(shape + (self.dim, self.dim), dtype=complex)
+
     def __call__(self, p: Point) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
+        """The (dim, dim) value at a point, the (n, dim, dim) stack on a batch."""
+        out = self._zeros(p)
         for fn, mat in self.terms:
-            c = fn(p)
-            if c != 0:
-                out = out + c * mat
+            out = _add_term(out, fn(p), mat)
         return out
 
     def deriv(self, p: Point, k: int) -> np.ndarray:
-        """Exact partial derivative d/dp_k at p."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
+        """Exact partial derivative d/dp_k at p (a point or a batch)."""
+        out = self._zeros(p)
+        seeded = dual.seed(p, k)
         for fn, mat in self.terms:
-            e = dual.eps(fn(dual.seed(p, k)))
-            if e != 0:
-                out = out + e * mat
+            out = _add_term(out, dual.eps(fn(seeded)), mat)
         return out
 
     def partial(self, k: int) -> "OperatorField":
@@ -235,11 +259,24 @@ class DiffOp1:
                        self.x0.scale(c) if self.x0 is not None else None)
 
     def at(self, p: Point, x0_value: float = 0.0):
-        """(A_eff, (B_k,)) matrices at p with x0 folded in at a fixed value."""
+        """(A_eff, (B_k,)) at p (matrices, or stacks on a batch) with x0 folded
+        in at a fixed value."""
         a = self.a(p)
         if self.x0 is not None and x0_value != 0.0:
             a = a + x0_value * self.x0(p)
         return a, tuple(f(p) for f in self.b)
+
+    def jet(self, p: Point) -> "Jet":
+        """Every part and its exact first derivatives, evaluated once on p."""
+        ks = range(self.d)
+        x0 = dx0 = None
+        if self.x0 is not None:
+            x0 = self.x0(p)
+            dx0 = tuple(self.x0.deriv(p, k) for k in ks)
+        return Jet(self.a(p), tuple(f(p) for f in self.b),
+                   tuple(self.a.deriv(p, k) for k in ks),
+                   tuple(tuple(f.deriv(p, l) for l in ks) for f in self.b),
+                   x0, dx0)
 
 
 def _add_opt(x, y, dim, d):
@@ -252,13 +289,32 @@ def _add_opt(x, y, dim, d):
     return x + y
 
 
+@dataclass(frozen=True)
+class Jet:
+    """A DiffOp1 on one momentum argument: its parts and their exact first
+    derivatives, each a (dim, dim) matrix at a point or an (n, dim, dim)
+    stack on a batch.
+
+    da[k] = dA/dp_k and db[k][l] = dB_k/dp_l; x0 and dx0 are None when the
+    operator has no x0 part.
+    """
+
+    a: np.ndarray
+    b: tuple
+    da: tuple
+    db: tuple
+    x0: Optional[np.ndarray]
+    dx0: Optional[tuple]
+
+
 @dataclass
-class PointOp:
-    """A first-order operator evaluated at one momentum point.
+class Commutator:
+    """A normal-ordered commutator on the momentum argument of its jets.
 
     Carries the x0-linear and x0-quadratic parts separately plus the
-    symmetrized second-derivative coefficient norm, so callers can fold at
-    any fixed x0 and check that nothing leaks outside first order.
+    symmetrized second-derivative coefficient norm (the worst over the
+    batch), so callers can fold at any fixed x0 and check that nothing leaks
+    outside first order.
     """
 
     a: np.ndarray
@@ -274,8 +330,9 @@ class PointOp:
         return a, b
 
 
-def diffop_commutator(g1: DiffOp1, g2: DiffOp1, p: Point) -> PointOp:
-    """[g1, g2] at p, normal ordered with derivatives on the right.
+def diffop_commutator(j1: Jet, j2: Jet) -> Commutator:
+    """[g1, g2] from the jets of g1 and g2, normal ordered with derivatives
+    on the right; every product is a (stacked) matrix product.
 
     Zeroth order:  [A1,A2] + sum_k (B1k (i dA2/dpk) - B2k (i dA1/dpk))
     First order k: [A1,B2k] - [A2,B1k] + sum_l (B1l (i dB2k/dpl) - B2l (i dB1k/dpl))
@@ -283,44 +340,33 @@ def diffop_commutator(g1: DiffOp1, g2: DiffOp1, p: Point) -> PointOp:
     coefficient is reported as a residual (exactly zero for honest
     first-order algebras).
     """
-    if g1.dim != g2.dim or g1.d != g2.d:
+    if j1.a.shape != j2.a.shape or len(j1.b) != len(j2.b):
         raise ValueError("operator dimension mismatch")
-    d = g1.d
-    dim = g1.dim
-    zero = np.zeros((dim, dim), dtype=complex)
-
-    A1, A2 = g1.a(p), g2.a(p)
-    B1 = [f(p) for f in g1.b]
-    B2 = [f(p) for f in g2.b]
-    dA1 = [g1.a.deriv(p, k) for k in range(d)]
-    dA2 = [g2.a.deriv(p, k) for k in range(d)]
-    dB1 = [[f.deriv(p, l) for l in range(d)] for f in g1.b]   # dB1[k][l]
-    dB2 = [[f.deriv(p, l) for l in range(d)] for f in g2.b]
+    d = len(j1.b)
+    A1, A2, B1, B2 = j1.a, j2.a, j1.b, j2.b
 
     a = A1 @ A2 - A2 @ A1
     for k in range(d):
-        a = a + 1j * (B1[k] @ dA2[k] - B2[k] @ dA1[k])
+        a = a + 1j * (B1[k] @ j2.da[k] - B2[k] @ j1.da[k])
 
     b = []
     for k in range(d):
         bk = (A1 @ B2[k] - B2[k] @ A1) - (A2 @ B1[k] - B1[k] @ A2)
         for l in range(d):
-            bk = bk + 1j * (B1[l] @ dB2[k][l] - B2[l] @ dB1[k][l])
+            bk = bk + 1j * (B1[l] @ j2.db[k][l] - B2[l] @ j1.db[k][l])
         b.append(bk)
 
     second = worst(0.5 * mat_max(B1[k] @ B2[l] - B2[k] @ B1[l]
                                  + B1[l] @ B2[k] - B2[l] @ B1[k])
                    for k in range(d) for l in range(k, d))
 
-    if g1.x0 is None and g2.x0 is None:
-        x0_a, x0_b, x0_sq = zero, tuple(zero for _ in range(d)), zero
+    zero = np.zeros_like(A1)
+    zeros = tuple(zero for _ in range(d))
+    if j1.x0 is None and j2.x0 is None:
+        x0_a, x0_b, x0_sq = zero, zeros, zero
     else:
-        zf = OperatorField.zero(dim, d)
-        C1f = g1.x0 if g1.x0 is not None else zf
-        C2f = g2.x0 if g2.x0 is not None else zf
-        C1, C2 = C1f(p), C2f(p)
-        dC1 = [C1f.deriv(p, k) for k in range(d)]
-        dC2 = [C2f.deriv(p, k) for k in range(d)]
+        C1, dC1 = (j1.x0, j1.dx0) if j1.x0 is not None else (zero, zeros)
+        C2, dC2 = (j2.x0, j2.dx0) if j2.x0 is not None else (zero, zeros)
         x0_a = (A1 @ C2 - C2 @ A1) + (C1 @ A2 - A2 @ C1)
         for k in range(d):
             x0_a = x0_a + 1j * (B1[k] @ dC2[k] - B2[k] @ dC1[k])
@@ -328,7 +374,7 @@ def diffop_commutator(g1: DiffOp1, g2: DiffOp1, p: Point) -> PointOp:
                      for k in range(d))
         x0_sq = C1 @ C2 - C2 @ C1
 
-    return PointOp(a, tuple(b), x0_a, x0_b, x0_sq, second)
+    return Commutator(a, tuple(b), x0_a, x0_b, x0_sq, second)
 
 
 def conjugate_by_unitary(u: OperatorField, g: DiffOp1,
@@ -340,8 +386,8 @@ def conjugate_by_unitary(u: OperatorField, g: DiffOp1,
     """
     for p in probe:
         up = u(p)
-        if mat_max(up @ dagger(up) - np.eye(u.dim)) > 1e-8:
-            raise ValueError("conjugating field is not unitary at probe point")
+        if not (mat_max(up @ dagger(up) - np.eye(u.dim)) <= 1e-8):
+            raise NotUnitary("conjugating field is not unitary at probe point")
     ud = u.adjoint()
     a = ud @ g.a @ u
     for k in range(g.d):

@@ -21,7 +21,7 @@ import numpy as np
 from .clifford import gamma_set, pauli, spin_matrix
 from .equations import abs_p3, catalog_equation, e3, energy
 from .linalg import mat_max, worst
-from .opcalc import (DiffOp1, OperatorField, conjugate_by_unitary,
+from .opcalc import (DiffOp1, OperatorField, as_batch, conjugate_by_unitary,
                      diffop_commutator)
 
 _REP = gamma_set("rep26")
@@ -237,10 +237,6 @@ def _relation_list(gs: GeneratorSet):
     return rels
 
 
-def _get(gs, key):
-    return gs.J[(key[1], key[2])] if key[0] == "J" else gs.P[key[1]]
-
-
 def _rhs(gs, k1, k2, sign_jj, sign_jp):
     if k1[0] == "J" and k2[0] == "J":
         return _jj_rhs(gs, k1[1], k1[2], k2[1], k2[2], sign_jj)
@@ -249,21 +245,25 @@ def _rhs(gs, k1, k2, sign_jj, sign_jp):
     return DiffOp1.from_field(OperatorField.zero(gs.dim, gs.d))
 
 
-def _closure_residual(gs, samples, sign_jj, sign_jp,
-                      x0_values=X0_VALUES):
-    first, second = [], []
-    for k1, k2 in _relation_list(gs):
-        op1, op2 = _get(gs, k1), _get(gs, k2)
+def _commutators(gs, p):
+    """(lhs keys, commutator) of every relation on the batch p, from one jet
+    per member; the commutators do not depend on the structure signs."""
+    jets = {("J",) + key: op.jet(p) for key, op in gs.J.items()}
+    jets.update({("P", lam): op.jet(p) for lam, op in gs.P.items()})
+    return [(k1, k2, diffop_commutator(jets[k1], jets[k2]))
+            for k1, k2 in _relation_list(gs)]
+
+
+def _closure_residual(gs, p, comms, sign_jj, sign_jp, x0_values=X0_VALUES):
+    first = []
+    for k1, k2, comm in comms:
         rhs = _rhs(gs, k1, k2, sign_jj, sign_jp)
-        for p in samples:
-            comm = diffop_commutator(op1, op2, p)
-            second.append(comm.second_order)
-            for x0v in x0_values:
-                ac, bc = comm.fold(x0v)
-                ae, be = rhs.at(p, x0v)
-                first.append(mat_max(ac - ae))
-                first += [mat_max(bck - bek) for bck, bek in zip(bc, be)]
-    return worst(first), worst(second)
+        for x0v in x0_values:
+            ac, bc = comm.fold(x0v)
+            ae, be = rhs.at(p, x0v)
+            first.append(mat_max(ac - ae))
+            first += [mat_max(bck - bek) for bck, bek in zip(bc, be)]
+    return worst(first)
 
 
 _CALIBRATION = {}
@@ -274,14 +274,15 @@ def structure_signs(d: int):
     if d not in _CALIBRATION:
         from .opcalc import sample_momenta
         gs = _scalar_orbital_set(d)
-        samples = sample_momenta(d, 3, seed=1234)
+        p = as_batch(sample_momenta(d, 3, seed=1234))
+        comms = _commutators(gs, p)
         best = None
         for sjj in (1.0, -1.0):
             for sjp in (1.0, -1.0):
-                r, _ = _closure_residual(gs, samples, sjj, sjp)
+                r = _closure_residual(gs, p, comms, sjj, sjp)
                 if best is None or r < best[0]:
                     best = (r, sjj, sjp)
-        if best[0] > 1e-10:
+        if not (best[0] <= 1e-10):
             raise RuntimeError(
                 f"orbital calibration failed at d={d}: residual {best[0]:.3e}")
         _CALIBRATION[d] = (best[1], best[2])
@@ -292,7 +293,10 @@ def algebra_residual(gs: GeneratorSet, samples,
                      x0_values=X0_VALUES):
     """(closure residual, second-order residual) under the calibrated relations."""
     sjj, sjp = structure_signs(gs.d)
-    return _closure_residual(gs, samples, sjj, sjp, x0_values)
+    p = as_batch(samples)
+    comms = _commutators(gs, p)
+    return (_closure_residual(gs, p, comms, sjj, sjp, x0_values),
+            worst(comm.second_order for _, _, comm in comms))
 
 
 def set_covariance_residual(gs_src: GeneratorSet, gs_tgt: GeneratorSet,
@@ -329,9 +333,9 @@ def helicity_field(gs: GeneratorSet, check_points) -> OperatorField:
         h_op = term if h_op is None else h_op + term
     for p in check_points:
         for bf in h_op.b:
-            if mat_max(bf(p)) > 1e-10:
+            if not (mat_max(bf(p)) <= 1e-10):
                 raise RuntimeError("not a scalar helicity")
-        if h_op.x0 is not None and mat_max(h_op.x0(p)) > 1e-12:
+        if h_op.x0 is not None and not (mat_max(h_op.x0(p)) <= 1e-12):
             raise RuntimeError("helicity acquired an x0 part")
     return h_op.a
 

@@ -18,7 +18,7 @@ import numpy as np
 from .clifford import gamma_set, pauli, spin_matrix
 from .equations import abs_p3, catalog_unitary, e3, energy
 from .linalg import dagger, mat_max, worst
-from .opcalc import (DiffOp1, OperatorField, conjugate_by_unitary,
+from .opcalc import (DiffOp1, OperatorField, as_batch, conjugate_by_unitary,
                      diffop_commutator)
 
 _REP = gamma_set("rep26")
@@ -160,25 +160,28 @@ def position_closed_form(name: str) -> list:
 
 
 def verify_position(name: str, samples) -> dict:
-    """Closed form vs conjugation, canonical commutators, Hermiticity report."""
+    """Closed form vs conjugation, canonical commutators, Hermiticity report.
+
+    Each built component is evaluated once, as a jet on the sample batch,
+    and every residual reads that jet.
+    """
     built = position_from_unitary(name, probe=samples[:2])
     closed = position_closed_form(name)
     dim = _CONJUGATION[name][0]
     eye = np.eye(dim)
+    p = as_batch(samples)
+    jets = [x.jet(p) for x in built]
 
     match, canonical, herm, noncomm = [], [], [], []
-    for p in samples:
-        for j in range(3):
-            ab = built[j].a(p)
-            match.append(mat_max(ab - closed[j].a(p)))
-            herm.append(mat_max(ab - dagger(ab)))
-            for k in range(3):
-                # [X_j, p_k]: only i * B_jk survives; must be i delta_jk
-                bracket = 1j * built[j].b[k](p)
-                canonical.append(mat_max(bracket - (1j if j == k else 0.0) * eye))
-            for k in range(j + 1, 3):
-                comm = diffop_commutator(built[j], built[k], p)
-                noncomm.append(mat_max(comm.a))
+    for j, jet in enumerate(jets):
+        match.append(mat_max(jet.a - closed[j].a(p)))
+        herm.append(mat_max(jet.a - dagger(jet.a)))
+        for k in range(3):
+            # [X_j, p_k]: only i * B_jk survives; must be i delta_jk
+            bracket = 1j * jet.b[k]
+            canonical.append(mat_max(bracket - (1j if j == k else 0.0) * eye))
+        for k in range(j + 1, 3):
+            noncomm.append(mat_max(diffop_commutator(jet, jets[k]).a))
     return {"closed_vs_conjugation": worst(match),
             "canonical_commutator": worst(canonical),
             "hermiticity": worst(herm),

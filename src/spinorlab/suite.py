@@ -15,6 +15,7 @@ from typing import Callable, Optional
 from . import equations as eqs
 from . import poincare, position, symmetry
 from .clifford import gamma_set, verify_clifford
+from .linalg import NotUnitary
 from .opcalc import sample_momenta
 
 
@@ -71,11 +72,13 @@ def _unitary(name, cfg):
         yield CheckResult(f"exp_vs_closed/{name}",
                           eqs.exp_closed_residual(u, s3), cfg.tol)
     if u.source is not None and u.target is not None:
-        yield CheckResult(
-            f"transform/{name}",
-            eqs.verify_transform(u, s3, m=cfg.mass, kappa=cfg.kappa,
-                                 corrupt_reduction=cfg.corrupt_reduction),
-            cfg.tol)
+        try:
+            resid = eqs.verify_transform(
+                u, s3, m=cfg.mass, kappa=cfg.kappa,
+                corrupt_reduction=cfg.corrupt_reduction)
+        except NotUnitary:
+            resid = math.nan      # a map that is not unitary fails the check
+        yield CheckResult(f"transform/{name}", resid, cfg.tol)
 
 
 def _projectors(cfg):

@@ -1,0 +1,135 @@
+"""A momentum batch evaluates exactly as its points do, one at a time.
+
+Real-coefficient fields must match bit for bit; complex-coefficient fields,
+whose complex products numpy and Python may round differently, to within
+4 eps of the largest entry.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from spinorlab import dual
+from spinorlab.equations import (EQUATION_NAMES, UNITARY_NAMES,
+                                 catalog_equation, catalog_unitary)
+from spinorlab.linalg import mat_max
+from spinorlab.opcalc import (DiffOp1, as_batch, diffop_commutator,
+                              sample_momenta)
+from spinorlab.poincare import GENERATOR_NAMES, generator_set
+
+EPS = np.finfo(float).eps
+
+CATALOG_FIELDS = (
+    [(name, catalog_equation(name).hamiltonian) for name in EQUATION_NAMES]
+    + [(name, catalog_unitary(name).closed) for name in UNITARY_NAMES]
+    + [(f"{name} exponent", catalog_unitary(name).exponential.generator)
+       for name in UNITARY_NAMES
+       if catalog_unitary(name).exponential is not None])
+
+
+def _real(field, p) -> bool:
+    return not any(np.iscomplexobj(fn(p)) for fn, _ in field.terms)
+
+
+def _parts(op: DiffOp1):
+    return (op.a,) + op.b + ((op.x0,) if op.x0 is not None else ())
+
+
+def assert_matches(batch, points, exact, what):
+    stacked = np.stack(points)
+    assert batch.shape == stacked.shape, what
+    if exact:
+        assert np.array_equal(batch, stacked), what
+    else:
+        assert mat_max(batch - stacked) <= 4 * EPS * mat_max(stacked), what
+
+
+@settings(deadline=None, max_examples=5)
+@given(st.integers(0, 10_000))
+def test_catalog_values_and_derivatives_match_per_point(seed):
+    for name, f in CATALOG_FIELDS:
+        pts = sample_momenta(f.d, 4, seed)
+        pb = as_batch(pts)
+        exact = _real(f, pts[0])
+        assert_matches(f(pb), [f(p) for p in pts], exact, name)
+        for k in range(f.d):
+            assert_matches(f.deriv(pb, k), [f.deriv(p, k) for p in pts],
+                           exact, f"d{name}/dp{k}")
+
+
+@settings(deadline=None, max_examples=3)
+@given(st.integers(0, 10_000))
+def test_generator_jets_and_commutators_match_per_point(seed):
+    for name in GENERATOR_NAMES:
+        gs = generator_set(name)
+        pts = sample_momenta(gs.d, 3, seed)
+        pb = as_batch(pts)
+        members = gs.members()
+        exact = [all(_real(f, pts[0]) for f in _parts(op))
+                 for _, op in members]
+        batch = [op.jet(pb) for _, op in members]
+        single = [[op.jet(p) for p in pts] for _, op in members]
+        for (label, _), jb, js, ex in zip(members, batch, single, exact):
+            what = f"{name}/{label}"
+            assert_matches(jb.a, [j.a for j in js], ex, what)
+            for k in range(gs.d):
+                assert_matches(jb.b[k], [j.b[k] for j in js], ex, what)
+                assert_matches(jb.da[k], [j.da[k] for j in js], ex, what)
+                for l in range(gs.d):
+                    assert_matches(jb.db[k][l], [j.db[k][l] for j in js],
+                                   ex, what)
+        for i in range(len(members)):
+            for j in range(i, len(members)):
+                what = f"{name}/[{members[i][0]},{members[j][0]}]"
+                ex = exact[i] and exact[j]
+                cb = diffop_commutator(batch[i], batch[j])
+                cs = [diffop_commutator(a, b)
+                      for a, b in zip(single[i], single[j])]
+                for x0 in (0.0, 1.37):
+                    ab, bb = cb.fold(x0)
+                    folded = [c.fold(x0) for c in cs]
+                    assert_matches(ab, [f[0] for f in folded], ex, what)
+                    for k in range(gs.d):
+                        assert_matches(bb[k], [f[1][k] for f in folded],
+                                       ex, what)
+                second = max(c.second_order for c in cs)
+                if ex:
+                    assert cb.second_order == second, what
+                else:
+                    assert abs(cb.second_order - second) <= 4 * EPS, what
+
+
+def test_commutator_rejects_mismatched_jets():
+    x = DiffOp1.position_component(0, 2, 3)
+    pts = sample_momenta(3, 4, 1)
+    with pytest.raises(ValueError, match="mismatch"):
+        diffop_commutator(x.jet(as_batch(pts)), x.jet(as_batch(pts[:3])))
+
+
+def test_ndarray_times_dual_stays_dual():
+    x = dual.Dual(np.array([1.0, 2.0]), 1.0)
+    y = np.array([3.0, 4.0]) * x
+    assert isinstance(y, dual.Dual)
+    assert np.array_equal(y.val, [3.0, 8.0])
+    assert np.array_equal(y.eps, [3.0, 4.0])
+
+
+def test_batched_sign_of_zero_raises():
+    v = np.array([1.0, 0.0, -2.0])
+    with pytest.raises(ValueError, match="singular point: sign of zero"):
+        dual.sign(v)
+    with pytest.raises(ValueError, match="singular point: sign of zero"):
+        dual.sign(dual.Dual(v, 1.0))
+    assert np.array_equal(dual.sign(np.array([2.0, -0.5])), [1.0, -1.0])
+
+
+def test_batched_sqrt_of_negative_raises():
+    v = np.array([4.0, -1.0, 9.0])
+    with pytest.raises(ValueError):
+        dual.sqrt(v)
+    with pytest.raises(ValueError):
+        dual.sqrt(dual.Dual(v, 1.0))
+    assert np.array_equal(dual.sqrt(np.array([4.0, 9.0])), [2.0, 3.0])
+    z = dual.sqrt(np.array([-4.0 + 0j]))
+    assert np.array_equal(z, [2j])
+

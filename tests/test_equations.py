@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from helpers import nan_at
 from spinorlab.clifford import gamma_set, pauli
 from spinorlab.equations import (EQUATION_NAMES, UNITARY_NAMES,
                                  block_reduction_residual, catalog_equation,
@@ -12,7 +15,7 @@ from spinorlab.equations import (EQUATION_NAMES, UNITARY_NAMES,
                                  unitarity_residual, verify_projectors,
                                  verify_transform)
 from spinorlab.linalg import mat_max
-from spinorlab.opcalc import sample_momenta
+from spinorlab.opcalc import OperatorField, sample_momenta
 
 REP = gamma_set("rep26")
 S3_SAMPLES = sample_momenta(3, 12, 42)
@@ -173,3 +176,11 @@ def test_dispersion_residual_propagates_nan():
     eq = catalog_equation("dirac_massive", m=1e200)
     with np.errstate(all="ignore"):
         assert np.isnan(dispersion_residual(eq, S3_SAMPLES))
+
+
+def test_transform_unitarity_guard_fails_closed_on_nan():
+    u = catalog_unitary("U1")
+    closed = u.closed + OperatorField(4, 3, [(nan_at(S3_SAMPLES[5]),
+                                              np.eye(4))])
+    with pytest.raises(ValueError, match="not unitary"):
+        verify_transform(dataclasses.replace(u, closed=closed), S3_SAMPLES)

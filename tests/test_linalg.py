@@ -141,3 +141,14 @@ def test_worst_propagates_nan_at_any_position(at):
     values = [1e-16, 2.0, 0.0, 1.0]
     values[at] = np.nan
     assert np.isnan(worst(values))
+
+
+def test_nullspace_of_wide_matrix():
+    # fewer rows than columns: the nullspace lies in the rows of the full vh
+    m = np.array([[1.0, 2.0, 0.0, 1.0], [0.0, 1.0, 1.0, -1.0]])
+    null = svd_nullspace(m)
+    assert len(null.vectors) == 2 and not null.rank_zero
+    v = np.array(null.vectors)
+    assert mat_max(v @ v.conj().T - np.eye(2)) < 1e-14
+    for x in null.vectors:
+        assert mat_max(m @ x) < 1e-14

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import nan_at
 from spinorlab import dual
 from spinorlab.clifford import pauli
 from spinorlab.equations import abs_p3, catalog_unitary, energy
@@ -93,7 +94,8 @@ def test_nested_second_derivative():
 def test_canonical_pair():
     x1 = DiffOp1.position_component(0, 2, 3)
     p1 = DiffOp1.from_field(OperatorField.momentum(0, 2, 3))
-    comm = diffop_commutator(x1, p1, (1.0, 2.0, 3.0))
+    p = (1.0, 2.0, 3.0)
+    comm = diffop_commutator(x1.jet(p), p1.jet(p))
     assert mat_max(comm.a - 1j * np.eye(2)) == 0.0
     assert all(mat_max(b) == 0.0 for b in comm.b)
     assert comm.second_order == 0.0
@@ -102,7 +104,8 @@ def test_canonical_pair():
 def test_positions_commute():
     x1 = DiffOp1.position_component(0, 2, 3)
     x2 = DiffOp1.position_component(1, 2, 3)
-    comm = diffop_commutator(x1, x2, (1.0, 2.0, 3.0))
+    p = (1.0, 2.0, 3.0)
+    comm = diffop_commutator(x1.jet(p), x2.jet(p))
     assert mat_max(comm.a) == 0.0
     assert all(mat_max(b) == 0.0 for b in comm.b)
 
@@ -111,8 +114,9 @@ def test_commutator_antisymmetry():
     from spinorlab.poincare import generator_set
     gs = generator_set("chi2")
     p = sample_momenta(3, 1, 9)[0]
-    c12 = diffop_commutator(gs.J[(1, 2)], gs.J[(1, 3)], p)
-    c21 = diffop_commutator(gs.J[(1, 3)], gs.J[(1, 2)], p)
+    j12, j13 = gs.J[(1, 2)].jet(p), gs.J[(1, 3)].jet(p)
+    c12 = diffop_commutator(j12, j13)
+    c21 = diffop_commutator(j13, j12)
     assert mat_max(c12.a + c21.a) < 1e-14
     for b1, b2 in zip(c12.b, c21.b):
         assert mat_max(b1 + b2) < 1e-14
@@ -144,7 +148,7 @@ def test_conjugation_preserves_canonical_commutators():
             for l in range(3):
                 pl = DiffOp1.from_field(OperatorField.momentum(l, dim, 3))
                 for p in sample_momenta(3, 2, 17):
-                    comm = diffop_commutator(xk, pl, p)
+                    comm = diffop_commutator(xk.jet(p), pl.jet(p))
                     want = (1j if k == l else 0.0) * np.eye(dim)
                     assert mat_max(comm.a - want) < 1e-9
 
@@ -178,3 +182,12 @@ def test_dual_arithmetic_against_finite_difference(seed):
         got = f.deriv(p, k)[0, 0]
         ref = richardson_derivative(lambda q: fn(q), p, k)
         assert abs(got - ref) < 1e-7 * max(1.0, abs(ref))
+
+
+def test_conjugation_unitarity_guard_fails_closed_on_nan():
+    probe = sample_momenta(3, 2, 1)
+    u = OperatorField.constant(np.eye(2), 3) \
+        + OperatorField(2, 3, [(nan_at(probe[1]), np.eye(2))])
+    with pytest.raises(ValueError, match="not unitary"):
+        conjugate_by_unitary(u, DiffOp1.position_component(0, 2, 3),
+                             probe=probe)

@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from helpers import nan_at
 from spinorlab.clifford import pauli
 from spinorlab.equations import catalog_equation, catalog_unitary
 from spinorlab.linalg import mat_max
-from spinorlab.opcalc import diffop_commutator, sample_momenta
+from spinorlab.opcalc import (DiffOp1, OperatorField, diffop_commutator,
+                              sample_momenta)
 from spinorlab.poincare import (ContentNotInvariant, algebra_residual,
                                 generator_set, helicity_field, irrep_content,
                                 irrep_content_by_branch,
@@ -26,7 +30,7 @@ def test_rotation_commutator_closes_on_j13():
     gs = generator_set("psi")
     sjj, _ = structure_signs(3)
     p = S3[0]
-    comm = diffop_commutator(gs.J[(1, 2)], gs.J[(2, 3)], p)
+    comm = diffop_commutator(gs.J[(1, 2)].jet(p), gs.J[(2, 3)].jet(p))
     want = _jj_rhs(gs, 1, 2, 2, 3, sjj)
     aw, bw = want.at(p)
     ac, bc = comm.fold(0.0)
@@ -76,7 +80,7 @@ def test_translations_commute_exactly():
     p = S3[0]
     for k in range(4):
         for l in range(4):
-            comm = diffop_commutator(gs.P[k], gs.P[l], p)
+            comm = diffop_commutator(gs.P[k].jet(p), gs.P[l].jet(p))
             assert mat_max(comm.a) == 0.0
 
 
@@ -149,3 +153,17 @@ def test_helicity_requires_d3():
 def test_unknown_generator_set():
     with pytest.raises(ValueError):
         generator_set("bogus")
+
+
+def test_helicity_guards_fail_closed_on_nan():
+    gs = generator_set("weyl")
+    points = S3[:2]
+    poison = OperatorField(2, 3, [(nan_at(points[1]), np.eye(2))])
+    j12 = gs.J[(1, 2)]
+    J = dict(gs.J)
+    J[(1, 2)] = DiffOp1(j12.a, (j12.b[0] + poison,) + j12.b[1:])
+    with pytest.raises(RuntimeError, match="not a scalar helicity"):
+        helicity_field(dataclasses.replace(gs, J=J), points)
+    J[(1, 2)] = DiffOp1(j12.a, j12.b, poison)
+    with pytest.raises(RuntimeError, match="x0 part"):
+        helicity_field(dataclasses.replace(gs, J=J), points)

@@ -1,11 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from helpers import proportional
+from helpers import nan_at, proportional
 from spinorlab.clifford import pauli
 from spinorlab.equations import catalog_equation
 from spinorlab.linalg import mat_max
-from spinorlab.opcalc import sample_momenta
+from spinorlab.opcalc import OperatorField, sample_momenta
 from spinorlab.symmetry import (Intertwiner, NonInvariance, SymmetryElement,
                                 classify_equation, group_elements,
                                 intertwine_condition, random_search_oracle,
@@ -195,3 +197,12 @@ def test_projection_relations():
     assert set(res) == {"P1", "P2", "P3", "T1", "T2", "C"}
     for key, val in res.items():
         assert val <= 1e-9, key
+
+
+def test_coherence_check_fails_closed_on_nan():
+    # H is NaN at one of the four coherence check points only
+    eq = catalog_equation("weyl_plus")
+    bad = sample_momenta(eq.d, 4, 42 + 31)[2]
+    h = eq.hamiltonian + OperatorField(2, 3, [(nan_at(bad), np.eye(2))])
+    rep = classify_equation(dataclasses.replace(eq, hamiltonian=h), seed=42)
+    assert rep.coherence_ok is False
