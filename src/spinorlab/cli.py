@@ -18,7 +18,7 @@ import numpy as np
 
 from . import equations as eqs
 from . import poincare, position
-from .suite import RunConfig, run_checks
+from .suite import RunConfig, reject_unread, run_checks
 from .symmetry import IndeterminateVerdict, classify_equation
 
 
@@ -113,14 +113,29 @@ def _given(args) -> dict:
             if hasattr(args, f.name)}
 
 
-def _equation(cfg, name):
-    return eqs.catalog_equation(name, m=cfg.mass, kappa=cfg.kappa,
-                                corrupt_reduction=cfg.corrupt_reduction)
+_PARAM_FLAGS = {"m": "mass", "kappa": "kappa"}
+_CORRUPTIBLE = ("chi_plus", "chi_minus")   # built by the corruptible reduction
+
+
+def _equation(args, reads):
+    """(RunConfig, catalog equation) of the command line.
+
+    Raises ValueError on a flag that neither ``reads`` nor the equation's
+    construction reads (its parameters, the reduction's negative control).
+    """
+    given = _given(args)
+    cfg = RunConfig(**given)
+    eq = eqs.catalog_equation(args.equation, m=cfg.mass, kappa=cfg.kappa,
+                              corrupt_reduction=cfg.corrupt_reduction)
+    reads = set(reads) | {_PARAM_FLAGS[k] for k in eq.params}
+    if args.equation in _CORRUPTIBLE:
+        reads.add("corrupt_reduction")
+    reject_unread(given, reads)
+    return cfg, eq
 
 
 def cmd_report(args) -> int:
-    cfg = RunConfig(**_given(args))
-    eq = _equation(cfg, args.equation)
+    cfg, eq = _equation(args, {"seed", "samples", "holdout"})
     report = classify_equation(eq, seed=cfg.seed, n_fit=cfg.samples,
                                n_holdout=cfg.holdout)
     doc = _report_doc(report)
@@ -142,18 +157,16 @@ def cmd_checks(args) -> int:
     return 1 if failing else 0
 
 
-_CONTENT_SETS = {"dirac_massless": "psi", "chi_4c": "chi",
-                 "phi_diag": "phi", "weyl_plus": "weyl",
-                 "chi_plus": "chi2", "chi_minus": "chi2"}
-
-
 def cmd_content(args) -> int:
-    cfg = RunConfig(**_given(args))
     from .opcalc import sample_momenta
-    eq = _equation(cfg, args.equation)
-    gs = poincare.generator_set(_CONTENT_SETS[args.equation])
+    cfg, eq = _equation(args, {"seed", "samples"})
+    gs = poincare.generator_set(poincare.CONTENT_SETS[args.equation])
     samples = sample_momenta(3, cfg.samples, cfg.seed)
-    branches = poincare.irrep_content_by_branch(eq, gs, samples)
+    try:
+        branches = poincare.irrep_content_by_branch(eq, gs, samples)
+    except poincare.ContentNotInvariant as exc:
+        print(f"content not invariant: {exc}", file=sys.stderr)
+        return 1
     doc = {"equation": args.equation,
            "content_by_p3_branch": {
                k: [[s, h] for s, h in v] for k, v in sorted(branches.items())}}
@@ -210,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("content", help="energy-sign/helicity irrep content")
     p.add_argument("--equation", required=True,
-                   choices=sorted(_CONTENT_SETS))
+                   choices=sorted(poincare.CONTENT_SETS))
     _add_common(p)
     p.set_defaults(func=cmd_content)
     return ap

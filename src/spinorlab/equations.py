@@ -28,8 +28,10 @@ import numpy as np
 
 from . import dual
 from .clifford import gamma_set, pauli, spin_matrix
-from .linalg import NotUnitary, dagger, mat_max, unitarity_defect, worst
-from .opcalc import ExpField, OperatorField
+from .linalg import (NotUnitary, dagger, expm, mat_max, unitarity_defect,
+                     worst)
+from .opcalc import OperatorField
+from .symmetry import group_elements
 
 _REP = gamma_set("rep26")
 G0, G1, G2, G3, G4 = _REP.gammas
@@ -74,17 +76,7 @@ class EquationSpec:
     dispersion: Optional[object] = None   # scalar fn of p: H^2 = fn(p)*1
 
 
-def _all_invariant_claims(d):
-    # every element of the 2^d x 2 x 2 group; labels canonicalized later
-    labels = []
-    for mask in range(2 ** d):
-        flips = [str(k + 1) for k in range(d) if mask >> k & 1]
-        base = "*".join("P" + f for f in flips)
-        for tc in ("", "T2", "T1", "C"):
-            lab = "*".join(x for x in (base, tc) if x) or "Id"
-            labels.append((lab, True))
-    return tuple(labels)
-
+_ALL_INVARIANT_CLAIMS = tuple((g.label, True) for g in group_elements(3))
 
 _CHI_CLAIMS = (
     ("P3", True), ("C", True),
@@ -124,6 +116,11 @@ _MASSIVE_CLAIMS = (
 )
 
 
+def _dirac_terms():
+    """gamma0 gamma_k p_k, k = 1..3: the massless four-component terms."""
+    return [(lambda p, _k=k: p[_k], G0 @ _REP.gamma(k + 1)) for k in range(3)]
+
+
 def _two_component_reduction(sign: float, mass_fn, corrupt_reduction=False):
     """-s2*p1 + s1*p2 + sign*s3*m(p); the negative control uses s2*p2."""
     second = S2 if corrupt_reduction else S1
@@ -142,9 +139,8 @@ def catalog_equation(name: str, m: float = 1.0, kappa: float = 1.0,
     disp_massless = lambda p: dual.value(p[0]) ** 2 + dual.value(p[1]) ** 2 + dual.value(p[2]) ** 2
 
     if name == "dirac_massless":
-        terms = [(lambda p, _k=k: p[_k], G0 @ _REP.gamma(k + 1)) for k in range(3)]
-        return EquationSpec(name, 4, 3, OperatorField(4, 3, terms),
-                            claims=_all_invariant_claims(3),
+        return EquationSpec(name, 4, 3, OperatorField(4, 3, _dirac_terms()),
+                            claims=_ALL_INVARIANT_CLAIMS,
                             dispersion=disp_massless)
 
     if name in ("weyl_plus", "weyl_minus"):
@@ -157,7 +153,7 @@ def catalog_equation(name: str, m: float = 1.0, kappa: float = 1.0,
         terms = [(lambda p: p[0], G0 @ G1), (lambda p: p[1], G0 @ G2),
                  (abs_p3, G0)]
         return EquationSpec(name, 4, 3, OperatorField(4, 3, terms),
-                            claims=_all_invariant_claims(3),
+                            claims=_ALL_INVARIANT_CLAIMS,
                             dispersion=disp_massless)
 
     if name in ("chi_plus", "chi_minus"):
@@ -180,8 +176,7 @@ def catalog_equation(name: str, m: float = 1.0, kappa: float = 1.0,
 
     if name in ("flat_plus", "flat_minus"):
         s = 1.0 if name.endswith("plus") else -1.0
-        terms = [(lambda p: p[0], -S2), (lambda p: p[1], S1),
-                 (lambda p, _s=s: _s * m, S3)]
+        terms = _two_component_reduction(s, lambda p: m)
         return EquationSpec(
             name, 2, 2, OperatorField(2, 2, terms), params={"m": m},
             claims=_FLAT_CLAIMS,
@@ -198,8 +193,7 @@ def catalog_equation(name: str, m: float = 1.0, kappa: float = 1.0,
             dispersion=lambda p: sum(dual.value(c) ** 2 for c in p) + kappa ** 2)
 
     if name == "dirac_massive":
-        terms = [(lambda p, _k=k: p[_k], G0 @ _REP.gamma(k + 1)) for k in range(3)]
-        terms.append((lambda p: m, G0))
+        terms = _dirac_terms() + [(lambda p: m, G0)]
         return EquationSpec(
             name, 4, 3, OperatorField(4, 3, terms), params={"m": m},
             claims=_MASSIVE_CLAIMS,
@@ -221,8 +215,7 @@ def catalog_equation(name: str, m: float = 1.0, kappa: float = 1.0,
 
     if name in ("kappa_plus", "kappa_minus"):
         s = 1.0 if name.endswith("plus") else -1.0
-        terms = [(lambda p, _k=k: p[_k], G0 @ _REP.gamma(k + 1)) for k in range(3)]
-        terms.append((lambda p: -kappa, G0))
+        terms = _dirac_terms() + [(lambda p: -kappa, G0)]
         terms.append((lambda p, _s=s: -_s * kappa * e3(p), G0 @ G4))
         return EquationSpec(name, 4, 3, OperatorField(4, 3, terms),
                             params={"kappa": kappa}, claims=_KAPPA_CLAIMS,
@@ -251,14 +244,18 @@ class UnitarySpec:
     dim: int
     d: int
     closed: OperatorField
-    exponential: Optional[ExpField] = None
+    exponent: Optional[OperatorField] = None      # u = exp(exponent)
     source: Optional[str] = None
     target: Union[str, OperatorField, None] = None
 
 
+def _half_angle_norm(a, b):
+    """sqrt(2a(a+b)) = |(a + b, v)| for |v|^2 = a^2 - b^2: the U2-like norm."""
+    return dual.sqrt(2.0 * a * (a + b))
+
+
 def _u2_like_norm(p):
-    E = energy(p)
-    return dual.sqrt(2.0 * E * (E + abs_p3(p)))
+    return _half_angle_norm(energy(p), abs_p3(p))
 
 
 def _theta_half_over_pp(p):
@@ -273,8 +270,7 @@ def catalog_unitary(name: str, m: float = 1.0) -> UnitarySpec:
             (lambda p: 1.0 / np.sqrt(2.0), I4),
             (lambda p: e3(p) / np.sqrt(2.0), G3),
         ])
-        expo = ExpField(OperatorField(4, 3, [
-            (lambda p: 0.25 * np.pi * e3(p), G3)]))
+        expo = OperatorField(4, 3, [(lambda p: 0.25 * np.pi * e3(p), G3)])
         return UnitarySpec("U1", 4, 3, closed, expo,
                            source="dirac_massless", target="chi_4c")
 
@@ -284,10 +280,10 @@ def catalog_unitary(name: str, m: float = 1.0) -> UnitarySpec:
             (lambda p: p[0] / _u2_like_norm(p), G1),
             (lambda p: p[1] / _u2_like_norm(p), G2),
         ])
-        expo = ExpField(OperatorField(4, 3, [
+        expo = OperatorField(4, 3, [
             (lambda p: _theta_half_over_pp(p) * p[0], G1),
             (lambda p: _theta_half_over_pp(p) * p[1], G2),
-        ]))
+        ])
         return UnitarySpec("U2", 4, 3, closed, expo,
                            source="chi_4c", target="phi_diag")
 
@@ -300,8 +296,7 @@ def catalog_unitary(name: str, m: float = 1.0) -> UnitarySpec:
 
     if name == "tU2":
         def norm(p):
-            E = energy(p)
-            return dual.sqrt(2.0 * E * (E + p[2]))
+            return _half_angle_norm(energy(p), p[2])
         closed = OperatorField(4, 3, [
             (lambda p: (energy(p) + p[2]) / norm(p), I4),
             (lambda p: p[0] / norm(p), G1),
@@ -315,10 +310,10 @@ def catalog_unitary(name: str, m: float = 1.0) -> UnitarySpec:
             (lambda p: 1j * p[0] / _u2_like_norm(p), S1),
             (lambda p: 1j * p[1] / _u2_like_norm(p), S2),
         ])
-        expo = ExpField(OperatorField(2, 3, [
+        expo = OperatorField(2, 3, [
             (lambda p: 1j * _theta_half_over_pp(p) * p[0], S1),
             (lambda p: 1j * _theta_half_over_pp(p) * p[1], S2),
-        ]))
+        ])
         target = OperatorField(2, 3, [(energy, S3)])     # diagonal s3*E
         return UnitarySpec("V1", 2, 3, closed, expo,
                            source="chi_plus", target=target)
@@ -341,8 +336,7 @@ def catalog_unitary(name: str, m: float = 1.0) -> UnitarySpec:
     if name == "V2":
         q3 = q3_of(m)
         def norm(p):
-            q = q3(p)
-            return dual.sqrt(2.0 * q * (q + m))
+            return _half_angle_norm(q3(p), m)
         closed = OperatorField(4, 3, [
             (lambda p: (q3(p) + m) / norm(p), I4),
             (lambda p: p[2] / norm(p), G3),
@@ -356,7 +350,7 @@ def catalog_unitary(name: str, m: float = 1.0) -> UnitarySpec:
 UNITARY_NAMES = ("U1", "U2", "tU1", "tU2", "V1", "V", "V2")
 
 
-def composed_tu(m: float = 1.0) -> UnitarySpec:
+def composed_tu() -> UnitarySpec:
     """tU2*tU1: maps the massless four-component equation onto gamma0*E."""
     u1 = catalog_unitary("tU1").closed
     u2 = catalog_unitary("tU2").closed
@@ -387,9 +381,9 @@ def unitarity_residual(u: UnitarySpec, samples) -> float:
 
 
 def exp_closed_residual(u: UnitarySpec, samples) -> float:
-    if u.exponential is None:
+    if u.exponent is None:
         raise ValueError(f"{u.name} has no exponential form")
-    return worst(mat_max(u.closed(p) - u.exponential(p)) for p in samples)
+    return worst(mat_max(u.closed(p) - expm(u.exponent(p))) for p in samples)
 
 
 def tu2_alt_normalization_residual(samples) -> float:

@@ -190,25 +190,6 @@ class OperatorField:
             raise ValueError("field dimension mismatch")
 
 
-class ExpField:
-    """exp of a matrix field, evaluated pointwise.
-
-    Supports evaluation only; the catalog never differentiates exponential
-    forms (they are checked against closed forms at sample points).
-    """
-
-    __slots__ = ("generator", "dim", "d")
-
-    def __init__(self, generator: OperatorField):
-        self.generator = generator
-        self.dim = generator.dim
-        self.d = generator.d
-
-    def __call__(self, p: Point) -> np.ndarray:
-        from .linalg import expm
-        return expm(self.generator(p))
-
-
 @dataclass(frozen=True)
 class DiffOp1:
     """First-order operator A(p) + sum_k B_k(p) (i d/dp_k) + x0 * C(p).
@@ -245,7 +226,10 @@ class DiffOp1:
 
     # -- algebra -----------------------------------------------------------
     def __add__(self, other: "DiffOp1") -> "DiffOp1":
-        x0 = _add_opt(self.x0, other.x0, self.dim, self.d)
+        if self.x0 is None or other.x0 is None:
+            x0 = self.x0 if other.x0 is None else other.x0
+        else:
+            x0 = self.x0 + other.x0
         return DiffOp1(self.a + other.a,
                        tuple(x + y for x, y in zip(self.b, other.b)), x0)
 
@@ -258,13 +242,14 @@ class DiffOp1:
         return DiffOp1(self.a.scale(c), tuple(f.scale(c) for f in self.b),
                        self.x0.scale(c) if self.x0 is not None else None)
 
-    def at(self, p: Point, x0_value: float = 0.0):
-        """(A_eff, (B_k,)) at p (matrices, or stacks on a batch) with x0 folded
-        in at a fixed value."""
-        a = self.a(p)
-        if self.x0 is not None and x0_value != 0.0:
-            a = a + x0_value * self.x0(p)
-        return a, tuple(f(p) for f in self.b)
+    def at(self, p: Point, x0_values=(0.0,)) -> list:
+        """One (A_eff, (B_k,)) per x0 value at p (matrices, or stacks on a
+        batch): A, B and C are evaluated once and C folded into A as
+        A + x0 C (A itself at x0 = 0)."""
+        a, b = self.a(p), tuple(f(p) for f in self.b)
+        c = self.x0(p) if self.x0 is not None else None
+        return [(a if c is None or x0v == 0.0 else a + x0v * c, b)
+                for x0v in x0_values]
 
     def jet(self, p: Point) -> "Jet":
         """Every part and its exact first derivatives, evaluated once on p."""
@@ -277,16 +262,6 @@ class DiffOp1:
                    tuple(self.a.deriv(p, k) for k in ks),
                    tuple(tuple(f.deriv(p, l) for l in ks) for f in self.b),
                    x0, dx0)
-
-
-def _add_opt(x, y, dim, d):
-    if x is None and y is None:
-        return None
-    if x is None:
-        return y
-    if y is None:
-        return x
-    return x + y
 
 
 @dataclass(frozen=True)

@@ -72,15 +72,29 @@ def _boost(h: OperatorField, k: int) -> DiffOp1:
     return DiffOp1(a, tuple(b), OperatorField.momentum(k - 1, dim, d))
 
 
-def _spin_const(mat, dim, d) -> DiffOp1:
-    return DiffOp1.from_field(OperatorField.constant(mat, d))
+def _assemble(name: str, h: OperatorField, spin=None,
+              boost_extra=None) -> GeneratorSet:
+    """P_0 = H, P_k = p_k, J_kl = x_k p_l - x_l p_k + spin[(k, l)] and
+    J_0k = x0 p_k - (1/2)[x_k, H]_+ + boost_extra[k]; an added part is a
+    field or a constant matrix, and an absent one is zero."""
+    dim, d = h.dim, h.d
+    spin, boost_extra = spin or {}, boost_extra or {}
 
+    def plus(op, f):
+        if f is None:
+            return op
+        if not isinstance(f, OperatorField):
+            f = OperatorField.constant(f, d)
+        return op + DiffOp1.from_field(f)
 
-def _momenta_ops(dim, d, h):
     P = {0: DiffOp1.from_field(h)}
+    J = {}
     for k in range(1, d + 1):
         P[k] = DiffOp1.from_field(OperatorField.momentum(k - 1, dim, d))
-    return P
+        for l in range(k + 1, d + 1):
+            J[(k, l)] = plus(_orbital_rotation(k, l, dim, d), spin.get((k, l)))
+        J[(0, k)] = plus(_boost(h, k), boost_extra.get(k))
+    return GeneratorSet(name, dim, d, P, J)
 
 
 def _over_e_plus_p3(p):
@@ -95,87 +109,64 @@ def generator_set(name: str, m: float = 1.0) -> GeneratorSet:
     """
     if name == "psi":
         h = catalog_equation("dirac_massless").hamiltonian
-        J = {}
-        for k in range(1, 4):
-            for l in range(k + 1, 4):
-                J[(k, l)] = _orbital_rotation(k, l, 4, 3) \
-                    + _spin_const(spin_matrix(_REP, k, l).value, 4, 3)
-        for k in range(1, 4):
-            J[(0, k)] = _boost(h, k)
-        return GeneratorSet(name, 4, 3, _momenta_ops(4, 3, h), J)
+        return _assemble(name, h, {(k, l): spin_matrix(_REP, k, l).value
+                                   for k in range(1, 4)
+                                   for l in range(k + 1, 4)})
 
+    s12 = spin_matrix(_REP, 1, 2).value
     if name == "chi":
-        h = catalog_equation("chi_4c").hamiltonian
-        s12 = spin_matrix(_REP, 1, 2).value
-        J = {(1, 2): _orbital_rotation(1, 2, 4, 3) + _spin_const(s12, 4, 3)}
-        for a in (1, 2):
-            # - e3 * S_a3 * gamma3 = + (i/2) e3 gamma_a
-            spin = OperatorField(4, 3, [(lambda p: 0.5j * e3(p),
-                                         _REP.gamma(a))])
-            J[(a, 3)] = _orbital_rotation(a, 3, 4, 3) + DiffOp1.from_field(spin)
-        for k in range(1, 4):
-            J[(0, k)] = _boost(h, k)
-        return GeneratorSet(name, 4, 3, _momenta_ops(4, 3, h), J)
+        # - e3 * S_a3 * gamma3 = + (i/2) e3 gamma_a
+        spin = {(a, 3): OperatorField(4, 3, [(lambda p: 0.5j * e3(p),
+                                              _REP.gamma(a))])
+                for a in (1, 2)}
+        return _assemble(name, catalog_equation("chi_4c").hamiltonian,
+                         {**spin, (1, 2): s12})
 
     if name in ("phi", "phi_pos", "phi_neg"):
         if name == "phi":
             g0 = G0
         else:
             g0 = (1.0 if name == "phi_pos" else -1.0) * np.eye(4, dtype=complex)
-        h = OperatorField(4, 3, [(energy, g0)])
-        s12 = spin_matrix(_REP, 1, 2).value
-        J = {(1, 2): _orbital_rotation(1, 2, 4, 3) + _spin_const(s12, 4, 3)}
         # S_{a b} p_b for a = 1, 2 reduces to +-S12 p_{2,1}
         sab_pb = {
             1: OperatorField(4, 3, [(lambda p: p[1], s12)]),
             2: OperatorField(4, 3, [(lambda p: -p[0], s12)]),
         }
-        for a in (1, 2):
-            spin = sab_pb[a].scale(lambda p: -e3(p) * _over_e_plus_p3(p))
-            J[(a, 3)] = _orbital_rotation(a, 3, 4, 3) + DiffOp1.from_field(spin)
-            extra = (OperatorField.constant(g0, 3) @ sab_pb[a]) \
-                .scale(lambda p: -_over_e_plus_p3(p))
-            J[(0, a)] = _boost(h, a) + DiffOp1.from_field(extra)
-        J[(0, 3)] = _boost(h, 3)
-        return GeneratorSet(name, 4, 3, _momenta_ops(4, 3, h), J)
+        spin = {(a, 3): sab_pb[a].scale(lambda p: -e3(p) * _over_e_plus_p3(p))
+                for a in (1, 2)}
+        extra = {a: (OperatorField.constant(g0, 3) @ sab_pb[a])
+                 .scale(lambda p: -_over_e_plus_p3(p)) for a in (1, 2)}
+        return _assemble(name, OperatorField(4, 3, [(energy, g0)]),
+                         {**spin, (1, 2): s12}, extra)
 
     if name == "chi2":
         # two-component reduction of the "chi" set on the upper block:
         # J_a3 spin part is -(1/2) e3 sigma_a
-        h = catalog_equation("chi_plus").hamiltonian
-        J = {(1, 2): _orbital_rotation(1, 2, 2, 3)
-             + _spin_const(0.5 * pauli(3), 2, 3)}
-        for a in (1, 2):
-            spin = OperatorField(2, 3, [(lambda p: -0.5 * e3(p), pauli(a))])
-            J[(a, 3)] = _orbital_rotation(a, 3, 2, 3) + DiffOp1.from_field(spin)
-        for k in range(1, 4):
-            J[(0, k)] = _boost(h, k)
-        return GeneratorSet(name, 2, 3, _momenta_ops(2, 3, h), J)
+        spin = {(a, 3): OperatorField(2, 3, [(lambda p: -0.5 * e3(p),
+                                              pauli(a))])
+                for a in (1, 2)}
+        return _assemble(name, catalog_equation("chi_plus").hamiltonian,
+                         {**spin, (1, 2): 0.5 * pauli(3)})
 
     if name == "flat":
-        h = catalog_equation("flat_plus", m=m).hamiltonian
-        J = {(1, 2): _orbital_rotation(1, 2, 2, 2)
-             + _spin_const(0.5 * pauli(3), 2, 2)}
-        for a in (1, 2):
-            J[(0, a)] = _boost(h, a)
-        return GeneratorSet(name, 2, 2, _momenta_ops(2, 2, h), J)
+        return _assemble(name, catalog_equation("flat_plus", m=m).hamiltonian,
+                         {(1, 2): 0.5 * pauli(3)})
 
     if name == "weyl":
-        h = catalog_equation("weyl_plus").hamiltonian
         eps = {(1, 2): 3, (1, 3): -2, (2, 3): 1}
-        J = {}
-        for (k, l), s in eps.items():
-            mat = 0.5 * np.sign(s) * pauli(abs(s))
-            J[(k, l)] = _orbital_rotation(k, l, 2, 3) + _spin_const(mat, 2, 3)
-        for k in range(1, 4):
-            J[(0, k)] = _boost(h, k)
-        return GeneratorSet(name, 2, 3, _momenta_ops(2, 3, h), J)
+        return _assemble(name, catalog_equation("weyl_plus").hamiltonian,
+                         {kl: 0.5 * np.sign(s) * pauli(abs(s))
+                          for kl, s in eps.items()})
 
     raise ValueError(f"unknown generator set {name!r}")
 
 
 GENERATOR_NAMES = ("psi", "chi", "phi", "phi_pos", "phi_neg", "chi2",
                    "flat", "weyl")
+
+# equation -> the generator set whose helicity labels its irrep content
+CONTENT_SETS = {"dirac_massless": "psi", "chi_4c": "chi", "phi_diag": "phi",
+                "weyl_plus": "weyl", "chi_plus": "chi2", "chi_minus": "chi2"}
 
 
 # -- structure-constant calibration -----------------------------------------
@@ -184,13 +175,7 @@ def _scalar_orbital_set(d: int) -> GeneratorSet:
     def e_d(p):
         from . import dual
         return dual.sqrt(sum(c * c for c in p))
-    h = OperatorField.scalar(e_d, 1, d)
-    J = {}
-    for k in range(1, d + 1):
-        for l in range(k + 1, d + 1):
-            J[(k, l)] = _orbital_rotation(k, l, 1, d)
-        J[(0, k)] = _boost(h, k)
-    return GeneratorSet("orbital", 1, d, _momenta_ops(1, d, h), J)
+    return _assemble("orbital", OperatorField.scalar(e_d, 1, d))
 
 
 def _metric(d: int):
@@ -257,10 +242,9 @@ def _commutators(gs, p):
 def _closure_residual(gs, p, comms, sign_jj, sign_jp, x0_values=X0_VALUES):
     first = []
     for k1, k2, comm in comms:
-        rhs = _rhs(gs, k1, k2, sign_jj, sign_jp)
-        for x0v in x0_values:
+        rhs = _rhs(gs, k1, k2, sign_jj, sign_jp).at(p, x0_values)
+        for x0v, (ae, be) in zip(x0_values, rhs):
             ac, bc = comm.fold(x0v)
-            ae, be = rhs.at(p, x0v)
             first.append(mat_max(ac - ae))
             first += [mat_max(bck - bek) for bck, bek in zip(bc, be)]
     return worst(first)
@@ -307,9 +291,8 @@ def set_covariance_residual(gs_src: GeneratorSet, gs_tgt: GeneratorSet,
     for (name1, op1), (name2, op2) in zip(gs_src.members(), gs_tgt.members()):
         conj = conjugate_by_unitary(u.adjoint(), op1, probe=samples[:2])
         for p in samples:
-            for x0v in x0_values:
-                a1, b1 = conj.at(p, x0v)
-                a2, b2 = op2.at(p, x0v)
+            for (a1, b1), (a2, b2) in zip(conj.at(p, x0_values),
+                                          op2.at(p, x0_values)):
                 out.append(mat_max(a1 - a2))
                 out += [mat_max(x - y) for x, y in zip(b1, b2)]
     return worst(out)

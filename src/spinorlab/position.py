@@ -9,8 +9,19 @@ The four named operators (all d = 3):
 
 Each component is x_k (= i d/dp_k) plus a Hermitian matrix field; the
 derivative coefficient of component k stays exactly i times the identity, so
-[X_j, p_k] = i delta_jk is structural.  Transverse sums below run over the
-two transverse axes c in {1, 2}.
+[X_j, p_k] = i delta_jk is structural.  All four closed forms are one formula
+(a in {1, 2}, b = 3 - a the other transverse axis, sums over c in {1, 2}):
+
+    X_a = x_a + (w/E) m_a - w sum_c p_c p_a m_c / (E^2 (E+|p3|))
+              + p_b / (E (E+|p3|)) s_a
+    X_3 = x_3 - w e3 / E^2 sum_c p_c m_c
+
+with one row (w, m_a, s_a) per operator, s_2 = -s_1:
+
+    Xchi   w = -1        m_a = S_5a            s_1 = S12
+    Xpsi   w = e3        m_a = gamma3 S_5a     s_1 = S12
+    Xchi2  w = -1/2      m_a = sigma_a         s_1 = sigma3/2
+    XW     w = i e3/2    m_a = sigma3 sigma_a  s_1 = sigma3/2
 """
 
 import numpy as np
@@ -59,102 +70,36 @@ def _inv_e_eplus(p):
     return 1.0 / (energy(p) * (energy(p) + abs_p3(p)))
 
 
-def _transverse_sum(a, mat_of_c, coeff_of_c):
-    """Terms coeff(p, c) * mat(c) for c in {1, 2} (a fixed for closures)."""
-    return [(lambda p, _c=c, _f=coeff_of_c: _f(p, _c), mat_of_c(c))
-            for c in (1, 2)]
-
-
-def _xchi_closed() -> list:
-    s5 = {a: spin_matrix(_REP, 5, a).value for a in (1, 2)}   # = -(i/2) gamma_a
+def _rows() -> dict:
+    """name -> (w, {a: m_a}, s_1) of the closed form in the module docstring."""
+    s5 = {a: spin_matrix(_REP, 5, a).value for a in (1, 2)}
     s12 = spin_matrix(_REP, 1, 2).value
-    comps = []
-    for a in (1, 2):
-        c_other = 3 - a
-        sac = s12 if a == 1 else -s12                         # S_{a, c_other}
-        terms = [(lambda p: -1.0 / energy(p), s5[a])]
-        terms += _transverse_sum(
-            a, lambda c: s5[c],
-            lambda p, c, _a=a: p[c - 1] * p[_a - 1]
-            * _inv_e_eplus(p) / energy(p))
-        terms.append((lambda p, _c=c_other: p[_c - 1] * _inv_e_eplus(p), sac))
-        comps.append(OperatorField(4, 3, terms))
-    x3 = _transverse_sum(3, lambda c: s5[c],
-                         lambda p, c: e3(p) * p[c - 1] / energy(p) ** 2)
-    comps.append(OperatorField(4, 3, x3))
-    return comps
-
-
-def _xpsi_closed() -> list:
-    g3s5 = {a: G3 @ spin_matrix(_REP, 5, a).value for a in (1, 2)}
-    s12 = spin_matrix(_REP, 1, 2).value
-    comps = []
-    for a in (1, 2):
-        c_other = 3 - a
-        sac = s12 if a == 1 else -s12
-        terms = [(lambda p: e3(p) / energy(p), g3s5[a])]
-        terms += _transverse_sum(
-            a, lambda c: g3s5[c],
-            lambda p, c, _a=a: -e3(p) * p[c - 1] * p[_a - 1]
-            * _inv_e_eplus(p) / energy(p))
-        terms.append((lambda p, _c=c_other: p[_c - 1] * _inv_e_eplus(p), sac))
-        comps.append(OperatorField(4, 3, terms))
-    x3 = _transverse_sum(3, lambda c: g3s5[c],
-                         lambda p, c: -p[c - 1] / energy(p) ** 2)
-    comps.append(OperatorField(4, 3, x3))
-    return comps
-
-
-def _xchi2_closed() -> list:
     s = {k: pauli(k) for k in (1, 2, 3)}
-    comps = []
-    for a in (1, 2):
-        c_other = 3 - a
-        comm = s[a] @ s[c_other] - s[c_other] @ s[a]
-        terms = [(lambda p: -0.5 / energy(p), s[a])]
-        terms += _transverse_sum(
-            a, lambda c: s[c],
-            lambda p, c, _a=a: 0.5 * p[c - 1] * p[_a - 1]
-            * _inv_e_eplus(p) / energy(p))
-        terms.append((lambda p, _c=c_other: -0.25j * p[_c - 1]
-                      * _inv_e_eplus(p), comm))
-        comps.append(OperatorField(2, 3, terms))
-    x3 = _transverse_sum(3, lambda c: s[c],
-                         lambda p, c: 0.5 * e3(p) * p[c - 1] / energy(p) ** 2)
-    comps.append(OperatorField(2, 3, x3))
-    return comps
-
-
-def _xw_closed() -> list:
-    s = {k: pauli(k) for k in (1, 2, 3)}
-    comps = []
-    for a in (1, 2):
-        c_other = 3 - a
-        comm = s[a] @ s[c_other] - s[c_other] @ s[a]
-        terms = [(lambda p: 0.5j * e3(p) / energy(p), s[3] @ s[a])]
-        terms += _transverse_sum(
-            a, lambda c: s[3] @ s[c],
-            lambda p, c, _a=a: -0.5j * e3(p) * p[c - 1] * p[_a - 1]
-            * _inv_e_eplus(p) / energy(p))
-        terms.append((lambda p, _c=c_other: -0.25j * p[_c - 1]
-                      * _inv_e_eplus(p), comm))
-        comps.append(OperatorField(2, 3, terms))
-    x3 = _transverse_sum(3, lambda c: s[3] @ s[c],
-                         lambda p, c: -0.5j * p[c - 1] / energy(p) ** 2)
-    comps.append(OperatorField(2, 3, x3))
-    return comps
-
-
-_CLOSED = {"Xchi": _xchi_closed, "Xpsi": _xpsi_closed,
-           "Xchi2": _xchi2_closed, "XW": _xw_closed}
+    return {"Xchi": (lambda p: -1.0, s5, s12),
+            "Xpsi": (e3, {a: G3 @ s5[a] for a in (1, 2)}, s12),
+            "Xchi2": (lambda p: -0.5, s, 0.5 * s[3]),
+            "XW": (lambda p: 0.5j * e3(p), {a: s[3] @ s[a] for a in (1, 2)},
+                   0.5 * s[3])}
 
 
 def position_closed_form(name: str) -> list:
     """The transcribed closed-form operators, as x_k + matrix field."""
-    if name not in _CLOSED:
+    if name not in _CONJUGATION:
         raise ValueError(f"unknown position operator {name!r}")
     dim = _CONJUGATION[name][0]
-    fields = _CLOSED[name]()
+    w, m, s1 = _rows()[name]
+    fields = []
+    for a in (1, 2):
+        b = 3 - a
+        terms = [(lambda p: w(p) / energy(p), m[a])]
+        terms += [(lambda p, _a=a, _c=c: -w(p) * p[_c - 1] * p[_a - 1]
+                   * _inv_e_eplus(p) / energy(p), m[c]) for c in (1, 2)]
+        terms.append((lambda p, _b=b: p[_b - 1] * _inv_e_eplus(p),
+                      s1 if a == 1 else -s1))
+        fields.append(OperatorField(dim, 3, terms))
+    fields.append(OperatorField(dim, 3, [
+        (lambda p, _c=c: -w(p) * e3(p) * p[_c - 1] / energy(p) ** 2, m[c])
+        for c in (1, 2)]))
     return [DiffOp1.position_component(k, dim, 3) + DiffOp1.from_field(f)
             for k, f in enumerate(fields)]
 

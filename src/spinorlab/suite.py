@@ -68,7 +68,7 @@ def _unitary(name, cfg):
     s3 = _s3(cfg)
     u = eqs.catalog_unitary(name, m=cfg.mass)
     yield CheckResult(f"unitary/{name}", eqs.unitarity_residual(u, s3), 1e-10)
-    if u.exponential is not None:
+    if u.exponent is not None:
         yield CheckResult(f"exp_vs_closed/{name}",
                           eqs.exp_closed_residual(u, s3), cfg.tol)
     if u.source is not None and u.target is not None:
@@ -114,14 +114,14 @@ def _position(name, cfg):
 
 
 def _content(cfg):
-    psi = poincare.irrep_content(eqs.catalog_equation("dirac_massless"),
-                                 poincare.generator_set("psi"), _s3(cfg))
-    expected_psi = ((-1, -0.5), (-1, 0.5), (1, -0.5), (1, 0.5))
+    def content(name):
+        gs = poincare.generator_set(poincare.CONTENT_SETS[name])
+        return poincare.irrep_content(eqs.catalog_equation(name), gs, _s3(cfg))
+    psi = ((-1, -0.5), (-1, 0.5), (1, -0.5), (1, 0.5))
     yield CheckResult("content/dirac_massless",
-                      0.0 if psi == expected_psi else 1.0, 0.5)
-    weyl = poincare.irrep_content(eqs.catalog_equation("weyl_plus"),
-                                  poincare.generator_set("weyl"), _s3(cfg))
-    yield CheckResult("content/weyl_plus", 0.0 if len(weyl) == 2 else 1.0, 0.5)
+                      0.0 if content("dirac_massless") == psi else 1.0, 0.5)
+    yield CheckResult("content/weyl_plus",
+                      0.0 if len(content("weyl_plus")) == 2 else 1.0, 0.5)
 
 
 def _dispersion_and_structure(cfg):
@@ -147,7 +147,7 @@ def _registry():
     for name in eqs.UNITARY_NAMES:
         u = eqs.catalog_unitary(name)
         groups = ("unitary",)
-        if u.exponential is not None:
+        if u.exponent is not None:
             groups += ("exp_vs_closed",)
         if u.source is not None and u.target is not None:
             groups += ("transform",)
@@ -157,7 +157,7 @@ def _registry():
     out += [
         Entry(("transform",), "tU2*tU1", sampled | {"tol"}, lambda cfg: [
             CheckResult("transform/tU2*tU1", eqs.verify_transform(
-                eqs.composed_tu(m=cfg.mass), _s3(cfg)), cfg.tol)]),
+                eqs.composed_tu(), _s3(cfg)), cfg.tol)]),
         Entry(("transform",), "tU2_alt_norm_p3pos", sampled | {"tol"},
               lambda cfg: [CheckResult(
                   "transform/tU2_alt_norm_p3pos",
@@ -196,10 +196,15 @@ def run_checks(cfg: RunConfig, groups: Optional[tuple] = None,
               or (e.subject == subject and set(groups) & set(e.groups))]
     if not chosen:
         raise ValueError(f"no {'/'.join(groups)} check for {subject!r}")
-    unread = sorted(set(given) - frozenset().union(*(e.reads for e in chosen)))
+    reject_unread(given, frozenset().union(*(e.reads for e in chosen)))
+    return [c for e in chosen for c in e.run(cfg)]
+
+
+def reject_unread(given, reads) -> None:
+    """Raise ValueError when a RunConfig field named in ``given`` is not read."""
+    unread = sorted(set(given) - set(reads))
     if unread:
         raise ValueError(f"no selected check reads {', '.join(unread)}")
-    return [c for e in chosen for c in e.run(cfg)]
 
 
 def run_verify_all(cfg: RunConfig) -> list:

@@ -26,7 +26,6 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .equations import EquationSpec
 from .linalg import (TOL_NULLSPACE, cond2, dagger, mat_max, polar_unitary,
                      svd_nullspace, worst)
 from .opcalc import as_batch, sample_momenta
@@ -110,7 +109,7 @@ def group_elements(d: int) -> list:
     return out
 
 
-def intertwine_condition(eq: EquationSpec, g: SymmetryElement, p):
+def intertwine_condition(eq, g: SymmetryElement, p):
     """(Htilde(p), H(p)) such that invariance <=> M Htilde = H M for all p.
 
     On a batch ``p`` both are (n, dim, dim) stacks.
@@ -163,7 +162,7 @@ class NonInvariance:
         return self.certificate / self.sigma_max
 
 
-def solve_intertwiner(eq: EquationSpec, g: SymmetryElement,
+def solve_intertwiner(eq, g: SymmetryElement,
                       n_fit: int = 12, n_holdout: int = 4,
                       seed: int = 42) -> Union[Intertwiner, NonInvariance]:
     """Nullspace solve for a constant intertwiner, or a non-invariance certificate."""
@@ -242,7 +241,7 @@ def _composition_matrix(g1, m1, g2, m2):
     return m1 @ (np.conj(m2) if g1.conjugate else m2)
 
 
-def classify_equation(eq: EquationSpec, seed: int = 42, n_fit: int = 12,
+def classify_equation(eq, seed: int = 42, n_fit: int = 12,
                       n_holdout: int = 4) -> ClassificationReport:
     """Solve every group element, check attached-claim agreement and coherence."""
     verdicts = []
@@ -287,7 +286,7 @@ def classify_equation(eq: EquationSpec, seed: int = 42, n_fit: int = 12,
 
 # -- random-search oracle -----------------------------------------------------
 
-def random_search_oracle(eq: EquationSpec, g: SymmetryElement, points,
+def random_search_oracle(eq, g: SymmetryElement, points,
                          n_candidates: int = 100_000, seed: int = 42,
                          pool: Optional[np.ndarray] = None,
                          polish_iters: int = 1500, n_polish: int = 8):

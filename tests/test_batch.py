@@ -22,9 +22,9 @@ EPS = np.finfo(float).eps
 CATALOG_FIELDS = (
     [(name, catalog_equation(name).hamiltonian) for name in EQUATION_NAMES]
     + [(name, catalog_unitary(name).closed) for name in UNITARY_NAMES]
-    + [(f"{name} exponent", catalog_unitary(name).exponential.generator)
+    + [(f"{name} exponent", catalog_unitary(name).exponent)
        for name in UNITARY_NAMES
-       if catalog_unitary(name).exponential is not None])
+       if catalog_unitary(name).exponent is not None])
 
 
 def _real(field, p) -> bool:

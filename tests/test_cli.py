@@ -157,6 +157,11 @@ def test_dumps_rejects_non_finite_floats(x):
     ["transform", "--name", "U1", "--corrupt-reduction"],
     ["transform", "--name", "bogus"],
     ["algebra", "--generators", "flat", "--mass", "nan"],
+    ["content", "--equation", "chi_plus", "--mass", "7"],
+    ["report", "--equation", "weyl_plus", "--tol", "1e-7"],
+    ["report", "--equation", "weyl_plus", "--mass", "7"],
+    ["report", "--equation", "flat_plus", "--corrupt-reduction"],
+    ["content", "--equation", "weyl_plus", "--corrupt-reduction"],
 ])
 def test_unread_flag_empty_selection_or_bad_value_exits_2(argv, capsys):
     assert main(argv) == 2
@@ -172,3 +177,16 @@ def test_swallowed_nan_fails_and_never_prints_invalid_json(capsys):
     out = capsys.readouterr().out
     assert "| transform/V2 | nan | 1e-09 | false |" in out
     assert "| true |" not in out
+
+
+def test_report_reads_the_parameter_of_its_equation(capsys):
+    assert main(["report", "--equation", "flat_plus", "--mass", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["equation"] == "flat_plus"
+
+
+def test_content_of_corrupted_reduction_fails_in_one_line(capsys):
+    assert main(["content", "--equation", "chi_plus",
+                 "--corrupt-reduction"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("content not invariant:") and err.count("\n") == 1

@@ -9,6 +9,7 @@ from spinorlab.equations import abs_p3, catalog_unitary, energy
 from spinorlab.linalg import mat_max
 from spinorlab.opcalc import (DiffOp1, OperatorField, conjugate_by_unitary,
                               diffop_commutator, sample_momenta)
+from spinorlab.poincare import generator_set
 
 
 def richardson_derivative(f, p, k, h=1e-4):
@@ -191,3 +192,13 @@ def test_conjugation_unitarity_guard_fails_closed_on_nan():
     with pytest.raises(ValueError, match="not unitary"):
         conjugate_by_unitary(u, DiffOp1.position_component(0, 2, 3),
                              probe=probe)
+
+
+def test_at_folds_x0_from_one_evaluation():
+    op = generator_set("chi2").J[(0, 1)]
+    p = sample_momenta(3, 1, 3)[0]
+    [(a0, b0), (a1, b1)] = op.at(p, (0.0, 1.37))
+    assert np.array_equal(a0, op.a(p))
+    assert np.array_equal(a1, op.a(p) + 1.37 * op.x0(p))
+    for b in (b0, b1):
+        assert all(np.array_equal(x, f(p)) for x, f in zip(b, op.b))

@@ -32,14 +32,14 @@ def test_rotation_commutator_closes_on_j13():
     p = S3[0]
     comm = diffop_commutator(gs.J[(1, 2)].jet(p), gs.J[(2, 3)].jet(p))
     want = _jj_rhs(gs, 1, 2, 2, 3, sjj)
-    aw, bw = want.at(p)
+    [(aw, bw)] = want.at(p)
     ac, bc = comm.fold(0.0)
     assert mat_max(ac - aw) <= 1e-9
     for x, y in zip(bc, bw):
         assert mat_max(x - y) <= 1e-9
     assert comm.second_order <= 1e-10
     # and the proportionality to J13 itself is +-i
-    aj, _ = gs.J[(1, 3)].at(p)
+    [(aj, _)] = gs.J[(1, 3)].at(p)
     ratio = ac[np.abs(aj) > 1e-9] / aj[np.abs(aj) > 1e-9]
     assert np.allclose(ratio, ratio[0]) and abs(abs(ratio[0]) - 1.0) < 1e-12
     assert abs(ratio[0].real) < 1e-12
@@ -57,7 +57,7 @@ def test_generator_spot_values():
     # J_03 zeroth part at x0 = 0 is -(i/2) d(H)/dp3 for the diagonal set
     gs = generator_set("phi")
     h = catalog_equation("phi_diag").hamiltonian
-    a0, _ = gs.J[(0, 3)].at(p, 0.0)
+    [(a0, _)] = gs.J[(0, 3)].at(p, (0.0,))
     assert mat_max(a0 + 0.5j * h.deriv(p, 2)) < 1e-15
 
 
