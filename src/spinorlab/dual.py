@@ -1,8 +1,8 @@
-"""Forward-mode dual numbers for exact derivatives of momentum coefficient functions.
+"""Forward-mode dual numbers: exact derivatives of momentum-dependent fields.
 
 A momentum component is a float at one point or an ``(n,)`` array over a
 batch of points; every function here accepts either, elementwise, so one
-coefficient closure serves both.
+coefficient closure serves both.  Matrix values multiply with ``@``.
 """
 
 import cmath
@@ -12,15 +12,15 @@ import numpy as np
 
 
 class Dual:
-    """A scalar carrying a first derivative along one real direction.
+    """A value carrying its first derivative along one real direction.
 
     Both components may themselves be ``Dual``, so nested evaluation yields
-    exact second derivatives, or ndarrays, so one ``Dual`` carries a whole
-    batch.  Only the operations the field catalog needs are implemented.
+    exact second derivatives, or ndarrays: a whole batch of scalars, or a
+    (stack of) matrices.  Only the operations the fields need are implemented.
     """
 
     __slots__ = ("val", "eps")
-    # ndarray * Dual defers to Dual.__rmul__ instead of building an object array
+    # ndarray * Dual (and @) defers to Dual instead of building an object array
     __array_ufunc__ = None
 
     def __init__(self, val, eps=0.0):
@@ -55,6 +55,15 @@ class Dual:
         return Dual(self.val * other, self.eps * other)
 
     __rmul__ = __mul__
+
+    def __matmul__(self, other):
+        if isinstance(other, Dual):
+            return Dual(self.val @ other.val,
+                        self.val @ other.eps + self.eps @ other.val)
+        return Dual(self.val @ other, self.eps @ other)
+
+    def __rmatmul__(self, other):
+        return Dual(other @ self.val, other @ self.eps)
 
     def __truediv__(self, other):
         if isinstance(other, Dual):
@@ -127,9 +136,3 @@ def sign(x):
 def absval(x):
     """|x| for real scalars, with derivative sign(x) away from the origin."""
     return x * sign(x)
-
-
-def conj(x):
-    if isinstance(x, Dual):
-        return Dual(conj(x.val), conj(x.eps))
-    return x.conjugate()

@@ -30,7 +30,7 @@ from . import dual
 from .clifford import gamma_set, pauli, spin_matrix
 from .linalg import (NotUnitary, dagger, expm, mat_max, unitarity_defect,
                      worst)
-from .opcalc import OperatorField
+from .opcalc import OperatorField, as_batch
 from .symmetry import group_elements
 
 _REP = gamma_set("rep26")
@@ -307,12 +307,12 @@ def catalog_unitary(name: str, m: float = 1.0) -> UnitarySpec:
     if name == "V1":
         closed = OperatorField(2, 3, [
             (lambda p: (energy(p) + abs_p3(p)) / _u2_like_norm(p), I2),
-            (lambda p: 1j * p[0] / _u2_like_norm(p), S1),
-            (lambda p: 1j * p[1] / _u2_like_norm(p), S2),
+            (lambda p: p[0] / _u2_like_norm(p), 1j * S1),
+            (lambda p: p[1] / _u2_like_norm(p), 1j * S2),
         ])
         expo = OperatorField(2, 3, [
-            (lambda p: 1j * _theta_half_over_pp(p) * p[0], S1),
-            (lambda p: 1j * _theta_half_over_pp(p) * p[1], S2),
+            (lambda p: _theta_half_over_pp(p) * p[0], 1j * S1),
+            (lambda p: _theta_half_over_pp(p) * p[1], 1j * S2),
         ])
         target = OperatorField(2, 3, [(energy, S3)])     # diagonal s3*E
         return UnitarySpec("V1", 2, 3, closed, expo,
@@ -329,7 +329,7 @@ def catalog_unitary(name: str, m: float = 1.0) -> UnitarySpec:
             return 2.0 * dual.sqrt(E * (E + abs_p3(p)))   # = 2 sqrt(xi.p)
         terms = [(lambda p: (energy(p) + abs_p3(p)) / norm(p), I2)]
         for k in range(3):
-            terms.append((lambda p, _x=xi[k]: 1j * _x(p) / norm(p), pauli(k + 1)))
+            terms.append((lambda p, _x=xi[k]: _x(p) / norm(p), 1j * pauli(k + 1)))
         return UnitarySpec("V", 2, 3, OperatorField(2, 3, terms),
                            source="weyl_plus", target="weyl_canonical")
 
@@ -367,23 +367,24 @@ def verify_transform(u: UnitarySpec, samples, m: float = 1.0,
                           corrupt_reduction=corrupt_reduction).hamiltonian
     ht = u.target if isinstance(u.target, OperatorField) else \
         catalog_equation(u.target, m=m, kappa=kappa).hamiltonian
-    out = []
-    for p in samples:
-        up = u.closed(p)
-        if not (unitarity_defect(up) <= 1e-8):
-            raise NotUnitary(f"{u.name} is not unitary at {p}")
-        out.append(mat_max(up @ hs(p) @ dagger(up) - ht(p)))
-    return worst(out)
+    p = as_batch(samples)
+    up = u.closed(p)
+    if not (unitarity_defect(up) <= 1e-8):
+        bad = next(q for q, v in zip(samples, up)
+                   if not (unitarity_defect(v) <= 1e-8))
+        raise NotUnitary(f"{u.name} is not unitary at {bad}")
+    return mat_max(up @ hs(p) @ dagger(up) - ht(p))
 
 
 def unitarity_residual(u: UnitarySpec, samples) -> float:
-    return worst(unitarity_defect(u.closed(p)) for p in samples)
+    return unitarity_defect(u.closed(as_batch(samples)))
 
 
 def exp_closed_residual(u: UnitarySpec, samples) -> float:
     if u.exponent is None:
         raise ValueError(f"{u.name} has no exponential form")
-    return worst(mat_max(u.closed(p) - expm(u.exponent(p))) for p in samples)
+    p = as_batch(samples)
+    return mat_max(u.closed(p) - expm(u.exponent(p)))
 
 
 def tu2_alt_normalization_residual(samples) -> float:
@@ -393,7 +394,8 @@ def tu2_alt_normalization_residual(samples) -> float:
     pos = [p for p in samples if p[2] > 0]
     if not pos:
         raise ValueError("need at least one p3 > 0 sample")
-    return worst(mat_max(tu2(p) - alt(p)) for p in pos)
+    p = as_batch(pos)
+    return mat_max(tu2(p) - alt(p))
 
 
 # -- projectors ------------------------------------------------------------
@@ -427,26 +429,23 @@ def verify_projectors(samples, m: float = 1.0) -> dict:
     res["q_orthogonal"] = mat_max(Q_PLUS @ Q_MINUS)
     res["q_complete"] = mat_max(Q_PLUS + Q_MINUS - I4)
 
-    hchi = catalog_equation("chi_4c").hamiltonian
-    res["q_commutes_hchi"] = worst(
-        mat_max(Q_PLUS @ hchi(p) - hchi(p) @ Q_PLUS) for p in samples)
+    p = as_batch(samples)
+    hchi = catalog_equation("chi_4c").hamiltonian(p)
+    res["q_commutes_hchi"] = mat_max(Q_PLUS @ hchi - hchi @ Q_PLUS)
 
-    kf = massive_constraint_field(m)
-    res["k_squares_to_one"] = worst(mat_max(kf(p) @ kf(p) - I4) for p in samples)
-    proj = [0.5 * (I4 - kf(p)) for p in samples]
-    res["k_projector_idempotent"] = worst(mat_max(q @ q - q) for q in proj)
-    hm = catalog_equation("dirac_massive", m=m).hamiltonian
-    res["k_commutes_massive"] = worst(
-        mat_max(kf(p) @ hm(p) - hm(p) @ kf(p)) for p in samples)
+    kf = massive_constraint_field(m)(p)
+    res["k_squares_to_one"] = mat_max(kf @ kf - I4)
+    proj = 0.5 * (I4 - kf)
+    res["k_projector_idempotent"] = mat_max(proj @ proj - proj)
+    hm = catalog_equation("dirac_massive", m=m).hamiltonian(p)
+    res["k_commutes_massive"] = mat_max(kf @ hm - hm @ kf)
 
-    cp = chirality_projector_field(+1.0)
-    cm = chirality_projector_field(-1.0)
-    res["chirality_idempotent"] = worst(
-        r for p in samples for r in (mat_max(cp(p) @ cp(p) - cp(p)),
-                                     mat_max(cm(p) @ cm(p) - cm(p))))
-    res["chirality_complementary"] = worst(
-        r for p in samples for r in (mat_max(cp(p) + cm(p) - I4),
-                                     mat_max(cp(p) @ cm(p))))
+    cp = chirality_projector_field(+1.0)(p)
+    cm = chirality_projector_field(-1.0)(p)
+    res["chirality_idempotent"] = worst([mat_max(cp @ cp - cp),
+                                         mat_max(cm @ cm - cm)])
+    res["chirality_complementary"] = worst([mat_max(cp + cm - I4),
+                                            mat_max(cp @ cm)])
     return res
 
 
@@ -457,33 +456,30 @@ def block_reduction_residual(samples) -> float:
     h4 = catalog_equation("chi_4c").hamiltonian
     hp = catalog_equation("chi_plus").hamiltonian
     hm = catalog_equation("chi_minus").hamiltonian
-    out = []
-    for p in samples:
-        full = h4(p)
-        out += [mat_max(full[:2, :2] - hp(p)), mat_max(full[2:, 2:] - hm(p)),
-                mat_max(full[:2, 2:]), mat_max(full[2:, :2])]
-    return worst(out)
+    p = as_batch(samples)
+    full = h4(p)
+    return worst([mat_max(full[..., :2, :2] - hp(p)),
+                  mat_max(full[..., 2:, 2:] - hm(p)),
+                  mat_max(full[..., :2, 2:]), mat_max(full[..., 2:, :2])])
 
 
 def dispersion_residual(eq: EquationSpec, samples) -> float:
     if eq.dispersion is None:
         raise ValueError(f"{eq.name} has no dispersion contract")
-    eye = np.eye(eq.dim)
-    out = []
-    for p in samples:
-        h = eq.hamiltonian(p)
-        out.append(mat_max(h @ h - eq.dispersion(p) * eye))
-    return worst(out)
+    p = as_batch(samples)
+    h = eq.hamiltonian(p)
+    return mat_max(h @ h - eq.dispersion(p)[..., None, None] * np.eye(eq.dim))
 
 
 def lambda_consistency_residual(samples) -> float:
     """lambda*S_0l*p_l with lambda = -2i reproduces the massless operator."""
     s0l = [spin_matrix(_REP, 0, l).value for l in (1, 2, 3)]
     h = catalog_equation("dirac_massless").hamiltonian
-    return worst(mat_max(sum((-2j) * s0l[l] * p[l] for l in range(3)) - h(p))
-                 for p in samples)
+    p = as_batch(samples)
+    return mat_max(sum((-2j) * s0l[l] * p[l][..., None, None]
+                       for l in range(3)) - h(p))
 
 
 def hermiticity_residual(eq: EquationSpec, samples) -> float:
-    return worst(mat_max(eq.hamiltonian(p) - dagger(eq.hamiltonian(p)))
-                 for p in samples)
+    h = eq.hamiltonian(as_batch(samples))
+    return mat_max(h - dagger(h))

@@ -11,6 +11,8 @@ from typing import Iterable, NamedTuple
 import numpy as np
 import scipy.linalg
 
+from .dual import Dual
+
 # Relative singular-value cutoff for nullspaces: double precision with short
 # flop chains on norm-O(10) matrices.
 TOL_NULLSPACE = 1e-8
@@ -20,7 +22,10 @@ def as_cmatrix(m) -> np.ndarray:
     return np.asarray(m, dtype=complex)
 
 
-def dagger(m) -> np.ndarray:
+def dagger(m):
+    """Conjugate transpose of a matrix or stack, through every Dual layer."""
+    if isinstance(m, Dual):
+        return Dual(dagger(m.val), dagger(m.eps))
     return np.conj(np.swapaxes(np.asarray(m), -1, -2))
 
 
@@ -92,8 +97,9 @@ class NotUnitary(ValueError):
 
 
 def unitarity_defect(u) -> float:
+    """Worst |u u^dagger - 1| of a matrix or over a stack."""
     u = np.asarray(u)
-    return mat_max(u @ dagger(u) - np.eye(u.shape[0]))
+    return mat_max(u @ dagger(u) - np.eye(u.shape[-1]))
 
 
 def cond2(m) -> float:

@@ -4,13 +4,15 @@ Matrix-valued fields of the momentum with exact derivatives, first-order
 differential operators A(p) + sum_k B_k(p) (i d/dp_k) + x0*C(p), their
 commutators, and conjugation by unitary fields.
 
-A field is stored as a finite sum of scalar coefficient functions times
-constant matrices.  A momentum argument is a tuple of d components, each a
-float (one point: fields evaluate to (dim, dim) matrices) or an (n,) array
-(a batch, see :func:`as_batch`: fields evaluate to (n, dim, dim) stacks),
-through the same code.  Coefficient functions also accept
-:class:`spinorlab.dual.Dual` components; that is how derivatives are taken,
-so the pass/fail paths never touch finite differences.
+A field is a leaf, a finite sum of scalar coefficient functions times
+constant matrices, or a node that combines operand fields by +, @, a scalar
+factor, the adjoint or d/dp_k.  A node evaluates each operand once; products
+are never multiplied out into terms.  A momentum argument is a tuple of d
+components, each a float (one point: fields evaluate to (dim, dim) matrices)
+or an (n,) array (a batch, see :func:`as_batch`: (n, dim, dim) stacks),
+through the same code.  A derivative evaluates the same expression on
+components seeded as :class:`spinorlab.dual.Dual` (nested seeds give second
+derivatives), so the pass/fail paths never touch finite differences.
 
 :meth:`DiffOp1.jet` evaluates an operator's parts and their exact first
 derivatives once on a momentum argument; :func:`diffop_commutator` is stacked
@@ -26,7 +28,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import dual
-from .linalg import NotUnitary, dagger, mat_max, worst
+from .linalg import NotUnitary, dagger, mat_max, unitarity_defect, worst
 
 Point = Sequence[float]
 
@@ -79,37 +81,37 @@ def as_batch(points) -> tuple:
     return tuple(np.array(c) for c in zip(*points))
 
 
-def _add_term(out, c, mat):
-    """out + c * mat for a scalar or (n,) coefficient c; a zero scalar adds nothing."""
+def _lift(c):
+    """A scalar, (n,) or Dual coefficient, shaped to scale a matrix stack."""
+    if isinstance(c, dual.Dual):
+        return dual.Dual(_lift(c.val), _lift(c.eps))
     if isinstance(c, np.ndarray):
-        return out + c[..., None, None] * mat
-    if c != 0:
-        return out + c * mat
-    return out
+        return c[..., None, None]
+    return c
 
 
-def _dcoeff(fn: Callable, k: int) -> Callable:
-    def dfn(p, _fn=fn, _k=k):
-        return dual.eps(_fn(dual.seed(p, _k)))
-    return dfn
+def _zeros(p, dim: int) -> np.ndarray:
+    shape = getattr(dual.value(p[0]), "shape", ())
+    return np.zeros(shape + (dim, dim), dtype=complex)
 
 
 class OperatorField:
-    """Matrix field  sum_i c_i(p) * M_i  with constant matrices M_i."""
+    """A leaf  sum_i c_i(p) * M_i  (``terms``), or a node built by ``+``,
+    ``@``, :meth:`scale`, :meth:`adjoint` or :meth:`partial` (no terms)."""
 
-    __slots__ = ("dim", "d", "terms")
+    __slots__ = ("dim", "d", "terms", "_node")
 
-    def __init__(self, dim: int, d: int, terms):
+    def __init__(self, dim: int, d: int, terms, _node=None):
         self.dim = dim
         self.d = d
         self.terms = tuple((fn, np.asarray(mat, dtype=complex))
                            for fn, mat in terms)
+        self._node = _node         # a node's p -> value from its operands
 
     # -- constructors -----------------------------------------------------
     @classmethod
     def constant(cls, mat, d: int) -> "OperatorField":
-        mat = np.asarray(mat, dtype=complex)
-        return cls(mat.shape[0], d, [(lambda p: 1.0, mat)])
+        return cls(len(mat), d, [(lambda p: 1.0, mat)])
 
     @classmethod
     def zero(cls, dim: int, d: int) -> "OperatorField":
@@ -126,64 +128,62 @@ class OperatorField:
         return cls.scalar(lambda p, _k=k: p[_k], dim, d)
 
     # -- evaluation --------------------------------------------------------
-    def _zeros(self, p: Point) -> np.ndarray:
-        shape = getattr(p[0], "shape", ())
-        return np.zeros(shape + (self.dim, self.dim), dtype=complex)
-
-    def __call__(self, p: Point) -> np.ndarray:
-        """The (dim, dim) value at a point, the (n, dim, dim) stack on a batch."""
-        out = self._zeros(p)
+    def _eval(self, p: Point) -> np.ndarray:
+        """The (dim, dim) value at a point, the (n, dim, dim) stack on a batch;
+        on seeded p, a Dual of such values (nested as the seeds are)."""
+        if self._node is not None:
+            return self._node(p)
+        out = _zeros(p, self.dim)
         for fn, mat in self.terms:
-            out = _add_term(out, fn(p), mat)
+            c = fn(p)
+            if isinstance(c, np.ndarray):
+                out = out + c[..., None, None] * mat
+            elif isinstance(c, dual.Dual) or c != 0:
+                out = out + _lift(c) * mat
         return out
+
+    __call__ = _eval   # the entry bench/tracing.py wraps; nodes call _eval
 
     def deriv(self, p: Point, k: int) -> np.ndarray:
         """Exact partial derivative d/dp_k at p (a point or a batch)."""
-        out = self._zeros(p)
-        seeded = dual.seed(p, k)
-        for fn, mat in self.terms:
-            out = _add_term(out, dual.eps(fn(seeded)), mat)
-        return out
+        return self.partial(k)._eval(p)
 
     def partial(self, k: int) -> "OperatorField":
-        """The derivative as a field (differentiable again via nested duals)."""
-        return OperatorField(self.dim, self.d,
-                             [(_dcoeff(fn, k), mat) for fn, mat in self.terms])
+        """d/dp_k as a field: the eps part of its value on p seeded along k."""
+        return self._combine(lambda p: _zeros(p, self.dim)
+                             + dual.eps(self._eval(dual.seed(p, k))))
 
     # -- algebra -----------------------------------------------------------
+    def _combine(self, node) -> "OperatorField":
+        return OperatorField(self.dim, self.d, (), node)
+
+    def _is_zero(self) -> bool:
+        return self._node is None and not self.terms
+
     def __add__(self, other: "OperatorField") -> "OperatorField":
         self._check(other)
-        return OperatorField(self.dim, self.d, self.terms + other.terms)
+        if self._is_zero() or other._is_zero():
+            return other if self._is_zero() else self
+        return self._combine(lambda p: self._eval(p) + other._eval(p))
 
     def __neg__(self) -> "OperatorField":
         return self.scale(-1.0)
 
-    def __sub__(self, other: "OperatorField") -> "OperatorField":
-        return self + (-other)
-
     def __matmul__(self, other: "OperatorField") -> "OperatorField":
         self._check(other)
-        terms = []
-        for f, a in self.terms:
-            for g, b in other.terms:
-                terms.append((lambda p, _f=f, _g=g: _f(p) * _g(p), a @ b))
-        return OperatorField(self.dim, self.d, terms)
+        if self._is_zero() or other._is_zero():
+            return OperatorField.zero(self.dim, self.d)
+        return self._combine(lambda p: self._eval(p) @ other._eval(p))
 
     def scale(self, c) -> "OperatorField":
         """Multiply by a constant or by a scalar function of p (on the left)."""
-        if callable(c):
-            return OperatorField(
-                self.dim, self.d,
-                [(lambda p, _f=fn, _c=c: _c(p) * _f(p), mat)
-                 for fn, mat in self.terms])
-        return OperatorField(self.dim, self.d,
-                             [(fn, c * mat) for fn, mat in self.terms])
+        if self._is_zero():
+            return self
+        return self._combine(
+            lambda p: _lift(c(p) if callable(c) else c) * self._eval(p))
 
     def adjoint(self) -> "OperatorField":
-        return OperatorField(
-            self.dim, self.d,
-            [(lambda p, _f=fn: dual.conj(_f(p)), dagger(mat))
-             for fn, mat in self.terms])
+        return self._combine(lambda p: dagger(self._eval(p)))
 
     def _check(self, other):
         if self.dim != other.dim or self.d != other.d:
@@ -359,10 +359,8 @@ def conjugate_by_unitary(u: OperatorField, g: DiffOp1,
     Zeroth part u^-1 A u + sum_k u^-1 B_k (i du/dp_k); derivative
     coefficients u^-1 B_k u; the x0 coefficient conjugates like A.
     """
-    for p in probe:
-        up = u(p)
-        if not (mat_max(up @ dagger(up) - np.eye(u.dim)) <= 1e-8):
-            raise NotUnitary("conjugating field is not unitary at probe point")
+    if probe and not (unitarity_defect(u(as_batch(probe))) <= 1e-8):
+        raise NotUnitary("conjugating field is not unitary at probe point")
     ud = u.adjoint()
     a = ud @ g.a @ u
     for k in range(g.d):

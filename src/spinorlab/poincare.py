@@ -18,11 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dual
 from .clifford import gamma_set, pauli, spin_matrix
 from .equations import abs_p3, catalog_equation, e3, energy
 from .linalg import mat_max, worst
 from .opcalc import (DiffOp1, OperatorField, as_batch, conjugate_by_unitary,
-                     diffop_commutator)
+                     diffop_commutator, sample_momenta)
 
 _REP = gamma_set("rep26")
 G0 = _REP.gamma(0)
@@ -139,14 +140,15 @@ def generator_set(name: str, m: float = 1.0) -> GeneratorSet:
         return _assemble(name, OperatorField(4, 3, [(energy, g0)]),
                          {**spin, (1, 2): s12}, extra)
 
-    if name == "chi2":
-        # two-component reduction of the "chi" set on the upper block:
-        # J_a3 spin part is -(1/2) e3 sigma_a
-        spin = {(a, 3): OperatorField(2, 3, [(lambda p: -0.5 * e3(p),
-                                              pauli(a))])
-                for a in (1, 2)}
-        return _assemble(name, catalog_equation("chi_plus").hamiltonian,
-                         {**spin, (1, 2): 0.5 * pauli(3)})
+    if name in ("chi2", "chi2_lower"):
+        # two-component reduction of the "chi" set on the upper (lower)
+        # block: J_a3 spin part is -(+)(1/2) e3 sigma_a
+        upper = name == "chi2"
+        spin = {(a, 3): OperatorField(2, 3, [(
+            lambda p, _s=-0.5 if upper else 0.5: _s * e3(p), pauli(a))])
+            for a in (1, 2)}
+        h = catalog_equation("chi_plus" if upper else "chi_minus").hamiltonian
+        return _assemble(name, h, {**spin, (1, 2): 0.5 * pauli(3)})
 
     if name == "flat":
         return _assemble(name, catalog_equation("flat_plus", m=m).hamiltonian,
@@ -166,15 +168,14 @@ GENERATOR_NAMES = ("psi", "chi", "phi", "phi_pos", "phi_neg", "chi2",
 
 # equation -> the generator set whose helicity labels its irrep content
 CONTENT_SETS = {"dirac_massless": "psi", "chi_4c": "chi", "phi_diag": "phi",
-                "weyl_plus": "weyl", "chi_plus": "chi2", "chi_minus": "chi2"}
+                "weyl_plus": "weyl", "chi_plus": "chi2",
+                "chi_minus": "chi2_lower"}
 
 
 # -- structure-constant calibration -----------------------------------------
 
 def _scalar_orbital_set(d: int) -> GeneratorSet:
-    def e_d(p):
-        from . import dual
-        return dual.sqrt(sum(c * c for c in p))
+    e_d = lambda p: dual.sqrt(sum(c * c for c in p))
     return _assemble("orbital", OperatorField.scalar(e_d, 1, d))
 
 
@@ -256,7 +257,6 @@ _CALIBRATION = {}
 def structure_signs(d: int):
     """Calibrate the [J,J] and [J,P] sign conventions on the orbital scalar set."""
     if d not in _CALIBRATION:
-        from .opcalc import sample_momenta
         gs = _scalar_orbital_set(d)
         p = as_batch(sample_momenta(d, 3, seed=1234))
         comms = _commutators(gs, p)
@@ -287,14 +287,14 @@ def set_covariance_residual(gs_src: GeneratorSet, gs_tgt: GeneratorSet,
                             u: OperatorField, samples,
                             x0_values=X0_VALUES) -> float:
     """max | u G_src u^-1 - G_tgt | over members, samples, x0 values."""
+    p = as_batch(samples)
     out = []
     for (name1, op1), (name2, op2) in zip(gs_src.members(), gs_tgt.members()):
         conj = conjugate_by_unitary(u.adjoint(), op1, probe=samples[:2])
-        for p in samples:
-            for (a1, b1), (a2, b2) in zip(conj.at(p, x0_values),
-                                          op2.at(p, x0_values)):
-                out.append(mat_max(a1 - a2))
-                out += [mat_max(x - y) for x, y in zip(b1, b2)]
+        for (a1, b1), (a2, b2) in zip(conj.at(p, x0_values),
+                                      op2.at(p, x0_values)):
+            out.append(mat_max(a1 - a2))
+            out += [mat_max(x - y) for x, y in zip(b1, b2)]
     return worst(out)
 
 
@@ -309,17 +309,14 @@ def helicity_field(gs: GeneratorSet, check_points) -> OperatorField:
     if gs.d != 3:
         raise ValueError("helicity requires d = 3")
     jvec = {1: gs.j(2, 3), 2: gs.j(3, 1), 3: gs.j(1, 2)}
-    h_op = None
-    for k in (1, 2, 3):
-        term = jvec[k].scale(
-            lambda p, _k=k: p[_k - 1] / energy(p))
-        h_op = term if h_op is None else h_op + term
-    for p in check_points:
-        for bf in h_op.b:
-            if not (mat_max(bf(p)) <= 1e-10):
-                raise RuntimeError("not a scalar helicity")
-        if h_op.x0 is not None and not (mat_max(h_op.x0(p)) <= 1e-12):
-            raise RuntimeError("helicity acquired an x0 part")
+    terms = [jvec[k].scale(lambda p, _k=k: p[_k - 1] / energy(p))
+             for k in (1, 2, 3)]
+    h_op = terms[0] + terms[1] + terms[2]
+    p = as_batch(check_points)
+    if not (worst(mat_max(bf(p)) for bf in h_op.b) <= 1e-10):
+        raise RuntimeError("not a scalar helicity")
+    if h_op.x0 is not None and not (mat_max(h_op.x0(p)) <= 1e-12):
+        raise RuntimeError("helicity acquired an x0 part")
     return h_op.a
 
 
@@ -342,16 +339,17 @@ def irrep_content(eq, gs: GeneratorSet, samples, u=None) -> tuple:
     ham = eq.hamiltonian
     if u is not None:
         ham, h_field = u @ ham @ u.adjoint(), u @ h_field @ u.adjoint()
+    p = as_batch(samples)
     contents = set()
-    for p in samples:
-        w, v = np.linalg.eigh(ham(p))
+    w_all, v_all = np.linalg.eigh(ham(p))
+    for w, v, hel_p in zip(w_all, v_all, h_field(p)):
         labels = []
         for sign in (1.0, -1.0):
             idx = np.where(np.sign(w) == sign)[0]
             if idx.size == 0:
                 continue
             q = v[:, idx]
-            hel = np.linalg.eigvalsh(q.conj().T @ h_field(p) @ q)
+            hel = np.linalg.eigvalsh(q.conj().T @ hel_p @ q)
             labels.extend((int(sign), _half_integer(x)) for x in hel)
         content = tuple(sorted(labels))
         contents.add(content)

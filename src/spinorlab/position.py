@@ -16,13 +16,15 @@ derivative coefficient of component k stays exactly i times the identity, so
               + p_b / (E (E+|p3|)) s_a
     X_3 = x_3 - w e3 / E^2 sum_c p_c m_c
 
-with one row (w, m_a, s_a) per operator, s_2 = -s_1:
+with one row (w, m_a, s_a) per operator, s_2 = -s_1, every w real:
 
-    Xchi   w = -1        m_a = S_5a            s_1 = S12
-    Xpsi   w = e3        m_a = gamma3 S_5a     s_1 = S12
-    Xchi2  w = -1/2      m_a = sigma_a         s_1 = sigma3/2
-    XW     w = i e3/2    m_a = sigma3 sigma_a  s_1 = sigma3/2
+    Xchi   w = -1        m_a = S_5a              s_1 = S12
+    Xpsi   w = e3        m_a = gamma3 S_5a       s_1 = S12
+    Xchi2  w = -1/2      m_a = sigma_a           s_1 = sigma3/2
+    XW     w = e3/2      m_a = i sigma3 sigma_a  s_1 = sigma3/2
 """
+
+from functools import reduce
 
 import numpy as np
 
@@ -47,12 +49,8 @@ _CONJUGATION = {
 
 
 def conjugating_field(name: str) -> OperatorField:
-    dim, chain = _CONJUGATION[name]
-    u = None
-    for uname in chain:
-        spec = catalog_unitary(uname)
-        u = spec.closed if u is None else spec.closed @ u
-    return u
+    fields = [catalog_unitary(n).closed for n in _CONJUGATION[name][1]]
+    return reduce(lambda u, v: v @ u, fields)      # innermost first
 
 
 def position_from_unitary(name: str, probe=()) -> list:
@@ -78,8 +76,8 @@ def _rows() -> dict:
     return {"Xchi": (lambda p: -1.0, s5, s12),
             "Xpsi": (e3, {a: G3 @ s5[a] for a in (1, 2)}, s12),
             "Xchi2": (lambda p: -0.5, s, 0.5 * s[3]),
-            "XW": (lambda p: 0.5j * e3(p), {a: s[3] @ s[a] for a in (1, 2)},
-                   0.5 * s[3])}
+            "XW": (lambda p: 0.5 * e3(p),
+                   {a: 1j * s[3] @ s[a] for a in (1, 2)}, 0.5 * s[3])}
 
 
 def position_closed_form(name: str) -> list:
@@ -98,8 +96,8 @@ def position_closed_form(name: str) -> list:
                       s1 if a == 1 else -s1))
         fields.append(OperatorField(dim, 3, terms))
     fields.append(OperatorField(dim, 3, [
-        (lambda p, _c=c: -w(p) * e3(p) * p[_c - 1] / energy(p) ** 2, m[c])
-        for c in (1, 2)]))
+        (lambda p, _c=c: -w(p) * e3(p) * p[_c - 1]
+         / (energy(p) * energy(p)), m[c]) for c in (1, 2)]))
     return [DiffOp1.position_component(k, dim, 3) + DiffOp1.from_field(f)
             for k, f in enumerate(fields)]
 

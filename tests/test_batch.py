@@ -1,8 +1,8 @@
 """A momentum batch evaluates exactly as its points do, one at a time.
 
-Real-coefficient fields must match bit for bit; complex-coefficient fields,
-whose complex products numpy and Python may round differently, to within
-4 eps of the largest entry.
+Real-coefficient fields must match bit for bit; complex-coefficient and
+composite fields, whose operations numpy and Python may round differently,
+to within 4 eps of the largest entry.
 """
 
 import numpy as np
@@ -11,11 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from spinorlab import dual
 from spinorlab.equations import (EQUATION_NAMES, UNITARY_NAMES,
-                                 catalog_equation, catalog_unitary)
+                                 catalog_equation, catalog_unitary,
+                                 composed_tu, energy)
 from spinorlab.linalg import mat_max
 from spinorlab.opcalc import (DiffOp1, as_batch, diffop_commutator,
                               sample_momenta)
-from spinorlab.poincare import GENERATOR_NAMES, generator_set
+from spinorlab.poincare import GENERATOR_NAMES, generator_set, helicity_field
+from spinorlab.position import POSITION_NAMES, position_from_unitary
 
 EPS = np.finfo(float).eps
 
@@ -25,6 +27,18 @@ CATALOG_FIELDS = (
     + [(f"{name} exponent", catalog_unitary(name).exponent)
        for name in UNITARY_NAMES
        if catalog_unitary(name).exponent is not None])
+
+
+# fields built by +, @, scale, adjoint and partial: nodes, not term lists
+COMPOSITE_FIELDS = (
+    [(f"{name}[{k}]", x.a) for name in POSITION_NAMES
+     for k, x in enumerate(position_from_unitary(name))]
+    + [(f"{name} boost J0{k} A", generator_set(name).J[(0, k)].a)
+       for name in GENERATOR_NAMES
+       for k in range(1, generator_set(name).d + 1)]
+    + [("tU2*tU1", composed_tu().closed),
+       ("psi helicity", helicity_field(generator_set("psi"),
+                                       sample_momenta(3, 2, 1)))])
 
 
 def _real(field, p) -> bool:
@@ -55,6 +69,50 @@ def test_catalog_values_and_derivatives_match_per_point(seed):
         for k in range(f.d):
             assert_matches(f.deriv(pb, k), [f.deriv(p, k) for p in pts],
                            exact, f"d{name}/dp{k}")
+
+
+@settings(deadline=None, max_examples=3)
+@given(st.integers(0, 10_000))
+def test_composite_values_and_derivatives_match_per_point(seed):
+    for name, f in COMPOSITE_FIELDS:
+        pts = sample_momenta(f.d, 4, seed)
+        pb = as_batch(pts)
+        assert_matches(f(pb), [f(p) for p in pts], False, name)
+        for k in range(f.d):
+            assert_matches(f.deriv(pb, k), [f.deriv(p, k) for p in pts],
+                           False, f"d{name}/dp{k}")
+
+
+@settings(deadline=None, max_examples=5)
+@given(st.integers(0, 10_000))
+def test_node_derivatives_follow_product_and_sum_rules(seed):
+    f = catalog_unitary("U2").closed
+    g = catalog_equation("chi_4c").hamiltonian
+    p = as_batch(sample_momenta(3, 4, seed))
+    fp, gp, ep = f(p), g(p), energy(p)[..., None, None]
+    for k in range(3):
+        df, dg = f.deriv(p, k), g.deriv(p, k)
+        de = dual.eps(energy(dual.seed(p, k)))[..., None, None]
+        for node, rule in (
+                (f @ g, df @ gp + fp @ dg),
+                (f.adjoint(), np.conj(np.swapaxes(df, -1, -2))),
+                (f.scale(energy), de * fp + ep * df),
+                (f + g, df + dg)):
+            got = node.deriv(p, k)
+            assert mat_max(got - rule) <= 4 * EPS * mat_max(rule)
+
+
+@settings(deadline=None, max_examples=5)
+@given(st.integers(0, 10_000))
+def test_mixed_partials_are_symmetric(seed):
+    p = as_batch(sample_momenta(3, 4, seed))
+    for name in ("U2", "V1"):
+        f = catalog_unitary(name).closed
+        for k in range(3):
+            for l in range(k + 1, 3):
+                kl = f.partial(k).deriv(p, l)
+                lk = f.partial(l).deriv(p, k)
+                assert mat_max(kl - lk) <= 1e-12 * mat_max(kl), (name, k, l)
 
 
 @settings(deadline=None, max_examples=3)

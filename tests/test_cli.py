@@ -134,6 +134,14 @@ def test_content_command_reports_branches():
     assert branches["-"] == [[-1, 0.5], [1, -0.5]]
 
 
+def test_content_chi_minus_has_half_integer_helicities(capsys):
+    # labelled by the lower-block reduction "chi2_lower"
+    assert main(["content", "--equation", "chi_minus"]) == 0
+    branches = json.loads(capsys.readouterr().out)["content_by_p3_branch"]
+    assert branches["+"] == [[-1, 0.5], [1, -0.5]]
+    assert branches["-"] == [[-1, -0.5], [1, 0.5]]
+
+
 def test_invalid_config_rejected():
     code, _, _ = run_cli("verify-all", "--tol", "0.5")
     assert code == 2

@@ -62,7 +62,7 @@ def test_generator_spot_values():
 
 
 @pytest.mark.parametrize("name", ["psi", "chi", "phi", "phi_pos", "phi_neg",
-                                  "chi2", "weyl"])
+                                  "chi2", "chi2_lower", "weyl"])
 def test_algebra_closure_d3(name):
     resid, second = algebra_residual(generator_set(name), S3, X0S)
     assert resid <= 1e-8, name

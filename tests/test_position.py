@@ -3,7 +3,7 @@ import pytest
 
 from spinorlab.clifford import gamma_set, pauli, spin_matrix
 from spinorlab.linalg import mat_max
-from spinorlab.opcalc import sample_momenta
+from spinorlab.opcalc import as_batch, sample_momenta
 from spinorlab.position import (POSITION_NAMES, position_closed_form,
                                 position_from_unitary, verify_position)
 
@@ -58,6 +58,17 @@ def test_xchi_transverse_includes_spin_rotation_term():
     # a = 2 component keeps only the S_21 p_1 rotation term and S_52 pieces
     want2 = -spin_matrix(REP, 5, 2).value / e - s12 * p[0] / (e * (e + abs(p[2])))
     assert mat_max(closed[1].a(p) - want2) < 1e-14
+
+
+@pytest.mark.parametrize("name", POSITION_NAMES)
+def test_closed_form_jet_matches_conjugation_jet(name):
+    # values and exact first derivatives of every closed-form component
+    p = as_batch(SAMPLES)
+    for closed, built in zip(position_closed_form(name),
+                             position_from_unitary(name)):
+        jc, jb = closed.jet(p), built.jet(p)
+        for got, want in zip((jc.a,) + jc.da, (jb.a,) + jb.da):
+            assert mat_max(got - want) <= 1e-12 * mat_max(want)
 
 
 def test_positions_components_commute():
