@@ -69,7 +69,9 @@ def _report_doc(report):
                                    if v.intertwiner else None),
         })
     return {"equation": report.equation, "elements": elements,
-            "agreement": report.agreement}
+            "agreement": report.agreement,
+            "claims_checked": report.claims_checked,
+            "coherence_ok": report.coherence_ok}
 
 
 def _report_markdown(report):
@@ -143,7 +145,7 @@ def cmd_report(args) -> int:
         want = report.verdict_for(args.element).element.label
         doc["elements"] = [e for e in doc["elements"] if e["label"] == want]
     _emit(args, doc, _report_markdown(report))
-    return 0 if report.agreement else 1
+    return 0 if report.agreement and report.coherence_ok else 1
 
 
 def cmd_checks(args) -> int:

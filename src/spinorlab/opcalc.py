@@ -15,13 +15,15 @@ components seeded as :class:`spinorlab.dual.Dual` (nested seeds give second
 derivatives), so the pass/fail paths never touch finite differences.
 
 :meth:`DiffOp1.jet` evaluates an operator's parts and their exact first
-derivatives once on a momentum argument; :func:`diffop_commutator` is stacked
-matrix algebra on two jets, so an operator shared by many relations is
-evaluated once per batch.
+derivatives once on a momentum argument.  :func:`diffop_commutator` takes two
+jets, or two sequences of jets, and gives the commutator of every pair: each
+product term of the normal-ordering formula is one block matmul over the
+member stacks, and two single jets are the 1 x 1 case of the same code.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -233,9 +235,6 @@ class DiffOp1:
         return DiffOp1(self.a + other.a,
                        tuple(x + y for x, y in zip(self.b, other.b)), x0)
 
-    def __sub__(self, other: "DiffOp1") -> "DiffOp1":
-        return self + other.scale(-1.0)
-
     def scale(self, c) -> "DiffOp1":
         """Multiply by a constant or by a scalar function of p (on the left;
         a scalar function commutes past the derivatives)."""
@@ -254,13 +253,14 @@ class DiffOp1:
     def jet(self, p: Point) -> "Jet":
         """Every part and its exact first derivatives, evaluated once on p."""
         ks = range(self.d)
-        x0 = dx0 = None
-        if self.x0 is not None:
-            x0 = self.x0(p)
-            dx0 = tuple(self.x0.deriv(p, k) for k in ks)
-        return Jet(self.a(p), tuple(f(p) for f in self.b),
-                   tuple(self.a.deriv(p, k) for k in ks),
-                   tuple(tuple(f.deriv(p, l) for l in ks) for f in self.b),
+        a = self.a(p)
+        if self.x0 is None:
+            x0, dx0 = np.zeros_like(a), np.zeros((self.d,) + a.shape, complex)
+        else:
+            x0, dx0 = self.x0(p), np.stack([self.x0.deriv(p, k) for k in ks])
+        return Jet(a, np.stack([f(p) for f in self.b]),
+                   np.stack([self.a.deriv(p, k) for k in ks]),
+                   np.array([[f.deriv(p, l) for l in ks] for f in self.b]),
                    x0, dx0)
 
 
@@ -270,86 +270,102 @@ class Jet:
     derivatives, each a (dim, dim) matrix at a point or an (n, dim, dim)
     stack on a batch.
 
-    da[k] = dA/dp_k and db[k][l] = dB_k/dp_l; x0 and dx0 are None when the
-    operator has no x0 part.
+    b[k] = B_k, da[k] = dA/dp_k, db[k][l] = dB_k/dp_l, dx0[k] = dC/dp_k;
+    x0 = C is zero when the operator has no x0 part.
     """
 
     a: np.ndarray
-    b: tuple
-    da: tuple
-    db: tuple
-    x0: Optional[np.ndarray]
-    dx0: Optional[tuple]
+    b: np.ndarray
+    da: np.ndarray
+    db: np.ndarray
+    x0: np.ndarray
+    dx0: np.ndarray
 
 
 @dataclass
 class Commutator:
-    """A normal-ordered commutator on the momentum argument of its jets.
+    """Normal-ordered commutators on the momentum argument of their jets.
 
     Carries the x0-linear and x0-quadratic parts separately plus the
-    symmetrized second-derivative coefficient norm (the worst over the
-    batch), so callers can fold at any fixed x0 and check that nothing leaks
-    outside first order.
+    symmetrized second-derivative coefficient norm (the worst over every pair
+    and the batch), so callers can fold at any fixed x0 and check that
+    nothing leaks outside first order.  b[k] and x0_b[k] are the parts of
+    i d/dp_k.  Each part has leading (G1, G2) member axes for sequences of
+    jets, none for two single jets.
     """
 
     a: np.ndarray
-    b: tuple
+    b: np.ndarray
     x0_a: np.ndarray
-    x0_b: tuple
+    x0_b: np.ndarray
     x0_sq: np.ndarray
     second_order: float
 
     def fold(self, x0_value: float):
-        a = self.a + x0_value * self.x0_a + x0_value ** 2 * self.x0_sq
-        b = tuple(bk + x0_value * xk for bk, xk in zip(self.b, self.x0_b))
-        return a, b
+        return (self.a + x0_value * self.x0_a + x0_value ** 2 * self.x0_sq,
+                self.b + x0_value * self.x0_b)
 
 
-def diffop_commutator(j1: Jet, j2: Jet) -> Commutator:
-    """[g1, g2] from the jets of g1 and g2, normal ordered with derivatives
-    on the right; every product is a (stacked) matrix product.
+def _dot(x, y, nb: int):
+    """sum_k x[I, k] @ y[J, k] for every leading index I of x and J of y, as
+    one block matmul (..., |I| dim, K dim) @ (..., K dim, |J| dim); the last
+    nb + 2 axes are the batch and the matrix."""
+    mx, my = x.shape[:x.ndim - nb - 3], y.shape[:y.ndim - nb - 3]
+    k, batch, dim = x.shape[len(mx)], x.shape[x.ndim - nb - 2:-2], x.shape[-1]
+    gx, gy = math.prod(mx), math.prod(my)
+    xm = np.moveaxis(x.reshape(gx, k, *batch, dim, dim), (0, 1), (nb, nb + 2))
+    ym = np.moveaxis(y.reshape(gy, k, *batch, dim, dim), (1, 0), (nb, nb + 2))
+    prod = (xm.reshape(*batch, gx * dim, k * dim)
+            @ ym.reshape(*batch, k * dim, gy * dim))
+    return np.moveaxis(prod.reshape(*batch, gx, dim, gy, dim),
+                       (nb, nb + 2), (0, 1)).reshape(*mx, *my, *batch, dim, dim)
+
+
+def diffop_commutator(j1, j2) -> Commutator:
+    """[g1, g2] for every g1 of j1 and g2 of j2, normal ordered with
+    derivatives on the right; j1 and j2 are single jets or sequences of jets
+    on one momentum argument.
 
     Zeroth order:  [A1,A2] + sum_k (B1k (i dA2/dpk) - B2k (i dA1/dpk))
     First order k: [A1,B2k] - [A2,B1k] + sum_l (B1l (i dB2k/dpl) - B2l (i dB1k/dpl))
+    Each product term is one block matmul over every pair (:func:`_dot`).
     x0 parts are carried linearly; the antisymmetrized second-order
-    coefficient is reported as a residual (exactly zero for honest
+    coefficient is reported as a residual (zero, up to rounding, for honest
     first-order algebras).
     """
-    if j1.a.shape != j2.a.shape or len(j1.b) != len(j2.b):
+    stacks = [[j] if isinstance(j, Jet) else list(j) for j in (j1, j2)]
+    shape = (stacks[0][0].a.shape, len(stacks[0][0].b))
+    if any((j.a.shape, len(j.b)) != shape for s in stacks for j in s):
         raise ValueError("operator dimension mismatch")
-    d = len(j1.b)
-    A1, A2, B1, B2 = j1.a, j2.a, j1.b, j2.b
+    d, nb = shape[1], len(shape[0]) - 2
+    # every part of the jets on a leading member axis
+    (A1, B1, dA1, dB1, C1, dC1), (A2, B2, dA2, dB2, C2, dC2) = (
+        [np.stack(part) for part in zip(*((j.a, j.b, j.da, j.db, j.x0, j.dx0)
+                                          for j in s))] for s in stacks)
+    dot = lambda x, y: _dot(x, y, nb)
+    sw = lambda z: np.swapaxes(z, 0, 1)      # (G2, G1, ...) -> (G1, G2, ...)
 
-    a = A1 @ A2 - A2 @ A1
-    for k in range(d):
-        a = a + 1j * (B1[k] @ j2.da[k] - B2[k] @ j1.da[k])
+    def comm(x, y):
+        """[x_i, y_J] on axes (i, J), J the leading axes of y."""
+        xy = dot(np.expand_dims(x, -nb - 3), np.expand_dims(y, -nb - 3))
+        xy -= np.moveaxis(dot(np.expand_dims(y, -nb - 3),
+                              np.expand_dims(x, -nb - 3)), -nb - 3, 0)
+        return xy
 
-    b = []
-    for k in range(d):
-        bk = (A1 @ B2[k] - B2[k] @ A1) - (A2 @ B1[k] - B1[k] @ A2)
-        for l in range(d):
-            bk = bk + 1j * (B1[l] @ j2.db[k][l] - B2[l] @ j1.db[k][l])
-        b.append(bk)
-
-    second = worst(0.5 * mat_max(B1[k] @ B2[l] - B2[k] @ B1[l]
-                                 + B1[l] @ B2[k] - B2[l] @ B1[k])
+    a = comm(A1, A2) + 1j * (dot(B1, dA2) - sw(dot(B2, dA1)))
+    b = (comm(A1, B2) - sw(comm(A2, B1))
+         + 1j * (dot(B1, dB2) - sw(dot(B2, dB1))))
+    x0_a = (comm(A1, C2) + comm(C1, A2)
+            + 1j * (dot(B1, dC2) - sw(dot(B2, dC1))))
+    x0_b = comm(C1, B2) - sw(comm(C2, B1))
+    second = worst(0.5 * mat_max(comm(B1[:, k], B2[:, l])
+                                 + comm(B1[:, l], B2[:, k]))
                    for k in range(d) for l in range(k, d))
 
-    zero = np.zeros_like(A1)
-    zeros = tuple(zero for _ in range(d))
-    if j1.x0 is None and j2.x0 is None:
-        x0_a, x0_b, x0_sq = zero, zeros, zero
-    else:
-        C1, dC1 = (j1.x0, j1.dx0) if j1.x0 is not None else (zero, zeros)
-        C2, dC2 = (j2.x0, j2.dx0) if j2.x0 is not None else (zero, zeros)
-        x0_a = (A1 @ C2 - C2 @ A1) + (C1 @ A2 - A2 @ C1)
-        for k in range(d):
-            x0_a = x0_a + 1j * (B1[k] @ dC2[k] - B2[k] @ dC1[k])
-        x0_b = tuple((B1[k] @ C2 - C2 @ B1[k]) + (C1 @ B2[k] - B2[k] @ C1)
-                     for k in range(d))
-        x0_sq = C1 @ C2 - C2 @ C1
-
-    return Commutator(a, tuple(b), x0_a, x0_b, x0_sq, second)
+    pick = tuple(0 if isinstance(j, Jet) else slice(None) for j in (j1, j2))
+    return Commutator(a[pick], np.moveaxis(b[pick], -nb - 3, 0), x0_a[pick],
+                      np.moveaxis(x0_b[pick], -nb - 3, 0),
+                      comm(C1, C2)[pick], second)
 
 
 def conjugate_by_unitary(u: OperatorField, g: DiffOp1,

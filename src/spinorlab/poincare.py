@@ -8,12 +8,22 @@ Each realization is a family of first-order operators
 
 with x_k = i d/dp_k and the anticommutator expanded to H x_k + (i/2) dH/dp_k.
 
-The structure constants of the algebra are never assumed: they are calibrated
-once per momentum dimension on the pure orbital scalar realization (identity
-matrices, H = E) and the calibrated signs are then required of every matrix
-realization.
+Closure is one tensor identity over the members G_i (P_0..P_d, then J_mu nu):
+
+    [G_i, G_j] = i sum_c (s_JJ f_JJ + s_JP f_JP)_ij^c G_c,
+
+with f_JJ and f_JP the real (G, G, G) tensors that :func:`structure_constants`
+builds once per d from the metric diag(1, -1, ..., -1).  The commutators of
+every pair come from one stacked :func:`diffop_commutator` call, and the
+right-hand sides from one contraction over the member axis.  The signs
+(s_JJ, s_JP) are never assumed: :func:`structure_signs` picks, once per d, the
+pair of the four candidates that closes the pure orbital scalar realization
+(identity matrices, H = E), and every matrix realization must then close with
+those signs.
 """
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,13 +57,6 @@ class GeneratorSet:
         out = [(f"P{k}", op) for k, op in sorted(self.P.items())]
         out += [(f"J{mu}{nu}", op) for (mu, nu), op in sorted(self.J.items())]
         return out
-
-    def j(self, mu: int, nu: int) -> DiffOp1:
-        if mu == nu:
-            raise ValueError("J indices must differ")
-        if (mu, nu) in self.J:
-            return self.J[(mu, nu)]
-        return self.J[(nu, mu)].scale(-1.0)
 
 
 def _orbital_rotation(k: int, l: int, dim: int, d: int) -> DiffOp1:
@@ -172,115 +175,93 @@ CONTENT_SETS = {"dirac_massless": "psi", "chi_4c": "chi", "phi_diag": "phi",
                 "chi_minus": "chi2_lower"}
 
 
-# -- structure-constant calibration -----------------------------------------
+# -- structure constants and their calibration --------------------------------
 
 def _scalar_orbital_set(d: int) -> GeneratorSet:
     e_d = lambda p: dual.sqrt(sum(c * c for c in p))
     return _assemble("orbital", OperatorField.scalar(e_d, 1, d))
 
 
-def _metric(d: int):
-    g = -np.ones(d + 1)
-    g[0] = 1.0
-    return g
+@functools.cache
+def structure_constants(d: int):
+    """(f_JJ, f_JP): real (G, G, G) tensors over ``GeneratorSet.members()``
+    order (P_0..P_d, then J_mu nu with mu < nu) such that
+
+        [J_mn, J_rs] = i s_JJ (g_nr J_ms + g_ms J_nr - g_mr J_ns - g_ns J_mr)
+        [J_mn, P_l]  = i s_JP (g_nl P_m - g_ml P_n),      [P, P] = 0,
+
+    i.e. [G_i, G_j] = i sum_c (s_JJ f_JJ + s_JP f_JP)_ij^c G_c with the
+    metric g = diag(1, -1, ..., -1).  Both are antisymmetric in (i, j).
+    """
+    n_p = d + 1
+    jkeys = list(itertools.combinations(range(n_p), 2))
+    size = n_p + len(jkeys)
+    g = np.diag([1.0] + [-1.0] * d)
+    # members as unit vectors: p[l] = P_l, j[mu, nu] = J_mu nu = -j[nu, mu]
+    p = np.eye(n_p, size)
+    j = np.zeros((n_p, n_p, size))
+    for c, (mu, nu) in enumerate(jkeys, start=n_p):
+        j[mu, nu, c], j[nu, mu, c] = 1.0, -1.0
+    jj = (np.einsum("nr,msc->mnrsc", g, j) + np.einsum("ms,nrc->mnrsc", g, j)
+          - np.einsum("mr,nsc->mnrsc", g, j) - np.einsum("ns,mrc->mnrsc", g, j))
+    jp = np.einsum("nl,mc->mnlc", g, p) - np.einsum("ml,nc->mnlc", g, p)
+    mu, nu = np.array(jkeys).T
+    f_jj, f_jp = np.zeros((2, size, size, size))
+    f_jj[n_p:, n_p:] = jj[mu[:, None], nu[:, None], mu, nu]
+    f_jp[n_p:, :n_p] = jp[mu, nu]
+    f_jp[:n_p, n_p:] = -np.swapaxes(f_jp[n_p:, :n_p], 0, 1)
+    f_jj.flags.writeable = f_jp.flags.writeable = False
+    return f_jj, f_jp
 
 
-def _jj_rhs(gs: GeneratorSet, mu, nu, rho, sig, sign: float) -> DiffOp1:
-    g = _metric(gs.d)
-    out = DiffOp1.from_field(OperatorField.zero(gs.dim, gs.d))
-    for coeff, a, b in ((g[nu] if nu == rho else 0.0, mu, sig),
-                        (g[mu] if mu == sig else 0.0, nu, rho),
-                        (-(g[mu] if mu == rho else 0.0), nu, sig),
-                        (-(g[nu] if nu == sig else 0.0), mu, rho)):
-        if coeff != 0.0 and a != b:
-            out = out + gs.j(a, b).scale(1j * sign * coeff)
-    return out
+def _closure(gs: GeneratorSet, p):
+    """The commutator of every pair of members on the batch p, and the
+    stacked member parts A, C and B: one jet per member."""
+    jets = [op.jet(p) for _, op in gs.members()]
+    return (diffop_commutator(jets, jets),
+            *(np.stack(part) for part in zip(*((j.a, j.x0, j.b)
+                                               for j in jets))))
 
 
-def _jp_rhs(gs: GeneratorSet, mu, nu, lam, sign: float) -> DiffOp1:
-    g = _metric(gs.d)
-    out = DiffOp1.from_field(OperatorField.zero(gs.dim, gs.d))
-    if nu == lam:
-        out = out + gs.P[mu].scale(1j * sign * g[nu])
-    if mu == lam:
-        out = out - gs.P[nu].scale(1j * sign * g[mu])
-    return out
+def _tensor_residual(closure, x0_values, sign_jj, sign_jp) -> float:
+    """max |[G_i, G_j] - i f_ij^c G_c| over pairs, parts, x0 values and the
+    batch; per x0 value the right-hand sides are one GEMM over the member
+    axis of the stacked values (A + x0 C, B_k)."""
+    comm, a, c, b = closure
+    f_jj, f_jp = structure_constants(len(comm.b))
+    size = len(f_jj)
+    f = (1j * (sign_jj * f_jj + sign_jp * f_jp)).reshape(size * size, size)
+    out = []
+    for x0v in x0_values:
+        values = np.concatenate([(a + x0v * c)[:, None], b], axis=1)
+        rhs = (f @ values.reshape(size, -1)).reshape(
+            (size, size) + values.shape[1:])
+        lhs_a, lhs_b = comm.fold(x0v)
+        out += [mat_max(lhs_a - rhs[:, :, 0]),
+                mat_max(lhs_b - np.moveaxis(rhs[:, :, 1:], 2, 0))]
+    return worst(out)
 
 
-def _relation_list(gs: GeneratorSet):
-    """All (lhs1, lhs2, rhs builder) commutator relations for the set."""
-    jkeys = sorted(gs.J.keys())
-    pkeys = sorted(gs.P.keys())
-    rels = []
-    for i, (mu, nu) in enumerate(jkeys):
-        for rho, sig in jkeys[i:]:
-            rels.append((("J", mu, nu), ("J", rho, sig)))
-        for lam in pkeys:
-            rels.append((("J", mu, nu), ("P", lam)))
-    for i, lam1 in enumerate(pkeys):
-        for lam2 in pkeys[i:]:
-            rels.append((("P", lam1), ("P", lam2)))
-    return rels
-
-
-def _rhs(gs, k1, k2, sign_jj, sign_jp):
-    if k1[0] == "J" and k2[0] == "J":
-        return _jj_rhs(gs, k1[1], k1[2], k2[1], k2[2], sign_jj)
-    if k1[0] == "J" and k2[0] == "P":
-        return _jp_rhs(gs, k1[1], k1[2], k2[1], sign_jp)
-    return DiffOp1.from_field(OperatorField.zero(gs.dim, gs.d))
-
-
-def _commutators(gs, p):
-    """(lhs keys, commutator) of every relation on the batch p, from one jet
-    per member; the commutators do not depend on the structure signs."""
-    jets = {("J",) + key: op.jet(p) for key, op in gs.J.items()}
-    jets.update({("P", lam): op.jet(p) for lam, op in gs.P.items()})
-    return [(k1, k2, diffop_commutator(jets[k1], jets[k2]))
-            for k1, k2 in _relation_list(gs)]
-
-
-def _closure_residual(gs, p, comms, sign_jj, sign_jp, x0_values=X0_VALUES):
-    first = []
-    for k1, k2, comm in comms:
-        rhs = _rhs(gs, k1, k2, sign_jj, sign_jp).at(p, x0_values)
-        for x0v, (ae, be) in zip(x0_values, rhs):
-            ac, bc = comm.fold(x0v)
-            first.append(mat_max(ac - ae))
-            first += [mat_max(bck - bek) for bck, bek in zip(bc, be)]
-    return worst(first)
-
-
-_CALIBRATION = {}
-
-
+@functools.cache
 def structure_signs(d: int):
     """Calibrate the [J,J] and [J,P] sign conventions on the orbital scalar set."""
-    if d not in _CALIBRATION:
-        gs = _scalar_orbital_set(d)
-        p = as_batch(sample_momenta(d, 3, seed=1234))
-        comms = _commutators(gs, p)
-        best = None
-        for sjj in (1.0, -1.0):
-            for sjp in (1.0, -1.0):
-                r = _closure_residual(gs, p, comms, sjj, sjp)
-                if best is None or r < best[0]:
-                    best = (r, sjj, sjp)
-        if not (best[0] <= 1e-10):
-            raise RuntimeError(
-                f"orbital calibration failed at d={d}: residual {best[0]:.3e}")
-        _CALIBRATION[d] = (best[1], best[2])
-    return _CALIBRATION[d]
+    closure = _closure(_scalar_orbital_set(d),
+                       as_batch(sample_momenta(d, 3, seed=1234)))
+    best = min(((_tensor_residual(closure, X0_VALUES, sjj, sjp), sjj, sjp)
+                for sjj in (1.0, -1.0) for sjp in (1.0, -1.0)),
+               key=lambda r: r[0])
+    if not (best[0] <= 1e-10):
+        raise RuntimeError(
+            f"orbital calibration failed at d={d}: residual {best[0]:.3e}")
+    return best[1], best[2]
 
 
 def algebra_residual(gs: GeneratorSet, samples,
                      x0_values=X0_VALUES):
     """(closure residual, second-order residual) under the calibrated relations."""
-    sjj, sjp = structure_signs(gs.d)
-    p = as_batch(samples)
-    comms = _commutators(gs, p)
-    return (_closure_residual(gs, p, comms, sjj, sjp, x0_values),
-            worst(comm.second_order for _, _, comm in comms))
+    closure = _closure(gs, as_batch(samples))
+    return (_tensor_residual(closure, x0_values, *structure_signs(gs.d)),
+            closure[0].second_order)
 
 
 def set_covariance_residual(gs_src: GeneratorSet, gs_tgt: GeneratorSet,
@@ -308,7 +289,7 @@ def helicity_field(gs: GeneratorSet, check_points) -> OperatorField:
     """
     if gs.d != 3:
         raise ValueError("helicity requires d = 3")
-    jvec = {1: gs.j(2, 3), 2: gs.j(3, 1), 3: gs.j(1, 2)}
+    jvec = {1: gs.J[(2, 3)], 2: gs.J[(1, 3)].scale(-1.0), 3: gs.J[(1, 2)]}
     terms = [jvec[k].scale(lambda p, _k=k: p[_k - 1] / energy(p))
              for k in (1, 2, 3)]
     h_op = terms[0] + terms[1] + terms[2]

@@ -49,6 +49,16 @@ def _parts(op: DiffOp1):
     return (op.a,) + op.b + ((op.x0,) if op.x0 is not None else ())
 
 
+def _jet_max(jet) -> float:
+    return max(mat_max(x) for x in (jet.a, jet.b, jet.da, jet.db, jet.x0,
+                                    jet.dx0))
+
+
+def _comm_parts(comm, *pair):
+    return [x[pair] for x in (comm.a, *comm.b, comm.x0_a, *comm.x0_b,
+                              comm.x0_sq)]
+
+
 def assert_matches(batch, points, exact, what):
     stacked = np.stack(points)
     assert batch.shape == stacked.shape, what
@@ -136,6 +146,7 @@ def test_generator_jets_and_commutators_match_per_point(seed):
                 for l in range(gs.d):
                     assert_matches(jb.db[k][l], [j.db[k][l] for j in js],
                                    ex, what)
+        all_pairs = diffop_commutator(batch, batch)
         for i in range(len(members)):
             for j in range(i, len(members)):
                 what = f"{name}/[{members[i][0]},{members[j][0]}]"
@@ -150,6 +161,12 @@ def test_generator_jets_and_commutators_match_per_point(seed):
                     for k in range(gs.d):
                         assert_matches(bb[k], [f[1][k] for f in folded],
                                        ex, what)
+                # the all-pairs call on the stacked jets, pair (i, j): its
+                # block matmuls round the products they sum differently
+                bound = 4 * EPS * _jet_max(batch[i]) * _jet_max(batch[j])
+                for got, want in zip(_comm_parts(all_pairs, i, j),
+                                     _comm_parts(cb)):
+                    assert mat_max(got - want) <= bound, what
                 second = max(c.second_order for c in cs)
                 if ex:
                     assert cb.second_order == second, what

@@ -198,3 +198,21 @@ def test_content_of_corrupted_reduction_fails_in_one_line(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("content not invariant:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", ["json", "md"])
+def test_report_exits_1_on_incoherent_classification(monkeypatch, capsys, fmt):
+    import dataclasses
+    import spinorlab.cli as cli
+    classify = cli.classify_equation
+    monkeypatch.setattr(cli, "classify_equation", lambda *a, **k: (
+        dataclasses.replace(classify(*a, **k), agreement=True,
+                            coherence_ok=False)))
+    assert main(["report", "--equation", "weyl_plus", "--format", fmt]) == 1
+    out = capsys.readouterr().out
+    if fmt == "json":
+        doc = json.loads(out)
+        assert doc["agreement"] is True and doc["coherence_ok"] is False
+        assert doc["claims_checked"] > 0
+    else:
+        assert "agreement: true" in out and "coherence: false" in out

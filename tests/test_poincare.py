@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from spinorlab.opcalc import (DiffOp1, OperatorField, diffop_commutator,
 from spinorlab.poincare import (ContentNotInvariant, algebra_residual,
                                 generator_set, helicity_field, irrep_content,
                                 irrep_content_by_branch,
-                                set_covariance_residual, structure_signs)
+                                set_covariance_residual, structure_constants,
+                                structure_signs)
 
 S3 = sample_momenta(3, 8, 42)
 S2 = sample_momenta(2, 8, 42)
@@ -25,14 +27,19 @@ def test_orbital_calibration():
 
 
 def test_rotation_commutator_closes_on_j13():
-    # [J12, J23] is proportional to J13 with the calibrated structure sign
-    from spinorlab.poincare import _jj_rhs
+    # [J12, J23] is i s_JJ f_JJ^c G_c with the calibrated structure sign
     gs = generator_set("psi")
     sjj, _ = structure_signs(3)
+    f_jj, _ = structure_constants(3)
+    names = [name for name, _ in gs.members()]
+    i, j = names.index("J12"), names.index("J23")
+    assert list(np.flatnonzero(f_jj[i, j])) == [names.index("J13")]
     p = S3[0]
     comm = diffop_commutator(gs.J[(1, 2)].jet(p), gs.J[(2, 3)].jet(p))
-    want = _jj_rhs(gs, 1, 2, 2, 3, sjj)
-    [(aw, bw)] = want.at(p)
+    terms = [(1j * sjj * f_jj[i, j, c], op.at(p)[0])
+             for c, (_, op) in enumerate(gs.members()) if f_jj[i, j, c]]
+    aw = sum(w * a for w, (a, _) in terms)
+    bw = [sum(w * b[k] for w, (_, b) in terms) for k in range(3)]
     ac, bc = comm.fold(0.0)
     assert mat_max(ac - aw) <= 1e-9
     for x, y in zip(bc, bw):
@@ -167,3 +174,38 @@ def test_helicity_guards_fail_closed_on_nan():
     J[(1, 2)] = DiffOp1(j12.a, j12.b, poison)
     with pytest.raises(RuntimeError, match="x0 part"):
         helicity_field(dataclasses.replace(gs, J=J), points)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_structure_constants_are_antisymmetric_and_satisfy_jacobi(d):
+    sjj, sjp = structure_signs(d)
+    f_jj, f_jp = structure_constants(d)
+    f = sjj * f_jj + sjp * f_jp
+    size = len(generator_set("psi" if d == 3 else "flat").members())
+    assert f.shape == (size, size, size) and f.any()
+    assert np.array_equal(f, -np.swapaxes(f, 0, 1))
+    jacobi = (np.einsum("ije,ekc->ijkc", f, f)
+              + np.einsum("jke,eic->ijkc", f, f)
+              + np.einsum("kie,ejc->ijkc", f, f))
+    assert not jacobi.any()
+
+
+def test_closure_fails_on_a_flipped_spin_part():
+    gs = generator_set("psi")
+    j12 = gs.J[(1, 2)]
+    flipped = {**gs.J, (1, 2): DiffOp1(j12.a.scale(-1.0), j12.b, j12.x0)}
+    resid, _ = algebra_residual(dataclasses.replace(gs, J=flipped), S3, X0S)
+    assert resid > 1e-8
+
+
+def test_closure_fails_closed_on_nan():
+    # a NaN at one sample, in a P part (A) and in a J part (B)
+    gs = generator_set("psi")
+    poison = OperatorField(4, 3, [(nan_at(S3[1]), np.eye(4))])
+    p1, j12 = gs.P[1], gs.J[(1, 2)]
+    for P, J in (
+            ({**gs.P, 1: DiffOp1(p1.a + poison, p1.b)}, gs.J),
+            (gs.P, {**gs.J, (1, 2): DiffOp1(
+                j12.a, (j12.b[0] + poison,) + j12.b[1:], j12.x0)})):
+        resid, _ = algebra_residual(dataclasses.replace(gs, P=P, J=J), S3, X0S)
+        assert math.isnan(resid)

@@ -67,7 +67,7 @@ def test_closed_form_jet_matches_conjugation_jet(name):
     for closed, built in zip(position_closed_form(name),
                              position_from_unitary(name)):
         jc, jb = closed.jet(p), built.jet(p)
-        for got, want in zip((jc.a,) + jc.da, (jb.a,) + jb.da):
+        for got, want in zip((jc.a, *jc.da), (jb.a, *jb.da)):
             assert mat_max(got - want) <= 1e-12 * mat_max(want)
 
 
