@@ -61,6 +61,7 @@ def expm(m) -> np.ndarray:
 class NullspaceResult(NamedTuple):
     vectors: list          # orthonormal right-nullspace basis vectors
     rank_zero: bool        # input was (numerically) the zero matrix
+    singular_values: np.ndarray    # descending, from the same SVD
 
 
 def svd_nullspace(m, tol: float = TOL_NULLSPACE) -> NullspaceResult:
@@ -77,19 +78,18 @@ def svd_nullspace(m, tol: float = TOL_NULLSPACE) -> NullspaceResult:
     smax = s[0] if s.size else 0.0
     if smax == 0.0:
         return NullspaceResult([np.eye(m.shape[1], dtype=complex)[i]
-                                for i in range(m.shape[1])], True)
+                                for i in range(m.shape[1])], True, s)
     nnz = int(np.sum(s >= tol * smax))
-    return NullspaceResult([vh[i].conj() for i in range(nnz, m.shape[1])], False)
+    return NullspaceResult([vh[i].conj() for i in range(nnz, m.shape[1])],
+                           False, s)
 
 
 def polar_unitary(m) -> np.ndarray:
-    """Unitary factor U of m = U.H with H positive definite."""
-    m = as_cmatrix(m)
-    s = np.linalg.svd(m, compute_uv=False)
+    """Unitary factor U of m = U.H with H positive definite: W Vh of one SVD."""
+    u, s, vh = np.linalg.svd(as_cmatrix(m))
     if s[-1] <= 1e-10 * s[0]:
         raise ValueError("no unitary representative")
-    u, _ = scipy.linalg.polar(m)
-    return u
+    return u @ vh
 
 
 class NotUnitary(ValueError):
@@ -102,7 +102,12 @@ def unitarity_defect(u) -> float:
     return mat_max(u @ dagger(u) - np.eye(u.shape[-1]))
 
 
-def cond2(m) -> float:
+def cond2(m):
+    """2-norm condition number of a matrix, or one per matrix of a stack
+    (inf for a singular matrix)."""
     s = np.linalg.svd(as_cmatrix(m), compute_uv=False)
-    return np.inf if s[-1] == 0.0 else float(s[0] / s[-1])
+    smin = s[..., -1]
+    c = np.divide(s[..., 0], smin, out=np.full(smin.shape, np.inf),
+                  where=smin != 0.0)
+    return float(c) if c.ndim == 0 else c
 

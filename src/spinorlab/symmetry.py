@@ -13,16 +13,18 @@ p -> -p in the antilinear case is forced by the Fourier transform: complex
 conjugation in position space reverses every momentum component before the
 spatial reflection S is applied.
 
-Intertwiners M are solved for by stacking the linear map
-M |-> H(p_i) M - M Htilde(p_i) over seeded sample momenta, vectorizing, and
-taking the SVD nullspace.  A two-sided threshold separates the verdicts: an
-invariance claim must survive a holdout-residual test at 1e-7, a
-non-invariance claim requires the smallest singular value to exceed
-1e-4 * sigma_max, and the gap in between raises IndeterminateVerdict.
+H is evaluated once per solve or classification, on the sign images of the
+sample momenta; each element's (Htilde, H) stacks are indexed from it.  One
+thin SVD per element of the stacked map M |-> H(p_i) M - M Htilde(p_i) gives
+its nullspace and certificate: an invariance claim must survive a holdout
+test at 1e-7 (all candidates scored as one stack), a non-invariance claim
+requires sigma_min > 1e-4 * sigma_max, and the gap in between raises
+IndeterminateVerdict.  Coherence scores each invariant g1's products
+M1 conj^{c1}(M2), as one stack, at the check momenta of the elements g1 g2.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -88,12 +90,11 @@ class SymmetryElement:
                                self.time_flip ^ other.time_flip,
                                self.conjugate ^ other.conjugate)
 
-    def momentum_map(self, p):
-        """The momentum argument of Htilde: S p, with p -> -p when antilinear."""
-        q = tuple(-c if (k + 1) in self.flips else c for k, c in enumerate(p))
-        if self.conjugate:
-            q = tuple(-c for c in q)
-        return q
+    @property
+    def signs(self) -> tuple:
+        """Htilde's momentum is signs * p: S p, or -S p when antilinear."""
+        return tuple(-1.0 if (k in self.flips) != self.conjugate else 1.0
+                     for k in range(1, self.d + 1))
 
 
 def group_elements(d: int) -> list:
@@ -109,38 +110,37 @@ def group_elements(d: int) -> list:
     return out
 
 
-def intertwine_condition(eq, g: SymmetryElement, p):
+def intertwine_condition(eq, g, p):
     """(Htilde(p), H(p)) such that invariance <=> M Htilde = H M for all p.
 
-    On a batch ``p`` both are (n, dim, dim) stacks.
+    ``p`` is a point or a batch (d arrays of shape (n,)); on a batch both are
+    (n, dim, dim) stacks.  For a sequence of elements ``g``, Htilde gains a
+    leading element axis (H does not).  H is evaluated once, on the sign
+    images of p the elements need.
     """
-    h = eq.hamiltonian
-    q = g.momentum_map(p)
-    eps_t = -1.0 if g.time_flip else 1.0
-    if g.conjugate:
-        htilde = -eps_t * np.conj(h(q))
-    else:
-        htilde = eps_t * h(q)
-    return htilde, h(p)
+    single = isinstance(g, SymmetryElement)
+    elements = [g] if single else g
+    images = sorted({e.signs for e in elements} | {(1.0,) * eq.d},
+                    reverse=True)  # the identity, so H(p), first
+    comps = [np.asarray(c, dtype=float) for c in p]
+    values = eq.hamiltonian(tuple(np.ravel([s[k] * c for s in images])
+                                  for k, c in enumerate(comps)))
+    values = values.reshape((len(images),) + comps[0].shape + (eq.dim,) * 2)
+    htilde = []
+    for e in elements:
+        eps_t = -1.0 if e.time_flip else 1.0
+        hq = values[images.index(e.signs)]
+        htilde.append(-eps_t * np.conj(hq) if e.conjugate else eps_t * hq)
+    return (htilde[0] if single else np.stack(htilde)), values[0]
 
 
-def _condition_pairs(eq, g, points):
-    """One (Htilde, H) pair per point, from one evaluation on the batch."""
-    htilde, h = intertwine_condition(eq, g, as_batch(points))
-    return list(zip(htilde, h))
-
-
-def _stacked_matrix(pairs, dim):
-    """Rows of the vectorized map M -> H M - M Htilde (row-major vec)."""
-    eye = np.eye(dim)
-    blocks = [np.kron(h, eye) - np.kron(eye, ht.T) for ht, h in pairs]
-    return np.vstack(blocks)
-
-
-def _relative_residual(m, pairs) -> float:
-    nm = np.linalg.norm(m)
-    return worst(np.linalg.norm(h @ m - m @ ht) / (np.linalg.norm(h) * nm)
-                 for ht, h in pairs)
+def _residuals(ms, htilde, h):
+    """Worst relative residual |H M - M Htilde| / (|H| |M|) over the points for
+    each M of a stack (``htilde`` may hold one stack per M); NaN propagates."""
+    ms = ms[:, None]
+    num = np.linalg.norm(h @ ms - ms @ htilde, axis=(-2, -1))
+    den = np.linalg.norm(h, axis=(-2, -1)) * np.linalg.norm(ms, axis=(-2, -1))
+    return np.max(num / den, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -162,21 +162,38 @@ class NonInvariance:
         return self.certificate / self.sigma_max
 
 
-def solve_intertwiner(eq, g: SymmetryElement,
-                      n_fit: int = 12, n_holdout: int = 4,
-                      seed: int = 42) -> Union[Intertwiner, NonInvariance]:
-    """Nullspace solve for a constant intertwiner, or a non-invariance certificate."""
+def solve_intertwiner(eq, g, n_fit: int = 12, n_holdout: int = 4,
+                      seed: int = 42, conditions=None):
+    """Nullspace solve for a constant intertwiner, or a non-invariance certificate.
+
+    ``g`` is one element, or a sequence solved from one evaluation of H (a
+    list of results).  ``conditions`` may pass their (Htilde, H) stacks from
+    :func:`intertwine_condition` over the fit, holdout and further momenta.
+    """
     if n_fit < 2 * eq.d + 4:
         raise ValueError("n_fit too small for a decisive verdict")
     if n_holdout < 4:
         raise ValueError("n_holdout must be >= 4")
-    dim = eq.dim
-    pairs = _condition_pairs(eq, g, sample_momenta(eq.d, n_fit, seed))
-    stacked = _stacked_matrix(pairs, dim)
-    svals = np.linalg.svd(stacked, compute_uv=False)
-    smax, smin = svals[0], svals[-1]
+    single = isinstance(g, SymmetryElement)
+    elements = [g] if single else list(g)
+    htilde, h = conditions or intertwine_condition(eq, elements, as_batch(
+        sample_momenta(eq.d, n_fit, seed)
+        + sample_momenta(eq.d, n_holdout, seed + 7919)))
+    fit, hold = slice(n_fit), slice(n_fit, n_fit + n_holdout)
+    out = [_solve_element(eq, e, (ht[fit], h[fit]), (ht[hold], h[hold]), seed)
+           for e, ht in zip(elements, htilde)]
+    return out[0] if single else out
 
-    null = svd_nullspace(stacked, TOL_NULLSPACE)
+
+def _solve_element(eq, g, fit, hold, seed):
+    """One element's result from its fit and holdout (Htilde, H) stacks."""
+    # rows of M -> H M - M Htilde (row-major vec): kron(H, 1) - kron(1, Ht^T)
+    ht, h = fit
+    eye = np.eye(eq.dim)
+    k = (h[:, :, None, :, None] * eye[:, None, :]
+         - eye[:, None, :, None] * np.swapaxes(ht, 1, 2)[:, None, :, None, :])
+    null = svd_nullspace(k.reshape(-1, eq.dim ** 2), TOL_NULLSPACE)
+    smax, smin = null.singular_values[0], null.singular_values[-1]
     if not null.vectors:
         if smin > CERTIFICATE_TOL * smax:
             return NonInvariance(float(smin), float(smax))
@@ -184,29 +201,25 @@ def solve_intertwiner(eq, g: SymmetryElement,
             f"{eq.name}/{g.label}: sigma_min/sigma_max = {smin / smax:.3e} "
             "falls between thresholds -- increase samples")
 
-    candidates = [v.reshape(dim, dim) for v in null.vectors]
     nullity = len(null.vectors)
-    if nullity > 1:
-        rng = np.random.default_rng(seed + 1)
-        basis = np.array(null.vectors)
-        for _ in range(32):
-            w = rng.normal(size=nullity) + 1j * rng.normal(size=nullity)
-            candidates.append((w @ basis).reshape(dim, dim))
+    candidates = np.array(null.vectors)
+    if nullity > 1:      # and 32 random members from (real, imaginary) weights
+        w = np.random.default_rng(seed + 1).normal(size=(32, 2, nullity))
+        candidates = np.vstack([candidates,
+                                (w[:, 0] + 1j * w[:, 1]) @ candidates])
+    candidates = candidates.reshape(-1, eq.dim, eq.dim)
 
-    hold_pairs = _condition_pairs(eq, g,
-                                  sample_momenta(eq.d, n_holdout, seed + 7919))
-    for m in candidates:
-        if cond2(m) > 1e6:
-            continue
-        hres = _relative_residual(m, hold_pairs)
-        if hres <= HOLDOUT_TOL:
-            m = m / np.linalg.norm(m) * np.sqrt(dim)
-            return Intertwiner(m, polar_unitary(m),
-                               _relative_residual(m, pairs), float(hres),
-                               nullity)
-    raise IndeterminateVerdict(
-        f"{eq.name}/{g.label}: nullspace found but no invertible member "
-        "passed the holdout test -- increase samples")
+    hres = _residuals(candidates, *hold)
+    good = np.flatnonzero((cond2(candidates) <= 1e6) & (hres <= HOLDOUT_TOL))
+    if not good.size:
+        raise IndeterminateVerdict(
+            f"{eq.name}/{g.label}: nullspace found but no invertible member "
+            "passed the holdout test -- increase samples")
+    m = candidates[good[0]]
+    m = m / np.linalg.norm(m) * np.sqrt(eq.dim)
+    return Intertwiner(m, polar_unitary(m),
+                       float(_residuals(m[None], *fit)[0]),
+                       float(hres[good[0]]), nullity)
 
 
 # -- classification ----------------------------------------------------------
@@ -236,49 +249,37 @@ class ClassificationReport:
         raise KeyError(label)
 
 
-def _composition_matrix(g1, m1, g2, m2):
-    # (g1 g2) psi = g1 (g2 psi): matrix part M1 conj^{c1}(M2)
-    return m1 @ (np.conj(m2) if g1.conjugate else m2)
-
-
 def classify_equation(eq, seed: int = 42, n_fit: int = 12,
                       n_holdout: int = 4) -> ClassificationReport:
     """Solve every group element, check attached-claim agreement and coherence."""
-    verdicts = []
-    table = {}
-    for g in group_elements(eq.d):
-        out = solve_intertwiner(eq, g, n_fit=n_fit, n_holdout=n_holdout,
-                                seed=seed)
-        if isinstance(out, Intertwiner):
-            v = ElementVerdict(g, True, out.holdout_residual, out)
-        else:
-            v = ElementVerdict(g, False, out.relative, None)
-        verdicts.append(v)
-        table[g.label] = v
-
-    agreement = True
-    for label, expected in eq.claims:
-        got = table[SymmetryElement.parse(label, eq.d).label].invariant
-        if got != expected:
-            agreement = False
+    elements = group_elements(eq.d)
+    htilde, h = intertwine_condition(eq, elements, as_batch(
+        sample_momenta(eq.d, n_fit, seed)
+        + sample_momenta(eq.d, n_holdout, seed + 7919)
+        + sample_momenta(eq.d, 4, seed + 31)))
+    outs = solve_intertwiner(eq, elements, n_fit=n_fit, n_holdout=n_holdout,
+                             seed=seed, conditions=(htilde, h))
+    verdicts = [ElementVerdict(g, True, out.holdout_residual, out)
+                if isinstance(out, Intertwiner)
+                else ElementVerdict(g, False, out.relative, None)
+                for g, out in zip(elements, outs)]
+    index = {g: i for i, g in enumerate(elements)}
+    agreement = all(verdicts[index[SymmetryElement.parse(label, eq.d)]]
+                    .invariant == expected for label, expected in eq.claims)
 
     # multiplicativity: products of invariant elements stay invariant and the
-    # composed matrices intertwine the composed element
+    # composed matrices M1 conj^{c1}(M2) intertwine the composed element
+    invariant = [i for i, v in enumerate(verdicts) if v.invariant]
+    mats = np.array([verdicts[i].intertwiner.matrix for i in invariant])
+    check_t, check_h = htilde[:, n_fit + n_holdout:], h[n_fit + n_holdout:]
     coherence_ok = True
-    check = sample_momenta(eq.d, 4, seed + 31)
-    invariant = [v for v in verdicts if v.invariant]
-    for v1 in invariant:
-        for v2 in invariant:
-            g12 = v1.element.compose(v2.element)
-            v12 = table[g12.label]
-            if not v12.invariant:
-                coherence_ok = False
-                continue
-            m12 = _composition_matrix(v1.element, v1.intertwiner.matrix,
-                                      v2.element, v2.intertwiner.matrix)
-            pairs = _condition_pairs(eq, g12, check)
-            if not (_relative_residual(m12, pairs) <= 1e-6):
-                coherence_ok = False
+    for i, m1 in zip(invariant, mats):
+        g12 = [index[elements[i].compose(elements[j])] for j in invariant]
+        m12 = m1 @ (np.conj(mats) if elements[i].conjugate else mats)
+        if not (all(verdicts[k].invariant for k in g12)
+                and np.max(_residuals(m12, check_t[g12], check_h)) <= 1e-6):
+            coherence_ok = False
+            break
 
     return ClassificationReport(eq.name, tuple(verdicts), agreement,
                                 len(eq.claims), coherence_ok)
@@ -301,11 +302,10 @@ def random_search_oracle(eq, g: SymmetryElement, points,
     """
     dim = eq.dim
     n2 = dim * dim
-    pairs = _condition_pairs(eq, g, points)
     eye = np.eye(dim)
     gram = np.zeros((n2, n2), dtype=complex)
     scale2 = 0.0
-    for ht, h in pairs:
+    for ht, h in zip(*intertwine_condition(eq, g, as_batch(points))):
         k = np.kron(h, eye) - np.kron(eye, ht.T)
         gram += dagger(k) @ k
         scale2 += np.linalg.norm(h) ** 2
@@ -346,18 +346,18 @@ def verify_projection_relations(seed: int = 42, n_fit: int = 12,
     from .equations import Q_MINUS, Q_PLUS, catalog_equation
 
     eq = catalog_equation("chi_4c")
+    swaps = dict(P1=True, P2=True, T1=True, T2=True, P3=False, C=False)
+    elements = [SymmetryElement.parse(label, 3) for label in swaps]
+    outs = solve_intertwiner(eq, elements, n_fit=n_fit, n_holdout=n_holdout,
+                             seed=seed)
     res = {}
-    for label, swaps in (("P1", True), ("P2", True), ("T1", True),
-                         ("T2", True), ("P3", False), ("C", False)):
-        g = SymmetryElement.parse(label, 3)
-        out = solve_intertwiner(eq, g, n_fit=n_fit, n_holdout=n_holdout,
-                                seed=seed)
+    for (label, swap), g, out in zip(swaps.items(), elements, outs):
         if not isinstance(out, Intertwiner):
             raise IndeterminateVerdict(f"chi_4c/{label}: expected invariance")
         m = out.matrix
         qp = np.conj(Q_PLUS) if g.conjugate else Q_PLUS
         qm = np.conj(Q_MINUS) if g.conjugate else Q_MINUS
-        to_p, to_m = (Q_MINUS, Q_PLUS) if swaps else (Q_PLUS, Q_MINUS)
+        to_p, to_m = (Q_MINUS, Q_PLUS) if swap else (Q_PLUS, Q_MINUS)
         res[label] = worst([mat_max(m @ qp - to_p @ m),
                             mat_max(m @ qm - to_m @ m)])
     return res

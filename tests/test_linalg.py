@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import proportional
 from spinorlab.clifford import gamma_set, pauli
-from spinorlab.linalg import (expm, mat_max, polar_unitary, svd_nullspace,
-                              unitarity_defect, worst)
+from spinorlab.linalg import (cond2, expm, mat_max, polar_unitary,
+                              svd_nullspace, unitarity_defect, worst)
 
 
 def series_expm(m, terms=30):
@@ -97,6 +97,26 @@ def test_polar_rejects_singular():
 
 @settings(deadline=None, max_examples=25)
 @given(st.integers(0, 10_000), st.integers(2, 5))
+def test_polar_is_w_vh_of_one_svd(seed, dim):
+    rng = np.random.default_rng(seed)
+    m = random_complex(rng, (dim, dim))
+    w, _, vh = np.linalg.svd(m)
+    got = polar_unitary(m)
+    assert np.array_equal(got, w @ vh)
+    assert unitarity_defect(got) <= 1e-14
+    with pytest.raises(ValueError, match="no unitary"):
+        polar_unitary(m[:, :1] @ random_complex(rng, (1, dim)))
+
+
+def test_cond2_of_a_stack_is_per_matrix():
+    stack = np.array([np.diag([1.0, 4.0]), np.eye(2), np.diag([1.0, 0.0])])
+    got = cond2(stack)
+    assert got.shape == (3,)
+    assert list(got) == [cond2(m) for m in stack] == [4.0, 1.0, np.inf]
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(0, 10_000), st.integers(2, 5))
 def test_expm_inverse_identity(seed, dim):
     rng = np.random.default_rng(seed)
     m = random_complex(rng, (dim, dim))
@@ -148,6 +168,8 @@ def test_nullspace_of_wide_matrix():
     m = np.array([[1.0, 2.0, 0.0, 1.0], [0.0, 1.0, 1.0, -1.0]])
     null = svd_nullspace(m)
     assert len(null.vectors) == 2 and not null.rank_zero
+    assert mat_max(null.singular_values
+                   - np.linalg.svd(m, compute_uv=False)) < 1e-14
     v = np.array(null.vectors)
     assert mat_max(v @ v.conj().T - np.eye(2)) < 1e-14
     for x in null.vectors:

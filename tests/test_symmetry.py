@@ -1,18 +1,28 @@
 import dataclasses
+import json
+import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import nan_at, proportional
+from spinorlab import symmetry
 from spinorlab.clifford import pauli
-from spinorlab.equations import catalog_equation
+from spinorlab.equations import EQUATION_NAMES, catalog_equation
 from spinorlab.linalg import mat_max
 from spinorlab.opcalc import OperatorField, sample_momenta
-from spinorlab.symmetry import (Intertwiner, NonInvariance, SymmetryElement,
+from spinorlab.symmetry import (IndeterminateVerdict, Intertwiner,
+                                NonInvariance, SymmetryElement,
                                 classify_equation, group_elements,
                                 intertwine_condition, random_search_oracle,
                                 solve_intertwiner,
                                 verify_projection_relations)
+
+REFERENCE = json.loads((Path(__file__).resolve().parent.parent / "bench"
+                        / "reference.json").read_text())
 
 
 # -- element algebra -----------------------------------------------------------
@@ -206,3 +216,94 @@ def test_coherence_check_fails_closed_on_nan():
     h = eq.hamiltonian + OperatorField(2, 3, [(nan_at(bad), np.eye(2))])
     rep = classify_equation(dataclasses.replace(eq, hamiltonian=h), seed=42)
     assert rep.coherence_ok is False
+
+
+def _poisoned(eq, point):
+    """``eq`` with H NaN at ``point`` (and its images keeping p1), else equal."""
+    nan = OperatorField(eq.dim, eq.d, [(nan_at(point), np.eye(eq.dim))])
+    return dataclasses.replace(eq, hamiltonian=eq.hamiltonian + nan)
+
+
+def test_nan_at_a_fit_point_raises_linalg_error():
+    eq = catalog_equation("weyl_plus")
+    bad = _poisoned(eq, sample_momenta(eq.d, 12, 42)[5])
+    with pytest.raises(np.linalg.LinAlgError):       # a ValueError: exit 2
+        classify_equation(bad, seed=42)
+
+
+def test_nan_at_a_holdout_point_is_indeterminate():
+    eq = catalog_equation("weyl_plus")
+    bad = _poisoned(eq, sample_momenta(eq.d, 4, 42 + 7919)[1])
+    with pytest.raises(IndeterminateVerdict):
+        classify_equation(bad, seed=42)
+
+
+def test_coherence_rejects_a_wrong_intertwiner(monkeypatch):
+    # T1 on weyl_plus is solved by sigma_2; the identity is invertible but
+    # intertwines nothing T1 composes to, so coherence must fail
+    solve = symmetry.solve_intertwiner
+
+    def corrupt(g, out):
+        if g.label != "T1":
+            return out
+        return dataclasses.replace(out, matrix=np.eye(2, dtype=complex))
+
+    def spy(eq, g, *args, **kwargs):
+        out = solve(eq, g, *args, **kwargs)
+        if isinstance(g, SymmetryElement):
+            return corrupt(g, out)
+        return [corrupt(e, o) for e, o in zip(g, out)]
+
+    monkeypatch.setattr(symmetry, "solve_intertwiner", spy)
+    rep = symmetry.classify_equation(catalog_equation("weyl_plus"))
+    assert rep.agreement and rep.verdict_for("T1").invariant
+    assert rep.coherence_ok is False
+
+
+def test_classify_desitter_peak_memory():
+    eq = catalog_equation("desitter")
+    classify_equation(eq)                 # lazy set-up outside the window
+    tracemalloc.start()
+    try:
+        classify_equation(eq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2 ** 20
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_verdict_tables_match_the_benchmark_reference(seed):
+    for name in EQUATION_NAMES:
+        rep = classify_equation(catalog_equation(name), seed=seed)
+        assert rep.agreement and rep.coherence_ok, name
+        table = {v.element.label: v.invariant for v in rep.verdicts}
+        assert table == REFERENCE["verdicts"][name], name
+
+
+@settings(deadline=None, max_examples=4)
+@given(st.integers(0, 10_000))
+def test_classification_equals_single_element_solves(seed):
+    # the batched classification and a solve of each element on its own
+    # evaluate H on different batches; verdicts and matrices must agree
+    # bit for bit, residuals to rounding
+    for name in EQUATION_NAMES:
+        eq = catalog_equation(name)
+        try:
+            rep = classify_equation(eq, seed=seed)
+        except IndeterminateVerdict as exc:
+            with pytest.raises(IndeterminateVerdict, match=re.escape(str(exc))):
+                for g in group_elements(eq.d):
+                    solve_intertwiner(eq, g, seed=seed)
+            continue
+        for v in rep.verdicts:
+            out = solve_intertwiner(eq, v.element, seed=seed)
+            where = (name, seed, v.element.label)
+            assert isinstance(out, Intertwiner) == v.invariant, where
+            if v.invariant:
+                assert out.matrix.tobytes() == v.intertwiner.matrix.tobytes()
+                assert out.nullity == v.intertwiner.nullity, where
+                assert abs(out.holdout_residual - v.residual) <= 1e-28, where
+                assert abs(out.residual - v.intertwiner.residual) <= 1e-28
+            else:
+                assert abs(out.relative - v.residual) <= 1e-14 * v.residual
