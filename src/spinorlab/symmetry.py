@@ -20,7 +20,14 @@ its nullspace and certificate: an invariance claim must survive a holdout
 test at 1e-7 (all candidates scored as one stack), a non-invariance claim
 requires sigma_min > 1e-4 * sigma_max, and the gap in between raises
 IndeterminateVerdict.  Coherence scores each invariant g1's products
-M1 conj^{c1}(M2), as one stack, at the check momenta of the elements g1 g2.
+M1 conj^{c1}(M2), as one stack, at the check momenta of the elements g1 g2,
+found by XOR of integer element codes.
+
+The random-search oracle shares only :func:`intertwine_condition` with that
+route.  It scores a pool of random M against the Gram matrix of the stacked
+map in one real matrix product, and polishes the best few by a matrix power
+built from repeated squarings.  It calls no SVD or eigensolver, so its
+verdicts are an independent check on the nullspace ones.
 """
 
 from dataclasses import dataclass
@@ -89,6 +96,13 @@ class SymmetryElement:
         return SymmetryElement(self.d, self.flips ^ other.flips,
                                self.time_flip ^ other.time_flip,
                                self.conjugate ^ other.conjugate)
+
+    @property
+    def code(self) -> int:
+        """Flip mask | time bit << d | conjugation bit << (d + 1): the code of
+        ``a.compose(b)`` is ``a.code ^ b.code``."""
+        return (sum(1 << (k - 1) for k in self.flips)
+                | self.time_flip << self.d | self.conjugate << (self.d + 1))
 
     @property
     def signs(self) -> tuple:
@@ -263,23 +277,23 @@ def classify_equation(eq, seed: int = 42, n_fit: int = 12,
                 if isinstance(out, Intertwiner)
                 else ElementVerdict(g, False, out.relative, None)
                 for g, out in zip(elements, outs)]
-    index = {g: i for i, g in enumerate(elements)}
-    agreement = all(verdicts[index[SymmetryElement.parse(label, eq.d)]]
+    codes = np.array([g.code for g in elements])
+    index = np.empty(4 << eq.d, dtype=int)         # element code -> position
+    index[codes] = np.arange(len(elements))
+    agreement = all(verdicts[index[SymmetryElement.parse(label, eq.d).code]]
                     .invariant == expected for label, expected in eq.claims)
 
     # multiplicativity: products of invariant elements stay invariant and the
     # composed matrices M1 conj^{c1}(M2) intertwine the composed element
-    invariant = [i for i, v in enumerate(verdicts) if v.invariant]
+    is_invariant = np.array([v.invariant for v in verdicts])
+    invariant = np.flatnonzero(is_invariant)
+    g12 = index[codes[invariant, None] ^ codes[invariant]]   # row i: g_i g_j
     mats = np.array([verdicts[i].intertwiner.matrix for i in invariant])
     check_t, check_h = htilde[:, n_fit + n_holdout:], h[n_fit + n_holdout:]
-    coherence_ok = True
-    for i, m1 in zip(invariant, mats):
-        g12 = [index[elements[i].compose(elements[j])] for j in invariant]
-        m12 = m1 @ (np.conj(mats) if elements[i].conjugate else mats)
-        if not (all(verdicts[k].invariant for k in g12)
-                and np.max(_residuals(m12, check_t[g12], check_h)) <= 1e-6):
-            coherence_ok = False
-            break
+    coherence_ok = bool(is_invariant[g12].all()) and all(
+        np.max(_residuals(m1 @ (np.conj(mats) if elements[i].conjugate
+                                else mats), check_t[row], check_h)) <= 1e-6
+        for i, m1, row in zip(invariant, mats, g12))
 
     return ClassificationReport(eq.name, tuple(verdicts), agreement,
                                 len(eq.claims), coherence_ok)
@@ -291,45 +305,84 @@ def random_search_oracle(eq, g: SymmetryElement, points,
                          n_candidates: int = 100_000, seed: int = 42,
                          pool: Optional[np.ndarray] = None,
                          polish_iters: int = 1500, n_polish: int = 8):
-    """Independent invariance probe: random candidates plus gradient polish.
+    """Independent invariance probe: random candidates plus power-iteration polish.
 
-    Draws ``n_candidates`` random matrices, measures the relative condition
-    residual of each, then drives the best few to a local minimum of the
-    (quadratic) residual by plain shifted power iteration.  Returns
-    (min relative residual, invariant?), with the 1e-3 decision threshold.
+    Draws ``n_candidates`` random matrices (or takes the rows v of ``pool``)
+    and scores each by its relative condition residual
+    sqrt(v^H G v / (|v|^2 |H|^2)), G the Gram matrix of the stacked map, in
+    one real matrix product over the pool.  The ``n_polish`` best are driven
+    towards the minimum of that quadratic residual by ``polish_iters`` steps
+    of normalised power iteration with I - G/|G|_2, taken as one matrix
+    power by repeated squaring; |G|_2 comes from squarings of G as well.
     No SVD or eigensolver is involved, so the verdict is an independent
-    check on the nullspace route.
+    check on the nullspace route.  Returns (min relative residual,
+    invariant?) with the 1e-3 decision threshold.  A non-finite H or
+    residual raises ValueError: NaN never reads as non-invariance.
     """
-    dim = eq.dim
-    n2 = dim * dim
-    eye = np.eye(dim)
-    gram = np.zeros((n2, n2), dtype=complex)
-    scale2 = 0.0
-    for ht, h in zip(*intertwine_condition(eq, g, as_batch(points))):
-        k = np.kron(h, eye) - np.kron(eye, ht.T)
-        gram += dagger(k) @ k
-        scale2 += np.linalg.norm(h) ** 2
+    ht, h = intertwine_condition(eq, g, as_batch(points))
+    if not (np.isfinite(ht).all() and np.isfinite(h).all()):
+        raise ValueError(f"{eq.name}/{g.label}: non-finite H at a sample point")
+    eye = np.eye(eq.dim)[None]
+    k = np.kron(h, eye) - np.kron(eye, np.swapaxes(ht, 1, 2))
+    k = k.reshape(-1, k.shape[-1])                # every point's rows
+    gram = dagger(k) @ k
+    if not gram.any():                            # every M intertwines
+        return 0.0, True
+    n2 = len(gram)
+    scale2 = np.vdot(h, h).real
 
     if pool is None:
         rng = np.random.default_rng(seed)
         pool = rng.normal(size=(n_candidates, n2)) \
             + 1j * rng.normal(size=(n_candidates, n2))
-    v = pool / np.linalg.norm(pool, axis=1, keepdims=True)
-    quad = np.real(np.einsum("ni,ni->n", v.conj(), v @ gram.T))
+    # v^H G v = u^T R u on the interleaved (re, im) view u of v
+    pool = np.ascontiguousarray(pool, dtype=complex)
+    u = pool.view(float)
+    r = np.kron(gram.real, np.eye(2)) + np.kron(gram.imag, [[0.0, -1.0],
+                                                            [1.0, 0.0]])
+    quad = np.einsum("ni,ni->n", u @ r, u) / np.einsum("ni,ni->n", u, u)
     rel = np.sqrt(np.maximum(quad, 0.0) / scale2)
 
-    order = np.argsort(rel)[:n_polish]
-    w = v[order].T                                    # (n2, n_polish)
-    lam = float(np.linalg.norm(gram, 2))              # spectral bound via 2-norm
-    shifted = lam * np.eye(n2) - gram
-    for _ in range(polish_iters):
-        w = shifted @ w
-        w /= np.linalg.norm(w, axis=0, keepdims=True)
+    top = pool[np.argpartition(rel, min(n_polish, len(rel)) - 1)[:n_polish]]
+    w = (top / np.linalg.norm(top, axis=1, keepdims=True)).T  # (n2, n_polish)
+    shifted = np.eye(n2) - gram / _spectral_norm(gram)
+    if shifted.any():                # else every start vector is a fixed point
+        w = _normalised_power(shifted, polish_iters, w)
     quad_w = np.real(np.einsum("in,in->n", w.conj(), gram @ w))
     rel_w = np.sqrt(np.maximum(quad_w, 0.0) / scale2)
 
-    best = float(min(rel.min(), rel_w.min()))
+    best = float(np.minimum(rel.min(), rel_w.min()))
+    if not np.isfinite(best):
+        raise ValueError(f"{eq.name}/{g.label}: non-finite oracle residual")
     return best, best < 1e-3
+
+
+def _spectral_norm(gram) -> float:
+    """|G|_2 of a Hermitian positive semidefinite G as |G A|_F, A = G^(2^16)
+    from 16 squarings of G, each rescaled to unit Frobenius norm: A tends to
+    the normalised projector on the top eigenspace, whatever its multiplicity."""
+    a = gram / np.linalg.norm(gram)
+    for _ in range(16):
+        a = a @ a
+        a /= np.linalg.norm(a)
+    return float(np.linalg.norm(gram @ a))
+
+
+def _normalised_power(m, k: int, w):
+    """Columns of m^k w, each normalised, by binary powering of m: the same
+    vectors as k steps of normalised power iteration, since each step only
+    rescales every column by a positive factor.  Each squared matrix is
+    rescaled to unit norm, so its powers neither underflow nor overflow."""
+    m = m / np.linalg.norm(m)
+    while k:
+        if k & 1:
+            w = m @ w
+            w /= np.linalg.norm(w, axis=0)
+        k >>= 1
+        if k:
+            m = m @ m
+            m /= np.linalg.norm(m)
+    return w
 
 
 # -- projector / reflection interplay ----------------------------------------

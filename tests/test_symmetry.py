@@ -2,6 +2,7 @@ import dataclasses
 import json
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +12,9 @@ from hypothesis import given, settings, strategies as st
 from helpers import nan_at, proportional
 from spinorlab import symmetry
 from spinorlab.clifford import pauli
-from spinorlab.equations import EQUATION_NAMES, catalog_equation
+from spinorlab.equations import EQUATION_NAMES, EquationSpec, catalog_equation
 from spinorlab.linalg import mat_max
-from spinorlab.opcalc import OperatorField, sample_momenta
+from spinorlab.opcalc import OperatorField, as_batch, sample_momenta
 from spinorlab.symmetry import (IndeterminateVerdict, Intertwiner,
                                 NonInvariance, SymmetryElement,
                                 classify_equation, group_elements,
@@ -41,6 +42,15 @@ def test_time_reversal_product_is_conjugation():
     t2 = SymmetryElement.parse("T2", 3)
     assert t1.compose(t2).label == "C"
     assert SymmetryElement.parse("T2*C", 3) == t1
+
+
+@pytest.mark.parametrize("d", (2, 3, 4))
+def test_composition_is_xor_of_codes(d):
+    elements = group_elements(d)
+    assert sorted(g.code for g in elements) == list(range(4 << d))
+    for a in elements:
+        for b in elements:
+            assert a.compose(b).code == a.code ^ b.code
 
 
 def test_canonicalization_folds_conjugation_pairs():
@@ -200,6 +210,133 @@ def test_oracle_agrees_on_spot_checks():
     best, verdict = random_search_oracle(eq, SymmetryElement.parse("P1", 3),
                                          pts, n_candidates=20_000, seed=5)
     assert not verdict and best > 1e-2
+
+
+def _stepwise_oracle(eq, g, points, pool, polish_iters=1500, n_polish=8):
+    """Reference oracle: a per-point Gram sum, a normalised copy of the pool,
+    a full sort, the 2-norm shift and ``polish_iters`` explicit steps of
+    normalised power iteration."""
+    eye = np.eye(eq.dim)
+    gram = 0
+    scale2 = 0.0
+    for ht, h in zip(*intertwine_condition(eq, g, as_batch(points))):
+        k = np.kron(h, eye) - np.kron(eye, ht.T)
+        gram = gram + k.conj().T @ k
+        scale2 += np.linalg.norm(h) ** 2
+    v = pool / np.linalg.norm(pool, axis=1, keepdims=True)
+    rel = np.sqrt(np.maximum(np.real(np.einsum("ni,ni->n", v.conj(),
+                                               v @ gram.T)), 0.0) / scale2)
+    w = v[np.argsort(rel)[:n_polish]].T
+    shifted = np.linalg.norm(gram, 2) * np.eye(len(gram)) - gram
+    for _ in range(polish_iters):
+        w = shifted @ w
+        w /= np.linalg.norm(w, axis=0, keepdims=True)
+    quad_w = np.real(np.einsum("in,in->n", w.conj(), gram @ w))
+    return min(rel.min(), np.sqrt(np.maximum(quad_w, 0.0) / scale2).min())
+
+
+@pytest.mark.parametrize("name,label", [
+    ("chi_plus", "C"), ("chi_plus", "P1"), ("weyl_plus", "T1"),
+    ("weyl_plus", "C"), ("flat_plus", "P1*C"), ("flat_minus", "T2"),
+    ("spinless_plus", "P1*P2*P3"), ("desitter", "C"), ("desitter", "T1")])
+def test_squared_polish_equals_the_step_loop(name, label):
+    eq = catalog_equation(name)
+    g = SymmetryElement.parse(label, eq.d)
+    pts = sample_momenta(eq.d, 12, 42)
+    rng = np.random.default_rng(7)
+    pool = (rng.normal(size=(5_000, eq.dim ** 2))
+            + 1j * rng.normal(size=(5_000, eq.dim ** 2)))
+    best, verdict = random_search_oracle(eq, g, pts, pool=pool)
+    ref = _stepwise_oracle(eq, g, pts, pool)
+    assert verdict == (ref < 1e-3)
+    if verdict:
+        assert best <= 1e-12 and ref <= 1e-12, (best, ref)
+    else:
+        assert abs(best - ref) <= 1e-12 * ref, (best, ref)
+
+
+def test_oracle_makes_no_svd_or_eigensolver_call(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle must not factor a matrix")
+
+    for module in (np.linalg, np.linalg._linalg):
+        for fn in ("svd", "eig", "eigh", "eigvals", "eigvalsh"):
+            monkeypatch.setattr(module, fn, forbidden)
+    eq = catalog_equation("chi_plus")
+    pts = sample_momenta(3, 12, 42)
+    for label, want in (("C", True), ("P1", False)):
+        best, verdict = random_search_oracle(
+            eq, SymmetryElement.parse(label, 3), pts, n_candidates=2_000)
+        assert verdict == want and np.isfinite(best)
+
+
+def test_oracle_raises_on_nan_in_h():
+    eq = catalog_equation("chi_plus")
+    pts = sample_momenta(3, 12, 42)
+    with pytest.raises(ValueError, match="non-finite H"):
+        random_search_oracle(_poisoned(eq, pts[3]),
+                             SymmetryElement.parse("P1", 3), pts,
+                             n_candidates=2_000)
+
+
+def test_oracle_best_propagates_nan():
+    # a NaN residual must not read as a non-invariance verdict
+    eq = catalog_equation("chi_plus")
+    pool = np.random.default_rng(3).normal(size=(2_000, 4)) + 0j
+    pool[17, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite oracle residual"):
+        random_search_oracle(eq, SymmetryElement.parse("P1", 3),
+                             sample_momenta(3, 12, 42), pool=pool)
+
+
+def _scalar_equation(fn, dim, d):
+    return EquationSpec("scalar", dim, d, OperatorField.scalar(fn, dim, d))
+
+
+def test_oracle_zero_gram_is_invariant_without_polish():
+    # H = |p|^2 on 2x2: every M intertwines P1, so the Gram matrix is 0
+    eq = _scalar_equation(lambda p: p[0] ** 2 + p[1] ** 2 + p[2] ** 2, 2, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert random_search_oracle(eq, SymmetryElement.parse("P1", 3),
+                                    sample_momenta(3, 12, 42),
+                                    n_candidates=2_000) == (0.0, True)
+
+
+def test_oracle_zero_shift_keeps_the_start_vectors():
+    # 1x1 H = p1 under P1: G = 4 sum p1^2 is a multiple of the identity, so
+    # I - G/lambda = 0 and every candidate's residual is exactly 2
+    eq = _scalar_equation(lambda p: p[0], 1, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        best, verdict = random_search_oracle(
+            eq, SymmetryElement.parse("P1", 1), sample_momenta(1, 12, 42),
+            n_candidates=2_000)
+    assert not verdict and abs(best - 2.0) <= 1e-15
+
+
+def test_oracle_agrees_with_nullspace_on_4x4_equations():
+    rng = np.random.default_rng(4404)
+    pool = rng.normal(size=(20_000, 16)) + 1j * rng.normal(size=(20_000, 16))
+    mismatches, worst_invariant, least_noninvariant = [], 0.0, np.inf
+    for name in EQUATION_NAMES:
+        eq = catalog_equation(name)
+        if eq.dim != 4:
+            continue
+        pts = sample_momenta(eq.d, 12, 42)
+        elements = group_elements(eq.d)
+        for g, out in zip(elements, solve_intertwiner(eq, elements)):
+            best, verdict = random_search_oracle(eq, g, pts, pool=pool)
+            if verdict != isinstance(out, Intertwiner):
+                mismatches.append(f"{name}/{g.label}")
+            if verdict:
+                worst_invariant = max(worst_invariant, best)
+            else:
+                least_noninvariant = min(least_noninvariant, best)
+    assert not mismatches, (
+        f"{len(mismatches)} oracle/nullspace mismatches: {mismatches}; "
+        f"worst invariant best {worst_invariant:.2e}, smallest "
+        f"non-invariant best {least_noninvariant:.2e} (threshold 1e-3)")
 
 
 def test_projection_relations():
