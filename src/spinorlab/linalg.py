@@ -1,15 +1,14 @@
 """Dense complex matrix kernel: products, adjoints, exponentials, nullspaces, polar forms.
 
 Everything downstream works on small (2x2 .. 8x8) dense complex matrices, so
-the kernel simply wraps numpy/scipy LAPACK routines behind the contracts the
-rest of the package relies on.
+the kernel simply wraps numpy LAPACK routines behind the contracts the rest
+of the package relies on.
 """
 
 import math
 from typing import Iterable, NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .dual import Dual
 
@@ -51,11 +50,22 @@ def worst(residuals: Iterable[float]) -> float:
 
 
 def expm(m) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring via scipy)."""
+    """exp(m) of an anti-Hermitian matrix or stack: V diag(exp(i w)) V^dagger
+    from one eigh of the Hermitian -i m = V diag(w) V^dagger.
+
+    Raises ValueError on a non-finite input, and unless
+    max|m + m^dagger| <= 1e-12 max|m| (every catalog exponent is exactly
+    anti-Hermitian).
+    """
     m = as_cmatrix(m)
-    if not np.all(np.isfinite(m.view(float))):
+    if not np.all(np.isfinite(m)):
         raise ValueError("non-finite matrix")
-    return scipy.linalg.expm(m)
+    defect, bound = mat_max(m + dagger(m)), 1e-12 * mat_max(m)
+    if not (defect <= bound):
+        raise ValueError(
+            f"not anti-Hermitian: max|m + m^dagger| = {defect:.3g}")
+    w, v = np.linalg.eigh(-1j * m)
+    return (v * np.exp(1j * w)[..., None, :]) @ dagger(v)
 
 
 class NullspaceResult(NamedTuple):

@@ -35,47 +35,22 @@ from .linalg import NotUnitary, dagger, mat_max, unitarity_defect, worst
 Point = Sequence[float]
 
 
-DEFAULT_EXCLUSIONS = {"abs_p3": 0.05, "perp2": 0.0025}
+def sample_momenta(d: int, n: int, seed: int = 42) -> list:
+    """Deterministic seeded momenta with components in +-[0.1, 10].
 
-
-def sample_momenta(d: int, n: int, seed: int = 42,
-                   exclusions: Optional[dict] = None,
-                   low: float = 0.1, high: float = 10.0) -> list:
-    """Deterministic seeded momenta with components in +-[low, high].
-
-    Points respect the exclusion rules (|p3| >= abs_p3, p1^2+p2^2 >= perp2;
-    defaults keep every catalog field regular).  Component magnitudes never
-    drop below ``low`` = 0.1, so the default rules are met by construction
-    and rejection only triggers for stricter custom rules.  For d >= 3 and
-    n >= 4 the sign of the third component alternates so both p3 branches
-    are always exercised.
+    Component magnitudes never drop below 0.1, which keeps |p3| and
+    p1^2+p2^2 away from the zeros where catalog fields are singular.  For
+    d >= 3 and n >= 4 the sign of the third component alternates so both p3
+    branches are always exercised.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rules = dict(DEFAULT_EXCLUSIONS, **(exclusions or {}))
-    rng = np.random.default_rng(seed)
-
-    def admissible(comps):
-        if d >= 3 and abs(comps[2]) < rules["abs_p3"]:
-            return False
-        if d >= 2 and comps[0] ** 2 + comps[1] ** 2 < rules["perp2"]:
-            return False
-        return True
-
-    pts = []
-    for i in range(n):
-        for _ in range(1000):
-            comps = [float(s * m) for s, m in zip(
-                np.where(rng.uniform(size=d) < 0.5, 1.0, -1.0),
-                rng.uniform(low, high, size=d))]
-            if d >= 3 and n >= 4:
-                comps[2] = abs(comps[2]) * (1.0 if i % 2 == 0 else -1.0)
-            if admissible(comps):
-                break
-        else:
-            raise ValueError("exclusion rules too strict for the sample box")
-        pts.append(tuple(comps))
-    return pts
+    u = np.random.default_rng(seed).random((n, 2, d))
+    signs = np.where(u[:, 0] < 0.5, 1.0, -1.0)
+    comps = signs * (0.1 + (10.0 - 0.1) * u[:, 1])
+    if d >= 3 and n >= 4:
+        comps[:, 2] = np.abs(comps[:, 2]) * np.where(np.arange(n) % 2, -1.0, 1.0)
+    return [tuple(row) for row in comps.tolist()]
 
 
 def as_batch(points) -> tuple:

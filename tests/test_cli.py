@@ -14,6 +14,13 @@ def run_cli(*args):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def test_cli_import_leaves_scipy_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, spinorlab.cli; "
+         "sys.exit('scipy' in sys.modules)"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_dumps_is_sorted_and_17g():
     s = dumps({"b": 1.0 / 3.0, "a": True, "c": [1, None, "x"]})
     assert s == '{"a": true, "b": 0.33333333333333331, "c": [1, null, "x"]}'

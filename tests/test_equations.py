@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import nan_at
 from spinorlab.clifford import gamma_set, pauli
@@ -76,6 +77,14 @@ def test_catalog_unitaries_are_unitary(name):
 def test_exponential_equals_closed(name):
     u = catalog_unitary(name)
     assert exp_closed_residual(u, S3_SAMPLES) <= 1e-9
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(0, 10_000))
+def test_eigh_exponential_is_rounding_close_to_closed_forms(seed):
+    samples = sample_momenta(3, 12, seed)
+    for name in ("U1", "U2", "V1"):
+        assert exp_closed_residual(catalog_unitary(name), samples) <= 4e-15
 
 
 @pytest.mark.parametrize("name", ["U1", "U2", "V1", "V", "V2"])

@@ -51,6 +51,16 @@ def test_expm_rejects_nonfinite():
         expm(bad)
 
 
+@pytest.mark.parametrize("m, match", [
+    (pauli(1), "anti-Hermitian"),
+    (np.array([[1j, 2.0], [0.5j, -1.0]]), "anti-Hermitian"),
+    (np.array([[1j, np.nan], [1.0, -1j]]), "non-finite"),
+], ids=["hermitian", "general", "nan"])
+def test_expm_rejects_non_antihermitian_input(m, match):
+    with pytest.raises(ValueError, match=match):
+        expm(m)
+
+
 def test_nullspace_rank_deficient_diag():
     res = svd_nullspace(np.diag([1.0, 0.0]), 1e-10)
     assert not res.rank_zero
@@ -120,8 +130,11 @@ def test_cond2_of_a_stack_is_per_matrix():
 def test_expm_inverse_identity(seed, dim):
     rng = np.random.default_rng(seed)
     m = random_complex(rng, (dim, dim))
+    m = 0.5 * (m - m.conj().T)
     m *= 5.0 / max(np.linalg.norm(m, 2), 1e-12)
     assert mat_max(expm(m) @ expm(-m) - np.eye(dim)) < 1e-11
+    # m^dagger = -m, passed as a non-contiguous transposed view
+    assert mat_max(expm(m) @ expm(m.conj().T) - np.eye(dim)) < 1e-11
 
 
 @settings(deadline=None, max_examples=25)

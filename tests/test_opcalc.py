@@ -41,6 +41,35 @@ def test_sampler_covers_both_p3_signs():
         assert signs == {1.0, -1.0}
 
 
+def rejection_loop_sample_momenta(d, n, seed):
+    """The earlier per-point rejection sampler, kept as the reference."""
+    rng = np.random.default_rng(seed)
+    pts = []
+    for i in range(n):
+        for _ in range(1000):
+            comps = [float(s * m) for s, m in zip(
+                np.where(rng.uniform(size=d) < 0.5, 1.0, -1.0),
+                rng.uniform(0.1, 10.0, size=d))]
+            if d >= 3 and n >= 4:
+                comps[2] = abs(comps[2]) * (1.0 if i % 2 == 0 else -1.0)
+            if ((d < 3 or abs(comps[2]) >= 0.05)
+                    and (d < 2 or comps[0] ** 2 + comps[1] ** 2 >= 0.0025)):
+                break
+        else:
+            raise ValueError("exclusion rules too strict for the sample box")
+        pts.append(tuple(comps))
+    return pts
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.integers(0, 10_000), st.sampled_from([2, 3, 4]),
+       st.sampled_from([1, 3, 4, 8, 12]))
+def test_sampler_is_bit_identical_to_the_rejection_loop(seed, d, n):
+    got = sample_momenta(d, n, seed)
+    assert got == rejection_loop_sample_momenta(d, n, seed)
+    assert all(type(c) is float for p in got for c in p)
+
+
 def test_sampler_rejects_zero_count():
     with pytest.raises(ValueError):
         sample_momenta(3, 0, 42)
