@@ -2,7 +2,9 @@
 
 A momentum component is a float at one point or an ``(n,)`` array over a
 batch of points; every function here accepts either, elementwise, so one
-coefficient closure serves both.  Matrix values multiply with ``@``.
+coefficient closure serves both.  Matrix values multiply with ``@``.  A
+derivative part may also carry a leading (d,) axis, one slot per momentum
+axis (:func:`seed` with no axis); the arithmetic broadcasts it unchanged.
 """
 
 import cmath
@@ -12,7 +14,8 @@ import numpy as np
 
 
 class Dual:
-    """A value carrying its first derivative along one real direction.
+    """A value carrying its first derivative along one real direction, or
+    along every momentum axis at once (``eps`` then has a leading (d,) axis).
 
     Both components may themselves be ``Dual``, so nested evaluation yields
     exact second derivatives, or ndarrays: a whole batch of scalars, or a
@@ -90,9 +93,32 @@ def eps(x):
     return x.eps if isinstance(x, Dual) else 0.0
 
 
-def seed(p, k):
-    """Momentum components with a unit derivative seed on axis ``k``."""
-    return tuple(Dual(c, 1.0 if j == k else 0.0) for j, c in enumerate(p))
+def seed(p, k=None):
+    """Momentum components with a unit derivative seed on axis ``k``.
+
+    With ``k`` None every axis is seeded at once (vector forward mode): the
+    ``eps`` of component j is the unit vector e_j on a leading (d,) axis,
+    shaped to broadcast over a batch, so one evaluation carries all d
+    partials.  A single-axis seed may nest inside or around it; seeding all
+    axes of components already seeded on all axes raises ValueError, since
+    the two derivative axes would silently broadcast together.
+    """
+    if k is not None:
+        return tuple(Dual(c, 1.0 if j == k else 0.0) for j, c in enumerate(p))
+    if any(_seeded_all_axes(c) for c in p):
+        raise ValueError("components are already seeded on all axes")
+    d = len(p)
+    units = np.eye(d).reshape((d, d) + (1,) * np.ndim(value(p[0])))
+    return tuple(Dual(c, units[j]) for j, c in enumerate(p))
+
+
+def _seeded_all_axes(c) -> bool:
+    """True when some seed layer of the component c carries a (d,) axis."""
+    while isinstance(c, Dual):
+        if np.ndim(c.eps) > np.ndim(value(c)):
+            return True
+        c = c.val
+    return False
 
 
 def sqrt(x):

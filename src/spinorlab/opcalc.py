@@ -12,13 +12,18 @@ components, each a float (one point: fields evaluate to (dim, dim) matrices)
 or an (n,) array (a batch, see :func:`as_batch`: (n, dim, dim) stacks),
 through the same code.  A derivative evaluates the same expression on
 components seeded as :class:`spinorlab.dual.Dual` (nested seeds give second
-derivatives), so the pass/fail paths never touch finite differences.
+derivatives), so the pass/fail paths never touch finite differences.  Seeded
+along every axis at once, one evaluation gives all d partials as a
+(d, ..., dim, dim) stack.
 
-:meth:`DiffOp1.jet` evaluates an operator's parts and their exact first
-derivatives once on a momentum argument.  :func:`diffop_commutator` takes two
-jets, or two sequences of jets, and gives the commutator of every pair: each
-product term of the normal-ordering formula is one block matmul over the
-member stacks, and two single jets are the 1 x 1 case of the same code.
+:meth:`DiffOp1.jet` evaluates an operator's parts once plainly, for their
+values, and once seeded along every axis, for their exact first derivatives.
+:func:`diffop_commutator` takes two jets, or two sequences of jets, and gives
+the commutator of every pair: each product term of the normal-ordering
+formula is one block matmul over the member stacks, and two single jets are
+the 1 x 1 case of the same code.  A term with a B or x0 factor runs only on
+the members whose part is not exactly zero: in a generator set the
+translations skip every B term, and every member but the boosts the x0 ones.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import dual
-from .linalg import NotUnitary, dagger, mat_max, unitarity_defect, worst
+from .linalg import NotUnitary, dagger, mat_max, unitarity_defect
 
 Point = Sequence[float]
 
@@ -67,9 +72,9 @@ def _lift(c):
     return c
 
 
-def _zeros(p, dim: int) -> np.ndarray:
+def _zeros(p, dim: int, lead: tuple = ()) -> np.ndarray:
     shape = getattr(dual.value(p[0]), "shape", ())
-    return np.zeros(shape + (dim, dim), dtype=complex)
+    return np.zeros(lead + shape + (dim, dim), dtype=complex)
 
 
 class OperatorField:
@@ -121,9 +126,16 @@ class OperatorField:
 
     __call__ = _eval   # the entry bench/tracing.py wraps; nodes call _eval
 
-    def deriv(self, p: Point, k: int) -> np.ndarray:
-        """Exact partial derivative d/dp_k at p (a point or a batch)."""
-        return self.partial(k)._eval(p)
+    def deriv(self, p: Point, k: Optional[int] = None) -> np.ndarray:
+        """Exact partial derivative d/dp_k at p (a point or a batch).
+
+        With ``k`` None, all d partials as one (d, ..., dim, dim) stack, from
+        a single evaluation on p seeded along every axis at once.
+        """
+        if k is not None:
+            return self.partial(k)._eval(p)
+        return (_zeros(p, self.dim, (self.d,))
+                + dual.eps(self._eval(dual.seed(p))))
 
     def partial(self, k: int) -> "OperatorField":
         """d/dp_k as a field: the eps part of its value on p seeded along k."""
@@ -226,17 +238,21 @@ class DiffOp1:
                 for x0v in x0_values]
 
     def jet(self, p: Point) -> "Jet":
-        """Every part and its exact first derivatives, evaluated once on p."""
-        ks = range(self.d)
+        """Every part and its exact first derivatives on p: per part one
+        plain evaluation for the value and one all-axes seeded evaluation
+        (:meth:`OperatorField.deriv` with no axis) for every partial.
+
+        The values come from the plain evaluation, never from the seeded
+        one: a coefficient that tests the components (``p[0] == c``) sees a
+        Dual there, not the numbers.
+        """
         a = self.a(p)
         if self.x0 is None:
             x0, dx0 = np.zeros_like(a), np.zeros((self.d,) + a.shape, complex)
         else:
-            x0, dx0 = self.x0(p), np.stack([self.x0.deriv(p, k) for k in ks])
-        return Jet(a, np.stack([f(p) for f in self.b]),
-                   np.stack([self.a.deriv(p, k) for k in ks]),
-                   np.array([[f.deriv(p, l) for l in ks] for f in self.b]),
-                   x0, dx0)
+            x0, dx0 = self.x0(p), self.x0.deriv(p)
+        return Jet(a, np.stack([f(p) for f in self.b]), self.a.deriv(p),
+                   np.stack([f.deriv(p) for f in self.b]), x0, dx0)
 
 
 @dataclass(frozen=True)
@@ -307,6 +323,14 @@ def diffop_commutator(j1, j2) -> Commutator:
     x0 parts are carried linearly; the antisymmetrized second-order
     coefficient is reported as a residual (zero, up to rounding, for honest
     first-order algebras).
+
+    A term with a B or x0 factor is computed only on the live members: those
+    whose B (or x0) part or its derivative has an entry that is not exactly
+    zero.  A NaN entry counts as live, so it reaches the result.  Each such
+    term is scattered into a zeroed (G1, G2, ...) result; on finite jets
+    every part equals the all-members products entry for entry.  The
+    second-order residual is one commutator of the live B parts with the
+    member and derivative axes flattened together.
     """
     stacks = [[j] if isinstance(j, Jet) else list(j) for j in (j1, j2)]
     shape = (stacks[0][0].a.shape, len(stacks[0][0].b))
@@ -319,6 +343,11 @@ def diffop_commutator(j1, j2) -> Commutator:
                                           for j in s))] for s in stacks)
     dot = lambda x, y: _dot(x, y, nb)
     sw = lambda z: np.swapaxes(z, 0, 1)      # (G2, G1, ...) -> (G1, G2, ...)
+    live = lambda x, dx: np.flatnonzero(
+        x.reshape(len(x), -1).any(1) | dx.reshape(len(dx), -1).any(1))
+    b1, b2, c1, c2 = live(B1, dB1), live(B2, dB2), live(C1, dC1), live(C2, dC2)
+    zeros = lambda *axes: np.zeros((len(A1), len(A2)) + axes + shape[0],
+                                   complex)
 
     def comm(x, y):
         """[x_i, y_J] on axes (i, J), J the leading axes of y."""
@@ -327,20 +356,39 @@ def diffop_commutator(j1, j2) -> Commutator:
                               np.expand_dims(x, -nb - 3)), -nb - 3, 0)
         return xy
 
-    a = comm(A1, A2) + 1j * (dot(B1, dA2) - sw(dot(B2, dA1)))
-    b = (comm(A1, B2) - sw(comm(A2, B1))
-         + 1j * (dot(B1, dB2) - sw(dot(B2, dB1))))
-    x0_a = (comm(A1, C2) + comm(C1, A2)
-            + 1j * (dot(B1, dC2) - sw(dot(B2, dC1))))
-    x0_b = comm(C1, B2) - sw(comm(C2, B1))
-    second = worst(0.5 * mat_max(comm(B1[:, k], B2[:, l])
-                                 + comm(B1[:, l], B2[:, k]))
-                   for k in range(d) for l in range(k, d))
+    a, t = comm(A1, A2), zeros()
+    t[b1] = dot(B1[b1], dA2)
+    t[:, b2] -= sw(dot(B2[b2], dA1))
+    a += 1j * t
+
+    b = zeros(d)
+    b[:, b2] = comm(A1, B2[b2])
+    b[b1] -= sw(comm(A2, B1[b1]))
+    b[np.ix_(b1, b2)] += 1j * (dot(B1[b1], dB2[b2])
+                               - sw(dot(B2[b2], dB1[b1])))
+
+    x0_a, t = zeros(), zeros()
+    x0_a[:, c2] = comm(A1, C2[c2])
+    x0_a[c1] += comm(C1[c1], A2)
+    t[np.ix_(b1, c2)] = dot(B1[b1], dC2[c2])
+    t[np.ix_(c1, b2)] -= sw(dot(B2[b2], dC1[c1]))
+    x0_a += 1j * t
+
+    x0_b, x0_sq = zeros(d), zeros()
+    x0_b[np.ix_(c1, b2)] = comm(C1[c1], B2[b2])
+    x0_b[np.ix_(b1, c2)] -= sw(comm(C2[c2], B1[b1]))
+    x0_sq[np.ix_(c1, c2)] = comm(C1[c1], C2[c2])
+
+    # [B1k_i, B2l_j] on axes (i, k, j, l), symmetrized in (k, l)
+    bb = comm(B1[b1].reshape((-1,) + shape[0]),
+              B2[b2].reshape((-1,) + shape[0])).reshape(
+                  (len(b1), d, len(b2), d) + shape[0])
+    second = 0.5 * mat_max(bb + np.swapaxes(bb, 1, 3))
 
     pick = tuple(0 if isinstance(j, Jet) else slice(None) for j in (j1, j2))
     return Commutator(a[pick], np.moveaxis(b[pick], -nb - 3, 0), x0_a[pick],
-                      np.moveaxis(x0_b[pick], -nb - 3, 0),
-                      comm(C1, C2)[pick], second)
+                      np.moveaxis(x0_b[pick], -nb - 3, 0), x0_sq[pick],
+                      second)
 
 
 def conjugate_by_unitary(u: OperatorField, g: DiffOp1,

@@ -6,10 +6,12 @@ from helpers import nan_at
 from spinorlab import dual
 from spinorlab.clifford import pauli
 from spinorlab.equations import abs_p3, catalog_unitary, energy
-from spinorlab.linalg import mat_max
-from spinorlab.opcalc import (DiffOp1, OperatorField, conjugate_by_unitary,
+from spinorlab.linalg import mat_max, worst
+from spinorlab.opcalc import (Commutator, DiffOp1, Jet, OperatorField, _dot,
+                              as_batch, conjugate_by_unitary,
                               diffop_commutator, sample_momenta)
-from spinorlab.poincare import generator_set
+from spinorlab.poincare import GENERATOR_NAMES, generator_set
+from spinorlab.position import POSITION_NAMES, position_from_unitary
 
 
 def richardson_derivative(f, p, k, h=1e-4):
@@ -231,3 +233,151 @@ def test_at_folds_x0_from_one_evaluation():
     assert np.array_equal(a1, op.a(p) + 1.37 * op.x0(p))
     for b in (b0, b1):
         assert all(np.array_equal(x, f(p)) for x, f in zip(b, op.b))
+
+
+# -- all-axes jets and live-member commutators vs their references -----------
+
+EPS = np.finfo(float).eps
+
+def per_axis_jet(op, p):
+    """The earlier jet, one seeded evaluation per part and axis, kept as the
+    reference for the all-axes one."""
+    ks = range(op.d)
+    a = op.a(p)
+    if op.x0 is None:
+        x0, dx0 = np.zeros_like(a), np.zeros((op.d,) + a.shape, complex)
+    else:
+        x0, dx0 = op.x0(p), np.stack([op.x0.deriv(p, k) for k in ks])
+    return Jet(a, np.stack([f(p) for f in op.b]),
+               np.stack([op.a.deriv(p, k) for k in ks]),
+               np.array([[f.deriv(p, l) for l in ks] for f in op.b]), x0, dx0)
+
+
+def dense_commutator(j1, j2):
+    """The earlier commutator, every product over all members and the
+    second-order residual per (k, l) pair, kept as the reference."""
+    stacks = [[j] if isinstance(j, Jet) else list(j) for j in (j1, j2)]
+    d, nb = len(stacks[0][0].b), stacks[0][0].a.ndim - 2
+    (A1, B1, dA1, dB1, C1, dC1), (A2, B2, dA2, dB2, C2, dC2) = (
+        [np.stack(part) for part in zip(*((j.a, j.b, j.da, j.db, j.x0, j.dx0)
+                                          for j in s))] for s in stacks)
+    dot = lambda x, y: _dot(x, y, nb)
+    sw = lambda z: np.swapaxes(z, 0, 1)
+
+    def comm(x, y):
+        xy = dot(np.expand_dims(x, -nb - 3), np.expand_dims(y, -nb - 3))
+        xy -= np.moveaxis(dot(np.expand_dims(y, -nb - 3),
+                              np.expand_dims(x, -nb - 3)), -nb - 3, 0)
+        return xy
+
+    a = comm(A1, A2) + 1j * (dot(B1, dA2) - sw(dot(B2, dA1)))
+    b = (comm(A1, B2) - sw(comm(A2, B1))
+         + 1j * (dot(B1, dB2) - sw(dot(B2, dB1))))
+    x0_a = (comm(A1, C2) + comm(C1, A2)
+            + 1j * (dot(B1, dC2) - sw(dot(B2, dC1))))
+    x0_b = comm(C1, B2) - sw(comm(C2, B1))
+    second = worst(0.5 * mat_max(comm(B1[:, k], B2[:, l])
+                                 + comm(B1[:, l], B2[:, k]))
+                   for k in range(d) for l in range(k, d))
+    pick = tuple(0 if isinstance(j, Jet) else slice(None) for j in (j1, j2))
+    return Commutator(a[pick], np.moveaxis(b[pick], -nb - 3, 0), x0_a[pick],
+                      np.moveaxis(x0_b[pick], -nb - 3, 0),
+                      comm(C1, C2)[pick], second)
+
+
+def _jet_parts(jet):
+    return (jet.a, jet.b, jet.da, jet.db, jet.x0, jet.dx0)
+
+
+def _comm_parts(comm):
+    return (comm.a, comm.b, comm.x0_a, comm.x0_b, comm.x0_sq)
+
+
+def _generic_operators():
+    """2x2 operators on fixed random matrices: their B parts do not commute,
+    so the second-order residual is far from zero; one has an x0 part and
+    one no B part."""
+    m = np.random.default_rng(0).normal(size=(9, 2, 2))
+    sq = lambda k, i: OperatorField(2, 3, [(lambda p: p[k] * p[k], m[i])])
+    a = OperatorField(2, 3, [(lambda p: p[0] * p[1], m[6]),
+                             (lambda p: p[2], m[7])])
+    return [DiffOp1(a, (sq(0, 0), sq(1, 1), sq(2, 2))),
+            DiffOp1(a.adjoint(), (sq(1, 3), sq(2, 4), sq(0, 5)), sq(2, 8)),
+            DiffOp1.from_field(a @ a)]
+
+
+def _operator_sets(seed):
+    """(label, operators, batch): every generator set on 8 points, every
+    built position operator on 12, and the generic operators on 8."""
+    yield ("generic", _generic_operators(),
+           as_batch(sample_momenta(3, 8, seed)))
+    for name in GENERATOR_NAMES:
+        gs = generator_set(name)
+        yield (name, [op for _, op in gs.members()],
+               as_batch(sample_momenta(gs.d, 8, seed)))
+    for name in POSITION_NAMES:
+        pts = sample_momenta(3, 12, seed)
+        yield name, position_from_unitary(name, probe=pts[:2]), as_batch(pts)
+
+
+@settings(deadline=None, max_examples=4)
+@given(st.integers(0, 10_000))
+def test_jets_and_commutators_are_bit_identical_to_the_references(seed):
+    for name, ops, p in _operator_sets(seed):
+        jets = [op.jet(p) for op in ops]
+        for got, want in zip(jets, (per_axis_jet(op, p) for op in ops)):
+            for x, y in zip(_jet_parts(got), _jet_parts(want)):
+                assert x.shape == y.shape and np.array_equal(x, y), name
+        got, want = diffop_commutator(jets, jets), dense_commutator(jets, jets)
+        for x, y in zip(_comm_parts(got), _comm_parts(want)):
+            assert x.shape == y.shape and np.array_equal(x, y), name
+        assert got.second_order == want.second_order, name
+        # the 1 x 1 case (for a generator set, a translation against a
+        # boost): its parts are products of the same shapes; the flattened
+        # second-order product may round its sums differently
+        mid = jets[len(jets) // 2]
+        one, ref = diffop_commutator(jets[0], mid), dense_commutator(jets[0], mid)
+        for x, y in zip(_comm_parts(one), _comm_parts(ref)):
+            assert x.shape == y.shape and np.array_equal(x, y), name
+        bound = 4 * EPS * mat_max(jets[0].b) * mat_max(mid.b)
+        assert abs(one.second_order - ref.second_order) <= bound, name
+
+
+def test_seeding_all_axes_twice_raises():
+    for p in (sample_momenta(3, 1, 7)[0], as_batch(sample_momenta(3, 4, 7))):
+        with pytest.raises(ValueError, match="already seeded on all axes"):
+            dual.seed(dual.seed(p))
+        with pytest.raises(ValueError, match="already seeded on all axes"):
+            dual.seed(dual.seed(dual.seed(p), 1))
+        dual.seed(dual.seed(p, 1))          # a single-axis seed nests
+        dual.seed(dual.seed(p), 1)
+
+
+@settings(deadline=None, max_examples=5)
+@given(st.integers(0, 10_000))
+def test_all_axes_seed_over_a_single_axis_partial(seed):
+    p = as_batch(sample_momenta(3, 4, seed))
+    for name in ("U2", "V1"):
+        f = catalog_unitary(name).closed
+        for k in range(3):
+            g = f.partial(k)
+            got = g.deriv(p)
+            want = np.stack([g.deriv(p, l) for l in range(3)])
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_boost_jet_makes_one_all_axes_deriv_per_part(monkeypatch):
+    op = generator_set("psi").J[(0, 1)]
+    parts = [op.a, *op.b, op.x0]
+    calls = []
+    deriv = OperatorField.deriv
+
+    def counted(self, p, k=None):
+        calls.append((self, k))
+        return deriv(self, p, k)
+
+    monkeypatch.setattr(OperatorField, "deriv", counted)
+    op.jet(as_batch(sample_momenta(3, 8, 5)))
+    assert all(k is None for _, k in calls)
+    assert len(calls) == len(parts)
+    assert {id(f) for f, _ in calls} == {id(f) for f in parts}

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from helpers import nan_at
 from spinorlab.clifford import pauli
 from spinorlab.equations import catalog_equation, catalog_unitary
 from spinorlab.linalg import mat_max
-from spinorlab.opcalc import (DiffOp1, OperatorField, diffop_commutator,
-                              sample_momenta)
+from spinorlab.opcalc import (DiffOp1, OperatorField, as_batch,
+                              diffop_commutator, sample_momenta)
 from spinorlab.poincare import (ContentNotInvariant, algebra_residual,
                                 generator_set, helicity_field, irrep_content,
                                 irrep_content_by_branch,
@@ -209,3 +210,38 @@ def test_closure_fails_closed_on_nan():
                 j12.a, (j12.b[0] + poison,) + j12.b[1:], j12.x0)})):
         resid, _ = algebra_residual(dataclasses.replace(gs, P=P, J=J), S3, X0S)
         assert math.isnan(resid)
+
+
+def test_closure_fails_closed_on_nan_in_a_boost_x0_part():
+    gs = generator_set("psi")
+    poison = OperatorField(4, 3, [(nan_at(S3[1]), np.eye(4))])
+    j01 = gs.J[(0, 1)]
+    J = {**gs.J, (0, 1): DiffOp1(j01.a, j01.b, j01.x0 + poison)}
+    resid, _ = algebra_residual(dataclasses.replace(gs, J=J), S3, X0S)
+    assert math.isnan(resid)
+
+
+def test_closure_fails_closed_on_nan_in_a_zero_b_part():
+    # P1 has no B part, so its B products are skipped unless the NaN counts
+    gs = generator_set("psi")
+    poison = OperatorField(4, 3, [(nan_at(S3[1]), np.eye(4))])
+    p1 = gs.P[1]
+    P = {**gs.P, 1: DiffOp1(p1.a, (p1.b[0] + poison,) + p1.b[1:])}
+    poisoned = dataclasses.replace(gs, P=P)
+    resid, _ = algebra_residual(poisoned, S3, X0S)
+    assert math.isnan(resid)
+    # the commutators themselves, not only the right-hand sides, carry it
+    jets = [op.jet(as_batch(S3)) for _, op in poisoned.members()]
+    assert math.isnan(mat_max(diffop_commutator(jets, jets).a))
+
+
+def test_closure_peak_memory():
+    gs, pts = generator_set("psi"), sample_momenta(3, 8, 5)
+    algebra_residual(gs, pts)             # lazy set-up outside the window
+    tracemalloc.start()
+    try:
+        algebra_residual(gs, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5e6
