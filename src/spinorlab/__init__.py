@@ -7,7 +7,7 @@ from .equations import (EQUATION_NAMES, UNITARY_NAMES, EquationSpec,
                         verify_projectors, verify_transform)
 from .linalg import expm, polar_unitary, svd_nullspace
 from .opcalc import (DiffOp1, OperatorField, as_batch, conjugate_by_unitary,
-                     diffop_commutator, sample_momenta)
+                     diffop_commutator, sample_momenta, stacked_jet)
 from .poincare import (GENERATOR_NAMES, algebra_residual, generator_set,
                        helicity_field, irrep_content)
 from .position import (POSITION_NAMES, position_closed_form,
@@ -24,7 +24,7 @@ __all__ = [
     "catalog_equation", "catalog_unitary", "verify_projectors",
     "verify_transform", "expm", "polar_unitary", "svd_nullspace",
     "DiffOp1", "OperatorField", "as_batch", "conjugate_by_unitary",
-    "diffop_commutator", "sample_momenta", "GENERATOR_NAMES",
+    "diffop_commutator", "sample_momenta", "stacked_jet", "GENERATOR_NAMES",
     "algebra_residual", "generator_set",
     "helicity_field", "irrep_content", "POSITION_NAMES",
     "position_closed_form", "position_from_unitary", "verify_position",

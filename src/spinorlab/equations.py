@@ -30,7 +30,7 @@ from . import dual
 from .clifford import gamma_set, pauli, spin_matrix
 from .linalg import (NotUnitary, dagger, expm, mat_max, unitarity_defect,
                      worst)
-from .opcalc import OperatorField, as_batch
+from .opcalc import OperatorField, as_batch, per_argument
 from .symmetry import group_elements
 
 _REP = gamma_set("rep26")
@@ -42,18 +42,22 @@ I4 = np.eye(4, dtype=complex)
 
 # -- scalar building blocks ----------------------------------------------
 
+@per_argument
 def energy(p):
     return dual.sqrt(p[0] * p[0] + p[1] * p[1] + p[2] * p[2])
 
 
+@per_argument
 def abs_p3(p):
     return dual.absval(p[2])
 
 
+@per_argument
 def e3(p):
     return dual.sign(p[2])
 
 
+@per_argument
 def p_perp(p):
     return dual.sqrt(p[0] * p[0] + p[1] * p[1])
 
@@ -254,6 +258,7 @@ def _half_angle_norm(a, b):
     return dual.sqrt(2.0 * a * (a + b))
 
 
+@per_argument
 def _u2_like_norm(p):
     return _half_angle_norm(energy(p), abs_p3(p))
 

@@ -6,30 +6,45 @@ commutators, and conjugation by unitary fields.
 
 A field is a leaf, a finite sum of scalar coefficient functions times
 constant matrices, or a node that combines operand fields by +, @, a scalar
-factor, the adjoint or d/dp_k.  A node evaluates each operand once; products
-are never multiplied out into terms.  A momentum argument is a tuple of d
-components, each a float (one point: fields evaluate to (dim, dim) matrices)
-or an (n,) array (a batch, see :func:`as_batch`: (n, dim, dim) stacks),
-through the same code.  A derivative evaluates the same expression on
-components seeded as :class:`spinorlab.dual.Dual` (nested seeds give second
-derivatives), so the pass/fail paths never touch finite differences.  Seeded
-along every axis at once, one evaluation gives all d partials as a
-(d, ..., dim, dim) stack.
+factor, the adjoint or d/dp_k.  Products are never multiplied out into
+terms.  A momentum argument is a tuple of d components, each a float (one
+point: fields evaluate to (dim, dim) matrices) or an (n,) array (a batch, see
+:func:`as_batch`: (n, dim, dim) stacks), through the same code.  A derivative
+evaluates the same expression on components seeded as
+:class:`spinorlab.dual.Dual` (nested seeds give second derivatives), so the
+pass/fail paths never touch finite differences.  Seeded along every axis at
+once, one evaluation gives all d partials as a (d, ..., dim, dim) stack.
 
-:meth:`DiffOp1.jet` evaluates an operator's parts once plainly, for their
-values, and once seeded along every axis, for their exact first derivatives.
-:func:`diffop_commutator` takes two jets, or two sequences of jets, and gives
-the commutator of every pair: each product term of the normal-ordering
-formula is one block matmul over the member stacks, and two single jets are
-the 1 x 1 case of the same code.  A term with a B or x0 factor runs only on
-the members whose part is not exactly zero: in a generator set the
-translations skip every B term, and every member but the boosts the x0 ones.
+Every evaluation memoises its values on its argument (:class:`_Argument`):
+a field that several nodes read, such as a conjugating unitary inside
+u^dagger, u and du/dp_k, is evaluated once per argument, and each seeded
+argument is made once, so derivative evaluations share their subexpressions
+too.  A scalar function wrapped in :func:`per_argument` (the energy, |p3|,
+...) is shared by the coefficients the same way.  The memo lives as long as
+the argument, which a top-level call or a stack build drops on return, and
+its values are read-only.  :meth:`OperatorField.partial` and
+:meth:`OperatorField.adjoint` return the same node on every call, so nodes
+built at different times still share.
+
+:func:`stacked_jet` evaluates a family of operators (a generator set, the
+components of a position operator) on one shared argument into one
+:class:`Jet` with a leading member axis: each part once plainly, for its
+values, and once seeded along every axis, for its exact first derivatives.
+:meth:`DiffOp1.jet` is its G = 1 case.  :func:`diffop_commutator` takes two
+jets, stacked or single (or sequences of single jets), and gives the
+commutator of every pair: each part is packed once into block operands, and
+each product term of the normal-ordering formula is one bare block GEMM over
+the members.  A term with a B or x0 factor runs only on the members whose
+part is not exactly zero: in a generator set the translations skip every B
+term, and every member but the boosts the x0 ones.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -72,16 +87,68 @@ def _lift(c):
     return c
 
 
-def _zeros(p, dim: int, lead: tuple = ()) -> np.ndarray:
-    shape = getattr(dual.value(p[0]), "shape", ())
-    return np.zeros(lead + shape + (dim, dim), dtype=complex)
+def _zeros(p: "_Argument", dim: int, lead: tuple = ()) -> np.ndarray:
+    return np.zeros(lead + p.batch + (dim, dim), dtype=complex)
+
+
+class _Argument(tuple):
+    """A momentum argument that memoises what is evaluated on it.
+
+    ``values`` maps id(field) to (field, value) for every field evaluated on
+    it, and ``seeds`` maps an axis (None: every axis) to the seeded argument,
+    made once.  Each entry holds its key objects, so an id cannot be reused
+    while the argument lives, and the memo dies with the argument.  ``batch``
+    is () at a point and (n,) on a batch.
+    """
+
+    def __new__(cls, components):
+        self = super().__new__(cls, components)
+        self.values, self.seeds = {}, {}
+        self.batch = getattr(dual.value(self[0]), "shape", ())
+        return self
+
+    @classmethod
+    def of(cls, p) -> "_Argument":
+        return p if isinstance(p, cls) else cls(p)
+
+    def seeded(self, k: Optional[int] = None) -> "_Argument":
+        """This argument seeded along axis k (every axis when k is None)."""
+        out = self.seeds.get(k)
+        if out is None:
+            out = self.seeds[k] = _Argument(dual.seed(self, k))
+        return out
+
+
+def per_argument(fn: Callable) -> Callable:
+    """A scalar function of the momentum, memoised on the argument as field
+    values are: the coefficients that call it on one argument of a build
+    share one evaluation.  On a plain tuple it simply calls fn."""
+    @functools.wraps(fn)
+    def shared(p):
+        if not isinstance(p, _Argument):
+            return fn(p)
+        hit = p.values.get(id(fn))
+        if hit is None:
+            hit = p.values[id(fn)] = (fn, _read_only(fn(p)))
+        return hit[1]
+    return shared
+
+
+def _read_only(x):
+    """x, with every array in it (through the Dual layers) made read-only."""
+    if isinstance(x, dual.Dual):
+        _read_only(x.val)
+        _read_only(x.eps)
+    elif isinstance(x, np.ndarray):
+        x.flags.writeable = False
+    return x
 
 
 class OperatorField:
     """A leaf  sum_i c_i(p) * M_i  (``terms``), or a node built by ``+``,
     ``@``, :meth:`scale`, :meth:`adjoint` or :meth:`partial` (no terms)."""
 
-    __slots__ = ("dim", "d", "terms", "_node")
+    __slots__ = ("dim", "d", "terms", "_node", "_derived")
 
     def __init__(self, dim: int, d: int, terms, _node=None):
         self.dim = dim
@@ -89,6 +156,7 @@ class OperatorField:
         self.terms = tuple((fn, np.asarray(mat, dtype=complex))
                            for fn, mat in terms)
         self._node = _node         # a node's p -> value from its operands
+        self._derived = {}         # axis k or "adjoint" -> that node
 
     # -- constructors -----------------------------------------------------
     @classmethod
@@ -112,16 +180,28 @@ class OperatorField:
     # -- evaluation --------------------------------------------------------
     def _eval(self, p: Point) -> np.ndarray:
         """The (dim, dim) value at a point, the (n, dim, dim) stack on a batch;
-        on seeded p, a Dual of such values (nested as the seeds are)."""
+        on seeded p, a Dual of such values (nested as the seeds are).
+
+        The value is memoised on the argument (:class:`_Argument`; a plain
+        tuple gets a fresh one), so a field that several nodes read is
+        computed once per argument.  It is read-only: a later read of the
+        memo gets it unchanged.
+        """
+        p = _Argument.of(p)
+        hit = p.values.get(id(self))
+        if hit is not None:
+            return hit[1]
         if self._node is not None:
-            return self._node(p)
-        out = _zeros(p, self.dim)
-        for fn, mat in self.terms:
-            c = fn(p)
-            if isinstance(c, np.ndarray):
-                out = out + c[..., None, None] * mat
-            elif isinstance(c, dual.Dual) or c != 0:
-                out = out + _lift(c) * mat
+            out = self._node(p)
+        else:
+            out = _zeros(p, self.dim)
+            for fn, mat in self.terms:
+                c = fn(p)
+                if isinstance(c, np.ndarray):
+                    out = out + c[..., None, None] * mat
+                elif isinstance(c, dual.Dual) or c != 0:
+                    out = out + _lift(c) * mat
+        p.values[id(self)] = (self, _read_only(out))
         return out
 
     __call__ = _eval   # the entry bench/tracing.py wraps; nodes call _eval
@@ -132,15 +212,20 @@ class OperatorField:
         With ``k`` None, all d partials as one (d, ..., dim, dim) stack, from
         a single evaluation on p seeded along every axis at once.
         """
+        p = _Argument.of(p)
         if k is not None:
             return self.partial(k)._eval(p)
         return (_zeros(p, self.dim, (self.d,))
-                + dual.eps(self._eval(dual.seed(p))))
+                + dual.eps(self._eval(p.seeded())))
 
     def partial(self, k: int) -> "OperatorField":
-        """d/dp_k as a field: the eps part of its value on p seeded along k."""
-        return self._combine(lambda p: _zeros(p, self.dim)
-                             + dual.eps(self._eval(dual.seed(p, k))))
+        """d/dp_k as a field: the eps part of its value on p seeded along k.
+        The same node on every call."""
+        if k not in self._derived:
+            self._derived[k] = self._combine(
+                lambda p: _zeros(p, self.dim)
+                + dual.eps(self._eval(p.seeded(k))))
+        return self._derived[k]
 
     # -- algebra -----------------------------------------------------------
     def _combine(self, node) -> "OperatorField":
@@ -172,7 +257,11 @@ class OperatorField:
             lambda p: _lift(c(p) if callable(c) else c) * self._eval(p))
 
     def adjoint(self) -> "OperatorField":
-        return self._combine(lambda p: dagger(self._eval(p)))
+        """The conjugate transpose; the same node on every call."""
+        if "adjoint" not in self._derived:
+            self._derived["adjoint"] = self._combine(
+                lambda p: dagger(self._eval(p)))
+        return self._derived["adjoint"]
 
     def _check(self, other):
         if self.dim != other.dim or self.d != other.d:
@@ -238,21 +327,45 @@ class DiffOp1:
                 for x0v in x0_values]
 
     def jet(self, p: Point) -> "Jet":
-        """Every part and its exact first derivatives on p: per part one
-        plain evaluation for the value and one all-axes seeded evaluation
-        (:meth:`OperatorField.deriv` with no axis) for every partial.
+        """Every part and its exact first derivatives on p: the G = 1 case
+        of :func:`stacked_jet`, without the member axis."""
+        stack = stacked_jet([self], p)
+        return Jet(*(part[0] for part in stack.parts()))
 
-        The values come from the plain evaluation, never from the seeded
-        one: a coefficient that tests the components (``p[0] == c``) sees a
-        Dual there, not the numbers.
-        """
-        a = self.a(p)
-        if self.x0 is None:
-            x0, dx0 = np.zeros_like(a), np.zeros((self.d,) + a.shape, complex)
-        else:
-            x0, dx0 = self.x0(p), self.x0.deriv(p)
-        return Jet(a, np.stack([f(p) for f in self.b]), self.a.deriv(p),
-                   np.stack([f.deriv(p) for f in self.b]), x0, dx0)
+
+def stacked_jet(ops: Sequence[DiffOp1], p: Point) -> "Jet":
+    """The jets of every operator of ops on p, stacked on a leading member
+    axis, from one evaluation shared by them all: each (field, argument)
+    pair is computed once (see :class:`_Argument`).
+
+    Per part one plain evaluation for the value and one all-axes seeded
+    evaluation (:meth:`OperatorField.deriv` with no axis) for every partial.
+    The values come from the plain evaluation, never from the seeded one: a
+    coefficient that tests the components (``p[0] == c``) sees a Dual there,
+    not the numbers.
+    """
+    p = _Argument.of(p)
+    a, b, x0 = stacked_values(ops, p)
+    dx0 = np.zeros((len(ops), ops[0].d) + a.shape[1:], complex)
+    for i, op in enumerate(ops):
+        if op.x0 is not None:
+            dx0[i] = op.x0.deriv(p)
+    return Jet(a, b, np.stack([op.a.deriv(p) for op in ops]),
+               np.stack([np.stack([f.deriv(p) for f in op.b]) for op in ops]),
+               x0, dx0, stacked=True)
+
+
+def stacked_values(ops: Sequence[DiffOp1], p: Point) -> tuple:
+    """(A, B, C) of every operator of ops on p, stacked on a leading member
+    axis, from one shared evaluation; C is zero where an operator has no x0
+    part."""
+    p = _Argument.of(p)
+    a = np.stack([op.a(p) for op in ops])
+    x0 = np.zeros_like(a)
+    for i, op in enumerate(ops):
+        if op.x0 is not None:
+            x0[i] = op.x0(p)
+    return a, np.stack([np.stack([f(p) for f in op.b]) for op in ops]), x0
 
 
 @dataclass(frozen=True)
@@ -262,7 +375,9 @@ class Jet:
     stack on a batch.
 
     b[k] = B_k, da[k] = dA/dp_k, db[k][l] = dB_k/dp_l, dx0[k] = dC/dp_k;
-    x0 = C is zero when the operator has no x0 part.
+    x0 = C is zero when the operator has no x0 part.  A stacked jet (from
+    :func:`stacked_jet`) holds G operators: every part has a leading (G,)
+    member axis.
     """
 
     a: np.ndarray
@@ -271,6 +386,10 @@ class Jet:
     db: np.ndarray
     x0: np.ndarray
     dx0: np.ndarray
+    stacked: bool = False
+
+    def parts(self) -> tuple:
+        return self.a, self.b, self.da, self.db, self.x0, self.dx0
 
 
 @dataclass
@@ -281,8 +400,8 @@ class Commutator:
     symmetrized second-derivative coefficient norm (the worst over every pair
     and the batch), so callers can fold at any fixed x0 and check that
     nothing leaks outside first order.  b[k] and x0_b[k] are the parts of
-    i d/dp_k.  Each part has leading (G1, G2) member axes for sequences of
-    jets, none for two single jets.
+    i d/dp_k.  Each part has leading (G1, G2) member axes for stacked jets or
+    sequences of jets, none for two single jets.
     """
 
     a: np.ndarray
@@ -297,95 +416,202 @@ class Commutator:
                 self.b + x0_value * self.x0_b)
 
 
+def _left(x, nb: int) -> np.ndarray:
+    """x of shape (M..., K, *batch, dim, dim) as the left block operand
+    (*batch, |M| dim, K dim); the last nb + 2 axes are the batch and the
+    matrix."""
+    m, k = x.shape[:x.ndim - nb - 3], x.shape[x.ndim - nb - 3]
+    batch, dim = x.shape[x.ndim - nb - 2:-2], x.shape[-1]
+    xm = np.moveaxis(x.reshape(math.prod(m), k, *batch, dim, dim), (0, 1),
+                     (nb, nb + 2))
+    return xm.reshape(*batch, math.prod(m) * dim, k * dim)
+
+
+def _right(y, nb: int) -> np.ndarray:
+    """y of shape (M..., K, *batch, dim, dim) as the right block operand
+    (*batch, K dim, |M| dim)."""
+    m, k = y.shape[:y.ndim - nb - 3], y.shape[y.ndim - nb - 3]
+    batch, dim = y.shape[y.ndim - nb - 2:-2], y.shape[-1]
+    ym = np.moveaxis(y.reshape(math.prod(m), k, *batch, dim, dim), (1, 0),
+                     (nb, nb + 2))
+    return ym.reshape(*batch, k * dim, math.prod(m) * dim)
+
+
+def _product(xl, yr, mx: tuple, my: tuple, dim: int) -> np.ndarray:
+    """The block GEMM xl @ yr of two packed operands, in block layout
+    (*batch, *mx, dim, *my, dim): mx and my are the member shapes of the
+    rows of xl and the columns of yr."""
+    prod = xl @ yr
+    return prod.reshape(*prod.shape[:-2], *mx, dim, *my, dim)
+
+
+def _members_first(z, i: int, nb: int) -> np.ndarray:
+    """A block-layout z, (*batch, *I, dim, *J, dim) with i axes in I, as a
+    view on axes (*I, *J, *batch, dim, dim)."""
+    j = z.ndim - nb - i - 2
+    rows, cols = range(nb, nb + i), range(nb + i + 1, nb + i + 1 + j)
+    return z.transpose(*rows, *cols, *range(nb), nb + i, nb + i + 1 + j)
+
+
+def _flip(z, nj: int, nb: int) -> np.ndarray:
+    """The block transpose of a block-layout z: (*batch, *J, dim, *I, dim)
+    -> (*batch, *I, dim, *J, dim), J the first nj member axes."""
+    ni = z.ndim - nb - nj - 2
+    rows, cols = range(nb + nj + 1, nb + nj + 1 + ni), range(nb, nb + nj)
+    return z.transpose(*range(nb), *rows, nb + nj, *cols, z.ndim - 1)
+
+
 def _dot(x, y, nb: int):
     """sum_k x[I, k] @ y[J, k] for every leading index I of x and J of y, as
-    one block matmul (..., |I| dim, K dim) @ (..., K dim, |J| dim); the last
-    nb + 2 axes are the batch and the matrix."""
+    one block GEMM (..., |I| dim, K dim) @ (..., K dim, |J| dim), on axes
+    (*I, *J, ...); the last nb + 2 axes are the batch and the matrix.  It
+    packs both factors for this one product; :func:`diffop_commutator`
+    packs each part once for all of its terms."""
     mx, my = x.shape[:x.ndim - nb - 3], y.shape[:y.ndim - nb - 3]
-    k, batch, dim = x.shape[len(mx)], x.shape[x.ndim - nb - 2:-2], x.shape[-1]
-    gx, gy = math.prod(mx), math.prod(my)
-    xm = np.moveaxis(x.reshape(gx, k, *batch, dim, dim), (0, 1), (nb, nb + 2))
-    ym = np.moveaxis(y.reshape(gy, k, *batch, dim, dim), (1, 0), (nb, nb + 2))
-    prod = (xm.reshape(*batch, gx * dim, k * dim)
-            @ ym.reshape(*batch, k * dim, gy * dim))
-    return np.moveaxis(prod.reshape(*batch, gx, dim, gy, dim),
-                       (nb, nb + 2), (0, 1)).reshape(*mx, *my, *batch, dim, dim)
+    return _members_first(_product(_left(x, nb), _right(y, nb), mx, my,
+                                   x.shape[-1]), len(mx), nb)
+
+
+def _operands(s: Jet, nb: int) -> SimpleNamespace:
+    """A stacked jet packed once for block GEMMs: its live B and x0 members
+    (``b``, ``c``: those whose part or its derivative is not all zero), and
+    each part as the left (``*l``) or right (``*r``) operand that the
+    normal-ordering terms read.  ``b_rows`` and ``b_cols`` hold B with the
+    member and derivative axes together, as one factor of a commutator."""
+    live = lambda x, dx: np.flatnonzero(
+        x.reshape(len(x), -1).any(1) | dx.reshape(len(dx), -1).any(1))
+    b, c = live(s.b, s.db), live(s.x0, s.dx0)
+    one = lambda x: np.expand_dims(x, -nb - 3)      # a summed axis of one
+    bl, cl = s.b[b], one(s.x0[c])
+    return SimpleNamespace(
+        b=b, c=c, al=_left(one(s.a), nb), ar=_right(one(s.a), nb),
+        bl=_left(bl, nb), b_rows=_left(one(bl), nb), b_cols=_right(one(bl), nb),
+        dar=_right(s.da, nb), dbr=_right(s.db[b], nb), cl=_left(cl, nb),
+        cr=_right(cl, nb), dcr=_right(s.dx0[c], nb))
+
+
+def _as_stack(j) -> Jet:
+    """A stacked jet, a single jet as the G = 1 stack, or a sequence of
+    single jets stacked."""
+    if isinstance(j, Jet):
+        return j if j.stacked else Jet(*(x[None] for x in j.parts()),
+                                       stacked=True)
+    return Jet(*(np.stack(part) for part in zip(*(x.parts() for x in j))),
+               stacked=True)
 
 
 def diffop_commutator(j1, j2) -> Commutator:
     """[g1, g2] for every g1 of j1 and g2 of j2, normal ordered with
-    derivatives on the right; j1 and j2 are single jets or sequences of jets
-    on one momentum argument.
+    derivatives on the right; j1 and j2 are jets on one momentum argument,
+    stacked or single, or sequences of single jets.
 
     Zeroth order:  [A1,A2] + sum_k (B1k (i dA2/dpk) - B2k (i dA1/dpk))
     First order k: [A1,B2k] - [A2,B1k] + sum_l (B1l (i dB2k/dpl) - B2l (i dB1k/dpl))
-    Each product term is one block matmul over every pair (:func:`_dot`).
-    x0 parts are carried linearly; the antisymmetrized second-order
-    coefficient is reported as a residual (zero, up to rounding, for honest
-    first-order algebras).
+    Each stack is packed once into block operands (:func:`_operands`), and
+    each product term is one bare block GEMM over every pair, left in block
+    layout (*batch, I, dim, J, dim) (:func:`_product`) and written into the
+    (G1, G2, ...) results through a view on its member axes.  When j2 is j1
+    the reversed product y_j x_i is the block transpose of the GEMM for
+    x_i y_j, and the terms of [A2,B1k], B2 dA1, B2 dB1, B2 dC1 and [C2,B1k]
+    are those of [A1,B2k], B1 dA2, ...: each is computed once.  x0 parts are
+    carried linearly; the antisymmetrized second-order coefficient is
+    reported as a residual (zero, up to rounding, for honest first-order
+    algebras).
 
     A term with a B or x0 factor is computed only on the live members: those
     whose B (or x0) part or its derivative has an entry that is not exactly
     zero.  A NaN entry counts as live, so it reaches the result.  Each such
     term is scattered into a zeroed (G1, G2, ...) result; on finite jets
-    every part equals the all-members products entry for entry.  The
-    second-order residual is one commutator of the live B parts with the
-    member and derivative axes flattened together.
+    every part equals the all-members products entry for entry.  When no
+    member on either side is live for x0, the x0 parts are zero and no x0
+    term runs.  The second-order residual is one commutator of the live B
+    parts with the member and derivative axes flattened together.
     """
-    stacks = [[j] if isinstance(j, Jet) else list(j) for j in (j1, j2)]
-    shape = (stacks[0][0].a.shape, len(stacks[0][0].b))
-    if any((j.a.shape, len(j.b)) != shape for s in stacks for j in s):
+    s1 = _as_stack(j1)
+    s2 = s1 if j2 is j1 else _as_stack(j2)
+    shape = s1.a.shape[1:]
+    if (s2.a.shape[1:], s2.b.shape[1]) != (shape, s1.b.shape[1]):
         raise ValueError("operator dimension mismatch")
-    d, nb = shape[1], len(shape[0]) - 2
-    # every part of the jets on a leading member axis
-    (A1, B1, dA1, dB1, C1, dC1), (A2, B2, dA2, dB2, C2, dC2) = (
-        [np.stack(part) for part in zip(*((j.a, j.b, j.da, j.db, j.x0, j.dx0)
-                                          for j in s))] for s in stacks)
-    dot = lambda x, y: _dot(x, y, nb)
-    sw = lambda z: np.swapaxes(z, 0, 1)      # (G2, G1, ...) -> (G1, G2, ...)
-    live = lambda x, dx: np.flatnonzero(
-        x.reshape(len(x), -1).any(1) | dx.reshape(len(dx), -1).any(1))
-    b1, b2, c1, c2 = live(B1, dB1), live(B2, dB2), live(C1, dC1), live(C2, dC2)
-    zeros = lambda *axes: np.zeros((len(A1), len(A2)) + axes + shape[0],
-                                   complex)
+    d, nb, dim = s1.b.shape[1], len(shape) - 2, shape[-1]
+    x = _operands(s1, nb)
+    y = x if s2 is s1 else _operands(s2, nb)
+    same = y is x
+    g1, g2, b1, b2, c1, c2 = len(s1.a), len(s2.a), x.b, y.b, x.c, y.c
+    # products and their sums are in block layout (*batch, I, dim, J, dim),
+    # written into the (G1, G2, ...) results through their (I, J, ...) view
+    mm = lambda l, r, mx, my: _product(l, r, mx, my, dim)
+    view = lambda z: _members_first(z, 1, nb)
+    bt = lambda z: np.swapaxes(z, nb, nb + 2)   # block transpose, (J, I)
+    # y's term from x's when the stacks are the same, else computed
+    mirror = lambda mine, theirs: mine if same else theirs()
+    zeros = lambda *axes: np.zeros((g1, g2) + axes + shape, complex)
 
-    def comm(x, y):
-        """[x_i, y_J] on axes (i, J), J the leading axes of y."""
-        xy = dot(np.expand_dims(x, -nb - 3), np.expand_dims(y, -nb - 3))
-        xy -= np.moveaxis(dot(np.expand_dims(y, -nb - 3),
-                              np.expand_dims(x, -nb - 3)), -nb - 3, 0)
-        return xy
+    def comm(xl, yr, yl, xr, mx, my):
+        """[x_I, y_J] from the packed operands of x and y."""
+        xy = mm(xl, yr, mx, my)
+        yx = xy if xl is yl and xr is yr else mm(yl, xr, my, mx)
+        return xy - _flip(yx, len(my), nb)
 
-    a, t = comm(A1, A2), zeros()
-    t[b1] = dot(B1[b1], dA2)
-    t[:, b2] -= sw(dot(B2[b2], dA1))
-    a += 1j * t
+    # each part in its own function, so that its temporaries are freed
+    # before the next part runs
+    def second_order():
+        """[B1k_i, B2l_j] on axes (i, k, j, l), symmetrized in (k, l)."""
+        bb = comm(x.b_rows, y.b_cols, y.b_rows, x.b_cols, (len(b1), d),
+                  (len(b2), d))
+        return 0.5 * mat_max(bb + np.swapaxes(bb, nb + 1, nb + 4))
 
-    b = zeros(d)
-    b[:, b2] = comm(A1, B2[b2])
-    b[b1] -= sw(comm(A2, B1[b1]))
-    b[np.ix_(b1, b2)] += 1j * (dot(B1[b1], dB2[b2])
-                               - sw(dot(B2[b2], dB1[b1])))
+    def zeroth_order():
+        a = np.ascontiguousarray(view(comm(x.al, y.ar, y.al, x.ar, (g1,),
+                                           (g2,))))
+        t, bda = zeros(), mm(x.bl, y.dar, (len(b1),), (g2,))
+        t[b1] = view(bda)
+        t[:, b2] -= view(bt(mirror(bda, lambda: mm(
+            y.bl, x.dar, (len(b2),), (g1,)))))
+        a += 1j * t
+        return a
 
-    x0_a, t = zeros(), zeros()
-    x0_a[:, c2] = comm(A1, C2[c2])
-    x0_a[c1] += comm(C1[c1], A2)
-    t[np.ix_(b1, c2)] = dot(B1[b1], dC2[c2])
-    t[np.ix_(c1, b2)] -= sw(dot(B2[b2], dC1[c1]))
-    x0_a += 1j * t
+    def first_order():
+        b = zeros(d)
+        ab = comm(x.al, y.b_cols, y.b_rows, x.ar, (g1,), (len(b2), d))
+        b[:, b2] = view(ab)
+        b[b1] -= view(bt(mirror(ab, lambda: comm(
+            y.al, x.b_cols, x.b_rows, y.ar, (g2,), (len(b1), d)))))
+        bdb = mm(x.bl, y.dbr, (len(b1),), (len(b2), d))
+        b[np.ix_(b1, b2)] += view(1j * (bdb - bt(mirror(bdb, lambda: mm(
+            y.bl, x.dbr, (len(b2),), (len(b1), d))))))
+        return b
 
-    x0_b, x0_sq = zeros(d), zeros()
-    x0_b[np.ix_(c1, b2)] = comm(C1[c1], B2[b2])
-    x0_b[np.ix_(b1, c2)] -= sw(comm(C2[c2], B1[b1]))
-    x0_sq[np.ix_(c1, c2)] = comm(C1[c1], C2[c2])
+    def x0_parts():
+        """(x0_a, x0_b, x0_sq), zero with no term run when no member on
+        either side is live for x0."""
+        x0_a, x0_b, x0_sq = zeros(), zeros(d), zeros()
+        if not (len(c1) or len(c2)):
+            return x0_a, x0_b, x0_sq
+        ac = mm(x.al, y.cr, (g1,), (len(c2),))
+        ca = mm(y.cl, x.ar, (len(c2),), (g1,))
+        x0_a[:, c2] = view(ac - bt(ca))
+        ca, ac = mirror((ca, ac), lambda: (mm(x.cl, y.ar, (len(c1),), (g2,)),
+                                           mm(y.al, x.cr, (g2,), (len(c1),))))
+        x0_a[c1] += view(ca - bt(ac))
+        t, bdc = zeros(), mm(x.bl, y.dcr, (len(b1),), (len(c2),))
+        t[np.ix_(b1, c2)] = view(bdc)
+        t[np.ix_(c1, b2)] -= view(bt(mirror(bdc, lambda: mm(
+            y.bl, x.dcr, (len(b2),), (len(c1),)))))
+        x0_a += 1j * t
 
-    # [B1k_i, B2l_j] on axes (i, k, j, l), symmetrized in (k, l)
-    bb = comm(B1[b1].reshape((-1,) + shape[0]),
-              B2[b2].reshape((-1,) + shape[0])).reshape(
-                  (len(b1), d, len(b2), d) + shape[0])
-    second = 0.5 * mat_max(bb + np.swapaxes(bb, 1, 3))
+        cb = comm(x.cl, y.b_cols, y.b_rows, x.cr, (len(c1),), (len(b2), d))
+        x0_b[np.ix_(c1, b2)] = view(cb)
+        x0_b[np.ix_(b1, c2)] -= view(bt(mirror(cb, lambda: comm(
+            y.cl, x.b_cols, x.b_rows, y.cr, (len(c2),), (len(b1), d)))))
+        x0_sq[np.ix_(c1, c2)] = view(comm(x.cl, y.cr, y.cl, x.cr, (len(c1),),
+                                          (len(c2),)))
+        return x0_a, x0_b, x0_sq
 
-    pick = tuple(0 if isinstance(j, Jet) else slice(None) for j in (j1, j2))
+    second = second_order()
+    a, b, (x0_a, x0_b, x0_sq) = zeroth_order(), first_order(), x0_parts()
+
+    pick = tuple(0 if isinstance(j, Jet) and not j.stacked else slice(None)
+                 for j in (j1, j2))
     return Commutator(a[pick], np.moveaxis(b[pick], -nb - 3, 0), x0_a[pick],
                       np.moveaxis(x0_b[pick], -nb - 3, 0), x0_sq[pick],
                       second)

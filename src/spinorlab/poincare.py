@@ -14,12 +14,12 @@ Closure is one tensor identity over the members G_i (P_0..P_d, then J_mu nu):
 
 with f_JJ and f_JP the real (G, G, G) tensors that :func:`structure_constants`
 builds once per d from the metric diag(1, -1, ..., -1).  The commutators of
-every pair come from one stacked :func:`diffop_commutator` call, and the
-right-hand sides from one contraction over the member axis.  The signs
-(s_JJ, s_JP) are never assumed: :func:`structure_signs` picks, once per d, the
-pair of the four candidates that closes the pure orbital scalar realization
-(identity matrices, H = E), and every matrix realization must then close with
-those signs.
+every pair come from one :func:`diffop_commutator` call on the set's stacked
+jet, and the right-hand sides from one contraction over the member axis.  The
+signs (s_JJ, s_JP) are never assumed: :func:`structure_signs` picks, once per
+d, the pair of the four candidates that closes the pure orbital scalar
+realization (identity matrices, H = E), and every matrix realization must
+then close with those signs.
 """
 
 import functools
@@ -33,7 +33,8 @@ from .clifford import gamma_set, pauli, spin_matrix
 from .equations import abs_p3, catalog_equation, e3, energy
 from .linalg import mat_max, worst
 from .opcalc import (DiffOp1, OperatorField, as_batch, conjugate_by_unitary,
-                     diffop_commutator, sample_momenta)
+                     diffop_commutator, sample_momenta, stacked_jet,
+                     stacked_values)
 
 _REP = gamma_set("rep26")
 G0 = _REP.gamma(0)
@@ -216,11 +217,9 @@ def structure_constants(d: int):
 
 def _closure(gs: GeneratorSet, p):
     """The commutator of every pair of members on the batch p, and the
-    stacked member parts A, C and B: one jet per member."""
-    jets = [op.jet(p) for _, op in gs.members()]
-    return (diffop_commutator(jets, jets),
-            *(np.stack(part) for part in zip(*((j.a, j.x0, j.b)
-                                               for j in jets))))
+    stacked member parts A, C and B: one stacked jet of the set."""
+    jet = stacked_jet([op for _, op in gs.members()], p)
+    return diffop_commutator(jet, jet), jet.a, jet.x0, jet.b
 
 
 def _tensor_residual(closure, x0_values, sign_jj, sign_jp) -> float:
@@ -267,15 +266,16 @@ def algebra_residual(gs: GeneratorSet, samples,
 def set_covariance_residual(gs_src: GeneratorSet, gs_tgt: GeneratorSet,
                             u: OperatorField, samples,
                             x0_values=X0_VALUES) -> float:
-    """max | u G_src u^-1 - G_tgt | over members, samples, x0 values."""
+    """max | u G_src u^-1 - G_tgt | over members, samples, x0 values; each
+    set's values are one stacked evaluation."""
     p = as_batch(samples)
-    out = []
-    for (name1, op1), (name2, op2) in zip(gs_src.members(), gs_tgt.members()):
-        conj = conjugate_by_unitary(u.adjoint(), op1, probe=samples[:2])
-        for (a1, b1), (a2, b2) in zip(conj.at(p, x0_values),
-                                      op2.at(p, x0_values)):
-            out.append(mat_max(a1 - a2))
-            out += [mat_max(x - y) for x, y in zip(b1, b2)]
+    conj = [conjugate_by_unitary(u.adjoint(), op, probe=samples[:2])
+            for _, op in gs_src.members()]
+    (a1, b1, c1), (a2, b2, c2) = (
+        stacked_values(ops, p) for ops in (conj, [op for _, op in
+                                                  gs_tgt.members()]))
+    out = [mat_max(b1 - b2)]
+    out += [mat_max(a1 + x0v * c1 - (a2 + x0v * c2)) for x0v in x0_values]
     return worst(out)
 
 

@@ -30,9 +30,9 @@ import numpy as np
 
 from .clifford import gamma_set, pauli, spin_matrix
 from .equations import abs_p3, catalog_unitary, e3, energy
-from .linalg import dagger, mat_max, worst
+from .linalg import dagger, mat_max
 from .opcalc import (DiffOp1, OperatorField, as_batch, conjugate_by_unitary,
-                     diffop_commutator)
+                     diffop_commutator, stacked_jet)
 
 _REP = gamma_set("rep26")
 G3 = _REP.gamma(3)
@@ -105,26 +105,19 @@ def position_closed_form(name: str) -> list:
 def verify_position(name: str, samples) -> dict:
     """Closed form vs conjugation, canonical commutators, Hermiticity report.
 
-    Each built component is evaluated once, as a jet on the sample batch,
-    and every residual reads that jet.
+    The built components are evaluated once, as one stacked jet on the
+    sample batch, and every residual reads that jet.
     """
     built = position_from_unitary(name, probe=samples[:2])
     closed = position_closed_form(name)
     dim = _CONJUGATION[name][0]
-    eye = np.eye(dim)
     p = as_batch(samples)
-    jets = [x.jet(p) for x in built]
-
-    match, canonical, herm = [], [], []
-    for j, jet in enumerate(jets):
-        match.append(mat_max(jet.a - closed[j].a(p)))
-        herm.append(mat_max(jet.a - dagger(jet.a)))
-        for k in range(3):
-            # [X_j, p_k]: only i * B_jk survives; must be i delta_jk
-            bracket = 1j * jet.b[k]
-            canonical.append(mat_max(bracket - (1j if j == k else 0.0) * eye))
-    return {"closed_vs_conjugation": worst(match),
-            "canonical_commutator": worst(canonical),
-            "hermiticity": worst(herm),
+    jet = stacked_jet(built, p)
+    # [X_j, p_k]: only i * B_jk survives; must be i delta_jk
+    delta = np.eye(3)[:, :, None, None, None] * (1j * np.eye(dim))
+    return {"closed_vs_conjugation": mat_max(
+                jet.a - np.stack([x.a(p) for x in closed])),
+            "canonical_commutator": mat_max(1j * jet.b - delta),
+            "hermiticity": mat_max(jet.a - dagger(jet.a)),
             "component_noncommutativity": mat_max(
-                diffop_commutator(jets, jets).a)}
+                diffop_commutator(jet, jet).a)}

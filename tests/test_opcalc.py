@@ -1,17 +1,23 @@
+import gc
+import subprocess
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import nan_at
-from spinorlab import dual
+from spinorlab import dual, position
 from spinorlab.clifford import pauli
 from spinorlab.equations import abs_p3, catalog_unitary, energy
 from spinorlab.linalg import mat_max, worst
 from spinorlab.opcalc import (Commutator, DiffOp1, Jet, OperatorField, _dot,
                               as_batch, conjugate_by_unitary,
-                              diffop_commutator, sample_momenta)
+                              diffop_commutator, sample_momenta, stacked_jet)
 from spinorlab.poincare import GENERATOR_NAMES, generator_set
-from spinorlab.position import POSITION_NAMES, position_from_unitary
+from spinorlab.position import (POSITION_NAMES, position_from_unitary,
+                                verify_position)
 
 
 def richardson_derivative(f, p, k, h=1e-4):
@@ -381,3 +387,125 @@ def test_boost_jet_makes_one_all_axes_deriv_per_part(monkeypatch):
     assert all(k is None for _, k in calls)
     assert len(calls) == len(parts)
     assert {id(f) for f, _ in calls} == {id(f) for f in parts}
+
+
+# -- one stacked jet per set: shared evaluation and block products ------------
+
+@settings(deadline=None, max_examples=3)
+@given(st.integers(0, 10_000))
+def test_stacked_jet_equals_the_member_by_member_jets(seed):
+    # one shared evaluation for the whole set against one per member
+    for name, ops, p in _operator_sets(seed):
+        stack = stacked_jet(ops, p)
+        assert stack.stacked and len(stack.a) == len(ops)
+        for i, op in enumerate(ops):
+            for x, y in zip(stack.parts(), op.jet(p).parts()):
+                assert x[i].shape == y.shape and np.array_equal(x[i], y), name
+
+
+@settings(deadline=None, max_examples=3)
+@given(st.integers(0, 10_000))
+def test_commutator_of_two_different_stacks_matches_the_reference(seed):
+    # G1 != G2, overlapping members; a generator set has boosts on both sides
+    for name, ops, p in _operator_sets(seed):
+        left, right = ops[::2], ops[1:]
+        got = diffop_commutator(stacked_jet(left, p), stacked_jet(right, p))
+        j1, j2 = [op.jet(p) for op in left], [op.jet(p) for op in right]
+        want = dense_commutator(j1, j2)
+        for x, y in zip(_comm_parts(got), _comm_parts(want)):
+            assert x.shape == y.shape and np.array_equal(x, y), name
+        bound = 4 * EPS * mat_max([j.b for j in j1]) * mat_max([j.b for j in j2])
+        assert abs(got.second_order - want.second_order) <= bound, name
+
+
+def test_no_stale_hit_across_position_builds():
+    # a run on seed 7 after a run on seed 5 equals a run on seed 7 in a
+    # fresh interpreter
+    s5, s7 = sample_momenta(3, 12, 5), sample_momenta(3, 12, 7)
+    alone = subprocess.run(
+        [sys.executable, "-c", "from spinorlab.opcalc import sample_momenta; "
+         "from spinorlab.position import POSITION_NAMES, verify_position; "
+         "print(repr([verify_position(n, sample_momenta(3, 12, 7)) "
+         "for n in POSITION_NAMES]))"],
+        capture_output=True, text=True, check=True).stdout.strip()
+    after = []
+    for name in POSITION_NAMES:
+        verify_position(name, s5)
+        after.append(verify_position(name, s7))
+    assert repr(after) == alone
+
+
+def test_no_stale_hit_from_transient_nodes():
+    # each evaluation makes a leaf and its partial and drops them; the next
+    # one, with another coefficient, may reuse their addresses
+    p = as_batch(sample_momenta(3, 4, 7))
+    m = pauli(1)
+    leaf = lambda c: OperatorField(2, 3, [(lambda q: c * q[0] * q[0], m)])
+
+    def transient(c):
+        def node(q):
+            value = leaf(c).partial(0)._eval(q)
+            gc.collect()        # free the dropped leaf and partial now
+            return value
+        return OperatorField(2, 3, (), node)
+
+    cs = (1.0, 2.0, 3.0, 5.0)
+    stack = stacked_jet([DiffOp1.from_field(transient(c)) for c in cs], p)
+    for c, a, da in zip(cs, stack.a, stack.da):
+        assert np.array_equal(a, leaf(c).deriv(p, 0))
+        assert np.array_equal(da, leaf(c).partial(0).deriv(p))
+
+
+def test_values_inside_a_build_are_read_only():
+    f = catalog_unitary("V1").closed
+    p = as_batch(sample_momenta(3, 4, 1))
+    want, dwant = np.array(f(p)), f.deriv(p)
+    writes = []
+
+    def writer(q):
+        value = f._eval(q)
+        target = value.val if isinstance(value, dual.Dual) else value
+        with pytest.raises(ValueError, match="read-only"):
+            target[...] = 0.0
+        writes.append(q)
+        return value
+
+    stack = stacked_jet([DiffOp1.from_field(OperatorField(2, 3, (), writer)),
+                         DiffOp1.from_field(f)], p)
+    assert len(writes) == 2                 # the plain and the seeded value
+    for a, da in zip(stack.a, stack.da):    # the later hits are unchanged
+        assert np.array_equal(a, want) and np.array_equal(da, dwant)
+
+
+def test_xpsi_evaluates_each_conjugating_term_once_per_argument(monkeypatch):
+    calls, seeds = [], []                   # pin every argument they saw
+    seed = dual.seed
+    monkeypatch.setattr(dual, "seed", lambda q, k=None: (
+        seeds.append((q, k)), seed(q, k))[1])
+
+    def counted(f):
+        return OperatorField(f.dim, f.d, [
+            (lambda q, fn=fn, i=i: (calls.append((id(f), i, q)), fn(q))[1], m)
+            for i, (fn, m) in enumerate(f.terms)])
+
+    u1, u2 = (counted(catalog_unitary(n).closed) for n in ("U1", "U2"))
+    monkeypatch.setattr(position, "conjugating_field", lambda name: u2 @ u1)
+    verify_position("Xpsi", sample_momenta(3, 12, 5))
+    per_argument = Counter((f, i, id(q)) for f, i, q in calls)
+    assert len({(f, i) for f, i, _ in calls}) == 5
+    assert max(per_argument.values()) == 1
+    # each seeded argument is made once: per argument and axis
+    assert max(Counter((id(q), k) for q, k in seeds).values()) == 1
+
+
+@settings(deadline=None, max_examples=3)
+@given(st.integers(0, 10_000))
+def test_all_pairs_commutator_is_exactly_antisymmetric(seed):
+    # [G_j, G_i] = -[G_i, G_j] bit for bit, so computing only i < j and
+    # mirroring would not move any rounding
+    for name, ops, p in _operator_sets(seed):
+        jet = stacked_jet(ops, p)
+        comm = diffop_commutator(jet, jet)
+        for x, axes in ((comm.a, (0, 1)), (comm.b, (1, 2)), (comm.x0_a, (0, 1)),
+                        (comm.x0_b, (1, 2)), (comm.x0_sq, (0, 1))):
+            assert np.array_equal(x, -np.swapaxes(x, *axes)), name

@@ -16,6 +16,7 @@ from spinorlab.poincare import (ContentNotInvariant, algebra_residual,
                                 irrep_content_by_branch,
                                 set_covariance_residual, structure_constants,
                                 structure_signs)
+from spinorlab.position import verify_position
 
 S3 = sample_momenta(3, 8, 42)
 S2 = sample_momenta(2, 8, 42)
@@ -245,3 +246,29 @@ def test_closure_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 5.5e6
+
+
+def _peak_bytes(run):
+    """tracemalloc peak of run(), after one call outside the window."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_position_peak_memory():
+    # 1.80 MB with one jet per component, plus 10% headroom
+    pts = sample_momenta(3, 12, 5)
+    assert _peak_bytes(lambda: verify_position("Xpsi", pts)) <= 2.0e6
+
+
+def test_covariance_peak_memory():
+    # 0.035 MB when each member was evaluated on its own, plus headroom for
+    # the values that one shared evaluation of the ten members keeps
+    chi, phi = generator_set("chi"), generator_set("phi")
+    u2, pts = catalog_unitary("U2").closed, sample_momenta(3, 8, 5)[:4]
+    assert _peak_bytes(lambda: set_covariance_residual(chi, phi, u2,
+                                                       pts)) <= 0.5e6

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
+from helpers import nan_at
+from spinorlab import position
 from spinorlab.clifford import gamma_set, pauli, spin_matrix
 from spinorlab.linalg import mat_max
-from spinorlab.opcalc import as_batch, sample_momenta
+from spinorlab.opcalc import OperatorField, as_batch, sample_momenta
 from spinorlab.position import (POSITION_NAMES, position_closed_form,
                                 position_from_unitary, verify_position)
 
@@ -82,3 +86,13 @@ def test_unknown_position_name():
         position_from_unitary("Xnope")
     with pytest.raises(ValueError):
         position_closed_form("Xnope")
+
+
+def test_position_fails_closed_on_nan_in_the_conjugating_field(monkeypatch):
+    # the poisoned point is outside the unitarity probe (SAMPLES[:2])
+    u = position.conjugating_field("Xpsi")
+    poison = OperatorField(4, 3, [(nan_at(SAMPLES[5]), np.eye(4))])
+    monkeypatch.setattr(position, "conjugating_field",
+                        lambda name: u + poison)
+    rep = verify_position("Xpsi", SAMPLES)
+    assert math.isnan(rep["closed_vs_conjugation"])
