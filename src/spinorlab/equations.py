@@ -21,7 +21,9 @@ reduction with the inconsistent sigma_2*p2 coefficient; it exists as a
 negative control for the verification suite and must never be used otherwise.
 """
 
+import functools
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Optional, Union
 
 import numpy as np
@@ -78,6 +80,10 @@ class EquationSpec:
     claims: tuple = ()                 # (element label, invariant?) pairs
     hermitian: bool = True
     dispersion: Optional[object] = None   # scalar fn of p: H^2 = fn(p)*1
+
+    def __post_init__(self):
+        # one built spec is shared by every caller (catalog_equation)
+        object.__setattr__(self, "params", MappingProxyType(self.params))
 
 
 _ALL_INVARIANT_CLAIMS = tuple((g.label, True) for g in group_elements(3))
@@ -137,7 +143,15 @@ def _two_component_reduction(sign: float, mass_fn, corrupt_reduction=False):
 
 def catalog_equation(name: str, m: float = 1.0, kappa: float = 1.0,
                      corrupt_reduction: bool = False) -> EquationSpec:
-    """Build a catalog equation by its stable public name."""
+    """A catalog equation by its stable public name, built once per
+    arguments: every spelling of the same arguments returns the same object."""
+    return _catalog_equation(name, float(m), float(kappa),
+                             bool(corrupt_reduction))
+
+
+@functools.lru_cache(maxsize=256)
+def _catalog_equation(name: str, m: float, kappa: float,
+                      corrupt_reduction: bool) -> EquationSpec:
     if m < 0:
         raise ValueError("mass must be non-negative")
     disp_massless = lambda p: dual.value(p[0]) ** 2 + dual.value(p[1]) ** 2 + dual.value(p[2]) ** 2
@@ -269,7 +283,13 @@ def _theta_half_over_pp(p):
 
 
 def catalog_unitary(name: str, m: float = 1.0) -> UnitarySpec:
-    """Build a catalog transformation by its stable public name."""
+    """A catalog transformation by its stable public name, built once per
+    (name, m): every spelling of the same arguments returns the same object."""
+    return _catalog_unitary(name, float(m))
+
+
+@functools.lru_cache(maxsize=256)
+def _catalog_unitary(name: str, m: float) -> UnitarySpec:
     if name == "U1":
         closed = OperatorField(4, 3, [
             (lambda p: 1.0 / np.sqrt(2.0), I4),

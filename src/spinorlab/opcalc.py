@@ -317,15 +317,6 @@ class DiffOp1:
         return DiffOp1(self.a.scale(c), tuple(f.scale(c) for f in self.b),
                        self.x0.scale(c) if self.x0 is not None else None)
 
-    def at(self, p: Point, x0_values=(0.0,)) -> list:
-        """One (A_eff, (B_k,)) per x0 value at p (matrices, or stacks on a
-        batch): A, B and C are evaluated once and C folded into A as
-        A + x0 C (A itself at x0 = 0)."""
-        a, b = self.a(p), tuple(f(p) for f in self.b)
-        c = self.x0(p) if self.x0 is not None else None
-        return [(a if c is None or x0v == 0.0 else a + x0v * c, b)
-                for x0v in x0_values]
-
     def jet(self, p: Point) -> "Jet":
         """Every part and its exact first derivatives on p: the G = 1 case
         of :func:`stacked_jet`, without the member axis."""
@@ -617,15 +608,23 @@ def diffop_commutator(j1, j2) -> Commutator:
                       second)
 
 
+def check_unitary(u: OperatorField, probe: Sequence[Point]) -> None:
+    """Raise NotUnitary unless u is unitary at every probe point (no check
+    on an empty probe); a caller that conjugates several operators by one
+    field checks it once."""
+    if probe and not (unitarity_defect(u(as_batch(probe))) <= 1e-8):
+        raise NotUnitary("conjugating field is not unitary at probe point")
+
+
 def conjugate_by_unitary(u: OperatorField, g: DiffOp1,
                          probe: Sequence[Point] = ()) -> DiffOp1:
-    """u^-1 g u for a unitary field u (u^-1 = u^dagger).
+    """u^-1 g u for a unitary field u (u^-1 = u^dagger), checked on the
+    probe points first (:func:`check_unitary`).
 
     Zeroth part u^-1 A u + sum_k u^-1 B_k (i du/dp_k); derivative
     coefficients u^-1 B_k u; the x0 coefficient conjugates like A.
     """
-    if probe and not (unitarity_defect(u(as_batch(probe))) <= 1e-8):
-        raise NotUnitary("conjugating field is not unitary at probe point")
+    check_unitary(u, probe)
     ud = u.adjoint()
     a = ud @ g.a @ u
     for k in range(g.d):

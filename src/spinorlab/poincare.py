@@ -15,16 +15,23 @@ Closure is one tensor identity over the members G_i (P_0..P_d, then J_mu nu):
 with f_JJ and f_JP the real (G, G, G) tensors that :func:`structure_constants`
 builds once per d from the metric diag(1, -1, ..., -1).  The commutators of
 every pair come from one :func:`diffop_commutator` call on the set's stacked
-jet, and the right-hand sides from one contraction over the member axis.  The
-signs (s_JJ, s_JP) are never assumed: :func:`structure_signs` picks, once per
-d, the pair of the four candidates that closes the pure orbital scalar
+jet.  Both sides are exactly antisymmetric in (i, j), so the residual reads
+only the pairs i < j: the commutator parts gathered there, and right-hand
+sides that are GEMMs of the pair rows of f over the member axis.  The signs
+(s_JJ, s_JP) are never assumed: :func:`structure_signs` picks, once per d,
+the pair of the four candidates that closes the pure orbital scalar
 realization (identity matrices, H = E), and every matrix realization must
 then close with those signs.
+
+:func:`generator_set` builds each realization once per set of arguments and
+hands the same read-only object to every caller.
 """
 
 import functools
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -32,9 +39,9 @@ from . import dual
 from .clifford import gamma_set, pauli, spin_matrix
 from .equations import abs_p3, catalog_equation, e3, energy
 from .linalg import mat_max, worst
-from .opcalc import (DiffOp1, OperatorField, as_batch, conjugate_by_unitary,
-                     diffop_commutator, sample_momenta, stacked_jet,
-                     stacked_values)
+from .opcalc import (DiffOp1, OperatorField, as_batch, check_unitary,
+                     conjugate_by_unitary, diffop_commutator, sample_momenta,
+                     stacked_jet, stacked_values)
 
 _REP = gamma_set("rep26")
 G0 = _REP.gamma(0)
@@ -51,8 +58,8 @@ class GeneratorSet:
     name: str
     dim: int
     d: int
-    P: dict          # index 0..d -> DiffOp1 (P[0] is the Hamiltonian)
-    J: dict          # (mu, nu) with mu < nu -> DiffOp1
+    P: Mapping       # index 0..d -> DiffOp1 (P[0] is the Hamiltonian)
+    J: Mapping       # (mu, nu) with mu < nu -> DiffOp1
 
     def members(self):
         out = [(f"P{k}", op) for k, op in sorted(self.P.items())]
@@ -99,7 +106,7 @@ def _assemble(name: str, h: OperatorField, spin=None,
         for l in range(k + 1, d + 1):
             J[(k, l)] = plus(_orbital_rotation(k, l, dim, d), spin.get((k, l)))
         J[(0, k)] = plus(_boost(h, k), boost_extra.get(k))
-    return GeneratorSet(name, dim, d, P, J)
+    return GeneratorSet(name, dim, d, MappingProxyType(P), MappingProxyType(J))
 
 
 def _over_e_plus_p3(p):
@@ -107,11 +114,17 @@ def _over_e_plus_p3(p):
 
 
 def generator_set(name: str, m: float = 1.0) -> GeneratorSet:
-    """Build one of the named realizations.
+    """One of the named realizations, built once per (name, m): every
+    spelling of the same arguments returns the same object.
 
     ``phi_pos`` / ``phi_neg`` are the diagonal realization with the matrix
     gamma0 replaced by the scalar +1 / -1.
     """
+    return _generator_set(name, float(m))
+
+
+@functools.lru_cache(maxsize=256)
+def _generator_set(name: str, m: float) -> GeneratorSet:
     if name == "psi":
         h = catalog_equation("dirac_massless").hamiltonian
         return _assemble(name, h, {(k, l): spin_matrix(_REP, k, l).value
@@ -223,21 +236,30 @@ def _closure(gs: GeneratorSet, p):
 
 
 def _tensor_residual(closure, x0_values, sign_jj, sign_jp) -> float:
-    """max |[G_i, G_j] - i f_ij^c G_c| over pairs, parts, x0 values and the
-    batch; per x0 value the right-hand sides are one GEMM over the member
-    axis of the stacked values (A + x0 C, B_k)."""
+    """max |[G_i, G_j] - i f_ij^c G_c| over the pairs i < j, parts, x0 values
+    and the batch.
+
+    Both sides are exactly antisymmetric in (i, j) (the commutator parts bit
+    for bit, and f_ji = -f_ij with f_ii = 0), so the pairs i < j give the max
+    over every pair unchanged.  The commutator parts are gathered at those
+    pairs and folded there; the right-hand sides are GEMMs of the pair rows
+    of f over the member axis: one for B, which no x0 value changes, and one
+    for A + x0 C per x0 value.
+    """
     comm, a, c, b = closure
     f_jj, f_jp = structure_constants(len(comm.b))
     size = len(f_jj)
-    f = (1j * (sign_jj * f_jj + sign_jp * f_jp)).reshape(size * size, size)
+    i, j = np.triu_indices(size, 1)
+    f = (1j * (sign_jj * f_jj + sign_jp * f_jp))[i, j]
+    rhs = lambda x: (f @ x.reshape(size, -1)).reshape((len(f),) + x.shape[1:])
+    comm_a, x0_a, x0_sq = comm.a[i, j], comm.x0_a[i, j], comm.x0_sq[i, j]
+    comm_b, x0_b = comm.b[:, i, j], comm.x0_b[:, i, j]
+    rhs_b = np.moveaxis(rhs(b), 1, 0)
     out = []
     for x0v in x0_values:
-        values = np.concatenate([(a + x0v * c)[:, None], b], axis=1)
-        rhs = (f @ values.reshape(size, -1)).reshape(
-            (size, size) + values.shape[1:])
-        lhs_a, lhs_b = comm.fold(x0v)
-        out += [mat_max(lhs_a - rhs[:, :, 0]),
-                mat_max(lhs_b - np.moveaxis(rhs[:, :, 1:], 2, 0))]
+        out += [mat_max(comm_a + x0v * x0_a + x0v ** 2 * x0_sq
+                        - rhs(a + x0v * c)),
+                mat_max(comm_b + x0v * x0_b - rhs_b)]
     return worst(out)
 
 
@@ -266,11 +288,12 @@ def algebra_residual(gs: GeneratorSet, samples,
 def set_covariance_residual(gs_src: GeneratorSet, gs_tgt: GeneratorSet,
                             u: OperatorField, samples,
                             x0_values=X0_VALUES) -> float:
-    """max | u G_src u^-1 - G_tgt | over members, samples, x0 values; each
-    set's values are one stacked evaluation."""
-    p = as_batch(samples)
-    conj = [conjugate_by_unitary(u.adjoint(), op, probe=samples[:2])
-            for _, op in gs_src.members()]
+    """max | u G_src u^-1 - G_tgt | over members, samples, x0 values; u is
+    checked for unitarity once, and each set's values are one stacked
+    evaluation."""
+    p, ud = as_batch(samples), u.adjoint()
+    check_unitary(ud, samples[:2])
+    conj = [conjugate_by_unitary(ud, op) for _, op in gs_src.members()]
     (a1, b1, c1), (a2, b2, c2) = (
         stacked_values(ops, p) for ops in (conj, [op for _, op in
                                                   gs_tgt.members()]))

@@ -31,8 +31,8 @@ import numpy as np
 from .clifford import gamma_set, pauli, spin_matrix
 from .equations import abs_p3, catalog_unitary, e3, energy
 from .linalg import dagger, mat_max
-from .opcalc import (DiffOp1, OperatorField, as_batch, conjugate_by_unitary,
-                     diffop_commutator, stacked_jet)
+from .opcalc import (DiffOp1, OperatorField, as_batch, check_unitary,
+                     conjugate_by_unitary, diffop_commutator, stacked_jet)
 
 _REP = gamma_set("rep26")
 G3 = _REP.gamma(3)
@@ -54,13 +54,14 @@ def conjugating_field(name: str) -> OperatorField:
 
 
 def position_from_unitary(name: str, probe=()) -> list:
-    """Components u^-1 x_k u for the operator's conjugating field."""
+    """Components u^-1 x_k u for the operator's conjugating field, checked
+    for unitarity once on the probe points."""
     if name not in _CONJUGATION:
         raise ValueError(f"unknown position operator {name!r}")
     dim, _ = _CONJUGATION[name]
     u = conjugating_field(name)
-    return [conjugate_by_unitary(u, DiffOp1.position_component(k, dim, 3),
-                                 probe=probe)
+    check_unitary(u, probe)
+    return [conjugate_by_unitary(u, DiffOp1.position_component(k, dim, 3))
             for k in range(3)]
 
 

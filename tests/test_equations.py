@@ -193,3 +193,21 @@ def test_transform_unitarity_guard_fails_closed_on_nan():
                                               np.eye(4))])
     with pytest.raises(ValueError, match="not unitary"):
         verify_transform(dataclasses.replace(u, closed=closed), S3_SAMPLES)
+
+
+def test_catalog_builds_are_made_once_per_arguments():
+    eq = catalog_equation("flat_plus")
+    assert catalog_equation("flat_plus", 1.0, 1.0, False) is eq
+    assert catalog_equation("flat_plus", m=1, kappa=1.0,
+                            corrupt_reduction=False) is eq
+    assert catalog_equation(name="flat_plus", kappa=1) is eq
+    assert catalog_equation("flat_plus", m=2.0) is not eq
+    with pytest.raises(TypeError):      # shared, so its params are read-only
+        eq.params["m"] = 2.0
+    assert catalog_equation("desitter", kappa=2.0) is not \
+        catalog_equation("desitter")
+    assert catalog_equation("chi_plus", corrupt_reduction=True) is not \
+        catalog_equation("chi_plus")
+    u = catalog_unitary("V2")
+    assert catalog_unitary("V2", 1.0) is u and catalog_unitary("V2", m=1) is u
+    assert catalog_unitary("V2", m=2.0) is not u

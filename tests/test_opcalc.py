@@ -11,10 +11,11 @@ from helpers import nan_at
 from spinorlab import dual, position
 from spinorlab.clifford import pauli
 from spinorlab.equations import abs_p3, catalog_unitary, energy
-from spinorlab.linalg import mat_max, worst
+from spinorlab.linalg import NotUnitary, mat_max, worst
 from spinorlab.opcalc import (Commutator, DiffOp1, Jet, OperatorField, _dot,
                               as_batch, conjugate_by_unitary,
-                              diffop_commutator, sample_momenta, stacked_jet)
+                              diffop_commutator, sample_momenta, stacked_jet,
+                              stacked_values)
 from spinorlab.poincare import GENERATOR_NAMES, generator_set
 from spinorlab.position import (POSITION_NAMES, position_from_unitary,
                                 verify_position)
@@ -231,14 +232,23 @@ def test_conjugation_unitarity_guard_fails_closed_on_nan():
                              probe=probe)
 
 
-def test_at_folds_x0_from_one_evaluation():
+def test_conjugation_by_a_non_unitary_field_raises():
+    probe = sample_momenta(3, 2, 1)
+    x0 = DiffOp1.position_component(0, 4, 3)
+    u = catalog_unitary("U2").closed
+    conjugate_by_unitary(u, x0, probe=probe)            # unitary: no raise
+    with pytest.raises(NotUnitary):
+        conjugate_by_unitary(u.scale(1.5), x0, probe=probe)
+    conjugate_by_unitary(u.scale(1.5), x0)              # no probe, no check
+
+
+def test_stacked_values_fold_x0_from_one_evaluation():
     op = generator_set("chi2").J[(0, 1)]
     p = sample_momenta(3, 1, 3)[0]
-    [(a0, b0), (a1, b1)] = op.at(p, (0.0, 1.37))
+    (a0,), (b,), (c,) = stacked_values([op], p)
     assert np.array_equal(a0, op.a(p))
-    assert np.array_equal(a1, op.a(p) + 1.37 * op.x0(p))
-    for b in (b0, b1):
-        assert all(np.array_equal(x, f(p)) for x, f in zip(b, op.b))
+    assert np.array_equal(a0 + 1.37 * c, op.a(p) + 1.37 * op.x0(p))
+    assert all(np.array_equal(x, f(p)) for x, f in zip(b, op.b))
 
 
 # -- all-axes jets and live-member commutators vs their references -----------

@@ -4,14 +4,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import nan_at
+from spinorlab import opcalc
 from spinorlab.clifford import pauli
 from spinorlab.equations import catalog_equation, catalog_unitary
-from spinorlab.linalg import mat_max
+from spinorlab.linalg import NotUnitary, mat_max, worst
 from spinorlab.opcalc import (DiffOp1, OperatorField, as_batch,
-                              diffop_commutator, sample_momenta)
-from spinorlab.poincare import (ContentNotInvariant, algebra_residual,
+                              diffop_commutator, sample_momenta,
+                              stacked_values)
+from spinorlab.poincare import (GENERATOR_NAMES, ContentNotInvariant,
+                                _closure, _tensor_residual, algebra_residual,
                                 generator_set, helicity_field, irrep_content,
                                 irrep_content_by_branch,
                                 set_covariance_residual, structure_constants,
@@ -38,17 +42,17 @@ def test_rotation_commutator_closes_on_j13():
     assert list(np.flatnonzero(f_jj[i, j])) == [names.index("J13")]
     p = S3[0]
     comm = diffop_commutator(gs.J[(1, 2)].jet(p), gs.J[(2, 3)].jet(p))
-    terms = [(1j * sjj * f_jj[i, j, c], op.at(p)[0])
+    terms = [(1j * sjj * f_jj[i, j, c], stacked_values([op], p))
              for c, (_, op) in enumerate(gs.members()) if f_jj[i, j, c]]
-    aw = sum(w * a for w, (a, _) in terms)
-    bw = [sum(w * b[k] for w, (_, b) in terms) for k in range(3)]
+    aw = sum(w * a[0] for w, (a, _, _) in terms)
+    bw = [sum(w * b[0, k] for w, (_, b, _) in terms) for k in range(3)]
     ac, bc = comm.fold(0.0)
     assert mat_max(ac - aw) <= 1e-9
     for x, y in zip(bc, bw):
         assert mat_max(x - y) <= 1e-9
     assert comm.second_order <= 1e-10
     # and the proportionality to J13 itself is +-i
-    [(aj, _)] = gs.J[(1, 3)].at(p)
+    aj = stacked_values([gs.J[(1, 3)]], p)[0][0]
     ratio = ac[np.abs(aj) > 1e-9] / aj[np.abs(aj) > 1e-9]
     assert np.allclose(ratio, ratio[0]) and abs(abs(ratio[0]) - 1.0) < 1e-12
     assert abs(ratio[0].real) < 1e-12
@@ -66,7 +70,7 @@ def test_generator_spot_values():
     # J_03 zeroth part at x0 = 0 is -(i/2) d(H)/dp3 for the diagonal set
     gs = generator_set("phi")
     h = catalog_equation("phi_diag").hamiltonian
-    [(a0, _)] = gs.J[(0, 3)].at(p, (0.0,))
+    a0 = stacked_values([gs.J[(0, 3)]], p)[0][0]
     assert mat_max(a0 + 0.5j * h.deriv(p, 2)) < 1e-15
 
 
@@ -234,6 +238,86 @@ def test_closure_fails_closed_on_nan_in_a_zero_b_part():
     # the commutators themselves, not only the right-hand sides, carry it
     jets = [op.jet(as_batch(S3)) for _, op in poisoned.members()]
     assert math.isnan(mat_max(diffop_commutator(jets, jets).a))
+
+
+def test_closure_fails_closed_on_nan_in_a_member_without_x0_part():
+    # P1 has no x0 part; a NaN one makes it live for the x0 terms
+    gs = generator_set("psi")
+    poison = OperatorField(4, 3, [(nan_at(S3[1]), np.eye(4))])
+    p1 = gs.P[1]
+    P = {**gs.P, 1: DiffOp1(p1.a, p1.b, poison)}
+    resid, _ = algebra_residual(dataclasses.replace(gs, P=P), S3, X0S)
+    assert math.isnan(resid)
+
+
+def all_pairs_residual(closure, x0_values, sign_jj, sign_jp) -> float:
+    """The earlier closure residual, kept as the reference for the pairs-only
+    one: every pair (i, j), folded at full size, with the right-hand sides of
+    A + x0 C and B from one GEMM per x0 value."""
+    comm, a, c, b = closure
+    f_jj, f_jp = structure_constants(len(comm.b))
+    size = len(f_jj)
+    f = (1j * (sign_jj * f_jj + sign_jp * f_jp)).reshape(size * size, size)
+    out = []
+    for x0v in x0_values:
+        values = np.concatenate([(a + x0v * c)[:, None], b], axis=1)
+        rhs = (f @ values.reshape(size, -1)).reshape(
+            (size, size) + values.shape[1:])
+        lhs_a, lhs_b = comm.fold(x0v)
+        out += [mat_max(lhs_a - rhs[:, :, 0]),
+                mat_max(lhs_b - np.moveaxis(rhs[:, :, 1:], 2, 0))]
+    return worst(out)
+
+
+def _noncommuting_x0_set():
+    """psi with non-scalar x0 parts on J01 and J02 that do not commute with
+    each other or with B, so that every x0 part of the commutator is
+    nonzero (on the realizations they are p_k times the identity)."""
+    gs = generator_set("psi")
+    J = dict(gs.J)
+    for k, a in ((1, 1), (2, 2)):
+        j0k = J[(0, k)]
+        m = np.kron(pauli(a), np.eye(2))
+        J[(0, k)] = DiffOp1(j0k.a, j0k.b, j0k.x0 + OperatorField(
+            4, 3, [(lambda p, _k=k: p[_k - 1], m)]))
+    return dataclasses.replace(gs, name="psi_x0", J=J)
+
+
+@settings(deadline=None, max_examples=4)
+@given(st.integers(0, 10_000))
+def test_pairs_residual_equals_the_all_pairs_reference(seed):
+    # under the calibrated signs (residuals near rounding) and under every
+    # wrong pair (residuals of order one, at another pair)
+    sets = [generator_set(name) for name in GENERATOR_NAMES]
+    for gs in sets + [_noncommuting_x0_set()]:
+        closure = _closure(gs, as_batch(sample_momenta(gs.d, 8, seed)))
+        for signs in ((1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)):
+            want = all_pairs_residual(closure, X0S, *signs)
+            assert _tensor_residual(closure, X0S, *signs) == want, gs.name
+
+
+def test_generator_set_is_built_once_per_arguments():
+    gs = generator_set("psi")
+    assert generator_set("psi", 1.0) is gs
+    assert generator_set("psi", m=1.0) is gs
+    assert generator_set(name="psi", m=1) is gs
+    assert generator_set("flat", m=2.0) is generator_set("flat", 2)
+    assert generator_set("flat", m=2.0) is not generator_set("flat")
+    with pytest.raises(TypeError):      # shared, so its tables are read-only
+        gs.J[(1, 2)] = gs.J[(1, 3)]
+
+
+def test_covariance_probes_unitarity_once(monkeypatch):
+    calls = []
+    defect = opcalc.unitarity_defect
+    monkeypatch.setattr(opcalc, "unitarity_defect",
+                        lambda u: (calls.append(u.shape), defect(u))[1])
+    chi, phi = generator_set("chi"), generator_set("phi")
+    u2 = catalog_unitary("U2").closed
+    assert set_covariance_residual(chi, phi, u2, S3[:4]) <= 1e-8
+    assert calls == [(2, 4, 4)]             # one probe of the two points
+    with pytest.raises(NotUnitary):
+        set_covariance_residual(chi, phi, u2.scale(1.5), S3[:4])
 
 
 def test_closure_peak_memory():

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from helpers import nan_at
-from spinorlab import position
+from spinorlab import opcalc, position
 from spinorlab.clifford import gamma_set, pauli, spin_matrix
-from spinorlab.linalg import mat_max
+from spinorlab.linalg import NotUnitary, mat_max
 from spinorlab.opcalc import OperatorField, as_batch, sample_momenta
 from spinorlab.position import (POSITION_NAMES, position_closed_form,
                                 position_from_unitary, verify_position)
@@ -96,3 +96,18 @@ def test_position_fails_closed_on_nan_in_the_conjugating_field(monkeypatch):
                         lambda name: u + poison)
     rep = verify_position("Xpsi", SAMPLES)
     assert math.isnan(rep["closed_vs_conjugation"])
+
+
+def test_position_from_unitary_probes_once_and_rejects_non_unitary(
+        monkeypatch):
+    calls = []
+    defect = opcalc.unitarity_defect
+    monkeypatch.setattr(opcalc, "unitarity_defect",
+                        lambda u: (calls.append(u.shape), defect(u))[1])
+    position_from_unitary("Xpsi", probe=SAMPLES[:2])
+    assert calls == [(2, 4, 4)]             # one probe for the 3 components
+    u = position.conjugating_field("Xpsi")
+    monkeypatch.setattr(position, "conjugating_field",
+                        lambda name: u.scale(1.5))
+    with pytest.raises(NotUnitary):
+        position_from_unitary("Xpsi", probe=SAMPLES[:2])

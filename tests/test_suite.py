@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 from dataclasses import fields
 
 import pytest
@@ -71,3 +73,17 @@ def test_holdout_reaches_the_intertwiner_solver(monkeypatch):
 def test_run_config_rejects_non_finite_parameters(field, value):
     with pytest.raises(ValueError):
         RunConfig(**{field: value})
+
+
+def test_memoised_builds_leave_no_trace_of_a_corrupted_run():
+    # default, then the negative control, then default again, in one process:
+    # the default runs equal a run in a fresh interpreter
+    alone = subprocess.run(
+        [sys.executable, "-c", "from spinorlab.suite import RunConfig, "
+         "run_verify_all; print(repr(run_verify_all(RunConfig())))"],
+        capture_output=True, text=True, check=True).stdout.strip()
+    first = run_verify_all(CFG)
+    corrupted = run_verify_all(RunConfig(corrupt_reduction=True))
+    again = run_verify_all(CFG)
+    assert repr(first) == repr(again) == alone
+    assert [c.name for c in corrupted if not c.passed] == ["transform/V1"]
