@@ -30,9 +30,8 @@ built at different times still share.
 components of a position operator) on one shared argument into one
 :class:`Jet` with a leading member axis: each part once plainly, for its
 values, and once seeded along every axis, for its exact first derivatives.
-:meth:`DiffOp1.jet` is its G = 1 case.  :func:`diffop_commutator` takes two
-jets, stacked or single (or sequences of single jets), and gives the
-commutator of every pair: each part is packed once into block operands, and
+:func:`diffop_commutator` takes one such jet and gives the commutator of
+every pair of its members: each part is packed once into block operands, and
 each product term of the normal-ordering formula is one bare block GEMM over
 the members.  A term with a B or x0 factor runs only on the members whose
 part is not exactly zero: in a generator set the translations skip every B
@@ -206,15 +205,11 @@ class OperatorField:
 
     __call__ = _eval   # the entry bench/tracing.py wraps; nodes call _eval
 
-    def deriv(self, p: Point, k: Optional[int] = None) -> np.ndarray:
-        """Exact partial derivative d/dp_k at p (a point or a batch).
-
-        With ``k`` None, all d partials as one (d, ..., dim, dim) stack, from
-        a single evaluation on p seeded along every axis at once.
-        """
+    def deriv(self, p: Point) -> np.ndarray:
+        """All d exact partial derivatives at p (a point or a batch), as one
+        (d, ..., dim, dim) stack from a single evaluation on p seeded along
+        every axis at once.  One partial d/dp_k is :meth:`partial`."""
         p = _Argument.of(p)
-        if k is not None:
-            return self.partial(k)._eval(p)
         return (_zeros(p, self.dim, (self.d,))
                 + dual.eps(self._eval(p.seeded())))
 
@@ -317,12 +312,6 @@ class DiffOp1:
         return DiffOp1(self.a.scale(c), tuple(f.scale(c) for f in self.b),
                        self.x0.scale(c) if self.x0 is not None else None)
 
-    def jet(self, p: Point) -> "Jet":
-        """Every part and its exact first derivatives on p: the G = 1 case
-        of :func:`stacked_jet`, without the member axis."""
-        stack = stacked_jet([self], p)
-        return Jet(*(part[0] for part in stack.parts()))
-
 
 def stacked_jet(ops: Sequence[DiffOp1], p: Point) -> "Jet":
     """The jets of every operator of ops on p, stacked on a leading member
@@ -330,7 +319,7 @@ def stacked_jet(ops: Sequence[DiffOp1], p: Point) -> "Jet":
     pair is computed once (see :class:`_Argument`).
 
     Per part one plain evaluation for the value and one all-axes seeded
-    evaluation (:meth:`OperatorField.deriv` with no axis) for every partial.
+    evaluation (:meth:`OperatorField.deriv`) for every partial.
     The values come from the plain evaluation, never from the seeded one: a
     coefficient that tests the components (``p[0] == c``) sees a Dual there,
     not the numbers.
@@ -343,7 +332,7 @@ def stacked_jet(ops: Sequence[DiffOp1], p: Point) -> "Jet":
             dx0[i] = op.x0.deriv(p)
     return Jet(a, b, np.stack([op.a.deriv(p) for op in ops]),
                np.stack([np.stack([f.deriv(p) for f in op.b]) for op in ops]),
-               x0, dx0, stacked=True)
+               x0, dx0)
 
 
 def stacked_values(ops: Sequence[DiffOp1], p: Point) -> tuple:
@@ -361,14 +350,12 @@ def stacked_values(ops: Sequence[DiffOp1], p: Point) -> tuple:
 
 @dataclass(frozen=True)
 class Jet:
-    """A DiffOp1 on one momentum argument: its parts and their exact first
-    derivatives, each a (dim, dim) matrix at a point or an (n, dim, dim)
-    stack on a batch.
+    """G DiffOp1s on one momentum argument (from :func:`stacked_jet`): their
+    parts and exact first derivatives, each with a leading (G,) member axis
+    over a (dim, dim) matrix at a point or an (n, dim, dim) stack on a batch.
 
-    b[k] = B_k, da[k] = dA/dp_k, db[k][l] = dB_k/dp_l, dx0[k] = dC/dp_k;
-    x0 = C is zero when the operator has no x0 part.  A stacked jet (from
-    :func:`stacked_jet`) holds G operators: every part has a leading (G,)
-    member axis.
+    For member i: b[i, k] = B_k, da[i, k] = dA/dp_k, db[i, k, l] = dB_k/dp_l,
+    dx0[i, k] = dC/dp_k; x0[i] = C is zero when the operator has no x0 part.
     """
 
     a: np.ndarray
@@ -377,7 +364,6 @@ class Jet:
     db: np.ndarray
     x0: np.ndarray
     dx0: np.ndarray
-    stacked: bool = False
 
     def parts(self) -> tuple:
         return self.a, self.b, self.da, self.db, self.x0, self.dx0
@@ -385,14 +371,14 @@ class Jet:
 
 @dataclass
 class Commutator:
-    """Normal-ordered commutators on the momentum argument of their jets.
+    """Normal-ordered commutators on the momentum argument of their jet.
 
     Carries the x0-linear and x0-quadratic parts separately plus the
     symmetrized second-derivative coefficient norm (the worst over every pair
     and the batch), so callers can fold at any fixed x0 and check that
     nothing leaks outside first order.  b[k] and x0_b[k] are the parts of
-    i d/dp_k.  Each part has leading (G1, G2) member axes for stacked jets or
-    sequences of jets, none for two single jets.
+    i d/dp_k.  Each part has leading (G, G) member axes: [g_i, g_j] at
+    [i, j] (after the derivative axis k for b and x0_b).
     """
 
     a: np.ndarray
@@ -452,17 +438,6 @@ def _flip(z, nj: int, nb: int) -> np.ndarray:
     return z.transpose(*range(nb), *rows, nb + nj, *cols, z.ndim - 1)
 
 
-def _dot(x, y, nb: int):
-    """sum_k x[I, k] @ y[J, k] for every leading index I of x and J of y, as
-    one block GEMM (..., |I| dim, K dim) @ (..., K dim, |J| dim), on axes
-    (*I, *J, ...); the last nb + 2 axes are the batch and the matrix.  It
-    packs both factors for this one product; :func:`diffop_commutator`
-    packs each part once for all of its terms."""
-    mx, my = x.shape[:x.ndim - nb - 3], y.shape[:y.ndim - nb - 3]
-    return _members_first(_product(_left(x, nb), _right(y, nb), mx, my,
-                                   x.shape[-1]), len(mx), nb)
-
-
 def _operands(s: Jet, nb: int) -> SimpleNamespace:
     """A stacked jet packed once for block GEMMs: its live B and x0 members
     (``b``, ``c``: those whose part or its derivative is not all zero), and
@@ -481,64 +456,44 @@ def _operands(s: Jet, nb: int) -> SimpleNamespace:
         cr=_right(cl, nb), dcr=_right(s.dx0[c], nb))
 
 
-def _as_stack(j) -> Jet:
-    """A stacked jet, a single jet as the G = 1 stack, or a sequence of
-    single jets stacked."""
-    if isinstance(j, Jet):
-        return j if j.stacked else Jet(*(x[None] for x in j.parts()),
-                                       stacked=True)
-    return Jet(*(np.stack(part) for part in zip(*(x.parts() for x in j))),
-               stacked=True)
+def diffop_commutator(jet: Jet) -> Commutator:
+    """[g_i, g_j] for every pair of members of one stacked jet, normal
+    ordered with derivatives on the right.
 
-
-def diffop_commutator(j1, j2) -> Commutator:
-    """[g1, g2] for every g1 of j1 and g2 of j2, normal ordered with
-    derivatives on the right; j1 and j2 are jets on one momentum argument,
-    stacked or single, or sequences of single jets.
-
-    Zeroth order:  [A1,A2] + sum_k (B1k (i dA2/dpk) - B2k (i dA1/dpk))
-    First order k: [A1,B2k] - [A2,B1k] + sum_l (B1l (i dB2k/dpl) - B2l (i dB1k/dpl))
-    Each stack is packed once into block operands (:func:`_operands`), and
-    each product term is one bare block GEMM over every pair, left in block
-    layout (*batch, I, dim, J, dim) (:func:`_product`) and written into the
-    (G1, G2, ...) results through a view on its member axes.  When j2 is j1
-    the reversed product y_j x_i is the block transpose of the GEMM for
-    x_i y_j, and the terms of [A2,B1k], B2 dA1, B2 dB1, B2 dC1 and [C2,B1k]
-    are those of [A1,B2k], B1 dA2, ...: each is computed once.  x0 parts are
-    carried linearly; the antisymmetrized second-order coefficient is
-    reported as a residual (zero, up to rounding, for honest first-order
-    algebras).
+    Zeroth order:  [Ai,Aj] + sum_k (Bik (i dAj/dpk) - Bjk (i dAi/dpk))
+    First order k: [Ai,Bjk] - [Aj,Bik] + sum_l (Bil (i dBjk/dpl) - Bjl (i dBik/dpl))
+    The jet is packed once into block operands (:func:`_operands`), and each
+    product term is one bare block GEMM over every pair, left in block layout
+    (*batch, I, dim, J, dim) (:func:`_product`) and written into the (G, G,
+    ...) results through a view on its member axes.  The reversed product
+    y_j x_i is the block transpose of the GEMM for x_i y_j, so the terms of
+    [Aj,Bik], Bj dAi, Bj dBi, Bj dCi and [Cj,Bik] are those of [Ai,Bjk],
+    Bi dAj, ...: each is computed once.  x0 parts are carried linearly; the
+    antisymmetrized second-order coefficient is reported as a residual (zero,
+    up to rounding, for honest first-order algebras).
 
     A term with a B or x0 factor is computed only on the live members: those
     whose B (or x0) part or its derivative has an entry that is not exactly
     zero.  A NaN entry counts as live, so it reaches the result.  Each such
-    term is scattered into a zeroed (G1, G2, ...) result; on finite jets
-    every part equals the all-members products entry for entry.  When no
-    member on either side is live for x0, the x0 parts are zero and no x0
-    term runs.  The second-order residual is one commutator of the live B
-    parts with the member and derivative axes flattened together.
+    term is scattered into a zeroed (G, G, ...) result; on finite jets every
+    part equals the all-members products entry for entry.  When no member is
+    live for x0, the x0 parts are zero and no x0 term runs.  The second-order
+    residual is one commutator of the live B parts with the member and
+    derivative axes flattened together.
     """
-    s1 = _as_stack(j1)
-    s2 = s1 if j2 is j1 else _as_stack(j2)
-    shape = s1.a.shape[1:]
-    if (s2.a.shape[1:], s2.b.shape[1]) != (shape, s1.b.shape[1]):
-        raise ValueError("operator dimension mismatch")
-    d, nb, dim = s1.b.shape[1], len(shape) - 2, shape[-1]
-    x = _operands(s1, nb)
-    y = x if s2 is s1 else _operands(s2, nb)
-    same = y is x
-    g1, g2, b1, b2, c1, c2 = len(s1.a), len(s2.a), x.b, y.b, x.c, y.c
+    shape = jet.a.shape[1:]
+    g, d, nb, dim = len(jet.a), jet.b.shape[1], len(shape) - 2, shape[-1]
+    x = _operands(jet, nb)
+    b, c = x.b, x.c
     # products and their sums are in block layout (*batch, I, dim, J, dim),
-    # written into the (G1, G2, ...) results through their (I, J, ...) view
+    # written into the (G, G, ...) results through their (I, J, ...) view
     mm = lambda l, r, mx, my: _product(l, r, mx, my, dim)
     view = lambda z: _members_first(z, 1, nb)
     bt = lambda z: np.swapaxes(z, nb, nb + 2)   # block transpose, (J, I)
-    # y's term from x's when the stacks are the same, else computed
-    mirror = lambda mine, theirs: mine if same else theirs()
-    zeros = lambda *axes: np.zeros((g1, g2) + axes + shape, complex)
+    zeros = lambda *axes: np.zeros((g, g) + axes + shape, complex)
 
     def comm(xl, yr, yl, xr, mx, my):
-        """[x_I, y_J] from the packed operands of x and y."""
+        """[x_I, y_J] from the packed operands of two parts x and y."""
         xy = mm(xl, yr, mx, my)
         yx = xy if xl is yl and xr is yr else mm(yl, xr, my, mx)
         return xy - _flip(yx, len(my), nb)
@@ -546,66 +501,55 @@ def diffop_commutator(j1, j2) -> Commutator:
     # each part in its own function, so that its temporaries are freed
     # before the next part runs
     def second_order():
-        """[B1k_i, B2l_j] on axes (i, k, j, l), symmetrized in (k, l)."""
-        bb = comm(x.b_rows, y.b_cols, y.b_rows, x.b_cols, (len(b1), d),
-                  (len(b2), d))
+        """[Bik, Bjl] on axes (i, k, j, l), symmetrized in (k, l)."""
+        bb = comm(x.b_rows, x.b_cols, x.b_rows, x.b_cols, (len(b), d),
+                  (len(b), d))
         return 0.5 * mat_max(bb + np.swapaxes(bb, nb + 1, nb + 4))
 
     def zeroth_order():
-        a = np.ascontiguousarray(view(comm(x.al, y.ar, y.al, x.ar, (g1,),
-                                           (g2,))))
-        t, bda = zeros(), mm(x.bl, y.dar, (len(b1),), (g2,))
-        t[b1] = view(bda)
-        t[:, b2] -= view(bt(mirror(bda, lambda: mm(
-            y.bl, x.dar, (len(b2),), (g1,)))))
+        a = np.ascontiguousarray(view(comm(x.al, x.ar, x.al, x.ar, (g,),
+                                           (g,))))
+        t, bda = zeros(), mm(x.bl, x.dar, (len(b),), (g,))
+        t[b] = view(bda)
+        t[:, b] -= view(bt(bda))
         a += 1j * t
         return a
 
     def first_order():
-        b = zeros(d)
-        ab = comm(x.al, y.b_cols, y.b_rows, x.ar, (g1,), (len(b2), d))
-        b[:, b2] = view(ab)
-        b[b1] -= view(bt(mirror(ab, lambda: comm(
-            y.al, x.b_cols, x.b_rows, y.ar, (g2,), (len(b1), d)))))
-        bdb = mm(x.bl, y.dbr, (len(b1),), (len(b2), d))
-        b[np.ix_(b1, b2)] += view(1j * (bdb - bt(mirror(bdb, lambda: mm(
-            y.bl, x.dbr, (len(b2),), (len(b1), d))))))
-        return b
+        out = zeros(d)
+        ab = comm(x.al, x.b_cols, x.b_rows, x.ar, (g,), (len(b), d))
+        out[:, b] = view(ab)
+        out[b] -= view(bt(ab))
+        bdb = mm(x.bl, x.dbr, (len(b),), (len(b), d))
+        out[np.ix_(b, b)] += view(1j * (bdb - bt(bdb)))
+        return out
 
     def x0_parts():
-        """(x0_a, x0_b, x0_sq), zero with no term run when no member on
-        either side is live for x0."""
+        """(x0_a, x0_b, x0_sq), zero with no term run when no member is live
+        for x0."""
         x0_a, x0_b, x0_sq = zeros(), zeros(d), zeros()
-        if not (len(c1) or len(c2)):
+        if not len(c):
             return x0_a, x0_b, x0_sq
-        ac = mm(x.al, y.cr, (g1,), (len(c2),))
-        ca = mm(y.cl, x.ar, (len(c2),), (g1,))
-        x0_a[:, c2] = view(ac - bt(ca))
-        ca, ac = mirror((ca, ac), lambda: (mm(x.cl, y.ar, (len(c1),), (g2,)),
-                                           mm(y.al, x.cr, (g2,), (len(c1),))))
-        x0_a[c1] += view(ca - bt(ac))
-        t, bdc = zeros(), mm(x.bl, y.dcr, (len(b1),), (len(c2),))
-        t[np.ix_(b1, c2)] = view(bdc)
-        t[np.ix_(c1, b2)] -= view(bt(mirror(bdc, lambda: mm(
-            y.bl, x.dcr, (len(b2),), (len(c1),)))))
+        ac = mm(x.al, x.cr, (g,), (len(c),))
+        ca = mm(x.cl, x.ar, (len(c),), (g,))
+        x0_a[:, c] = view(ac - bt(ca))
+        x0_a[c] += view(ca - bt(ac))
+        t, bdc = zeros(), mm(x.bl, x.dcr, (len(b),), (len(c),))
+        t[np.ix_(b, c)] = view(bdc)
+        t[np.ix_(c, b)] -= view(bt(bdc))
         x0_a += 1j * t
 
-        cb = comm(x.cl, y.b_cols, y.b_rows, x.cr, (len(c1),), (len(b2), d))
-        x0_b[np.ix_(c1, b2)] = view(cb)
-        x0_b[np.ix_(b1, c2)] -= view(bt(mirror(cb, lambda: comm(
-            y.cl, x.b_cols, x.b_rows, y.cr, (len(c2),), (len(b1), d)))))
-        x0_sq[np.ix_(c1, c2)] = view(comm(x.cl, y.cr, y.cl, x.cr, (len(c1),),
-                                          (len(c2),)))
+        cb = comm(x.cl, x.b_cols, x.b_rows, x.cr, (len(c),), (len(b), d))
+        x0_b[np.ix_(c, b)] = view(cb)
+        x0_b[np.ix_(b, c)] -= view(bt(cb))
+        x0_sq[np.ix_(c, c)] = view(comm(x.cl, x.cr, x.cl, x.cr, (len(c),),
+                                        (len(c),)))
         return x0_a, x0_b, x0_sq
 
     second = second_order()
-    a, b, (x0_a, x0_b, x0_sq) = zeroth_order(), first_order(), x0_parts()
-
-    pick = tuple(0 if isinstance(j, Jet) and not j.stacked else slice(None)
-                 for j in (j1, j2))
-    return Commutator(a[pick], np.moveaxis(b[pick], -nb - 3, 0), x0_a[pick],
-                      np.moveaxis(x0_b[pick], -nb - 3, 0), x0_sq[pick],
-                      second)
+    a, first, (x0_a, x0_b, x0_sq) = zeroth_order(), first_order(), x0_parts()
+    return Commutator(a, np.moveaxis(first, -nb - 3, 0), x0_a,
+                      np.moveaxis(x0_b, -nb - 3, 0), x0_sq, second)
 
 
 def check_unitary(u: OperatorField, probe: Sequence[Point]) -> None:
@@ -616,15 +560,13 @@ def check_unitary(u: OperatorField, probe: Sequence[Point]) -> None:
         raise NotUnitary("conjugating field is not unitary at probe point")
 
 
-def conjugate_by_unitary(u: OperatorField, g: DiffOp1,
-                         probe: Sequence[Point] = ()) -> DiffOp1:
-    """u^-1 g u for a unitary field u (u^-1 = u^dagger), checked on the
-    probe points first (:func:`check_unitary`).
+def conjugate_by_unitary(u: OperatorField, g: DiffOp1) -> DiffOp1:
+    """u^-1 g u for a unitary field u (u^-1 = u^dagger).  Unitarity is not
+    checked here: a caller checks u once with :func:`check_unitary`.
 
     Zeroth part u^-1 A u + sum_k u^-1 B_k (i du/dp_k); derivative
     coefficients u^-1 B_k u; the x0 coefficient conjugates like A.
     """
-    check_unitary(u, probe)
     ud = u.adjoint()
     a = ud @ g.a @ u
     for k in range(g.d):

@@ -232,7 +232,7 @@ def _closure(gs: GeneratorSet, p):
     """The commutator of every pair of members on the batch p, and the
     stacked member parts A, C and B: one stacked jet of the set."""
     jet = stacked_jet([op for _, op in gs.members()], p)
-    return diffop_commutator(jet, jet), jet.a, jet.x0, jet.b
+    return diffop_commutator(jet), jet.a, jet.x0, jet.b
 
 
 def _tensor_residual(closure, x0_values, sign_jj, sign_jp) -> float:

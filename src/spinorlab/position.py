@@ -121,4 +121,4 @@ def verify_position(name: str, samples) -> dict:
             "canonical_commutator": mat_max(1j * jet.b - delta),
             "hermiticity": mat_max(jet.a - dagger(jet.a)),
             "component_noncommutativity": mat_max(
-                diffop_commutator(jet, jet).a)}
+                diffop_commutator(jet).a)}

@@ -15,7 +15,7 @@ from spinorlab.equations import (EQUATION_NAMES, UNITARY_NAMES,
                                  composed_tu, energy)
 from spinorlab.linalg import mat_max
 from spinorlab.opcalc import (DiffOp1, as_batch, diffop_commutator,
-                              sample_momenta)
+                              sample_momenta, stacked_jet)
 from spinorlab.poincare import GENERATOR_NAMES, generator_set, helicity_field
 from spinorlab.position import POSITION_NAMES, position_from_unitary
 
@@ -49,16 +49,6 @@ def _parts(op: DiffOp1):
     return (op.a,) + op.b + ((op.x0,) if op.x0 is not None else ())
 
 
-def _jet_max(jet) -> float:
-    return max(mat_max(x) for x in (jet.a, jet.b, jet.da, jet.db, jet.x0,
-                                    jet.dx0))
-
-
-def _comm_parts(comm, *pair):
-    return [x[pair] for x in (comm.a, *comm.b, comm.x0_a, *comm.x0_b,
-                              comm.x0_sq)]
-
-
 def assert_matches(batch, points, exact, what):
     stacked = np.stack(points)
     assert batch.shape == stacked.shape, what
@@ -77,7 +67,7 @@ def test_catalog_values_and_derivatives_match_per_point(seed):
         exact = _real(f, pts[0])
         assert_matches(f(pb), [f(p) for p in pts], exact, name)
         for k in range(f.d):
-            assert_matches(f.deriv(pb, k), [f.deriv(p, k) for p in pts],
+            assert_matches(f.partial(k)(pb), [f.partial(k)(p) for p in pts],
                            exact, f"d{name}/dp{k}")
 
 
@@ -89,7 +79,7 @@ def test_composite_values_and_derivatives_match_per_point(seed):
         pb = as_batch(pts)
         assert_matches(f(pb), [f(p) for p in pts], False, name)
         for k in range(f.d):
-            assert_matches(f.deriv(pb, k), [f.deriv(p, k) for p in pts],
+            assert_matches(f.partial(k)(pb), [f.partial(k)(p) for p in pts],
                            False, f"d{name}/dp{k}")
 
 
@@ -101,14 +91,14 @@ def test_node_derivatives_follow_product_and_sum_rules(seed):
     p = as_batch(sample_momenta(3, 4, seed))
     fp, gp, ep = f(p), g(p), energy(p)[..., None, None]
     for k in range(3):
-        df, dg = f.deriv(p, k), g.deriv(p, k)
+        df, dg = f.partial(k)(p), g.partial(k)(p)
         de = dual.eps(energy(dual.seed(p, k)))[..., None, None]
         for node, rule in (
                 (f @ g, df @ gp + fp @ dg),
                 (f.adjoint(), np.conj(np.swapaxes(df, -1, -2))),
                 (f.scale(energy), de * fp + ep * df),
                 (f + g, df + dg)):
-            got = node.deriv(p, k)
+            got = node.partial(k)(p)
             assert mat_max(got - rule) <= 4 * EPS * mat_max(rule)
 
 
@@ -120,65 +110,54 @@ def test_mixed_partials_are_symmetric(seed):
         f = catalog_unitary(name).closed
         for k in range(3):
             for l in range(k + 1, 3):
-                kl = f.partial(k).deriv(p, l)
-                lk = f.partial(l).deriv(p, k)
+                kl = f.partial(k).partial(l)(p)
+                lk = f.partial(l).partial(k)(p)
                 assert mat_max(kl - lk) <= 1e-12 * mat_max(kl), (name, k, l)
 
 
 @settings(deadline=None, max_examples=3)
 @given(st.integers(0, 10_000))
 def test_generator_jets_and_commutators_match_per_point(seed):
+    # one stacked jet and one all-pairs commutator on the batch against the
+    # same at each point
     for name in GENERATOR_NAMES:
         gs = generator_set(name)
         pts = sample_momenta(gs.d, 3, seed)
-        pb = as_batch(pts)
         members = gs.members()
-        exact = [all(_real(f, pts[0]) for f in _parts(op))
-                 for _, op in members]
-        batch = [op.jet(pb) for _, op in members]
-        single = [[op.jet(p) for p in pts] for _, op in members]
-        for (label, _), jb, js, ex in zip(members, batch, single, exact):
+        ops = [op for _, op in members]
+        exact = [all(_real(f, pts[0]) for f in _parts(op)) for op in ops]
+        jb = stacked_jet(ops, as_batch(pts))
+        js = [stacked_jet(ops, p) for p in pts]
+        for i, ((label, _), ex) in enumerate(zip(members, exact)):
             what = f"{name}/{label}"
-            assert_matches(jb.a, [j.a for j in js], ex, what)
+            assert_matches(jb.a[i], [j.a[i] for j in js], ex, what)
             for k in range(gs.d):
-                assert_matches(jb.b[k], [j.b[k] for j in js], ex, what)
-                assert_matches(jb.da[k], [j.da[k] for j in js], ex, what)
+                assert_matches(jb.b[i, k], [j.b[i, k] for j in js], ex, what)
+                assert_matches(jb.da[i, k], [j.da[i, k] for j in js], ex,
+                               what)
                 for l in range(gs.d):
-                    assert_matches(jb.db[k][l], [j.db[k][l] for j in js],
+                    assert_matches(jb.db[i, k, l], [j.db[i, k, l] for j in js],
                                    ex, what)
-        all_pairs = diffop_commutator(batch, batch)
-        for i in range(len(members)):
-            for j in range(i, len(members)):
-                what = f"{name}/[{members[i][0]},{members[j][0]}]"
-                ex = exact[i] and exact[j]
-                cb = diffop_commutator(batch[i], batch[j])
-                cs = [diffop_commutator(a, b)
-                      for a, b in zip(single[i], single[j])]
-                for x0 in (0.0, 1.37):
-                    ab, bb = cb.fold(x0)
-                    folded = [c.fold(x0) for c in cs]
-                    assert_matches(ab, [f[0] for f in folded], ex, what)
+        cb = diffop_commutator(jb)
+        cs = [diffop_commutator(j) for j in js]
+        for x0 in (0.0, 1.37):
+            ab, bb = cb.fold(x0)
+            folded = [c.fold(x0) for c in cs]
+            for i in range(len(members)):
+                for j in range(i, len(members)):
+                    what = f"{name}/[{members[i][0]},{members[j][0]}]"
+                    ex = exact[i] and exact[j]
+                    assert_matches(ab[i, j], [f[0][i, j] for f in folded], ex,
+                                   what)
                     for k in range(gs.d):
-                        assert_matches(bb[k], [f[1][k] for f in folded],
-                                       ex, what)
-                # the all-pairs call on the stacked jets, pair (i, j): its
-                # block matmuls round the products they sum differently
-                bound = 4 * EPS * _jet_max(batch[i]) * _jet_max(batch[j])
-                for got, want in zip(_comm_parts(all_pairs, i, j),
-                                     _comm_parts(cb)):
-                    assert mat_max(got - want) <= bound, what
-                second = max(c.second_order for c in cs)
-                if ex:
-                    assert cb.second_order == second, what
-                else:
-                    assert abs(cb.second_order - second) <= 4 * EPS, what
-
-
-def test_commutator_rejects_mismatched_jets():
-    x = DiffOp1.position_component(0, 2, 3)
-    pts = sample_momenta(3, 4, 1)
-    with pytest.raises(ValueError, match="mismatch"):
-        diffop_commutator(x.jet(as_batch(pts)), x.jet(as_batch(pts[:3])))
+                        assert_matches(bb[k, i, j],
+                                       [f[1][k, i, j] for f in folded], ex,
+                                       what)
+        second = max(c.second_order for c in cs)
+        if all(exact):
+            assert cb.second_order == second, name
+        else:
+            assert abs(cb.second_order - second) <= 4 * EPS, name
 
 
 def test_ndarray_times_dual_stays_dual():

@@ -12,8 +12,9 @@ from spinorlab import dual, position
 from spinorlab.clifford import pauli
 from spinorlab.equations import abs_p3, catalog_unitary, energy
 from spinorlab.linalg import NotUnitary, mat_max, worst
-from spinorlab.opcalc import (Commutator, DiffOp1, Jet, OperatorField, _dot,
-                              as_batch, conjugate_by_unitary,
+from spinorlab.opcalc import (Commutator, DiffOp1, Jet, OperatorField,
+                              _left, _members_first, _product, _right,
+                              as_batch, check_unitary, conjugate_by_unitary,
                               diffop_commutator, sample_momenta, stacked_jet,
                               stacked_values)
 from spinorlab.poincare import GENERATOR_NAMES, generator_set
@@ -88,21 +89,21 @@ def test_sampler_rejects_zero_count():
 
 def test_energy_derivative_analytic():
     f = OperatorField.scalar(energy, 1, 3)
-    got = f.deriv((1.0, 2.0, 2.0), 0)[0, 0]
+    got = f.partial(0)((1.0, 2.0, 2.0))[0, 0]
     assert abs(got - 1.0 / 3.0) < 1e-15
 
 
 def test_abs_p3_derivative_is_sign():
     f = OperatorField.scalar(abs_p3, 1, 3)
-    assert f.deriv((1.0, 1.0, -2.0), 2)[0, 0] == -1.0
-    assert f.deriv((1.0, 1.0, 2.0), 2)[0, 0] == 1.0
+    assert f.partial(2)((1.0, 1.0, -2.0))[0, 0] == -1.0
+    assert f.partial(2)((1.0, 1.0, 2.0))[0, 0] == 1.0
 
 
 def test_inverse_energy_shell_vs_finite_difference():
     fn = lambda p: 1.0 / (energy(p) + abs_p3(p))
     f = OperatorField.scalar(fn, 1, 3)
     for p in sample_momenta(3, 6, 3):
-        got = f.deriv(p, 1)[0, 0]
+        got = f.partial(1)(p)[0, 0]
         ref = richardson_derivative(lambda q: fn(q), p, 1)
         assert abs(got - ref) < 1e-8
 
@@ -113,7 +114,7 @@ def test_field_derivative_cross_validates(uname):
     u = catalog_unitary(uname).closed
     for p in sample_momenta(3, 4, 5):
         for k in range(3):
-            got = u.deriv(p, k)
+            got = u.partial(k)(p)
             ref = richardson_derivative(u.__call__, p, k)
             scale = max(1.0, mat_max(ref))
             assert mat_max(got - ref) / scale < 1e-6
@@ -134,9 +135,9 @@ def test_canonical_pair():
     x1 = DiffOp1.position_component(0, 2, 3)
     p1 = DiffOp1.from_field(OperatorField.momentum(0, 2, 3))
     p = (1.0, 2.0, 3.0)
-    comm = diffop_commutator(x1.jet(p), p1.jet(p))
-    assert mat_max(comm.a - 1j * np.eye(2)) == 0.0
-    assert all(mat_max(b) == 0.0 for b in comm.b)
+    comm = diffop_commutator(stacked_jet([x1, p1], p))
+    assert mat_max(comm.a[0, 1] - 1j * np.eye(2)) == 0.0
+    assert all(mat_max(b[0, 1]) == 0.0 for b in comm.b)
     assert comm.second_order == 0.0
 
 
@@ -144,27 +145,26 @@ def test_positions_commute():
     x1 = DiffOp1.position_component(0, 2, 3)
     x2 = DiffOp1.position_component(1, 2, 3)
     p = (1.0, 2.0, 3.0)
-    comm = diffop_commutator(x1.jet(p), x2.jet(p))
-    assert mat_max(comm.a) == 0.0
-    assert all(mat_max(b) == 0.0 for b in comm.b)
+    comm = diffop_commutator(stacked_jet([x1, x2], p))
+    assert mat_max(comm.a[0, 1]) == 0.0
+    assert all(mat_max(b[0, 1]) == 0.0 for b in comm.b)
 
 
 def test_commutator_antisymmetry():
     from spinorlab.poincare import generator_set
     gs = generator_set("chi2")
     p = sample_momenta(3, 1, 9)[0]
-    j12, j13 = gs.J[(1, 2)].jet(p), gs.J[(1, 3)].jet(p)
-    c12 = diffop_commutator(j12, j13)
-    c21 = diffop_commutator(j13, j12)
-    assert mat_max(c12.a + c21.a) < 1e-14
-    for b1, b2 in zip(c12.b, c21.b):
-        assert mat_max(b1 + b2) < 1e-14
+    comm = diffop_commutator(stacked_jet([gs.J[(1, 2)], gs.J[(1, 3)]], p))
+    assert mat_max(comm.a[0, 1] + comm.a[1, 0]) < 1e-14
+    for b in comm.b:
+        assert mat_max(b[0, 1] + b[1, 0]) < 1e-14
 
 
 def test_conjugation_by_identity_is_noop():
     ident = OperatorField.constant(np.eye(2), 3)
     g = DiffOp1.position_component(0, 2, 3)
-    conj = conjugate_by_unitary(ident, g, probe=sample_momenta(3, 2, 1))
+    check_unitary(ident, sample_momenta(3, 2, 1))
+    conj = conjugate_by_unitary(ident, g)
     p = (0.5, -1.0, 2.0)
     assert mat_max(conj.a(p)) == 0.0
     assert mat_max(conj.b[0](p) - np.eye(2)) == 0.0
@@ -182,21 +182,24 @@ def test_conjugation_preserves_canonical_commutators():
     for uname in ("U1", "U2", "V1", "V", "V2"):
         u = catalog_unitary(uname).closed
         dim = u.dim
-        for k in range(3):
-            xk = conjugate_by_unitary(u, DiffOp1.position_component(k, dim, 3))
-            for l in range(3):
-                pl = DiffOp1.from_field(OperatorField.momentum(l, dim, 3))
-                for p in sample_momenta(3, 2, 17):
-                    comm = diffop_commutator(xk.jet(p), pl.jet(p))
+        xs = [conjugate_by_unitary(u, DiffOp1.position_component(k, dim, 3))
+              for k in range(3)]
+        ps = [DiffOp1.from_field(OperatorField.momentum(l, dim, 3))
+              for l in range(3)]
+        for p in sample_momenta(3, 2, 17):
+            comm = diffop_commutator(stacked_jet(xs + ps, p))
+            for k in range(3):
+                for l in range(3):
                     want = (1j if k == l else 0.0) * np.eye(dim)
-                    assert mat_max(comm.a - want) < 1e-9
+                    assert mat_max(comm.a[k, 3 + l] - want) < 1e-9
 
 
 def test_conjugation_rejects_non_unitary():
     bad = OperatorField.constant(2.0 * np.eye(2), 3)
     g = DiffOp1.position_component(0, 2, 3)
     with pytest.raises(ValueError, match="not unitary"):
-        conjugate_by_unitary(bad, g, probe=[(1.0, 1.0, 1.0)])
+        check_unitary(bad, [(1.0, 1.0, 1.0)])
+        conjugate_by_unitary(bad, g)
 
 
 def test_field_algebra_roundtrip():
@@ -218,7 +221,7 @@ def test_dual_arithmetic_against_finite_difference(seed):
     f = OperatorField.scalar(fn, 1, 3)
     p = (float(a), float(b), float(c))
     for k in range(3):
-        got = f.deriv(p, k)[0, 0]
+        got = f.partial(k)(p)[0, 0]
         ref = richardson_derivative(lambda q: fn(q), p, k)
         assert abs(got - ref) < 1e-7 * max(1.0, abs(ref))
 
@@ -228,18 +231,20 @@ def test_conjugation_unitarity_guard_fails_closed_on_nan():
     u = OperatorField.constant(np.eye(2), 3) \
         + OperatorField(2, 3, [(nan_at(probe[1]), np.eye(2))])
     with pytest.raises(ValueError, match="not unitary"):
-        conjugate_by_unitary(u, DiffOp1.position_component(0, 2, 3),
-                             probe=probe)
+        check_unitary(u, probe)
+        conjugate_by_unitary(u, DiffOp1.position_component(0, 2, 3))
 
 
 def test_conjugation_by_a_non_unitary_field_raises():
     probe = sample_momenta(3, 2, 1)
     x0 = DiffOp1.position_component(0, 4, 3)
     u = catalog_unitary("U2").closed
-    conjugate_by_unitary(u, x0, probe=probe)            # unitary: no raise
+    check_unitary(u, probe)                             # unitary: no raise
+    conjugate_by_unitary(u, x0)
     with pytest.raises(NotUnitary):
-        conjugate_by_unitary(u.scale(1.5), x0, probe=probe)
-    conjugate_by_unitary(u.scale(1.5), x0)              # no probe, no check
+        check_unitary(u.scale(1.5), probe)
+        conjugate_by_unitary(u.scale(1.5), x0)
+    conjugate_by_unitary(u.scale(1.5), x0)              # no check
 
 
 def test_stacked_values_fold_x0_from_one_evaluation():
@@ -263,20 +268,30 @@ def per_axis_jet(op, p):
     if op.x0 is None:
         x0, dx0 = np.zeros_like(a), np.zeros((op.d,) + a.shape, complex)
     else:
-        x0, dx0 = op.x0(p), np.stack([op.x0.deriv(p, k) for k in ks])
+        x0, dx0 = op.x0(p), np.stack([op.x0.partial(k)(p) for k in ks])
     return Jet(a, np.stack([f(p) for f in op.b]),
-               np.stack([op.a.deriv(p, k) for k in ks]),
-               np.array([[f.deriv(p, l) for l in ks] for f in op.b]), x0, dx0)
+               np.stack([op.a.partial(k)(p) for k in ks]),
+               np.array([[f.partial(l)(p) for l in ks] for f in op.b]), x0,
+               dx0)
 
 
-def dense_commutator(j1, j2):
-    """The earlier commutator, every product over all members and the
-    second-order residual per (k, l) pair, kept as the reference."""
-    stacks = [[j] if isinstance(j, Jet) else list(j) for j in (j1, j2)]
-    d, nb = len(stacks[0][0].b), stacks[0][0].a.ndim - 2
-    (A1, B1, dA1, dB1, C1, dC1), (A2, B2, dA2, dB2, C2, dC2) = (
-        [np.stack(part) for part in zip(*((j.a, j.b, j.da, j.db, j.x0, j.dx0)
-                                          for j in s))] for s in stacks)
+def _dot(x, y, nb: int):
+    """sum_k x[I, k] @ y[J, k] for every leading index I of x and J of y, as
+    one block GEMM (..., |I| dim, K dim) @ (..., K dim, |J| dim), on axes
+    (*I, *J, ...); the last nb + 2 axes are the batch and the matrix.  It
+    packs both factors for this one product; :func:`diffop_commutator`
+    packs each part once for all of its terms."""
+    mx, my = x.shape[:x.ndim - nb - 3], y.shape[:y.ndim - nb - 3]
+    return _members_first(_product(_left(x, nb), _right(y, nb), mx, my,
+                                   x.shape[-1]), len(mx), nb)
+
+
+def dense_commutator(jet):
+    """The earlier commutator of every pair of members of a stacked jet,
+    every product over all members and the second-order residual per (k, l)
+    pair, kept as the reference."""
+    d, nb = jet.b.shape[1], jet.a.ndim - 3
+    A, B, dA, dB, C, dC = jet.parts()
     dot = lambda x, y: _dot(x, y, nb)
     sw = lambda z: np.swapaxes(z, 0, 1)
 
@@ -286,19 +301,15 @@ def dense_commutator(j1, j2):
                               np.expand_dims(x, -nb - 3)), -nb - 3, 0)
         return xy
 
-    a = comm(A1, A2) + 1j * (dot(B1, dA2) - sw(dot(B2, dA1)))
-    b = (comm(A1, B2) - sw(comm(A2, B1))
-         + 1j * (dot(B1, dB2) - sw(dot(B2, dB1))))
-    x0_a = (comm(A1, C2) + comm(C1, A2)
-            + 1j * (dot(B1, dC2) - sw(dot(B2, dC1))))
-    x0_b = comm(C1, B2) - sw(comm(C2, B1))
-    second = worst(0.5 * mat_max(comm(B1[:, k], B2[:, l])
-                                 + comm(B1[:, l], B2[:, k]))
+    a = comm(A, A) + 1j * (dot(B, dA) - sw(dot(B, dA)))
+    b = comm(A, B) - sw(comm(A, B)) + 1j * (dot(B, dB) - sw(dot(B, dB)))
+    x0_a = comm(A, C) + comm(C, A) + 1j * (dot(B, dC) - sw(dot(B, dC)))
+    x0_b = comm(C, B) - sw(comm(C, B))
+    second = worst(0.5 * mat_max(comm(B[:, k], B[:, l])
+                                 + comm(B[:, l], B[:, k]))
                    for k in range(d) for l in range(k, d))
-    pick = tuple(0 if isinstance(j, Jet) else slice(None) for j in (j1, j2))
-    return Commutator(a[pick], np.moveaxis(b[pick], -nb - 3, 0), x0_a[pick],
-                      np.moveaxis(x0_b[pick], -nb - 3, 0),
-                      comm(C1, C2)[pick], second)
+    return Commutator(a, np.moveaxis(b, -nb - 3, 0), x0_a,
+                      np.moveaxis(x0_b, -nb - 3, 0), comm(C, C), second)
 
 
 def _jet_parts(jet):
@@ -340,22 +351,22 @@ def _operator_sets(seed):
 @given(st.integers(0, 10_000))
 def test_jets_and_commutators_are_bit_identical_to_the_references(seed):
     for name, ops, p in _operator_sets(seed):
-        jets = [op.jet(p) for op in ops]
-        for got, want in zip(jets, (per_axis_jet(op, p) for op in ops)):
-            for x, y in zip(_jet_parts(got), _jet_parts(want)):
-                assert x.shape == y.shape and np.array_equal(x, y), name
-        got, want = diffop_commutator(jets, jets), dense_commutator(jets, jets)
+        jet = stacked_jet(ops, p)
+        for i, op in enumerate(ops):
+            for x, y in zip(_jet_parts(jet), _jet_parts(per_axis_jet(op, p))):
+                assert x[i].shape == y.shape and np.array_equal(x[i], y), name
+        got, want = diffop_commutator(jet), dense_commutator(jet)
         for x, y in zip(_comm_parts(got), _comm_parts(want)):
             assert x.shape == y.shape and np.array_equal(x, y), name
         assert got.second_order == want.second_order, name
-        # the 1 x 1 case (for a generator set, a translation against a
+        # a two-member stack (for a generator set, a translation and a
         # boost): its parts are products of the same shapes; the flattened
         # second-order product may round its sums differently
-        mid = jets[len(jets) // 2]
-        one, ref = diffop_commutator(jets[0], mid), dense_commutator(jets[0], mid)
+        pair = stacked_jet([ops[0], ops[len(ops) // 2]], p)
+        one, ref = diffop_commutator(pair), dense_commutator(pair)
         for x, y in zip(_comm_parts(one), _comm_parts(ref)):
             assert x.shape == y.shape and np.array_equal(x, y), name
-        bound = 4 * EPS * mat_max(jets[0].b) * mat_max(mid.b)
+        bound = 4 * EPS * mat_max(pair.b) ** 2
         assert abs(one.second_order - ref.second_order) <= bound, name
 
 
@@ -378,7 +389,7 @@ def test_all_axes_seed_over_a_single_axis_partial(seed):
         for k in range(3):
             g = f.partial(k)
             got = g.deriv(p)
-            want = np.stack([g.deriv(p, l) for l in range(3)])
+            want = np.stack([g.partial(l)(p) for l in range(3)])
             assert got.shape == want.shape and np.array_equal(got, want)
 
 
@@ -388,15 +399,14 @@ def test_boost_jet_makes_one_all_axes_deriv_per_part(monkeypatch):
     calls = []
     deriv = OperatorField.deriv
 
-    def counted(self, p, k=None):
-        calls.append((self, k))
-        return deriv(self, p, k)
+    def counted(self, p):
+        calls.append(self)
+        return deriv(self, p)
 
     monkeypatch.setattr(OperatorField, "deriv", counted)
-    op.jet(as_batch(sample_momenta(3, 8, 5)))
-    assert all(k is None for _, k in calls)
+    stacked_jet([op], as_batch(sample_momenta(3, 8, 5)))
     assert len(calls) == len(parts)
-    assert {id(f) for f, _ in calls} == {id(f) for f in parts}
+    assert {id(f) for f in calls} == {id(f) for f in parts}
 
 
 # -- one stacked jet per set: shared evaluation and block products ------------
@@ -407,25 +417,10 @@ def test_stacked_jet_equals_the_member_by_member_jets(seed):
     # one shared evaluation for the whole set against one per member
     for name, ops, p in _operator_sets(seed):
         stack = stacked_jet(ops, p)
-        assert stack.stacked and len(stack.a) == len(ops)
+        assert len(stack.a) == len(ops)
         for i, op in enumerate(ops):
-            for x, y in zip(stack.parts(), op.jet(p).parts()):
-                assert x[i].shape == y.shape and np.array_equal(x[i], y), name
-
-
-@settings(deadline=None, max_examples=3)
-@given(st.integers(0, 10_000))
-def test_commutator_of_two_different_stacks_matches_the_reference(seed):
-    # G1 != G2, overlapping members; a generator set has boosts on both sides
-    for name, ops, p in _operator_sets(seed):
-        left, right = ops[::2], ops[1:]
-        got = diffop_commutator(stacked_jet(left, p), stacked_jet(right, p))
-        j1, j2 = [op.jet(p) for op in left], [op.jet(p) for op in right]
-        want = dense_commutator(j1, j2)
-        for x, y in zip(_comm_parts(got), _comm_parts(want)):
-            assert x.shape == y.shape and np.array_equal(x, y), name
-        bound = 4 * EPS * mat_max([j.b for j in j1]) * mat_max([j.b for j in j2])
-        assert abs(got.second_order - want.second_order) <= bound, name
+            for x, y in zip(stack.parts(), stacked_jet([op], p).parts()):
+                assert x[i].shape == y[0].shape and np.array_equal(x[i], y[0]), name
 
 
 def test_no_stale_hit_across_position_builds():
@@ -462,7 +457,7 @@ def test_no_stale_hit_from_transient_nodes():
     cs = (1.0, 2.0, 3.0, 5.0)
     stack = stacked_jet([DiffOp1.from_field(transient(c)) for c in cs], p)
     for c, a, da in zip(cs, stack.a, stack.da):
-        assert np.array_equal(a, leaf(c).deriv(p, 0))
+        assert np.array_equal(a, leaf(c).partial(0)(p))
         assert np.array_equal(da, leaf(c).partial(0).deriv(p))
 
 
@@ -515,7 +510,7 @@ def test_all_pairs_commutator_is_exactly_antisymmetric(seed):
     # mirroring would not move any rounding
     for name, ops, p in _operator_sets(seed):
         jet = stacked_jet(ops, p)
-        comm = diffop_commutator(jet, jet)
+        comm = diffop_commutator(jet)
         for x, axes in ((comm.a, (0, 1)), (comm.b, (1, 2)), (comm.x0_a, (0, 1)),
                         (comm.x0_b, (1, 2)), (comm.x0_sq, (0, 1))):
             assert np.array_equal(x, -np.swapaxes(x, *axes)), name
