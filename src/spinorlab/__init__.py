@@ -10,8 +10,9 @@ from .opcalc import (DiffOp1, OperatorField, as_batch, conjugate_by_unitary,
                      diffop_commutator, sample_momenta, stacked_jet)
 from .poincare import (GENERATOR_NAMES, algebra_residual, generator_set,
                        helicity_field, irrep_content)
-from .position import (POSITION_NAMES, position_closed_form,
-                       position_from_unitary, verify_position)
+from .position import (POSITION_NAMES, component_commutator_residual,
+                       position_closed_form, position_from_unitary,
+                       verify_position)
 from .symmetry import (ClassificationReport, Intertwiner, NonInvariance,
                        SymmetryElement, classify_equation, group_elements,
                        intertwine_condition, solve_intertwiner)
@@ -25,9 +26,9 @@ __all__ = [
     "verify_transform", "expm", "polar_unitary", "svd_nullspace",
     "DiffOp1", "OperatorField", "as_batch", "conjugate_by_unitary",
     "diffop_commutator", "sample_momenta", "stacked_jet", "GENERATOR_NAMES",
-    "algebra_residual", "generator_set",
-    "helicity_field", "irrep_content", "POSITION_NAMES",
-    "position_closed_form", "position_from_unitary", "verify_position",
+    "algebra_residual", "generator_set", "helicity_field", "irrep_content",
+    "POSITION_NAMES", "component_commutator_residual", "position_closed_form",
+    "position_from_unitary", "verify_position",
     "ClassificationReport", "Intertwiner", "NonInvariance", "SymmetryElement",
     "classify_equation", "group_elements", "intertwine_condition",
     "solve_intertwiner",

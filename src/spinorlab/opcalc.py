@@ -15,27 +15,18 @@ evaluates the same expression on components seeded as
 pass/fail paths never touch finite differences.  Seeded along every axis at
 once, one evaluation gives all d partials as a (d, ..., dim, dim) stack.
 
-Every evaluation memoises its values on its argument (:class:`_Argument`):
-a field that several nodes read, such as a conjugating unitary inside
+Every evaluation memoises its read-only values on its argument
+(:class:`_Argument`, and :func:`per_argument` for scalar functions), so a
+field that several nodes read, such as a conjugating unitary inside
 u^dagger, u and du/dp_k, is evaluated once per argument, and each seeded
-argument is made once, so derivative evaluations share their subexpressions
-too.  A scalar function wrapped in :func:`per_argument` (the energy, |p3|,
-...) is shared by the coefficients the same way.  The memo lives as long as
-the argument, which a top-level call or a stack build drops on return, and
-its values are read-only.  :meth:`OperatorField.partial` and
+argument is made once.  :meth:`OperatorField.partial` and
 :meth:`OperatorField.adjoint` return the same node on every call, so nodes
 built at different times still share.
 
 :func:`stacked_jet` evaluates a family of operators (a generator set, the
 components of a position operator) on one shared argument into one
-:class:`Jet` with a leading member axis: each part once plainly, for its
-values, and once seeded along every axis, for its exact first derivatives.
-:func:`diffop_commutator` takes one such jet and gives the commutator of
-every pair of its members: each part is packed once into block operands, and
-each product term of the normal-ordering formula is one bare block GEMM over
-the members.  A term with a B or x0 factor runs only on the members whose
-part is not exactly zero: in a generator set the translations skip every B
-term, and every member but the boosts the x0 ones.
+:class:`Jet` with a leading member axis, and :func:`diffop_commutator` gives
+the commutators of its member pairs i < j from block GEMMs over the members.
 """
 
 from __future__ import annotations
@@ -377,8 +368,8 @@ class Commutator:
     symmetrized second-derivative coefficient norm (the worst over every pair
     and the batch), so callers can fold at any fixed x0 and check that
     nothing leaks outside first order.  b[k] and x0_b[k] are the parts of
-    i d/dp_k.  Each part has leading (G, G) member axes: [g_i, g_j] at
-    [i, j] (after the derivative axis k for b and x0_b).
+    i d/dp_k.  Each part has one leading axis over the member pairs
+    ``np.triu_indices(G, 1)`` (after the derivative axis k for b and x0_b).
     """
 
     a: np.ndarray
@@ -457,40 +448,53 @@ def _operands(s: Jet, nb: int) -> SimpleNamespace:
 
 
 def diffop_commutator(jet: Jet) -> Commutator:
-    """[g_i, g_j] for every pair of members of one stacked jet, normal
-    ordered with derivatives on the right.
+    """[g_i, g_j] for every pair i < j of members of one stacked jet, normal
+    ordered with derivatives on the right (the pairs j < i are these negated
+    bit for bit, so none is computed).
 
     Zeroth order:  [Ai,Aj] + sum_k (Bik (i dAj/dpk) - Bjk (i dAi/dpk))
     First order k: [Ai,Bjk] - [Aj,Bik] + sum_l (Bil (i dBjk/dpl) - Bjl (i dBik/dpl))
     The jet is packed once into block operands (:func:`_operands`), and each
-    product term is one bare block GEMM over every pair, left in block layout
-    (*batch, I, dim, J, dim) (:func:`_product`) and written into the (G, G,
-    ...) results through a view on its member axes.  The reversed product
-    y_j x_i is the block transpose of the GEMM for x_i y_j, so the terms of
-    [Aj,Bik], Bj dAi, Bj dBi, Bj dCi and [Cj,Bik] are those of [Ai,Bjk],
-    Bi dAj, ...: each is computed once.  x0 parts are carried linearly; the
-    antisymmetrized second-order coefficient is reported as a residual (zero,
-    up to rounding, for honest first-order algebras).
+    product term is one bare block GEMM over the members (:func:`_product`),
+    read at the pairs: the terms of [Aj,Bik], Bj dAi, ... are the blocks at
+    (j, i) of those of [Ai,Bjk], Bi dAj, ....  x0 parts are carried
+    linearly; the antisymmetrized second-order coefficient is reported as a
+    residual (zero, up to rounding, for honest first-order algebras), from
+    one commutator of the live B parts with the member and derivative axes
+    flattened together.
 
     A term with a B or x0 factor is computed only on the live members: those
     whose B (or x0) part or its derivative has an entry that is not exactly
-    zero.  A NaN entry counts as live, so it reaches the result.  Each such
-    term is scattered into a zeroed (G, G, ...) result; on finite jets every
-    part equals the all-members products entry for entry.  When no member is
-    live for x0, the x0 parts are zero and no x0 term runs.  The second-order
-    residual is one commutator of the live B parts with the member and
-    derivative axes flattened together.
+    zero (a NaN counts as live, so it reaches the result), and written into
+    a zeroed result at the pairs it reaches.  With no member live for x0,
+    the x0 parts are zero and no x0 term runs.
     """
     shape = jet.a.shape[1:]
     g, d, nb, dim = len(jet.a), jet.b.shape[1], len(shape) - 2, shape[-1]
     x = _operands(jet, nb)
     b, c = x.b, x.c
-    # products and their sums are in block layout (*batch, I, dim, J, dim),
-    # written into the (G, G, ...) results through their (I, J, ...) view
+    i, j = np.triu_indices(g, 1)
     mm = lambda l, r, mx, my: _product(l, r, mx, my, dim)
-    view = lambda z: _members_first(z, 1, nb)
-    bt = lambda z: np.swapaxes(z, nb, nb + 2)   # block transpose, (J, I)
-    zeros = lambda *axes: np.zeros((g, g) + axes + shape, complex)
+    zeros = lambda *axes: np.zeros((len(i),) + axes + shape, complex)
+    # each member's place among all, the live B and the live x0 members
+    every, (pb, pc) = np.arange(g), np.full((2, g), -1)
+    pb[b], pc[c] = np.arange(len(b)), np.arange(len(c))
+
+    def at(z, rows, cols, swap=False):
+        """The mask of the pairs (i, j) with i live in rows and j in cols
+        (swapped: j in rows, i in cols), and the blocks of z there."""
+        r, s = (rows[j], cols[i]) if swap else (rows[i], cols[j])
+        m = (r >= 0) & (s >= 0)
+        return m, _members_first(z, 1, nb)[r[m], s[m]]
+
+    def spread(z, rows, cols, *axes):
+        """z at (i, j) minus z at (j, i), where live, on zeroed pairs."""
+        out = zeros(*axes)
+        m, v = at(z, rows, cols)
+        out[m] = v
+        m, v = at(z, rows, cols, swap=True)
+        out[m] -= v
+        return out
 
     def comm(xl, yr, yl, xr, mx, my):
         """[x_I, y_J] from the packed operands of two parts x and y."""
@@ -507,43 +511,30 @@ def diffop_commutator(jet: Jet) -> Commutator:
         return 0.5 * mat_max(bb + np.swapaxes(bb, nb + 1, nb + 4))
 
     def zeroth_order():
-        a = np.ascontiguousarray(view(comm(x.al, x.ar, x.al, x.ar, (g,),
-                                           (g,))))
-        t, bda = zeros(), mm(x.bl, x.dar, (len(b),), (g,))
-        t[b] = view(bda)
-        t[:, b] -= view(bt(bda))
-        a += 1j * t
+        a = at(comm(x.al, x.ar, x.al, x.ar, (g,), (g,)), every, every)[1]
+        a += 1j * spread(mm(x.bl, x.dar, (len(b),), (g,)), pb, every)
         return a
 
     def first_order():
-        out = zeros(d)
-        ab = comm(x.al, x.b_cols, x.b_rows, x.ar, (g,), (len(b), d))
-        out[:, b] = view(ab)
-        out[b] -= view(bt(ab))
+        out = spread(comm(x.al, x.b_cols, x.b_rows, x.ar, (g,), (len(b), d)),
+                     every, pb, d)
         bdb = mm(x.bl, x.dbr, (len(b),), (len(b), d))
-        out[np.ix_(b, b)] += view(1j * (bdb - bt(bdb)))
+        m, v = at(bdb, pb, pb)
+        out[m] += 1j * (v - at(bdb, pb, pb, swap=True)[1])
         return out
 
     def x0_parts():
         """(x0_a, x0_b, x0_sq), zero with no term run when no member is live
         for x0."""
-        x0_a, x0_b, x0_sq = zeros(), zeros(d), zeros()
+        x0_sq = zeros()
         if not len(c):
-            return x0_a, x0_b, x0_sq
-        ac = mm(x.al, x.cr, (g,), (len(c),))
-        ca = mm(x.cl, x.ar, (len(c),), (g,))
-        x0_a[:, c] = view(ac - bt(ca))
-        x0_a[c] += view(ca - bt(ac))
-        t, bdc = zeros(), mm(x.bl, x.dcr, (len(b),), (len(c),))
-        t[np.ix_(b, c)] = view(bdc)
-        t[np.ix_(c, b)] -= view(bt(bdc))
-        x0_a += 1j * t
-
-        cb = comm(x.cl, x.b_cols, x.b_rows, x.cr, (len(c),), (len(b), d))
-        x0_b[np.ix_(c, b)] = view(cb)
-        x0_b[np.ix_(b, c)] -= view(bt(cb))
-        x0_sq[np.ix_(c, c)] = view(comm(x.cl, x.cr, x.cl, x.cr, (len(c),),
-                                        (len(c),)))
+            return zeros(), zeros(d), x0_sq
+        x0_a = spread(comm(x.al, x.cr, x.cl, x.ar, (g,), (len(c),)), every, pc)
+        x0_a += 1j * spread(mm(x.bl, x.dcr, (len(b),), (len(c),)), pb, pc)
+        x0_b = spread(comm(x.cl, x.b_cols, x.b_rows, x.cr, (len(c),),
+                           (len(b), d)), pc, pb, d)
+        m, v = at(comm(x.cl, x.cr, x.cl, x.cr, (len(c),), (len(c),)), pc, pc)
+        x0_sq[m] = v
         return x0_a, x0_b, x0_sq
 
     second = second_order()

@@ -13,11 +13,11 @@ Closure is one tensor identity over the members G_i (P_0..P_d, then J_mu nu):
     [G_i, G_j] = i sum_c (s_JJ f_JJ + s_JP f_JP)_ij^c G_c,
 
 with f_JJ and f_JP the real (G, G, G) tensors that :func:`structure_constants`
-builds once per d from the metric diag(1, -1, ..., -1).  The commutators of
-every pair come from one :func:`diffop_commutator` call on the set's stacked
-jet.  Both sides are exactly antisymmetric in (i, j), so the residual reads
-only the pairs i < j: the commutator parts gathered there, and right-hand
-sides that are GEMMs of the pair rows of f over the member axis.  The signs
+builds once per d from the metric diag(1, -1, ..., -1).  Both sides are
+exactly antisymmetric in (i, j), so the residual reads only the pairs i < j:
+the commutators of those pairs, from one :func:`diffop_commutator` call on
+the set's stacked jet, and right-hand sides that are GEMMs of the pair rows
+of f over the member axis.  The signs
 (s_JJ, s_JP) are never assumed: :func:`structure_signs` picks, once per d,
 the pair of the four candidates that closes the pure orbital scalar
 realization (identity matrices, H = E), and every matrix realization must
@@ -229,7 +229,7 @@ def structure_constants(d: int):
 
 
 def _closure(gs: GeneratorSet, p):
-    """The commutator of every pair of members on the batch p, and the
+    """The commutators of the member pairs i < j on the batch p, and the
     stacked member parts A, C and B: one stacked jet of the set."""
     jet = stacked_jet([op for _, op in gs.members()], p)
     return diffop_commutator(jet), jet.a, jet.x0, jet.b
@@ -237,29 +237,22 @@ def _closure(gs: GeneratorSet, p):
 
 def _tensor_residual(closure, x0_values, sign_jj, sign_jp) -> float:
     """max |[G_i, G_j] - i f_ij^c G_c| over the pairs i < j, parts, x0 values
-    and the batch.
-
-    Both sides are exactly antisymmetric in (i, j) (the commutator parts bit
-    for bit, and f_ji = -f_ij with f_ii = 0), so the pairs i < j give the max
-    over every pair unchanged.  The commutator parts are gathered at those
-    pairs and folded there; the right-hand sides are GEMMs of the pair rows
-    of f over the member axis: one for B, which no x0 value changes, and one
-    for A + x0 C per x0 value.
+    and the batch: the max over every pair, as both sides are exactly
+    antisymmetric in (i, j).  The commutator parts are read in their pair
+    layout and folded there; the right-hand sides are GEMMs of the pair rows
+    of f over the member axis, one for B and one for A + x0 C per x0 value.
     """
     comm, a, c, b = closure
     f_jj, f_jp = structure_constants(len(comm.b))
     size = len(f_jj)
-    i, j = np.triu_indices(size, 1)
-    f = (1j * (sign_jj * f_jj + sign_jp * f_jp))[i, j]
+    f = (1j * (sign_jj * f_jj + sign_jp * f_jp))[np.triu_indices(size, 1)]
     rhs = lambda x: (f @ x.reshape(size, -1)).reshape((len(f),) + x.shape[1:])
-    comm_a, x0_a, x0_sq = comm.a[i, j], comm.x0_a[i, j], comm.x0_sq[i, j]
-    comm_b, x0_b = comm.b[:, i, j], comm.x0_b[:, i, j]
     rhs_b = np.moveaxis(rhs(b), 1, 0)
     out = []
     for x0v in x0_values:
-        out += [mat_max(comm_a + x0v * x0_a + x0v ** 2 * x0_sq
+        out += [mat_max(comm.a + x0v * comm.x0_a + x0v ** 2 * comm.x0_sq
                         - rhs(a + x0v * c)),
-                mat_max(comm_b + x0v * x0_b - rhs_b)]
+                mat_max(comm.b + x0v * comm.x0_b - rhs_b)]
     return worst(out)
 
 

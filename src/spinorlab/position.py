@@ -22,9 +22,13 @@ with one row (w, m_a, s_a) per operator, s_2 = -s_1, every w real:
     Xpsi   w = e3        m_a = gamma3 S_5a       s_1 = S12
     Xchi2  w = -1/2      m_a = sigma_a           s_1 = sigma3/2
     XW     w = e3/2      m_a = i sigma3 sigma_a  s_1 = sigma3/2
+
+:func:`verify_position` reads only the values of the components; their
+commutators with each other are :func:`component_commutator_residual`.  Each
+operator is built once and shared, read-only, by every caller.
 """
 
-from functools import reduce
+import functools
 
 import numpy as np
 
@@ -32,7 +36,8 @@ from .clifford import gamma_set, pauli, spin_matrix
 from .equations import abs_p3, catalog_unitary, e3, energy
 from .linalg import dagger, mat_max
 from .opcalc import (DiffOp1, OperatorField, as_batch, check_unitary,
-                     conjugate_by_unitary, diffop_commutator, stacked_jet)
+                     conjugate_by_unitary, diffop_commutator, stacked_jet,
+                     stacked_values)
 
 _REP = gamma_set("rep26")
 G3 = _REP.gamma(3)
@@ -48,21 +53,27 @@ _CONJUGATION = {
 }
 
 
+@functools.cache
 def conjugating_field(name: str) -> OperatorField:
+    """The operator's conjugating field, the same object on every call."""
     fields = [catalog_unitary(n).closed for n in _CONJUGATION[name][1]]
-    return reduce(lambda u, v: v @ u, fields)      # innermost first
+    return functools.reduce(lambda u, v: v @ u, fields)   # innermost first
 
 
-def position_from_unitary(name: str, probe=()) -> list:
-    """Components u^-1 x_k u for the operator's conjugating field, checked
-    for unitarity once on the probe points."""
+def position_from_unitary(name: str, probe=()) -> tuple:
+    """Components u^-1 x_k u for the operator's conjugating field u, built
+    once per field object and checked for unitarity on every call's probe."""
     if name not in _CONJUGATION:
         raise ValueError(f"unknown position operator {name!r}")
-    dim, _ = _CONJUGATION[name]
     u = conjugating_field(name)
     check_unitary(u, probe)
-    return [conjugate_by_unitary(u, DiffOp1.position_component(k, dim, 3))
-            for k in range(3)]
+    return _conjugated(u)
+
+
+@functools.lru_cache(maxsize=16)
+def _conjugated(u: OperatorField) -> tuple:
+    return tuple(conjugate_by_unitary(
+        u, DiffOp1.position_component(k, u.dim, 3)) for k in range(3))
 
 
 def _inv_e_eplus(p):
@@ -81,7 +92,8 @@ def _rows() -> dict:
                    {a: 1j * s[3] @ s[a] for a in (1, 2)}, 0.5 * s[3])}
 
 
-def position_closed_form(name: str) -> list:
+@functools.cache
+def position_closed_form(name: str) -> tuple:
     """The transcribed closed-form operators, as x_k + matrix field."""
     if name not in _CONJUGATION:
         raise ValueError(f"unknown position operator {name!r}")
@@ -99,26 +111,29 @@ def position_closed_form(name: str) -> list:
     fields.append(OperatorField(dim, 3, [
         (lambda p, _c=c: -w(p) * e3(p) * p[_c - 1]
          / (energy(p) * energy(p)), m[c]) for c in (1, 2)]))
-    return [DiffOp1.position_component(k, dim, 3) + DiffOp1.from_field(f)
-            for k, f in enumerate(fields)]
+    return tuple(DiffOp1.position_component(k, dim, 3) + DiffOp1.from_field(f)
+                 for k, f in enumerate(fields))
 
 
 def verify_position(name: str, samples) -> dict:
-    """Closed form vs conjugation, canonical commutators, Hermiticity report.
-
-    The built components are evaluated once, as one stacked jet on the
-    sample batch, and every residual reads that jet.
-    """
+    """Closed form vs conjugation, canonical commutators, Hermiticity report,
+    all from the values (A, B) of the built components on the sample batch:
+    no component is differentiated and no commutator is formed."""
     built = position_from_unitary(name, probe=samples[:2])
     closed = position_closed_form(name)
     dim = _CONJUGATION[name][0]
     p = as_batch(samples)
-    jet = stacked_jet(built, p)
+    a, b, _ = stacked_values(built, p)
     # [X_j, p_k]: only i * B_jk survives; must be i delta_jk
     delta = np.eye(3)[:, :, None, None, None] * (1j * np.eye(dim))
     return {"closed_vs_conjugation": mat_max(
-                jet.a - np.stack([x.a(p) for x in closed])),
-            "canonical_commutator": mat_max(1j * jet.b - delta),
-            "hermiticity": mat_max(jet.a - dagger(jet.a)),
-            "component_noncommutativity": mat_max(
-                diffop_commutator(jet).a)}
+                a - np.stack([x.a(p) for x in closed])),
+            "canonical_commutator": mat_max(1j * b - delta),
+            "hermiticity": mat_max(a - dagger(a))}
+
+
+def component_commutator_residual(name: str, samples) -> float:
+    """max |[X_j, X_k]| over the component pairs and the samples, from one
+    stacked jet of the built components (they commute; no check gates it)."""
+    built = position_from_unitary(name, probe=samples[:2])
+    return mat_max(diffop_commutator(stacked_jet(built, as_batch(samples))).a)

@@ -2,7 +2,9 @@
 
 import numpy as np
 
-from spinorlab.linalg import as_cmatrix, mat_max
+from spinorlab.linalg import as_cmatrix, mat_max, worst
+from spinorlab.opcalc import (Commutator, _left, _members_first, _product,
+                              _right)
 
 TOL_EQ = 1e-9           # entrywise equality of verified identities
 
@@ -22,3 +24,55 @@ def nan_at(point):
     """Coefficient that is NaN where p[0] == point[0] and 0 elsewhere, at a
     point or on a batch: adding it to a field poisons that one point."""
     return lambda p: np.where(p[0] == point[0], np.nan, 0.0)
+
+
+def pair(g, i, j):
+    """The position of the member pair (i, j), i < j, on the pair axis of the
+    commutator of a g-member jet (``np.triu_indices(g, 1)`` order)."""
+    return list(zip(*np.triu_indices(g, 1))).index((i, j))
+
+
+def _dot(x, y, nb: int):
+    """sum_k x[I, k] @ y[J, k] for every leading index I of x and J of y, as
+    one block GEMM (..., |I| dim, K dim) @ (..., K dim, |J| dim), on axes
+    (*I, *J, ...); the last nb + 2 axes are the batch and the matrix.  It
+    packs both factors for this one product; :func:`diffop_commutator`
+    packs each part once for all of its terms."""
+    mx, my = x.shape[:x.ndim - nb - 3], y.shape[:y.ndim - nb - 3]
+    return _members_first(_product(_left(x, nb), _right(y, nb), mx, my,
+                                   x.shape[-1]), len(mx), nb)
+
+
+def dense_commutator(jet):
+    """The earlier commutator of every pair of members of a stacked jet, on
+    (G, G) member axes, every product over all members and the second-order
+    residual per (k, l) pair, kept as the reference."""
+    d, nb = jet.b.shape[1], jet.a.ndim - 3
+    A, B, dA, dB, C, dC = jet.parts()
+    dot = lambda x, y: _dot(x, y, nb)
+    sw = lambda z: np.swapaxes(z, 0, 1)
+
+    def comm(x, y):
+        xy = dot(np.expand_dims(x, -nb - 3), np.expand_dims(y, -nb - 3))
+        xy -= np.moveaxis(dot(np.expand_dims(y, -nb - 3),
+                              np.expand_dims(x, -nb - 3)), -nb - 3, 0)
+        return xy
+
+    a = comm(A, A) + 1j * (dot(B, dA) - sw(dot(B, dA)))
+    b = comm(A, B) - sw(comm(A, B)) + 1j * (dot(B, dB) - sw(dot(B, dB)))
+    x0_a = comm(A, C) + comm(C, A) + 1j * (dot(B, dC) - sw(dot(B, dC)))
+    x0_b = comm(C, B) - sw(comm(C, B))
+    second = worst(0.5 * mat_max(comm(B[:, k], B[:, l])
+                                 + comm(B[:, l], B[:, k]))
+                   for k in range(d) for l in range(k, d))
+    return Commutator(a, np.moveaxis(b, -nb - 3, 0), x0_a,
+                      np.moveaxis(x0_b, -nb - 3, 0), comm(C, C), second)
+
+
+def at_pairs(dense):
+    """A (G, G) dense commutator gathered on the pairs i < j: the pair
+    layout of :func:`diffop_commutator`."""
+    i, j = np.triu_indices(len(dense.a), 1)
+    return Commutator(dense.a[i, j], dense.b[:, i, j], dense.x0_a[i, j],
+                      dense.x0_b[:, i, j], dense.x0_sq[i, j],
+                      dense.second_order)

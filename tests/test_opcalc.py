@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import nan_at
+from helpers import at_pairs, dense_commutator, nan_at, pair
 from spinorlab import dual, position
 from spinorlab.clifford import pauli
 from spinorlab.equations import abs_p3, catalog_unitary, energy
-from spinorlab.linalg import NotUnitary, mat_max, worst
-from spinorlab.opcalc import (Commutator, DiffOp1, Jet, OperatorField,
-                              _left, _members_first, _product, _right,
-                              as_batch, check_unitary, conjugate_by_unitary,
+from spinorlab.linalg import NotUnitary, mat_max
+from spinorlab.opcalc import (DiffOp1, Jet, OperatorField, as_batch,
+                              check_unitary, conjugate_by_unitary,
                               diffop_commutator, sample_momenta, stacked_jet,
                               stacked_values)
 from spinorlab.poincare import GENERATOR_NAMES, generator_set
@@ -136,8 +135,8 @@ def test_canonical_pair():
     p1 = DiffOp1.from_field(OperatorField.momentum(0, 2, 3))
     p = (1.0, 2.0, 3.0)
     comm = diffop_commutator(stacked_jet([x1, p1], p))
-    assert mat_max(comm.a[0, 1] - 1j * np.eye(2)) == 0.0
-    assert all(mat_max(b[0, 1]) == 0.0 for b in comm.b)
+    assert mat_max(comm.a[0] - 1j * np.eye(2)) == 0.0      # the pair (0, 1)
+    assert all(mat_max(b[0]) == 0.0 for b in comm.b)
     assert comm.second_order == 0.0
 
 
@@ -146,18 +145,20 @@ def test_positions_commute():
     x2 = DiffOp1.position_component(1, 2, 3)
     p = (1.0, 2.0, 3.0)
     comm = diffop_commutator(stacked_jet([x1, x2], p))
-    assert mat_max(comm.a[0, 1]) == 0.0
-    assert all(mat_max(b[0, 1]) == 0.0 for b in comm.b)
+    assert mat_max(comm.a[0]) == 0.0                       # the pair (0, 1)
+    assert all(mat_max(b[0]) == 0.0 for b in comm.b)
 
 
 def test_commutator_antisymmetry():
     from spinorlab.poincare import generator_set
     gs = generator_set("chi2")
     p = sample_momenta(3, 1, 9)[0]
-    comm = diffop_commutator(stacked_jet([gs.J[(1, 2)], gs.J[(1, 3)]], p))
-    assert mat_max(comm.a[0, 1] + comm.a[1, 0]) < 1e-14
-    for b in comm.b:
-        assert mat_max(b[0, 1] + b[1, 0]) < 1e-14
+    # [g1, g2] and [g2, g1], each the one pair of its stack
+    c12, c21 = (diffop_commutator(stacked_jet(ops, p)) for ops in (
+        [gs.J[(1, 2)], gs.J[(1, 3)]], [gs.J[(1, 3)], gs.J[(1, 2)]]))
+    assert mat_max(c12.a[0] + c21.a[0]) < 1e-14
+    for b12, b21 in zip(c12.b, c21.b):
+        assert mat_max(b12[0] + b21[0]) < 1e-14
 
 
 def test_conjugation_by_identity_is_noop():
@@ -191,7 +192,7 @@ def test_conjugation_preserves_canonical_commutators():
             for k in range(3):
                 for l in range(3):
                     want = (1j if k == l else 0.0) * np.eye(dim)
-                    assert mat_max(comm.a[k, 3 + l] - want) < 1e-9
+                    assert mat_max(comm.a[pair(6, k, 3 + l)] - want) < 1e-9
 
 
 def test_conjugation_rejects_non_unitary():
@@ -275,43 +276,6 @@ def per_axis_jet(op, p):
                dx0)
 
 
-def _dot(x, y, nb: int):
-    """sum_k x[I, k] @ y[J, k] for every leading index I of x and J of y, as
-    one block GEMM (..., |I| dim, K dim) @ (..., K dim, |J| dim), on axes
-    (*I, *J, ...); the last nb + 2 axes are the batch and the matrix.  It
-    packs both factors for this one product; :func:`diffop_commutator`
-    packs each part once for all of its terms."""
-    mx, my = x.shape[:x.ndim - nb - 3], y.shape[:y.ndim - nb - 3]
-    return _members_first(_product(_left(x, nb), _right(y, nb), mx, my,
-                                   x.shape[-1]), len(mx), nb)
-
-
-def dense_commutator(jet):
-    """The earlier commutator of every pair of members of a stacked jet,
-    every product over all members and the second-order residual per (k, l)
-    pair, kept as the reference."""
-    d, nb = jet.b.shape[1], jet.a.ndim - 3
-    A, B, dA, dB, C, dC = jet.parts()
-    dot = lambda x, y: _dot(x, y, nb)
-    sw = lambda z: np.swapaxes(z, 0, 1)
-
-    def comm(x, y):
-        xy = dot(np.expand_dims(x, -nb - 3), np.expand_dims(y, -nb - 3))
-        xy -= np.moveaxis(dot(np.expand_dims(y, -nb - 3),
-                              np.expand_dims(x, -nb - 3)), -nb - 3, 0)
-        return xy
-
-    a = comm(A, A) + 1j * (dot(B, dA) - sw(dot(B, dA)))
-    b = comm(A, B) - sw(comm(A, B)) + 1j * (dot(B, dB) - sw(dot(B, dB)))
-    x0_a = comm(A, C) + comm(C, A) + 1j * (dot(B, dC) - sw(dot(B, dC)))
-    x0_b = comm(C, B) - sw(comm(C, B))
-    second = worst(0.5 * mat_max(comm(B[:, k], B[:, l])
-                                 + comm(B[:, l], B[:, k]))
-                   for k in range(d) for l in range(k, d))
-    return Commutator(a, np.moveaxis(b, -nb - 3, 0), x0_a,
-                      np.moveaxis(x0_b, -nb - 3, 0), comm(C, C), second)
-
-
 def _jet_parts(jet):
     return (jet.a, jet.b, jet.da, jet.db, jet.x0, jet.dx0)
 
@@ -355,18 +319,19 @@ def test_jets_and_commutators_are_bit_identical_to_the_references(seed):
         for i, op in enumerate(ops):
             for x, y in zip(_jet_parts(jet), _jet_parts(per_axis_jet(op, p))):
                 assert x[i].shape == y.shape and np.array_equal(x[i], y), name
-        got, want = diffop_commutator(jet), dense_commutator(jet)
+        # the pair parts are the reference's (G, G) parts at the pairs i < j
+        got, want = diffop_commutator(jet), at_pairs(dense_commutator(jet))
         for x, y in zip(_comm_parts(got), _comm_parts(want)):
             assert x.shape == y.shape and np.array_equal(x, y), name
         assert got.second_order == want.second_order, name
         # a two-member stack (for a generator set, a translation and a
         # boost): its parts are products of the same shapes; the flattened
         # second-order product may round its sums differently
-        pair = stacked_jet([ops[0], ops[len(ops) // 2]], p)
-        one, ref = diffop_commutator(pair), dense_commutator(pair)
-        for x, y in zip(_comm_parts(one), _comm_parts(ref)):
+        two = stacked_jet([ops[0], ops[len(ops) // 2]], p)
+        one, ref = diffop_commutator(two), dense_commutator(two)
+        for x, y in zip(_comm_parts(one), _comm_parts(at_pairs(ref))):
             assert x.shape == y.shape and np.array_equal(x, y), name
-        bound = 4 * EPS * mat_max(pair.b) ** 2
+        bound = 4 * EPS * mat_max(two.b) ** 2
         assert abs(one.second_order - ref.second_order) <= bound, name
 
 
@@ -506,11 +471,12 @@ def test_xpsi_evaluates_each_conjugating_term_once_per_argument(monkeypatch):
 @settings(deadline=None, max_examples=3)
 @given(st.integers(0, 10_000))
 def test_all_pairs_commutator_is_exactly_antisymmetric(seed):
-    # [G_j, G_i] = -[G_i, G_j] bit for bit, so computing only i < j and
-    # mirroring would not move any rounding
+    # [G_j, G_i] = -[G_i, G_j] bit for bit (so [G_i, G_i] = 0) in the
+    # all-pairs reference, so the pairs i < j that diffop_commutator computes
+    # lose nothing
     for name, ops, p in _operator_sets(seed):
         jet = stacked_jet(ops, p)
-        comm = diffop_commutator(jet)
+        comm = dense_commutator(jet)
         for x, axes in ((comm.a, (0, 1)), (comm.b, (1, 2)), (comm.x0_a, (0, 1)),
                         (comm.x0_b, (1, 2)), (comm.x0_sq, (0, 1))):
             assert np.array_equal(x, -np.swapaxes(x, *axes)), name

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import nan_at
+from helpers import dense_commutator, nan_at
 from spinorlab import opcalc
 from spinorlab.clifford import pauli
 from spinorlab.equations import catalog_equation, catalog_unitary
@@ -47,7 +47,7 @@ def test_rotation_commutator_closes_on_j13():
     aw = sum(w * a[0] for w, (a, _, _) in terms)
     bw = [sum(w * b[0, k] for w, (_, b, _) in terms) for k in range(3)]
     a, b = comm.fold(0.0)
-    ac, bc = a[0, 1], b[:, 0, 1]
+    ac, bc = a[0], b[:, 0]                  # the one pair of the stack
     assert mat_max(ac - aw) <= 1e-9
     for x, y in zip(bc, bw):
         assert mat_max(x - y) <= 1e-9
@@ -93,9 +93,9 @@ def test_translations_commute_exactly():
     gs = generator_set("chi")
     p = S3[0]
     comm = diffop_commutator(stacked_jet([gs.P[k] for k in range(4)], p))
-    for k in range(4):
-        for l in range(4):
-            assert mat_max(comm.a[k, l]) == 0.0
+    assert len(comm.a) == 6                 # every pair k < l
+    for a in comm.a:
+        assert mat_max(a) == 0.0
 
 
 def test_u2_covariance_chi_to_phi():
@@ -253,8 +253,8 @@ def test_closure_fails_closed_on_nan_in_a_member_without_x0_part():
 
 def all_pairs_residual(closure, x0_values, sign_jj, sign_jp) -> float:
     """The earlier closure residual, kept as the reference for the pairs-only
-    one: every pair (i, j), folded at full size, with the right-hand sides of
-    A + x0 C and B from one GEMM per x0 value."""
+    one: every pair (i, j) of a (G, G) commutator, folded at full size, with
+    the right-hand sides of A + x0 C and B from one GEMM per x0 value."""
     comm, a, c, b = closure
     f_jj, f_jp = structure_constants(len(comm.b))
     size = len(f_jj)
@@ -291,9 +291,13 @@ def test_pairs_residual_equals_the_all_pairs_reference(seed):
     # wrong pair (residuals of order one, at another pair)
     sets = [generator_set(name) for name in GENERATOR_NAMES]
     for gs in sets + [_noncommuting_x0_set()]:
-        closure = _closure(gs, as_batch(sample_momenta(gs.d, 8, seed)))
+        p = as_batch(sample_momenta(gs.d, 8, seed))
+        closure = _closure(gs, p)
+        # the all-pairs reference reads the (G, G) dense commutator
+        jet = stacked_jet([op for _, op in gs.members()], p)
+        dense = (dense_commutator(jet),) + closure[1:]
         for signs in ((1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)):
-            want = all_pairs_residual(closure, X0S, *signs)
+            want = all_pairs_residual(dense, X0S, *signs)
             assert _tensor_residual(closure, X0S, *signs) == want, gs.name
 
 
@@ -322,6 +326,8 @@ def test_covariance_probes_unitarity_once(monkeypatch):
 
 
 def test_closure_peak_memory():
+    # 2.44 MB with the commutator on the member pairs i < j (3.48 MB with
+    # every (G, G) pair), plus 10% headroom
     gs, pts = generator_set("psi"), sample_momenta(3, 8, 5)
     algebra_residual(gs, pts)             # lazy set-up outside the window
     tracemalloc.start()
@@ -330,7 +336,7 @@ def test_closure_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5.5e6
+    assert peak <= 2.7e6
 
 
 def _peak_bytes(run):
@@ -345,9 +351,10 @@ def _peak_bytes(run):
 
 
 def test_position_peak_memory():
-    # 1.80 MB with one jet per component, plus 10% headroom
+    # 0.24 MB from the values of the components alone (1.05 MB with their
+    # jet and commutator, 1.80 MB with one jet per component), plus headroom
     pts = sample_momenta(3, 12, 5)
-    assert _peak_bytes(lambda: verify_position("Xpsi", pts)) <= 2.0e6
+    assert _peak_bytes(lambda: verify_position("Xpsi", pts)) <= 0.3e6
 
 
 def test_covariance_peak_memory():

@@ -6,11 +6,13 @@ import pytest
 from helpers import nan_at
 from spinorlab import opcalc, position
 from spinorlab.clifford import gamma_set, pauli, spin_matrix
-from spinorlab.linalg import NotUnitary, mat_max
+from spinorlab.linalg import NotUnitary, dagger, mat_max
 from spinorlab.opcalc import (OperatorField, as_batch, sample_momenta,
                               stacked_jet)
-from spinorlab.position import (POSITION_NAMES, position_closed_form,
-                                position_from_unitary, verify_position)
+from spinorlab.position import (POSITION_NAMES,
+                                component_commutator_residual,
+                                position_closed_form, position_from_unitary,
+                                verify_position)
 
 REP = gamma_set("rep26")
 SAMPLES = sample_momenta(3, 12, 42)
@@ -78,8 +80,7 @@ def test_closed_form_jet_matches_conjugation_jet(name):
 
 def test_positions_components_commute():
     for name in POSITION_NAMES:
-        rep = verify_position(name, SAMPLES[:4])
-        assert rep["component_noncommutativity"] <= 1e-10
+        assert component_commutator_residual(name, SAMPLES[:4]) <= 1e-10
 
 
 def test_unknown_position_name():
@@ -112,3 +113,66 @@ def test_position_from_unitary_probes_once_and_rejects_non_unitary(
                         lambda name: u.scale(1.5))
     with pytest.raises(NotUnitary):
         position_from_unitary("Xpsi", probe=SAMPLES[:2])
+
+
+def test_verify_position_reads_values_only(monkeypatch):
+    derivs, commutators = [], []
+    deriv, commutator = OperatorField.deriv, opcalc.diffop_commutator
+    monkeypatch.setattr(OperatorField, "deriv", lambda self, p: (
+        derivs.append(self), deriv(self, p))[1])
+    for module in (opcalc, position):
+        monkeypatch.setattr(module, "diffop_commutator", lambda jet: (
+            commutators.append(jet), commutator(jet))[1])
+    for name in POSITION_NAMES:
+        verify_position(name, SAMPLES)
+    assert derivs == [] and commutators == []
+    # the counters see the component commutators, which do differentiate
+    component_commutator_residual("Xpsi", SAMPLES[:4])
+    assert derivs and len(commutators) == 1
+
+
+@pytest.mark.parametrize("seed", (5, 7, 42))
+def test_verify_position_equals_the_residuals_of_the_stacked_jet(seed):
+    samples = sample_momenta(3, 12, seed)
+    p = as_batch(samples)
+    for name in POSITION_NAMES:
+        built = position_from_unitary(name, probe=samples[:2])
+        jet = stacked_jet(built, p)
+        closed = np.stack([x.a(p) for x in position_closed_form(name)])
+        dim = len(jet.a[0, 0])
+        delta = np.eye(3)[:, :, None, None, None] * (1j * np.eye(dim))
+        assert verify_position(name, samples) == {
+            "closed_vs_conjugation": mat_max(jet.a - closed),
+            "canonical_commutator": mat_max(1j * jet.b - delta),
+            "hermiticity": mat_max(jet.a - dagger(jet.a))}, name
+
+
+def test_component_commutators_fail_closed_on_nan(monkeypatch):
+    # the poisoned point is outside the unitarity probe (SAMPLES[:2])
+    u = position.conjugating_field("Xpsi")
+    poison = OperatorField(4, 3, [(nan_at(SAMPLES[5]), np.eye(4))])
+    monkeypatch.setattr(position, "conjugating_field",
+                        lambda name: u + poison)
+    assert math.isnan(component_commutator_residual("Xpsi", SAMPLES))
+
+
+def test_position_operators_are_built_once(monkeypatch):
+    calls = []
+    defect = opcalc.unitarity_defect
+    monkeypatch.setattr(opcalc, "unitarity_defect",
+                        lambda u: (calls.append(u.shape), defect(u))[1])
+    for name in POSITION_NAMES:
+        assert position.conjugating_field(name) is \
+            position.conjugating_field(name)
+        built = position_from_unitary(name, probe=SAMPLES[:2])
+        assert position_from_unitary(name, probe=SAMPLES[2:4]) is built
+        assert position_closed_form(name) is position_closed_form(name)
+        with pytest.raises(TypeError):      # shared, so read-only
+            built[0] = built[1]
+    assert len(calls) == 2 * len(POSITION_NAMES)    # a probe on every call
+    # a patched conjugating field gets its own components, built once
+    xpsi = position_from_unitary("Xpsi")
+    u = position.conjugating_field("Xpsi").scale(-1.0)
+    monkeypatch.setattr(position, "conjugating_field", lambda name: u)
+    patched = position_from_unitary("Xpsi")
+    assert patched is not xpsi and position_from_unitary("Xpsi") is patched
