@@ -19,14 +19,14 @@ Every evaluation memoises its read-only values on its argument
 (:class:`_Argument`, and :func:`per_argument` for scalar functions), so a
 field that several nodes read, such as a conjugating unitary inside
 u^dagger, u and du/dp_k, is evaluated once per argument, and each seeded
-argument is made once.  :meth:`OperatorField.partial` and
-:meth:`OperatorField.adjoint` return the same node on every call, so nodes
-built at different times still share.
+argument is made once.  :meth:`OperatorField.partial`,
+:meth:`OperatorField.adjoint` and :meth:`OperatorField.momentum` return the
+same node on every call, so nodes built at different times still share.
 
 :func:`stacked_jet` evaluates a family of operators (a generator set, the
-components of a position operator) on one shared argument into one
-:class:`Jet` with a leading member axis, and :func:`diffop_commutator` gives
-the commutators of its member pairs i < j from block GEMMs over the members.
+components of a position operator; no zero B part) on one shared argument
+into one :class:`Jet`, and :func:`diffop_commutator` gives the commutators
+of its member pairs i < j from block GEMMs over live members and B slots.
 """
 
 from __future__ import annotations
@@ -163,8 +163,9 @@ class OperatorField:
         return cls(dim, d, [(fn, np.eye(dim, dtype=complex))])
 
     @classmethod
+    @functools.cache
     def momentum(cls, k: int, dim: int, d: int) -> "OperatorField":
-        """p_k times the identity (k is 0-based)."""
+        """p_k times the identity (k is 0-based); one shared leaf per k."""
         return cls.scalar(lambda p, _k=k: p[_k], dim, d)
 
     # -- evaluation --------------------------------------------------------
@@ -310,33 +311,38 @@ def stacked_jet(ops: Sequence[DiffOp1], p: Point) -> "Jet":
     pair is computed once (see :class:`_Argument`).
 
     Per part one plain evaluation for the value and one all-axes seeded
-    evaluation (:meth:`OperatorField.deriv`) for every partial.
-    The values come from the plain evaluation, never from the seeded one: a
-    coefficient that tests the components (``p[0] == c``) sees a Dual there,
-    not the numbers.
+    evaluation (:meth:`OperatorField.deriv`) for every partial, none for a
+    structurally zero B part.  The values come from the plain evaluation,
+    never from the seeded one: a coefficient that tests the components
+    (``p[0] == c``) sees a Dual there, not the numbers.
     """
     p = _Argument.of(p)
     a, b, x0 = stacked_values(ops, p)
-    dx0 = np.zeros((len(ops), ops[0].d) + a.shape[1:], complex)
-    for i, op in enumerate(ops):
-        if op.x0 is not None:
-            dx0[i] = op.x0.deriv(p)
-    return Jet(a, b, np.stack([op.a.deriv(p) for op in ops]),
-               np.stack([np.stack([f.deriv(p) for f in op.b]) for op in ops]),
-               x0, dx0)
+    db, dx0 = _b_and_x0(ops, (ops[0].d,) + a.shape[1:], lambda f: f.deriv(p))
+    return Jet(a, b, np.stack([op.a.deriv(p) for op in ops]), db, x0, dx0)
 
 
 def stacked_values(ops: Sequence[DiffOp1], p: Point) -> tuple:
     """(A, B, C) of every operator of ops on p, stacked on a leading member
-    axis, from one shared evaluation; C is zero where an operator has no x0
-    part."""
+    axis, from one shared evaluation; a structurally zero B part stays zero,
+    never evaluated, and C is zero where an operator has no x0 part."""
     p = _Argument.of(p)
     a = np.stack([op.a(p) for op in ops])
-    x0 = np.zeros_like(a)
+    return (a, *_b_and_x0(ops, a.shape[1:], lambda f: f(p)))
+
+
+def _b_and_x0(ops, shape: tuple, value: Callable) -> tuple:
+    """value(f) of every B and x0 part f of ops, on zeroed (G, d, *shape)
+    and (G, *shape) stacks: zero where f is structurally zero or absent."""
+    b = np.zeros((len(ops), ops[0].d) + shape, complex)
+    x0 = np.zeros((len(ops),) + shape, complex)
     for i, op in enumerate(ops):
         if op.x0 is not None:
-            x0[i] = op.x0(p)
-    return a, np.stack([np.stack([f(p) for f in op.b]) for op in ops]), x0
+            x0[i] = value(op.x0)
+        for k, f in enumerate(op.b):
+            if not f._is_zero():
+                b[i, k] = value(f)
+    return b, x0
 
 
 @dataclass(frozen=True)
@@ -355,9 +361,6 @@ class Jet:
     db: np.ndarray
     x0: np.ndarray
     dx0: np.ndarray
-
-    def parts(self) -> tuple:
-        return self.a, self.b, self.da, self.db, self.x0, self.dx0
 
 
 @dataclass
@@ -378,10 +381,6 @@ class Commutator:
     x0_b: np.ndarray
     x0_sq: np.ndarray
     second_order: float
-
-    def fold(self, x0_value: float):
-        return (self.a + x0_value * self.x0_a + x0_value ** 2 * self.x0_sq,
-                self.b + x0_value * self.x0_b)
 
 
 def _left(x, nb: int) -> np.ndarray:
@@ -430,21 +429,25 @@ def _flip(z, nj: int, nb: int) -> np.ndarray:
 
 
 def _operands(s: Jet, nb: int) -> SimpleNamespace:
-    """A stacked jet packed once for block GEMMs: its live B and x0 members
-    (``b``, ``c``: those whose part or its derivative is not all zero), and
-    each part as the left (``*l``) or right (``*r``) operand that the
-    normal-ordering terms read.  ``b_rows`` and ``b_cols`` hold B with the
-    member and derivative axes together, as one factor of a commutator."""
-    live = lambda x, dx: np.flatnonzero(
-        x.reshape(len(x), -1).any(1) | dx.reshape(len(dx), -1).any(1))
-    b, c = live(s.b, s.db), live(s.x0, s.dx0)
+    """A stacked jet packed once for block GEMMs: its live B slots i*d + k
+    and B and x0 members (``slots``, ``b``, ``c``: those whose part or its
+    derivative is not all zero), and each part as the left (``*l``) or right
+    (``*r``) operand that the terms read; ``b_rows``/``b_cols`` (B of the
+    live members) and ``s_rows``/``s_cols`` (B at the live slots) have one
+    slot (i, k) per block, as one factor of a commutator."""
+    live = lambda x, dx, n: x.reshape(n, -1).any(1) | dx.reshape(n, -1).any(1)
+    (g, d), shape = s.b.shape[:2], s.a.shape[1:]
+    in_slots = live(s.b, s.db, g * d)
+    slots, c = np.flatnonzero(in_slots), np.flatnonzero(live(s.x0, s.dx0, g))
+    b = np.flatnonzero(in_slots.reshape(g, d).any(1))
     one = lambda x: np.expand_dims(x, -nb - 3)      # a summed axis of one
-    bl, cl = s.b[b], one(s.x0[c])
+    bl, cl, bs = s.b[b], one(s.x0[c]), one(s.b.reshape(-1, *shape)[slots])
     return SimpleNamespace(
-        b=b, c=c, al=_left(one(s.a), nb), ar=_right(one(s.a), nb),
+        slots=slots, b=b, c=c, al=_left(one(s.a), nb), ar=_right(one(s.a), nb),
         bl=_left(bl, nb), b_rows=_left(one(bl), nb), b_cols=_right(one(bl), nb),
-        dar=_right(s.da, nb), dbr=_right(s.db[b], nb), cl=_left(cl, nb),
-        cr=_right(cl, nb), dcr=_right(s.dx0[c], nb))
+        s_rows=_left(bs, nb), s_cols=_right(bs, nb), dar=_right(s.da, nb),
+        dbr=_right(s.db[b], nb), cl=_left(cl, nb), cr=_right(cl, nb),
+        dcr=_right(s.dx0[c], nb))
 
 
 def diffop_commutator(jet: Jet) -> Commutator:
@@ -460,14 +463,14 @@ def diffop_commutator(jet: Jet) -> Commutator:
     (j, i) of those of [Ai,Bjk], Bi dAj, ....  x0 parts are carried
     linearly; the antisymmetrized second-order coefficient is reported as a
     residual (zero, up to rounding, for honest first-order algebras), from
-    one commutator of the live B parts with the member and derivative axes
-    flattened together.
+    one commutator of B at the live slots (i, k), the member and derivative
+    axes flattened together.
 
-    A term with a B or x0 factor is computed only on the live members: those
-    whose B (or x0) part or its derivative has an entry that is not exactly
-    zero (a NaN counts as live, so it reaches the result), and written into
-    a zeroed result at the pairs it reaches.  With no member live for x0,
-    the x0 parts are zero and no x0 term runs.
+    A term with a B or x0 factor is computed only on the live members (the
+    second order on the live B slots): those whose B (or x0) part or its
+    derivative has an entry that is not exactly zero (a NaN counts as live,
+    so it reaches the result), and written into a zeroed result at the pairs
+    it reaches.  With no member live for x0, no x0 term runs.
     """
     shape = jet.a.shape[1:]
     g, d, nb, dim = len(jet.a), jet.b.shape[1], len(shape) - 2, shape[-1]
@@ -505,10 +508,16 @@ def diffop_commutator(jet: Jet) -> Commutator:
     # each part in its own function, so that its temporaries are freed
     # before the next part runs
     def second_order():
-        """[Bik, Bjl] on axes (i, k, j, l), symmetrized in (k, l)."""
-        bb = comm(x.b_rows, x.b_cols, x.b_rows, x.b_cols, (len(b), d),
-                  (len(b), d))
-        return 0.5 * mat_max(bb + np.swapaxes(bb, nb + 1, nb + 4))
+        """max |[Bs, Bt] + [B(i,l), B(j,k)]| / 2 over the live slots s =
+        (i, k), t = (j, l), from one GEMM; a dead partner reads pad slot n."""
+        n, (si, sk) = len(x.slots), np.divmod(x.slots, d)
+        xy = _members_first(mm(x.s_rows, x.s_cols, (n,), (n,)), 1, nb)
+        bb = np.zeros((n + 1, n + 1) + shape, complex)
+        np.subtract(xy, np.swapaxes(xy, 0, 1), out=bb[:n, :n])
+        place = np.full(g * d, n)           # each slot's place among the live
+        place[x.slots] = np.arange(n)
+        rows = place[si[:, None] * d + sk]  # (i, l) for s = (i, k), t = (j, l)
+        return 0.5 * mat_max(bb[:n, :n] + bb[rows, rows.T])
 
     def zeroth_order():
         a = at(comm(x.al, x.ar, x.al, x.ar, (g,), (g,)), every, every)[1]
@@ -524,8 +533,7 @@ def diffop_commutator(jet: Jet) -> Commutator:
         return out
 
     def x0_parts():
-        """(x0_a, x0_b, x0_sq), zero with no term run when no member is live
-        for x0."""
+        """(x0_a, x0_b, x0_sq); zero, no term run, with no member live."""
         x0_sq = zeros()
         if not len(c):
             return zeros(), zeros(d), x0_sq

@@ -43,12 +43,24 @@ def _dot(x, y, nb: int):
                                    x.shape[-1]), len(mx), nb)
 
 
+def parts(jet):
+    """The six parts of a stacked jet, in field order."""
+    return jet.a, jet.b, jet.da, jet.db, jet.x0, jet.dx0
+
+
+def fold(comm, x0_value: float):
+    """A commutator's zeroth-order and derivative parts at the fixed value
+    x0_value of x0."""
+    return (comm.a + x0_value * comm.x0_a + x0_value ** 2 * comm.x0_sq,
+            comm.b + x0_value * comm.x0_b)
+
+
 def dense_commutator(jet):
     """The earlier commutator of every pair of members of a stacked jet, on
     (G, G) member axes, every product over all members and the second-order
     residual per (k, l) pair, kept as the reference."""
     d, nb = jet.b.shape[1], jet.a.ndim - 3
-    A, B, dA, dB, C, dC = jet.parts()
+    A, B, dA, dB, C, dC = parts(jet)
     dot = lambda x, y: _dot(x, y, nb)
     sw = lambda z: np.swapaxes(z, 0, 1)
 

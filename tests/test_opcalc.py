@@ -1,4 +1,5 @@
 import gc
+import math
 import subprocess
 import sys
 from collections import Counter
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import at_pairs, dense_commutator, nan_at, pair
+from helpers import at_pairs, dense_commutator, nan_at, pair, parts
 from spinorlab import dual, position
 from spinorlab.clifford import pauli
 from spinorlab.equations import abs_p3, catalog_unitary, energy
@@ -276,10 +277,6 @@ def per_axis_jet(op, p):
                dx0)
 
 
-def _jet_parts(jet):
-    return (jet.a, jet.b, jet.da, jet.db, jet.x0, jet.dx0)
-
-
 def _comm_parts(comm):
     return (comm.a, comm.b, comm.x0_a, comm.x0_b, comm.x0_sq)
 
@@ -317,7 +314,7 @@ def test_jets_and_commutators_are_bit_identical_to_the_references(seed):
     for name, ops, p in _operator_sets(seed):
         jet = stacked_jet(ops, p)
         for i, op in enumerate(ops):
-            for x, y in zip(_jet_parts(jet), _jet_parts(per_axis_jet(op, p))):
+            for x, y in zip(parts(jet), parts(per_axis_jet(op, p))):
                 assert x[i].shape == y.shape and np.array_equal(x[i], y), name
         # the pair parts are the reference's (G, G) parts at the pairs i < j
         got, want = diffop_commutator(jet), at_pairs(dense_commutator(jet))
@@ -359,8 +356,12 @@ def test_all_axes_seed_over_a_single_axis_partial(seed):
 
 
 def test_boost_jet_makes_one_all_axes_deriv_per_part(monkeypatch):
+    # one all-axes deriv per part that is not structurally zero, none on a
+    # zero part
     op = generator_set("psi").J[(0, 1)]
-    parts = [op.a, *op.b, op.x0]
+    live = [f for f in (op.a, *op.b, op.x0) if not f._is_zero()]
+    zero = [f for f in op.b if f._is_zero()]
+    assert len(live) == 3 and len(zero) == 2
     calls = []
     deriv = OperatorField.deriv
 
@@ -370,8 +371,127 @@ def test_boost_jet_makes_one_all_axes_deriv_per_part(monkeypatch):
 
     monkeypatch.setattr(OperatorField, "deriv", counted)
     stacked_jet([op], as_batch(sample_momenta(3, 8, 5)))
-    assert len(calls) == len(parts)
-    assert {id(f) for f in calls} == {id(f) for f in parts}
+    assert len(calls) == len(live)
+    assert {id(f) for f in calls} == {id(f) for f in live}
+    assert not {id(f) for f in calls} & {id(f) for f in zero}
+
+
+# -- work only on live parts: B slots, zero fields, momentum leaves ----------
+
+def _partly_dead_operators(poison=None):
+    """2x2 operators on fixed random matrices whose B parts are live at 6 of
+    the 12 slots (member, axis), so that each slot pairs with live and dead
+    partner slots; one member has no B part.  poison, a (member, axis, field)
+    triple, adds that field to that B slot."""
+    m = np.random.default_rng(1).normal(size=(8, 2, 2))
+    sq = lambda k, i: OperatorField(2, 3, [(lambda p: p[k] * p[k], m[i])])
+    zero = OperatorField.zero(2, 3)
+    a = OperatorField(2, 3, [(lambda p: p[0] * p[2], m[6])])
+    b = [[sq(0, 0), zero, sq(2, 1)], [zero, sq(1, 2), zero], [zero] * 3,
+         [sq(1, 3), sq(0, 4), zero]]
+    if poison is not None:
+        i, k, f = poison
+        b[i][k] = b[i][k] + f
+    return [DiffOp1(a, tuple(b[0])),
+            DiffOp1(a.adjoint(), tuple(b[1]), sq(2, 7)),
+            DiffOp1(a @ a, tuple(b[2])), DiffOp1(a, tuple(b[3]))]
+
+
+def _assert_matches_the_reference(jet):
+    got, want = diffop_commutator(jet), dense_commutator(jet)
+    for x, y in zip(_comm_parts(got), _comm_parts(at_pairs(want))):
+        assert x.shape == y.shape and np.array_equal(x, y)
+    assert got.second_order == want.second_order
+    return got.second_order
+
+
+@pytest.mark.parametrize("seed", [5, 7, 42])
+def test_partly_dead_b_slots_match_the_reference(seed):
+    ops = _partly_dead_operators()
+    for pts in (sample_momenta(3, 8, seed), sample_momenta(3, 1, seed)):
+        p = as_batch(pts) if len(pts) > 1 else pts[0]
+        # the B parts do not commute, so the residual is far from zero
+        assert _assert_matches_the_reference(stacked_jet(ops, p)) > 1.0
+
+
+def test_single_live_slot_matches_the_reference():
+    m = np.random.default_rng(2).normal(size=(2, 2, 2))
+    f = OperatorField(2, 3, [(lambda p: p[1] * p[2], m[0])])
+    zero = OperatorField.zero(2, 3)
+    ops = [DiffOp1(OperatorField.constant(m[1], 3), (zero, f, zero)),
+           DiffOp1.from_field(OperatorField.momentum(0, 2, 3))]
+    for p in (as_batch(sample_momenta(3, 8, 5)), sample_momenta(3, 1, 5)[0]):
+        assert _assert_matches_the_reference(stacked_jet(ops, p)) == 0.0
+
+
+def test_slot_live_by_its_derivative_alone():
+    # B0 vanishes at the point but its derivative does not: its slot and
+    # member stay live, so the B dB term of the pair still reads dB0
+    pt = sample_momenta(3, 1, 5)[0]
+    m = np.random.default_rng(3).normal(size=(3, 2, 2))
+    zero = OperatorField.zero(2, 3)
+    vanishing = OperatorField(2, 3, [(lambda p: p[0] - pt[0], m[0])])
+    sq = OperatorField(2, 3, [(lambda p: p[1] * p[1], m[1])])
+    a = OperatorField.constant(m[2], 3)
+    jet = stacked_jet([DiffOp1(a, (vanishing, zero, zero)),
+                       DiffOp1(a, (sq, zero, zero))], pt)
+    assert not jet.b[0].any() and jet.db[0, 0].any()
+    _assert_matches_the_reference(jet)
+    assert diffop_commutator(jet).b.any()
+
+
+def test_second_order_fails_closed_on_nan_in_one_slot():
+    # a NaN at one sample, in a live slot and in a dead one with live partners
+    pts = sample_momenta(3, 8, 5)
+    poison = OperatorField(2, 3, [(nan_at(pts[3]), np.eye(2))])
+    for i, k in ((0, 0), (1, 0)):
+        ops = _partly_dead_operators((i, k, poison))
+        got = diffop_commutator(stacked_jet(ops, as_batch(pts)))
+        assert math.isnan(got.second_order), (i, k)
+    assert not math.isnan(diffop_commutator(stacked_jet(
+        _partly_dead_operators(), as_batch(pts))).second_order)
+
+
+def test_stacks_never_evaluate_a_zero_field(monkeypatch):
+    ops = [op for _, op in generator_set("psi").members()]
+    zero = {id(f) for op in ops for f in op.b if f._is_zero()}
+    assert len(zero) == 21
+    calls = []
+
+    def counted(name):
+        method = getattr(OperatorField, name)
+        return lambda self, p: (calls.append((name, id(self))),
+                                method(self, p))[1]
+
+    for name in ("_eval", "__call__", "deriv"):
+        monkeypatch.setattr(OperatorField, name, counted(name))
+    p = as_batch(sample_momenta(3, 4, 5))
+    stacked_values(ops, p)
+    stacked_jet(ops, p)
+    assert {n for n, _ in calls} == {"_eval", "__call__", "deriv"}
+    assert not {f for _, f in calls} & zero
+
+
+def test_momentum_is_one_leaf():
+    leaf = OperatorField.momentum
+    assert leaf(0, 4, 3) is leaf(0, 4, 3)
+    assert leaf(0, 4, 3) is not leaf(1, 4, 3)
+    assert leaf(0, 4, 3) is not leaf(0, 2, 3)
+
+
+def test_generator_jet_evaluates_each_momentum_leaf_once_per_argument(
+        monkeypatch):
+    calls = []                          # pin every argument the leaves saw
+    for k in range(3):
+        leaf = OperatorField.momentum(k, 4, 3)
+        (fn, mat), = leaf.terms
+        monkeypatch.setattr(leaf, "terms", ((lambda q, fn=fn, k=k: (
+            calls.append((k, q)), fn(q))[1], mat),))
+    stacked_jet([op for _, op in generator_set("psi").members()],
+                as_batch(sample_momenta(3, 8, 5)))
+    per_argument = Counter((k, id(q)) for k, q in calls)
+    # each leaf on the plain and on the all-axes seeded argument, once each
+    assert len(per_argument) == 6 and max(per_argument.values()) == 1
 
 
 # -- one stacked jet per set: shared evaluation and block products ------------
@@ -384,7 +504,7 @@ def test_stacked_jet_equals_the_member_by_member_jets(seed):
         stack = stacked_jet(ops, p)
         assert len(stack.a) == len(ops)
         for i, op in enumerate(ops):
-            for x, y in zip(stack.parts(), stacked_jet([op], p).parts()):
+            for x, y in zip(parts(stack), parts(stacked_jet([op], p))):
                 assert x[i].shape == y[0].shape and np.array_equal(x[i], y[0]), name
 
 

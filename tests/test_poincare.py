@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import dense_commutator, nan_at
+from helpers import dense_commutator, fold, nan_at
 from spinorlab import opcalc
 from spinorlab.clifford import pauli
 from spinorlab.equations import catalog_equation, catalog_unitary
@@ -46,7 +46,7 @@ def test_rotation_commutator_closes_on_j13():
              for c, (_, op) in enumerate(gs.members()) if f_jj[i, j, c]]
     aw = sum(w * a[0] for w, (a, _, _) in terms)
     bw = [sum(w * b[0, k] for w, (_, b, _) in terms) for k in range(3)]
-    a, b = comm.fold(0.0)
+    a, b = fold(comm, 0.0)
     ac, bc = a[0], b[:, 0]                  # the one pair of the stack
     assert mat_max(ac - aw) <= 1e-9
     for x, y in zip(bc, bw):
@@ -264,7 +264,7 @@ def all_pairs_residual(closure, x0_values, sign_jj, sign_jp) -> float:
         values = np.concatenate([(a + x0v * c)[:, None], b], axis=1)
         rhs = (f @ values.reshape(size, -1)).reshape(
             (size, size) + values.shape[1:])
-        lhs_a, lhs_b = comm.fold(x0v)
+        lhs_a, lhs_b = fold(comm, x0v)
         out += [mat_max(lhs_a - rhs[:, :, 0]),
                 mat_max(lhs_b - np.moveaxis(rhs[:, :, 1:], 2, 0))]
     return worst(out)
@@ -326,8 +326,9 @@ def test_covariance_probes_unitarity_once(monkeypatch):
 
 
 def test_closure_peak_memory():
-    # 2.44 MB with the commutator on the member pairs i < j (3.48 MB with
-    # every (G, G) pair), plus 10% headroom
+    # 2.11 MB with the second-order term on the live B slots and no zero
+    # field evaluated (2.44 MB on every slot of the live members, 3.48 MB
+    # with every (G, G) pair), plus 10% headroom
     gs, pts = generator_set("psi"), sample_momenta(3, 8, 5)
     algebra_residual(gs, pts)             # lazy set-up outside the window
     tracemalloc.start()
@@ -336,7 +337,7 @@ def test_closure_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.7e6
+    assert peak <= 2.35e6
 
 
 def _peak_bytes(run):
