@@ -86,13 +86,7 @@ def gamma_set(name: str) -> GammaSet:
         raise ValueError(f"unknown gamma representation {name!r}") from None
 
 
-@dataclass(frozen=True)
-class SpinMatrix:
-    indices: tuple
-    value: np.ndarray
-
-
-def spin_matrix(g: GammaSet, a: int, b: int) -> SpinMatrix:
+def spin_matrix(g: GammaSet, a: int, b: int) -> np.ndarray:
     """Spin matrix S_AB for indices in {0..5}.
 
     S_{mu nu} = (i/4)(g_mu g_nu - g_nu g_mu) for mu, nu <= 4 and
@@ -104,13 +98,11 @@ def spin_matrix(g: GammaSet, a: int, b: int) -> SpinMatrix:
     if not (0 <= a <= 5 and 0 <= b <= 5):
         raise ValueError("spin matrix indices must be in 0..5")
     if a > b:
-        return SpinMatrix((a, b), -spin_matrix(g, b, a).value)
+        return -spin_matrix(g, b, a)
     if b == 5:
-        value = 0.5j * g.gamma(a)
-    else:
-        ga, gb = g.gamma(a), g.gamma(b)
-        value = 0.25j * (ga @ gb - gb @ ga)
-    return SpinMatrix((a, b), value)
+        return 0.5j * g.gamma(a)
+    ga, gb = g.gamma(a), g.gamma(b)
+    return 0.25j * (ga @ gb - gb @ ga)
 
 
 def verify_clifford(g: GammaSet) -> float:

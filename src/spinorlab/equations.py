@@ -126,19 +126,24 @@ _MASSIVE_CLAIMS = (
 )
 
 
-def _dirac_terms():
-    """gamma0 gamma_k p_k, k = 1..3: the massless four-component terms."""
-    return [(lambda p, _k=k: p[_k], G0 @ _REP.gamma(k + 1)) for k in range(3)]
+def _linear(*mats) -> list:
+    """The terms of sum_k p_k M_k, k = 1, 2, ... in the order of mats."""
+    return [(lambda p, _k=k: p[_k], mat) for k, mat in enumerate(mats)]
+
+
+_DIRAC = (G0 @ G1, G0 @ G2, G0 @ G3)   # gamma0 gamma_k: the massless 4c terms
 
 
 def _two_component_reduction(sign: float, mass_fn, corrupt_reduction=False):
     """-s2*p1 + s1*p2 + sign*s3*m(p); the negative control uses s2*p2."""
     second = S2 if corrupt_reduction else S1
-    return [
-        (lambda p: p[0], -S2),
-        (lambda p: p[1], second),
-        (lambda p, _f=mass_fn, _s=sign: _s * _f(p), S3),
-    ]
+    return _linear(-S2, second) + [
+        (lambda p, _f=mass_fn, _s=sign: _s * _f(p), S3)]
+
+
+def _dispersion(mass_sq: float):
+    """p.p + mass_sq, on the values: the H^2 = fn(p)*1 contract."""
+    return lambda p: sum(dual.value(c) ** 2 for c in p) + mass_sq
 
 
 def catalog_equation(name: str, m: float = 1.0, kappa: float = 1.0,
@@ -154,91 +159,78 @@ def _catalog_equation(name: str, m: float, kappa: float,
                       corrupt_reduction: bool) -> EquationSpec:
     if m < 0:
         raise ValueError("mass must be non-negative")
-    disp_massless = lambda p: dual.value(p[0]) ** 2 + dual.value(p[1]) ** 2 + dual.value(p[2]) ** 2
+    s = -1.0 if name.endswith("_minus") else 1.0
 
     if name == "dirac_massless":
-        return EquationSpec(name, 4, 3, OperatorField(4, 3, _dirac_terms()),
+        return EquationSpec(name, 4, 3, OperatorField(4, 3, _linear(*_DIRAC)),
                             claims=_ALL_INVARIANT_CLAIMS,
-                            dispersion=disp_massless)
+                            dispersion=_dispersion(0.0))
 
     if name in ("weyl_plus", "weyl_minus"):
-        s = 1.0 if name.endswith("plus") else -1.0
-        terms = [(lambda p, _k=k: p[_k], s * pauli(k + 1)) for k in range(3)]
+        terms = _linear(s * S1, s * S2, s * S3)
         return EquationSpec(name, 2, 3, OperatorField(2, 3, terms),
-                            claims=_WEYL_CLAIMS, dispersion=disp_massless)
+                            claims=_WEYL_CLAIMS, dispersion=_dispersion(0.0))
 
     if name == "chi_4c":
-        terms = [(lambda p: p[0], G0 @ G1), (lambda p: p[1], G0 @ G2),
-                 (abs_p3, G0)]
+        terms = _linear(*_DIRAC[:2]) + [(abs_p3, G0)]
         return EquationSpec(name, 4, 3, OperatorField(4, 3, terms),
                             claims=_ALL_INVARIANT_CLAIMS,
-                            dispersion=disp_massless)
+                            dispersion=_dispersion(0.0))
 
     if name in ("chi_plus", "chi_minus"):
-        s = 1.0 if name.endswith("plus") else -1.0
         terms = _two_component_reduction(s, abs_p3, corrupt_reduction)
         return EquationSpec(name, 2, 3, OperatorField(2, 3, terms),
                             claims=_CHI_CLAIMS,
-                            dispersion=None if corrupt_reduction else disp_massless)
+                            dispersion=None if corrupt_reduction
+                            else _dispersion(0.0))
 
     if name == "phi_diag":
-        return EquationSpec(name, 4, 3,
-                            OperatorField(4, 3, [(energy, G0)]),
-                            dispersion=disp_massless)
+        return EquationSpec(name, 4, 3, OperatorField(4, 3, [(energy, G0)]),
+                            dispersion=_dispersion(0.0))
 
     if name == "weyl_canonical":
         return EquationSpec(
             name, 2, 3,
             OperatorField(2, 3, [(lambda p: e3(p) * energy(p), S3)]),
-            dispersion=disp_massless)
+            dispersion=_dispersion(0.0))
 
     if name in ("flat_plus", "flat_minus"):
-        s = 1.0 if name.endswith("plus") else -1.0
         terms = _two_component_reduction(s, lambda p: m)
         return EquationSpec(
             name, 2, 2, OperatorField(2, 2, terms), params={"m": m},
-            claims=_FLAT_CLAIMS,
-            dispersion=lambda p: dual.value(p[0]) ** 2 + dual.value(p[1]) ** 2 + m * m)
+            claims=_FLAT_CLAIMS, dispersion=_dispersion(m * m))
 
     if name == "desitter":
         g4p = 1j * G4         # fifth anticommuting element with square -1
-        mats = (G0 @ G1, G0 @ G2, G0 @ G3, G0 @ g4p)
-        terms = [(lambda p, _k=k: p[_k], mats[k]) for k in range(4)]
-        terms.append((lambda p: kappa, G0))
+        terms = _linear(*_DIRAC, G0 @ g4p) + [(lambda p: kappa, G0)]
         return EquationSpec(
             name, 4, 4, OperatorField(4, 4, terms), params={"kappa": kappa},
-            claims=_DESITTER_CLAIMS,
-            dispersion=lambda p: sum(dual.value(c) ** 2 for c in p) + kappa ** 2)
+            claims=_DESITTER_CLAIMS, dispersion=_dispersion(kappa ** 2))
 
     if name == "dirac_massive":
-        terms = _dirac_terms() + [(lambda p: m, G0)]
+        terms = _linear(*_DIRAC) + [(lambda p: m, G0)]
         return EquationSpec(
             name, 4, 3, OperatorField(4, 3, terms), params={"m": m},
-            claims=_MASSIVE_CLAIMS,
-            dispersion=lambda p: disp_massless(p) + m * m)
+            claims=_MASSIVE_CLAIMS, dispersion=_dispersion(m * m))
 
     if name == "hprime":
-        terms = [(lambda p: p[0], G0 @ G1), (lambda p: p[1], G0 @ G2),
-                 (q3_of(m), G0)]
+        terms = _linear(*_DIRAC[:2]) + [(q3_of(m), G0)]
         return EquationSpec(
             name, 4, 3, OperatorField(4, 3, terms), params={"m": m},
-            dispersion=lambda p: disp_massless(p) + m * m)
+            dispersion=_dispersion(m * m))
 
     if name in ("spinless_plus", "spinless_minus"):
-        s = 1.0 if name.endswith("plus") else -1.0
         terms = _two_component_reduction(s, q3_of(m))
         return EquationSpec(
             name, 2, 3, OperatorField(2, 3, terms), params={"m": m},
-            dispersion=lambda p: disp_massless(p) + m * m)
+            dispersion=_dispersion(m * m))
 
     if name in ("kappa_plus", "kappa_minus"):
-        s = 1.0 if name.endswith("plus") else -1.0
-        terms = _dirac_terms() + [(lambda p: -kappa, G0)]
+        terms = _linear(*_DIRAC) + [(lambda p: -kappa, G0)]
         terms.append((lambda p, _s=s: -_s * kappa * e3(p), G0 @ G4))
         return EquationSpec(name, 4, 3, OperatorField(4, 3, terms),
                             params={"kappa": kappa}, claims=_KAPPA_CLAIMS,
-                            hermitian=False,
-                            dispersion=disp_massless)
+                            hermitian=False, dispersion=_dispersion(0.0))
 
     raise ValueError(f"unknown equation {name!r}")
 
@@ -267,19 +259,24 @@ class UnitarySpec:
     target: Union[str, OperatorField, None] = None
 
 
-def _half_angle_norm(a, b):
-    """sqrt(2a(a+b)) = |(a + b, v)| for |v|^2 = a^2 - b^2: the U2-like norm."""
-    return dual.sqrt(2.0 * a * (a + b))
+def _half_angle(dim: int, a, b, axes) -> OperatorField:
+    """((a + b)*1 + sum_c q_c M_c) / sqrt(2a(a + b)), axes = [(q_c, M_c)]:
+    the half-angle map of U2, V1, tU2 and V2.  The norm is |(a + b, q)| when
+    sum_c q_c^2 = a^2 - b^2, which makes the map unitary."""
+    norm = per_argument(lambda p: dual.sqrt(2.0 * a(p) * (a(p) + b(p))))
+    terms = [(lambda p: (a(p) + b(p)) / norm(p), np.eye(dim))]
+    terms += [(lambda p, _q=q: _q(p) / norm(p), mat) for q, mat in axes]
+    return OperatorField(dim, 3, terms)
 
 
-@per_argument
-def _u2_like_norm(p):
-    return _half_angle_norm(energy(p), abs_p3(p))
-
-
-def _theta_half_over_pp(p):
-    """theta/(2|p_perp|), theta = atan(|p_perp|/|p3|): the U2 and V1 exponent."""
-    return 0.5 * dual.atan(p_perp(p) / abs_p3(p)) / p_perp(p)
+def _transverse_exponent(dim: int, axes) -> OperatorField:
+    """theta/(2|p_perp|) * sum_k p_k M_k, theta = atan(|p_perp|/|p3|): the
+    U2 and V1 exponent."""
+    def half_theta_over_pp(p):
+        return 0.5 * dual.atan(p_perp(p) / abs_p3(p)) / p_perp(p)
+    return OperatorField(dim, 3, [
+        (lambda p, _q=q: half_theta_over_pp(p) * _q(p), mat)
+        for q, mat in axes])
 
 
 def catalog_unitary(name: str, m: float = 1.0) -> UnitarySpec:
@@ -300,16 +297,9 @@ def _catalog_unitary(name: str, m: float) -> UnitarySpec:
                            source="dirac_massless", target="chi_4c")
 
     if name == "U2":
-        closed = OperatorField(4, 3, [
-            (lambda p: (energy(p) + abs_p3(p)) / _u2_like_norm(p), I4),
-            (lambda p: p[0] / _u2_like_norm(p), G1),
-            (lambda p: p[1] / _u2_like_norm(p), G2),
-        ])
-        expo = OperatorField(4, 3, [
-            (lambda p: _theta_half_over_pp(p) * p[0], G1),
-            (lambda p: _theta_half_over_pp(p) * p[1], G2),
-        ])
-        return UnitarySpec("U2", 4, 3, closed, expo,
+        axes = _linear(G1, G2)
+        return UnitarySpec("U2", 4, 3, _half_angle(4, energy, abs_p3, axes),
+                           _transverse_exponent(4, axes),
                            source="chi_4c", target="phi_diag")
 
     if name == "tU1":
@@ -320,27 +310,14 @@ def _catalog_unitary(name: str, m: float) -> UnitarySpec:
         return UnitarySpec("tU1", 4, 3, closed, source="dirac_massless")
 
     if name == "tU2":
-        def norm(p):
-            return _half_angle_norm(energy(p), p[2])
-        closed = OperatorField(4, 3, [
-            (lambda p: (energy(p) + p[2]) / norm(p), I4),
-            (lambda p: p[0] / norm(p), G1),
-            (lambda p: p[1] / norm(p), G2),
-        ])
+        closed = _half_angle(4, energy, lambda p: p[2], _linear(G1, G2))
         return UnitarySpec("tU2", 4, 3, closed, target="phi_diag")
 
     if name == "V1":
-        closed = OperatorField(2, 3, [
-            (lambda p: (energy(p) + abs_p3(p)) / _u2_like_norm(p), I2),
-            (lambda p: p[0] / _u2_like_norm(p), 1j * S1),
-            (lambda p: p[1] / _u2_like_norm(p), 1j * S2),
-        ])
-        expo = OperatorField(2, 3, [
-            (lambda p: _theta_half_over_pp(p) * p[0], 1j * S1),
-            (lambda p: _theta_half_over_pp(p) * p[1], 1j * S2),
-        ])
+        axes = _linear(1j * S1, 1j * S2)
         target = OperatorField(2, 3, [(energy, S3)])     # diagonal s3*E
-        return UnitarySpec("V1", 2, 3, closed, expo,
+        return UnitarySpec("V1", 2, 3, _half_angle(2, energy, abs_p3, axes),
+                           _transverse_exponent(2, axes),
                            source="chi_plus", target=target)
 
     if name == "V":
@@ -359,13 +336,7 @@ def _catalog_unitary(name: str, m: float) -> UnitarySpec:
                            source="weyl_plus", target="weyl_canonical")
 
     if name == "V2":
-        q3 = q3_of(m)
-        def norm(p):
-            return _half_angle_norm(q3(p), m)
-        closed = OperatorField(4, 3, [
-            (lambda p: (q3(p) + m) / norm(p), I4),
-            (lambda p: p[2] / norm(p), G3),
-        ])
+        closed = _half_angle(4, q3_of(m), lambda p: m, [(lambda p: p[2], G3)])
         return UnitarySpec("V2", 4, 3, closed,
                            source="dirac_massive", target="hprime")
 
@@ -498,7 +469,7 @@ def dispersion_residual(eq: EquationSpec, samples) -> float:
 
 def lambda_consistency_residual(samples) -> float:
     """lambda*S_0l*p_l with lambda = -2i reproduces the massless operator."""
-    s0l = [spin_matrix(_REP, 0, l).value for l in (1, 2, 3)]
+    s0l = [spin_matrix(_REP, 0, l) for l in (1, 2, 3)]
     h = catalog_equation("dirac_massless").hamiltonian
     p = as_batch(samples)
     return mat_max(sum((-2j) * s0l[l] * p[l][..., None, None]

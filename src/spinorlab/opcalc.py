@@ -268,10 +268,6 @@ class DiffOp1:
     x0: Optional[OperatorField] = None
 
     @property
-    def dim(self) -> int:
-        return self.a.dim
-
-    @property
     def d(self) -> int:
         return self.a.d
 

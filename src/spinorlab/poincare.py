@@ -46,7 +46,7 @@ from .opcalc import (DiffOp1, OperatorField, as_batch, check_unitary,
 _REP = gamma_set("rep26")
 G0 = _REP.gamma(0)
 
-X0_VALUES = (0.0, 1.37)
+X0_VALUES = (0.0, 1.37)        # the fixed values of the formal scalar x0
 
 
 class ContentNotInvariant(Exception):
@@ -127,11 +127,11 @@ def generator_set(name: str, m: float = 1.0) -> GeneratorSet:
 def _generator_set(name: str, m: float) -> GeneratorSet:
     if name == "psi":
         h = catalog_equation("dirac_massless").hamiltonian
-        return _assemble(name, h, {(k, l): spin_matrix(_REP, k, l).value
+        return _assemble(name, h, {(k, l): spin_matrix(_REP, k, l)
                                    for k in range(1, 4)
                                    for l in range(k + 1, 4)})
 
-    s12 = spin_matrix(_REP, 1, 2).value
+    s12 = spin_matrix(_REP, 1, 2)
     if name == "chi":
         # - e3 * S_a3 * gamma3 = + (i/2) e3 gamma_a
         spin = {(a, 3): OperatorField(4, 3, [(lambda p: 0.5j * e3(p),
@@ -235,8 +235,8 @@ def _closure(gs: GeneratorSet, p):
     return diffop_commutator(jet), jet.a, jet.x0, jet.b
 
 
-def _tensor_residual(closure, x0_values, sign_jj, sign_jp) -> float:
-    """max |[G_i, G_j] - i f_ij^c G_c| over the pairs i < j, parts, x0 values
+def _tensor_residual(closure, sign_jj, sign_jp) -> float:
+    """max |[G_i, G_j] - i f_ij^c G_c| over the pairs i < j, parts, X0_VALUES
     and the batch: the max over every pair, as both sides are exactly
     antisymmetric in (i, j).  The commutator parts are read in their pair
     layout and folded there; the right-hand sides are GEMMs of the pair rows
@@ -249,7 +249,7 @@ def _tensor_residual(closure, x0_values, sign_jj, sign_jp) -> float:
     rhs = lambda x: (f @ x.reshape(size, -1)).reshape((len(f),) + x.shape[1:])
     rhs_b = np.moveaxis(rhs(b), 1, 0)
     out = []
-    for x0v in x0_values:
+    for x0v in X0_VALUES:
         out += [mat_max(comm.a + x0v * comm.x0_a + x0v ** 2 * comm.x0_sq
                         - rhs(a + x0v * c)),
                 mat_max(comm.b + x0v * comm.x0_b - rhs_b)]
@@ -261,7 +261,7 @@ def structure_signs(d: int):
     """Calibrate the [J,J] and [J,P] sign conventions on the orbital scalar set."""
     closure = _closure(_scalar_orbital_set(d),
                        as_batch(sample_momenta(d, 3, seed=1234)))
-    best = min(((_tensor_residual(closure, X0_VALUES, sjj, sjp), sjj, sjp)
+    best = min(((_tensor_residual(closure, sjj, sjp), sjj, sjp)
                 for sjj in (1.0, -1.0) for sjp in (1.0, -1.0)),
                key=lambda r: r[0])
     if not (best[0] <= 1e-10):
@@ -270,18 +270,16 @@ def structure_signs(d: int):
     return best[1], best[2]
 
 
-def algebra_residual(gs: GeneratorSet, samples,
-                     x0_values=X0_VALUES):
+def algebra_residual(gs: GeneratorSet, samples):
     """(closure residual, second-order residual) under the calibrated relations."""
     closure = _closure(gs, as_batch(samples))
-    return (_tensor_residual(closure, x0_values, *structure_signs(gs.d)),
+    return (_tensor_residual(closure, *structure_signs(gs.d)),
             closure[0].second_order)
 
 
 def set_covariance_residual(gs_src: GeneratorSet, gs_tgt: GeneratorSet,
-                            u: OperatorField, samples,
-                            x0_values=X0_VALUES) -> float:
-    """max | u G_src u^-1 - G_tgt | over members, samples, x0 values; u is
+                            u: OperatorField, samples) -> float:
+    """max | u G_src u^-1 - G_tgt | over members, samples, X0_VALUES; u is
     checked for unitarity once, and each set's values are one stacked
     evaluation."""
     p, ud = as_batch(samples), u.adjoint()
@@ -291,7 +289,7 @@ def set_covariance_residual(gs_src: GeneratorSet, gs_tgt: GeneratorSet,
         stacked_values(ops, p) for ops in (conj, [op for _, op in
                                                   gs_tgt.members()]))
     out = [mat_max(b1 - b2)]
-    out += [mat_max(a1 + x0v * c1 - (a2 + x0v * c2)) for x0v in x0_values]
+    out += [mat_max(a1 + x0v * c1 - (a2 + x0v * c2)) for x0v in X0_VALUES]
     return worst(out)
 
 

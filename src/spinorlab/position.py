@@ -82,8 +82,8 @@ def _inv_e_eplus(p):
 
 def _rows() -> dict:
     """name -> (w, {a: m_a}, s_1) of the closed form in the module docstring."""
-    s5 = {a: spin_matrix(_REP, 5, a).value for a in (1, 2)}
-    s12 = spin_matrix(_REP, 1, 2).value
+    s5 = {a: spin_matrix(_REP, 5, a) for a in (1, 2)}
+    s12 = spin_matrix(_REP, 1, 2)
     s = {k: pauli(k) for k in (1, 2, 3)}
     return {"Xchi": (lambda p: -1.0, s5, s12),
             "Xpsi": (e3, {a: G3 @ s5[a] for a in (1, 2)}, s12),

@@ -41,6 +41,8 @@ from .opcalc import as_batch, sample_momenta
 
 HOLDOUT_TOL = 1e-7            # relative residual for confirmed invariance
 CERTIFICATE_TOL = 1e-4        # sigma_min/sigma_max floor for non-invariance
+N_POLISH = 8                  # best oracle candidates that are polished
+POLISH_STEPS = 1500           # power-iteration steps of that polish
 
 
 class IndeterminateVerdict(Exception):
@@ -89,18 +91,11 @@ class SymmetryElement:
                     raise ValueError(f"bad symmetry token {tok!r}")
         return SymmetryElement(d, frozenset(flips), time_flip, conjugate)
 
-    def compose(self, other: "SymmetryElement") -> "SymmetryElement":
-        """self after other (operator product; matrix parts are solved, not composed)."""
-        if self.d != other.d:
-            raise ValueError("dimension mismatch")
-        return SymmetryElement(self.d, self.flips ^ other.flips,
-                               self.time_flip ^ other.time_flip,
-                               self.conjugate ^ other.conjugate)
-
     @property
     def code(self) -> int:
-        """Flip mask | time bit << d | conjugation bit << (d + 1): the code of
-        ``a.compose(b)`` is ``a.code ^ b.code``."""
+        """Flip mask | time bit << d | conjugation bit << (d + 1): the group
+        law is XOR, so the code of a product of labels (:meth:`parse`) is
+        the XOR of their codes."""
         return (sum(1 << (k - 1) for k in self.flips)
                 | self.time_flip << self.d | self.conjugate << (self.d + 1))
 
@@ -303,15 +298,14 @@ def classify_equation(eq, seed: int = 42, n_fit: int = 12,
 
 def random_search_oracle(eq, g: SymmetryElement, points,
                          n_candidates: int = 100_000, seed: int = 42,
-                         pool: Optional[np.ndarray] = None,
-                         polish_iters: int = 1500, n_polish: int = 8):
+                         pool: Optional[np.ndarray] = None):
     """Independent invariance probe: random candidates plus power-iteration polish.
 
     Draws ``n_candidates`` random matrices (or takes the rows v of ``pool``)
     and scores each by its relative condition residual
     sqrt(v^H G v / (|v|^2 |H|^2)), G the Gram matrix of the stacked map, in
-    one real matrix product over the pool.  The ``n_polish`` best are driven
-    towards the minimum of that quadratic residual by ``polish_iters`` steps
+    one real matrix product over the pool.  The ``N_POLISH`` best are driven
+    towards the minimum of that quadratic residual by ``POLISH_STEPS`` steps
     of normalised power iteration with I - G/|G|_2, taken as one matrix
     power by repeated squaring; |G|_2 comes from squarings of G as well.
     No SVD or eigensolver is involved, so the verdict is an independent
@@ -343,11 +337,11 @@ def random_search_oracle(eq, g: SymmetryElement, points,
     quad = np.einsum("ni,ni->n", u @ r, u) / np.einsum("ni,ni->n", u, u)
     rel = np.sqrt(np.maximum(quad, 0.0) / scale2)
 
-    top = pool[np.argpartition(rel, min(n_polish, len(rel)) - 1)[:n_polish]]
-    w = (top / np.linalg.norm(top, axis=1, keepdims=True)).T  # (n2, n_polish)
+    top = pool[np.argpartition(rel, min(N_POLISH, len(rel)) - 1)[:N_POLISH]]
+    w = (top / np.linalg.norm(top, axis=1, keepdims=True)).T  # (n2, N_POLISH)
     shifted = np.eye(n2) - gram / _spectral_norm(gram)
     if shifted.any():                # else every start vector is a fixed point
-        w = _normalised_power(shifted, polish_iters, w)
+        w = _normalised_power(shifted, POLISH_STEPS, w)
     quad_w = np.real(np.einsum("in,in->n", w.conj(), gram @ w))
     rel_w = np.sqrt(np.maximum(quad_w, 0.0) / scale2)
 

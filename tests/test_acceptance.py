@@ -127,8 +127,7 @@ def test_criterion_05_projectors():
 def test_criterion_06_algebra_closure():
     worst = second = 0.0
     for name in ("psi", "chi", "phi", "phi_pos", "phi_neg", "chi2"):
-        r, s = poincare.algebra_residual(poincare.generator_set(name),
-                                         S3_X8, (0.0, 1.37))
+        r, s = poincare.algebra_residual(poincare.generator_set(name), S3_X8)
         worst, second = max(worst, r), max(second, s)
     cov = poincare.set_covariance_residual(
         poincare.generator_set("chi"), poincare.generator_set("phi"),

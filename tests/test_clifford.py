@@ -66,21 +66,21 @@ def test_unknown_representation():
 def test_spin_matrix_index5():
     g = gamma_set("rep26")
     # S_53 = -(i/2) gamma3, S_45 = (i/2) gamma4
-    assert mat_max(spin_matrix(g, 5, 3).value + 0.5j * g.gamma(3)) == 0.0
-    assert mat_max(spin_matrix(g, 4, 5).value - 0.5j * g.gamma(4)) == 0.0
+    assert mat_max(spin_matrix(g, 5, 3) + 0.5j * g.gamma(3)) == 0.0
+    assert mat_max(spin_matrix(g, 4, 5) - 0.5j * g.gamma(4)) == 0.0
 
 
 def test_spin_matrix_antisymmetry():
     g = gamma_set("rep26")
     for (a, b) in ((0, 1), (1, 3), (2, 4), (1, 5)):
-        assert mat_max(spin_matrix(g, a, b).value
-                       + spin_matrix(g, b, a).value) == 0.0
+        assert mat_max(spin_matrix(g, a, b)
+                       + spin_matrix(g, b, a)) == 0.0
 
 
 def test_spin12_two_component_reduction():
     # upper Q+ block of S_12 is sigma3/2: (i/4)(s2 s1 - s1 s2) by hand
     g = gamma_set("rep26")
-    s12 = spin_matrix(g, 1, 2).value
+    s12 = spin_matrix(g, 1, 2)
     byhand = 0.25j * (pauli(2) @ pauli(1) - pauli(1) @ pauli(2))
     assert mat_max(s12[:2, :2] - byhand) == 0.0
     assert mat_max(byhand - 0.5 * pauli(3)) == 0.0

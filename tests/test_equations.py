@@ -5,18 +5,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import nan_at
+from spinorlab import dual
 from spinorlab.clifford import gamma_set, pauli
-from spinorlab.equations import (EQUATION_NAMES, UNITARY_NAMES,
+from spinorlab.equations import (EQUATION_NAMES, UNITARY_NAMES, abs_p3,
                                  block_reduction_residual, catalog_equation,
                                  catalog_unitary, composed_tu,
-                                 dispersion_residual, exp_closed_residual,
-                                 hermiticity_residual,
-                                 lambda_consistency_residual,
+                                 dispersion_residual, energy,
+                                 exp_closed_residual, hermiticity_residual,
+                                 lambda_consistency_residual, p_perp, q3_of,
                                  tu2_alt_normalization_residual,
                                  unitarity_residual, verify_projectors,
                                  verify_transform)
 from spinorlab.linalg import mat_max
-from spinorlab.opcalc import OperatorField, sample_momenta
+from spinorlab.opcalc import OperatorField, as_batch, sample_momenta
 
 REP = gamma_set("rep26")
 S3_SAMPLES = sample_momenta(3, 12, 42)
@@ -211,3 +212,101 @@ def test_catalog_builds_are_made_once_per_arguments():
     u = catalog_unitary("V2")
     assert catalog_unitary("V2", 1.0) is u and catalog_unitary("V2", m=1) is u
     assert catalog_unitary("V2", m=2.0) is not u
+
+
+# -- the shared closed forms, pinned bit for bit -------------------------------
+# Each half-angle map, exponent and dispersion contract written out on its
+# own.  The catalog states them once; it must give the same bits for values
+# and exact derivatives, as the order of the operations fixes the rounding.
+
+PIN_SEEDS = (5, 7, 42)
+PIN_PARAMS = (1e-3, 1.0, 1e3)
+
+
+def _written_out_unitaries(m):
+    """(closed forms, exponents) of U2, V1, tU2 and V2, one by one."""
+    g1, g2, g3 = REP.gammas[1:4]
+    s1, s2 = pauli(1), pauli(2)
+    i2, i4 = np.eye(2), np.eye(4)
+    q3 = q3_of(m)
+
+    def u2_norm(p):
+        return dual.sqrt(2.0 * energy(p) * (energy(p) + abs_p3(p)))
+
+    def tu2_norm(p):
+        return dual.sqrt(2.0 * energy(p) * (energy(p) + p[2]))
+
+    def v2_norm(p):
+        return dual.sqrt(2.0 * q3(p) * (q3(p) + m))
+
+    def half_theta_over_pp(p):
+        return 0.5 * dual.atan(p_perp(p) / abs_p3(p)) / p_perp(p)
+
+    closed = {
+        "U2": OperatorField(4, 3, [
+            (lambda p: (energy(p) + abs_p3(p)) / u2_norm(p), i4),
+            (lambda p: p[0] / u2_norm(p), g1),
+            (lambda p: p[1] / u2_norm(p), g2)]),
+        "V1": OperatorField(2, 3, [
+            (lambda p: (energy(p) + abs_p3(p)) / u2_norm(p), i2),
+            (lambda p: p[0] / u2_norm(p), 1j * s1),
+            (lambda p: p[1] / u2_norm(p), 1j * s2)]),
+        "tU2": OperatorField(4, 3, [
+            (lambda p: (energy(p) + p[2]) / tu2_norm(p), i4),
+            (lambda p: p[0] / tu2_norm(p), g1),
+            (lambda p: p[1] / tu2_norm(p), g2)]),
+        "V2": OperatorField(4, 3, [
+            (lambda p: (q3(p) + m) / v2_norm(p), i4),
+            (lambda p: p[2] / v2_norm(p), g3)]),
+    }
+    exponents = {
+        "U2": OperatorField(4, 3, [
+            (lambda p: half_theta_over_pp(p) * p[0], g1),
+            (lambda p: half_theta_over_pp(p) * p[1], g2)]),
+        "V1": OperatorField(2, 3, [
+            (lambda p: half_theta_over_pp(p) * p[0], 1j * s1),
+            (lambda p: half_theta_over_pp(p) * p[1], 1j * s2)]),
+    }
+    return closed, exponents
+
+
+def _written_out_dispersion(name, m, kappa):
+    def massless(p):
+        return (dual.value(p[0]) ** 2 + dual.value(p[1]) ** 2
+                + dual.value(p[2]) ** 2)
+    if name in ("flat_plus", "flat_minus"):
+        return lambda p: dual.value(p[0]) ** 2 + dual.value(p[1]) ** 2 + m * m
+    if name == "desitter":
+        return lambda p: sum(dual.value(c) ** 2 for c in p) + kappa ** 2
+    if name in ("dirac_massive", "hprime", "spinless_plus", "spinless_minus"):
+        return lambda p: massless(p) + m * m
+    return massless
+
+
+@pytest.mark.parametrize("seed", PIN_SEEDS)
+def test_half_angle_maps_equal_their_written_out_forms_bit_for_bit(seed):
+    pts = sample_momenta(3, 12, seed)
+    p = as_batch(pts + [(a, b, -c) for a, b, c in pts])     # both p3 signs
+    for m in PIN_PARAMS:
+        closed, exponents = _written_out_unitaries(m)
+        for name, want in closed.items():
+            u = catalog_unitary(name, m=m)
+            pairs = [(u.closed, want)]
+            if name in exponents:
+                pairs.append((u.exponent, exponents[name]))
+            for got, ref in pairs:
+                assert np.array_equal(got(p), ref(p)), (name, m)
+                assert np.array_equal(got.deriv(p), ref.deriv(p)), (name, m)
+
+
+@pytest.mark.parametrize("seed", PIN_SEEDS)
+def test_dispersion_rule_equals_the_written_out_forms_bit_for_bit(seed):
+    for m in PIN_PARAMS:
+        for kappa in PIN_PARAMS:
+            for name in EQUATION_NAMES:
+                eq = catalog_equation(name, m=m, kappa=kappa)
+                p = as_batch(sample_momenta(eq.d, 12, seed))
+                want = _written_out_dispersion(name, m, kappa)(p)
+                assert np.array_equal(eq.dispersion(p), want), (name, m, kappa)
+    assert catalog_equation("chi_plus", corrupt_reduction=True) \
+        .dispersion is None

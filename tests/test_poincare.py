@@ -78,13 +78,13 @@ def test_generator_spot_values():
 @pytest.mark.parametrize("name", ["psi", "chi", "phi", "phi_pos", "phi_neg",
                                   "chi2", "chi2_lower", "weyl"])
 def test_algebra_closure_d3(name):
-    resid, second = algebra_residual(generator_set(name), S3, X0S)
+    resid, second = algebra_residual(generator_set(name), S3)
     assert resid <= 1e-8, name
     assert second <= 1e-10, name
 
 
 def test_algebra_closure_flat():
-    resid, second = algebra_residual(generator_set("flat", m=1.0), S2, X0S)
+    resid, second = algebra_residual(generator_set("flat", m=1.0), S2)
     assert resid <= 1e-8
     assert second <= 1e-10
 
@@ -201,7 +201,7 @@ def test_closure_fails_on_a_flipped_spin_part():
     gs = generator_set("psi")
     j12 = gs.J[(1, 2)]
     flipped = {**gs.J, (1, 2): DiffOp1(j12.a.scale(-1.0), j12.b, j12.x0)}
-    resid, _ = algebra_residual(dataclasses.replace(gs, J=flipped), S3, X0S)
+    resid, _ = algebra_residual(dataclasses.replace(gs, J=flipped), S3)
     assert resid > 1e-8
 
 
@@ -214,7 +214,7 @@ def test_closure_fails_closed_on_nan():
             ({**gs.P, 1: DiffOp1(p1.a + poison, p1.b)}, gs.J),
             (gs.P, {**gs.J, (1, 2): DiffOp1(
                 j12.a, (j12.b[0] + poison,) + j12.b[1:], j12.x0)})):
-        resid, _ = algebra_residual(dataclasses.replace(gs, P=P, J=J), S3, X0S)
+        resid, _ = algebra_residual(dataclasses.replace(gs, P=P, J=J), S3)
         assert math.isnan(resid)
 
 
@@ -223,7 +223,7 @@ def test_closure_fails_closed_on_nan_in_a_boost_x0_part():
     poison = OperatorField(4, 3, [(nan_at(S3[1]), np.eye(4))])
     j01 = gs.J[(0, 1)]
     J = {**gs.J, (0, 1): DiffOp1(j01.a, j01.b, j01.x0 + poison)}
-    resid, _ = algebra_residual(dataclasses.replace(gs, J=J), S3, X0S)
+    resid, _ = algebra_residual(dataclasses.replace(gs, J=J), S3)
     assert math.isnan(resid)
 
 
@@ -234,7 +234,7 @@ def test_closure_fails_closed_on_nan_in_a_zero_b_part():
     p1 = gs.P[1]
     P = {**gs.P, 1: DiffOp1(p1.a, (p1.b[0] + poison,) + p1.b[1:])}
     poisoned = dataclasses.replace(gs, P=P)
-    resid, _ = algebra_residual(poisoned, S3, X0S)
+    resid, _ = algebra_residual(poisoned, S3)
     assert math.isnan(resid)
     # the commutators themselves, not only the right-hand sides, carry it
     jet = stacked_jet([op for _, op in poisoned.members()], as_batch(S3))
@@ -247,7 +247,7 @@ def test_closure_fails_closed_on_nan_in_a_member_without_x0_part():
     poison = OperatorField(4, 3, [(nan_at(S3[1]), np.eye(4))])
     p1 = gs.P[1]
     P = {**gs.P, 1: DiffOp1(p1.a, p1.b, poison)}
-    resid, _ = algebra_residual(dataclasses.replace(gs, P=P), S3, X0S)
+    resid, _ = algebra_residual(dataclasses.replace(gs, P=P), S3)
     assert math.isnan(resid)
 
 
@@ -298,7 +298,7 @@ def test_pairs_residual_equals_the_all_pairs_reference(seed):
         dense = (dense_commutator(jet),) + closure[1:]
         for signs in ((1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)):
             want = all_pairs_residual(dense, X0S, *signs)
-            assert _tensor_residual(closure, X0S, *signs) == want, gs.name
+            assert _tensor_residual(closure, *signs) == want, gs.name
 
 
 def test_generator_set_is_built_once_per_arguments():

@@ -34,7 +34,7 @@ def test_both_p3_branches_are_exercised():
 def test_xchi_third_component_formula():
     # matrix part of the third component: e3 * S_5c p_c / E^2
     built = position_from_unitary("Xchi", probe=SAMPLES[:2])
-    s5 = {c: spin_matrix(REP, 5, c).value for c in (1, 2)}
+    s5 = {c: spin_matrix(REP, 5, c) for c in (1, 2)}
     for p in SAMPLES[:4]:
         e = np.linalg.norm(p)
         e3 = np.sign(p[2])
@@ -55,15 +55,15 @@ def test_xw_third_component_formula():
 def test_xchi_transverse_includes_spin_rotation_term():
     # the S_ac p_c / (E(E+|p3|)) contribution appears in the closed form
     closed = position_closed_form("Xchi")
-    s12 = spin_matrix(REP, 1, 2).value
+    s12 = spin_matrix(REP, 1, 2)
     p = (2.0, 0.0, 1.0)          # with p2 = 0 only selected terms survive
     e = np.linalg.norm(p)
-    s51 = spin_matrix(REP, 5, 1).value
+    s51 = spin_matrix(REP, 5, 1)
     want = (-s51 / e + s51 * p[0] * p[0] / (e ** 2 * (e + abs(p[2]))))
     # a = 1 component at p2 = 0: S_12 term drops, both S_5c terms reduce to c=1
     assert mat_max(closed[0].a(p) - want) < 1e-14
     # a = 2 component keeps only the S_21 p_1 rotation term and S_52 pieces
-    want2 = -spin_matrix(REP, 5, 2).value / e - s12 * p[0] / (e * (e + abs(p[2])))
+    want2 = -spin_matrix(REP, 5, 2) / e - s12 * p[0] / (e * (e + abs(p[2])))
     assert mat_max(closed[1].a(p) - want2) < 1e-14
 
 
