@@ -74,30 +74,41 @@ class NullspaceResult(NamedTuple):
     singular_values: np.ndarray    # descending, from the same SVD
 
 
-def svd_nullspace(m, tol: float = TOL_NULLSPACE) -> NullspaceResult:
+def svd_nullspace(m, tol: float = TOL_NULLSPACE):
     """Orthonormal basis of the right singular subspace with sigma < tol*sigma_max.
 
     ``m`` may be rectangular (stacked constraints).  A zero matrix returns the
-    full standard basis, flagged rank_zero.
+    full standard basis, flagged rank_zero.  A stack (..., rows, cols) takes
+    one SVD and gives its members' results as lists, one level per axis.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     m = as_cmatrix(np.atleast_2d(m))
+    rows, cols = m.shape[-2:]
+    if rows >= 2 * cols and rows * cols >= 1024:
+        # R of m = QR has the s and vh of m; gesdd starts with this QR too, so
+        # this only skips forming U: worth the extra call from 1024 entries
+        m = np.linalg.qr(m, mode="r")
     # a tall stack needs only the square vh; a wide one needs all its rows
-    _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
+    _, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
+    return _nullspace(s, vh, tol)
+
+
+def _nullspace(s, vh, tol):
+    if s.ndim > 1:
+        return [_nullspace(*member, tol) for member in zip(s, vh)]
     smax = s[0] if s.size else 0.0
     if smax == 0.0:
-        return NullspaceResult([np.eye(m.shape[1], dtype=complex)[i]
-                                for i in range(m.shape[1])], True, s)
-    nnz = int(np.sum(s >= tol * smax))
-    return NullspaceResult([vh[i].conj() for i in range(nnz, m.shape[1])],
+        return NullspaceResult(list(np.eye(len(vh), dtype=complex)), True, s)
+    return NullspaceResult(list(vh[int(np.sum(s >= tol * smax)):].conj()),
                            False, s)
 
 
 def polar_unitary(m) -> np.ndarray:
-    """Unitary factor U of m = U.H with H positive definite: W Vh of one SVD."""
+    """Unitary factor U of m = U.H with H positive definite, of a matrix or of
+    each member of a stack: W Vh of one SVD.  ValueError if one is singular."""
     u, s, vh = np.linalg.svd(as_cmatrix(m))
-    if s[-1] <= 1e-10 * s[0]:
+    if np.any(s[..., -1] <= 1e-10 * s[..., 0]):
         raise ValueError("no unitary representative")
     return u @ vh
 

@@ -14,14 +14,14 @@ conjugation in position space reverses every momentum component before the
 spatial reflection S is applied.
 
 H is evaluated once per solve or classification, on the sign images of the
-sample momenta; each element's (Htilde, H) stacks are indexed from it.  One
-thin SVD per element of the stacked map M |-> H(p_i) M - M Htilde(p_i) gives
-its nullspace and certificate: an invariance claim must survive a holdout
-test at 1e-7 (all candidates scored as one stack), a non-invariance claim
-requires sigma_min > 1e-4 * sigma_max, and the gap in between raises
-IndeterminateVerdict.  Coherence scores each invariant g1's products
-M1 conj^{c1}(M2), as one stack, at the check momenta of the elements g1 g2,
-found by XOR of integer element codes.
+sample momenta.  Per chunk of elements that fits ``STACK_BYTES``, one stacked
+SVD of the maps M |-> H(p_i) M - M Htilde(p_i) gives each nullspace and
+certificate: an invariance claim must survive a holdout test at 1e-7 (the
+candidates scored as one stack), a non-invariance claim requires
+sigma_min > 1e-4 * sigma_max, and the gap in between raises
+IndeterminateVerdict for the first such element in group order.  Coherence
+scores the products M1 conj^{c1}(M2) of invariant pairs, in row chunks of
+one stack, at the check momenta of the elements g1 g2 (XOR of codes).
 
 The random-search oracle shares only :func:`intertwine_condition` with that
 route.  It scores a pool of random M against the Gram matrix of the stacked
@@ -43,6 +43,7 @@ HOLDOUT_TOL = 1e-7            # relative residual for confirmed invariance
 CERTIFICATE_TOL = 1e-4        # sigma_min/sigma_max floor for non-invariance
 N_POLISH = 8                  # best oracle candidates that are polished
 POLISH_STEPS = 1500           # power-iteration steps of that polish
+STACK_BYTES = 1 << 18         # budget of one stacked solve or coherence chunk
 
 
 class IndeterminateVerdict(Exception):
@@ -145,8 +146,8 @@ def intertwine_condition(eq, g, p):
 
 def _residuals(ms, htilde, h):
     """Worst relative residual |H M - M Htilde| / (|H| |M|) over the points for
-    each M of a stack (``htilde`` may hold one stack per M); NaN propagates."""
-    ms = ms[:, None]
+    each M of a (..., dim, dim) stack; Htilde may be per M.  NaN propagates."""
+    ms = ms[..., None, :, :]
     num = np.linalg.norm(h @ ms - ms @ htilde, axis=(-2, -1))
     den = np.linalg.norm(h, axis=(-2, -1)) * np.linalg.norm(ms, axis=(-2, -1))
     return np.max(num / den, axis=-1)
@@ -188,47 +189,71 @@ def solve_intertwiner(eq, g, n_fit: int = 12, n_holdout: int = 4,
     htilde, h = conditions or intertwine_condition(eq, elements, as_batch(
         sample_momenta(eq.d, n_fit, seed)
         + sample_momenta(eq.d, n_holdout, seed + 7919)))
-    fit, hold = slice(n_fit), slice(n_fit, n_fit + n_holdout)
-    out = [_solve_element(eq, e, (ht[fit], h[fit]), (ht[hold], h[hold]), seed)
-           for e, ht in zip(elements, htilde)]
+    out = []
+    for part in _chunks(len(elements), 16 * n_fit * eq.dim ** 4):
+        out += _solve_chunk(eq, elements[part], htilde[part], h, n_fit,
+                            n_holdout, seed)
     return out[0] if single else out
 
 
-def _solve_element(eq, g, fit, hold, seed):
-    """One element's result from its fit and holdout (Htilde, H) stacks."""
+def _chunks(n: int, row_bytes: int) -> list:
+    """Slices of range(n), each of rows that fit STACK_BYTES (one at least)."""
+    step = max(1, STACK_BYTES // max(1, row_bytes))
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
+
+
+def _solve_chunk(eq, elements, htilde, h, n_fit, n_holdout, seed):
+    """Results for a run of elements: one stacked SVD, then per nullity one
+    candidate score and one polar stack; the first indeterminate one raises."""
+    fit, hold = slice(n_fit), slice(n_fit, n_fit + n_holdout)
     # rows of M -> H M - M Htilde (row-major vec): kron(H, 1) - kron(1, Ht^T)
-    ht, h = fit
-    eye = np.eye(eq.dim)
-    k = (h[:, :, None, :, None] * eye[:, None, :]
-         - eye[:, None, :, None] * np.swapaxes(ht, 1, 2)[:, None, :, None, :])
-    null = svd_nullspace(k.reshape(-1, eq.dim ** 2), TOL_NULLSPACE)
-    smax, smin = null.singular_values[0], null.singular_values[-1]
-    if not null.vectors:
-        if smin > CERTIFICATE_TOL * smax:
-            return NonInvariance(float(smin), float(smax))
-        raise IndeterminateVerdict(
-            f"{eq.name}/{g.label}: sigma_min/sigma_max = {smin / smax:.3e} "
-            "falls between thresholds -- increase samples")
-
-    nullity = len(null.vectors)
-    candidates = np.array(null.vectors)
-    if nullity > 1:      # and 32 random members from (real, imaginary) weights
-        w = np.random.default_rng(seed + 1).normal(size=(32, 2, nullity))
-        candidates = np.vstack([candidates,
-                                (w[:, 0] + 1j * w[:, 1]) @ candidates])
-    candidates = candidates.reshape(-1, eq.dim, eq.dim)
-
-    hres = _residuals(candidates, *hold)
-    good = np.flatnonzero((cond2(candidates) <= 1e6) & (hres <= HOLDOUT_TOL))
-    if not good.size:
-        raise IndeterminateVerdict(
-            f"{eq.name}/{g.label}: nullspace found but no invertible member "
-            "passed the holdout test -- increase samples")
-    m = candidates[good[0]]
-    m = m / np.linalg.norm(m) * np.sqrt(eq.dim)
-    return Intertwiner(m, polar_unitary(m),
-                       float(_residuals(m[None], *fit)[0]),
-                       float(hres[good[0]]), nullity)
+    eye = np.eye(eq.dim, dtype=complex)     # complex: no casting pass
+    k = eye[:, None, :, None] * np.swapaxes(htilde[:, fit], -1, -2)[
+        ..., None, :, None, :]
+    np.subtract(h[fit, :, None, :, None] * eye[:, None, :], k, out=k)
+    nulls = svd_nullspace(k.reshape(len(k), -1, eq.dim ** 2), TOL_NULLSPACE)
+    out, failed, by_nullity = [None] * len(elements), {}, {}
+    for i, null in enumerate(nulls):
+        smax, smin = null.singular_values[0], null.singular_values[-1]
+        if null.vectors:
+            by_nullity.setdefault(len(null.vectors), []).append(i)
+        elif smin > CERTIFICATE_TOL * smax:
+            out[i] = NonInvariance(float(smin), float(smax))
+        else:
+            failed[i] = (f"sigma_min/sigma_max = {smin / smax:.3e} falls "
+                         "between thresholds")
+    for nullity, idx in by_nullity.items():
+        # the basis and, if nullity > 1, 32 random members from (re, im)
+        # weights; the first invertible one passing the holdout is kept.  A
+        # random member is invertible (almost surely) when any member is
+        cands = np.array([nulls[i].vectors for i in idx])
+        if nullity > 1:
+            w = np.random.default_rng(seed + 1).normal(size=(32, 2, nullity))
+            cands = np.concatenate([cands, (w[:, 0] + 1j * w[:, 1]) @ cands],
+                                   axis=1)
+        cands, hts = cands.reshape(len(idx), -1, eq.dim, eq.dim), htilde[idx]
+        for width in (nullity + 1, cands.shape[1]):   # the rest if needed
+            block = cands[:, :width]
+            hres = _residuals(block, hts[:, None, hold], h[hold])
+            good = (cond2(block) <= 1e6) & (hres <= HOLDOUT_TOL)
+            if good.any(axis=1).all():
+                break
+        for i in np.array(idx)[~good.any(axis=1)]:
+            failed[i] = ("nullspace found but no invertible member passed "
+                         "the holdout test")
+        if failed:
+            continue
+        at = np.arange(len(idx)), good.argmax(axis=1)
+        ms = np.array([m / np.linalg.norm(m) * np.sqrt(eq.dim)
+                       for m in cands[at]])
+        fres = _residuals(ms, hts[:, fit], h[fit])
+        for i, m, u, r, hr in zip(idx, ms, polar_unitary(ms), fres, hres[at]):
+            out[i] = Intertwiner(m, u, float(r), float(hr), nullity)
+    if failed:
+        i = min(failed)
+        raise IndeterminateVerdict(f"{eq.name}/{elements[i].label}: "
+                                   f"{failed[i]} -- increase samples")
+    return out
 
 
 # -- classification ----------------------------------------------------------
@@ -284,11 +309,13 @@ def classify_equation(eq, seed: int = 42, n_fit: int = 12,
     invariant = np.flatnonzero(is_invariant)
     g12 = index[codes[invariant, None] ^ codes[invariant]]   # row i: g_i g_j
     mats = np.array([verdicts[i].intertwiner.matrix for i in invariant])
+    both = np.stack([mats, np.conj(mats)])        # M2 and conj(M2)
+    conj = np.array([elements[i].conjugate for i in invariant], dtype=int)
     check_t, check_h = htilde[:, n_fit + n_holdout:], h[n_fit + n_holdout:]
     coherence_ok = bool(is_invariant[g12].all()) and all(
-        np.max(_residuals(m1 @ (np.conj(mats) if elements[i].conjugate
-                                else mats), check_t[row], check_h)) <= 1e-6
-        for i, m1, row in zip(invariant, mats, g12))
+        np.max(_residuals(mats[rows, None] @ both[conj[rows]],
+                          check_t[g12[rows]], check_h)) <= 1e-6
+        for rows in _chunks(len(invariant), check_t[0].nbytes * len(invariant)))
 
     return ClassificationReport(eq.name, tuple(verdicts), agreement,
                                 len(eq.claims), coherence_ok)

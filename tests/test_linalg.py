@@ -187,3 +187,80 @@ def test_nullspace_of_wide_matrix():
     assert mat_max(v @ v.conj().T - np.eye(2)) < 1e-14
     for x in null.vectors:
         assert mat_max(m @ x) < 1e-14
+
+
+# -- stacks: one LAPACK call, each member as its own 2-D call -------------------
+
+def _same_nullspace(got, want):
+    assert got.rank_zero == want.rank_zero
+    assert np.array_equal(got.singular_values, want.singular_values)
+    assert len(got.vectors) == len(want.vectors)
+    for x, y in zip(got.vectors, want.vectors):
+        assert np.array_equal(x, y)
+
+
+def _rank_deficient_stacks(rng):
+    """Wide, tall and (above the R-first size) tall stacks, each with a zero
+    member and a rank-deficient one."""
+    stacks = []
+    for shape in ((3, 2, 5), (3, 24, 4), (3, 64, 16)):
+        m = random_complex(rng, shape)
+        m[1] = 0.0
+        m[2, :, -1] = (1 - 2j) * m[2, :, 0]
+        stacks.append(m)
+    return stacks
+
+
+@settings(deadline=None, max_examples=10)
+@given(st.integers(0, 10_000))
+def test_stacked_nullspace_is_each_members_own(seed):
+    for stack in _rank_deficient_stacks(np.random.default_rng(seed)):
+        got = svd_nullspace(stack)
+        assert isinstance(got, list) and len(got) == len(stack)
+        for res, m in zip(got, stack):
+            _same_nullspace(res, svd_nullspace(m))
+        assert got[1].rank_zero and len(got[1].vectors) == stack.shape[-1]
+        assert not got[2].rank_zero and got[2].vectors
+        nested = svd_nullspace(stack.reshape((1,) + stack.shape))
+        assert len(nested) == 1
+        for res, want in zip(nested[0], got):
+            _same_nullspace(res, want)
+
+
+def test_nullspace_of_a_tall_matrix_from_its_r_factor():
+    # 64 x 16 takes the nullspace from R of m = QR: same spectrum, same space
+    rng = np.random.default_rng(3)
+    m = random_complex(rng, (64, 13)) @ random_complex(rng, (13, 16))
+    null = svd_nullspace(m)
+    s = np.linalg.svd(m, compute_uv=False)
+    assert mat_max(null.singular_values - s) <= 1e-12 * s[0]
+    assert len(null.vectors) == 3
+    for x in null.vectors:
+        assert np.linalg.norm(m @ x) <= 1e-12 * s[0]
+
+
+@settings(deadline=None, max_examples=10)
+@given(st.integers(0, 10_000))
+def test_stacked_cond2_is_each_members_own(seed):
+    for stack in _rank_deficient_stacks(np.random.default_rng(seed)):
+        got = cond2(stack)
+        assert np.array_equal(got, [cond2(m) for m in stack])
+        assert got[1] == np.inf
+
+
+@settings(deadline=None, max_examples=10)
+@given(st.integers(0, 10_000), st.integers(2, 4))
+def test_stacked_polar_is_each_members_own(seed, dim):
+    rng = np.random.default_rng(seed)
+    stack = random_complex(rng, (2, 3, dim, dim))
+    got = polar_unitary(stack)
+    assert got.shape == stack.shape
+    for row, want in zip(got, stack):
+        for u, m in zip(row, want):
+            assert np.array_equal(u, polar_unitary(m))
+    stack[1, 2] = stack[1, 2, :, :1] @ random_complex(rng, (1, dim))
+    with pytest.raises(ValueError, match="no unitary"):
+        polar_unitary(stack)
+    stack[1, 2] = 0.0
+    with pytest.raises(ValueError, match="no unitary"):
+        polar_unitary(stack)

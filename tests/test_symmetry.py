@@ -13,7 +13,7 @@ from helpers import nan_at, proportional
 from spinorlab import symmetry
 from spinorlab.clifford import pauli
 from spinorlab.equations import EQUATION_NAMES, EquationSpec, catalog_equation
-from spinorlab.linalg import mat_max
+from spinorlab.linalg import cond2, mat_max, polar_unitary, svd_nullspace
 from spinorlab.opcalc import OperatorField, as_batch, sample_momenta
 from spinorlab.symmetry import (IndeterminateVerdict, Intertwiner,
                                 NonInvariance, SymmetryElement,
@@ -439,8 +439,181 @@ def test_classification_equals_single_element_solves(seed):
             assert isinstance(out, Intertwiner) == v.invariant, where
             if v.invariant:
                 assert out.matrix.tobytes() == v.intertwiner.matrix.tobytes()
+                assert (out.unitary_rep.tobytes()
+                        == v.intertwiner.unitary_rep.tobytes()), where
                 assert out.nullity == v.intertwiner.nullity, where
                 assert abs(out.holdout_residual - v.residual) <= 1e-28, where
                 assert abs(out.residual - v.intertwiner.residual) <= 1e-28
             else:
                 assert abs(out.relative - v.residual) <= 1e-14 * v.residual
+
+
+# -- chunked solves ---------------------------------------------------------------
+
+def _solve_one_by_one(eq, g, seed):
+    """Reference: one element solved on its own as before the chunked solve,
+    scoring every candidate, with the same 2-D linalg calls."""
+    ht, h = intertwine_condition(eq, g, as_batch(
+        sample_momenta(eq.d, 12, seed) + sample_momenta(eq.d, 4, seed + 7919)))
+    fit, hold = slice(12), slice(12, 16)
+    eye = np.eye(eq.dim)
+    k = (h[fit, :, None, :, None] * eye[:, None, :]
+         - eye[:, None, :, None] * np.swapaxes(ht[fit], 1, 2)[:, None, :, None, :])
+    null = svd_nullspace(k.reshape(-1, eq.dim ** 2))
+    smax, smin = null.singular_values[0], null.singular_values[-1]
+    if not null.vectors:
+        if smin > symmetry.CERTIFICATE_TOL * smax:
+            return NonInvariance(float(smin), float(smax))
+        raise IndeterminateVerdict(
+            f"{eq.name}/{g.label}: sigma_min/sigma_max = {smin / smax:.3e} "
+            "falls between thresholds -- increase samples")
+    nullity = len(null.vectors)
+    candidates = np.array(null.vectors)
+    if nullity > 1:
+        w = np.random.default_rng(seed + 1).normal(size=(32, 2, nullity))
+        candidates = np.vstack([candidates,
+                                (w[:, 0] + 1j * w[:, 1]) @ candidates])
+    candidates = candidates.reshape(-1, eq.dim, eq.dim)
+    hres = symmetry._residuals(candidates, ht[hold], h[hold])
+    good = np.flatnonzero((cond2(candidates) <= 1e6)
+                          & (hres <= symmetry.HOLDOUT_TOL))
+    if not good.size:
+        raise IndeterminateVerdict(
+            f"{eq.name}/{g.label}: nullspace found but no invertible member "
+            "passed the holdout test -- increase samples")
+    m = candidates[good[0]]
+    m = m / np.linalg.norm(m) * np.sqrt(eq.dim)
+    return Intertwiner(m, polar_unitary(m),
+                       float(symmetry._residuals(m[None], ht[fit], h[fit])[0]),
+                       float(hres[good[0]]), nullity)
+
+
+def _same_result(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, Intertwiner):
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+        assert got.unitary_rep.tobytes() == want.unitary_rep.tobytes()
+        assert (got.residual, got.holdout_residual, got.nullity) == (
+            want.residual, want.holdout_residual, want.nullity)
+    else:
+        assert (got.certificate, got.sigma_max) == (want.certificate,
+                                                    want.sigma_max)
+
+
+@pytest.mark.parametrize("seed", [5, 42])
+def test_chunked_solve_equals_the_one_by_one_reference(seed):
+    for name in EQUATION_NAMES:
+        eq = catalog_equation(name)
+        elements = group_elements(eq.d)
+        for g, got in zip(elements, solve_intertwiner(eq, elements,
+                                                      seed=seed)):
+            _same_result(got, _solve_one_by_one(eq, g, seed))
+
+
+def _fingerprint(rep):
+    """Every verdict, residual and matrix of a report, bit for bit."""
+    out = [rep.agreement, rep.coherence_ok]
+    for v in rep.verdicts:
+        out += [v.element.label, v.invariant, float(v.residual).hex()]
+        if v.invariant:
+            it = v.intertwiner
+            out += [it.matrix.tobytes(), it.unitary_rep.tobytes(),
+                    it.residual.hex(), it.holdout_residual.hex(), it.nullity]
+    return out
+
+
+def _chunk_budget(eq, elements_per_chunk):
+    """A ``STACK_BYTES`` that fits that many elements' Sylvester stacks."""
+    return elements_per_chunk * 16 * 12 * eq.dim ** 4
+
+
+@pytest.mark.parametrize("name", ["weyl_plus", "weyl_canonical", "chi_4c",
+                                  "phi_diag", "desitter"])
+def test_classification_is_bit_identical_at_every_chunk_length(name,
+                                                               monkeypatch):
+    # nullity 1 (2x2 and 4x4, 64 elements), 2 and 8: one element per chunk,
+    # three (an odd count that leaves a short last chunk) and all at once
+    eq = catalog_equation(name)
+    n = len(group_elements(eq.d))
+    want = _fingerprint(classify_equation(eq, seed=7))
+    lengths = []
+    nullspace = symmetry.svd_nullspace
+
+    def spy(m, *args):
+        lengths.append(len(m))
+        return nullspace(m, *args)
+
+    monkeypatch.setattr(symmetry, "svd_nullspace", spy)
+    for per_chunk, expected in ((1, [1] * n),
+                                (3, [3] * (n // 3) + [n % 3]),
+                                (n, [n])):
+        monkeypatch.setattr(symmetry, "STACK_BYTES",
+                            _chunk_budget(eq, per_chunk))
+        lengths.clear()
+        assert _fingerprint(classify_equation(eq, seed=7)) == want, per_chunk
+        assert lengths == expected
+    monkeypatch.setattr(symmetry, "STACK_BYTES", 1)
+    assert _fingerprint(classify_equation(eq, seed=7)) == want
+
+
+@pytest.mark.parametrize("per_chunk", [1, 3, 32])
+def test_first_indeterminate_element_raises_across_chunks(per_chunk,
+                                                          monkeypatch):
+    # NaN at a holdout point of two invariant elements leaves both without an
+    # accepted member; the later one (in a later chunk of three, but earlier
+    # within its chunk) is solved first when the order is lost
+    eq = catalog_equation("weyl_plus")
+    elements = group_elements(eq.d)
+    invariant = [i for i, v in enumerate(classify_equation(eq).verdicts)
+                 if v.invariant]
+    early = next(i for i in invariant if i % 3 == 2)
+    late = next(i for i in invariant if i // 3 > early // 3 and i % 3 == 0)
+    condition = symmetry.intertwine_condition
+
+    def poisoned(eq, g, p):
+        htilde, h = condition(eq, g, p)
+        htilde = htilde.copy()
+        htilde[[early, late], 12 + 1] = np.nan
+        return htilde, h
+
+    monkeypatch.setattr(symmetry, "intertwine_condition", poisoned)
+    monkeypatch.setattr(symmetry, "STACK_BYTES", _chunk_budget(eq, per_chunk))
+    message = (f"weyl_plus/{elements[early].label}: nullspace found but no "
+               "invertible member passed the holdout test")
+    with pytest.raises(IndeterminateVerdict, match=re.escape(message)):
+        classify_equation(eq)
+
+
+def test_open_elements_fall_back_to_every_member(monkeypatch):
+    # chi_4c's nullspaces are two-dimensional: the basis and the first random
+    # member are scored first, and all 34 candidates when none of them is
+    # good.  Marking all but the listed candidates singular forces that
+    # fallback; the element must keep its first good candidate
+    eq = catalog_equation("chi_4c")
+    default = _fingerprint(classify_equation(eq))
+    cond2 = symmetry.cond2
+
+    def keeping(*columns):
+        def only(block):
+            keep = np.isin(np.arange(block.shape[1]), columns)
+            return np.where(keep, cond2(block), np.inf)
+
+        monkeypatch.setattr(symmetry, "cond2", only)
+        rep = classify_equation(eq)
+        assert all(v.invariant for v in rep.verdicts)
+        return _fingerprint(rep)
+
+    fifth = keeping(5)
+    assert keeping(5, 9) == fifth != keeping(9)
+    assert keeping(2) == default != fifth      # the first random member
+
+
+def test_invariant_elements_of_an_equation_share_one_nullity():
+    # the chunked solve draws the random members once per nullity
+    want = {"dirac_massless": 2, "chi_4c": 2, "phi_diag": 8,
+            "weyl_canonical": 2, "hprime": 2}
+    for name in EQUATION_NAMES:
+        rep = classify_equation(catalog_equation(name))
+        nullities = {v.intertwiner.nullity for v in rep.verdicts
+                     if v.invariant}
+        assert nullities == {want.get(name, 1)}, name
