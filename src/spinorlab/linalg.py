@@ -84,13 +84,8 @@ def svd_nullspace(m, tol: float = TOL_NULLSPACE):
     if tol <= 0:
         raise ValueError("tol must be positive")
     m = as_cmatrix(np.atleast_2d(m))
-    rows, cols = m.shape[-2:]
-    if rows >= 2 * cols and rows * cols >= 1024:
-        # R of m = QR has the s and vh of m; gesdd starts with this QR too, so
-        # this only skips forming U: worth the extra call from 1024 entries
-        m = np.linalg.qr(m, mode="r")
     # a tall stack needs only the square vh; a wide one needs all its rows
-    _, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
+    _, s, vh = np.linalg.svd(m, full_matrices=m.shape[-2] < m.shape[-1])
     return _nullspace(s, vh, tol)
 
 
@@ -105,10 +100,9 @@ def _nullspace(s, vh, tol):
 
 
 def polar_unitary(m) -> np.ndarray:
-    """Unitary factor U of m = U.H with H positive definite, of a matrix or of
-    each member of a stack: W Vh of one SVD.  ValueError if one is singular."""
+    """Unitary U of m = U.H (H > 0), per member of a stack: W Vh of one SVD."""
     u, s, vh = np.linalg.svd(as_cmatrix(m))
-    if np.any(s[..., -1] <= 1e-10 * s[..., 0]):
+    if (s[..., -1] <= 1e-10 * s[..., 0]).any():
         raise ValueError("no unitary representative")
     return u @ vh
 

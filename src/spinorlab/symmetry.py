@@ -189,10 +189,9 @@ def solve_intertwiner(eq, g, n_fit: int = 12, n_holdout: int = 4,
     htilde, h = conditions or intertwine_condition(eq, elements, as_batch(
         sample_momenta(eq.d, n_fit, seed)
         + sample_momenta(eq.d, n_holdout, seed + 7919)))
-    out = []
-    for part in _chunks(len(elements), 16 * n_fit * eq.dim ** 4):
-        out += _solve_chunk(eq, elements[part], htilde[part], h, n_fit,
-                            n_holdout, seed)
+    out = [r for part in _chunks(len(elements), 16 * n_fit * eq.dim ** 4)
+           for r in _solve_chunk(eq, elements[part], htilde[part], h, n_fit,
+                                 n_holdout, seed)]
     return out[0] if single else out
 
 
@@ -223,9 +222,8 @@ def _solve_chunk(eq, elements, htilde, h, n_fit, n_holdout, seed):
             failed[i] = (f"sigma_min/sigma_max = {smin / smax:.3e} falls "
                          "between thresholds")
     for nullity, idx in by_nullity.items():
-        # the basis and, if nullity > 1, 32 random members from (re, im)
-        # weights; the first invertible one passing the holdout is kept.  A
-        # random member is invertible (almost surely) when any member is
+        # the basis and, if nullity > 1, 32 random members (invertible almost
+        # surely if any member is); the first good one is kept
         cands = np.array([nulls[i].vectors for i in idx])
         if nullity > 1:
             w = np.random.default_rng(seed + 1).normal(size=(32, 2, nullity))

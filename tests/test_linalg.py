@@ -200,10 +200,10 @@ def _same_nullspace(got, want):
 
 
 def _rank_deficient_stacks(rng):
-    """Wide, tall and (above the R-first size) tall stacks, each with a zero
-    member and a rank-deficient one."""
+    """Wide and tall stacks (the shapes of 2x2 and 4x4 Sylvester maps among
+    them), each with a zero member and a rank-deficient one."""
     stacks = []
-    for shape in ((3, 2, 5), (3, 24, 4), (3, 64, 16)):
+    for shape in ((3, 2, 5), (3, 48, 4), (3, 192, 16)):
         m = random_complex(rng, shape)
         m[1] = 0.0
         m[2, :, -1] = (1 - 2j) * m[2, :, 0]
@@ -225,18 +225,6 @@ def test_stacked_nullspace_is_each_members_own(seed):
         assert len(nested) == 1
         for res, want in zip(nested[0], got):
             _same_nullspace(res, want)
-
-
-def test_nullspace_of_a_tall_matrix_from_its_r_factor():
-    # 64 x 16 takes the nullspace from R of m = QR: same spectrum, same space
-    rng = np.random.default_rng(3)
-    m = random_complex(rng, (64, 13)) @ random_complex(rng, (13, 16))
-    null = svd_nullspace(m)
-    s = np.linalg.svd(m, compute_uv=False)
-    assert mat_max(null.singular_values - s) <= 1e-12 * s[0]
-    assert len(null.vectors) == 3
-    for x in null.vectors:
-        assert np.linalg.norm(m @ x) <= 1e-12 * s[0]
 
 
 @settings(deadline=None, max_examples=10)

@@ -450,7 +450,7 @@ def test_classification_equals_single_element_solves(seed):
 
 # -- chunked solves ---------------------------------------------------------------
 
-def _solve_one_by_one(eq, g, seed):
+def _solve_one_by_one(eq, g, seed, nullspace=svd_nullspace):
     """Reference: one element solved on its own as before the chunked solve,
     scoring every candidate, with the same 2-D linalg calls."""
     ht, h = intertwine_condition(eq, g, as_batch(
@@ -459,7 +459,7 @@ def _solve_one_by_one(eq, g, seed):
     eye = np.eye(eq.dim)
     k = (h[fit, :, None, :, None] * eye[:, None, :]
          - eye[:, None, :, None] * np.swapaxes(ht[fit], 1, 2)[:, None, :, None, :])
-    null = svd_nullspace(k.reshape(-1, eq.dim ** 2))
+    null = nullspace(k.reshape(-1, eq.dim ** 2))
     smax, smin = null.singular_values[0], null.singular_values[-1]
     if not null.vectors:
         if smin > symmetry.CERTIFICATE_TOL * smax:
@@ -608,12 +608,75 @@ def test_open_elements_fall_back_to_every_member(monkeypatch):
     assert keeping(2) == default != fifth      # the first random member
 
 
-def test_invariant_elements_of_an_equation_share_one_nullity():
-    # the chunked solve draws the random members once per nullity
-    want = {"dirac_massless": 2, "chi_4c": 2, "phi_diag": 8,
-            "weyl_canonical": 2, "hprime": 2}
-    for name in EQUATION_NAMES:
-        rep = classify_equation(catalog_equation(name))
-        nullities = {v.intertwiner.nullity for v in rep.verdicts
-                     if v.invariant}
-        assert nullities == {want.get(name, 1)}, name
+def _edited(null, at, truncate, singular):
+    """Element ``at``'s nullspace with its last basis vector dropped if ``at``
+    is in ``truncate``, or its basis swapped for matrix units (every member
+    singular) if ``at`` is in ``singular``."""
+    vectors = null.vectors
+    if vectors and at in truncate:
+        vectors = vectors[:-1]
+    if vectors and at in singular:
+        vectors = list(np.eye(len(vectors[0]), dtype=complex)[:len(vectors)])
+    return null._replace(vectors=vectors)
+
+
+@pytest.mark.parametrize("per_chunk, singular", [(3, {4, 5}), (32, {3, 4})])
+def test_two_nullities_in_one_chunk_equal_the_one_by_one_reference(
+        per_chunk, singular, monkeypatch):
+    # every phi_diag element is invariant with an eight-dimensional
+    # nullspace; dropping the last basis vector of each odd element puts
+    # nullities 8 and 7 side by side in every chunk, each with its own
+    # random members.  Singular bases for one element of each nullity then
+    # leave both open: the earlier one raises, though its nullity's group
+    # is scored second in its chunk
+    eq = catalog_equation("phi_diag")
+    elements = group_elements(eq.d)
+    truncate = set(range(1, len(elements), 2))
+    nullspace, plant, chunks = symmetry.svd_nullspace, [set()], []
+
+    def edited(m, *args):
+        start = sum(map(len, chunks))
+        chunks.append([_edited(null, start + j, truncate, plant[0])
+                       for j, null in enumerate(nullspace(m, *args))])
+        return chunks[-1]
+
+    monkeypatch.setattr(symmetry, "svd_nullspace", edited)
+    monkeypatch.setattr(symmetry, "STACK_BYTES", _chunk_budget(eq, per_chunk))
+
+    def reference(at):
+        return _solve_one_by_one(eq, elements[at], 42, lambda m: _edited(
+            svd_nullspace(m), at, truncate, plant[0]))
+
+    for at, got in enumerate(solve_intertwiner(eq, elements)):
+        assert got.nullity == (7 if at in truncate else 8)
+        _same_result(got, reference(at))
+    assert [{len(null.vectors) for null in c} for c in chunks] == (
+        [{7, 8}] * len(chunks))
+
+    plant[0] = singular
+    with pytest.raises(IndeterminateVerdict) as want:
+        for at in range(len(elements)):
+            reference(at)
+    assert f"phi_diag/{elements[min(singular)].label}:" in str(want.value)
+    chunks.clear()
+    with pytest.raises(IndeterminateVerdict, match=re.escape(
+            str(want.value))):
+        solve_intertwiner(eq, elements)
+
+
+def test_coherence_composes_with_the_conjugate_of_the_second_intertwiner():
+    # in a generic complex basis V, H' = V H V^dagger has the intertwiners
+    # V M V^dagger (linear elements) and V M V^T (antilinear ones), most of
+    # them no longer a phase times a real or an imaginary matrix: M1 M2 in
+    # place of M1 conj(M2), or the conjugation of the wrong factor, fails
+    eq = catalog_equation("weyl_plus")
+    rng = np.random.default_rng(5)
+    v = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+    h = (OperatorField.constant(v, eq.d) @ eq.hamiltonian
+         @ OperatorField.constant(v.conj().T, eq.d))
+    rep = classify_equation(dataclasses.replace(eq, hamiltonian=h))
+    assert rep.agreement and rep.coherence_ok
+    complex_ones = {v.element.conjugate for v in rep.verdicts if v.invariant
+                    and not proportional(v.intertwiner.matrix,
+                                         v.intertwiner.matrix.conj())}
+    assert complex_ones == {False, True}
