@@ -48,19 +48,24 @@ Point = Sequence[float]
 def sample_momenta(d: int, n: int, seed: int = 42) -> list:
     """Deterministic seeded momenta with components in +-[0.1, 10].
 
-    Component magnitudes never drop below 0.1, which keeps |p3| and
-    p1^2+p2^2 away from the zeros where catalog fields are singular.  For
-    d >= 3 and n >= 4 the sign of the third component alternates so both p3
-    branches are always exercised.
+    Component magnitudes never drop below 0.1, which keeps |p3| and p1^2+p2^2
+    away from the zeros where catalog fields are singular.  For d >= 3 and
+    n >= 4 the third component alternates in sign, so both p3 branches are
+    exercised.  Each (d, n, seed) is drawn once; every call gets a new list.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    return list(_momenta(d, n, seed))
+
+
+@functools.lru_cache(maxsize=256)
+def _momenta(d: int, n: int, seed: int) -> tuple:
     u = np.random.default_rng(seed).random((n, 2, d))
     signs = np.where(u[:, 0] < 0.5, 1.0, -1.0)
     comps = signs * (0.1 + (10.0 - 0.1) * u[:, 1])
     if d >= 3 and n >= 4:
         comps[:, 2] = np.abs(comps[:, 2]) * np.where(np.arange(n) % 2, -1.0, 1.0)
-    return [tuple(row) for row in comps.tolist()]
+    return tuple(tuple(row) for row in comps.tolist())
 
 
 def as_batch(points) -> tuple:

@@ -14,14 +14,14 @@ conjugation in position space reverses every momentum component before the
 spatial reflection S is applied.
 
 H is evaluated once per solve or classification, on the sign images of the
-sample momenta.  Per chunk of elements that fits ``STACK_BYTES``, one stacked
-SVD of the maps M |-> H(p_i) M - M Htilde(p_i) gives each nullspace and
-certificate: an invariance claim must survive a holdout test at 1e-7 (the
-candidates scored as one stack), a non-invariance claim requires
-sigma_min > 1e-4 * sigma_max, and the gap in between raises
-IndeterminateVerdict for the first such element in group order.  Coherence
-scores the products M1 conj^{c1}(M2) of invariant pairs, in row chunks of
-one stack, at the check momenta of the elements g1 g2 (XOR of codes).
+sample momenta.  Per chunk of elements within ``STACK_BYTES``, one stacked
+SVD of the Sylvester maps M |-> H(p_i) M - M Htilde(p_i) gives each nullspace
+and certificate: an invariance claim must survive a holdout test at 1e-7 (the
+candidates scored as one stack), a non-invariance claim needs sigma_min >
+1e-4 sigma_max, and the gap in between raises IndeterminateVerdict for the
+first such element in group order.  Coherence uses the same Sylvester maps:
+the invariant elements form an XOR group, so the products M_b conj^{c_b}(M_j)
+composing to each element g = g_b g_j take one GEMM with g's check-point map.
 
 The random-search oracle shares only :func:`intertwine_condition` with that
 route.  It scores a pool of random M against the Gram matrix of the stacked
@@ -201,16 +201,21 @@ def _chunks(n: int, row_bytes: int) -> list:
     return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
+def _sylvester(htilde, h):
+    """Rows of M -> H M - M Htilde (row-major vec): kron(H, 1) - kron(1, Ht^T)
+    per point, (E, n dim^2, dim^2) for Htilde (E, n, dim, dim), H (n, ...)."""
+    eye = np.eye(h.shape[-1], dtype=complex)   # complex: no casting pass
+    k = eye[:, None, :, None] * np.swapaxes(htilde, -1, -2)[
+        ..., None, :, None, :]
+    np.subtract(h[:, :, None, :, None] * eye[:, None, :], k, out=k)
+    return k.reshape(len(k), -1, h.shape[-1] ** 2)
+
+
 def _solve_chunk(eq, elements, htilde, h, n_fit, n_holdout, seed):
     """Results for a run of elements: one stacked SVD, then per nullity one
     candidate score and one polar stack; the first indeterminate one raises."""
     fit, hold = slice(n_fit), slice(n_fit, n_fit + n_holdout)
-    # rows of M -> H M - M Htilde (row-major vec): kron(H, 1) - kron(1, Ht^T)
-    eye = np.eye(eq.dim, dtype=complex)     # complex: no casting pass
-    k = eye[:, None, :, None] * np.swapaxes(htilde[:, fit], -1, -2)[
-        ..., None, :, None, :]
-    np.subtract(h[fit, :, None, :, None] * eye[:, None, :], k, out=k)
-    nulls = svd_nullspace(k.reshape(len(k), -1, eq.dim ** 2), TOL_NULLSPACE)
+    nulls = svd_nullspace(_sylvester(htilde[:, fit], h[fit]), TOL_NULLSPACE)
     out, failed, by_nullity = [None] * len(elements), {}, {}
     for i, null in enumerate(nulls):
         smax, smin = null.singular_values[0], null.singular_values[-1]
@@ -295,28 +300,43 @@ def classify_equation(eq, seed: int = 42, n_fit: int = 12,
                 if isinstance(out, Intertwiner)
                 else ElementVerdict(g, False, out.relative, None)
                 for g, out in zip(elements, outs)]
-    codes = np.array([g.code for g in elements])
-    index = np.empty(4 << eq.d, dtype=int)         # element code -> position
-    index[codes] = np.arange(len(elements))
-    agreement = all(verdicts[index[SymmetryElement.parse(label, eq.d).code]]
-                    .invariant == expected for label, expected in eq.claims)
-
-    # multiplicativity: products of invariant elements stay invariant and the
-    # composed matrices M1 conj^{c1}(M2) intertwine the composed element
-    is_invariant = np.array([v.invariant for v in verdicts])
-    invariant = np.flatnonzero(is_invariant)
-    g12 = index[codes[invariant, None] ^ codes[invariant]]   # row i: g_i g_j
-    mats = np.array([verdicts[i].intertwiner.matrix for i in invariant])
-    both = np.stack([mats, np.conj(mats)])        # M2 and conj(M2)
-    conj = np.array([elements[i].conjugate for i in invariant], dtype=int)
-    check_t, check_h = htilde[:, n_fit + n_holdout:], h[n_fit + n_holdout:]
-    coherence_ok = bool(is_invariant[g12].all()) and all(
-        np.max(_residuals(mats[rows, None] @ both[conj[rows]],
-                          check_t[g12[rows]], check_h)) <= 1e-6
-        for rows in _chunks(len(invariant), check_t[0].nbytes * len(invariant)))
+    by_code = {g.code: v for g, v in zip(elements, verdicts)}
+    agreement = all(by_code[SymmetryElement.parse(label, eq.d).code].invariant
+                    == expected for label, expected in eq.claims)
+    check = slice(n_fit + n_holdout, None)
+    coherence_ok = bool(_coherence(verdicts, htilde[:, check], h[check]) <= 1e-6)
 
     return ClassificationReport(eq.name, tuple(verdicts), agreement,
                                 len(eq.claims), coherence_ok)
+
+
+def _coherence(verdicts, check_t, check_h) -> float:
+    """Worst |H C - C Htilde_e| / (|H| |C|) at the check points over the
+    products C = M_b conj^{c_b}(M_j) of invariant pairs, e = g_b g_j (inf if
+    e is not invariant, NaN if a residual is).  The invariant elements then
+    form an XOR group: the products are one GEMM per b, and each target's
+    residuals one GEMM by its Sylvester map, chunked within STACK_BYTES."""
+    codes = np.array([v.element.code for v in verdicts])
+    inv = np.flatnonzero([v.invariant for v in verdicts])
+    at = np.full(len(codes), -1)     # code (whole group) -> position in inv
+    at[codes[inv]] = np.arange(len(inv))
+    second = at[codes[inv, None] ^ codes[inv]]   # [e, b]: j, g_b g_j = g_e
+    if (second < 0).any():
+        return np.inf
+    n, dim = len(inv), check_h.shape[-1]
+    mats = np.array([verdicts[i].intertwiner.matrix for i in inv])
+    conj = np.array([verdicts[i].element.conjugate for i in inv], dtype=int)
+    right = np.stack([mats, np.conj(mats)]).transpose(0, 2, 1, 3)
+    prods = (mats @ right.reshape(2, dim, -1)[conj]).reshape(n, dim, n, dim)
+    prods /= np.linalg.norm(prods, axis=(1, 3), keepdims=True)   # |C| = 1
+    h_norms, out = np.linalg.norm(check_h, axis=(-2, -1))[:, None], []
+    for part in _chunks(n, 16 * dim ** 2 * (len(check_h) * (dim ** 2 + n) + n)):
+        c = prods[np.arange(n), :, second[part]]    # (targets, b, dim, dim)
+        r = _sylvester(check_t[inv[part]], check_h) @ np.swapaxes(
+            c.reshape(len(c), n, -1), -1, -2)
+        num = np.linalg.norm(r.reshape(len(c), len(check_h), -1, n), axis=-2)
+        out.append(np.max(num / h_norms))
+    return worst(out)
 
 
 # -- random-search oracle -----------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import at_pairs, dense_commutator, nan_at, pair, parts
-from spinorlab import dual, position
+from spinorlab import dual, opcalc, position
 from spinorlab.clifford import pauli
 from spinorlab.equations import abs_p3, catalog_unitary, energy
 from spinorlab.linalg import NotUnitary, mat_max
@@ -83,6 +83,25 @@ def test_sampler_is_bit_identical_to_the_rejection_loop(seed, d, n):
 def test_sampler_rejects_zero_count():
     with pytest.raises(ValueError):
         sample_momenta(3, 0, 42)
+
+
+def test_sampler_draws_once_and_returns_a_fresh_list():
+    opcalc._momenta.cache_clear()
+    first = sample_momenta(3, 6, 11)
+    second = sample_momenta(3, 6, 11)
+    assert opcalc._momenta.cache_info().misses == 1
+    assert first == second == list(opcalc._momenta.__wrapped__(3, 6, 11))
+    assert first is not second
+    first[0] = (0.0, 0.0, 0.0)            # a caller's edit stays its own
+    first.append(first[1])
+    assert sample_momenta(3, 6, 11) == second
+    assert sample_momenta(3, 6, 11) is not second
+
+
+def test_sampler_rejects_a_bad_count_on_every_call():
+    for n in (0, -1, 0):
+        with pytest.raises(ValueError):
+            sample_momenta(3, n, 42)
 
 
 # -- derivatives --------------------------------------------------------------

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 import tracemalloc
 import warnings
@@ -13,7 +14,8 @@ from helpers import nan_at, proportional
 from spinorlab import symmetry
 from spinorlab.clifford import pauli
 from spinorlab.equations import EQUATION_NAMES, EquationSpec, catalog_equation
-from spinorlab.linalg import cond2, mat_max, polar_unitary, svd_nullspace
+from spinorlab.linalg import (cond2, mat_max, polar_unitary, svd_nullspace,
+                              worst)
 from spinorlab.opcalc import OperatorField, as_batch, sample_momenta
 from spinorlab.symmetry import (IndeterminateVerdict, Intertwiner,
                                 NonInvariance, SymmetryElement,
@@ -680,3 +682,129 @@ def test_coherence_composes_with_the_conjugate_of_the_second_intertwiner():
                     and not proportional(v.intertwiner.matrix,
                                          v.intertwiner.matrix.conj())}
     assert complex_ones == {False, True}
+
+
+# -- coherence in GEMMs ------------------------------------------------------------
+
+def _coherence_pair_by_pair(verdicts, check_t, check_h):
+    """Reference: the worst coherence residual as before the GEMM form, one
+    product and one residual per ordered pair of invariant elements."""
+    position = {v.element.code: at for at, v in enumerate(verdicts)}
+    invariant = [v for v in verdicts if v.invariant]
+    out = []
+    for v1 in invariant:
+        for v2 in invariant:
+            at = position[v1.element.code ^ v2.element.code]
+            if not verdicts[at].invariant:
+                return math.inf
+            m2 = v2.intertwiner.matrix
+            prod = v1.intertwiner.matrix @ (np.conj(m2) if v1.element.conjugate
+                                            else m2)
+            out.append(float(symmetry._residuals(prod[None], check_t[at],
+                                                 check_h)[0]))
+    return worst(out)
+
+
+def _coherence_calls(monkeypatch):
+    """Every (arguments, worst residual) of ``symmetry._coherence`` from now."""
+    coherence, calls = symmetry._coherence, []
+
+    def spy(*args):
+        calls.append((args, coherence(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(symmetry, "_coherence", spy)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [5, 42])
+def test_coherence_equals_the_pair_by_pair_reference(seed, monkeypatch):
+    calls = _coherence_calls(monkeypatch)
+    for name in EQUATION_NAMES:
+        rep = classify_equation(catalog_equation(name), seed=seed)
+        (args, got), = calls
+        calls.clear()
+        want = _coherence_pair_by_pair(*args)
+        assert want <= 1e-12 and abs(got - want) <= 1e-12, name
+        assert rep.coherence_ok
+
+
+def _plant(monkeypatch, solve, label, error):
+    """Make the intertwiner of ``label`` that ``solve`` gives off by a
+    relative ``error`` (Frobenius norm) in a random complex direction."""
+
+    def planted(eq, g, *args, **kwargs):
+        out = solve(eq, g, *args, **kwargs)
+        for at, e in enumerate(g):
+            if e.label == label:
+                m = out[at].matrix
+                step = (np.random.default_rng(3).normal(size=m.shape + (2,))
+                        @ [1, 1j])
+                out[at] = dataclasses.replace(out[at], matrix=m + error * (
+                    np.linalg.norm(m) / np.linalg.norm(step)) * step)
+        return out
+
+    monkeypatch.setattr(symmetry, "solve_intertwiner", planted)
+
+
+@pytest.mark.parametrize("name, label", [("weyl_canonical", "P1*C"),
+                                         ("chi_4c", "T1"),
+                                         ("desitter", "P2*P4")])
+def test_planted_intertwiner_errors_fail_and_pass_in_both(name, label,
+                                                          monkeypatch):
+    calls, solve = _coherence_calls(monkeypatch), symmetry.solve_intertwiner
+    for error, fails in ((1e-5, True), (1e-10, False)):
+        _plant(monkeypatch, solve, label, error)
+        rep = classify_equation(catalog_equation(name))
+        args, got = calls.pop()
+        assert rep.agreement and rep.verdict_for(label).invariant
+        assert rep.coherence_ok is not fails, error
+        want = _coherence_pair_by_pair(*args)
+        assert (got > 1e-6) == (want > 1e-6) == fails, error
+        assert got == pytest.approx(want, rel=1e-6), error
+
+
+def test_coherence_is_inf_when_a_product_is_not_invariant(monkeypatch):
+    # dropping P1's verdict leaves every pair composing to P1 without a
+    # target: coherence fails before any residual is formed
+    calls = _coherence_calls(monkeypatch)
+    classify_equation(catalog_equation("weyl_canonical"))
+    (verdicts, check_t, check_h), _ = calls[0]
+    at = [v.element.label for v in verdicts].index("P1")
+    open_p1 = list(verdicts)
+    open_p1[at] = dataclasses.replace(verdicts[at], invariant=False,
+                                      intertwiner=None)
+    for coherence in (symmetry._coherence, _coherence_pair_by_pair):
+        assert coherence(open_p1, check_t, check_h) == math.inf
+
+
+def _coherence_budget(eq, n, targets):
+    """A ``STACK_BYTES`` that fits that many coherence targets' Sylvester
+    maps, residuals and products, of n invariant elements."""
+    return targets * 16 * eq.dim ** 2 * (4 * (eq.dim ** 2 + n) + n)
+
+
+@pytest.mark.parametrize("name", ["weyl_canonical", "chi_4c", "desitter"])
+def test_coherence_is_identical_at_every_chunk_length(name, monkeypatch):
+    eq = catalog_equation(name)
+    calls = _coherence_calls(monkeypatch)
+    want = classify_equation(eq, seed=7).coherence_ok, calls[-1][1]
+    n = sum(v.invariant for v in calls[-1][0][0])
+    targets, sylvester = [], symmetry._sylvester
+
+    def spy(htilde, h):
+        if len(h) == 4:                   # the check points, not the fit
+            targets.append(len(htilde))
+        return sylvester(htilde, h)
+
+    monkeypatch.setattr(symmetry, "_sylvester", spy)
+    for budget, lengths in ((1, [1] * n),
+                            (_coherence_budget(eq, n, 1), [1] * n),
+                            (symmetry.STACK_BYTES, None),
+                            (_coherence_budget(eq, n, n), [n])):
+        monkeypatch.setattr(symmetry, "STACK_BYTES", budget)
+        targets.clear()
+        rep = classify_equation(eq, seed=7)
+        assert (rep.coherence_ok, calls[-1][1]) == want, budget
+        assert lengths is None or targets == lengths, budget
+    assert want[0] and want[1] <= 1e-12
