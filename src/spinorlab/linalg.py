@@ -79,24 +79,23 @@ def svd_nullspace(m, tol: float = TOL_NULLSPACE):
 
     ``m`` may be rectangular (stacked constraints).  A zero matrix returns the
     full standard basis, flagged rank_zero.  A stack (..., rows, cols) takes
-    one SVD and gives its members' results as lists, one level per axis.
+    one SVD and returns arrays (singular values, vh, nullity): member i's
+    basis, as its own 2-D call gives it, is the conjugate of the last
+    nullity[i] rows of vh[i] (the identity, nullity cols, for a zero member).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     m = as_cmatrix(np.atleast_2d(m))
     # a tall stack needs only the square vh; a wide one needs all its rows
     _, s, vh = np.linalg.svd(m, full_matrices=m.shape[-2] < m.shape[-1])
-    return _nullspace(s, vh, tol)
-
-
-def _nullspace(s, vh, tol):
-    if s.ndim > 1:
-        return [_nullspace(*member, tol) for member in zip(s, vh)]
-    smax = s[0] if s.size else 0.0
-    if smax == 0.0:
-        return NullspaceResult(list(np.eye(len(vh), dtype=complex)), True, s)
-    return NullspaceResult(list(vh[int(np.sum(s >= tol * smax)):].conj()),
-                           False, s)
+    n = vh.shape[-1]
+    smax = s[..., 0] if s.shape[-1] else np.zeros(s.shape[:-1])
+    nullity, zero = n - (s >= tol * smax[..., None]).sum(-1), smax == 0.0
+    if zero.any():
+        vh[zero], nullity = np.eye(n), np.where(zero, n, nullity)
+    if m.ndim == 2:
+        return NullspaceResult(list(vh[n - nullity:].conj()), bool(zero), s)
+    return s, vh, nullity
 
 
 def polar_unitary(m) -> np.ndarray:

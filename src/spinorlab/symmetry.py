@@ -14,14 +14,15 @@ conjugation in position space reverses every momentum component before the
 spatial reflection S is applied.
 
 H is evaluated once per solve or classification, on the sign images of the
-sample momenta.  Per chunk of elements within ``STACK_BYTES``, one stacked
-SVD of the Sylvester maps M |-> H(p_i) M - M Htilde(p_i) gives each nullspace
-and certificate: an invariance claim must survive a holdout test at 1e-7 (the
-candidates scored as one stack), a non-invariance claim needs sigma_min >
-1e-4 sigma_max, and the gap in between raises IndeterminateVerdict for the
-first such element in group order.  Coherence uses the same Sylvester maps:
-the invariant elements form an XOR group, so the products M_b conj^{c_b}(M_j)
-composing to each element g = g_b g_j take one GEMM with g's check-point map.
+sample momenta (the group and its sign images are built once per d).  Per
+chunk of elements within ``STACK_BYTES``, one stacked SVD of the Sylvester
+maps M |-> H(p_i) M - M Htilde(p_i) gives singular values, Vh and nullities
+as arrays: an invariance claim must survive a holdout test at 1e-7 (per
+nullity, candidates sliced from Vh, scored and normalised as stacks), a
+non-invariance claim needs sigma_min > 1e-4 sigma_max, and the gap between
+raises IndeterminateVerdict for the first such element in group order.
+Coherence uses the same maps: the invariant elements form an XOR group, so
+the products M_b conj^{c_b}(M_j) composing to g = g_b g_j take one GEMM.
 
 The random-search oracle shares only :func:`intertwine_condition` with that
 route.  It scores a pool of random M against the Gram matrix of the stacked
@@ -30,6 +31,7 @@ built from repeated squarings.  It calls no SVD or eigensolver, so its
 verdicts are an independent check on the nullspace ones.
 """
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -67,6 +69,7 @@ class SymmetryElement:
         return "*".join(parts) if parts else "Id"
 
     @staticmethod
+    @functools.cache
     def parse(text: str, d: int) -> "SymmetryElement":
         """Parse labels like ``P3*C`` or ``P1*C*T1`` (order-insensitive)."""
         flips = set()
@@ -92,7 +95,7 @@ class SymmetryElement:
                     raise ValueError(f"bad symmetry token {tok!r}")
         return SymmetryElement(d, frozenset(flips), time_flip, conjugate)
 
-    @property
+    @functools.cached_property
     def code(self) -> int:
         """Flip mask | time bit << d | conjugation bit << (d + 1): the group
         law is XOR, so the code of a product of labels (:meth:`parse`) is
@@ -100,7 +103,7 @@ class SymmetryElement:
         return (sum(1 << (k - 1) for k in self.flips)
                 | self.time_flip << self.d | self.conjugate << (self.d + 1))
 
-    @property
+    @functools.cached_property
     def signs(self) -> tuple:
         """Htilde's momentum is signs * p: S p, or -S p when antilinear."""
         return tuple(-1.0 if (k in self.flips) != self.conjugate else 1.0
@@ -109,15 +112,19 @@ class SymmetryElement:
 
 def group_elements(d: int) -> list:
     """The full reflection group: 2^d flips x time x conjugation."""
+    return list(_group(d))
+
+
+@functools.cache
+def _group(d: int) -> tuple:
     out = []
     for mask in range(2 ** d):
         flips = frozenset(k + 1 for k in range(d) if mask >> k & 1)
         for time_flip in (False, True):
             for conjugate in (False, True):
                 out.append(SymmetryElement(d, flips, time_flip, conjugate))
-    out.sort(key=lambda g: (len(g.flips), sorted(g.flips),
-                            g.time_flip, g.conjugate))
-    return out
+    return tuple(sorted(out, key=lambda g: (len(g.flips), sorted(g.flips),
+                                           g.time_flip, g.conjugate)))
 
 
 def intertwine_condition(eq, g, p):
@@ -132,16 +139,15 @@ def intertwine_condition(eq, g, p):
     elements = [g] if single else g
     images = sorted({e.signs for e in elements} | {(1.0,) * eq.d},
                     reverse=True)  # the identity, so H(p), first
-    comps = [np.asarray(c, dtype=float) for c in p]
-    values = eq.hamiltonian(tuple(np.ravel([s[k] * c for s in images])
-                                  for k, c in enumerate(comps)))
-    values = values.reshape((len(images),) + comps[0].shape + (eq.dim,) * 2)
-    htilde = []
-    for e in elements:
-        eps_t = -1.0 if e.time_flip else 1.0
-        hq = values[images.index(e.signs)]
-        htilde.append(-eps_t * np.conj(hq) if e.conjugate else eps_t * hq)
-    return (htilde[0] if single else np.stack(htilde)), values[0]
+    comps = np.asarray(p, dtype=float)      # (d,) or (d, n)
+    q = np.array(images).T[..., None] * comps.reshape(eq.d, 1, -1)
+    values = eq.hamiltonian(tuple(q.reshape(eq.d, -1)))
+    values = values.reshape((len(images),) + comps.shape[1:] + (eq.dim,) * 2)
+    htilde = values.take([images.index(e.signs) for e in elements], axis=0)
+    last = htilde.T            # elements last: eps_t H or -eps_t conj(H)
+    np.conjugate(last, out=last, where=[e.conjugate for e in elements])
+    last *= [-1.0 if e.time_flip != e.conjugate else 1.0 for e in elements]
+    return (htilde[0] if single else htilde), values[0]
 
 
 def _residuals(ms, htilde, h):
@@ -186,6 +192,8 @@ def solve_intertwiner(eq, g, n_fit: int = 12, n_holdout: int = 4,
         raise ValueError("n_holdout must be >= 4")
     single = isinstance(g, SymmetryElement)
     elements = [g] if single else list(g)
+    if not elements:
+        return []
     htilde, h = conditions or intertwine_condition(eq, elements, as_batch(
         sample_momenta(eq.d, n_fit, seed)
         + sample_momenta(eq.d, n_holdout, seed + 7919)))
@@ -213,49 +221,53 @@ def _sylvester(htilde, h):
 
 def _solve_chunk(eq, elements, htilde, h, n_fit, n_holdout, seed):
     """Results for a run of elements: one stacked SVD, then per nullity one
-    candidate score and one polar stack; the first indeterminate one raises."""
+    score, normalisation and polar stack; the first indeterminate raises."""
     fit, hold = slice(n_fit), slice(n_fit, n_fit + n_holdout)
-    nulls = svd_nullspace(_sylvester(htilde[:, fit], h[fit]), TOL_NULLSPACE)
-    out, failed, by_nullity = [None] * len(elements), {}, {}
-    for i, null in enumerate(nulls):
-        smax, smin = null.singular_values[0], null.singular_values[-1]
-        if null.vectors:
-            by_nullity.setdefault(len(null.vectors), []).append(i)
-        elif smin > CERTIFICATE_TOL * smax:
-            out[i] = NonInvariance(float(smin), float(smax))
-        else:
-            failed[i] = (f"sigma_min/sigma_max = {smin / smax:.3e} falls "
-                         "between thresholds")
-    for nullity, idx in by_nullity.items():
-        # the basis and, if nullity > 1, 32 random members (invertible almost
+    s, vh, nullity = svd_nullspace(_sylvester(htilde[:, fit], h[fit]),
+                                   TOL_NULLSPACE)
+    nullities, (smax, smin) = nullity.tolist(), s[:, [0, -1]].T.tolist()
+    failed = {i: f"sigma_min/sigma_max = {smin[i] / smax[i]:.3e} falls "
+              "between thresholds" for i, k in enumerate(nullities)
+              if not (k or smin[i] > CERTIFICATE_TOL * smax[i])}
+    accepted = []
+    for k in set(nullities) - {0}:
+        # the basis and, if k > 1, 32 random members (invertible almost
         # surely if any member is); the first good one is kept
-        cands = np.array([nulls[i].vectors for i in idx])
-        if nullity > 1:
-            w = np.random.default_rng(seed + 1).normal(size=(32, 2, nullity))
+        idx = np.flatnonzero(nullity == k)
+        cands = vh[idx, -k:].conj()
+        if k > 1:
+            w = np.random.default_rng(seed + 1).normal(size=(32, 2, k))
             cands = np.concatenate([cands, (w[:, 0] + 1j * w[:, 1]) @ cands],
                                    axis=1)
         cands, hts = cands.reshape(len(idx), -1, eq.dim, eq.dim), htilde[idx]
-        for width in (nullity + 1, cands.shape[1]):   # the rest if needed
+        for width in (k + 1, cands.shape[1]):   # the rest if needed
             block = cands[:, :width]
             hres = _residuals(block, hts[:, None, hold], h[hold])
             good = (cond2(block) <= 1e6) & (hres <= HOLDOUT_TOL)
             if good.any(axis=1).all():
                 break
-        for i in np.array(idx)[~good.any(axis=1)]:
-            failed[i] = ("nullspace found but no invertible member passed "
-                         "the holdout test")
+        else:
+            failed.update(dict.fromkeys(
+                idx[~good.any(axis=1)].tolist(), "nullspace found but no "
+                "invertible member passed the holdout test"))
         if failed:
             continue
         at = np.arange(len(idx)), good.argmax(axis=1)
-        ms = np.array([m / np.linalg.norm(m) * np.sqrt(eq.dim)
-                       for m in cands[at]])
-        fres = _residuals(ms, hts[:, fit], h[fit])
-        for i, m, u, r, hr in zip(idx, ms, polar_unitary(ms), fres, hres[at]):
-            out[i] = Intertwiner(m, u, float(r), float(hr), nullity)
+        ms = cands[at]
+        flat = ms.reshape(len(ms), -1)      # summed as np.linalg.norm sums
+        ms /= np.sqrt(np.vecdot(flat.real, flat.real)
+                      + np.vecdot(flat.imag, flat.imag))[:, None, None]
+        ms *= np.sqrt(eq.dim)
+        accepted += zip(idx.tolist(), ms, polar_unitary(ms), _residuals(
+            ms, hts[:, fit], h[fit]).tolist(), hres[at].tolist())
     if failed:
         i = min(failed)
         raise IndeterminateVerdict(f"{eq.name}/{elements[i].label}: "
                                    f"{failed[i]} -- increase samples")
+    out = [None if k else NonInvariance(lo, hi)
+           for k, lo, hi in zip(nullities, smin, smax)]
+    for i, m, u, r, hr in accepted:
+        out[i] = Intertwiner(m, u, r, hr, nullities[i])
     return out
 
 
@@ -278,10 +290,9 @@ class ClassificationReport:
     coherence_ok: bool
 
     def verdict_for(self, label: str) -> ElementVerdict:
-        d = self.verdicts[0].element.d
-        want = SymmetryElement.parse(label, d).label
+        want = SymmetryElement.parse(label, self.verdicts[0].element.d)
         for v in self.verdicts:
-            if v.element.label == want:
+            if v.element == want:
                 return v
         raise KeyError(label)
 

@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import proportional
 from spinorlab.clifford import gamma_set, pauli
-from spinorlab.linalg import (cond2, expm, mat_max, polar_unitary,
-                              svd_nullspace, unitarity_defect, worst)
+from spinorlab.linalg import (NullspaceResult, cond2, expm, mat_max,
+                              polar_unitary, svd_nullspace, unitarity_defect,
+                              worst)
 
 
 def series_expm(m, terms=30):
@@ -191,6 +192,13 @@ def test_nullspace_of_wide_matrix():
 
 # -- stacks: one LAPACK call, each member as its own 2-D call -------------------
 
+def _member(stack, *at):
+    """The 2-D result that a stacked call's arrays encode for member ``at``."""
+    s, vh, k = (part[at] for part in stack)
+    return NullspaceResult(list(vh[len(vh) - k:].conj()),
+                           not (s.size and s[0]), s)
+
+
 def _same_nullspace(got, want):
     assert got.rank_zero == want.rank_zero
     assert np.array_equal(got.singular_values, want.singular_values)
@@ -216,15 +224,19 @@ def _rank_deficient_stacks(rng):
 def test_stacked_nullspace_is_each_members_own(seed):
     for stack in _rank_deficient_stacks(np.random.default_rng(seed)):
         got = svd_nullspace(stack)
-        assert isinstance(got, list) and len(got) == len(stack)
-        for res, m in zip(got, stack):
-            _same_nullspace(res, svd_nullspace(m))
-        assert got[1].rank_zero and len(got[1].vectors) == stack.shape[-1]
-        assert not got[2].rank_zero and got[2].vectors
+        nullity = got[2]
+        assert nullity.shape == (len(stack),)
+        for at, m in enumerate(stack):
+            _same_nullspace(_member(got, at), svd_nullspace(m))
+        # the zero member: nullity cols and the identity basis
+        assert nullity[1] == stack.shape[-1]
+        assert np.array_equal(_member(got, 1).vectors,
+                              np.eye(stack.shape[-1]))
+        assert 0 < nullity[2] < stack.shape[-1]
         nested = svd_nullspace(stack.reshape((1,) + stack.shape))
-        assert len(nested) == 1
-        for res, want in zip(nested[0], got):
-            _same_nullspace(res, want)
+        assert nested[2].shape == (1, len(stack))
+        for at in range(len(stack)):
+            _same_nullspace(_member(nested, 0, at), _member(got, at))
 
 
 @settings(deadline=None, max_examples=10)

@@ -13,9 +13,10 @@ from hypothesis import given, settings, strategies as st
 from helpers import nan_at, proportional
 from spinorlab import symmetry
 from spinorlab.clifford import pauli
-from spinorlab.equations import EQUATION_NAMES, EquationSpec, catalog_equation
-from spinorlab.linalg import (cond2, mat_max, polar_unitary, svd_nullspace,
-                              worst)
+from spinorlab.equations import (EQUATION_NAMES, EquationSpec,
+                                 catalog_equation, energy)
+from spinorlab.linalg import (NullspaceResult, cond2, mat_max, polar_unitary,
+                              svd_nullspace, worst)
 from spinorlab.opcalc import OperatorField, as_batch, sample_momenta
 from spinorlab.symmetry import (IndeterminateVerdict, Intertwiner,
                                 NonInvariance, SymmetryElement,
@@ -73,6 +74,35 @@ def test_parse_rejects_garbage():
         SymmetryElement.parse("P5", 3)
     with pytest.raises(ValueError):
         SymmetryElement.parse("Q1", 3)
+
+
+@pytest.mark.parametrize("d", (2, 3, 4))
+def test_group_data_is_built_once_and_equals_its_formulas(d):
+    elements = group_elements(d)
+    again = group_elements(d)
+    assert again == elements and again is not elements
+    assert all(a is b for a, b in zip(elements, again))
+    for g in elements:
+        assert g.code == (sum(1 << (k - 1) for k in g.flips)
+                          | g.time_flip << d | g.conjugate << (d + 1))
+        assert g.signs == tuple(-1.0 if (k in g.flips) != g.conjugate else 1.0
+                                for k in range(1, d + 1))
+        assert g.signs is g.signs
+        parsed = SymmetryElement.parse(g.label, d)
+        assert parsed.code == g.code and parsed == g
+        assert SymmetryElement.parse(g.label, d) is parsed
+
+
+def test_editing_the_group_list_reaches_no_later_call():
+    eq = catalog_equation("weyl_plus")
+    want = _fingerprint(classify_equation(eq))
+    before = group_elements(3)
+    elements = group_elements(3)
+    elements.reverse()
+    elements[0] = SymmetryElement.parse("P1*P2", 3)
+    del elements[5:]
+    assert group_elements(3) == before and len(before) == 32
+    assert _fingerprint(classify_equation(eq)) == want
 
 
 # -- intertwining condition ------------------------------------------------------
@@ -637,10 +667,18 @@ def test_two_nullities_in_one_chunk_equal_the_one_by_one_reference(
     nullspace, plant, chunks = symmetry.svd_nullspace, [set()], []
 
     def edited(m, *args):
+        # each member's basis edited as its own 2-D result, then written back
         start = sum(map(len, chunks))
-        chunks.append([_edited(null, start + j, truncate, plant[0])
-                       for j, null in enumerate(nullspace(m, *args))])
-        return chunks[-1]
+        s, vhs, nullity = nullspace(m, *args)
+        n = vhs.shape[-1]
+        for j, (vh, k) in enumerate(zip(vhs, nullity)):
+            vectors = _edited(NullspaceResult(list(vh[n - k:].conj()), False,
+                                              s[j]), start + j, truncate,
+                              plant[0]).vectors
+            nullity[j] = len(vectors)
+            vh[n - len(vectors):] = np.conj(vectors)
+        chunks.append(nullity.copy())
+        return s, vhs, nullity
 
     monkeypatch.setattr(symmetry, "svd_nullspace", edited)
     monkeypatch.setattr(symmetry, "STACK_BYTES", _chunk_budget(eq, per_chunk))
@@ -652,8 +690,7 @@ def test_two_nullities_in_one_chunk_equal_the_one_by_one_reference(
     for at, got in enumerate(solve_intertwiner(eq, elements)):
         assert got.nullity == (7 if at in truncate else 8)
         _same_result(got, reference(at))
-    assert [{len(null.vectors) for null in c} for c in chunks] == (
-        [{7, 8}] * len(chunks))
+    assert [set(c.tolist()) for c in chunks] == [{7, 8}] * len(chunks)
 
     plant[0] = singular
     with pytest.raises(IndeterminateVerdict) as want:
@@ -682,6 +719,48 @@ def test_coherence_composes_with_the_conjugate_of_the_second_intertwiner():
                     and not proportional(v.intertwiner.matrix,
                                          v.intertwiner.matrix.conj())}
     assert complex_ones == {False, True}
+
+
+def test_an_empty_element_sequence_gives_no_results(monkeypatch):
+    def unexpected(*args):
+        raise AssertionError("H evaluated for no elements")
+
+    monkeypatch.setattr(symmetry, "intertwine_condition", unexpected)
+    eq = catalog_equation("weyl_plus")
+    assert solve_intertwiner(eq, []) == []
+    assert solve_intertwiner(eq, iter(())) == []
+
+
+def test_zero_sylvester_maps_take_the_rank_zero_branch():
+    # H = E(p) 1: an element with Htilde = H (time flip and conjugation both
+    # or neither) has an exactly zero Sylvester map, so every 2x2 matrix
+    # intertwines; the others see Htilde = -H, a map of full rank
+    eq = EquationSpec("energy_times_one", 2, 3,
+                      OperatorField.scalar(energy, 2, 3),
+                      claims=(("P1*P2", True), ("T1", True), ("C", False),
+                              ("T2", False)))
+    elements = group_elements(3)
+    zero = [g.time_flip == g.conjugate for g in elements]
+    ht, h = intertwine_condition(eq, elements, as_batch(
+        sample_momenta(3, 12, 42)))
+    s, vh, nullity = svd_nullspace(symmetry._sylvester(ht, h))
+    assert np.array_equal(nullity, np.where(zero, 4, 0))
+    assert np.array_equal(vh[zero], np.broadcast_to(np.eye(4), (16, 4, 4)))
+    assert not s[zero].any()
+
+    rep = classify_equation(eq)
+    assert rep.agreement and rep.coherence_ok
+    assert [v.invariant for v in rep.verdicts] == zero
+    for g, v, got in zip(elements, rep.verdicts,
+                         solve_intertwiner(eq, elements)):
+        want = _solve_one_by_one(eq, g, 42)
+        _same_result(got, want)
+        if v.invariant:
+            assert want.nullity == 4
+            assert v.intertwiner.matrix.tobytes() == want.matrix.tobytes()
+            assert (v.intertwiner.unitary_rep.tobytes()
+                    == want.unitary_rep.tobytes())
+            assert v.residual == want.holdout_residual
 
 
 # -- coherence in GEMMs ------------------------------------------------------------
