@@ -10,9 +10,8 @@ from .opcalc import (DiffOp1, OperatorField, as_batch, conjugate_by_unitary,
                      diffop_commutator, sample_momenta, stacked_jet)
 from .poincare import (GENERATOR_NAMES, algebra_residual, generator_set,
                        helicity_field, irrep_content)
-from .position import (POSITION_NAMES, component_commutator_residual,
-                       position_closed_form, position_from_unitary,
-                       verify_position)
+from .position import (POSITION_NAMES, position_closed_form,
+                       position_from_unitary, verify_position)
 from .symmetry import (ClassificationReport, Intertwiner, NonInvariance,
                        SymmetryElement, classify_equation, group_elements,
                        intertwine_condition, solve_intertwiner)
@@ -27,8 +26,8 @@ __all__ = [
     "DiffOp1", "OperatorField", "as_batch", "conjugate_by_unitary",
     "diffop_commutator", "sample_momenta", "stacked_jet", "GENERATOR_NAMES",
     "algebra_residual", "generator_set", "helicity_field", "irrep_content",
-    "POSITION_NAMES", "component_commutator_residual", "position_closed_form",
-    "position_from_unitary", "verify_position",
+    "POSITION_NAMES", "position_closed_form", "position_from_unitary",
+    "verify_position",
     "ClassificationReport", "Intertwiner", "NonInvariance", "SymmetryElement",
     "classify_equation", "group_elements", "intertwine_condition",
     "solve_intertwiner",

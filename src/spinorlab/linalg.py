@@ -6,7 +6,7 @@ of the package relies on.
 """
 
 import math
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -68,20 +68,14 @@ def expm(m) -> np.ndarray:
     return (v * np.exp(1j * w)[..., None, :]) @ dagger(v)
 
 
-class NullspaceResult(NamedTuple):
-    vectors: list          # orthonormal right-nullspace basis vectors
-    rank_zero: bool        # input was (numerically) the zero matrix
-    singular_values: np.ndarray    # descending, from the same SVD
-
-
 def svd_nullspace(m, tol: float = TOL_NULLSPACE):
-    """Orthonormal basis of the right singular subspace with sigma < tol*sigma_max.
+    """Right singular subspace with sigma < tol*sigma_max, of one matrix
+    (rows, cols) or of each member of a stack (..., rows, cols).
 
-    ``m`` may be rectangular (stacked constraints).  A zero matrix returns the
-    full standard basis, flagged rank_zero.  A stack (..., rows, cols) takes
-    one SVD and returns arrays (singular values, vh, nullity): member i's
-    basis, as its own 2-D call gives it, is the conjugate of the last
-    nullity[i] rows of vh[i] (the identity, nullity cols, for a zero member).
+    One SVD gives arrays (singular values, vh, nullity), nullity 0-d for one
+    matrix.  The basis is the conjugate of the last nullity rows of vh; a
+    zero matrix has nullity cols and the identity for vh (the full standard
+    basis).  ``m`` may be rectangular (stacked constraints).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -93,8 +87,6 @@ def svd_nullspace(m, tol: float = TOL_NULLSPACE):
     nullity, zero = n - (s >= tol * smax[..., None]).sum(-1), smax == 0.0
     if zero.any():
         vh[zero], nullity = np.eye(n), np.where(zero, n, nullity)
-    if m.ndim == 2:
-        return NullspaceResult(list(vh[n - nullity:].conj()), bool(zero), s)
     return s, vh, nullity
 
 

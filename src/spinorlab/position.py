@@ -23,8 +23,7 @@ with one row (w, m_a, s_a) per operator, s_2 = -s_1, every w real:
     Xchi2  w = -1/2      m_a = sigma_a           s_1 = sigma3/2
     XW     w = e3/2      m_a = i sigma3 sigma_a  s_1 = sigma3/2
 
-:func:`verify_position` reads only the values of the components; their
-commutators with each other are :func:`component_commutator_residual`.  Each
+:func:`verify_position` reads only the values of the components.  Each
 operator is built once and shared, read-only, by every caller.
 """
 
@@ -35,9 +34,9 @@ import numpy as np
 from .clifford import gamma_set, pauli, spin_matrix
 from .equations import abs_p3, catalog_unitary, e3, energy
 from .linalg import dagger, mat_max
+# diffop_commutator stays bound here: bench/tracing.py patches this binding
 from .opcalc import (DiffOp1, OperatorField, as_batch, check_unitary,
-                     conjugate_by_unitary, diffop_commutator, stacked_jet,
-                     stacked_values)
+                     conjugate_by_unitary, diffop_commutator, stacked_values)
 
 _REP = gamma_set("rep26")
 G3 = _REP.gamma(3)
@@ -130,10 +129,3 @@ def verify_position(name: str, samples) -> dict:
                 a - np.stack([x.a(p) for x in closed])),
             "canonical_commutator": mat_max(1j * b - delta),
             "hermiticity": mat_max(a - dagger(a))}
-
-
-def component_commutator_residual(name: str, samples) -> float:
-    """max |[X_j, X_k]| over the component pairs and the samples, from one
-    stacked jet of the built components (they commute; no check gates it)."""
-    built = position_from_unitary(name, probe=samples[:2])
-    return mat_max(diffop_commutator(stacked_jet(built, as_batch(samples))).a)

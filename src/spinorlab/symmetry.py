@@ -21,8 +21,11 @@ as arrays: an invariance claim must survive a holdout test at 1e-7 (per
 nullity, candidates sliced from Vh, scored and normalised as stacks), a
 non-invariance claim needs sigma_min > 1e-4 sigma_max, and the gap between
 raises IndeterminateVerdict for the first such element in group order.
-Coherence uses the same maps: the invariant elements form an XOR group, so
-the products M_b conj^{c_b}(M_j) composing to g = g_b g_j take one GEMM.
+Coherence checks the invariant elements, which form an XOR group: the
+products M_b conj^{c_b}(M_j) composing to g = g_b g_j take one GEMM.  Both
+the holdout score and coherence read the relative residual
+|H M - M Htilde| / (|H| |M|) from the Sylvester maps at their own points,
+one product per M (:func:`_residuals`).
 
 The random-search oracle shares only :func:`intertwine_condition` with that
 route.  It scores a pool of random M against the Gram matrix of the stacked
@@ -150,21 +153,11 @@ def intertwine_condition(eq, g, p):
     return (htilde[0] if single else htilde), values[0]
 
 
-def _residuals(ms, htilde, h):
-    """Worst relative residual |H M - M Htilde| / (|H| |M|) over the points for
-    each M of a (..., dim, dim) stack; Htilde may be per M.  NaN propagates."""
-    ms = ms[..., None, :, :]
-    num = np.linalg.norm(h @ ms - ms @ htilde, axis=(-2, -1))
-    den = np.linalg.norm(h, axis=(-2, -1)) * np.linalg.norm(ms, axis=(-2, -1))
-    return np.max(num / den, axis=-1)
-
-
 @dataclass(frozen=True)
 class Intertwiner:
     matrix: np.ndarray
     unitary_rep: np.ndarray
-    residual: float            # fit residual (relative)
-    holdout_residual: float
+    holdout_residual: float    # relative, as :func:`_residuals` gives it
     nullity: int
 
 
@@ -219,9 +212,21 @@ def _sylvester(htilde, h):
     return k.reshape(len(k), -1, h.shape[-1] ** 2)
 
 
+def _residuals(k, ms, h_norms):
+    """Worst relative residual |H M - M Htilde| / (|H| |M|) over the points
+    for each M of an (E, C, dim, dim) stack, read from element e's Sylvester
+    map k[e] as one product k vec(M) per M: its value does not depend on the
+    other Ms scored with it.  ``h_norms`` holds |H| per point; NaN propagates."""
+    vec = ms.reshape(ms.shape[:2] + (-1, 1))
+    r = (k[:, None] @ vec).reshape(ms.shape[:2] + (len(h_norms), -1))
+    den = h_norms * np.linalg.norm(vec, axis=(-2, -1))[..., None]
+    return np.max(np.linalg.norm(r, axis=-1) / den, axis=-1)
+
+
 def _solve_chunk(eq, elements, htilde, h, n_fit, n_holdout, seed):
     """Results for a run of elements: one stacked SVD, then per nullity one
-    score, normalisation and polar stack; the first indeterminate raises."""
+    holdout map, score, normalisation and polar stack; the first
+    indeterminate raises."""
     fit, hold = slice(n_fit), slice(n_fit, n_fit + n_holdout)
     s, vh, nullity = svd_nullspace(_sylvester(htilde[:, fit], h[fit]),
                                    TOL_NULLSPACE)
@@ -239,10 +244,12 @@ def _solve_chunk(eq, elements, htilde, h, n_fit, n_holdout, seed):
             w = np.random.default_rng(seed + 1).normal(size=(32, 2, k))
             cands = np.concatenate([cands, (w[:, 0] + 1j * w[:, 1]) @ cands],
                                    axis=1)
-        cands, hts = cands.reshape(len(idx), -1, eq.dim, eq.dim), htilde[idx]
+        cands = cands.reshape(len(idx), -1, eq.dim, eq.dim)
+        k_hold = _sylvester(htilde[idx, hold], h[hold])
+        h_norms = np.linalg.norm(h[hold], axis=(-2, -1))
         for width in (k + 1, cands.shape[1]):   # the rest if needed
             block = cands[:, :width]
-            hres = _residuals(block, hts[:, None, hold], h[hold])
+            hres = _residuals(k_hold, block, h_norms)
             good = (cond2(block) <= 1e6) & (hres <= HOLDOUT_TOL)
             if good.any(axis=1).all():
                 break
@@ -258,16 +265,16 @@ def _solve_chunk(eq, elements, htilde, h, n_fit, n_holdout, seed):
         ms /= np.sqrt(np.vecdot(flat.real, flat.real)
                       + np.vecdot(flat.imag, flat.imag))[:, None, None]
         ms *= np.sqrt(eq.dim)
-        accepted += zip(idx.tolist(), ms, polar_unitary(ms), _residuals(
-            ms, hts[:, fit], h[fit]).tolist(), hres[at].tolist())
+        accepted += zip(idx.tolist(), ms, polar_unitary(ms),
+                        hres[at].tolist())
     if failed:
         i = min(failed)
         raise IndeterminateVerdict(f"{eq.name}/{elements[i].label}: "
                                    f"{failed[i]} -- increase samples")
     out = [None if k else NonInvariance(lo, hi)
            for k, lo, hi in zip(nullities, smin, smax)]
-    for i, m, u, r, hr in accepted:
-        out[i] = Intertwiner(m, u, r, hr, nullities[i])
+    for i, m, u, hr in accepted:
+        out[i] = Intertwiner(m, u, hr, nullities[i])
     return out
 
 
@@ -326,7 +333,8 @@ def _coherence(verdicts, check_t, check_h) -> float:
     products C = M_b conj^{c_b}(M_j) of invariant pairs, e = g_b g_j (inf if
     e is not invariant, NaN if a residual is).  The invariant elements then
     form an XOR group: the products are one GEMM per b, and each target's
-    residuals one GEMM by its Sylvester map, chunked within STACK_BYTES."""
+    residuals are read from its Sylvester map (:func:`_residuals`), chunked
+    within STACK_BYTES."""
     codes = np.array([v.element.code for v in verdicts])
     inv = np.flatnonzero([v.invariant for v in verdicts])
     at = np.full(len(codes), -1)     # code (whole group) -> position in inv
@@ -339,14 +347,11 @@ def _coherence(verdicts, check_t, check_h) -> float:
     conj = np.array([verdicts[i].element.conjugate for i in inv], dtype=int)
     right = np.stack([mats, np.conj(mats)]).transpose(0, 2, 1, 3)
     prods = (mats @ right.reshape(2, dim, -1)[conj]).reshape(n, dim, n, dim)
-    prods /= np.linalg.norm(prods, axis=(1, 3), keepdims=True)   # |C| = 1
-    h_norms, out = np.linalg.norm(check_h, axis=(-2, -1))[:, None], []
+    h_norms, out = np.linalg.norm(check_h, axis=(-2, -1)), []
     for part in _chunks(n, 16 * dim ** 2 * (len(check_h) * (dim ** 2 + n) + n)):
         c = prods[np.arange(n), :, second[part]]    # (targets, b, dim, dim)
-        r = _sylvester(check_t[inv[part]], check_h) @ np.swapaxes(
-            c.reshape(len(c), n, -1), -1, -2)
-        num = np.linalg.norm(r.reshape(len(c), len(check_h), -1, n), axis=-2)
-        out.append(np.max(num / h_norms))
+        out.append(np.max(_residuals(_sylvester(check_t[inv[part]], check_h),
+                                     c, h_norms)))
     return worst(out)
 
 

@@ -2,9 +2,11 @@
 
 import numpy as np
 
+from spinorlab import opcalc
 from spinorlab.linalg import as_cmatrix, mat_max, worst
 from spinorlab.opcalc import (Commutator, _left, _members_first, _product,
                               _right)
+from spinorlab.position import position_from_unitary
 
 TOL_EQ = 1e-9           # entrywise equality of verified identities
 
@@ -88,3 +90,22 @@ def at_pairs(dense):
     return Commutator(dense.a[i, j], dense.b[:, i, j], dense.x0_a[i, j],
                       dense.x0_b[:, i, j], dense.x0_sq[i, j],
                       dense.second_order)
+
+
+def product_residuals(ms, htilde, h):
+    """The earlier matrix-product form of the relative residual, kept as the
+    reference: worst |H M - M Htilde| / (|H| |M|) over the points for each M
+    of a (..., dim, dim) stack; Htilde may be per M.  NaN propagates."""
+    ms = ms[..., None, :, :]
+    num = np.linalg.norm(h @ ms - ms @ htilde, axis=(-2, -1))
+    den = np.linalg.norm(h, axis=(-2, -1)) * np.linalg.norm(ms, axis=(-2, -1))
+    return np.max(num / den, axis=-1)
+
+
+def component_commutator_residual(name: str, samples) -> float:
+    """max |[X_j, X_k]| over the component pairs of a position operator and
+    the samples, from one stacked jet of the built components (they commute;
+    no check gates it).  Looked up on ``opcalc``, so patches there count."""
+    built = position_from_unitary(name, probe=samples[:2])
+    return mat_max(opcalc.diffop_commutator(
+        opcalc.stacked_jet(built, opcalc.as_batch(samples))).a)

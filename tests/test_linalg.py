@@ -4,9 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import proportional
 from spinorlab.clifford import gamma_set, pauli
-from spinorlab.linalg import (NullspaceResult, cond2, expm, mat_max,
-                              polar_unitary, svd_nullspace, unitarity_defect,
-                              worst)
+from spinorlab.linalg import (cond2, expm, mat_max, polar_unitary,
+                              svd_nullspace, unitarity_defect, worst)
 
 
 def series_expm(m, terms=30):
@@ -62,24 +61,28 @@ def test_expm_rejects_non_antihermitian_input(m, match):
         expm(m)
 
 
+def _basis(vh, nullity):
+    """The nullspace basis the arrays of one matrix encode, one per row."""
+    return vh[len(vh) - nullity:].conj()
+
+
 def test_nullspace_rank_deficient_diag():
-    res = svd_nullspace(np.diag([1.0, 0.0]), 1e-10)
-    assert not res.rank_zero
-    assert len(res.vectors) == 1
-    assert proportional(res.vectors[0].reshape(1, 2), np.array([[0.0, 1.0]]))
+    s, vh, nullity = svd_nullspace(np.diag([1.0, 0.0]), 1e-10)
+    assert nullity.shape == () and nullity == 1
+    assert proportional(_basis(vh, nullity), np.array([[0.0, 1.0]]))
 
 
 def test_nullspace_full_rank_unitary_empty():
     rng = np.random.default_rng(7)
     q, _ = np.linalg.qr(random_complex(rng, (4, 4)))
-    res = svd_nullspace(q, 1e-10)
-    assert res.vectors == []
+    s, vh, nullity = svd_nullspace(q, 1e-10)
+    assert nullity == 0 and _basis(vh, nullity).shape == (0, 4)
 
 
 def test_nullspace_zero_matrix_flagged():
-    res = svd_nullspace(np.zeros((3, 3)), 1e-10)
-    assert res.rank_zero
-    assert len(res.vectors) == 3
+    s, vh, nullity = svd_nullspace(np.zeros((3, 3)), 1e-10)
+    assert nullity == 3 and not s.any()
+    assert np.array_equal(_basis(vh, nullity), np.eye(3))
 
 
 def test_nullspace_rejects_bad_tol():
@@ -158,9 +161,9 @@ def test_nullspace_vectors_annihilate(seed, dim, rank):
     m = a @ b                                   # rank-deficient by construction
     smax = np.linalg.svd(m, compute_uv=False)[0]
     tol = 1e-8
-    res = svd_nullspace(m, tol)
-    assert len(res.vectors) >= dim - rank
-    for v in res.vectors:
+    s, vh, nullity = svd_nullspace(m, tol)
+    assert nullity >= dim - rank
+    for v in _basis(vh, nullity):
         assert np.linalg.norm(m @ v) <= 10 * tol * smax
 
 
@@ -180,31 +183,26 @@ def test_worst_propagates_nan_at_any_position(at):
 def test_nullspace_of_wide_matrix():
     # fewer rows than columns: the nullspace lies in the rows of the full vh
     m = np.array([[1.0, 2.0, 0.0, 1.0], [0.0, 1.0, 1.0, -1.0]])
-    null = svd_nullspace(m)
-    assert len(null.vectors) == 2 and not null.rank_zero
-    assert mat_max(null.singular_values
-                   - np.linalg.svd(m, compute_uv=False)) < 1e-14
-    v = np.array(null.vectors)
+    s, vh, nullity = svd_nullspace(m)
+    assert nullity == 2 and s.all()
+    assert mat_max(s - np.linalg.svd(m, compute_uv=False)) < 1e-14
+    v = _basis(vh, nullity)
     assert mat_max(v @ v.conj().T - np.eye(2)) < 1e-14
-    for x in null.vectors:
+    for x in v:
         assert mat_max(m @ x) < 1e-14
 
 
 # -- stacks: one LAPACK call, each member as its own 2-D call -------------------
 
 def _member(stack, *at):
-    """The 2-D result that a stacked call's arrays encode for member ``at``."""
-    s, vh, k = (part[at] for part in stack)
-    return NullspaceResult(list(vh[len(vh) - k:].conj()),
-                           not (s.size and s[0]), s)
+    """The arrays of member ``at`` of a stacked call."""
+    return tuple(part[at] for part in stack)
 
 
 def _same_nullspace(got, want):
-    assert got.rank_zero == want.rank_zero
-    assert np.array_equal(got.singular_values, want.singular_values)
-    assert len(got.vectors) == len(want.vectors)
-    for x, y in zip(got.vectors, want.vectors):
-        assert np.array_equal(x, y)
+    assert len(got) == len(want) == 3
+    for x, y in zip(got, want):
+        assert x.shape == y.shape and np.array_equal(x, y)
 
 
 def _rank_deficient_stacks(rng):
@@ -230,7 +228,7 @@ def test_stacked_nullspace_is_each_members_own(seed):
             _same_nullspace(_member(got, at), svd_nullspace(m))
         # the zero member: nullity cols and the identity basis
         assert nullity[1] == stack.shape[-1]
-        assert np.array_equal(_member(got, 1).vectors,
+        assert np.array_equal(_basis(*_member(got, 1)[1:]),
                               np.eye(stack.shape[-1]))
         assert 0 < nullity[2] < stack.shape[-1]
         nested = svd_nullspace(stack.reshape((1,) + stack.shape))

@@ -3,16 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from helpers import nan_at
+from helpers import component_commutator_residual, nan_at
 from spinorlab import opcalc, position
 from spinorlab.clifford import gamma_set, pauli, spin_matrix
 from spinorlab.linalg import NotUnitary, dagger, mat_max
 from spinorlab.opcalc import (OperatorField, as_batch, sample_momenta,
                               stacked_jet)
-from spinorlab.position import (POSITION_NAMES,
-                                component_commutator_residual,
-                                position_closed_form, position_from_unitary,
-                                verify_position)
+from spinorlab.position import (POSITION_NAMES, position_closed_form,
+                                position_from_unitary, verify_position)
 
 REP = gamma_set("rep26")
 SAMPLES = sample_momenta(3, 12, 42)

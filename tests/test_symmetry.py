@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import nan_at, proportional
+from helpers import nan_at, product_residuals, proportional
 from spinorlab import symmetry
 from spinorlab.clifford import pauli
 from spinorlab.equations import (EQUATION_NAMES, EquationSpec,
                                  catalog_equation, energy)
-from spinorlab.linalg import (NullspaceResult, cond2, mat_max, polar_unitary,
-                              svd_nullspace, worst)
+from spinorlab.linalg import (cond2, mat_max, polar_unitary, svd_nullspace,
+                              worst)
 from spinorlab.opcalc import OperatorField, as_batch, sample_momenta
 from spinorlab.symmetry import (IndeterminateVerdict, Intertwiner,
                                 NonInvariance, SymmetryElement,
@@ -475,12 +475,20 @@ def test_classification_equals_single_element_solves(seed):
                         == v.intertwiner.unitary_rep.tobytes()), where
                 assert out.nullity == v.intertwiner.nullity, where
                 assert abs(out.holdout_residual - v.residual) <= 1e-28, where
-                assert abs(out.residual - v.intertwiner.residual) <= 1e-28
             else:
                 assert abs(out.relative - v.residual) <= 1e-14 * v.residual
 
 
 # -- chunked solves ---------------------------------------------------------------
+
+def _kron_map(ht, h):
+    """Rows of M -> H M - M Htilde, kron(H, 1) - kron(1, Htilde^T) per point
+    written out, for one element's (n, dim, dim) stacks."""
+    eye = np.eye(h.shape[-1])
+    k = (h[:, :, None, :, None] * eye[:, None, :]
+         - eye[:, None, :, None] * np.swapaxes(ht, 1, 2)[:, None, :, None, :])
+    return k.reshape(-1, h.shape[-1] ** 2)
+
 
 def _solve_one_by_one(eq, g, seed, nullspace=svd_nullspace):
     """Reference: one element solved on its own as before the chunked solve,
@@ -488,25 +496,23 @@ def _solve_one_by_one(eq, g, seed, nullspace=svd_nullspace):
     ht, h = intertwine_condition(eq, g, as_batch(
         sample_momenta(eq.d, 12, seed) + sample_momenta(eq.d, 4, seed + 7919)))
     fit, hold = slice(12), slice(12, 16)
-    eye = np.eye(eq.dim)
-    k = (h[fit, :, None, :, None] * eye[:, None, :]
-         - eye[:, None, :, None] * np.swapaxes(ht[fit], 1, 2)[:, None, :, None, :])
-    null = nullspace(k.reshape(-1, eq.dim ** 2))
-    smax, smin = null.singular_values[0], null.singular_values[-1]
-    if not null.vectors:
+    s, vh, nullity = nullspace(_kron_map(ht[fit], h[fit]))
+    smax, smin = s[0], s[-1]
+    if not nullity:
         if smin > symmetry.CERTIFICATE_TOL * smax:
             return NonInvariance(float(smin), float(smax))
         raise IndeterminateVerdict(
             f"{eq.name}/{g.label}: sigma_min/sigma_max = {smin / smax:.3e} "
             "falls between thresholds -- increase samples")
-    nullity = len(null.vectors)
-    candidates = np.array(null.vectors)
+    candidates = vh[len(vh) - nullity:].conj()
     if nullity > 1:
         w = np.random.default_rng(seed + 1).normal(size=(32, 2, nullity))
         candidates = np.vstack([candidates,
                                 (w[:, 0] + 1j * w[:, 1]) @ candidates])
     candidates = candidates.reshape(-1, eq.dim, eq.dim)
-    hres = symmetry._residuals(candidates, ht[hold], h[hold])
+    hres = symmetry._residuals(_kron_map(ht[hold], h[hold])[None],
+                               candidates[None],
+                               np.linalg.norm(h[hold], axis=(1, 2)))[0]
     good = np.flatnonzero((cond2(candidates) <= 1e6)
                           & (hres <= symmetry.HOLDOUT_TOL))
     if not good.size:
@@ -515,9 +521,8 @@ def _solve_one_by_one(eq, g, seed, nullspace=svd_nullspace):
             "passed the holdout test -- increase samples")
     m = candidates[good[0]]
     m = m / np.linalg.norm(m) * np.sqrt(eq.dim)
-    return Intertwiner(m, polar_unitary(m),
-                       float(symmetry._residuals(m[None], ht[fit], h[fit])[0]),
-                       float(hres[good[0]]), nullity)
+    return Intertwiner(m, polar_unitary(m), float(hres[good[0]]),
+                       int(nullity))
 
 
 def _same_result(got, want):
@@ -525,8 +530,8 @@ def _same_result(got, want):
     if isinstance(want, Intertwiner):
         assert got.matrix.tobytes() == want.matrix.tobytes()
         assert got.unitary_rep.tobytes() == want.unitary_rep.tobytes()
-        assert (got.residual, got.holdout_residual, got.nullity) == (
-            want.residual, want.holdout_residual, want.nullity)
+        assert (got.holdout_residual, got.nullity) == (
+            want.holdout_residual, want.nullity)
     else:
         assert (got.certificate, got.sigma_max) == (want.certificate,
                                                     want.sigma_max)
@@ -542,6 +547,22 @@ def test_chunked_solve_equals_the_one_by_one_reference(seed):
             _same_result(got, _solve_one_by_one(eq, g, seed))
 
 
+@pytest.mark.parametrize("seed", [5, 42])
+def test_holdout_residuals_equal_the_product_formula(seed):
+    # the reported residual, read from the holdout Sylvester map, against
+    # |H M - M Htilde| / (|H| |M|) formed by matrix products at the same
+    # holdout points, for every invariant element of every equation
+    for name in EQUATION_NAMES:
+        eq = catalog_equation(name)
+        rep = classify_equation(eq, seed=seed)
+        ht, h = intertwine_condition(eq, group_elements(eq.d), as_batch(
+            sample_momenta(eq.d, 4, seed + 7919)))
+        for v, t in zip(rep.verdicts, ht):
+            if v.invariant:
+                want = product_residuals(v.intertwiner.matrix, t, h)
+                assert abs(v.residual - want) <= 1e-15, (name, v.element.label)
+
+
 def _fingerprint(rep):
     """Every verdict, residual and matrix of a report, bit for bit."""
     out = [rep.agreement, rep.coherence_ok]
@@ -550,7 +571,7 @@ def _fingerprint(rep):
         if v.invariant:
             it = v.intertwiner
             out += [it.matrix.tobytes(), it.unitary_rep.tobytes(),
-                    it.residual.hex(), it.holdout_residual.hex(), it.nullity]
+                    it.holdout_residual.hex(), it.nullity]
     return out
 
 
@@ -640,16 +661,49 @@ def test_open_elements_fall_back_to_every_member(monkeypatch):
     assert keeping(2) == default != fifth      # the first random member
 
 
+@pytest.mark.parametrize("name, widths", [("chi_4c", (3, 34)),
+                                          ("phi_diag", (9, 40))])
+def test_a_candidates_residual_does_not_depend_on_its_width(name, widths,
+                                                            monkeypatch):
+    # the first width (the basis and one random member) is made to fail, so
+    # every element is scored again among all its members: the same first
+    # good candidate is kept with the same residual, bit for bit
+    eq = catalog_equation(name)
+    want, cond2, seen = _fingerprint(classify_equation(eq)), symmetry.cond2, []
+
+    def first_fails(block):
+        seen.append(block.shape[1])
+        c = cond2(block)
+        return np.full(c.shape, np.inf) if c.shape[1] == widths[0] else c
+
+    monkeypatch.setattr(symmetry, "cond2", first_fails)
+    assert _fingerprint(classify_equation(eq)) == want
+    assert set(seen) == set(widths)
+    # and on random candidates at every element's holdout map
+    ht, h = intertwine_condition(eq, group_elements(eq.d), as_batch(
+        sample_momenta(eq.d, 4, 3)))
+    k, h_norms = symmetry._sylvester(ht, h), np.linalg.norm(h, axis=(1, 2))
+    c = np.random.default_rng(3).normal(
+        size=(len(ht), widths[1], eq.dim, eq.dim, 2)) @ [1, 1j]
+    full = symmetry._residuals(k, c, h_norms)
+    for width in (1, widths[0], widths[1] - 1):
+        assert (symmetry._residuals(k, c[:, :width], h_norms).tobytes()
+                == full[:, :width].tobytes()), width
+
+
 def _edited(null, at, truncate, singular):
-    """Element ``at``'s nullspace with its last basis vector dropped if ``at``
-    is in ``truncate``, or its basis swapped for matrix units (every member
-    singular) if ``at`` is in ``singular``."""
-    vectors = null.vectors
-    if vectors and at in truncate:
-        vectors = vectors[:-1]
-    if vectors and at in singular:
-        vectors = list(np.eye(len(vectors[0]), dtype=complex)[:len(vectors)])
-    return null._replace(vectors=vectors)
+    """Element ``at``'s nullspace arrays (s, vh, nullity) with the last basis
+    vector dropped if ``at`` is in ``truncate``, or the basis swapped for
+    matrix units (every member singular) if ``at`` is in ``singular``."""
+    s, vh, nullity = null
+    rows = vh[len(vh) - nullity:]            # the conjugated basis
+    if len(rows) and at in truncate:
+        rows = rows[:-1]
+    if len(rows) and at in singular:
+        rows = np.eye(len(vh), dtype=complex)[:len(rows)]
+    vh = vh.copy()
+    vh[len(vh) - len(rows):] = rows
+    return s, vh, np.array(len(rows))
 
 
 @pytest.mark.parametrize("per_chunk, singular", [(3, {4, 5}), (32, {3, 4})])
@@ -667,16 +721,12 @@ def test_two_nullities_in_one_chunk_equal_the_one_by_one_reference(
     nullspace, plant, chunks = symmetry.svd_nullspace, [set()], []
 
     def edited(m, *args):
-        # each member's basis edited as its own 2-D result, then written back
+        # each member's arrays edited as its own 2-D result, then written back
         start = sum(map(len, chunks))
         s, vhs, nullity = nullspace(m, *args)
-        n = vhs.shape[-1]
-        for j, (vh, k) in enumerate(zip(vhs, nullity)):
-            vectors = _edited(NullspaceResult(list(vh[n - k:].conj()), False,
-                                              s[j]), start + j, truncate,
-                              plant[0]).vectors
-            nullity[j] = len(vectors)
-            vh[n - len(vectors):] = np.conj(vectors)
+        for j in range(len(vhs)):
+            _, vhs[j], nullity[j] = _edited((s[j], vhs[j], nullity[j]),
+                                            start + j, truncate, plant[0])
         chunks.append(nullity.copy())
         return s, vhs, nullity
 
@@ -779,8 +829,7 @@ def _coherence_pair_by_pair(verdicts, check_t, check_h):
             m2 = v2.intertwiner.matrix
             prod = v1.intertwiner.matrix @ (np.conj(m2) if v1.element.conjugate
                                             else m2)
-            out.append(float(symmetry._residuals(prod[None], check_t[at],
-                                                 check_h)[0]))
+            out.append(float(product_residuals(prod, check_t[at], check_h)))
     return worst(out)
 
 
@@ -869,13 +918,22 @@ def test_coherence_is_identical_at_every_chunk_length(name, monkeypatch):
     calls = _coherence_calls(monkeypatch)
     want = classify_equation(eq, seed=7).coherence_ok, calls[-1][1]
     n = sum(v.invariant for v in calls[-1][0][0])
-    targets, sylvester = [], symmetry._sylvester
+    targets, inside = [], []
+    sylvester, coherence = symmetry._sylvester, symmetry._coherence
+
+    def within(*args):
+        inside.append(True)
+        try:
+            return coherence(*args)
+        finally:
+            inside.pop()
 
     def spy(htilde, h):
-        if len(h) == 4:                   # the check points, not the fit
+        if inside:                  # coherence's maps, not the solve's
             targets.append(len(htilde))
         return sylvester(htilde, h)
 
+    monkeypatch.setattr(symmetry, "_coherence", within)
     monkeypatch.setattr(symmetry, "_sylvester", spy)
     for budget, lengths in ((1, [1] * n),
                             (_coherence_budget(eq, n, 1), [1] * n),
