@@ -72,16 +72,19 @@ def svd_nullspace(m, tol: float = TOL_NULLSPACE):
     """Right singular subspace with sigma < tol*sigma_max, of one matrix
     (rows, cols) or of each member of a stack (..., rows, cols).
 
-    One SVD gives arrays (singular values, vh, nullity), nullity 0-d for one
-    matrix.  The basis is the conjugate of the last nullity rows of vh; a
-    zero matrix has nullity cols and the identity for vh (the full standard
-    basis).  ``m`` may be rectangular (stacked constraints).
+    Returns arrays (singular values, vh, nullity), nullity 0-d for one
+    matrix.  They come from the SVD of the R factor of m = QR (the R-SVD:
+    the same s and vh, and no left factor of a tall m is formed), one path
+    for tall, square, wide and stacked m.  The basis is the conjugate of the
+    last nullity rows of vh; a zero matrix has nullity cols and the identity
+    for vh (the full standard basis).  A non-finite entry raises
+    ``np.linalg.LinAlgError``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    m = as_cmatrix(np.atleast_2d(m))
-    # a tall stack needs only the square vh; a wide one needs all its rows
-    _, s, vh = np.linalg.svd(m, full_matrices=m.shape[-2] < m.shape[-1])
+    r = np.linalg.qr(as_cmatrix(np.atleast_2d(m)), mode="r")
+    # r is square for a tall m; a wide one needs all the rows of vh
+    _, s, vh = np.linalg.svd(r, full_matrices=r.shape[-2] < r.shape[-1])
     n = vh.shape[-1]
     smax = s[..., 0] if s.shape[-1] else np.zeros(s.shape[:-1])
     nullity, zero = n - (s >= tol * smax[..., None]).sum(-1), smax == 0.0

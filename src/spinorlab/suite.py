@@ -72,13 +72,17 @@ def _unitary(name, cfg):
         yield CheckResult(f"exp_vs_closed/{name}",
                           eqs.exp_closed_residual(u, s3), cfg.tol)
     if u.source is not None and u.target is not None:
-        try:
-            resid = eqs.verify_transform(
-                u, s3, m=cfg.mass, kappa=cfg.kappa,
-                corrupt_reduction=cfg.corrupt_reduction)
-        except NotUnitary:
-            resid = math.nan      # a map that is not unitary fails the check
-        yield CheckResult(f"transform/{name}", resid, cfg.tol)
+        yield CheckResult(f"transform/{name}", _transform(
+            u, s3, m=cfg.mass, kappa=cfg.kappa,
+            corrupt_reduction=cfg.corrupt_reduction), cfg.tol)
+
+
+def _transform(u, samples, **params):
+    """verify_transform's residual; NaN (a failed check) if u isn't unitary."""
+    try:
+        return eqs.verify_transform(u, samples, **params)
+    except NotUnitary:
+        return math.nan
 
 
 def _projectors(cfg):
@@ -156,7 +160,7 @@ def _registry():
                          partial(_unitary, name)))
     out += [
         Entry(("transform",), "tU2*tU1", sampled | {"tol"}, lambda cfg: [
-            CheckResult("transform/tU2*tU1", eqs.verify_transform(
+            CheckResult("transform/tU2*tU1", _transform(
                 eqs.composed_tu(), _s3(cfg)), cfg.tol)]),
         Entry(("transform",), "tU2_alt_norm_p3pos", sampled | {"tol"},
               lambda cfg: [CheckResult(

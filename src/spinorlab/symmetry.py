@@ -15,12 +15,13 @@ spatial reflection S is applied.
 
 H is evaluated once per solve or classification, on the sign images of the
 sample momenta (the group and its sign images are built once per d).  Per
-chunk of elements within ``STACK_BYTES``, one stacked SVD of the Sylvester
-maps M |-> H(p_i) M - M Htilde(p_i) gives singular values, Vh and nullities
-as arrays: an invariance claim must survive a holdout test at 1e-7 (per
-nullity, candidates sliced from Vh, scored and normalised as stacks), a
-non-invariance claim needs sigma_min > 1e-4 sigma_max, and the gap between
-raises IndeterminateVerdict for the first such element in group order.
+chunk of elements within ``STACK_BYTES``, one stacked QR of the Sylvester
+maps M |-> H(p_i) M - M Htilde(p_i) and one SVD of their square R factors
+give singular values, Vh and nullities as arrays: an invariance claim must
+survive a holdout test at 1e-7 (per nullity, candidates sliced from Vh,
+scored and normalised as stacks), a non-invariance claim needs
+sigma_min > 1e-4 sigma_max, and the gap between raises IndeterminateVerdict
+for the first such element in group order.
 Coherence checks the invariant elements, which form an XOR group: the
 products M_b conj^{c_b}(M_j) composing to g = g_b g_j take one GEMM.  Both
 the holdout score and coherence read the relative residual
@@ -48,7 +49,9 @@ HOLDOUT_TOL = 1e-7            # relative residual for confirmed invariance
 CERTIFICATE_TOL = 1e-4        # sigma_min/sigma_max floor for non-invariance
 N_POLISH = 8                  # best oracle candidates that are polished
 POLISH_STEPS = 1500           # power-iteration steps of that polish
-STACK_BYTES = 1 << 18         # budget of one stacked solve or coherence chunk
+# budget of one stacked solve or coherence chunk: at 4x4 a chunk's fixed
+# cost (about 10 numpy calls and 3 LAPACK stacks) is most of its time
+STACK_BYTES = 1 << 19
 
 
 class IndeterminateVerdict(Exception):
@@ -224,8 +227,8 @@ def _residuals(k, ms, h_norms):
 
 
 def _solve_chunk(eq, elements, htilde, h, n_fit, n_holdout, seed):
-    """Results for a run of elements: one stacked SVD, then per nullity one
-    holdout map, score, normalisation and polar stack; the first
+    """Results for a run of elements: one stacked nullspace, then per
+    nullity one holdout map, score, normalisation and polar stack; the first
     indeterminate raises."""
     fit, hold = slice(n_fit), slice(n_fit, n_fit + n_holdout)
     s, vh, nullity = svd_nullspace(_sylvester(htilde[:, fit], h[fit]),

@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import proportional
 from spinorlab.clifford import gamma_set, pauli
-from spinorlab.linalg import (cond2, expm, mat_max, polar_unitary,
-                              svd_nullspace, unitarity_defect, worst)
+from spinorlab.linalg import (TOL_NULLSPACE, cond2, expm, mat_max,
+                              polar_unitary, svd_nullspace, unitarity_defect,
+                              worst)
 
 
 def series_expm(m, terms=30):
@@ -262,3 +263,54 @@ def test_stacked_polar_is_each_members_own(seed, dim):
     stack[1, 2] = 0.0
     with pytest.raises(ValueError, match="no unitary"):
         polar_unitary(stack)
+
+
+# -- the R factor: the nullspace of a direct SVD, and no tall SVD -------------
+
+def _direct_nullspace(m):
+    """Reference: singular values, nullity and null-space projector of one
+    matrix from np.linalg.svd of m itself."""
+    _, s, vh = np.linalg.svd(m)
+    k = m.shape[1] - int((s >= TOL_NULLSPACE * s[0]).sum())
+    basis = vh[len(vh) - k:].conj()
+    return s, k, basis.T @ basis.conj()
+
+
+@pytest.mark.parametrize("shape, rank", [
+    ((48, 4), 2), ((192, 16), 11), ((4, 4), 2), ((2, 5), 1),
+    ((3, 48, 4), 3), ((3, 192, 16), 13), ((3, 4, 4), 3), ((3, 2, 5), 1)],
+    ids=["48x4", "192x16", "4x4", "2x5", "stack-48x4", "stack-192x16",
+         "stack-4x4", "stack-2x5"])
+def test_nullspace_from_r_matches_a_direct_svd(monkeypatch, shape, rank):
+    rng = np.random.default_rng(sum(shape))
+    m = (random_complex(rng, shape[:-1] + (rank,))
+         @ random_complex(rng, shape[:-2] + (rank, shape[-1])))
+    shapes, svd = [], np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    out = svd_nullspace(m)
+    monkeypatch.undo()
+    assert shapes and all(sh[-2] <= sh[-1] for sh in shapes)
+    for at, mm in enumerate(m.reshape((-1,) + shape[-2:])):
+        got = _member(out, at) if m.ndim == 3 else out
+        want_s, want_k, want_p = _direct_nullspace(mm)
+        assert got[2] == want_k == shape[-1] - rank
+        assert mat_max(got[0] - want_s) <= 1e-13 * want_s[0]
+        basis = _basis(*got[1:])
+        assert mat_max(basis.T @ basis.conj() - want_p) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1j * np.inf],
+                         ids=["nan", "inf", "-inf", "1j*inf"])
+@pytest.mark.parametrize("shape", [(48, 4), (4, 4), (2, 5), (3, 192, 16)],
+                         ids=["48x4", "4x4", "2x5", "stack-192x16"])
+def test_nullspace_rejects_a_non_finite_entry(shape, bad):
+    # fail closed: nullity cols would put every vector in the nullspace
+    m = random_complex(np.random.default_rng(3), shape)
+    m[(1,) * (len(shape) - 2) + (1, 1)] = bad
+    with pytest.raises(np.linalg.LinAlgError):
+        svd_nullspace(m)

@@ -6,7 +6,7 @@ from dataclasses import fields
 import pytest
 
 from spinorlab import equations as eqs
-from spinorlab import poincare, position, symmetry
+from spinorlab import poincare, position, suite, symmetry
 from spinorlab.cli import build_parser
 from spinorlab.suite import REGISTRY, RunConfig, run_checks, run_verify_all
 
@@ -87,3 +87,15 @@ def test_memoised_builds_leave_no_trace_of_a_corrupted_run():
     again = run_verify_all(CFG)
     assert repr(first) == repr(again) == alone
     assert [c.name for c in corrupted if not c.passed] == ["transform/V1"]
+
+
+def test_a_composed_map_that_is_not_unitary_fails_its_check(monkeypatch):
+    # at p_perp = 1e-4 the closed tU2 is unitary only to about 3e-7: its
+    # unitary/ check fails, and tU2*tU1 fails its transform/ check with a NaN
+    # residual instead of raising NotUnitary out of the run
+    draw = suite.sample_momenta
+    monkeypatch.setattr(suite, "sample_momenta", lambda d, n, seed=42: [
+        (0.6e-4, 0.8e-4) + p[2:] for p in draw(d, n, seed)])
+    failed = {c.name: c.residual for c in run_verify_all(CFG) if not c.passed}
+    assert sorted(failed) == ["transform/tU2*tU1", "unitary/tU2"]
+    assert math.isnan(failed["transform/tU2*tU1"])
