@@ -152,10 +152,10 @@ def cmd_checks(args) -> int:
     """verify-all, or the registry rows of ``args.groups`` for ``args.subject``."""
     given = _given(args)
     checks = run_checks(RunConfig(**given), args.groups, args.subject, given)
-    _emit(args, _checks_doc(checks), _checks_markdown(checks, args.command))
     failing = [c.name for c in checks if not c.passed]
-    if failing:
+    if failing:      # before the output, which may fail on a non-finite value
         print(f"failing checks: {', '.join(failing)}", file=sys.stderr)
+    _emit(args, _checks_doc(checks), _checks_markdown(checks, args.command))
     return 1 if failing else 0
 
 

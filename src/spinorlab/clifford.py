@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dagger, mat_max, worst
+from .linalg import dagger, mat_max
 
 _PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -107,13 +107,10 @@ def spin_matrix(g: GammaSet, a: int, b: int) -> np.ndarray:
 
 def verify_clifford(g: GammaSet) -> float:
     """Max residual over all square/anticommutation and Hermiticity relations."""
-    n = g.gammas[0].shape[0]
-    eye = np.eye(n)
-    out = []
-    for a in range(5):
-        out.append(mat_max(g.gamma(a) @ g.gamma(a) - g.square_sign(a) * eye))
-        out += [mat_max(g.gamma(a) @ g.gamma(b) + g.gamma(b) @ g.gamma(a))
-                for b in range(a + 1, 5)]
-    out += [mat_max(dagger(g.gamma(mu)) - sign * g.gamma(mu))
-            for mu, sign in ((0, 1.0), (1, -1.0), (2, -1.0), (3, -1.0), (4, 1.0))]
-    return worst(out)
+    gam, eye = g.gammas, np.eye(g.gammas[0].shape[0])
+    return mat_max(
+        *(gam[a] @ gam[a] - g.square_sign(a) * eye for a in range(5)),
+        *(gam[a] @ gam[b] + gam[b] @ gam[a]
+          for a in range(5) for b in range(a + 1, 5)),
+        *(dagger(gam[mu]) - sign * gam[mu]
+          for mu, sign in enumerate((1.0, -1.0, -1.0, -1.0, 1.0))))

@@ -30,9 +30,8 @@ import numpy as np
 
 from . import dual
 from .clifford import gamma_set, pauli, spin_matrix
-from .linalg import (NotUnitary, dagger, expm, mat_max, unitarity_defect,
-                     worst)
-from .opcalc import OperatorField, as_batch, per_argument
+from .linalg import dagger, expm, mat_max, unitarity_defect
+from .opcalc import OperatorField, as_batch, per_argument, require_unitary
 from .symmetry import group_elements
 
 _REP = gamma_set("rep26")
@@ -365,10 +364,7 @@ def verify_transform(u: UnitarySpec, samples, m: float = 1.0,
         catalog_equation(u.target, m=m, kappa=kappa).hamiltonian
     p = as_batch(samples)
     up = u.closed(p)
-    if not (unitarity_defect(up) <= 1e-8):
-        bad = next(q for q, v in zip(samples, up)
-                   if not (unitarity_defect(v) <= 1e-8))
-        raise NotUnitary(f"{u.name} is not unitary at {bad}")
+    require_unitary(u.name, up, samples)
     return mat_max(up @ hs(p) @ dagger(up) - ht(p))
 
 
@@ -420,8 +416,8 @@ def massive_constraint_field(m: float) -> OperatorField:
 def verify_projectors(samples, m: float = 1.0) -> dict:
     """Residuals of every projector identity in the catalog."""
     res = {}
-    res["q_idempotent"] = worst([mat_max(Q_PLUS @ Q_PLUS - Q_PLUS),
-                                 mat_max(Q_MINUS @ Q_MINUS - Q_MINUS)])
+    res["q_idempotent"] = mat_max(Q_PLUS @ Q_PLUS - Q_PLUS,
+                                  Q_MINUS @ Q_MINUS - Q_MINUS)
     res["q_orthogonal"] = mat_max(Q_PLUS @ Q_MINUS)
     res["q_complete"] = mat_max(Q_PLUS + Q_MINUS - I4)
 
@@ -438,10 +434,8 @@ def verify_projectors(samples, m: float = 1.0) -> dict:
 
     cp = chirality_projector_field(+1.0)(p)
     cm = chirality_projector_field(-1.0)(p)
-    res["chirality_idempotent"] = worst([mat_max(cp @ cp - cp),
-                                         mat_max(cm @ cm - cm)])
-    res["chirality_complementary"] = worst([mat_max(cp + cm - I4),
-                                            mat_max(cp @ cm)])
+    res["chirality_idempotent"] = mat_max(cp @ cp - cp, cm @ cm - cm)
+    res["chirality_complementary"] = mat_max(cp + cm - I4, cp @ cm)
     return res
 
 
@@ -454,9 +448,8 @@ def block_reduction_residual(samples) -> float:
     hm = catalog_equation("chi_minus").hamiltonian
     p = as_batch(samples)
     full = h4(p)
-    return worst([mat_max(full[..., :2, :2] - hp(p)),
-                  mat_max(full[..., 2:, 2:] - hm(p)),
-                  mat_max(full[..., :2, 2:]), mat_max(full[..., 2:, :2])])
+    return mat_max(full[..., :2, :2] - hp(p), full[..., 2:, 2:] - hm(p),
+                   full[..., :2, 2:], full[..., 2:, :2])
 
 
 def dispersion_residual(eq: EquationSpec, samples) -> float:

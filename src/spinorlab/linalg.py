@@ -6,7 +6,6 @@ of the package relies on.
 """
 
 import math
-from typing import Iterable
 
 import numpy as np
 
@@ -28,25 +27,12 @@ def dagger(m):
     return np.conj(np.swapaxes(np.asarray(m), -1, -2))
 
 
-def mat_max(m) -> float:
-    """Max absolute entry; the residual measure used throughout."""
-    m = np.asarray(m)
-    return 0.0 if m.size == 0 else float(np.max(np.abs(m)))
-
-
-def worst(residuals: Iterable[float]) -> float:
-    """Largest residual (0.0 for none); NaN as soon as any residual is NaN.
-
-    The builtin ``max`` keeps its running value when compared with NaN, so a
-    NaN residual would read as a pass; every residual reduction goes here.
-    """
-    out = 0.0
-    for r in residuals:
-        if math.isnan(r):
-            return math.nan
-        if r > out:
-            out = r
-    return float(out)
+def mat_max(*arrays) -> float:
+    """Max |entry| over every array given (0.0 for none or for empty ones),
+    NaN as soon as any entry is NaN: the one residual reduction, as the
+    builtin ``max`` keeps its running value when compared with NaN."""
+    r = [float(np.abs(m).max(initial=0.0)) for m in arrays]
+    return math.nan if any(map(math.isnan, r)) else max(r, default=0.0)
 
 
 def expm(m) -> np.ndarray:

@@ -552,12 +552,22 @@ def diffop_commutator(jet: Jet) -> Commutator:
                       np.moveaxis(x0_b, -nb - 3, 0), x0_sq, second)
 
 
+def require_unitary(name: str, values, points: Sequence[Point]) -> None:
+    """The one unitarity gate: raise NotUnitary, naming the first failing
+    point, unless each member of ``values`` (the field evaluated at
+    ``points``) is unitary to 1e-8 and finite."""
+    if not (unitarity_defect(values) <= 1e-8):
+        bad = next(q for q, v in zip(points, values)
+                   if not (unitarity_defect(v) <= 1e-8))
+        raise NotUnitary(f"{name} is not unitary at {bad}")
+
+
 def check_unitary(u: OperatorField, probe: Sequence[Point]) -> None:
-    """Raise NotUnitary unless u is unitary at every probe point (no check
-    on an empty probe); a caller that conjugates several operators by one
-    field checks it once."""
-    if probe and not (unitarity_defect(u(as_batch(probe))) <= 1e-8):
-        raise NotUnitary("conjugating field is not unitary at probe point")
+    """:func:`require_unitary` for u at the probe points (no check on an
+    empty probe); a caller that conjugates several operators by one field
+    checks it once."""
+    if probe:
+        require_unitary("conjugating field", u(as_batch(probe)), probe)
 
 
 def conjugate_by_unitary(u: OperatorField, g: DiffOp1) -> DiffOp1:

@@ -38,7 +38,7 @@ import numpy as np
 from . import dual
 from .clifford import gamma_set, pauli, spin_matrix
 from .equations import abs_p3, catalog_equation, e3, energy
-from .linalg import mat_max, worst
+from .linalg import mat_max
 from .opcalc import (DiffOp1, OperatorField, as_batch, check_unitary,
                      conjugate_by_unitary, diffop_commutator, sample_momenta,
                      stacked_jet, stacked_values)
@@ -248,12 +248,9 @@ def _tensor_residual(closure, sign_jj, sign_jp) -> float:
     f = (1j * (sign_jj * f_jj + sign_jp * f_jp))[np.triu_indices(size, 1)]
     rhs = lambda x: (f @ x.reshape(size, -1)).reshape((len(f),) + x.shape[1:])
     rhs_b = np.moveaxis(rhs(b), 1, 0)
-    out = []
-    for x0v in X0_VALUES:
-        out += [mat_max(comm.a + x0v * comm.x0_a + x0v ** 2 * comm.x0_sq
-                        - rhs(a + x0v * c)),
-                mat_max(comm.b + x0v * comm.x0_b - rhs_b)]
-    return worst(out)
+    return mat_max(*(comm.a + x0v * comm.x0_a + x0v ** 2 * comm.x0_sq
+                     - rhs(a + x0v * c) for x0v in X0_VALUES),
+                   *(comm.b + x0v * comm.x0_b - rhs_b for x0v in X0_VALUES))
 
 
 @functools.cache
@@ -288,9 +285,8 @@ def set_covariance_residual(gs_src: GeneratorSet, gs_tgt: GeneratorSet,
     (a1, b1, c1), (a2, b2, c2) = (
         stacked_values(ops, p) for ops in (conj, [op for _, op in
                                                   gs_tgt.members()]))
-    out = [mat_max(b1 - b2)]
-    out += [mat_max(a1 + x0v * c1 - (a2 + x0v * c2)) for x0v in X0_VALUES]
-    return worst(out)
+    return mat_max(b1 - b2, *(a1 + x0v * c1 - (a2 + x0v * c2)
+                              for x0v in X0_VALUES))
 
 
 # -- helicity and irrep content ----------------------------------------------
@@ -308,7 +304,7 @@ def helicity_field(gs: GeneratorSet, check_points) -> OperatorField:
              for k in (1, 2, 3)]
     h_op = terms[0] + terms[1] + terms[2]
     p = as_batch(check_points)
-    if not (worst(mat_max(bf(p)) for bf in h_op.b) <= 1e-10):
+    if not (mat_max(*(bf(p) for bf in h_op.b)) <= 1e-10):
         raise RuntimeError("not a scalar helicity")
     if h_op.x0 is not None and not (mat_max(h_op.x0(p)) <= 1e-12):
         raise RuntimeError("helicity acquired an x0 part")

@@ -42,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from .linalg import (TOL_NULLSPACE, cond2, dagger, mat_max, polar_unitary,
-                     svd_nullspace, worst)
+                     svd_nullspace)
 from .opcalc import as_batch, sample_momenta
 
 HOLDOUT_TOL = 1e-7            # relative residual for confirmed invariance
@@ -353,9 +353,9 @@ def _coherence(verdicts, check_t, check_h) -> float:
     h_norms, out = np.linalg.norm(check_h, axis=(-2, -1)), []
     for part in _chunks(n, 16 * dim ** 2 * (len(check_h) * (dim ** 2 + n) + n)):
         c = prods[np.arange(n), :, second[part]]    # (targets, b, dim, dim)
-        out.append(np.max(_residuals(_sylvester(check_t[inv[part]], check_h),
-                                     c, h_norms)))
-    return worst(out)
+        out.append(_residuals(_sylvester(check_t[inv[part]], check_h), c,
+                              h_norms))
+    return mat_max(*out)
 
 
 # -- random-search oracle -----------------------------------------------------
@@ -469,6 +469,5 @@ def verify_projection_relations(seed: int = 42, n_fit: int = 12,
         qp = np.conj(Q_PLUS) if g.conjugate else Q_PLUS
         qm = np.conj(Q_MINUS) if g.conjugate else Q_MINUS
         to_p, to_m = (Q_MINUS, Q_PLUS) if swap else (Q_PLUS, Q_MINUS)
-        res[label] = worst([mat_max(m @ qp - to_p @ m),
-                            mat_max(m @ qm - to_m @ m)])
+        res[label] = mat_max(m @ qp - to_p @ m, m @ qm - to_m @ m)
     return res

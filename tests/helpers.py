@@ -3,7 +3,7 @@
 import numpy as np
 
 from spinorlab import opcalc
-from spinorlab.linalg import as_cmatrix, mat_max, worst
+from spinorlab.linalg import as_cmatrix, mat_max
 from spinorlab.opcalc import (Commutator, _left, _members_first, _product,
                               _right)
 from spinorlab.position import position_from_unitary
@@ -76,9 +76,8 @@ def dense_commutator(jet):
     b = comm(A, B) - sw(comm(A, B)) + 1j * (dot(B, dB) - sw(dot(B, dB)))
     x0_a = comm(A, C) + comm(C, A) + 1j * (dot(B, dC) - sw(dot(B, dC)))
     x0_b = comm(C, B) - sw(comm(C, B))
-    second = worst(0.5 * mat_max(comm(B[:, k], B[:, l])
-                                 + comm(B[:, l], B[:, k]))
-                   for k in range(d) for l in range(k, d))
+    second = 0.5 * mat_max(*(comm(B[:, k], B[:, l]) + comm(B[:, l], B[:, k])
+                             for k in range(d) for l in range(k, d)))
     return Commutator(a, np.moveaxis(b, -nb - 3, 0), x0_a,
                       np.moveaxis(x0_b, -nb - 3, 0), comm(C, C), second)
 

@@ -2,7 +2,10 @@
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 lines.  Every tolerance is pinned here; nothing is deferred to calibration.
+Residuals are reduced with ``mat_max``, so a NaN anywhere fails its criterion.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ import pytest
 from spinorlab import poincare, position
 from spinorlab import equations as eqs
 from spinorlab.clifford import gamma_set, verify_clifford
+from spinorlab.linalg import mat_max
 from spinorlab.opcalc import sample_momenta
 from spinorlab.symmetry import (Intertwiner, SymmetryElement,
                                 classify_equation, group_elements,
@@ -28,22 +32,21 @@ def _announce(num, ok, text):
 
 
 def test_criterion_01_clifford():
-    worst = max(verify_clifford(gamma_set(n)) for n in ("rep26", "weyl"))
+    worst = mat_max(*(verify_clifford(gamma_set(n))
+                      for n in ("rep26", "weyl")))
     _announce(1, worst <= 1e-12,
               f"Clifford squares/anticommutators, residual {worst:.2e} <= 1e-12")
 
 
 def test_criterion_02_transformations():
     assert {np.sign(p[2]) for p in S3} == {1.0, -1.0}
-    worst_t = 0.0
-    for name in ("U1", "U2", "V1", "V", "V2"):
-        worst_t = max(worst_t, eqs.verify_transform(eqs.catalog_unitary(name),
-                                                    S3))
-    worst_t = max(worst_t, eqs.verify_transform(eqs.composed_tu(), S3))
-    worst_u = max(eqs.unitarity_residual(eqs.catalog_unitary(n), S3)
-                  for n in eqs.UNITARY_NAMES)
-    worst_e = max(eqs.exp_closed_residual(eqs.catalog_unitary(n), S3)
-                  for n in ("U1", "U2", "V1"))
+    maps = [eqs.catalog_unitary(n) for n in ("U1", "U2", "V1", "V", "V2")]
+    worst_t = mat_max(*(eqs.verify_transform(u, S3)
+                        for u in maps + [eqs.composed_tu()]))
+    worst_u = mat_max(*(eqs.unitarity_residual(eqs.catalog_unitary(n), S3)
+                        for n in eqs.UNITARY_NAMES))
+    worst_e = mat_max(*(eqs.exp_closed_residual(eqs.catalog_unitary(n), S3)
+                        for n in ("U1", "U2", "V1")))
     ok = worst_t <= 1e-9 and worst_u <= 1e-10 and worst_e <= 1e-9
     _announce(2, ok, "transform suite: map residual "
               f"{worst_t:.2e} <= 1e-9, unitarity {worst_u:.2e} <= 1e-10, "
@@ -118,17 +121,16 @@ def test_criterion_04_oracle_equivalence():
 
 
 def test_criterion_05_projectors():
-    worst = max(eqs.verify_projectors(S3, m=1.7).values())
-    worst = max(worst, max(verify_projection_relations().values()))
+    worst = mat_max(*eqs.verify_projectors(S3, m=1.7).values(),
+                    *verify_projection_relations().values())
     _announce(5, worst <= 1e-9,
               f"projector suite residual {worst:.2e} <= 1e-9")
 
 
 def test_criterion_06_algebra_closure():
-    worst = second = 0.0
-    for name in ("psi", "chi", "phi", "phi_pos", "phi_neg", "chi2"):
-        r, s = poincare.algebra_residual(poincare.generator_set(name), S3_X8)
-        worst, second = max(worst, r), max(second, s)
+    closure = [poincare.algebra_residual(poincare.generator_set(name), S3_X8)
+               for name in ("psi", "chi", "phi", "phi_pos", "phi_neg", "chi2")]
+    worst, second = (mat_max(*part) for part in zip(*closure))
     cov = poincare.set_covariance_residual(
         poincare.generator_set("chi"), poincare.generator_set("phi"),
         eqs.catalog_unitary("U2").closed, S3_X8[:4])
@@ -138,11 +140,10 @@ def test_criterion_06_algebra_closure():
 
 
 def test_criterion_07_position():
-    worst = canon = 0.0
-    for name in position.POSITION_NAMES:
-        rep = position.verify_position(name, S3)
-        worst = max(worst, rep["closed_vs_conjugation"])
-        canon = max(canon, rep["canonical_commutator"])
+    reps = [position.verify_position(name, S3)
+            for name in position.POSITION_NAMES]
+    worst, canon = (mat_max(*(rep[key] for rep in reps)) for key in
+                    ("closed_vs_conjugation", "canonical_commutator"))
     ok = worst <= 1e-9 and canon <= 1e-10
     _announce(7, ok, f"position closed-vs-conjugation {worst:.2e} <= 1e-9, "
               f"canonical commutators {canon:.2e} <= 1e-10")
@@ -167,15 +168,25 @@ def test_criterion_08_irrep_content():
 
 
 def test_criterion_09_dispersion():
-    worst = 0.0
-    for name in eqs.EQUATION_NAMES:
-        eq = eqs.catalog_equation(name, m=1.3, kappa=0.8)
-        pts = {2: S2, 3: S3, 4: S4}[eq.d]
-        worst = max(worst, eqs.dispersion_residual(eq, pts))
+    equations = [eqs.catalog_equation(name, m=1.3, kappa=0.8)
+                 for name in eqs.EQUATION_NAMES]
+    worst = mat_max(*(eqs.dispersion_residual(eq, {2: S2, 3: S3, 4: S4}[eq.d])
+                      for eq in equations))
     lam = eqs.lambda_consistency_residual(S3)
     ok = worst <= 1e-10 and lam == 0.0
     _announce(9, ok, f"dispersion residual {worst:.2e} <= 1e-10, "
               f"lambda = -2i reproduction exact ({lam:.1e})")
+
+
+def test_criterion_09_fails_on_a_nan_residual(monkeypatch, capsys):
+    middle = eqs.EQUATION_NAMES[len(eqs.EQUATION_NAMES) // 2]
+    residual = eqs.dispersion_residual
+    monkeypatch.setattr(eqs, "dispersion_residual", lambda eq, pts: (
+        math.nan if eq.name == middle else residual(eq, pts)))
+    with pytest.raises(AssertionError, match="criterion 9"):
+        test_criterion_09_dispersion()
+    out = capsys.readouterr().out
+    assert "CRITERION 9: FAIL - dispersion residual nan" in out
 
 
 def test_criterion_10_negative_control():

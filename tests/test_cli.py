@@ -187,9 +187,12 @@ def test_swallowed_nan_fails_and_never_prints_invalid_json(capsys):
     argv = ["transform", "--name", "V2", "--mass", "1e200"]
     with np.errstate(all="ignore"):
         assert main(argv) == 2
-        assert capsys.readouterr().out == ""
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "failing checks: " in err and "transform/V2" in err
         assert main(argv + ["--format", "md"]) == 1
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
+    assert "failing checks: " in err and "transform/V2" in err
     assert "| transform/V2 | nan | 1e-09 | false |" in out
     assert "| true |" not in out
 

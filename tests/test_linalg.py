@@ -5,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import proportional
 from spinorlab.clifford import gamma_set, pauli
 from spinorlab.linalg import (TOL_NULLSPACE, cond2, expm, mat_max,
-                              polar_unitary, svd_nullspace, unitarity_defect,
-                              worst)
+                              polar_unitary, svd_nullspace, unitarity_defect)
 
 
 def series_expm(m, terms=30):
@@ -169,16 +168,32 @@ def test_nullspace_vectors_annihilate(seed, dim, rank):
 
 
 def test_worst_is_the_max_and_zero_for_none():
-    assert worst([]) == 0.0
-    assert worst(iter([1e-16, 3.0, 2.0])) == 3.0
-    assert worst([np.float64(0.5), np.inf]) == np.inf
+    # the worst |entry| over every array mat_max is given
+    assert mat_max() == 0.0
+    assert mat_max(np.zeros((0, 4))) == 0.0
+    assert mat_max(np.zeros((0, 4)), np.array([[-2.0, 1j]])) == 2.0
+    assert mat_max(*iter([1e-16, 3.0, 2.0])) == 3.0
+    assert mat_max(np.full(3, 1e-16), np.array([-3.0, 1.0]), 2j * np.eye(2)) \
+        == 3.0
+    assert mat_max(np.float64(0.5), np.array([np.inf])) == np.inf
 
 
 @pytest.mark.parametrize("at", range(4))
 def test_worst_propagates_nan_at_any_position(at):
     values = [1e-16, 2.0, 0.0, 1.0]
     values[at] = np.nan
-    assert np.isnan(worst(values))
+    assert np.isnan(mat_max(*values))
+    assert np.isnan(mat_max(*(np.full((2, 2), v) for v in values)))
+
+
+def test_mat_max_sees_a_later_nan_and_returns_a_float():
+    later = np.zeros((3, 2, 2), dtype=complex)
+    later[1, 0, 1] = np.nan
+    assert np.isnan(mat_max(np.ones((2, 3)), later, np.array([5.0])))
+    for args in ((), (np.array([3]),), (np.array([[1 + 1j]]), np.float32(0.5)),
+                 (np.array([np.inf]),)):
+        assert type(mat_max(*args)) is float
+    assert mat_max(np.array([[1 + 1j]]), np.float32(0.5)) == abs(1 + 1j)
 
 
 def test_nullspace_of_wide_matrix():

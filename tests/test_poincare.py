@@ -10,7 +10,7 @@ from helpers import dense_commutator, fold, nan_at
 from spinorlab import opcalc
 from spinorlab.clifford import pauli
 from spinorlab.equations import catalog_equation, catalog_unitary
-from spinorlab.linalg import NotUnitary, mat_max, worst
+from spinorlab.linalg import NotUnitary, mat_max
 from spinorlab.opcalc import (DiffOp1, OperatorField, as_batch,
                               diffop_commutator, sample_momenta,
                               stacked_jet, stacked_values)
@@ -265,9 +265,8 @@ def all_pairs_residual(closure, x0_values, sign_jj, sign_jp) -> float:
         rhs = (f @ values.reshape(size, -1)).reshape(
             (size, size) + values.shape[1:])
         lhs_a, lhs_b = fold(comm, x0v)
-        out += [mat_max(lhs_a - rhs[:, :, 0]),
-                mat_max(lhs_b - np.moveaxis(rhs[:, :, 1:], 2, 0))]
-    return worst(out)
+        out += [lhs_a - rhs[:, :, 0], lhs_b - np.moveaxis(rhs[:, :, 1:], 2, 0)]
+    return mat_max(*out)
 
 
 def _noncommuting_x0_set():
@@ -321,8 +320,9 @@ def test_covariance_probes_unitarity_once(monkeypatch):
     u2 = catalog_unitary("U2").closed
     assert set_covariance_residual(chi, phi, u2, S3[:4]) <= 1e-8
     assert calls == [(2, 4, 4)]             # one probe of the two points
-    with pytest.raises(NotUnitary):
+    with pytest.raises(NotUnitary) as raised:
         set_covariance_residual(chi, phi, u2.scale(1.5), S3[:4])
+    assert str(raised.value).endswith(f"not unitary at {S3[0]}")
 
 
 def test_closure_peak_memory():

@@ -15,8 +15,7 @@ from spinorlab import symmetry
 from spinorlab.clifford import pauli
 from spinorlab.equations import (EQUATION_NAMES, EquationSpec,
                                  catalog_equation, energy)
-from spinorlab.linalg import (cond2, mat_max, polar_unitary, svd_nullspace,
-                              worst)
+from spinorlab.linalg import cond2, mat_max, polar_unitary, svd_nullspace
 from spinorlab.opcalc import OperatorField, as_batch, sample_momenta
 from spinorlab.symmetry import (IndeterminateVerdict, Intertwiner,
                                 NonInvariance, SymmetryElement,
@@ -831,8 +830,8 @@ def _coherence_pair_by_pair(verdicts, check_t, check_h):
             m2 = v2.intertwiner.matrix
             prod = v1.intertwiner.matrix @ (np.conj(m2) if v1.element.conjugate
                                             else m2)
-            out.append(float(product_residuals(prod, check_t[at], check_h)))
-    return worst(out)
+            out.append(product_residuals(prod, check_t[at], check_h))
+    return mat_max(*out)
 
 
 def _coherence_calls(monkeypatch):
