@@ -12,7 +12,7 @@ Exit codes: 0 pass, 1 check failure, 2 usage error, 3 numerical indeterminacy.
 import argparse
 import math
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -115,24 +115,17 @@ def _given(args) -> dict:
             if hasattr(args, f.name)}
 
 
-_PARAM_FLAGS = {"m": "mass", "kappa": "kappa"}
-_CORRUPTIBLE = ("chi_plus", "chi_minus")   # built by the corruptible reduction
-
-
 def _equation(args, reads):
     """(RunConfig, catalog equation) of the command line.
 
     Raises ValueError on a flag that neither ``reads`` nor the equation's
-    construction reads (its parameters, the reduction's negative control).
+    construction reads (the RunConfig fields that key its ``params``).
     """
     given = _given(args)
     cfg = RunConfig(**given)
     eq = eqs.catalog_equation(args.equation, m=cfg.mass, kappa=cfg.kappa,
                               corrupt_reduction=cfg.corrupt_reduction)
-    reads = set(reads) | {_PARAM_FLAGS[k] for k in eq.params}
-    if args.equation in _CORRUPTIBLE:
-        reads.add("corrupt_reduction")
-    reject_unread(given, reads)
+    reject_unread(given, set(reads) | set(eq.params))
     return cfg, eq
 
 
@@ -140,11 +133,10 @@ def cmd_report(args) -> int:
     cfg, eq = _equation(args, {"seed", "samples", "holdout"})
     report = classify_equation(eq, seed=cfg.seed, n_fit=cfg.samples,
                                n_holdout=cfg.holdout)
-    doc = _report_doc(report)
-    if args.element is not None:
-        want = report.verdict_for(args.element).element.label
-        doc["elements"] = [e for e in doc["elements"] if e["label"] == want]
-    _emit(args, doc, _report_markdown(report))
+    if args.element is not None:    # the summary stays the full group's
+        report = replace(report,
+                         verdicts=(report.verdict_for(args.element),))
+    _emit(args, _report_doc(report), _report_markdown(report))
     return 0 if report.agreement and report.coherence_ok else 1
 
 
@@ -201,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
                                       "discrete group")
     p.add_argument("--equation", required=True)
     p.add_argument("--element", default=None,
-                   help="restrict JSON output to one element, e.g. P3*C")
+                   help="restrict the output to one element, e.g. P3*C")
     _add_common(p)
     p.set_defaults(func=cmd_report)
 

@@ -41,14 +41,13 @@ def pauli(k: int) -> np.ndarray:
 class GammaSet:
     name: str
     gammas: tuple            # (gamma0, gamma1, gamma2, gamma3, gamma4)
-    metric: tuple = (1.0, -1.0, -1.0, -1.0)
-    gamma4_square: float = 1.0
 
     def gamma(self, mu: int) -> np.ndarray:
         return self.gammas[mu]
 
-    def square_sign(self, mu: int) -> float:
-        return self.gamma4_square if mu == 4 else self.metric[mu]
+
+# the signature: gamma_mu^2 = eta_mu and gamma_mu^dagger = eta_mu gamma_mu
+_ETA = (1, -1, -1, -1, 1)
 
 
 def _block(a, b, c, d):
@@ -109,8 +108,7 @@ def verify_clifford(g: GammaSet) -> float:
     """Max residual over all square/anticommutation and Hermiticity relations."""
     gam, eye = g.gammas, np.eye(g.gammas[0].shape[0])
     return mat_max(
-        *(gam[a] @ gam[a] - g.square_sign(a) * eye for a in range(5)),
+        *(x @ x - eta * eye for x, eta in zip(gam, _ETA)),
         *(gam[a] @ gam[b] + gam[b] @ gam[a]
           for a in range(5) for b in range(a + 1, 5)),
-        *(dagger(gam[mu]) - sign * gam[mu]
-          for mu, sign in enumerate((1.0, -1.0, -1.0, -1.0, 1.0))))
+        *(dagger(x) - eta * x for x, eta in zip(gam, _ETA)))

@@ -75,7 +75,7 @@ class EquationSpec:
     dim: int
     d: int
     hamiltonian: OperatorField
-    params: dict = field(default_factory=dict)
+    params: dict = field(default_factory=dict)   # keyed by RunConfig field
     claims: tuple = ()                 # (element label, invariant?) pairs
     hermitian: bool = True
     dispersion: Optional[object] = None   # scalar fn of p: H^2 = fn(p)*1
@@ -179,6 +179,7 @@ def _catalog_equation(name: str, m: float, kappa: float,
     if name in ("chi_plus", "chi_minus"):
         terms = _two_component_reduction(s, abs_p3, corrupt_reduction)
         return EquationSpec(name, 2, 3, OperatorField(2, 3, terms),
+                            params={"corrupt_reduction": corrupt_reduction},
                             claims=_CHI_CLAIMS,
                             dispersion=None if corrupt_reduction
                             else _dispersion(0.0))
@@ -196,7 +197,7 @@ def _catalog_equation(name: str, m: float, kappa: float,
     if name in ("flat_plus", "flat_minus"):
         terms = _two_component_reduction(s, lambda p: m)
         return EquationSpec(
-            name, 2, 2, OperatorField(2, 2, terms), params={"m": m},
+            name, 2, 2, OperatorField(2, 2, terms), params={"mass": m},
             claims=_FLAT_CLAIMS, dispersion=_dispersion(m * m))
 
     if name == "desitter":
@@ -209,19 +210,19 @@ def _catalog_equation(name: str, m: float, kappa: float,
     if name == "dirac_massive":
         terms = _linear(*_DIRAC) + [(lambda p: m, G0)]
         return EquationSpec(
-            name, 4, 3, OperatorField(4, 3, terms), params={"m": m},
+            name, 4, 3, OperatorField(4, 3, terms), params={"mass": m},
             claims=_MASSIVE_CLAIMS, dispersion=_dispersion(m * m))
 
     if name == "hprime":
         terms = _linear(*_DIRAC[:2]) + [(q3_of(m), G0)]
         return EquationSpec(
-            name, 4, 3, OperatorField(4, 3, terms), params={"m": m},
+            name, 4, 3, OperatorField(4, 3, terms), params={"mass": m},
             dispersion=_dispersion(m * m))
 
     if name in ("spinless_plus", "spinless_minus"):
         terms = _two_component_reduction(s, q3_of(m))
         return EquationSpec(
-            name, 2, 3, OperatorField(2, 3, terms), params={"m": m},
+            name, 2, 3, OperatorField(2, 3, terms), params={"mass": m},
             dispersion=_dispersion(m * m))
 
     if name in ("kappa_plus", "kappa_minus"):

@@ -16,10 +16,6 @@ from .dual import Dual
 TOL_NULLSPACE = 1e-8
 
 
-def as_cmatrix(m) -> np.ndarray:
-    return np.asarray(m, dtype=complex)
-
-
 def dagger(m):
     """Conjugate transpose of a matrix or stack, through every Dual layer."""
     if isinstance(m, Dual):
@@ -43,7 +39,7 @@ def expm(m) -> np.ndarray:
     max|m + m^dagger| <= 1e-12 max|m| (every catalog exponent is exactly
     anti-Hermitian).
     """
-    m = as_cmatrix(m)
+    m = np.asarray(m, dtype=complex)
     if not np.all(np.isfinite(m)):
         raise ValueError("non-finite matrix")
     defect, bound = mat_max(m + dagger(m)), 1e-12 * mat_max(m)
@@ -68,7 +64,7 @@ def svd_nullspace(m, tol: float = TOL_NULLSPACE):
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    r = np.linalg.qr(as_cmatrix(np.atleast_2d(m)), mode="r")
+    r = np.linalg.qr(np.asarray(np.atleast_2d(m), dtype=complex), mode="r")
     # r is square for a tall m; a wide one needs all the rows of vh
     _, s, vh = np.linalg.svd(r, full_matrices=r.shape[-2] < r.shape[-1])
     n = vh.shape[-1]
@@ -81,7 +77,7 @@ def svd_nullspace(m, tol: float = TOL_NULLSPACE):
 
 def polar_unitary(m) -> np.ndarray:
     """Unitary U of m = U.H (H > 0), per member of a stack: W Vh of one SVD."""
-    u, s, vh = np.linalg.svd(as_cmatrix(m))
+    u, s, vh = np.linalg.svd(np.asarray(m, dtype=complex))
     if (s[..., -1] <= 1e-10 * s[..., 0]).any():
         raise ValueError("no unitary representative")
     return u @ vh
@@ -100,7 +96,7 @@ def unitarity_defect(u) -> float:
 def cond2(m):
     """2-norm condition number of a matrix, or one per matrix of a stack
     (inf for a singular matrix)."""
-    s = np.linalg.svd(as_cmatrix(m), compute_uv=False)
+    s = np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)
     smin = s[..., -1]
     c = np.divide(s[..., 0], smin, out=np.full(smin.shape, np.inf),
                   where=smin != 0.0)

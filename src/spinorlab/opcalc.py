@@ -193,9 +193,7 @@ class OperatorField:
             out = _zeros(p, self.dim)
             for fn, mat in self.terms:
                 c = fn(p)
-                if isinstance(c, np.ndarray):
-                    out = out + c[..., None, None] * mat
-                elif isinstance(c, dual.Dual) or c != 0:
+                if isinstance(c, (np.ndarray, dual.Dual)) or c != 0:
                     out = out + _lift(c) * mat
         p.values[id(self)] = (self, _read_only(out))
         return out

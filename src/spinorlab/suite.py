@@ -143,21 +143,20 @@ def _dispersion_and_structure(cfg):
 
 def _registry():
     sampled = frozenset({"seed", "samples"})
-    # the catalog parameters that a unitary's checks depend on
-    params = {"V1": {"corrupt_reduction"}, "V2": {"mass"}}
     out = [Entry(("clifford",), None, frozenset(), lambda cfg: [
         CheckResult(f"clifford/{name}", verify_clifford(gamma_set(name)),
                     1e-12) for name in ("rep26", "weyl")])]
     for name in eqs.UNITARY_NAMES:
         u = eqs.catalog_unitary(name)
-        groups = ("unitary",)
+        groups, reads = ("unitary",), sampled
         if u.exponent is not None:
             groups += ("exp_vs_closed",)
         if u.source is not None and u.target is not None:
-            groups += ("transform",)
+            groups += ("transform",)     # reads its equations' parameters
+            reads = reads.union(*(eqs.catalog_equation(e).params for e in (
+                u.source, u.target) if isinstance(e, str)))
         tol = {"tol"} if len(groups) > 1 else set()  # unitary/ has its own
-        out.append(Entry(groups, name, sampled | tol | params.get(name, set()),
-                         partial(_unitary, name)))
+        out.append(Entry(groups, name, reads | tol, partial(_unitary, name)))
     out += [
         Entry(("transform",), "tU2*tU1", sampled | {"tol"}, lambda cfg: [
             CheckResult("transform/tU2*tU1", _transform(

@@ -58,29 +58,42 @@ class IndeterminateVerdict(Exception):
     """Raised when the singular spectrum falls between the two thresholds."""
 
 
+# the label tokens of the code bits above the flips, time | conjugation << 1
+_HIGH_TOKENS = ("Id", "T2", "C", "T1")
+
+
 @dataclass(frozen=True)
 class SymmetryElement:
+    """A group element as its code: flip mask | time bit << d | conjugation
+    bit << (d + 1).  The group law is XOR, so the code of a product of labels
+    (:meth:`parse`) is the XOR of their codes."""
     d: int
-    flips: frozenset
-    time_flip: bool
-    conjugate: bool
+    code: int
+
+    @functools.cached_property
+    def flips(self) -> frozenset:
+        return frozenset(k + 1 for k in range(self.d) if self.code >> k & 1)
+
+    @functools.cached_property
+    def time_flip(self) -> bool:
+        return bool(self.code >> self.d & 1)
+
+    @functools.cached_property
+    def conjugate(self) -> bool:
+        return bool(self.code >> (self.d + 1) & 1)
 
     @property
     def label(self) -> str:
         parts = [f"P{k}" for k in sorted(self.flips)]
-        if self.time_flip:
-            parts.append("T1" if self.conjugate else "T2")
-        elif self.conjugate:
-            parts.append("C")
+        if self.code >> self.d:
+            parts.append(_HIGH_TOKENS[self.code >> self.d])
         return "*".join(parts) if parts else "Id"
 
     @staticmethod
     @functools.cache
     def parse(text: str, d: int) -> "SymmetryElement":
         """Parse labels like ``P3*C`` or ``P1*C*T1`` (order-insensitive)."""
-        flips = set()
-        time_flip = False
-        conjugate = False
+        code = 0
         text = text.strip()
         if text not in ("", "Id"):
             for tok in text.split("*"):
@@ -89,25 +102,12 @@ class SymmetryElement:
                     k = int(tok[1:])
                     if not 1 <= k <= d:
                         raise ValueError(f"axis {tok} out of range for d={d}")
-                    flips ^= {k}
-                elif tok == "T1":
-                    time_flip ^= True
-                    conjugate ^= True
-                elif tok == "T2":
-                    time_flip ^= True
-                elif tok == "C":
-                    conjugate ^= True
+                    code ^= 1 << (k - 1)
+                elif tok in _HIGH_TOKENS[1:]:
+                    code ^= _HIGH_TOKENS.index(tok) << d
                 else:
                     raise ValueError(f"bad symmetry token {tok!r}")
-        return SymmetryElement(d, frozenset(flips), time_flip, conjugate)
-
-    @functools.cached_property
-    def code(self) -> int:
-        """Flip mask | time bit << d | conjugation bit << (d + 1): the group
-        law is XOR, so the code of a product of labels (:meth:`parse`) is
-        the XOR of their codes."""
-        return (sum(1 << (k - 1) for k in self.flips)
-                | self.time_flip << self.d | self.conjugate << (self.d + 1))
+        return SymmetryElement(d, code)
 
     @functools.cached_property
     def signs(self) -> tuple:
@@ -123,14 +123,9 @@ def group_elements(d: int) -> list:
 
 @functools.cache
 def _group(d: int) -> tuple:
-    out = []
-    for mask in range(2 ** d):
-        flips = frozenset(k + 1 for k in range(d) if mask >> k & 1)
-        for time_flip in (False, True):
-            for conjugate in (False, True):
-                out.append(SymmetryElement(d, flips, time_flip, conjugate))
-    return tuple(sorted(out, key=lambda g: (len(g.flips), sorted(g.flips),
-                                           g.time_flip, g.conjugate)))
+    return tuple(sorted((SymmetryElement(d, c) for c in range(4 << d)),
+                        key=lambda g: (len(g.flips), sorted(g.flips),
+                                       g.time_flip, g.conjugate)))
 
 
 def intertwine_condition(eq, g, p):

@@ -3,7 +3,7 @@
 import numpy as np
 
 from spinorlab import opcalc
-from spinorlab.linalg import as_cmatrix, mat_max
+from spinorlab.linalg import mat_max
 from spinorlab.opcalc import (Commutator, _left, _members_first, _product,
                               _right)
 from spinorlab.position import position_from_unitary
@@ -13,8 +13,8 @@ TOL_EQ = 1e-9           # entrywise equality of verified identities
 
 def proportional(a, b, tol: float = TOL_EQ) -> bool:
     """True when a = c*b for some complex scalar c (projective equality)."""
-    a = as_cmatrix(a)
-    b = as_cmatrix(b)
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
     denom = np.vdot(b, b)
     if denom == 0:
         return mat_max(a) <= tol

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from spinorlab.cli import dumps, main
+from spinorlab.equations import EQUATION_NAMES
+from spinorlab.poincare import CONTENT_SETS
 
 
 def run_cli(*args):
@@ -177,6 +179,8 @@ def test_dumps_rejects_non_finite_floats(x):
     ["report", "--equation", "weyl_plus", "--mass", "7"],
     ["report", "--equation", "flat_plus", "--corrupt-reduction"],
     ["content", "--equation", "weyl_plus", "--corrupt-reduction"],
+    ["report", "--equation", "chi_plus", "--element", "P9"],
+    ["report", "--equation", "chi_plus", "--element", "P9", "--format", "md"],
 ])
 def test_unread_flag_empty_selection_or_bad_value_exits_2(argv, capsys):
     assert main(argv) == 2
@@ -226,3 +230,66 @@ def test_report_exits_1_on_incoherent_classification(monkeypatch, capsys, fmt):
         assert doc["claims_checked"] > 0
     else:
         assert "agreement: true" in out and "coherence: false" in out
+
+
+def _rows_and_rest(md):
+    """The element rows of a report's markdown, and its other lines."""
+    lines = md.splitlines()
+    rows = [x for x in lines[4:] if x.startswith("| ")]
+    return rows, [x for x in lines if x not in rows]
+
+
+@pytest.mark.parametrize("fmt", ["json", "md"])
+def test_report_element_narrows_both_formats(capsys, fmt):
+    argv = ["report", "--equation", "chi_plus", "--format", fmt]
+    assert main(argv) == 0
+    full = capsys.readouterr().out
+    assert main(argv + ["--element", "C*P3"]) == 0
+    one = capsys.readouterr().out
+    if fmt == "json":
+        full, one = json.loads(full), json.loads(one)
+        want = [e for e in full.pop("elements") if e["label"] == "P3*C"]
+        assert one.pop("elements") == want and len(want) == 1
+        assert one == full          # agreement, claims_checked, coherence_ok
+    else:
+        rows, rest = _rows_and_rest(one)
+        full_rows, full_rest = _rows_and_rest(full)
+        assert len(full_rows) == 32
+        assert rows == [x for x in full_rows if x.startswith("| P3*C |")]
+        assert len(rows) == 1 and rest == full_rest
+
+
+def test_report_element_keeps_the_exit_code_of_the_group(monkeypatch,
+                                                        capsys):
+    import dataclasses
+    import spinorlab.cli as cli
+    classify = cli.classify_equation
+    monkeypatch.setattr(cli, "classify_equation", lambda *a, **k: (
+        dataclasses.replace(classify(*a, **k), coherence_ok=False)))
+    assert main(["report", "--equation", "weyl_plus", "--element", "T1"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert [e["label"] for e in doc["elements"]] == ["T1"]
+    assert doc["coherence_ok"] is False and doc["claims_checked"] == 4
+
+
+# the equations whose construction reads each parameter flag
+READERS = {
+    "mass": {"flat_plus", "flat_minus", "dirac_massive", "hprime",
+             "spinless_plus", "spinless_minus"},
+    "kappa": {"desitter", "kappa_plus", "kappa_minus"},
+    "corrupt_reduction": {"chi_plus", "chi_minus"},
+}
+FLAGS = {"mass": ["--mass", "2"], "kappa": ["--kappa", "2"],
+         "corrupt_reduction": ["--corrupt-reduction"]}
+
+
+@pytest.mark.parametrize("field", sorted(FLAGS))
+@pytest.mark.parametrize("command, equation",
+                         [("report", e) for e in EQUATION_NAMES]
+                         + [("content", e) for e in sorted(CONTENT_SETS)])
+def test_parameter_flag_exits_2_exactly_when_its_equation_does_not_read_it(
+        capsys, command, equation, field):
+    code = main([command, "--equation", equation, *FLAGS[field]])
+    out = capsys.readouterr().out
+    assert (code == 2) == (equation not in READERS[field])
+    assert code != 2 or out == ""

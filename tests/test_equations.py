@@ -204,7 +204,7 @@ def test_catalog_builds_are_made_once_per_arguments():
     assert catalog_equation(name="flat_plus", kappa=1) is eq
     assert catalog_equation("flat_plus", m=2.0) is not eq
     with pytest.raises(TypeError):      # shared, so its params are read-only
-        eq.params["m"] = 2.0
+        eq.params["mass"] = 2.0
     assert catalog_equation("desitter", kappa=2.0) is not \
         catalog_equation("desitter")
     assert catalog_equation("chi_plus", corrupt_reduction=True) is not \

@@ -253,6 +253,38 @@ def test_stacked_nullspace_is_each_members_own(seed):
             _same_nullspace(_member(nested, 0, at), _member(got, at))
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (2, 5), (3, 48, 4), (3, 2, 5)],
+                         ids=["3x3", "2x5", "stack-48x4", "stack-2x5"])
+def test_nullspace_of_a_zero_member_is_the_identity_whatever_lapack_gives(
+        monkeypatch, shape):
+    # LAPACK itself returns the identity Vh for a zero matrix; an SVD that
+    # returns another unitary shows the identity is svd_nullspace's own
+    rng = np.random.default_rng(11)
+    m = random_complex(rng, shape)
+    m[...] = 0.0
+    if m.ndim == 3:
+        m[0] = random_complex(rng, shape[1:])
+    want = svd_nullspace(m)
+    svd, zero_members = np.linalg.svd, []
+
+    def rotated(a, *args, **kwargs):
+        u, s, vh = svd(a, *args, **kwargs)
+        zero = ~np.asarray(a).any(axis=(-2, -1))
+        zero_members.append(int(zero.sum()))
+        vh[zero] = np.linalg.qr(random_complex(rng, vh.shape[-2:]))[0]
+        return u, s, vh
+
+    monkeypatch.setattr(np.linalg, "svd", rotated)
+    got = svd_nullspace(m)
+    monkeypatch.undo()
+    assert sum(zero_members) == (1 if m.ndim == 2 else len(m) - 1)
+    _same_nullspace(got, want)
+    n = shape[-1]
+    for _, vh, nullity in ([got] if m.ndim == 2 else
+                           [_member(got, at) for at in range(1, len(m))]):
+        assert nullity == n and np.array_equal(_basis(vh, nullity), np.eye(n))
+
+
 @settings(deadline=None, max_examples=10)
 @given(st.integers(0, 10_000))
 def test_stacked_cond2_is_each_members_own(seed):

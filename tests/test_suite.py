@@ -54,6 +54,31 @@ def test_every_config_field_is_read_by_some_entry():
     assert reads == {f.name for f in fields(RunConfig)}
 
 
+_S = frozenset({"seed", "samples"})
+_ST = _S | {"tol"}
+# the RunConfig fields each registry entry reads, by (first group, subject)
+READS = {
+    ("clifford", None): frozenset(),
+    **{("unitary", n): _ST for n in ("U1", "U2", "V")},
+    ("unitary", "tU1"): _S, ("unitary", "tU2"): _S,
+    ("unitary", "V1"): _ST | {"corrupt_reduction"},
+    ("unitary", "V2"): _ST | {"mass"},
+    ("transform", "tU2*tU1"): _ST, ("transform", "tU2_alt_norm_p3pos"): _ST,
+    ("projector", None): _ST | {"holdout", "mass"},
+    **{("algebra", n): {"seed"} for n in poincare.GENERATOR_NAMES},
+    ("algebra", "flat"): {"seed", "mass"},
+    ("covariance", None): {"seed"},
+    **{("position", n): _ST for n in position.POSITION_NAMES},
+    ("content", None): _S,
+    ("dispersion", None): _ST | {"mass", "kappa"},
+}
+
+
+def test_every_entry_reads_its_pinned_fields():
+    assert len(REGISTRY) == len(READS)
+    assert {(e.groups[0], e.subject): e.reads for e in REGISTRY} == READS
+
+
 def test_holdout_reaches_the_intertwiner_solver(monkeypatch):
     seen = []
     solve = symmetry.solve_intertwiner
