@@ -16,7 +16,8 @@ spatial reflection S is applied.
 H is evaluated once per solve or classification, on the sign images of the
 sample momenta (the group and its sign images are built once per d).  Per
 chunk of elements within ``STACK_BYTES``, one stacked QR of the Sylvester
-maps M |-> H(p_i) M - M Htilde(p_i) and one SVD of their square R factors
+maps M |-> H(p_i) M - M Htilde(p_i), written into two diagonal views of one
+zeroed stack (:func:`_sylvester`), and one SVD of their square R factors
 give singular values, Vh and nullities as arrays: an invariance claim must
 survive a holdout test at 1e-7 (per nullity, candidates sliced from Vh,
 scored and normalised as stacks), a non-invariance claim needs
@@ -202,11 +203,12 @@ def _chunks(n: int, row_bytes: int) -> list:
 
 def _sylvester(htilde, h):
     """Rows of M -> H M - M Htilde (row-major vec): kron(H, 1) - kron(1, Ht^T)
-    per point, (E, n dim^2, dim^2) for Htilde (E, n, dim, dim), H (n, ...)."""
-    eye = np.eye(h.shape[-1], dtype=complex)   # complex: no casting pass
-    k = eye[:, None, :, None] * np.swapaxes(htilde, -1, -2)[
-        ..., None, :, None, :]
-    np.subtract(h[:, :, None, :, None] * eye[:, None, :], k, out=k)
+    per point, (E, n dim^2, dim^2) for Htilde (E, n, dim, dim), H (n, ...).
+    Written into zeros, no entry a product: H on the j = l diagonal view of
+    k[..., i, j, k, l], then Htilde^T subtracted on its i = k diagonal view."""
+    k = np.zeros(htilde.shape[:2] + (h.shape[-1],) * 4, dtype=complex)
+    np.einsum("...ijkj->...jik", k)[...] = h[:, None]
+    np.einsum("...ijil->...ijl", k)[...] -= htilde.mT[:, :, None]
     return k.reshape(len(k), -1, h.shape[-1] ** 2)
 
 

@@ -406,6 +406,42 @@ def test_nan_at_a_holdout_point_is_indeterminate():
         classify_equation(bad, seed=42)
 
 
+@pytest.mark.parametrize("name", ["weyl_plus", "dirac_massless"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, complex(0, math.inf),
+                                   math.nan],
+                         ids=["inf", "-inf", "1j*inf", "nan"])
+@pytest.mark.parametrize("target", ["h", "htilde"])
+@pytest.mark.parametrize("row", ["fit", "holdout", "check"])
+def test_one_non_finite_off_diagonal_entry_fails_closed(name, value, target,
+                                                        row, monkeypatch):
+    # entry (0, 1) of H, or of every element's Htilde, at one of the 12 fit,
+    # 4 holdout and 4 check points: the Sylvester maps hold it in dim entries
+    # each, without a warning, and the verdict fails closed where it lands
+    eq = catalog_equation(name)
+    point = {"fit": 5, "holdout": 12 + 1, "check": 16 + 2}[row]
+    condition = symmetry.intertwine_condition
+
+    def poisoned(eq, g, p):
+        htilde, h = (a.copy() for a in condition(eq, g, p))
+        (h[point] if target == "h" else htilde[:, point])[..., 0, 1] = value
+        return htilde, h
+
+    htilde, h = poisoned(eq, group_elements(eq.d), as_batch(
+        sample_momenta(eq.d, point + 1, 3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k = symmetry._sylvester(htilde, h)
+    assert np.count_nonzero(~np.isfinite(k)) == len(k) * eq.dim
+
+    monkeypatch.setattr(symmetry, "intertwine_condition", poisoned)
+    if row == "check":
+        assert classify_equation(eq).coherence_ok is False
+    else:
+        with pytest.raises({"fit": np.linalg.LinAlgError,
+                            "holdout": IndeterminateVerdict}[row]):
+            classify_equation(eq)
+
+
 def test_coherence_rejects_a_wrong_intertwiner(monkeypatch):
     # T1 on weyl_plus is solved by sigma_2; the identity is invertible but
     # intertwines nothing T1 composes to, so coherence must fail
@@ -489,6 +525,36 @@ def _kron_map(ht, h):
     k = (h[:, :, None, :, None] * eye[:, None, :]
          - eye[:, None, :, None] * np.swapaxes(ht, 1, 2)[:, None, :, None, :])
     return k.reshape(-1, h.shape[-1] ** 2)
+
+
+def _assert_kron_maps(ht, h):
+    """``symmetry._sylvester`` equals :func:`_kron_map` for every element, in
+    a new writable array."""
+    k, dim = symmetry._sylvester(ht, h), h.shape[-1]
+    assert k.shape == (len(ht), len(h) * dim ** 2, dim ** 2)
+    for e in range(len(ht)):
+        assert np.array_equal(k[e], _kron_map(ht[e], h)), e
+    assert k.flags.writeable
+    assert not (np.shares_memory(k, ht) or np.shares_memory(k, h))
+
+
+@pytest.mark.parametrize("n_elements", [1, 3, 32])
+@pytest.mark.parametrize("n", [1, 4, 12])
+@pytest.mark.parametrize("dim", [2, 4])
+def test_sylvester_maps_equal_the_kron_reference(n_elements, n, dim):
+    rng = np.random.default_rng([n_elements, n, dim])
+    _assert_kron_maps(rng.normal(size=(n_elements, n, dim, dim, 2)) @ [1, 1j],
+                      rng.normal(size=(n, dim, dim, 2)) @ [1, 1j])
+
+
+@pytest.mark.parametrize("name", EQUATION_NAMES)
+def test_sylvester_maps_equal_the_kron_reference_on_catalog_pairs(name):
+    eq = catalog_equation(name)
+    ht, h = intertwine_condition(eq, group_elements(eq.d), as_batch(
+        sample_momenta(eq.d, 12, 42)))
+    for n_elements in (1, 3, 32):
+        for n in (1, 4, 12):
+            _assert_kron_maps(ht[:n_elements, :n], h[:n])
 
 
 def _solve_one_by_one(eq, g, seed, nullspace=svd_nullspace):
