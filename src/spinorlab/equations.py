@@ -16,6 +16,24 @@ verified identities close; the choices made here (see README "Conventions"):
   -kappa*gamma0*(1 +- e3*gamma4); the pair is kept in the catalog for the
   discrete-symmetry classifier only and is flagged non-Hermitian.
 
+Each equation claims every element of its group through the one element B
+whose parity H breaks: g is invariant iff g.code & B.code has an even number
+of set bits.  H = sum_a h_a(p) G_a over anticommuting G_a (s1, s2, s3 at 2x2,
+five gamma products at 4x4) whose product, a multiple of 1, every M H M^-1
+keeps; so if h uses every G_a, g is invariant iff it reverses an even number
+of h's terms.  B holds the code bits that reverse an odd number: P_k those
+odd in p_k, time all, conjugation those odd in p, those on an imaginary G_a
+and all again.  If h leaves a G_a out, B = Id.
+
+    Id              dirac_massless, chi_4c, phi_diag, weyl_canonical,
+                    dirac_massive, hprime; flat_+- at m = 0; desitter and
+                    kappa_+- at kappa = 0
+    P1*P2*T2        chi_+- (kept when corrupted, to fail), spinless_+-,
+                    flat_+-: p3 enters as |p3| or q3; conjugation 2 + 1 + 3
+    P1*P2*T2        kappa_+-: P3 reverses p3 and e3; conjugation 4 + 3 + 5
+    P1*P2*P3*T1     weyl_+-: every bit; conjugation 3 + 1 + 3
+    P1*P2*P3*P4*T1  desitter: every bit; conjugation 4 + 2 + 5
+
 The ``corrupt_reduction`` flag intentionally rebuilds the two-component
 reduction with the inconsistent sigma_2*p2 coefficient; it exists as a
 negative control for the verification suite and must never be used otherwise.
@@ -32,7 +50,7 @@ from . import dual
 from .clifford import gamma_set, pauli, spin_matrix
 from .linalg import dagger, expm, mat_max, unitarity_defect
 from .opcalc import OperatorField, as_batch, per_argument, require_unitary
-from .symmetry import group_elements
+from .symmetry import SymmetryElement, group_elements
 
 _REP = gamma_set("rep26")
 G0, G1, G2, G3, G4 = _REP.gammas
@@ -85,44 +103,13 @@ class EquationSpec:
         object.__setattr__(self, "params", MappingProxyType(self.params))
 
 
-_ALL_INVARIANT_CLAIMS = tuple((g.label, True) for g in group_elements(3))
-
-_CHI_CLAIMS = (
-    ("P3", True), ("C", True),
-    ("P1", False), ("P2", False), ("T1", False), ("T2", False),
-    ("P3*C", True), ("P1*P2*P3*C", True),
-    ("P1*C*T1", True), ("P2*C*T2", True),
-    ("P3*C*T1", False), ("P3*C*T2", False),
-    ("P1*C", False), ("P2*C", False),
-)
-
-_WEYL_CLAIMS = (
-    ("P1*P2*P3", False), ("C", False),
-    ("P1*P2*P3*C", True), ("T1", True),
-)
-
-_FLAT_CLAIMS = (
-    ("P1*P2", True), ("C", True), ("P1*P2*C", True),
-    ("P1*C*T1", True), ("P1*C*T2", True), ("P2*C*T1", True), ("P2*C*T2", True),
-    ("P1", False), ("P2", False), ("T1", False), ("T2", False),
-    ("P1*C", False), ("P2*C", False), ("C*T1", False), ("C*T2", False),
-)
-
-_DESITTER_CLAIMS = (
-    ("T1", True), ("T2*C", True),
-    ("P1", False), ("P2", False), ("P3", False), ("P4", False),
-    ("T2", False), ("C", False),
-)
-
-_KAPPA_CLAIMS = (
-    ("P3", True), ("C", True),
-    ("P1", False), ("P2", False), ("T1", False), ("T2", False),
-)
-
-_MASSIVE_CLAIMS = (
-    ("P1", True), ("P2", True), ("P3", True), ("P1*P2*P3", True),
-    ("T1", True), ("T2", True), ("C", True),
-)
+@functools.cache
+def _claims(d: int, breaks: str = "Id") -> tuple:
+    """(label, invariant?) for every element g of the group: g is invariant
+    iff g.code & B.code has an even number of set bits, B = ``breaks``."""
+    b = SymmetryElement.parse(breaks, d).code
+    return tuple((g.label, (g.code & b).bit_count() % 2 == 0)
+                 for g in group_elements(d))
 
 
 def _linear(*mats) -> list:
@@ -162,74 +149,76 @@ def _catalog_equation(name: str, m: float, kappa: float,
 
     if name == "dirac_massless":
         return EquationSpec(name, 4, 3, OperatorField(4, 3, _linear(*_DIRAC)),
-                            claims=_ALL_INVARIANT_CLAIMS,
-                            dispersion=_dispersion(0.0))
+                            claims=_claims(3), dispersion=_dispersion(0.0))
 
     if name in ("weyl_plus", "weyl_minus"):
         terms = _linear(s * S1, s * S2, s * S3)
         return EquationSpec(name, 2, 3, OperatorField(2, 3, terms),
-                            claims=_WEYL_CLAIMS, dispersion=_dispersion(0.0))
+                            claims=_claims(3, "P1*P2*P3*T1"),
+                            dispersion=_dispersion(0.0))
 
     if name == "chi_4c":
         terms = _linear(*_DIRAC[:2]) + [(abs_p3, G0)]
         return EquationSpec(name, 4, 3, OperatorField(4, 3, terms),
-                            claims=_ALL_INVARIANT_CLAIMS,
-                            dispersion=_dispersion(0.0))
+                            claims=_claims(3), dispersion=_dispersion(0.0))
 
     if name in ("chi_plus", "chi_minus"):
         terms = _two_component_reduction(s, abs_p3, corrupt_reduction)
         return EquationSpec(name, 2, 3, OperatorField(2, 3, terms),
                             params={"corrupt_reduction": corrupt_reduction},
-                            claims=_CHI_CLAIMS,
+                            claims=_claims(3, "P1*P2*T2"),
                             dispersion=None if corrupt_reduction
                             else _dispersion(0.0))
 
     if name == "phi_diag":
         return EquationSpec(name, 4, 3, OperatorField(4, 3, [(energy, G0)]),
-                            dispersion=_dispersion(0.0))
+                            claims=_claims(3), dispersion=_dispersion(0.0))
 
     if name == "weyl_canonical":
         return EquationSpec(
             name, 2, 3,
             OperatorField(2, 3, [(lambda p: e3(p) * energy(p), S3)]),
-            dispersion=_dispersion(0.0))
+            claims=_claims(3), dispersion=_dispersion(0.0))
 
     if name in ("flat_plus", "flat_minus"):
         terms = _two_component_reduction(s, lambda p: m)
         return EquationSpec(
             name, 2, 2, OperatorField(2, 2, terms), params={"mass": m},
-            claims=_FLAT_CLAIMS, dispersion=_dispersion(m * m))
+            claims=_claims(2, "P1*P2*T2" if m else "Id"),
+            dispersion=_dispersion(m * m))
 
     if name == "desitter":
         g4p = 1j * G4         # fifth anticommuting element with square -1
         terms = _linear(*_DIRAC, G0 @ g4p) + [(lambda p: kappa, G0)]
         return EquationSpec(
             name, 4, 4, OperatorField(4, 4, terms), params={"kappa": kappa},
-            claims=_DESITTER_CLAIMS, dispersion=_dispersion(kappa ** 2))
+            claims=_claims(4, "P1*P2*P3*P4*T1" if kappa else "Id"),
+            dispersion=_dispersion(kappa ** 2))
 
     if name == "dirac_massive":
         terms = _linear(*_DIRAC) + [(lambda p: m, G0)]
         return EquationSpec(
             name, 4, 3, OperatorField(4, 3, terms), params={"mass": m},
-            claims=_MASSIVE_CLAIMS, dispersion=_dispersion(m * m))
+            claims=_claims(3), dispersion=_dispersion(m * m))
 
     if name == "hprime":
         terms = _linear(*_DIRAC[:2]) + [(q3_of(m), G0)]
         return EquationSpec(
             name, 4, 3, OperatorField(4, 3, terms), params={"mass": m},
-            dispersion=_dispersion(m * m))
+            claims=_claims(3), dispersion=_dispersion(m * m))
 
     if name in ("spinless_plus", "spinless_minus"):
         terms = _two_component_reduction(s, q3_of(m))
         return EquationSpec(
             name, 2, 3, OperatorField(2, 3, terms), params={"mass": m},
-            dispersion=_dispersion(m * m))
+            claims=_claims(3, "P1*P2*T2"), dispersion=_dispersion(m * m))
 
     if name in ("kappa_plus", "kappa_minus"):
         terms = _linear(*_DIRAC) + [(lambda p: -kappa, G0)]
         terms.append((lambda p, _s=s: -_s * kappa * e3(p), G0 @ G4))
         return EquationSpec(name, 4, 3, OperatorField(4, 3, terms),
-                            params={"kappa": kappa}, claims=_KAPPA_CLAIMS,
+                            params={"kappa": kappa},
+                            claims=_claims(3, "P1*P2*T2" if kappa else "Id"),
                             hermitian=False, dispersion=_dispersion(0.0))
 
     raise ValueError(f"unknown equation {name!r}")

@@ -176,7 +176,8 @@ def solve_intertwiner(eq, g, n_fit: int = 12, n_holdout: int = 4,
 
     ``g`` is one element, or a sequence solved from one evaluation of H (a
     list of results).  ``conditions`` may pass their (Htilde, H) stacks from
-    :func:`intertwine_condition` over the fit, holdout and further momenta.
+    :func:`intertwine_condition` over the fit, holdout and further momenta;
+    a non-finite entry in any row raises ValueError naming that sample.
     """
     if n_fit < 2 * eq.d + 4:
         raise ValueError("n_fit too small for a decisive verdict")
@@ -186,13 +187,29 @@ def solve_intertwiner(eq, g, n_fit: int = 12, n_holdout: int = 4,
     elements = [g] if single else list(g)
     if not elements:
         return []
-    htilde, h = conditions or intertwine_condition(eq, elements, as_batch(
-        sample_momenta(eq.d, n_fit, seed)
-        + sample_momenta(eq.d, n_holdout, seed + 7919)))
+    htilde, h = conditions or intertwine_condition(
+        eq, elements, as_batch(_fit_and_holdout(eq.d, n_fit, n_holdout, seed)))
+    _require_finite(eq, htilde, h)
     out = [r for part in _chunks(len(elements), 16 * n_fit * eq.dim ** 4)
            for r in _solve_chunk(eq, elements[part], htilde[part], h, n_fit,
                                  n_holdout, seed)]
     return out[0] if single else out
+
+
+def _fit_and_holdout(d: int, n_fit: int, n_holdout: int, seed: int) -> list:
+    """The fit momenta, then the holdout momenta, drawn from their own seed."""
+    return (sample_momenta(d, n_fit, seed)
+            + sample_momenta(d, n_holdout, seed + 7919))
+
+
+def _require_finite(eq, htilde, h):
+    """ValueError naming the first sample (row of h) at which H or an
+    element's Htilde is not finite: NaN and inf reach no verdict."""
+    if np.isfinite(htilde).all() and np.isfinite(h).all():
+        return
+    finite = (np.isfinite(htilde).reshape(-1, *h.shape).all(axis=(0, 2, 3))
+              & np.isfinite(h).all(axis=(1, 2)))
+    raise ValueError(f"{eq.name}: non-finite H at sample {finite.argmin()}")
 
 
 def _chunks(n: int, row_bytes: int) -> list:
@@ -309,8 +326,7 @@ def classify_equation(eq, seed: int = 42, n_fit: int = 12,
     """Solve every group element, check attached-claim agreement and coherence."""
     elements = group_elements(eq.d)
     htilde, h = intertwine_condition(eq, elements, as_batch(
-        sample_momenta(eq.d, n_fit, seed)
-        + sample_momenta(eq.d, n_holdout, seed + 7919)
+        _fit_and_holdout(eq.d, n_fit, n_holdout, seed)
         + sample_momenta(eq.d, 4, seed + 31)))
     outs = solve_intertwiner(eq, elements, n_fit=n_fit, n_holdout=n_holdout,
                              seed=seed, conditions=(htilde, h))
@@ -375,8 +391,7 @@ def random_search_oracle(eq, g: SymmetryElement, points,
     residual raises ValueError: NaN never reads as non-invariance.
     """
     ht, h = intertwine_condition(eq, g, as_batch(points))
-    if not (np.isfinite(ht).all() and np.isfinite(h).all()):
-        raise ValueError(f"{eq.name}/{g.label}: non-finite H at a sample point")
+    _require_finite(eq, ht, h)
     eye = np.eye(eq.dim)[None]
     k = np.kron(h, eye) - np.kron(eye, np.swapaxes(ht, 1, 2))
     k = k.reshape(-1, k.shape[-1])                # every point's rows

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spinorlab.cli import dumps, main
-from spinorlab.equations import EQUATION_NAMES
+from spinorlab.equations import EQUATION_NAMES, catalog_equation
 from spinorlab.poincare import CONTENT_SETS
 
 
@@ -269,7 +269,29 @@ def test_report_element_keeps_the_exit_code_of_the_group(monkeypatch,
     assert main(["report", "--equation", "weyl_plus", "--element", "T1"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert [e["label"] for e in doc["elements"]] == ["T1"]
-    assert doc["coherence_ok"] is False and doc["claims_checked"] == 4
+    assert doc["coherence_ok"] is False and doc["claims_checked"] == 32
+
+
+@pytest.mark.parametrize("seed", ["42", "5", "7"])
+@pytest.mark.parametrize("equation, flag", [
+    ("flat_plus", "--mass"), ("flat_minus", "--mass"), ("desitter", "--kappa"),
+    ("kappa_plus", "--kappa"), ("kappa_minus", "--kappa"),
+    ("dirac_massive", "--mass"), ("hprime", "--mass"),
+    ("spinless_plus", "--mass"), ("spinless_minus", "--mass")])
+def test_report_at_parameter_zero_reads_its_group(capsys, equation, flag,
+                                                  seed):
+    # flat_+-, desitter and kappa_+- become fully invariant; the others keep
+    # the group of their default parameter
+    assert main(["report", "--equation", equation, flag, "0",
+                 "--seed", seed]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["agreement"] is True
+    assert doc["claims_checked"] == len(doc["elements"])
+    want = list(catalog_equation(equation).claims)
+    if equation in ("flat_plus", "flat_minus", "desitter", "kappa_plus",
+                    "kappa_minus"):
+        want = [(label, True) for label, _ in want]
+    assert [(e["label"], e["invariant"]) for e in doc["elements"]] == want
 
 
 # the equations whose construction reads each parameter flag

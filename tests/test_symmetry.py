@@ -183,7 +183,7 @@ def test_classify_weyl_plus():
 def test_classify_chi_plus_matches_claims():
     rep = classify_equation(catalog_equation("chi_plus"))
     assert rep.agreement and rep.coherence_ok
-    assert rep.claims_checked == 14
+    assert rep.claims_checked == len(rep.verdicts) == 32
 
 
 def test_classify_dirac_massless_fully_invariant():
@@ -304,7 +304,8 @@ def test_oracle_makes_no_svd_or_eigensolver_call(monkeypatch):
 def test_oracle_raises_on_nan_in_h():
     eq = catalog_equation("chi_plus")
     pts = sample_momenta(3, 12, 42)
-    with pytest.raises(ValueError, match="non-finite H"):
+    with pytest.raises(ValueError,
+                       match="^chi_plus: non-finite H at sample 3$"):
         random_search_oracle(_poisoned(eq, pts[3]),
                              SymmetryElement.parse("P1", 3), pts,
                              n_candidates=2_000)
@@ -378,12 +379,13 @@ def test_projection_relations():
 
 
 def test_coherence_check_fails_closed_on_nan():
-    # H is NaN at one of the four coherence check points only
+    # H is NaN at one of the four coherence check points only: row 12 + 4 + 2
     eq = catalog_equation("weyl_plus")
     bad = sample_momenta(eq.d, 4, 42 + 31)[2]
     h = eq.hamiltonian + OperatorField(2, 3, [(nan_at(bad), np.eye(2))])
-    rep = classify_equation(dataclasses.replace(eq, hamiltonian=h), seed=42)
-    assert rep.coherence_ok is False
+    with pytest.raises(ValueError, match="^weyl_plus: non-finite H at sample "
+                                         "18$"):
+        classify_equation(dataclasses.replace(eq, hamiltonian=h), seed=42)
 
 
 def _poisoned(eq, point):
@@ -392,17 +394,20 @@ def _poisoned(eq, point):
     return dataclasses.replace(eq, hamiltonian=eq.hamiltonian + nan)
 
 
-def test_nan_at_a_fit_point_raises_linalg_error():
+def test_nan_at_a_fit_point_raises_value_error_naming_it():
     eq = catalog_equation("weyl_plus")
     bad = _poisoned(eq, sample_momenta(eq.d, 12, 42)[5])
-    with pytest.raises(np.linalg.LinAlgError):       # a ValueError: exit 2
+    with pytest.raises(ValueError,                    # exit 2 in the CLI
+                       match="^weyl_plus: non-finite H at sample 5$"):
         classify_equation(bad, seed=42)
 
 
-def test_nan_at_a_holdout_point_is_indeterminate():
+def test_nan_at_a_holdout_point_raises_value_error_naming_it():
+    # the holdout rows follow the 12 fit rows
     eq = catalog_equation("weyl_plus")
     bad = _poisoned(eq, sample_momenta(eq.d, 4, 42 + 7919)[1])
-    with pytest.raises(IndeterminateVerdict):
+    with pytest.raises(ValueError,
+                       match="^weyl_plus: non-finite H at sample 13$"):
         classify_equation(bad, seed=42)
 
 
@@ -416,7 +421,8 @@ def test_one_non_finite_off_diagonal_entry_fails_closed(name, value, target,
                                                         row, monkeypatch):
     # entry (0, 1) of H, or of every element's Htilde, at one of the 12 fit,
     # 4 holdout and 4 check points: the Sylvester maps hold it in dim entries
-    # each, without a warning, and the verdict fails closed where it lands
+    # each, without a warning, and classification raises one ValueError that
+    # names the equation and the point, wherever it lands
     eq = catalog_equation(name)
     point = {"fit": 5, "holdout": 12 + 1, "check": 16 + 2}[row]
     condition = symmetry.intertwine_condition
@@ -434,12 +440,9 @@ def test_one_non_finite_off_diagonal_entry_fails_closed(name, value, target,
     assert np.count_nonzero(~np.isfinite(k)) == len(k) * eq.dim
 
     monkeypatch.setattr(symmetry, "intertwine_condition", poisoned)
-    if row == "check":
-        assert classify_equation(eq).coherence_ok is False
-    else:
-        with pytest.raises({"fit": np.linalg.LinAlgError,
-                            "holdout": IndeterminateVerdict}[row]):
-            classify_equation(eq)
+    with pytest.raises(ValueError,
+                       match=f"^{name}: non-finite H at sample {point}$"):
+        classify_equation(eq)
 
 
 def test_coherence_rejects_a_wrong_intertwiner(monkeypatch):
@@ -485,6 +488,25 @@ def test_verdict_tables_match_the_benchmark_reference(seed):
         assert rep.agreement and rep.coherence_ok, name
         table = {v.element.label: v.invariant for v in rep.verdicts}
         assert table == REFERENCE["verdicts"][name], name
+
+
+def test_the_breaking_labels_derive_every_reference_verdict():
+    # reads only the file: each catalog equation's claims, built from its one
+    # breaking label, are the recorded table in group order, 544 in all
+    got = {name: list(catalog_equation(name).claims) for name in EQUATION_NAMES}
+    assert got == {name: list(table.items())
+                   for name, table in REFERENCE["verdicts"].items()}
+    assert sum(map(len, got.values())) == 544
+
+
+@pytest.mark.parametrize("name", ["chi_plus", "chi_minus"])
+def test_the_headline_chi_is_p_and_t_non_invariant_but_c_invariant(name):
+    eq = catalog_equation(name)
+    claims, rep = dict(eq.claims), classify_equation(eq)
+    for label, invariant in (("P1", False), ("P2", False), ("T1", False),
+                             ("T2", False), ("C", True)):
+        assert claims[label] is invariant, label
+        assert rep.verdict_for(label).invariant is invariant, label
 
 
 @settings(deadline=None, max_examples=4)
@@ -679,9 +701,10 @@ def test_classification_is_bit_identical_at_every_chunk_length(name,
 @pytest.mark.parametrize("per_chunk", [1, 3, 32])
 def test_first_indeterminate_element_raises_across_chunks(per_chunk,
                                                           monkeypatch):
-    # NaN at a holdout point of two invariant elements leaves both without an
-    # accepted member; the later one (in a later chunk of three, but earlier
-    # within its chunk) is solved first when the order is lost
+    # a finite error at a holdout point of two invariant elements (NaN stops
+    # at the finiteness gate) leaves both without an accepted member; the
+    # later one (in a later chunk of three, but earlier within its chunk) is
+    # solved first when the order is lost
     eq = catalog_equation("weyl_plus")
     elements = group_elements(eq.d)
     invariant = [i for i, v in enumerate(classify_equation(eq).verdicts)
@@ -693,7 +716,7 @@ def test_first_indeterminate_element_raises_across_chunks(per_chunk,
     def poisoned(eq, g, p):
         htilde, h = condition(eq, g, p)
         htilde = htilde.copy()
-        htilde[[early, late], 12 + 1] = np.nan
+        htilde[[early, late], 12 + 1] += 1.0
         return htilde, h
 
     monkeypatch.setattr(symmetry, "intertwine_condition", poisoned)
