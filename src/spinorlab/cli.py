@@ -18,6 +18,7 @@ import numpy as np
 
 from . import equations as eqs
 from . import poincare, position
+from .opcalc import sample_momenta
 from .suite import RunConfig, reject_unread, run_checks
 from .symmetry import IndeterminateVerdict, classify_equation
 
@@ -141,9 +142,10 @@ def cmd_report(args) -> int:
 
 
 def cmd_checks(args) -> int:
-    """verify-all, or the registry rows of ``args.groups`` for ``args.subject``."""
+    """verify-all, or the registry rows of ``args.command`` for ``args.subject``."""
     given = _given(args)
-    checks = run_checks(RunConfig(**given), args.groups, args.subject, given)
+    command = None if args.command == "verify-all" else args.command
+    checks = run_checks(RunConfig(**given), command, args.subject, given)
     failing = [c.name for c in checks if not c.passed]
     if failing:      # before the output, which may fail on a non-finite value
         print(f"failing checks: {', '.join(failing)}", file=sys.stderr)
@@ -152,7 +154,6 @@ def cmd_checks(args) -> int:
 
 
 def cmd_content(args) -> int:
-    from .opcalc import sample_momenta
     cfg, eq = _equation(args, {"seed", "samples"})
     gs = poincare.generator_set(poincare.CONTENT_SETS[args.equation])
     samples = sample_momenta(3, cfg.samples, cfg.seed)
@@ -199,21 +200,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-all", help="run every verification check")
     _add_common(p)
-    p.set_defaults(func=cmd_checks, groups=None, subject=None)
+    p.set_defaults(func=cmd_checks, subject=None)
 
-    # the (groups, subject) filters over the check registry
-    for command, flag, choices, groups in (
-            ("algebra", "--generators", poincare.GENERATOR_NAMES,
-             ("algebra", "algebra_second_order")),
-            ("transform", "--name", None,
-             ("unitary", "exp_vs_closed", "transform")),
-            ("position", "--name", position.POSITION_NAMES,
-             ("position", "position_canonical"))):
-        p = sub.add_parser(command, help=f"the {', '.join(groups)} checks "
-                                         "of one subject")
+    # the registry rows of each subcommand, one per subject
+    for command, flag, choices in (
+            ("algebra", "--generators", poincare.GENERATOR_NAMES),
+            ("transform", "--name", None),
+            ("position", "--name", position.POSITION_NAMES)):
+        p = sub.add_parser(command, help=f"the {command} checks of one subject")
         p.add_argument(flag, dest="subject", required=True, choices=choices)
         _add_common(p)
-        p.set_defaults(func=cmd_checks, groups=groups)
+        p.set_defaults(func=cmd_checks)
 
     p = sub.add_parser("content", help="energy-sign/helicity irrep content")
     p.add_argument("--equation", required=True,

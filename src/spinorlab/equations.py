@@ -16,14 +16,15 @@ verified identities close; the choices made here (see README "Conventions"):
   -kappa*gamma0*(1 +- e3*gamma4); the pair is kept in the catalog for the
   discrete-symmetry classifier only and is flagged non-Hermitian.
 
-Each equation claims every element of its group through the one element B
-whose parity H breaks: g is invariant iff g.code & B.code has an even number
-of set bits.  H = sum_a h_a(p) G_a over anticommuting G_a (s1, s2, s3 at 2x2,
-five gamma products at 4x4) whose product, a multiple of 1, every M H M^-1
-keeps; so if h uses every G_a, g is invariant iff it reverses an even number
-of h's terms.  B holds the code bits that reverse an odd number: P_k those
-odd in p_k, time all, conjugation those odd in p, those on an imaginary G_a
-and all again.  If h leaves a G_a out, B = Id.
+Each spec states its symmetry as one label, ``breaks``: the element B whose
+parity H breaks.  Only the symmetry engine reads it (SymmetryElement.keeps):
+g is invariant iff g.code & B.code has an even number of set bits.
+H = sum_a h_a(p) G_a over anticommuting G_a (s1, s2, s3 at 2x2, five gamma
+products at 4x4) whose product, a multiple of 1, every M H M^-1 keeps; so if
+h uses every G_a, g is invariant iff it reverses an even number of h's
+terms.  B holds the code bits that reverse an odd number: P_k those odd in
+p_k, time all, conjugation those odd in p, those on an imaginary G_a and all
+again.  If h leaves a G_a out, B = Id (the default).
 
     Id              dirac_massless, chi_4c, phi_diag, weyl_canonical,
                     dirac_massive, hprime; flat_+- at m = 0; desitter and
@@ -50,7 +51,6 @@ from . import dual
 from .clifford import gamma_set, pauli, spin_matrix
 from .linalg import dagger, expm, mat_max, unitarity_defect
 from .opcalc import OperatorField, as_batch, per_argument, require_unitary
-from .symmetry import SymmetryElement, group_elements
 
 _REP = gamma_set("rep26")
 G0, G1, G2, G3, G4 = _REP.gammas
@@ -94,22 +94,13 @@ class EquationSpec:
     d: int
     hamiltonian: OperatorField
     params: dict = field(default_factory=dict)   # keyed by RunConfig field
-    claims: tuple = ()                 # (element label, invariant?) pairs
+    breaks: str = "Id"                 # the label whose parity H breaks
     hermitian: bool = True
-    dispersion: Optional[object] = None   # scalar fn of p: H^2 = fn(p)*1
+    mass_sq: Optional[float] = None    # H^2 = (p.p + mass_sq)*1, if set
 
     def __post_init__(self):
         # one built spec is shared by every caller (catalog_equation)
         object.__setattr__(self, "params", MappingProxyType(self.params))
-
-
-@functools.cache
-def _claims(d: int, breaks: str = "Id") -> tuple:
-    """(label, invariant?) for every element g of the group: g is invariant
-    iff g.code & B.code has an even number of set bits, B = ``breaks``."""
-    b = SymmetryElement.parse(breaks, d).code
-    return tuple((g.label, (g.code & b).bit_count() % 2 == 0)
-                 for g in group_elements(d))
 
 
 def _linear(*mats) -> list:
@@ -125,11 +116,6 @@ def _two_component_reduction(sign: float, mass_fn, corrupt_reduction=False):
     second = S2 if corrupt_reduction else S1
     return _linear(-S2, second) + [
         (lambda p, _f=mass_fn, _s=sign: _s * _f(p), S3)]
-
-
-def _dispersion(mass_sq: float):
-    """p.p + mass_sq, on the values: the H^2 = fn(p)*1 contract."""
-    return lambda p: sum(dual.value(c) ** 2 for c in p) + mass_sq
 
 
 def catalog_equation(name: str, m: float = 1.0, kappa: float = 1.0,
@@ -149,77 +135,73 @@ def _catalog_equation(name: str, m: float, kappa: float,
 
     if name == "dirac_massless":
         return EquationSpec(name, 4, 3, OperatorField(4, 3, _linear(*_DIRAC)),
-                            claims=_claims(3), dispersion=_dispersion(0.0))
+                            mass_sq=0.0)
 
     if name in ("weyl_plus", "weyl_minus"):
         terms = _linear(s * S1, s * S2, s * S3)
         return EquationSpec(name, 2, 3, OperatorField(2, 3, terms),
-                            claims=_claims(3, "P1*P2*P3*T1"),
-                            dispersion=_dispersion(0.0))
+                            breaks="P1*P2*P3*T1", mass_sq=0.0)
 
     if name == "chi_4c":
         terms = _linear(*_DIRAC[:2]) + [(abs_p3, G0)]
         return EquationSpec(name, 4, 3, OperatorField(4, 3, terms),
-                            claims=_claims(3), dispersion=_dispersion(0.0))
+                            mass_sq=0.0)
 
     if name in ("chi_plus", "chi_minus"):
         terms = _two_component_reduction(s, abs_p3, corrupt_reduction)
         return EquationSpec(name, 2, 3, OperatorField(2, 3, terms),
                             params={"corrupt_reduction": corrupt_reduction},
-                            claims=_claims(3, "P1*P2*T2"),
-                            dispersion=None if corrupt_reduction
-                            else _dispersion(0.0))
+                            breaks="P1*P2*T2",
+                            mass_sq=None if corrupt_reduction else 0.0)
 
     if name == "phi_diag":
         return EquationSpec(name, 4, 3, OperatorField(4, 3, [(energy, G0)]),
-                            claims=_claims(3), dispersion=_dispersion(0.0))
+                            mass_sq=0.0)
 
     if name == "weyl_canonical":
         return EquationSpec(
             name, 2, 3,
             OperatorField(2, 3, [(lambda p: e3(p) * energy(p), S3)]),
-            claims=_claims(3), dispersion=_dispersion(0.0))
+            mass_sq=0.0)
 
     if name in ("flat_plus", "flat_minus"):
         terms = _two_component_reduction(s, lambda p: m)
         return EquationSpec(
             name, 2, 2, OperatorField(2, 2, terms), params={"mass": m},
-            claims=_claims(2, "P1*P2*T2" if m else "Id"),
-            dispersion=_dispersion(m * m))
+            breaks="P1*P2*T2" if m else "Id", mass_sq=m * m)
 
     if name == "desitter":
         g4p = 1j * G4         # fifth anticommuting element with square -1
         terms = _linear(*_DIRAC, G0 @ g4p) + [(lambda p: kappa, G0)]
         return EquationSpec(
             name, 4, 4, OperatorField(4, 4, terms), params={"kappa": kappa},
-            claims=_claims(4, "P1*P2*P3*P4*T1" if kappa else "Id"),
-            dispersion=_dispersion(kappa ** 2))
+            breaks="P1*P2*P3*P4*T1" if kappa else "Id", mass_sq=kappa ** 2)
 
     if name == "dirac_massive":
         terms = _linear(*_DIRAC) + [(lambda p: m, G0)]
         return EquationSpec(
             name, 4, 3, OperatorField(4, 3, terms), params={"mass": m},
-            claims=_claims(3), dispersion=_dispersion(m * m))
+            mass_sq=m * m)
 
     if name == "hprime":
         terms = _linear(*_DIRAC[:2]) + [(q3_of(m), G0)]
         return EquationSpec(
             name, 4, 3, OperatorField(4, 3, terms), params={"mass": m},
-            claims=_claims(3), dispersion=_dispersion(m * m))
+            mass_sq=m * m)
 
     if name in ("spinless_plus", "spinless_minus"):
         terms = _two_component_reduction(s, q3_of(m))
         return EquationSpec(
             name, 2, 3, OperatorField(2, 3, terms), params={"mass": m},
-            claims=_claims(3, "P1*P2*T2"), dispersion=_dispersion(m * m))
+            breaks="P1*P2*T2", mass_sq=m * m)
 
     if name in ("kappa_plus", "kappa_minus"):
         terms = _linear(*_DIRAC) + [(lambda p: -kappa, G0)]
         terms.append((lambda p, _s=s: -_s * kappa * e3(p), G0 @ G4))
         return EquationSpec(name, 4, 3, OperatorField(4, 3, terms),
                             params={"kappa": kappa},
-                            claims=_claims(3, "P1*P2*T2" if kappa else "Id"),
-                            hermitian=False, dispersion=_dispersion(0.0))
+                            breaks="P1*P2*T2" if kappa else "Id",
+                            hermitian=False, mass_sq=0.0)
 
     raise ValueError(f"unknown equation {name!r}")
 
@@ -443,11 +425,13 @@ def block_reduction_residual(samples) -> float:
 
 
 def dispersion_residual(eq: EquationSpec, samples) -> float:
-    if eq.dispersion is None:
+    """max_p | H^2 - (p.p + mass_sq) 1 |."""
+    if eq.mass_sq is None:
         raise ValueError(f"{eq.name} has no dispersion contract")
     p = as_batch(samples)
     h = eq.hamiltonian(p)
-    return mat_max(h @ h - eq.dispersion(p)[..., None, None] * np.eye(eq.dim))
+    pp = sum(c ** 2 for c in p) + eq.mass_sq
+    return mat_max(h @ h - pp[..., None, None] * np.eye(eq.dim))
 
 
 def lambda_consistency_residual(samples) -> float:

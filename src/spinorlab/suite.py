@@ -4,7 +4,7 @@
 :class:`CheckResult` s of one subject (a unitary, a generator set, a position
 operator, ...) and names the :class:`RunConfig` fields that can change them.
 ``verify-all`` runs every entry; ``algebra``, ``transform`` and ``position``
-run the entries that :func:`run_checks` picks by check group and subject.
+each run the entry that :func:`run_checks` picks by subcommand and subject.
 """
 
 import math
@@ -54,8 +54,8 @@ class RunConfig:
 @dataclass(frozen=True)
 class Entry:
     """One row of the registry: ``run(cfg)`` yields the checks of ``subject``."""
-    groups: tuple              # check-name prefixes, in the order run yields them
-    subject: Optional[str]     # check-name suffix; None when no filter needs one
+    command: Optional[str]     # subcommand that selects it; None: verify-all
+    subject: Optional[str]     # check-name suffix; None when command is None
     reads: frozenset           # RunConfig fields that can change the checks
     run: Callable              # RunConfig -> iterable of CheckResult
 
@@ -143,43 +143,40 @@ def _dispersion_and_structure(cfg):
 
 def _registry():
     sampled = frozenset({"seed", "samples"})
-    out = [Entry(("clifford",), None, frozenset(), lambda cfg: [
+    out = [Entry(None, None, frozenset(), lambda cfg: [
         CheckResult(f"clifford/{name}", verify_clifford(gamma_set(name)),
                     1e-12) for name in ("rep26", "weyl")])]
     for name in eqs.UNITARY_NAMES:
         u = eqs.catalog_unitary(name)
-        groups, reads = ("unitary",), sampled
-        if u.exponent is not None:
-            groups += ("exp_vs_closed",)
-        if u.source is not None and u.target is not None:
-            groups += ("transform",)     # reads its equations' parameters
+        wired = u.source is not None and u.target is not None
+        reads = sampled     # unitary/ has its own tolerance
+        if wired or u.exponent is not None:
+            reads |= {"tol"}
+        if wired:           # transform/ reads its equations' parameters
             reads = reads.union(*(eqs.catalog_equation(e).params for e in (
                 u.source, u.target) if isinstance(e, str)))
-        tol = {"tol"} if len(groups) > 1 else set()  # unitary/ has its own
-        out.append(Entry(groups, name, reads | tol, partial(_unitary, name)))
+        out.append(Entry("transform", name, reads, partial(_unitary, name)))
     out += [
-        Entry(("transform",), "tU2*tU1", sampled | {"tol"}, lambda cfg: [
+        Entry("transform", "tU2*tU1", sampled | {"tol"}, lambda cfg: [
             CheckResult("transform/tU2*tU1", _transform(
                 eqs.composed_tu(), _s3(cfg)), cfg.tol)]),
-        Entry(("transform",), "tU2_alt_norm_p3pos", sampled | {"tol"},
+        Entry("transform", "tU2_alt_norm_p3pos", sampled | {"tol"},
               lambda cfg: [CheckResult(
                   "transform/tU2_alt_norm_p3pos",
                   eqs.tu2_alt_normalization_residual(_s3(cfg)), cfg.tol)]),
-        Entry(("projector", "projection_relations"), None,
-              sampled | {"holdout", "tol", "mass"}, _projectors),
+        Entry(None, None, sampled | {"holdout", "tol", "mass"}, _projectors),
     ]
-    out += [Entry(("algebra", "algebra_second_order"), name,
+    out += [Entry("algebra", name,
                   frozenset({"seed", "mass"} if name == "flat" else {"seed"}),
                   partial(_algebra, name))
             for name in poincare.GENERATOR_NAMES]
-    out.append(Entry(("covariance",), None, frozenset({"seed"}), _covariance))
-    out += [Entry(("position", "position_canonical"), name, sampled | {"tol"},
-                  partial(_position, name))
-            for name in position.POSITION_NAMES]
+    out.append(Entry(None, None, frozenset({"seed"}), _covariance))
+    out += [Entry("position", name, sampled | {"tol"},
+                  partial(_position, name)) for name in position.POSITION_NAMES]
     out += [
-        Entry(("content",), None, sampled, _content),
-        Entry(("dispersion", "structure"), None,
-              sampled | {"mass", "kappa", "tol"}, _dispersion_and_structure),
+        Entry(None, None, sampled, _content),
+        Entry(None, None, sampled | {"mass", "kappa", "tol"},
+              _dispersion_and_structure),
     ]
     return tuple(out)
 
@@ -187,18 +184,18 @@ def _registry():
 REGISTRY = _registry()
 
 
-def run_checks(cfg: RunConfig, groups: Optional[tuple] = None,
+def run_checks(cfg: RunConfig, command: Optional[str] = None,
                subject: Optional[str] = None, given=()) -> list:
-    """The checks of the entries of any of ``groups`` for ``subject`` (every
-    entry when ``groups`` is None), in registry order.
+    """The checks of the entries of subcommand ``command`` for ``subject``
+    (every entry when ``command`` is None), in registry order.
 
     Raises ValueError on an empty selection, or when no selected entry reads
     a RunConfig field named in ``given``.
     """
-    chosen = [e for e in REGISTRY if groups is None
-              or (e.subject == subject and set(groups) & set(e.groups))]
+    chosen = [e for e in REGISTRY if command is None
+              or (e.command, e.subject) == (command, subject)]
     if not chosen:
-        raise ValueError(f"no {'/'.join(groups)} check for {subject!r}")
+        raise ValueError(f"no {command} check for {subject!r}")
     reject_unread(given, frozenset().union(*(e.reads for e in chosen)))
     return [c for e in chosen for c in e.run(cfg)]
 

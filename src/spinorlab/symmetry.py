@@ -42,6 +42,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import equations as eqs
 from .linalg import (TOL_NULLSPACE, cond2, dagger, mat_max, polar_unitary,
                      svd_nullspace)
 from .opcalc import as_batch, sample_momenta
@@ -67,7 +68,8 @@ _HIGH_TOKENS = ("Id", "T2", "C", "T1")
 class SymmetryElement:
     """A group element as its code: flip mask | time bit << d | conjugation
     bit << (d + 1).  The group law is XOR, so the code of a product of labels
-    (:meth:`parse`) is the XOR of their codes."""
+    (:meth:`parse`) is the XOR of their codes, and each parity character is
+    one element (:meth:`keeps`)."""
     d: int
     code: int
 
@@ -109,6 +111,12 @@ class SymmetryElement:
                 else:
                     raise ValueError(f"bad symmetry token {tok!r}")
         return SymmetryElement(d, code)
+
+    def keeps(self, breaks: "SymmetryElement") -> bool:
+        """Whether this element keeps the parity that ``breaks`` names (an
+        equation's ``breaks`` label, parsed): the two codes share an even
+        number of set bits."""
+        return (self.code & breaks.code).bit_count() % 2 == 0
 
     @functools.cached_property
     def signs(self) -> tuple:
@@ -323,7 +331,8 @@ class ClassificationReport:
 
 def classify_equation(eq, seed: int = 42, n_fit: int = 12,
                       n_holdout: int = 4) -> ClassificationReport:
-    """Solve every group element, check attached-claim agreement and coherence."""
+    """Solve every group element, check each verdict against the one that
+    ``eq.breaks`` gives it (agreement) and check coherence."""
     elements = group_elements(eq.d)
     htilde, h = intertwine_condition(eq, elements, as_batch(
         _fit_and_holdout(eq.d, n_fit, n_holdout, seed)
@@ -334,14 +343,14 @@ def classify_equation(eq, seed: int = 42, n_fit: int = 12,
                 if isinstance(out, Intertwiner)
                 else ElementVerdict(g, False, out.relative, None)
                 for g, out in zip(elements, outs)]
-    by_code = {g.code: v for g, v in zip(elements, verdicts)}
-    agreement = all(by_code[SymmetryElement.parse(label, eq.d).code].invariant
-                    == expected for label, expected in eq.claims)
+    breaks = SymmetryElement.parse(eq.breaks, eq.d)
+    agreement = all(v.invariant == g.keeps(breaks)
+                    for g, v in zip(elements, verdicts))
     check = slice(n_fit + n_holdout, None)
     coherence_ok = bool(_coherence(verdicts, htilde[:, check], h[check]) <= 1e-6)
 
     return ClassificationReport(eq.name, tuple(verdicts), agreement,
-                                len(eq.claims), coherence_ok)
+                                len(verdicts), coherence_ok)
 
 
 def _coherence(verdicts, check_t, check_h) -> float:
@@ -461,25 +470,24 @@ def verify_projection_relations(seed: int = 42, n_fit: int = 12,
                                 n_holdout: int = 4) -> dict:
     """Solved four-component intertwiners swap or fix the block projectors.
 
-    Single-axis reflections along 1 or 2 and both time reflections exchange
-    Q+ and Q-; the axis-3 reflection and conjugation commute with them.
-    Antilinear elements act on a projector through conj(Q), which here equals
-    Q (the projectors are real).
+    An element that keeps chi_4c fixes Q+ and Q- if it also keeps the parity
+    that the blocks chi_+- break (their ``breaks``), and exchanges them if
+    not: of the six checked, the reflections along 1 and 2 and both time
+    reflections swap, the axis-3 reflection and conjugation fix.  Antilinear
+    elements act on a projector through conj(Q), which here equals Q (the
+    projectors are real).
     """
-    from .equations import Q_MINUS, Q_PLUS, catalog_equation
-
-    eq = catalog_equation("chi_4c")
-    swaps = dict(P1=True, P2=True, T1=True, T2=True, P3=False, C=False)
-    elements = [SymmetryElement.parse(label, 3) for label in swaps]
-    outs = solve_intertwiner(eq, elements, n_fit=n_fit, n_holdout=n_holdout,
-                             seed=seed)
-    res = {}
-    for (label, swap), g, out in zip(swaps.items(), elements, outs):
+    labels = ("P1", "P2", "T1", "T2", "P3", "C")
+    elements = [SymmetryElement.parse(label, 3) for label in labels]
+    breaks = SymmetryElement.parse(eqs.catalog_equation("chi_plus").breaks, 3)
+    outs = solve_intertwiner(eqs.catalog_equation("chi_4c"), elements,
+                             n_fit=n_fit, n_holdout=n_holdout, seed=seed)
+    q, res = (eqs.Q_PLUS, eqs.Q_MINUS), {}
+    for label, g, out in zip(labels, elements, outs):
         if not isinstance(out, Intertwiner):
             raise IndeterminateVerdict(f"chi_4c/{label}: expected invariance")
         m = out.matrix
-        qp = np.conj(Q_PLUS) if g.conjugate else Q_PLUS
-        qm = np.conj(Q_MINUS) if g.conjugate else Q_MINUS
-        to_p, to_m = (Q_MINUS, Q_PLUS) if swap else (Q_PLUS, Q_MINUS)
+        qp, qm = np.conj(q) if g.conjugate else q
+        to_p, to_m = q if g.keeps(breaks) else q[::-1]
         res[label] = mat_max(m @ qp - to_p @ m, m @ qm - to_m @ m)
     return res

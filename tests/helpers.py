@@ -7,6 +7,7 @@ from spinorlab.linalg import mat_max
 from spinorlab.opcalc import (Commutator, _left, _members_first, _product,
                               _right)
 from spinorlab.position import position_from_unitary
+from spinorlab.symmetry import SymmetryElement, group_elements
 
 TOL_EQ = 1e-9           # entrywise equality of verified identities
 
@@ -20,6 +21,13 @@ def proportional(a, b, tol: float = TOL_EQ) -> bool:
         return mat_max(a) <= tol
     c = np.vdot(b, a) / denom
     return mat_max(a - c * b) <= tol * max(1.0, mat_max(a))
+
+
+def kept(eq):
+    """(label, keeps eq.breaks?) for every element, in group order: the
+    verdict that an equation's breaking label gives each element."""
+    breaks = SymmetryElement.parse(eq.breaks, eq.d)
+    return [(g.label, g.keeps(breaks)) for g in group_elements(eq.d)]
 
 
 def nan_at(point):

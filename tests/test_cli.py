@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from helpers import kept
 from spinorlab.cli import dumps, main
 from spinorlab.equations import EQUATION_NAMES, catalog_equation
 from spinorlab.poincare import CONTENT_SETS
@@ -215,6 +216,20 @@ def test_content_of_corrupted_reduction_fails_in_one_line(capsys):
 
 
 @pytest.mark.parametrize("fmt", ["json", "md"])
+@pytest.mark.parametrize("equation", ["chi_plus", "chi_minus"])
+def test_report_of_the_corrupted_reduction_disagrees(capsys, equation, fmt):
+    # the negative control keeps chi_+-'s breaking label, which the
+    # corrupted Hamiltonian's verdicts no longer follow
+    assert main(["report", "--equation", equation, "--corrupt-reduction",
+                 "--format", fmt]) == 1
+    out = capsys.readouterr().out
+    if fmt == "json":
+        assert json.loads(out)["agreement"] is False
+    else:
+        assert "agreement: false" in out
+
+
+@pytest.mark.parametrize("fmt", ["json", "md"])
 def test_report_exits_1_on_incoherent_classification(monkeypatch, capsys, fmt):
     import dataclasses
     import spinorlab.cli as cli
@@ -287,7 +302,7 @@ def test_report_at_parameter_zero_reads_its_group(capsys, equation, flag,
     doc = json.loads(capsys.readouterr().out)
     assert doc["agreement"] is True
     assert doc["claims_checked"] == len(doc["elements"])
-    want = list(catalog_equation(equation).claims)
+    want = kept(catalog_equation(equation))
     if equation in ("flat_plus", "flat_minus", "desitter", "kappa_plus",
                     "kappa_minus"):
         want = [(label, True) for label, _ in want]

@@ -176,9 +176,10 @@ def test_corrupted_catalog_fails_v1_transform():
 
 
 def test_claims_are_attached():
-    assert catalog_equation("chi_plus").claims
-    assert len(catalog_equation("dirac_massless").claims) == 32
-    assert catalog_equation("desitter").claims
+    # one breaking label each: an element other than Id breaks a parity
+    assert catalog_equation("chi_plus").breaks == "P1*P2*T2"
+    assert catalog_equation("dirac_massless").breaks == "Id"
+    assert catalog_equation("desitter").breaks == "P1*P2*P3*P4*T1"
 
 
 def test_dispersion_residual_propagates_nan():
@@ -305,8 +306,12 @@ def test_dispersion_rule_equals_the_written_out_forms_bit_for_bit(seed):
         for kappa in PIN_PARAMS:
             for name in EQUATION_NAMES:
                 eq = catalog_equation(name, m=m, kappa=kappa)
-                p = as_batch(sample_momenta(eq.d, 12, seed))
+                pts = sample_momenta(eq.d, 12, seed)
+                p = as_batch(pts)
                 want = _written_out_dispersion(name, m, kappa)(p)
-                assert np.array_equal(eq.dispersion(p), want), (name, m, kappa)
+                h = eq.hamiltonian(p)
+                assert dispersion_residual(eq, pts) == mat_max(
+                    h @ h - want[..., None, None] * np.eye(eq.dim)), \
+                    (name, m, kappa)
     assert catalog_equation("chi_plus", corrupt_reduction=True) \
-        .dispersion is None
+        .mass_sq is None

@@ -12,6 +12,11 @@ from spinorlab.suite import REGISTRY, RunConfig, run_checks, run_verify_all
 
 CFG = RunConfig()
 
+# the check-name prefixes of each subcommand's registry rows
+PREFIXES = {"algebra": {"algebra", "algebra_second_order"},
+            "transform": {"unitary", "exp_vs_closed", "transform"},
+            "position": {"position", "position_canonical"}}
+
 FILTERED = (
     [("algebra", "--generators", n) for n in poincare.GENERATOR_NAMES]
     + [("transform", "--name", n)
@@ -26,15 +31,15 @@ def verify_all():
 
 def _filtered(command, flag, subject):
     args = build_parser().parse_args([command, flag, subject])
-    return args.groups, run_checks(CFG, args.groups, args.subject)
+    return run_checks(CFG, args.command, args.subject)
 
 
 @pytest.mark.parametrize("command,flag,subject", FILTERED)
 def test_filtered_checks_equal_verify_all(verify_all, command, flag, subject):
-    groups, checks = _filtered(command, flag, subject)
+    checks = _filtered(command, flag, subject)
     assert checks
     for c in checks:
-        assert c.name.partition("/")[0] in groups
+        assert c.name.partition("/")[0] in PREFIXES[command]
         assert c == verify_all[c.name]          # exact residuals and tols
 
 
@@ -43,10 +48,9 @@ def test_filters_reach_every_check_of_their_groups(verify_all, command):
     names = []
     for cmd, flag, subject in FILTERED:
         if cmd == command:
-            groups, checks = _filtered(cmd, flag, subject)
-            names += [c.name for c in checks]
+            names += [c.name for c in _filtered(cmd, flag, subject)]
     assert sorted(names) == sorted(n for n in verify_all
-                                   if n.partition("/")[0] in groups)
+                                   if n.partition("/")[0] in PREFIXES[command])
 
 
 def test_every_config_field_is_read_by_some_entry():
@@ -56,27 +60,27 @@ def test_every_config_field_is_read_by_some_entry():
 
 _S = frozenset({"seed", "samples"})
 _ST = _S | {"tol"}
-# the RunConfig fields each registry entry reads, by (first group, subject)
+# the RunConfig fields each registry entry reads, by its first check's name
 READS = {
-    ("clifford", None): frozenset(),
-    **{("unitary", n): _ST for n in ("U1", "U2", "V")},
-    ("unitary", "tU1"): _S, ("unitary", "tU2"): _S,
-    ("unitary", "V1"): _ST | {"corrupt_reduction"},
-    ("unitary", "V2"): _ST | {"mass"},
-    ("transform", "tU2*tU1"): _ST, ("transform", "tU2_alt_norm_p3pos"): _ST,
-    ("projector", None): _ST | {"holdout", "mass"},
-    **{("algebra", n): {"seed"} for n in poincare.GENERATOR_NAMES},
-    ("algebra", "flat"): {"seed", "mass"},
-    ("covariance", None): {"seed"},
-    **{("position", n): _ST for n in position.POSITION_NAMES},
-    ("content", None): _S,
-    ("dispersion", None): _ST | {"mass", "kappa"},
+    "clifford/rep26": frozenset(),
+    **{f"unitary/{n}": _ST for n in ("U1", "U2", "V")},
+    "unitary/tU1": _S, "unitary/tU2": _S,
+    "unitary/V1": _ST | {"corrupt_reduction"},
+    "unitary/V2": _ST | {"mass"},
+    "transform/tU2*tU1": _ST, "transform/tU2_alt_norm_p3pos": _ST,
+    "projector/q_idempotent": _ST | {"holdout", "mass"},
+    **{f"algebra/{n}": {"seed"} for n in poincare.GENERATOR_NAMES},
+    "algebra/flat": {"seed", "mass"},
+    "covariance/chi_to_phi_by_U2": {"seed"},
+    **{f"position/{n}": _ST for n in position.POSITION_NAMES},
+    "content/dirac_massless": _S,
+    "dispersion/dirac_massless": _ST | {"mass", "kappa"},
 }
 
 
 def test_every_entry_reads_its_pinned_fields():
     assert len(REGISTRY) == len(READS)
-    assert {(e.groups[0], e.subject): e.reads for e in REGISTRY} == READS
+    assert {next(iter(e.run(CFG))).name: e.reads for e in REGISTRY} == READS
 
 
 def test_holdout_reaches_the_intertwiner_solver(monkeypatch):
@@ -88,7 +92,7 @@ def test_holdout_reaches_the_intertwiner_solver(monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(symmetry, "solve_intertwiner", spy)
-    entry, = [e for e in REGISTRY if "projection_relations" in e.groups]
+    entry, = [e for e in REGISTRY if e.run is suite._projectors]
     list(entry.run(RunConfig(holdout=9)))
     assert seen and set(seen) == {9}
 

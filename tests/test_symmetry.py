@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import nan_at, product_residuals, proportional
+from helpers import kept, nan_at, product_residuals, proportional
 from spinorlab import symmetry
 from spinorlab.clifford import pauli
 from spinorlab.equations import (EQUATION_NAMES, EquationSpec,
@@ -53,6 +53,21 @@ def test_composition_is_xor_of_codes(d):
             # "Id" cannot stand inside a product: leave it out of the label
             label = "*".join(g.label for g in (a, b) if g.label != "Id")
             assert SymmetryElement.parse(label, d).code == a.code ^ b.code
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_keeps_is_a_parity_character(d):
+    # keeping B is a homomorphism onto {+1, -1}: a product keeps B iff both
+    # factors keep it or both break it; every element keeps Id, and B = Id
+    # is the only label every element keeps
+    group = group_elements(d)
+    identity = SymmetryElement.parse("Id", d)
+    for b in group:
+        assert all(g.keeps(b) for g in group) == (b == identity)
+        for g in group:
+            for h in group:
+                gh = SymmetryElement(d, g.code ^ h.code)
+                assert gh.keeps(b) == (g.keeps(b) == h.keeps(b))
 
 
 def test_canonicalization_folds_conjugation_pairs():
@@ -378,6 +393,24 @@ def test_projection_relations():
         assert val <= 1e-9, key
 
 
+# which elements exchange Q+ and Q- (True) or fix them, written out
+SWAPS = dict(P1=True, P2=True, T1=True, T2=True, P3=False, C=False)
+
+
+def test_projection_swaps_are_the_elements_that_break_chi_plus():
+    breaks = SymmetryElement.parse(catalog_equation("chi_plus").breaks, 3)
+    assert {label: not SymmetryElement.parse(label, 3).keeps(breaks)
+            for label in SWAPS} == SWAPS
+
+
+@pytest.mark.parametrize("seed", [5, 7])      # 42: test_projection_relations
+def test_projection_relations_follow_the_derived_swaps(seed):
+    res = verify_projection_relations(seed=seed)
+    assert list(res) == list(SWAPS)
+    for key, val in res.items():
+        assert val <= 1e-9, (key, seed)
+
+
 def test_coherence_check_fails_closed_on_nan():
     # H is NaN at one of the four coherence check points only: row 12 + 4 + 2
     eq = catalog_equation("weyl_plus")
@@ -491,9 +524,9 @@ def test_verdict_tables_match_the_benchmark_reference(seed):
 
 
 def test_the_breaking_labels_derive_every_reference_verdict():
-    # reads only the file: each catalog equation's claims, built from its one
-    # breaking label, are the recorded table in group order, 544 in all
-    got = {name: list(catalog_equation(name).claims) for name in EQUATION_NAMES}
+    # reads only the file: the verdicts each catalog equation's one breaking
+    # label gives are the recorded table in group order, 544 in all
+    got = {name: kept(catalog_equation(name)) for name in EQUATION_NAMES}
     assert got == {name: list(table.items())
                    for name, table in REFERENCE["verdicts"].items()}
     assert sum(map(len, got.values())) == 544
@@ -502,7 +535,7 @@ def test_the_breaking_labels_derive_every_reference_verdict():
 @pytest.mark.parametrize("name", ["chi_plus", "chi_minus"])
 def test_the_headline_chi_is_p_and_t_non_invariant_but_c_invariant(name):
     eq = catalog_equation(name)
-    claims, rep = dict(eq.claims), classify_equation(eq)
+    claims, rep = dict(kept(eq)), classify_equation(eq)
     for label, invariant in (("P1", False), ("P2", False), ("T1", False),
                              ("T2", False), ("C", True)):
         assert claims[label] is invariant, label
@@ -877,8 +910,7 @@ def test_zero_sylvester_maps_take_the_rank_zero_branch():
     # intertwines; the others see Htilde = -H, a map of full rank
     eq = EquationSpec("energy_times_one", 2, 3,
                       OperatorField.scalar(energy, 2, 3),
-                      claims=(("P1*P2", True), ("T1", True), ("C", False),
-                              ("T2", False)))
+                      breaks="T1")
     elements = group_elements(3)
     zero = [g.time_flip == g.conjugate for g in elements]
     ht, h = intertwine_condition(eq, elements, as_batch(
