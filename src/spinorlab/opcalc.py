@@ -2,7 +2,9 @@
 
 Matrix-valued fields of the momentum with exact derivatives, first-order
 differential operators A(p) + sum_k B_k(p) (i d/dp_k) + x0*C(p), their
-commutators, and conjugation by unitary fields.
+commutators, and conjugation by unitary fields.  Every part of an operator
+is a field: an absent one (a B_k it lacks, C on all but the boosts) is the
+structurally zero field, which +, @ and scale pass through unevaluated.
 
 A field is a leaf, a finite sum of scalar coefficient functions times
 constant matrices, or a node that combines operand fields by +, @, a scalar
@@ -24,9 +26,10 @@ argument is made once.  :meth:`OperatorField.partial`,
 same node on every call, so nodes built at different times still share.
 
 :func:`stacked_jet` evaluates a family of operators (a generator set, the
-components of a position operator; no zero B part) on one shared argument
-into one :class:`Jet`, and :func:`diffop_commutator` gives the commutators
-of its member pairs i < j from block GEMMs over live members and B slots.
+components of a position operator) on one shared argument into one
+:class:`Jet`, never evaluating a structurally zero part, and
+:func:`diffop_commutator` gives the commutators of its member pairs i < j
+from block GEMMs over live members and B slots.
 """
 
 from __future__ import annotations
@@ -264,11 +267,13 @@ class DiffOp1:
 
     x0 is a commuting formal scalar (the explicit time parameter); relations
     involving it are verified at fixed numerical values by folding C into A.
+    Every part is a field: an absent one is the structurally zero field,
+    which :func:`stacked_values` and :func:`stacked_jet` never evaluate.
     """
 
     a: OperatorField
     b: tuple
-    x0: Optional[OperatorField] = None
+    x0: OperatorField
 
     @property
     def d(self) -> int:
@@ -277,31 +282,28 @@ class DiffOp1:
     # -- constructors -----------------------------------------------------
     @staticmethod
     def from_field(f: OperatorField) -> "DiffOp1":
-        return DiffOp1(f, tuple(OperatorField.zero(f.dim, f.d)
-                                for _ in range(f.d)))
+        zero = OperatorField.zero(f.dim, f.d)
+        return DiffOp1(f, (zero,) * f.d, zero)
 
     @staticmethod
     def position_component(k: int, dim: int, d: int) -> "DiffOp1":
         """x_k = i d/dp_k (k is 0-based)."""
-        ident = np.eye(dim, dtype=complex)
-        b = tuple(OperatorField.constant(ident, d) if j == k
-                  else OperatorField.zero(dim, d) for j in range(d))
-        return DiffOp1(OperatorField.zero(dim, d), b)
+        zero = OperatorField.zero(dim, d)
+        b = tuple(OperatorField.constant(np.eye(dim, dtype=complex), d)
+                  if j == k else zero for j in range(d))
+        return DiffOp1(zero, b, zero)
 
     # -- algebra -----------------------------------------------------------
     def __add__(self, other: "DiffOp1") -> "DiffOp1":
-        if self.x0 is None or other.x0 is None:
-            x0 = self.x0 if other.x0 is None else other.x0
-        else:
-            x0 = self.x0 + other.x0
         return DiffOp1(self.a + other.a,
-                       tuple(x + y for x, y in zip(self.b, other.b)), x0)
+                       tuple(x + y for x, y in zip(self.b, other.b)),
+                       self.x0 + other.x0)
 
     def scale(self, c) -> "DiffOp1":
         """Multiply by a constant or by a scalar function of p (on the left;
         a scalar function commutes past the derivatives)."""
         return DiffOp1(self.a.scale(c), tuple(f.scale(c) for f in self.b),
-                       self.x0.scale(c) if self.x0 is not None else None)
+                       self.x0.scale(c))
 
 
 def stacked_jet(ops: Sequence[DiffOp1], p: Point) -> "Jet":
@@ -310,38 +312,37 @@ def stacked_jet(ops: Sequence[DiffOp1], p: Point) -> "Jet":
     pair is computed once (see :class:`_Argument`).
 
     Per part one plain evaluation for the value and one all-axes seeded
-    evaluation (:meth:`OperatorField.deriv`) for every partial, none for a
-    structurally zero B part.  The values come from the plain evaluation,
-    never from the seeded one: a coefficient that tests the components
-    (``p[0] == c``) sees a Dual there, not the numbers.
+    evaluation (:meth:`OperatorField.deriv`) for every partial; an absent
+    part is the structurally zero field and is never evaluated.  The values
+    come from the plain evaluation, never from the seeded one: a coefficient
+    that tests the components (``p[0] == c``) sees a Dual there, not the
+    numbers.
     """
     p = _Argument.of(p)
     a, b, x0 = stacked_values(ops, p)
-    db, dx0 = _b_and_x0(ops, (ops[0].d,) + a.shape[1:], lambda f: f.deriv(p))
-    return Jet(a, b, np.stack([op.a.deriv(p) for op in ops]), db, x0, dx0)
+    da, db, dx0 = _stacked(ops, b.shape[1:], lambda f: f.deriv(p))
+    return Jet(a, b, da, db, x0, dx0)
 
 
 def stacked_values(ops: Sequence[DiffOp1], p: Point) -> tuple:
     """(A, B, C) of every operator of ops on p, stacked on a leading member
-    axis, from one shared evaluation; a structurally zero B part stays zero,
-    never evaluated, and C is zero where an operator has no x0 part."""
+    axis, from one shared evaluation."""
     p = _Argument.of(p)
-    a = np.stack([op.a(p) for op in ops])
-    return (a, *_b_and_x0(ops, a.shape[1:], lambda f: f(p)))
+    return _stacked(ops, p.batch + (ops[0].a.dim,) * 2, lambda f: f(p))
 
 
-def _b_and_x0(ops, shape: tuple, value: Callable) -> tuple:
-    """value(f) of every B and x0 part f of ops, on zeroed (G, d, *shape)
-    and (G, *shape) stacks: zero where f is structurally zero or absent."""
-    b = np.zeros((len(ops), ops[0].d) + shape, complex)
-    x0 = np.zeros((len(ops),) + shape, complex)
+def _stacked(ops, shape: tuple, value: Callable) -> tuple:
+    """value(f), of the given shape, of every A, B_k and C part f of ops on
+    zeroed (G, *shape), (G, d, *shape) and (G, *shape) stacks: a
+    structurally zero part stays zero, never evaluated."""
+    g, d = len(ops), ops[0].d
+    a, b, x0 = (np.zeros((g, *axes, *shape), complex)
+                for axes in ((), (d,), ()))
     for i, op in enumerate(ops):
-        if op.x0 is not None:
-            x0[i] = value(op.x0)
-        for k, f in enumerate(op.b):
+        for out, f in ((a[i], op.a), *zip(b[i], op.b), (x0[i], op.x0)):
             if not f._is_zero():
-                b[i, k] = value(f)
-    return b, x0
+                out[...] = value(f)
+    return a, b, x0
 
 
 @dataclass(frozen=True)
@@ -351,7 +352,7 @@ class Jet:
     over a (dim, dim) matrix at a point or an (n, dim, dim) stack on a batch.
 
     For member i: b[i, k] = B_k, da[i, k] = dA/dp_k, db[i, k, l] = dB_k/dp_l,
-    dx0[i, k] = dC/dp_k; x0[i] = C is zero when the operator has no x0 part.
+    dx0[i, k] = dC/dp_k; x0[i] = C (zero for an operator without one).
     """
 
     a: np.ndarray
@@ -382,25 +383,16 @@ class Commutator:
     second_order: float
 
 
-def _left(x, nb: int) -> np.ndarray:
+def _pack(x, nb: int, right: bool = False) -> np.ndarray:
     """x of shape (M..., K, *batch, dim, dim) as the left block operand
-    (*batch, |M| dim, K dim); the last nb + 2 axes are the batch and the
-    matrix."""
-    m, k = x.shape[:x.ndim - nb - 3], x.shape[x.ndim - nb - 3]
+    (*batch, |M| dim, K dim), or the right one (*batch, K dim, |M| dim); the
+    last nb + 2 axes are the batch and the matrix."""
+    m, k = math.prod(x.shape[:x.ndim - nb - 3]), x.shape[x.ndim - nb - 3]
     batch, dim = x.shape[x.ndim - nb - 2:-2], x.shape[-1]
-    xm = np.moveaxis(x.reshape(math.prod(m), k, *batch, dim, dim), (0, 1),
-                     (nb, nb + 2))
-    return xm.reshape(*batch, math.prod(m) * dim, k * dim)
-
-
-def _right(y, nb: int) -> np.ndarray:
-    """y of shape (M..., K, *batch, dim, dim) as the right block operand
-    (*batch, K dim, |M| dim)."""
-    m, k = y.shape[:y.ndim - nb - 3], y.shape[y.ndim - nb - 3]
-    batch, dim = y.shape[y.ndim - nb - 2:-2], y.shape[-1]
-    ym = np.moveaxis(y.reshape(math.prod(m), k, *batch, dim, dim), (1, 0),
-                     (nb, nb + 2))
-    return ym.reshape(*batch, k * dim, math.prod(m) * dim)
+    xm = np.moveaxis(x.reshape(m, k, *batch, dim, dim),
+                     (1, 0) if right else (0, 1), (nb, nb + 2))
+    rows, cols = (k, m) if right else (m, k)
+    return xm.reshape(*batch, rows * dim, cols * dim)
 
 
 def _product(xl, yr, mx: tuple, my: tuple, dim: int) -> np.ndarray:
@@ -441,12 +433,12 @@ def _operands(s: Jet, nb: int) -> SimpleNamespace:
     b = np.flatnonzero(in_slots.reshape(g, d).any(1))
     one = lambda x: np.expand_dims(x, -nb - 3)      # a summed axis of one
     bl, cl, bs = s.b[b], one(s.x0[c]), one(s.b.reshape(-1, *shape)[slots])
+    left, right = lambda x: _pack(x, nb), lambda x: _pack(x, nb, True)
     return SimpleNamespace(
-        slots=slots, b=b, c=c, al=_left(one(s.a), nb), ar=_right(one(s.a), nb),
-        bl=_left(bl, nb), b_rows=_left(one(bl), nb), b_cols=_right(one(bl), nb),
-        s_rows=_left(bs, nb), s_cols=_right(bs, nb), dar=_right(s.da, nb),
-        dbr=_right(s.db[b], nb), cl=_left(cl, nb), cr=_right(cl, nb),
-        dcr=_right(s.dx0[c], nb))
+        slots=slots, b=b, c=c, al=left(one(s.a)), ar=right(one(s.a)),
+        bl=left(bl), b_rows=left(one(bl)), b_cols=right(one(bl)),
+        s_rows=left(bs), s_cols=right(bs), dar=right(s.da),
+        dbr=right(s.db[b]), cl=left(cl), cr=right(cl), dcr=right(s.dx0[c]))
 
 
 def diffop_commutator(jet: Jet) -> Commutator:
@@ -579,6 +571,4 @@ def conjugate_by_unitary(u: OperatorField, g: DiffOp1) -> DiffOp1:
     a = ud @ g.a @ u
     for k in range(g.d):
         a = a + ud @ g.b[k] @ u.partial(k).scale(1j)
-    b = tuple(ud @ g.b[k] @ u for k in range(g.d))
-    x0 = ud @ g.x0 @ u if g.x0 is not None else None
-    return DiffOp1(a, b, x0)
+    return DiffOp1(a, tuple(ud @ f @ u for f in g.b), ud @ g.x0 @ u)

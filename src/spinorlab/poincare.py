@@ -69,17 +69,18 @@ class GeneratorSet:
 
 def _orbital_rotation(k: int, l: int, dim: int, d: int) -> DiffOp1:
     """x_k p_l - x_l p_k, normal ordered (1-based spatial indices)."""
-    b = [OperatorField.zero(dim, d) for _ in range(d)]
+    zero = OperatorField.zero(dim, d)
+    b = [zero] * d
     b[k - 1] = OperatorField.momentum(l - 1, dim, d)
     b[l - 1] = OperatorField.momentum(k - 1, dim, d).scale(-1.0)
-    return DiffOp1(OperatorField.zero(dim, d), tuple(b))
+    return DiffOp1(zero, tuple(b), zero)
 
 
 def _boost(h: OperatorField, k: int) -> DiffOp1:
     """x0 p_k - (1/2)[x_k, H]_+ = x0 p_k - H x_k - (i/2) dH/dp_k."""
     dim, d = h.dim, h.d
     a = h.partial(k - 1).scale(-0.5j)
-    b = [OperatorField.zero(dim, d) for _ in range(d)]
+    b = [OperatorField.zero(dim, d)] * d
     b[k - 1] = h.scale(-1.0)
     return DiffOp1(a, tuple(b), OperatorField.momentum(k - 1, dim, d))
 
@@ -306,7 +307,7 @@ def helicity_field(gs: GeneratorSet, check_points) -> OperatorField:
     p = as_batch(check_points)
     if not (mat_max(*(bf(p) for bf in h_op.b)) <= 1e-10):
         raise RuntimeError("not a scalar helicity")
-    if h_op.x0 is not None and not (mat_max(h_op.x0(p)) <= 1e-12):
+    if not (mat_max(h_op.x0(p)) <= 1e-12):
         raise RuntimeError("helicity acquired an x0 part")
     return h_op.a
 

@@ -259,7 +259,8 @@ def _solve_chunk(eq, elements, htilde, h, n_fit, n_holdout, seed):
     failed = {i: f"sigma_min/sigma_max = {smin[i] / smax[i]:.3e} falls "
               "between thresholds" for i, k in enumerate(nullities)
               if not (k or smin[i] > CERTIFICATE_TOL * smax[i])}
-    accepted = []
+    out = [None if k else NonInvariance(lo, hi)
+           for k, lo, hi in zip(nullities, smin, smax)]
     for k in set(nullities) - {0}:
         # the basis and, if k > 1, 32 random members (invertible almost
         # surely if any member is); the first good one is kept
@@ -290,16 +291,13 @@ def _solve_chunk(eq, elements, htilde, h, n_fit, n_holdout, seed):
         ms /= np.sqrt(np.vecdot(flat.real, flat.real)
                       + np.vecdot(flat.imag, flat.imag))[:, None, None]
         ms *= np.sqrt(eq.dim)
-        accepted += zip(idx.tolist(), ms, polar_unitary(ms),
-                        hres[at].tolist())
+        for i, m, u, hr in zip(idx.tolist(), ms, polar_unitary(ms),
+                               hres[at].tolist()):
+            out[i] = Intertwiner(m, u, hr, k)
     if failed:
         i = min(failed)
         raise IndeterminateVerdict(f"{eq.name}/{elements[i].label}: "
                                    f"{failed[i]} -- increase samples")
-    out = [None if k else NonInvariance(lo, hi)
-           for k, lo, hi in zip(nullities, smin, smax)]
-    for i, m, u, hr in accepted:
-        out[i] = Intertwiner(m, u, hr, nullities[i])
     return out
 
 
@@ -466,8 +464,7 @@ def _normalised_power(m, k: int, w):
 
 # -- projector / reflection interplay ----------------------------------------
 
-def verify_projection_relations(seed: int = 42, n_fit: int = 12,
-                                n_holdout: int = 4) -> dict:
+def verify_projection_relations(seed: int = 42, n_holdout: int = 4) -> dict:
     """Solved four-component intertwiners swap or fix the block projectors.
 
     An element that keeps chi_4c fixes Q+ and Q- if it also keeps the parity
@@ -481,7 +478,7 @@ def verify_projection_relations(seed: int = 42, n_fit: int = 12,
     elements = [SymmetryElement.parse(label, 3) for label in labels]
     breaks = SymmetryElement.parse(eqs.catalog_equation("chi_plus").breaks, 3)
     outs = solve_intertwiner(eqs.catalog_equation("chi_4c"), elements,
-                             n_fit=n_fit, n_holdout=n_holdout, seed=seed)
+                             n_holdout=n_holdout, seed=seed)
     q, res = (eqs.Q_PLUS, eqs.Q_MINUS), {}
     for label, g, out in zip(labels, elements, outs):
         if not isinstance(out, Intertwiner):

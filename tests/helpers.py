@@ -4,8 +4,7 @@ import numpy as np
 
 from spinorlab import opcalc
 from spinorlab.linalg import mat_max
-from spinorlab.opcalc import (Commutator, _left, _members_first, _product,
-                              _right)
+from spinorlab.opcalc import Commutator, _members_first, _pack, _product
 from spinorlab.position import position_from_unitary
 from spinorlab.symmetry import SymmetryElement, group_elements
 
@@ -49,7 +48,7 @@ def _dot(x, y, nb: int):
     packs both factors for this one product; :func:`diffop_commutator`
     packs each part once for all of its terms."""
     mx, my = x.shape[:x.ndim - nb - 3], y.shape[:y.ndim - nb - 3]
-    return _members_first(_product(_left(x, nb), _right(y, nb), mx, my,
+    return _members_first(_product(_pack(x, nb), _pack(y, nb, True), mx, my,
                                    x.shape[-1]), len(mx), nb)
 
 

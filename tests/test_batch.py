@@ -47,7 +47,7 @@ def _real(field, p) -> bool:
 
 
 def _parts(op: DiffOp1):
-    return (op.a,) + op.b + ((op.x0,) if op.x0 is not None else ())
+    return (op.a, *op.b, op.x0)
 
 
 def assert_matches(batch, points, exact, what):

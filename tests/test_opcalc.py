@@ -18,8 +18,8 @@ from spinorlab.opcalc import (DiffOp1, Jet, OperatorField, as_batch,
                               diffop_commutator, sample_momenta, stacked_jet,
                               stacked_values)
 from spinorlab.poincare import GENERATOR_NAMES, generator_set
-from spinorlab.position import (POSITION_NAMES, position_from_unitary,
-                                verify_position)
+from spinorlab.position import (POSITION_NAMES, position_closed_form,
+                                position_from_unitary, verify_position)
 
 
 def richardson_derivative(f, p, k, h=1e-4):
@@ -285,15 +285,10 @@ def per_axis_jet(op, p):
     """The earlier jet, one seeded evaluation per part and axis, kept as the
     reference for the all-axes one."""
     ks = range(op.d)
-    a = op.a(p)
-    if op.x0 is None:
-        x0, dx0 = np.zeros_like(a), np.zeros((op.d,) + a.shape, complex)
-    else:
-        x0, dx0 = op.x0(p), np.stack([op.x0.partial(k)(p) for k in ks])
-    return Jet(a, np.stack([f(p) for f in op.b]),
+    return Jet(op.a(p), np.stack([f(p) for f in op.b]),
                np.stack([op.a.partial(k)(p) for k in ks]),
-               np.array([[f.partial(l)(p) for l in ks] for f in op.b]), x0,
-               dx0)
+               np.array([[f.partial(l)(p) for l in ks] for f in op.b]),
+               op.x0(p), np.stack([op.x0.partial(k)(p) for k in ks]))
 
 
 def _comm_parts(comm):
@@ -308,7 +303,8 @@ def _generic_operators():
     sq = lambda k, i: OperatorField(2, 3, [(lambda p: p[k] * p[k], m[i])])
     a = OperatorField(2, 3, [(lambda p: p[0] * p[1], m[6]),
                              (lambda p: p[2], m[7])])
-    return [DiffOp1(a, (sq(0, 0), sq(1, 1), sq(2, 2))),
+    zero = OperatorField.zero(2, 3)
+    return [DiffOp1(a, (sq(0, 0), sq(1, 1), sq(2, 2)), zero),
             DiffOp1(a.adjoint(), (sq(1, 3), sq(2, 4), sq(0, 5)), sq(2, 8)),
             DiffOp1.from_field(a @ a)]
 
@@ -411,9 +407,9 @@ def _partly_dead_operators(poison=None):
     if poison is not None:
         i, k, f = poison
         b[i][k] = b[i][k] + f
-    return [DiffOp1(a, tuple(b[0])),
+    return [DiffOp1(a, tuple(b[0]), zero),
             DiffOp1(a.adjoint(), tuple(b[1]), sq(2, 7)),
-            DiffOp1(a @ a, tuple(b[2])), DiffOp1(a, tuple(b[3]))]
+            DiffOp1(a @ a, tuple(b[2]), zero), DiffOp1(a, tuple(b[3]), zero)]
 
 
 def _assert_matches_the_reference(jet):
@@ -437,7 +433,7 @@ def test_single_live_slot_matches_the_reference():
     m = np.random.default_rng(2).normal(size=(2, 2, 2))
     f = OperatorField(2, 3, [(lambda p: p[1] * p[2], m[0])])
     zero = OperatorField.zero(2, 3)
-    ops = [DiffOp1(OperatorField.constant(m[1], 3), (zero, f, zero)),
+    ops = [DiffOp1(OperatorField.constant(m[1], 3), (zero, f, zero), zero),
            DiffOp1.from_field(OperatorField.momentum(0, 2, 3))]
     for p in (as_batch(sample_momenta(3, 8, 5)), sample_momenta(3, 1, 5)[0]):
         assert _assert_matches_the_reference(stacked_jet(ops, p)) == 0.0
@@ -452,8 +448,8 @@ def test_slot_live_by_its_derivative_alone():
     vanishing = OperatorField(2, 3, [(lambda p: p[0] - pt[0], m[0])])
     sq = OperatorField(2, 3, [(lambda p: p[1] * p[1], m[1])])
     a = OperatorField.constant(m[2], 3)
-    jet = stacked_jet([DiffOp1(a, (vanishing, zero, zero)),
-                       DiffOp1(a, (sq, zero, zero))], pt)
+    jet = stacked_jet([DiffOp1(a, (vanishing, zero, zero), zero),
+                       DiffOp1(a, (sq, zero, zero), zero)], pt)
     assert not jet.b[0].any() and jet.db[0, 0].any()
     _assert_matches_the_reference(jet)
     assert diffop_commutator(jet).b.any()
@@ -471,10 +467,33 @@ def test_second_order_fails_closed_on_nan_in_one_slot():
         _partly_dead_operators(), as_batch(pts))).second_order)
 
 
+def _part_families():
+    """(label, operators): psi, the chi set conjugated by U2, the built
+    position operators, and the bare position components (a zero A part)."""
+    u = catalog_unitary("U2").closed
+    yield "psi", [op for _, op in generator_set("psi").members()]
+    yield "U2 chi", [conjugate_by_unitary(u, op)
+                     for _, op in generator_set("chi").members()]
+    for name in POSITION_NAMES:
+        yield name, list(position_from_unitary(name))
+    yield "x", [DiffOp1.position_component(k, 4, 3) for k in range(3)]
+
+
+def _all_parts(op):
+    return (op.a, *op.b, op.x0)
+
+
 def test_stacks_never_evaluate_a_zero_field(monkeypatch):
-    ops = [op for _, op in generator_set("psi").members()]
-    zero = {id(f) for op in ops for f in op.b if f._is_zero()}
-    assert len(zero) == 21
+    families = dict(_part_families())
+    zero = {label: [(i, j) for i, op in enumerate(ops)
+                    for j, f in enumerate(_all_parts(op)) if f._is_zero()]
+            for label, ops in families.items()}
+    # (member, part) pairs over A, each B_k and C
+    assert {label: len(z) for label, z in zero.items()} == {
+        "psi": 28, "U2 chi": 28, "x": 12,
+        **dict.fromkeys(POSITION_NAMES, 9)}
+    assert sum(j == 0 for _, j in zero["x"]) == 3
+    assert sum(j == 4 for _, j in zero["psi"]) == 7
     calls = []
 
     def counted(name):
@@ -485,10 +504,26 @@ def test_stacks_never_evaluate_a_zero_field(monkeypatch):
     for name in ("_eval", "__call__", "deriv"):
         monkeypatch.setattr(OperatorField, name, counted(name))
     p = as_batch(sample_momenta(3, 4, 5))
-    stacked_values(ops, p)
-    stacked_jet(ops, p)
-    assert {n for n, _ in calls} == {"_eval", "__call__", "deriv"}
-    assert not {f for _, f in calls} & zero
+    for label, ops in families.items():
+        calls.clear()
+        stacked_values(ops, p)
+        stacked_jet(ops, p)
+        assert {n for n, _ in calls} == {"_eval", "__call__", "deriv"}, label
+        assert not {f for _, f in calls} & {
+            id(_all_parts(ops[i])[j]) for i, j in zero[label]}, label
+
+
+def test_every_operator_part_is_a_field():
+    u = catalog_unitary("U2").closed
+    built = [op for name in GENERATOR_NAMES
+             for _, op in generator_set(name).members()]
+    for name in POSITION_NAMES:
+        built += [*position_from_unitary(name), *position_closed_form(name)]
+    built += [conjugate_by_unitary(u, op) for op in built if op.a.dim == 4]
+    for op in built:
+        parts = _all_parts(op)
+        assert len(parts) == op.d + 2
+        assert all(isinstance(f, OperatorField) for f in parts)
 
 
 def test_momentum_is_one_leaf():

@@ -175,7 +175,7 @@ def test_helicity_guards_fail_closed_on_nan():
     poison = OperatorField(2, 3, [(nan_at(points[1]), np.eye(2))])
     j12 = gs.J[(1, 2)]
     J = dict(gs.J)
-    J[(1, 2)] = DiffOp1(j12.a, (j12.b[0] + poison,) + j12.b[1:])
+    J[(1, 2)] = DiffOp1(j12.a, (j12.b[0] + poison,) + j12.b[1:], j12.x0)
     with pytest.raises(RuntimeError, match="not a scalar helicity"):
         helicity_field(dataclasses.replace(gs, J=J), points)
     J[(1, 2)] = DiffOp1(j12.a, j12.b, poison)
@@ -211,7 +211,7 @@ def test_closure_fails_closed_on_nan():
     poison = OperatorField(4, 3, [(nan_at(S3[1]), np.eye(4))])
     p1, j12 = gs.P[1], gs.J[(1, 2)]
     for P, J in (
-            ({**gs.P, 1: DiffOp1(p1.a + poison, p1.b)}, gs.J),
+            ({**gs.P, 1: DiffOp1(p1.a + poison, p1.b, p1.x0)}, gs.J),
             (gs.P, {**gs.J, (1, 2): DiffOp1(
                 j12.a, (j12.b[0] + poison,) + j12.b[1:], j12.x0)})):
         resid, _ = algebra_residual(dataclasses.replace(gs, P=P, J=J), S3)
@@ -232,7 +232,7 @@ def test_closure_fails_closed_on_nan_in_a_zero_b_part():
     gs = generator_set("psi")
     poison = OperatorField(4, 3, [(nan_at(S3[1]), np.eye(4))])
     p1 = gs.P[1]
-    P = {**gs.P, 1: DiffOp1(p1.a, (p1.b[0] + poison,) + p1.b[1:])}
+    P = {**gs.P, 1: DiffOp1(p1.a, (p1.b[0] + poison,) + p1.b[1:], p1.x0)}
     poisoned = dataclasses.replace(gs, P=P)
     resid, _ = algebra_residual(poisoned, S3)
     assert math.isnan(resid)
@@ -242,7 +242,7 @@ def test_closure_fails_closed_on_nan_in_a_zero_b_part():
 
 
 def test_closure_fails_closed_on_nan_in_a_member_without_x0_part():
-    # P1 has no x0 part; a NaN one makes it live for the x0 terms
+    # P1's x0 part is the zero field; a NaN one makes it live for the x0 terms
     gs = generator_set("psi")
     poison = OperatorField(4, 3, [(nan_at(S3[1]), np.eye(4))])
     p1 = gs.P[1]
