@@ -120,13 +120,13 @@ def _equation(args, reads):
     """(RunConfig, catalog equation) of the command line.
 
     Raises ValueError on a flag that neither ``reads`` nor the equation's
-    construction reads (the RunConfig fields that key its ``params``).
+    construction reads (the RunConfig fields named in its ``params``).
     """
     given = _given(args)
     cfg = RunConfig(**given)
     eq = eqs.catalog_equation(args.equation, m=cfg.mass, kappa=cfg.kappa,
                               corrupt_reduction=cfg.corrupt_reduction)
-    reject_unread(given, set(reads) | set(eq.params))
+    reject_unread(given, set(reads) | eq.params)
     return cfg, eq
 
 

@@ -41,8 +41,7 @@ negative control for the verification suite and must never be used otherwise.
 """
 
 import functools
-from dataclasses import dataclass, field
-from types import MappingProxyType
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -93,14 +92,10 @@ class EquationSpec:
     dim: int
     d: int
     hamiltonian: OperatorField
-    params: dict = field(default_factory=dict)   # keyed by RunConfig field
+    params: frozenset = frozenset()    # the RunConfig fields it is built from
     breaks: str = "Id"                 # the label whose parity H breaks
     hermitian: bool = True
     mass_sq: Optional[float] = None    # H^2 = (p.p + mass_sq)*1, if set
-
-    def __post_init__(self):
-        # one built spec is shared by every caller (catalog_equation)
-        object.__setattr__(self, "params", MappingProxyType(self.params))
 
 
 def _linear(*mats) -> list:
@@ -150,7 +145,7 @@ def _catalog_equation(name: str, m: float, kappa: float,
     if name in ("chi_plus", "chi_minus"):
         terms = _two_component_reduction(s, abs_p3, corrupt_reduction)
         return EquationSpec(name, 2, 3, OperatorField(2, 3, terms),
-                            params={"corrupt_reduction": corrupt_reduction},
+                            params=frozenset({"corrupt_reduction"}),
                             breaks="P1*P2*T2",
                             mass_sq=None if corrupt_reduction else 0.0)
 
@@ -167,39 +162,40 @@ def _catalog_equation(name: str, m: float, kappa: float,
     if name in ("flat_plus", "flat_minus"):
         terms = _two_component_reduction(s, lambda p: m)
         return EquationSpec(
-            name, 2, 2, OperatorField(2, 2, terms), params={"mass": m},
+            name, 2, 2, OperatorField(2, 2, terms), params=frozenset({"mass"}),
             breaks="P1*P2*T2" if m else "Id", mass_sq=m * m)
 
     if name == "desitter":
         g4p = 1j * G4         # fifth anticommuting element with square -1
         terms = _linear(*_DIRAC, G0 @ g4p) + [(lambda p: kappa, G0)]
         return EquationSpec(
-            name, 4, 4, OperatorField(4, 4, terms), params={"kappa": kappa},
+            name, 4, 4, OperatorField(4, 4, terms),
+            params=frozenset({"kappa"}),
             breaks="P1*P2*P3*P4*T1" if kappa else "Id", mass_sq=kappa ** 2)
 
     if name == "dirac_massive":
         terms = _linear(*_DIRAC) + [(lambda p: m, G0)]
         return EquationSpec(
-            name, 4, 3, OperatorField(4, 3, terms), params={"mass": m},
+            name, 4, 3, OperatorField(4, 3, terms), params=frozenset({"mass"}),
             mass_sq=m * m)
 
     if name == "hprime":
         terms = _linear(*_DIRAC[:2]) + [(q3_of(m), G0)]
         return EquationSpec(
-            name, 4, 3, OperatorField(4, 3, terms), params={"mass": m},
+            name, 4, 3, OperatorField(4, 3, terms), params=frozenset({"mass"}),
             mass_sq=m * m)
 
     if name in ("spinless_plus", "spinless_minus"):
         terms = _two_component_reduction(s, q3_of(m))
         return EquationSpec(
-            name, 2, 3, OperatorField(2, 3, terms), params={"mass": m},
+            name, 2, 3, OperatorField(2, 3, terms), params=frozenset({"mass"}),
             breaks="P1*P2*T2", mass_sq=m * m)
 
     if name in ("kappa_plus", "kappa_minus"):
         terms = _linear(*_DIRAC) + [(lambda p: -kappa, G0)]
         terms.append((lambda p, _s=s: -_s * kappa * e3(p), G0 @ G4))
         return EquationSpec(name, 4, 3, OperatorField(4, 3, terms),
-                            params={"kappa": kappa},
+                            params=frozenset({"kappa"}),
                             breaks="P1*P2*T2" if kappa else "Id",
                             hermitian=False, mass_sq=0.0)
 

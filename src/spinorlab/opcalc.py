@@ -29,7 +29,8 @@ same node on every call, so nodes built at different times still share.
 components of a position operator) on one shared argument into one
 :class:`Jet`, never evaluating a structurally zero part, and
 :func:`diffop_commutator` gives the commutators of its member pairs i < j
-from block GEMMs over live members and B slots.
+from block GEMMs over live members and B slots, each read in one layout:
+members first, (*rows, *columns, *batch, dim, dim).
 """
 
 from __future__ import annotations
@@ -396,27 +397,14 @@ def _pack(x, nb: int, right: bool = False) -> np.ndarray:
 
 
 def _product(xl, yr, mx: tuple, my: tuple, dim: int) -> np.ndarray:
-    """The block GEMM xl @ yr of two packed operands, in block layout
-    (*batch, *mx, dim, *my, dim): mx and my are the member shapes of the
+    """The block GEMM xl @ yr of two packed operands, as a view on axes
+    (*mx, *my, *batch, dim, dim): mx and my are the member shapes of the
     rows of xl and the columns of yr."""
     prod = xl @ yr
-    return prod.reshape(*prod.shape[:-2], *mx, dim, *my, dim)
-
-
-def _members_first(z, i: int, nb: int) -> np.ndarray:
-    """A block-layout z, (*batch, *I, dim, *J, dim) with i axes in I, as a
-    view on axes (*I, *J, *batch, dim, dim)."""
-    j = z.ndim - nb - i - 2
+    nb, i, j = prod.ndim - 2, len(mx), len(my)
+    z = prod.reshape(*prod.shape[:-2], *mx, dim, *my, dim)
     rows, cols = range(nb, nb + i), range(nb + i + 1, nb + i + 1 + j)
     return z.transpose(*rows, *cols, *range(nb), nb + i, nb + i + 1 + j)
-
-
-def _flip(z, nj: int, nb: int) -> np.ndarray:
-    """The block transpose of a block-layout z: (*batch, *J, dim, *I, dim)
-    -> (*batch, *I, dim, *J, dim), J the first nj member axes."""
-    ni = z.ndim - nb - nj - 2
-    rows, cols = range(nb + nj + 1, nb + nj + 1 + ni), range(nb, nb + nj)
-    return z.transpose(*range(nb), *rows, nb + nj, *cols, z.ndim - 1)
 
 
 def _operands(s: Jet, nb: int) -> SimpleNamespace:
@@ -450,18 +438,18 @@ def diffop_commutator(jet: Jet) -> Commutator:
     First order k: [Ai,Bjk] - [Aj,Bik] + sum_l (Bil (i dBjk/dpl) - Bjl (i dBik/dpl))
     The jet is packed once into block operands (:func:`_operands`), and each
     product term is one bare block GEMM over the members (:func:`_product`),
-    read at the pairs: the terms of [Aj,Bik], Bj dAi, ... are the blocks at
-    (j, i) of those of [Ai,Bjk], Bi dAj, ....  x0 parts are carried
-    linearly; the antisymmetrized second-order coefficient is reported as a
-    residual (zero, up to rounding, for honest first-order algebras), from
-    one commutator of B at the live slots (i, k), the member and derivative
-    axes flattened together.
+    on members-first axes, read at the pairs: the terms of [Aj,Bik], Bj dAi,
+    ... are the blocks at (j, i) of those of [Ai,Bjk], Bi dAj, ....  x0
+    parts are carried linearly; the antisymmetrized second-order
+    coefficient is reported as a residual (zero, up to rounding, for honest
+    first-order algebras), from one commutator of B at the live slots
+    (i, k), the member and derivative axes flattened together.
 
     A term with a B or x0 factor is computed only on the live members (the
     second order on the live B slots): those whose B (or x0) part or its
     derivative has an entry that is not exactly zero (a NaN counts as live,
     so it reaches the result), and written into a zeroed result at the pairs
-    it reaches.  With no member live for x0, no x0 term runs.
+    it reaches.
     """
     shape = jet.a.shape[1:]
     g, d, nb, dim = len(jet.a), jet.b.shape[1], len(shape) - 2, shape[-1]
@@ -479,7 +467,7 @@ def diffop_commutator(jet: Jet) -> Commutator:
         (swapped: j in rows, i in cols), and the blocks of z there."""
         r, s = (rows[j], cols[i]) if swap else (rows[i], cols[j])
         m = (r >= 0) & (s >= 0)
-        return m, _members_first(z, 1, nb)[r[m], s[m]]
+        return m, z[r[m], s[m]]
 
     def spread(z, rows, cols, *axes):
         """z at (i, j) minus z at (j, i), where live, on zeroed pairs."""
@@ -494,7 +482,9 @@ def diffop_commutator(jet: Jet) -> Commutator:
         """[x_I, y_J] from the packed operands of two parts x and y."""
         xy = mm(xl, yr, mx, my)
         yx = xy if xl is yl and xr is yr else mm(yl, xr, my, mx)
-        return xy - _flip(yx, len(my), nb)
+        # yx has axes (*J, *I, ...); np.moveaxis would cost 25x this transpose
+        k, n = len(my), len(mx) + len(my)
+        return xy - yx.transpose(*range(k, n), *range(k), *range(n, yx.ndim))
 
     # each part in its own function, so that its temporaries are freed
     # before the next part runs
@@ -502,7 +492,7 @@ def diffop_commutator(jet: Jet) -> Commutator:
         """max |[Bs, Bt] + [B(i,l), B(j,k)]| / 2 over the live slots s =
         (i, k), t = (j, l), from one GEMM; a dead partner reads pad slot n."""
         n, (si, sk) = len(x.slots), np.divmod(x.slots, d)
-        xy = _members_first(mm(x.s_rows, x.s_cols, (n,), (n,)), 1, nb)
+        xy = mm(x.s_rows, x.s_cols, (n,), (n,))
         bb = np.zeros((n + 1, n + 1) + shape, complex)
         np.subtract(xy, np.swapaxes(xy, 0, 1), out=bb[:n, :n])
         place = np.full(g * d, n)           # each slot's place among the live
@@ -524,14 +514,11 @@ def diffop_commutator(jet: Jet) -> Commutator:
         return out
 
     def x0_parts():
-        """(x0_a, x0_b, x0_sq); zero, no term run, with no member live."""
-        x0_sq = zeros()
-        if not len(c):
-            return zeros(), zeros(d), x0_sq
         x0_a = spread(comm(x.al, x.cr, x.cl, x.ar, (g,), (len(c),)), every, pc)
         x0_a += 1j * spread(mm(x.bl, x.dcr, (len(b),), (len(c),)), pb, pc)
         x0_b = spread(comm(x.cl, x.b_cols, x.b_rows, x.cr, (len(c),),
                            (len(b), d)), pc, pb, d)
+        x0_sq = zeros()
         m, v = at(comm(x.cl, x.cr, x.cl, x.cr, (len(c),), (len(c),)), pc, pc)
         x0_sq[m] = v
         return x0_a, x0_b, x0_sq

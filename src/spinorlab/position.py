@@ -41,28 +41,36 @@ from .opcalc import (DiffOp1, OperatorField, as_batch, check_unitary,
 _REP = gamma_set("rep26")
 G3 = _REP.gamma(3)
 
-POSITION_NAMES = ("Xchi", "Xpsi", "Xchi2", "XW")
 
-_CONJUGATION = {
-    # name -> (dim, chain of unitary names applied innermost-first)
-    "Xchi": (4, ("U2",)),
-    "Xpsi": (4, ("U1", "U2")),      # (U2 U1)^-1 x (U2 U1)
-    "Xchi2": (2, ("V1",)),
-    "XW": (2, ("V",)),
-}
+def _table() -> dict:
+    """name -> (conjugating unitary names, innermost first; w, {a: m_a},
+    s_1 of the closed form in the module docstring); dim is len(s_1)."""
+    s5 = {a: spin_matrix(_REP, 5, a) for a in (1, 2)}
+    s12 = spin_matrix(_REP, 1, 2)
+    s = {k: pauli(k) for k in (1, 2, 3)}
+    return {"Xchi": (("U2",), lambda p: -1.0, s5, s12),
+            # (U2 U1)^-1 x (U2 U1)
+            "Xpsi": (("U1", "U2"), e3, {a: G3 @ s5[a] for a in (1, 2)}, s12),
+            "Xchi2": (("V1",), lambda p: -0.5, s, 0.5 * s[3]),
+            "XW": (("V",), lambda p: 0.5 * e3(p),
+                   {a: 1j * s[3] @ s[a] for a in (1, 2)}, 0.5 * s[3])}
+
+
+_TABLE = _table()
+POSITION_NAMES = tuple(_TABLE)
 
 
 @functools.cache
 def conjugating_field(name: str) -> OperatorField:
     """The operator's conjugating field, the same object on every call."""
-    fields = [catalog_unitary(n).closed for n in _CONJUGATION[name][1]]
+    fields = [catalog_unitary(n).closed for n in _TABLE[name][0]]
     return functools.reduce(lambda u, v: v @ u, fields)   # innermost first
 
 
 def position_from_unitary(name: str, probe=()) -> tuple:
     """Components u^-1 x_k u for the operator's conjugating field u, built
     once per field object and checked for unitarity on every call's probe."""
-    if name not in _CONJUGATION:
+    if name not in _TABLE:
         raise ValueError(f"unknown position operator {name!r}")
     u = conjugating_field(name)
     check_unitary(u, probe)
@@ -79,25 +87,13 @@ def _inv_e_eplus(p):
     return 1.0 / (energy(p) * (energy(p) + abs_p3(p)))
 
 
-def _rows() -> dict:
-    """name -> (w, {a: m_a}, s_1) of the closed form in the module docstring."""
-    s5 = {a: spin_matrix(_REP, 5, a) for a in (1, 2)}
-    s12 = spin_matrix(_REP, 1, 2)
-    s = {k: pauli(k) for k in (1, 2, 3)}
-    return {"Xchi": (lambda p: -1.0, s5, s12),
-            "Xpsi": (e3, {a: G3 @ s5[a] for a in (1, 2)}, s12),
-            "Xchi2": (lambda p: -0.5, s, 0.5 * s[3]),
-            "XW": (lambda p: 0.5 * e3(p),
-                   {a: 1j * s[3] @ s[a] for a in (1, 2)}, 0.5 * s[3])}
-
-
 @functools.cache
 def position_closed_form(name: str) -> tuple:
     """The transcribed closed-form operators, as x_k + matrix field."""
-    if name not in _CONJUGATION:
+    if name not in _TABLE:
         raise ValueError(f"unknown position operator {name!r}")
-    dim = _CONJUGATION[name][0]
-    w, m, s1 = _rows()[name]
+    _, w, m, s1 = _TABLE[name]
+    dim = len(s1)
     fields = []
     for a in (1, 2):
         b = 3 - a
@@ -120,11 +116,10 @@ def verify_position(name: str, samples) -> dict:
     no component is differentiated and no commutator is formed."""
     built = position_from_unitary(name, probe=samples[:2])
     closed = position_closed_form(name)
-    dim = _CONJUGATION[name][0]
     p = as_batch(samples)
     a, b, _ = stacked_values(built, p)
     # [X_j, p_k]: only i * B_jk survives; must be i delta_jk
-    delta = np.eye(3)[:, :, None, None, None] * (1j * np.eye(dim))
+    delta = np.eye(3)[:, :, None, None, None] * (1j * np.eye(a.shape[-1]))
     return {"closed_vs_conjugation": mat_max(
                 a - np.stack([x.a(p) for x in closed])),
             "canonical_commutator": mat_max(1j * b - delta),

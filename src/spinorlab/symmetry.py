@@ -188,7 +188,8 @@ def solve_intertwiner(eq, g, n_fit: int = 12, n_holdout: int = 4,
     a non-finite entry in any row raises ValueError naming that sample.
     """
     if n_fit < 2 * eq.d + 4:
-        raise ValueError("n_fit too small for a decisive verdict")
+        raise ValueError(
+            f"{eq.name}: n_fit = {n_fit} is below 2d + 4 = {2 * eq.d + 4}")
     if n_holdout < 4:
         raise ValueError("n_holdout must be >= 4")
     single = isinstance(g, SymmetryElement)

@@ -163,6 +163,19 @@ def test_main_entry_returns_int():
     assert main(["report", "--equation", "weyl_plus"]) == 0
 
 
+@pytest.mark.parametrize("name, minimum", [("chi_plus", 10), ("desitter", 12)])
+def test_report_with_too_few_samples_exits_2_naming_the_minimum(
+        name, minimum, capsys):
+    few = ["report", "--equation", name, "--samples", str(minimum - 1)]
+    assert main(few) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: {name}: n_fit = {minimum - 1} is below "
+                   f"2d + 4 = {minimum}\n")
+    assert main(["report", "--equation", name, "--samples", str(minimum)]) == 0
+    assert json.loads(capsys.readouterr().out)["equation"] == name
+
+
 @pytest.mark.parametrize("x", [float("nan"), float("inf"), np.float64("-inf")])
 def test_dumps_rejects_non_finite_floats(x):
     with pytest.raises(ValueError):

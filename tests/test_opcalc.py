@@ -654,3 +654,26 @@ def test_all_pairs_commutator_is_exactly_antisymmetric(seed):
         for x, axes in ((comm.a, (0, 1)), (comm.b, (1, 2)), (comm.x0_a, (0, 1)),
                         (comm.x0_b, (1, 2)), (comm.x0_sq, (0, 1))):
             assert np.array_equal(x, -np.swapaxes(x, *axes)), name
+
+
+@pytest.mark.parametrize("batch", [(), (5,)], ids=["point", "batch"])
+@pytest.mark.parametrize("mx, my", [((4,), (4,)), ((4,), (2, 3)),
+                                    ((2, 3), (4,))], ids=["G-G", "G-bd", "bd-G"])
+def test_product_is_members_first_against_einsum(mx, my, batch):
+    # sum_k x[I, k] @ y[J, k] on axes (*I, *J, *batch, dim, dim), from the
+    # packed block GEMM and from einsum of the unpacked factors; entries
+    # are small Gaussian integers, so every sum is exact in any order
+    rng = np.random.default_rng(11)
+    k, dim, nb = 3, 2, len(batch)
+
+    def draw(lead):
+        shape = lead + (k, *batch, dim, dim)
+        return rng.integers(-4, 5, shape) + 1j * rng.integers(-4, 5, shape)
+
+    x, y = draw(mx), draw(my)
+    rows, cols = "IJ"[:len(mx)], "LM"[:len(my)]
+    ref = np.einsum(f"{rows}k...ab,{cols}k...bc->{rows}{cols}...ac", x, y)
+    got = opcalc._product(opcalc._pack(x, nb), opcalc._pack(y, nb, True),
+                          mx, my, dim)
+    assert got.shape == mx + my + batch + (dim, dim)
+    assert np.array_equal(got, ref)

@@ -174,6 +174,20 @@ def test_solver_validates_sample_counts():
         solve_intertwiner(eq, g, n_holdout=2)
 
 
+@pytest.mark.parametrize("name, minimum", [("flat_plus", 8), ("chi_plus", 10),
+                                           ("desitter", 12)])
+def test_too_few_fit_points_name_the_equation_and_the_minimum(name, minimum):
+    # 2d + 4 fit points at least, for one element and for the whole group
+    eq = catalog_equation(name)
+    message = f"^{name}: n_fit = {minimum - 1} is below 2d \\+ 4 = {minimum}$"
+    with pytest.raises(ValueError, match=message):
+        solve_intertwiner(eq, group_elements(eq.d)[0], n_fit=minimum - 1)
+    with pytest.raises(ValueError, match=message):
+        classify_equation(eq, n_fit=minimum - 1)
+    assert isinstance(solve_intertwiner(eq, group_elements(eq.d)[0],
+                                        n_fit=minimum), Intertwiner)
+
+
 def test_invariant_nullspaces_are_one_dimensional_2x2():
     for name in ("weyl_plus", "chi_plus", "flat_plus"):
         eq = catalog_equation(name)
