@@ -24,6 +24,8 @@ u^dagger, u and du/dp_k, is evaluated once per argument, and each seeded
 argument is made once.  :meth:`OperatorField.partial`,
 :meth:`OperatorField.adjoint` and :meth:`OperatorField.momentum` return the
 same node on every call, so nodes built at different times still share.
+Within a run scope (:func:`shared_batches`) :func:`as_batch` returns one
+argument per set of points, so its memo serves the whole run.
 
 :func:`stacked_jet` evaluates a family of operators (a generator set, the
 components of a position operator) on one shared argument into one
@@ -35,6 +37,8 @@ members first, (*rows, *columns, *batch, dim, dim).
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import math
 from dataclasses import dataclass
@@ -72,9 +76,31 @@ def _momenta(d: int, n: int, seed: int) -> tuple:
     return tuple(tuple(row) for row in comps.tolist())
 
 
-def as_batch(points) -> tuple:
-    """A list of points as one momentum argument: d arrays of shape (n,)."""
-    return tuple(np.array(c) for c in zip(*points))
+_RUN = contextvars.ContextVar("run", default=None)   # points -> argument
+
+
+@contextlib.contextmanager
+def shared_batches():
+    """A run scope: within it :func:`as_batch` gives one argument per set of
+    points, and its memos are released when the scope ends or raises."""
+    token = _RUN.set({})
+    try:
+        yield
+    finally:
+        _RUN.reset(token)
+
+
+def as_batch(points) -> "_Argument":
+    """A list of points as one read-only momentum argument of d (n,) arrays;
+    within :func:`shared_batches`, one per set of bitwise-equal points."""
+    comps = tuple(_read_only(np.array(c)) for c in zip(*points))
+    if not comps:
+        raise ValueError("empty batch: no sample points")
+    shared = _RUN.get()
+    if shared is None:
+        return _Argument(comps)
+    key = tuple((c.dtype.str, c.shape, c.tobytes()) for c in comps)
+    return shared.setdefault(key, _Argument(comps))
 
 
 def _lift(c):

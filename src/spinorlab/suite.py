@@ -16,7 +16,7 @@ from . import equations as eqs
 from . import poincare, position, symmetry
 from .clifford import gamma_set, verify_clifford
 from .linalg import NotUnitary
-from .opcalc import sample_momenta
+from .opcalc import sample_momenta, shared_batches
 
 
 @dataclass(frozen=True)
@@ -187,7 +187,9 @@ REGISTRY = _registry()
 def run_checks(cfg: RunConfig, command: Optional[str] = None,
                subject: Optional[str] = None, given=()) -> list:
     """The checks of the entries of subcommand ``command`` for ``subject``
-    (every entry when ``command`` is None), in registry order.
+    (every entry when ``command`` is None), in registry order, in one run
+    scope (:func:`~spinorlab.opcalc.shared_batches`): what one check computes
+    on a set of sample points serves every later check, until the run ends.
 
     Raises ValueError on an empty selection, or when no selected entry reads
     a RunConfig field named in ``given``.
@@ -197,7 +199,8 @@ def run_checks(cfg: RunConfig, command: Optional[str] = None,
     if not chosen:
         raise ValueError(f"no {command} check for {subject!r}")
     reject_unread(given, frozenset().union(*(e.reads for e in chosen)))
-    return [c for e in chosen for c in e.run(cfg)]
+    with shared_batches():
+        return [c for e in chosen for c in e.run(cfg)]
 
 
 def reject_unread(given, reads) -> None:
