@@ -5,6 +5,9 @@ batch of points; every function here accepts either, elementwise, so one
 coefficient closure serves both.  Matrix values multiply with ``@``.  A
 derivative part may also carry a leading (d,) axis, one slot per momentum
 axis (:func:`seed` with no axis); the arithmetic broadcasts it unchanged.
+A seeded evaluation's value chain performs exactly the plain one's
+operations, so it is the plain value bit for bit; ``==`` compares values, so
+a coefficient that tests a component reads the numbers under any seed.
 """
 
 import cmath
@@ -20,6 +23,7 @@ class Dual:
     Both components may themselves be ``Dual``, so nested evaluation yields
     exact second derivatives, or ndarrays: a whole batch of scalars, or a
     (stack of) matrices.  Only the operations the fields need are implemented.
+    ``==`` compares values through every layer, so a Dual is unhashable.
     """
 
     __slots__ = ("val", "eps")
@@ -32,6 +36,11 @@ class Dual:
 
     def __repr__(self):
         return f"Dual({self.val!r}, {self.eps!r})"
+
+    def __eq__(self, other):
+        return value(self) == value(other)
+
+    __hash__ = None
 
     def __add__(self, other):
         if isinstance(other, Dual):

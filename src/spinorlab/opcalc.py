@@ -28,11 +28,12 @@ Within a run scope (:func:`shared_batches`) :func:`as_batch` returns one
 argument per set of points, so its memo serves the whole run.
 
 :func:`stacked_jet` evaluates a family of operators (a generator set, the
-components of a position operator) on one shared argument into one
-:class:`Jet`, never evaluating a structurally zero part, and
-:func:`diffop_commutator` gives the commutators of its member pairs i < j
-from block GEMMs over live members and B slots, each read in one layout:
-members first, (*rows, *columns, *batch, dim, dim).
+components of a position operator) once, on one shared all-axes seeded
+argument, into one :class:`Jet` of values and partials, never evaluating a
+structurally zero part, and :func:`diffop_commutator` gives the commutators
+of its member pairs i < j from block GEMMs over live members and B slots,
+each read in one layout: members first, (*rows, *columns, *batch, dim, dim);
+a self-commutator such as [A, A] is gathered at the pairs, then subtracted.
 """
 
 from __future__ import annotations
@@ -91,16 +92,18 @@ def shared_batches():
 
 
 def as_batch(points) -> "_Argument":
-    """A list of points as one read-only momentum argument of d (n,) arrays;
-    within :func:`shared_batches`, one per set of bitwise-equal points."""
-    comps = tuple(_read_only(np.array(c)) for c in zip(*points))
+    """A list of points as one read-only momentum argument of d (n,) arrays,
+    the column views of one (n, d) array; within :func:`shared_batches`, one
+    per set of bitwise-equal points (same dtype, shape and bytes)."""
+    table = _read_only(np.array(points))
+    comps = tuple(table.T)
     if not comps:
         raise ValueError("empty batch: no sample points")
     shared = _RUN.get()
     if shared is None:
         return _Argument(comps)
-    key = tuple((c.dtype.str, c.shape, c.tobytes()) for c in comps)
-    return shared.setdefault(key, _Argument(comps))
+    key = (table.dtype.str, table.shape, table.tobytes())
+    return shared.get(key) or shared.setdefault(key, _Argument(comps))
 
 
 def _lift(c):
@@ -338,16 +341,16 @@ def stacked_jet(ops: Sequence[DiffOp1], p: Point) -> "Jet":
     axis, from one evaluation shared by them all: each (field, argument)
     pair is computed once (see :class:`_Argument`).
 
-    Per part one plain evaluation for the value and one all-axes seeded
-    evaluation (:meth:`OperatorField.deriv`) for every partial; an absent
-    part is the structurally zero field and is never evaluated.  The values
-    come from the plain evaluation, never from the seeded one: a coefficient
-    that tests the components (``p[0] == c``) sees a Dual there, not the
-    numbers.
+    Per part one all-axes seeded evaluation (:meth:`OperatorField.deriv`)
+    gives every partial, and its value part, the plain value bit for bit
+    (see :mod:`spinorlab.dual`), is the value; an absent part is the
+    structurally zero field and is never evaluated.
     """
     p = _Argument.of(p)
-    a, b, x0 = stacked_values(ops, p)
-    da, db, dx0 = _stacked(ops, b.shape[1:], lambda f: f.deriv(p))
+    shape = p.batch + (ops[0].a.dim,) * 2
+    da, db, dx0 = _stacked(ops, (ops[0].d, *shape), lambda f: f.deriv(p))
+    a, b, x0 = _stacked(ops, shape,
+                        lambda f: dual.value(f._eval(p.seeded())))
     return Jet(a, b, da, db, x0, dx0)
 
 
@@ -416,10 +419,10 @@ def _pack(x, nb: int, right: bool = False) -> np.ndarray:
     last nb + 2 axes are the batch and the matrix."""
     m, k = math.prod(x.shape[:x.ndim - nb - 3]), x.shape[x.ndim - nb - 3]
     batch, dim = x.shape[x.ndim - nb - 2:-2], x.shape[-1]
-    xm = np.moveaxis(x.reshape(m, k, *batch, dim, dim),
-                     (1, 0) if right else (0, 1), (nb, nb + 2))
-    rows, cols = (k, m) if right else (m, k)
-    return xm.reshape(*batch, rows * dim, cols * dim)
+    rows, cols = (1, 0) if right else (0, 1)     # m is axis 0, k axis 1
+    xm = x.reshape(m, k, *batch, dim, dim).transpose(
+        *range(2, nb + 2), rows, nb + 2, cols, nb + 3)
+    return xm.reshape(*batch, xm.shape[nb] * dim, xm.shape[nb + 2] * dim)
 
 
 def _product(xl, yr, mx: tuple, my: tuple, dim: int) -> np.ndarray:
@@ -495,6 +498,12 @@ def diffop_commutator(jet: Jet) -> Commutator:
         m = (r >= 0) & (s >= 0)
         return m, z[r[m], s[m]]
 
+    def skew(z, rows):
+        """The mask of the pairs with both members live in rows, and z at
+        (i, j) minus z at (j, i) there: gathered, then subtracted."""
+        m, v = at(z, rows, rows)
+        return m, v - at(z, rows, rows, swap=True)[1]
+
     def spread(z, rows, cols, *axes):
         """z at (i, j) minus z at (j, i), where live, on zeroed pairs."""
         out = zeros(*axes)
@@ -506,8 +515,7 @@ def diffop_commutator(jet: Jet) -> Commutator:
 
     def comm(xl, yr, yl, xr, mx, my):
         """[x_I, y_J] from the packed operands of two parts x and y."""
-        xy = mm(xl, yr, mx, my)
-        yx = xy if xl is yl and xr is yr else mm(yl, xr, my, mx)
+        xy, yx = mm(xl, yr, mx, my), mm(yl, xr, my, mx)
         # yx has axes (*J, *I, ...); np.moveaxis would cost 25x this transpose
         k, n = len(my), len(mx) + len(my)
         return xy - yx.transpose(*range(k, n), *range(k), *range(n, yx.ndim))
@@ -527,16 +535,15 @@ def diffop_commutator(jet: Jet) -> Commutator:
         return 0.5 * mat_max(bb[:n, :n] + bb[rows, rows.T])
 
     def zeroth_order():
-        a = at(comm(x.al, x.ar, x.al, x.ar, (g,), (g,)), every, every)[1]
+        a = skew(mm(x.al, x.ar, (g,), (g,)), every)[1]
         a += 1j * spread(mm(x.bl, x.dar, (len(b),), (g,)), pb, every)
         return a
 
     def first_order():
         out = spread(comm(x.al, x.b_cols, x.b_rows, x.ar, (g,), (len(b), d)),
                      every, pb, d)
-        bdb = mm(x.bl, x.dbr, (len(b),), (len(b), d))
-        m, v = at(bdb, pb, pb)
-        out[m] += 1j * (v - at(bdb, pb, pb, swap=True)[1])
+        m, v = skew(mm(x.bl, x.dbr, (len(b),), (len(b), d)), pb)
+        out[m] += 1j * v
         return out
 
     def x0_parts():
@@ -545,7 +552,7 @@ def diffop_commutator(jet: Jet) -> Commutator:
         x0_b = spread(comm(x.cl, x.b_cols, x.b_rows, x.cr, (len(c),),
                            (len(b), d)), pc, pb, d)
         x0_sq = zeros()
-        m, v = at(comm(x.cl, x.cr, x.cl, x.cr, (len(c),), (len(c),)), pc, pc)
+        m, v = skew(mm(x.cl, x.cr, (len(c),), (len(c),)), pc)
         x0_sq[m] = v
         return x0_a, x0_b, x0_sq
 

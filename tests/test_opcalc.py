@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import subprocess
@@ -347,6 +348,32 @@ def test_jets_and_commutators_are_bit_identical_to_the_references(seed):
         assert abs(one.second_order - ref.second_order) <= bound, name
 
 
+@settings(deadline=None, max_examples=4)
+@given(st.integers(0, 10_000))
+def test_jet_values_are_the_plain_values_byte_for_byte(seed):
+    # the values are the value parts of the all-axes seeded evaluation: every
+    # byte equals a plain evaluation on a fresh argument, on a batch and at
+    # its first point
+    for name, ops, p in _operator_sets(seed):
+        point = tuple(float(c[0]) for c in p)
+        for q, fresh in ((p, opcalc._Argument(p)), (point, point)):
+            jet, plain = stacked_jet(ops, q), stacked_values(ops, fresh)
+            for x, y in zip((jet.a, jet.b, jet.x0), plain):
+                assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+
+
+def test_dual_equality_reads_the_value_under_any_seed():
+    for p in (sample_momenta(3, 1, 5)[0], as_batch(sample_momenta(3, 4, 5))):
+        for q in (dual.seed(p, 1), dual.seed(p), dual.seed(dual.seed(p), 1),
+                  dual.seed(dual.seed(p, 0), 2)):
+            for c, x, other in zip(q, p, dual.seed(p, 2)):
+                assert isinstance(c, dual.Dual)
+                assert np.all(c == x) and np.all(x == c) and np.all(c == other)
+                assert not np.any(c == x + 1.0)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(dual.Dual(1.0, 0.0))
+
+
 def test_seeding_all_axes_twice_raises():
     for p in (sample_momenta(3, 1, 7)[0], as_batch(sample_momenta(3, 4, 7))):
         with pytest.raises(ValueError, match="already seeded on all axes"):
@@ -467,6 +494,31 @@ def test_second_order_fails_closed_on_nan_in_one_slot():
         _partly_dead_operators(), as_batch(pts))).second_order)
 
 
+def test_self_commutators_fail_closed_on_nan_in_one_member():
+    # [A, A] and [C, C] are gathered at the pairs and then subtracted: with a
+    # NaN at one sample in member 0's A, then in its C, they equal the
+    # reference's, NaN exactly at that sample of member 0's pairs.  Every
+    # member has a C part, so [C, C] reads every pair (a pair with a zero C
+    # is not computed: it stays zero where the reference reads NaN * 0)
+    pts = sample_momenta(3, 8, 5)
+    poison = OperatorField(2, 3, [(nan_at(pts[3]), np.eye(2))])
+    m = np.random.default_rng(4).normal(size=(2, 2, 2))
+    for part, read in (("a", lambda c: c.a), ("x0", lambda c: c.x0_sq)):
+        ops = _generic_operators()
+        for i, mi in ((0, m[0]), (2, m[1])):
+            ops[i] = dataclasses.replace(ops[i], x0=OperatorField(
+                2, 3, [(lambda p: p[1], mi)]))
+        ops[0] = dataclasses.replace(
+            ops[0], **{part: getattr(ops[0], part) + poison})
+        jet = stacked_jet(ops, as_batch(pts))
+        got, want = diffop_commutator(jet), at_pairs(dense_commutator(jet))
+        for x, y in ((got.a, want.a), (got.x0_sq, want.x0_sq)):
+            assert x.shape == y.shape and np.array_equal(x, y, equal_nan=True)
+        nan = np.isnan(read(got)).any(axis=(-2, -1))
+        assert nan[:, 3].tolist() == [True, True, False]     # (0, 1), (0, 2)
+        assert not nan[:, np.arange(8) != 3].any()
+
+
 def _part_families():
     """(label, operators): psi, the chi set conjugated by U2, the built
     position operators, and the bare position components (a zero A part)."""
@@ -544,8 +596,9 @@ def test_generator_jet_evaluates_each_momentum_leaf_once_per_argument(
     stacked_jet([op for _, op in generator_set("psi").members()],
                 as_batch(sample_momenta(3, 8, 5)))
     per_argument = Counter((k, id(q)) for k, q in calls)
-    # each leaf on the plain and on the all-axes seeded argument, once each
-    assert len(per_argument) == 6 and max(per_argument.values()) == 1
+    # each leaf on the all-axes seeded argument once: the values are its
+    # value part
+    assert len(per_argument) == 3 and max(per_argument.values()) == 1
 
 
 # -- one stacked jet per set: shared evaluation and block products ------------
@@ -616,7 +669,7 @@ def test_values_inside_a_build_are_read_only():
 
     stack = stacked_jet([DiffOp1.from_field(OperatorField(2, 3, (), writer)),
                          DiffOp1.from_field(f)], p)
-    assert len(writes) == 2                 # the plain and the seeded value
+    assert len(writes) == 1                 # the seeded value, read once
     for a, da in zip(stack.a, stack.da):    # the later hits are unchanged
         assert np.array_equal(a, want) and np.array_equal(da, dwant)
 
