@@ -6,7 +6,8 @@ the matching rows of the check registry and print the ``verify-all``
 document.  JSON output is byte-deterministic for a fixed configuration; every
 float is serialized with 17 significant digits.
 
-Exit codes: 0 pass, 1 check failure, 2 usage error, 3 numerical indeterminacy.
+Exit codes: 0 pass, 1 check failure, 2 usage error, 3 a ``report`` failing
+nothing with an element undecided (``"invariant": null``, a ``"reason"``).
 """
 
 import argparse
@@ -20,7 +21,7 @@ from . import equations as eqs
 from . import poincare, position
 from .opcalc import sample_momenta
 from .suite import RunConfig, reject_unread, run_checks
-from .symmetry import IndeterminateVerdict, classify_equation
+from .symmetry import classify_equation
 
 
 # -- deterministic JSON ------------------------------------------------------
@@ -60,15 +61,12 @@ def _matrix_json(m):
 # -- report assembly ----------------------------------------------------------
 
 def _report_doc(report):
-    elements = []
-    for v in report.verdicts:
-        elements.append({
-            "label": v.element.label,
-            "invariant": v.invariant,
-            "residual": v.residual,
-            "matrix": _matrix_json(v.intertwiner.unitary_rep
-                                   if v.intertwiner else None),
-        })
+    elements = [{"label": v.element.label, "invariant": v.invariant,
+                 "residual": v.residual,
+                 "matrix": _matrix_json(v.intertwiner.unitary_rep
+                                        if v.intertwiner else None),
+                 **({"reason": v.reason} if v.invariant is None else {})}
+                for v in report.verdicts]
     return {"equation": report.equation, "elements": elements,
             "agreement": report.agreement,
             "claims_checked": report.claims_checked,
@@ -80,7 +78,7 @@ def _report_markdown(report):
              "| element | invariant | residual |",
              "|---|---|---|"]
     for v in report.verdicts:
-        lines.append(f"| {v.element.label} | {str(v.invariant).lower()} "
+        lines.append(f"| {v.element.label} | {dumps(v.invariant)} "
                      f"| {v.residual:.3e} |")
     lines += ["", f"claims checked: {report.claims_checked}",
               f"agreement: {str(report.agreement).lower()}",
@@ -134,11 +132,14 @@ def cmd_report(args) -> int:
     cfg, eq = _equation(args, {"seed", "samples", "holdout"})
     report = classify_equation(eq, seed=cfg.seed, n_fit=cfg.samples,
                                n_holdout=cfg.holdout)
+    undecided = any(v.invariant is None for v in report.verdicts)
     if args.element is not None:    # the summary stays the full group's
         report = replace(report,
                          verdicts=(report.verdict_for(args.element),))
     _emit(args, _report_doc(report), _report_markdown(report))
-    return 0 if report.agreement and report.coherence_ok else 1
+    if not (report.agreement and report.coherence_ok):
+        return 1
+    return 3 if undecided else 0
 
 
 def cmd_checks(args) -> int:
@@ -225,9 +226,6 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except IndeterminateVerdict as exc:
-        print(f"indeterminate: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -171,7 +171,7 @@ def _catalog_equation(name: str, m: float, kappa: float,
         return EquationSpec(
             name, 4, 4, OperatorField(4, 4, terms),
             params=frozenset({"kappa"}),
-            breaks="P1*P2*P3*P4*T1" if kappa else "Id", mass_sq=kappa ** 2)
+            breaks="P1*P2*P3*P4*T1" if kappa else "Id", mass_sq=kappa * kappa)
 
     if name == "dirac_massive":
         terms = _linear(*_DIRAC) + [(lambda p: m, G0)]

@@ -21,8 +21,8 @@ zeroed stack (:func:`_sylvester`), and one SVD of their square R factors
 give singular values, Vh and nullities as arrays: an invariance claim must
 survive a holdout test at 1e-7 (per nullity, candidates sliced from Vh,
 scored and normalised as stacks), a non-invariance claim needs
-sigma_min > 1e-4 sigma_max, and the gap between raises IndeterminateVerdict
-for the first such element in group order.
+sigma_min > 1e-4 sigma_max, and an element in the gap between, or whose
+nullspace has no member that passes the holdout, is :class:`Indeterminate`.
 Coherence checks the invariant elements, which form an XOR group: the
 products M_b conj^{c_b}(M_j) composing to g = g_b g_j take one GEMM.  Both
 the holdout score and coherence read the relative residual
@@ -57,7 +57,7 @@ STACK_BYTES = 1 << 19
 
 
 class IndeterminateVerdict(Exception):
-    """Raised when the singular spectrum falls between the two thresholds."""
+    """Raised nowhere (see :class:`Indeterminate`); bench/ still names it."""
 
 
 # the label tokens of the code bits above the flips, time | conjugation << 1
@@ -178,9 +178,15 @@ class NonInvariance:
         return self.certificate / self.sigma_max
 
 
+@dataclass(frozen=True)
+class Indeterminate:
+    relative: float            # sigma_min/sigma_max of the stacked map
+    reason: str
+
+
 def solve_intertwiner(eq, g, n_fit: int = 12, n_holdout: int = 4,
                       seed: int = 42, conditions=None):
-    """Nullspace solve for a constant intertwiner, or a non-invariance certificate.
+    """Nullspace solve: an Intertwiner, NonInvariance or Indeterminate.
 
     ``g`` is one element, or a sequence solved from one evaluation of H (a
     list of results).  ``conditions`` may pass their (Htilde, H) stacks from
@@ -200,8 +206,7 @@ def solve_intertwiner(eq, g, n_fit: int = 12, n_holdout: int = 4,
         eq, elements, as_batch(_fit_and_holdout(eq.d, n_fit, n_holdout, seed)))
     _require_finite(eq, htilde, h)
     out = [r for part in _chunks(len(elements), 16 * n_fit * eq.dim ** 4)
-           for r in _solve_chunk(eq, elements[part], htilde[part], h, n_fit,
-                                 n_holdout, seed)]
+           for r in _solve_chunk(eq, htilde[part], h, n_fit, n_holdout, seed)]
     return out[0] if single else out
 
 
@@ -249,18 +254,16 @@ def _residuals(k, ms, h_norms):
     return np.max(np.linalg.norm(r, axis=-1) / den, axis=-1)
 
 
-def _solve_chunk(eq, elements, htilde, h, n_fit, n_holdout, seed):
-    """Results for a run of elements: one stacked nullspace, then per
-    nullity one holdout map, score, normalisation and polar stack; the first
-    indeterminate raises."""
+def _solve_chunk(eq, htilde, h, n_fit, n_holdout, seed):
+    """One result per element (row of ``htilde``): one stacked nullspace, then
+    per nullity one holdout map, score, normalisation and polar stack."""
     fit, hold = slice(n_fit), slice(n_fit, n_fit + n_holdout)
     s, vh, nullity = svd_nullspace(_sylvester(htilde[:, fit], h[fit]),
                                    TOL_NULLSPACE)
     nullities, (smax, smin) = nullity.tolist(), s[:, [0, -1]].T.tolist()
-    failed = {i: f"sigma_min/sigma_max = {smin[i] / smax[i]:.3e} falls "
-              "between thresholds" for i, k in enumerate(nullities)
-              if not (k or smin[i] > CERTIFICATE_TOL * smax[i])}
-    out = [None if k else NonInvariance(lo, hi)
+    out = [None if k else NonInvariance(lo, hi) if lo > CERTIFICATE_TOL * hi
+           else Indeterminate(lo / hi, f"sigma_min/sigma_max = {lo / hi:.3e} "
+                              "falls between thresholds")
            for k, lo, hi in zip(nullities, smin, smax)]
     for k in set(nullities) - {0}:
         # the basis and, if k > 1, 32 random members (invertible almost
@@ -280,25 +283,19 @@ def _solve_chunk(eq, elements, htilde, h, n_fit, n_holdout, seed):
             good = (cond2(block) <= 1e6) & (hres <= HOLDOUT_TOL)
             if good.any(axis=1).all():
                 break
-        else:
-            failed.update(dict.fromkeys(
-                idx[~good.any(axis=1)].tolist(), "nullspace found but no "
-                "invertible member passed the holdout test"))
-        if failed:
-            continue
-        at = np.arange(len(idx)), good.argmax(axis=1)
+        found = good.any(axis=1)
+        for i in idx[~found].tolist():
+            out[i] = Indeterminate(smin[i] / smax[i], "nullspace found but no "
+                                   "invertible member passed the holdout test")
+        at = np.flatnonzero(found), good.argmax(axis=1)[found]
         ms = cands[at]
-        flat = ms.reshape(len(ms), -1)      # summed as np.linalg.norm sums
+        flat = ms.reshape(-1, eq.dim ** 2)   # summed as np.linalg.norm sums
         ms /= np.sqrt(np.vecdot(flat.real, flat.real)
                       + np.vecdot(flat.imag, flat.imag))[:, None, None]
         ms *= np.sqrt(eq.dim)
-        for i, m, u, hr in zip(idx.tolist(), ms, polar_unitary(ms),
+        for i, m, u, hr in zip(idx[found].tolist(), ms, polar_unitary(ms),
                                hres[at].tolist()):
             out[i] = Intertwiner(m, u, hr, k)
-    if failed:
-        i = min(failed)
-        raise IndeterminateVerdict(f"{eq.name}/{elements[i].label}: "
-                                   f"{failed[i]} -- increase samples")
     return out
 
 
@@ -307,9 +304,10 @@ def _solve_chunk(eq, elements, htilde, h, n_fit, n_holdout, seed):
 @dataclass(frozen=True)
 class ElementVerdict:
     element: SymmetryElement
-    invariant: bool
+    invariant: Optional[bool]             # None: undecided, see ``reason``
     residual: float                       # holdout residual or sigma_min/sigma_max
     intertwiner: Optional[Intertwiner]
+    reason: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -330,8 +328,8 @@ class ClassificationReport:
 
 def classify_equation(eq, seed: int = 42, n_fit: int = 12,
                       n_holdout: int = 4) -> ClassificationReport:
-    """Solve every group element, check each verdict against the one that
-    ``eq.breaks`` gives it (agreement) and check coherence."""
+    """Solve every group element, check each decided verdict against the one
+    that ``eq.breaks`` gives it (agreement) and check coherence."""
     elements = group_elements(eq.d)
     htilde, h = intertwine_condition(eq, elements, as_batch(
         _fit_and_holdout(eq.d, n_fit, n_holdout, seed)
@@ -341,9 +339,11 @@ def classify_equation(eq, seed: int = 42, n_fit: int = 12,
     verdicts = [ElementVerdict(g, True, out.holdout_residual, out)
                 if isinstance(out, Intertwiner)
                 else ElementVerdict(g, False, out.relative, None)
+                if isinstance(out, NonInvariance)
+                else ElementVerdict(g, None, out.relative, None, out.reason)
                 for g, out in zip(elements, outs)]
     breaks = SymmetryElement.parse(eq.breaks, eq.d)
-    agreement = all(v.invariant == g.keeps(breaks)
+    agreement = all(v.invariant in (None, g.keeps(breaks))
                     for g, v in zip(elements, verdicts))
     check = slice(n_fit + n_holdout, None)
     coherence_ok = bool(_coherence(verdicts, htilde[:, check], h[check]) <= 1e-6)
@@ -355,16 +355,16 @@ def classify_equation(eq, seed: int = 42, n_fit: int = 12,
 def _coherence(verdicts, check_t, check_h) -> float:
     """Worst |H C - C Htilde_e| / (|H| |C|) at the check points over the
     products C = M_b conj^{c_b}(M_j) of invariant pairs, e = g_b g_j (inf if
-    e is not invariant, NaN if a residual is).  The invariant elements then
-    form an XOR group: the products are one GEMM per b, and each target's
-    residuals are read from its Sylvester map (:func:`_residuals`), chunked
-    within STACK_BYTES."""
+    e is not invariant or none is, NaN if a residual is).  The invariant
+    elements then form an XOR group: the products are one GEMM per b, and
+    each target's residuals are read from its Sylvester map
+    (:func:`_residuals`), chunked within STACK_BYTES."""
     codes = np.array([v.element.code for v in verdicts])
     inv = np.flatnonzero([v.invariant for v in verdicts])
     at = np.full(len(codes), -1)     # code (whole group) -> position in inv
     at[codes[inv]] = np.arange(len(inv))
     second = at[codes[inv, None] ^ codes[inv]]   # [e, b]: j, g_b g_j = g_e
-    if (second < 0).any():
+    if not len(inv) or (second < 0).any():
         return np.inf
     n, dim = len(inv), check_h.shape[-1]
     mats = np.array([verdicts[i].intertwiner.matrix for i in inv])
@@ -473,7 +473,7 @@ def verify_projection_relations(seed: int = 42, n_holdout: int = 4) -> dict:
     not: of the six checked, the reflections along 1 and 2 and both time
     reflections swap, the axis-3 reflection and conjugation fix.  Antilinear
     elements act on a projector through conj(Q), which here equals Q (the
-    projectors are real).
+    projectors are real).  An element not solved as invariant reads NaN.
     """
     labels = ("P1", "P2", "T1", "T2", "P3", "C")
     elements = [SymmetryElement.parse(label, 3) for label in labels]
@@ -482,9 +482,7 @@ def verify_projection_relations(seed: int = 42, n_holdout: int = 4) -> dict:
                              n_holdout=n_holdout, seed=seed)
     q, res = (eqs.Q_PLUS, eqs.Q_MINUS), {}
     for label, g, out in zip(labels, elements, outs):
-        if not isinstance(out, Intertwiner):
-            raise IndeterminateVerdict(f"chi_4c/{label}: expected invariance")
-        m = out.matrix
+        m = out.matrix if isinstance(out, Intertwiner) else np.nan * q[0]
         qp, qm = np.conj(q) if g.conjugate else q
         to_p, to_m = q if g.keeps(breaks) else q[::-1]
         res[label] = mat_max(m @ qp - to_p @ m, m @ qm - to_m @ m)

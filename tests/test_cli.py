@@ -1,9 +1,13 @@
+import contextlib
+import dataclasses
+import io
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import kept
 from spinorlab.cli import dumps, main
@@ -215,6 +219,18 @@ def test_swallowed_nan_fails_and_never_prints_invalid_json(capsys):
     assert "| true |" not in out
 
 
+@pytest.mark.parametrize("argv", [["--kappa", "1e308"], ["--kappa", "1e200"],
+                                  ["--mass", "3e150", "--kappa", "1e160"]])
+def test_overflowing_parameters_exit_2_without_a_traceback(argv, capsys):
+    # desitter's mass_sq = kappa^2 overflows to inf, not to an OverflowError;
+    # the NaN residuals that follow have no JSON form
+    with np.errstate(all="ignore"):
+        assert main(["verify-all", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1].startswith("error:")
+
+
 def test_report_reads_the_parameter_of_its_equation(capsys):
     assert main(["report", "--equation", "flat_plus", "--mass", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["equation"] == "flat_plus"
@@ -343,3 +359,83 @@ def test_parameter_flag_exits_2_exactly_when_its_equation_does_not_read_it(
     out = capsys.readouterr().out
     assert (code == 2) == (equation not in READERS[field])
     assert code != 2 or out == ""
+
+
+def _run(argv):
+    """main(argv) in this process: (exit code, stdout)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(
+            io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(EQUATION_NAMES),
+       st.sampled_from(["0", "1e-12", "1e-9", "1e-6", "1e-3", "1", "1e3",
+                        "1e6"]),
+       st.sampled_from(["42", "5", "7"]))
+@example("flat_plus", "1e6", "42")
+@example("desitter", "1e-3", "42")
+@example("kappa_plus", "1e-3", "42")
+def test_report_exit_code_is_the_verdict_of_its_document(equation, value,
+                                                         seed):
+    # a parametrised equation takes the drawn mass or kappa, the others run
+    # at their defaults: exit 0 when every element is decided and the
+    # report passes, 3 when it passes but some element is undecided (null),
+    # 1 on a disagreement or incoherence; JSON and markdown exit alike
+    flag = [f"--{f}" for f in ("mass", "kappa") if equation in READERS[f]]
+    argv = ["report", "--equation", equation, "--seed", seed,
+            *(flag + [value] if flag else [])]
+    code, out = _run(argv)
+    assert code in (0, 1, 3)
+    doc = json.loads(out)
+    assert len(doc["elements"]) == doc["claims_checked"]
+    undecided = any(e["invariant"] is None for e in doc["elements"])
+    passes = doc["agreement"] and doc["coherence_ok"]
+    assert (code == 0) == (not undecided and passes)
+    assert (code == 3) == (undecided and passes)
+    assert _run(argv + ["--format", "md"])[0] == code
+
+
+@pytest.mark.parametrize("equation, flag, value, undecided", [
+    ("flat_plus", "--mass", "1e6", 8), ("desitter", "--kappa", "1e-3", 32),
+    ("kappa_plus", "--kappa", "1e-3", 16)])
+def test_an_undecided_element_is_a_row_not_an_abort(capsys, equation, flag,
+                                                    value, undecided):
+    # the elements the equation's breaking label keeps are decided and
+    # right; exactly the others are undecided, each row with its reason
+    assert main(["report", "--equation", equation, flag, value]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["agreement"] is True and doc["coherence_ok"] is True
+    want = kept(catalog_equation(equation))
+    assert [e["label"] for e in doc["elements"]] == [x for x, _ in want]
+    for e, (label, invariant) in zip(doc["elements"], want):
+        assert e["invariant"] is (invariant or None), label
+        assert ("reason" in e) == (not invariant), label
+        assert (e["matrix"] is None) != invariant, label
+    assert sum(not invariant for _, invariant in want) == undecided
+    assert main(["report", "--equation", equation, flag, value,
+                 "--format", "md"]) == 3
+    md = capsys.readouterr().out
+    assert md.count(" | null | ") == undecided
+
+
+@pytest.mark.parametrize("fmt", ["json", "md"])
+def test_a_disagreement_beside_an_undecided_element_exits_1(monkeypatch,
+                                                            capsys, fmt):
+    # flat_plus at m = 1e6 leaves half its group undecided; a breaking
+    # label that P1 breaks as well makes the decided P1*T2 disagree
+    import spinorlab.cli as cli
+    catalog = cli.eqs.catalog_equation
+    monkeypatch.setattr(cli.eqs, "catalog_equation", lambda *a, **k: (
+        dataclasses.replace(catalog(*a, **k), breaks="P1")))
+    assert main(["report", "--equation", "flat_plus", "--mass", "1e6",
+                 "--format", fmt]) == 1
+    out = capsys.readouterr().out
+    if fmt == "json":
+        doc = json.loads(out)
+        assert doc["agreement"] is False
+        assert any(e["invariant"] is None for e in doc["elements"])
+    else:
+        assert "agreement: false" in out and " | null | " in out

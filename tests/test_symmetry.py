@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import math
-import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -17,7 +16,7 @@ from spinorlab.equations import (EQUATION_NAMES, EquationSpec,
                                  catalog_equation, energy)
 from spinorlab.linalg import cond2, mat_max, polar_unitary, svd_nullspace
 from spinorlab.opcalc import OperatorField, as_batch, sample_momenta
-from spinorlab.symmetry import (IndeterminateVerdict, Intertwiner,
+from spinorlab.symmetry import (Indeterminate, Intertwiner,
                                 NonInvariance, SymmetryElement,
                                 classify_equation, group_elements,
                                 intertwine_condition, random_search_oracle,
@@ -425,6 +424,32 @@ def test_projection_relations_follow_the_derived_swaps(seed):
         assert val <= 1e-9, (key, seed)
 
 
+def test_projection_relation_of_an_unsolved_element_is_nan(monkeypatch):
+    # an element whose solve is undecided gives a failing NaN residual and
+    # leaves the other labels' residuals as they were
+    want, solve = verify_projection_relations(), symmetry.solve_intertwiner
+
+    def t1_undecided(eq, elements, **kwargs):
+        return [Indeterminate(1e-6, "planted") if g.label == "T1" else out
+                for g, out in zip(elements, solve(eq, elements, **kwargs))]
+
+    monkeypatch.setattr(symmetry, "solve_intertwiner", t1_undecided)
+    got = verify_projection_relations()
+    assert list(got) == list(want) and math.isnan(got.pop("T1"))
+    assert got == {k: v for k, v in want.items() if k != "T1"}
+
+
+def test_no_invariant_element_reads_incoherent():
+    # the invariant elements must form a group, and an empty set holds no
+    # identity: with every element undecided, coherence is inf, not an error
+    eq = catalog_equation("weyl_plus")
+    ht, h = intertwine_condition(eq, group_elements(eq.d), as_batch(
+        sample_momenta(eq.d, 4, 5)))
+    verdicts = [dataclasses.replace(v, invariant=None, intertwiner=None)
+                for v in classify_equation(eq).verdicts]
+    assert symmetry._coherence(verdicts, ht, h) == np.inf
+
+
 def test_coherence_check_fails_closed_on_nan():
     # H is NaN at one of the four coherence check points only: row 12 + 4 + 2
     eq = catalog_equation("weyl_plus")
@@ -560,21 +585,17 @@ def test_the_headline_chi_is_p_and_t_non_invariant_but_c_invariant(name):
 @given(st.integers(0, 10_000))
 def test_classification_equals_single_element_solves(seed):
     # the batched classification and a solve of each element on its own
-    # evaluate H on different batches; verdicts and matrices must agree
-    # bit for bit, residuals to rounding
+    # evaluate H on different batches; verdicts (undecided ones with their
+    # reasons) and matrices must agree bit for bit, residuals to rounding
+    kinds = {Intertwiner: True, NonInvariance: False, Indeterminate: None}
     for name in EQUATION_NAMES:
         eq = catalog_equation(name)
-        try:
-            rep = classify_equation(eq, seed=seed)
-        except IndeterminateVerdict as exc:
-            with pytest.raises(IndeterminateVerdict, match=re.escape(str(exc))):
-                for g in group_elements(eq.d):
-                    solve_intertwiner(eq, g, seed=seed)
-            continue
+        rep = classify_equation(eq, seed=seed)
         for v in rep.verdicts:
             out = solve_intertwiner(eq, v.element, seed=seed)
             where = (name, seed, v.element.label)
-            assert isinstance(out, Intertwiner) == v.invariant, where
+            assert kinds[type(out)] is v.invariant, where
+            assert getattr(out, "reason", None) == v.reason, where
             if v.invariant:
                 assert out.matrix.tobytes() == v.intertwiner.matrix.tobytes()
                 assert (out.unitary_rep.tobytes()
@@ -637,9 +658,8 @@ def _solve_one_by_one(eq, g, seed, nullspace=svd_nullspace):
     if not nullity:
         if smin > symmetry.CERTIFICATE_TOL * smax:
             return NonInvariance(float(smin), float(smax))
-        raise IndeterminateVerdict(
-            f"{eq.name}/{g.label}: sigma_min/sigma_max = {smin / smax:.3e} "
-            "falls between thresholds -- increase samples")
+        return Indeterminate(float(smin / smax), f"sigma_min/sigma_max = "
+                             f"{smin / smax:.3e} falls between thresholds")
     candidates = vh[len(vh) - nullity:].conj()
     if nullity > 1:
         w = np.random.default_rng(seed + 1).normal(size=(32, 2, nullity))
@@ -652,9 +672,8 @@ def _solve_one_by_one(eq, g, seed, nullspace=svd_nullspace):
     good = np.flatnonzero((cond2(candidates) <= 1e6)
                           & (hres <= symmetry.HOLDOUT_TOL))
     if not good.size:
-        raise IndeterminateVerdict(
-            f"{eq.name}/{g.label}: nullspace found but no invertible member "
-            "passed the holdout test -- increase samples")
+        return Indeterminate(float(smin / smax), "nullspace found but no "
+                             "invertible member passed the holdout test")
     m = candidates[good[0]]
     m = m / np.linalg.norm(m) * np.sqrt(eq.dim)
     return Intertwiner(m, polar_unitary(m), float(hres[good[0]]),
@@ -668,6 +687,8 @@ def _same_result(got, want):
         assert got.unitary_rep.tobytes() == want.unitary_rep.tobytes()
         assert (got.holdout_residual, got.nullity) == (
             want.holdout_residual, want.nullity)
+    elif isinstance(want, Indeterminate):
+        assert got == want
     else:
         assert (got.certificate, got.sigma_max) == (want.certificate,
                                                     want.sigma_max)
@@ -746,16 +767,17 @@ def test_classification_is_bit_identical_at_every_chunk_length(name,
 
 
 @pytest.mark.parametrize("per_chunk", [1, 3, 32])
-def test_first_indeterminate_element_raises_across_chunks(per_chunk,
-                                                          monkeypatch):
+def test_indeterminate_elements_are_results_in_place_across_chunks(
+        per_chunk, monkeypatch):
     # a finite error at a holdout point of two invariant elements (NaN stops
     # at the finiteness gate) leaves both without an accepted member; the
-    # later one (in a later chunk of three, but earlier within its chunk) is
-    # solved first when the order is lost
+    # later one (in a later chunk of three, but earlier within its chunk)
+    # would be solved first if the order were lost.  Both are undecided in
+    # their own rows, every other verdict is the unpoisoned one, and the
+    # invariant pairs that compose onto them read incoherent
     eq = catalog_equation("weyl_plus")
-    elements = group_elements(eq.d)
-    invariant = [i for i, v in enumerate(classify_equation(eq).verdicts)
-                 if v.invariant]
+    clean = classify_equation(eq)
+    invariant = [i for i, v in enumerate(clean.verdicts) if v.invariant]
     early = next(i for i in invariant if i % 3 == 2)
     late = next(i for i in invariant if i // 3 > early // 3 and i % 3 == 0)
     condition = symmetry.intertwine_condition
@@ -768,10 +790,21 @@ def test_first_indeterminate_element_raises_across_chunks(per_chunk,
 
     monkeypatch.setattr(symmetry, "intertwine_condition", poisoned)
     monkeypatch.setattr(symmetry, "STACK_BYTES", _chunk_budget(eq, per_chunk))
-    message = (f"weyl_plus/{elements[early].label}: nullspace found but no "
-               "invertible member passed the holdout test")
-    with pytest.raises(IndeterminateVerdict, match=re.escape(message)):
-        classify_equation(eq)
+    rep = classify_equation(eq)
+    assert [i for i, v in enumerate(rep.verdicts) if v.invariant is None] == [
+        early, late]
+    for i in (early, late):
+        v = rep.verdicts[i]
+        assert v.element == clean.verdicts[i].element
+        assert v.reason == ("nullspace found but no invertible member passed "
+                            "the holdout test")
+        assert v.intertwiner is None and v.residual < symmetry.HOLDOUT_TOL
+    keep = [i for i in range(len(rep.verdicts)) if i not in (early, late)]
+    assert (_fingerprint(dataclasses.replace(
+        rep, verdicts=[rep.verdicts[i] for i in keep]))[2:]
+        == _fingerprint(dataclasses.replace(
+            clean, verdicts=[clean.verdicts[i] for i in keep]))[2:])
+    assert rep.agreement and not rep.coherence_ok
 
 
 def test_open_elements_fall_back_to_every_member(monkeypatch):
@@ -850,8 +883,8 @@ def test_two_nullities_in_one_chunk_equal_the_one_by_one_reference(
     # nullspace; dropping the last basis vector of each odd element puts
     # nullities 8 and 7 side by side in every chunk, each with its own
     # random members.  Singular bases for one element of each nullity then
-    # leave both open: the earlier one raises, though its nullity's group
-    # is scored second in its chunk
+    # leave both open: each is undecided in its own row, the earlier one
+    # though its nullity's group is scored second in its chunk
     eq = catalog_equation("phi_diag")
     elements = group_elements(eq.d)
     truncate = set(range(1, len(elements), 2))
@@ -880,14 +913,12 @@ def test_two_nullities_in_one_chunk_equal_the_one_by_one_reference(
     assert [set(c.tolist()) for c in chunks] == [{7, 8}] * len(chunks)
 
     plant[0] = singular
-    with pytest.raises(IndeterminateVerdict) as want:
-        for at in range(len(elements)):
-            reference(at)
-    assert f"phi_diag/{elements[min(singular)].label}:" in str(want.value)
     chunks.clear()
-    with pytest.raises(IndeterminateVerdict, match=re.escape(
-            str(want.value))):
-        solve_intertwiner(eq, elements)
+    got = solve_intertwiner(eq, elements)
+    assert [at for at, r in enumerate(got)
+            if isinstance(r, Indeterminate)] == sorted(singular)
+    for at, r in enumerate(got):
+        _same_result(r, reference(at))
 
 
 def test_coherence_composes_with_the_conjugate_of_the_second_intertwiner():
