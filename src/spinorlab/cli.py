@@ -226,7 +226,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, RuntimeWarning) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -296,7 +296,7 @@ class DiffOp1:
     """First-order operator A(p) + sum_k B_k(p) (i d/dp_k) + x0 * C(p).
 
     x0 is a commuting formal scalar (the explicit time parameter); relations
-    involving it are verified at fixed numerical values by folding C into A.
+    involving it are verified one x0 coefficient at a time.
     Every part is a field: an absent one is the structurally zero field,
     which :func:`stacked_values` and :func:`stacked_jet` never evaluate.
     """
@@ -399,8 +399,8 @@ class Commutator:
 
     Carries the x0-linear and x0-quadratic parts separately plus the
     symmetrized second-derivative coefficient norm (the worst over every pair
-    and the batch), so callers can fold at any fixed x0 and check that
-    nothing leaks outside first order.  b[k] and x0_b[k] are the parts of
+    and the batch), so callers can check each x0 coefficient on its own and
+    that nothing leaks outside first order.  b[k] and x0_b[k] are the parts of
     i d/dp_k.  Each part has one leading axis over the member pairs
     ``np.triu_indices(G, 1)`` (after the derivative axis k for b and x0_b).
     """

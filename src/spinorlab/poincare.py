@@ -17,11 +17,12 @@ builds once per d from the metric diag(1, -1, ..., -1).  Both sides are
 exactly antisymmetric in (i, j), so the residual reads only the pairs i < j:
 the commutators of those pairs, from one :func:`diffop_commutator` call on
 the set's stacked jet, and right-hand sides that are GEMMs of the pair rows
-of f over the member axis.  The signs
-(s_JJ, s_JP) are never assumed: :func:`structure_signs` picks, once per d,
-the pair of the four candidates that closes the pure orbital scalar
-realization (identity matrices, H = E), and every matrix realization must
-then close with those signs.
+of f over the member axis.  It must hold identically in x0, so it is checked
+per x0 coefficient: the x0^0, x0^1 and x0^2 parts of A and the x0^0 and x0^1
+parts of B.  The signs (s_JJ, s_JP) are never assumed: :func:`structure_signs`
+picks, once per d, the pair of the four candidates that closes the pure
+orbital scalar realization (identity matrices, H = E), and every matrix
+realization must then close with those signs.
 
 :func:`generator_set` builds each realization once per set of arguments and
 hands the same read-only object to every caller.
@@ -45,8 +46,6 @@ from .opcalc import (DiffOp1, OperatorField, as_batch, check_unitary,
 
 _REP = gamma_set("rep26")
 G0 = _REP.gamma(0)
-
-X0_VALUES = (0.0, 1.37)        # the fixed values of the formal scalar x0
 
 
 class ContentNotInvariant(Exception):
@@ -237,21 +236,20 @@ def _closure(gs: GeneratorSet, p):
 
 
 def _tensor_residual(closure, sign_jj, sign_jp) -> float:
-    """max |[G_i, G_j] - i f_ij^c G_c| over the pairs i < j, parts, X0_VALUES
-    and the batch: the max over every pair, as both sides are exactly
-    antisymmetric in (i, j).  The commutator parts are read in their pair
-    layout and folded there; the right-hand sides are GEMMs of the pair rows
-    of f over the member axis, one for B and one for A + x0 C per x0 value.
+    """max |[G_i, G_j] - i f_ij^c G_c| over the pairs i < j, parts, x0
+    coefficients and the batch: the max over every pair, as both sides are
+    exactly antisymmetric in (i, j).  The right-hand side, linear in the
+    members, has no x0^2 part, and its B part no x0 part (C carries no
+    derivative); its parts are GEMMs of the pair rows of f over the member
+    axis, read against the commutator's parts in their pair layout.
     """
     comm, a, c, b = closure
     f_jj, f_jp = structure_constants(len(comm.b))
     size = len(f_jj)
     f = (1j * (sign_jj * f_jj + sign_jp * f_jp))[np.triu_indices(size, 1)]
     rhs = lambda x: (f @ x.reshape(size, -1)).reshape((len(f),) + x.shape[1:])
-    rhs_b = np.moveaxis(rhs(b), 1, 0)
-    return mat_max(*(comm.a + x0v * comm.x0_a + x0v ** 2 * comm.x0_sq
-                     - rhs(a + x0v * c) for x0v in X0_VALUES),
-                   *(comm.b + x0v * comm.x0_b - rhs_b for x0v in X0_VALUES))
+    return mat_max(comm.a - rhs(a), comm.x0_a - rhs(c), comm.x0_sq,
+                   comm.b - np.moveaxis(rhs(b), 1, 0), comm.x0_b)
 
 
 @functools.cache
@@ -277,17 +275,16 @@ def algebra_residual(gs: GeneratorSet, samples):
 
 def set_covariance_residual(gs_src: GeneratorSet, gs_tgt: GeneratorSet,
                             u: OperatorField, samples) -> float:
-    """max | u G_src u^-1 - G_tgt | over members, samples, X0_VALUES; u is
-    checked for unitarity once, and each set's values are one stacked
-    evaluation."""
+    """max | u G_src u^-1 - G_tgt | over members, samples and the parts A, B
+    and C (the x0 coefficient); u is checked for unitarity once, and each
+    set's values are one stacked evaluation."""
     p, ud = as_batch(samples), u.adjoint()
     check_unitary(ud, samples[:2])
     conj = [conjugate_by_unitary(ud, op) for _, op in gs_src.members()]
     (a1, b1, c1), (a2, b2, c2) = (
         stacked_values(ops, p) for ops in (conj, [op for _, op in
                                                   gs_tgt.members()]))
-    return mat_max(b1 - b2, *(a1 + x0v * c1 - (a2 + x0v * c2)
-                              for x0v in X0_VALUES))
+    return mat_max(a1 - a2, b1 - b2, c1 - c2)
 
 
 # -- helicity and irrep content ----------------------------------------------

@@ -277,7 +277,8 @@ def _solve_chunk(eq, htilde, h, n_fit, n_holdout, seed):
         cands = cands.reshape(len(idx), -1, eq.dim, eq.dim)
         k_hold = _sylvester(htilde[idx, hold], h[hold])
         h_norms = np.linalg.norm(h[hold], axis=(-2, -1))
-        for width in (k + 1, cands.shape[1]):   # the rest if needed
+        n = cands.shape[1]
+        for width in sorted({min(k + 1, n), n}):    # the rest if needed
             block = cands[:, :width]
             hres = _residuals(k_hold, block, h_norms)
             good = (cond2(block) <= 1e6) & (hres <= HOLDOUT_TOL)

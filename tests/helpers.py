@@ -56,13 +56,6 @@ def parts(jet):
     return jet.a, jet.b, jet.da, jet.db, jet.x0, jet.dx0
 
 
-def fold(comm, x0_value: float):
-    """A commutator's zeroth-order and derivative parts at the fixed value
-    x0_value of x0."""
-    return (comm.a + x0_value * comm.x0_a + x0_value ** 2 * comm.x0_sq,
-            comm.b + x0_value * comm.x0_b)
-
-
 def dense_commutator(jet):
     """The earlier commutator of every pair of members of a stacked jet, on
     (G, G) member axes, every product over all members and the second-order

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import dense_commutator, fold, nan_at
+from helpers import dense_commutator, nan_at
 from spinorlab import opcalc
 from spinorlab.clifford import pauli
 from spinorlab.equations import catalog_equation, catalog_unitary
@@ -24,7 +24,6 @@ from spinorlab.position import verify_position
 
 S3 = sample_momenta(3, 8, 42)
 S2 = sample_momenta(2, 8, 42)
-X0S = (0.0, 1.37)
 
 
 def test_orbital_calibration():
@@ -46,8 +45,8 @@ def test_rotation_commutator_closes_on_j13():
              for c, (_, op) in enumerate(gs.members()) if f_jj[i, j, c]]
     aw = sum(w * a[0] for w, (a, _, _) in terms)
     bw = [sum(w * b[0, k] for w, (_, b, _) in terms) for k in range(3)]
-    a, b = fold(comm, 0.0)
-    ac, bc = a[0], b[:, 0]                  # the one pair of the stack
+    assert not (comm.x0_a.any() or comm.x0_b.any() or comm.x0_sq.any())
+    ac, bc = comm.a[0], comm.b[:, 0]        # the one pair of the stack
     assert mat_max(ac - aw) <= 1e-9
     for x, y in zip(bc, bw):
         assert mat_max(x - y) <= 1e-9
@@ -251,22 +250,33 @@ def test_closure_fails_closed_on_nan_in_a_member_without_x0_part():
     assert math.isnan(resid)
 
 
-def all_pairs_residual(closure, x0_values, sign_jj, sign_jp) -> float:
+def test_closure_fails_on_an_x0_part_that_vanishes_at_two_values_of_x0():
+    # a planted x0 part x0 (x0 - 1.37) X is zero at x0 = 0 and at 1.37, and
+    # not identically: its x0^1 and x0^2 coefficients read |X| or more
+    closure = _closure(generator_set("psi"), as_batch(S3))
+    comm, signs = closure[0], structure_signs(3)
+    x = np.full_like(comm.a, 1e-3)
+    planted = dataclasses.replace(comm, x0_a=comm.x0_a - 1.37 * x,
+                                  x0_sq=comm.x0_sq + x)
+    assert _tensor_residual(closure, *signs) <= 1e-8
+    assert _tensor_residual((planted, *closure[1:]), *signs) >= 1e-3
+
+
+def all_pairs_residual(closure, sign_jj, sign_jp) -> float:
     """The earlier closure residual, kept as the reference for the pairs-only
-    one: every pair (i, j) of a (G, G) commutator, folded at full size, with
-    the right-hand sides of A + x0 C and B from one GEMM per x0 value."""
+    one: every pair (i, j) of a (G, G) commutator at full size, each x0
+    coefficient on its own, with the right-hand sides of A, C and B from one
+    GEMM."""
     comm, a, c, b = closure
     f_jj, f_jp = structure_constants(len(comm.b))
     size = len(f_jj)
     f = (1j * (sign_jj * f_jj + sign_jp * f_jp)).reshape(size * size, size)
-    out = []
-    for x0v in x0_values:
-        values = np.concatenate([(a + x0v * c)[:, None], b], axis=1)
-        rhs = (f @ values.reshape(size, -1)).reshape(
-            (size, size) + values.shape[1:])
-        lhs_a, lhs_b = fold(comm, x0v)
-        out += [lhs_a - rhs[:, :, 0], lhs_b - np.moveaxis(rhs[:, :, 1:], 2, 0)]
-    return mat_max(*out)
+    values = np.concatenate([a[:, None], c[:, None], b], axis=1)
+    rhs = (f @ values.reshape(size, -1)).reshape(
+        (size, size) + values.shape[1:])
+    return mat_max(comm.a - rhs[:, :, 0], comm.x0_a - rhs[:, :, 1],
+                   comm.x0_sq, comm.b - np.moveaxis(rhs[:, :, 2:], 2, 0),
+                   comm.x0_b)
 
 
 def _noncommuting_x0_set():
@@ -296,7 +306,7 @@ def test_pairs_residual_equals_the_all_pairs_reference(seed):
         jet = stacked_jet([op for _, op in gs.members()], p)
         dense = (dense_commutator(jet),) + closure[1:]
         for signs in ((1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)):
-            want = all_pairs_residual(dense, X0S, *signs)
+            want = all_pairs_residual(dense, *signs)
             assert _tensor_residual(closure, *signs) == want, gs.name
 
 

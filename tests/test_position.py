@@ -8,7 +8,7 @@ from spinorlab import opcalc, position
 from spinorlab.clifford import gamma_set, pauli, spin_matrix
 from spinorlab.linalg import NotUnitary, dagger, mat_max
 from spinorlab.opcalc import (OperatorField, as_batch, sample_momenta,
-                              stacked_jet)
+                              stacked_jet, stacked_values)
 from spinorlab.position import (POSITION_NAMES, position_closed_form,
                                 position_from_unitary, verify_position)
 
@@ -21,7 +21,10 @@ def test_closed_form_matches_conjugation(name):
     rep = verify_position(name, SAMPLES)
     assert rep["closed_vs_conjugation"] <= 1e-9
     assert rep["canonical_commutator"] <= 1e-10
-    assert rep["hermiticity"] <= 1e-10      # reported, and in fact holds
+    # no check gates it, and in fact the components' A parts are Hermitian
+    built = position_from_unitary(name, probe=SAMPLES[:2])
+    a = stacked_values(built, as_batch(SAMPLES))[0]
+    assert mat_max(a - dagger(a)) <= 1e-10
 
 
 def test_both_p3_branches_are_exercised():
@@ -141,8 +144,7 @@ def test_verify_position_equals_the_residuals_of_the_stacked_jet(seed):
         delta = np.eye(3)[:, :, None, None, None] * (1j * np.eye(dim))
         assert verify_position(name, samples) == {
             "closed_vs_conjugation": mat_max(jet.a - closed),
-            "canonical_commutator": mat_max(1j * jet.b - delta),
-            "hermiticity": mat_max(jet.a - dagger(jet.a))}, name
+            "canonical_commutator": mat_max(1j * jet.b - delta)}, name
 
 
 def test_component_commutators_fail_closed_on_nan(monkeypatch):

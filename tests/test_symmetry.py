@@ -861,6 +861,24 @@ def test_a_candidates_residual_does_not_depend_on_its_width(name, widths,
                 == full[:, :width].tobytes()), width
 
 
+def test_a_nullity_one_group_is_scored_once(monkeypatch):
+    # a nullity-1 group has no random members, so its one candidate is its
+    # every width: shifting weyl_plus's holdout rows of H by 0.3 sigma3 fails
+    # every element there, and the 16 of nullity 1 are still scored once
+    eq = catalog_equation("weyl_plus")
+    elements = group_elements(eq.d)
+    ht, h = intertwine_condition(eq, elements, as_batch(
+        symmetry._fit_and_holdout(eq.d, 12, 4, 42)))
+    h = h + (np.arange(len(h)) >= 12)[:, None, None] * 0.3 * pauli(3)
+    residuals, shapes = symmetry._residuals, []
+    monkeypatch.setattr(symmetry, "_residuals", lambda k, ms, h_norms: (
+        shapes.append(ms.shape), residuals(k, ms, h_norms))[1])
+    out = solve_intertwiner(eq, elements, conditions=(ht, h))
+    assert shapes == [(16, 1, 2, 2)]
+    assert sum("no invertible member" in getattr(r, "reason", "")
+               for r in out) == 16
+
+
 def _edited(null, at, truncate, singular):
     """Element ``at``'s nullspace arrays (s, vh, nullity) with the last basis
     vector dropped if ``at`` is in ``truncate``, or the basis swapped for
