@@ -31,9 +31,9 @@ one product per M (:func:`_residuals`).
 
 The random-search oracle shares only :func:`intertwine_condition` with that
 route.  It scores a pool of random M against the Gram matrix of the stacked
-map in one real matrix product, and polishes the best few by a matrix power
-built from repeated squarings.  It calls no SVD or eigensolver, so its
-verdicts are an independent check on the nullspace ones.
+map, one real matrix product per row block within ``STACK_BYTES``, and
+polishes the best few by a matrix power built from repeated squarings.
+No SVD or eigensolver is called: its verdicts check the nullspace ones.
 """
 
 import functools
@@ -51,8 +51,9 @@ HOLDOUT_TOL = 1e-7            # relative residual for confirmed invariance
 CERTIFICATE_TOL = 1e-4        # sigma_min/sigma_max floor for non-invariance
 N_POLISH = 8                  # best oracle candidates that are polished
 POLISH_STEPS = 1500           # power-iteration steps of that polish
-# budget of one stacked solve or coherence chunk: at 4x4 a chunk's fixed
-# cost (about 10 numpy calls and 3 LAPACK stacks) is most of its time
+# budget of one stacked solve or coherence chunk (at 4x4 a chunk's fixed
+# cost, about 10 numpy calls and 3 LAPACK stacks, is most of its time) and
+# of one block of the oracle's pool scan (8,192 rows at 2x2, 2,048 at 4x4)
 STACK_BYTES = 1 << 19
 
 
@@ -389,16 +390,22 @@ def random_search_oracle(eq, g: SymmetryElement, points,
 
     Draws ``n_candidates`` random matrices (or takes the rows v of ``pool``)
     and scores each by its relative condition residual
-    sqrt(v^H G v / (|v|^2 |H|^2)), G the Gram matrix of the stacked map, in
-    one real matrix product over the pool.  The ``N_POLISH`` best are driven
+    sqrt(v^H G v / (|v|^2 |H|^2)), G the Gram matrix of the stacked map,
+    one real matrix product per row block within ``STACK_BYTES``, the square
+    root taken only at the minimum.  The ``N_POLISH`` best are driven
     towards the minimum of that quadratic residual by ``POLISH_STEPS`` steps
     of normalised power iteration with I - G/|G|_2, taken as one matrix
     power by repeated squaring; |G|_2 comes from squarings of G as well.
     No SVD or eigensolver is involved, so the verdict is an independent
     check on the nullspace route.  Returns (min relative residual,
     invariant?) with the 1e-3 decision threshold.  A non-finite H or
-    residual raises ValueError: NaN never reads as non-invariance.
+    residual, or a pool that is empty or not dim^2 wide, raises ValueError:
+    NaN never reads as non-invariance.
     """
+    shape = np.shape(pool) if pool is not None else (n_candidates, eq.dim ** 2)
+    if len(shape) != 2 or shape[0] < 1 or shape[1] != eq.dim ** 2:
+        raise ValueError(f"{eq.name}/{g.label}: oracle pool of shape {shape}, "
+                         f"not (n >= 1, {eq.dim ** 2})")
     ht, h = intertwine_condition(eq, g, as_batch(points))
     _require_finite(eq, ht, h)
     eye = np.eye(eq.dim)[None]
@@ -419,18 +426,23 @@ def random_search_oracle(eq, g: SymmetryElement, points,
     u = pool.view(float)
     r = np.kron(gram.real, np.eye(2)) + np.kron(gram.imag, [[0.0, -1.0],
                                                             [1.0, 0.0]])
-    quad = np.einsum("ni,ni->n", u @ r, u) / np.einsum("ni,ni->n", u, u)
-    rel = np.sqrt(np.maximum(quad, 0.0) / scale2)
+    quad = np.empty(len(u))
+    for part in _chunks(len(u), 16 * n2):
+        # one row more each side, rewritten with equal bits: numpy sends a
+        # one-row product to GEMV, whose rounding is not GEMM's
+        rows = slice(max(part.start - 1, 0), part.stop + 1)
+        np.divide(np.einsum("ni,ni->n", u[rows] @ r, u[rows]),
+                  np.einsum("ni,ni->n", u[rows], u[rows]), out=quad[rows])
 
-    top = pool[np.argpartition(rel, min(N_POLISH, len(rel)) - 1)[:N_POLISH]]
+    top = pool[np.argpartition(quad, min(N_POLISH, len(quad)) - 1)[:N_POLISH]]
     w = (top / np.linalg.norm(top, axis=1, keepdims=True)).T  # (n2, N_POLISH)
     shifted = np.eye(n2) - gram / _spectral_norm(gram)
     if shifted.any():                # else every start vector is a fixed point
         w = _normalised_power(shifted, POLISH_STEPS, w)
     quad_w = np.real(np.einsum("in,in->n", w.conj(), gram @ w))
-    rel_w = np.sqrt(np.maximum(quad_w, 0.0) / scale2)
-
-    best = float(np.minimum(rel.min(), rel_w.min()))
+    # the polished and the pool's least: sqrt(max(q, 0) / s) is monotone in q
+    rel = np.sqrt(np.maximum(np.append(quad_w, quad.min()), 0.0) / scale2)
+    best = float(rel.min())
     if not np.isfinite(best):
         raise ValueError(f"{eq.name}/{g.label}: non-finite oracle residual")
     return best, best < 1e-3

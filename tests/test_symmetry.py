@@ -399,6 +399,145 @@ def test_oracle_agrees_with_nullspace_on_4x4_equations():
         f"non-invariant best {least_noninvariant:.2e} (threshold 1e-3)")
 
 
+def _one_pass_oracle(eq, g, points, pool):
+    """Reference oracle: the pool scored in one pass, with pool-sized
+    temporaries, and the top candidates chosen by the relative residual.
+    Returns (best, verdict, set of polished rows, quadratic form per row)."""
+    ht, h = intertwine_condition(eq, g, as_batch(points))
+    eye = np.eye(eq.dim)[None]
+    k = np.kron(h, eye) - np.kron(eye, np.swapaxes(ht, 1, 2))
+    k = k.reshape(-1, k.shape[-1])
+    gram = k.conj().T @ k
+    n2, scale2 = len(gram), np.vdot(h, h).real
+    u = np.ascontiguousarray(pool, dtype=complex).view(float)
+    r = np.kron(gram.real, np.eye(2)) + np.kron(gram.imag, [[0.0, -1.0],
+                                                            [1.0, 0.0]])
+    quad = np.einsum("ni,ni->n", u @ r, u) / np.einsum("ni,ni->n", u, u)
+    rel = np.sqrt(np.maximum(quad, 0.0) / scale2)
+    chosen = np.argpartition(rel, min(8, len(rel)) - 1)[:8]
+    top = pool[chosen]
+    w = (top / np.linalg.norm(top, axis=1, keepdims=True)).T
+    shifted = np.eye(n2) - gram / symmetry._spectral_norm(gram)
+    if shifted.any():
+        w = symmetry._normalised_power(shifted, 1500, w)
+    quad_w = np.real(np.einsum("in,in->n", w.conj(), gram @ w))
+    rel_w = np.sqrt(np.maximum(quad_w, 0.0) / scale2)
+    best = float(np.minimum(rel.min(), rel_w.min()))
+    return best, best < 1e-3, set(chosen.tolist()), quad
+
+
+def _oracle_scan(eq, g, points, pool, monkeypatch):
+    """The oracle's (best, verdict), the candidates it polishes and the
+    quadratic form per row it chose them from, read by a spy on
+    ``np.argpartition``."""
+    seen = []
+
+    def spy(a, kth):
+        out = argpartition(a, kth)
+        seen.append((a.copy(), set(out[:8].tolist())))
+        return out
+
+    argpartition = np.argpartition
+    with monkeypatch.context() as m:
+        m.setattr(np, "argpartition", spy)
+        best, verdict = random_search_oracle(eq, g, points, pool=pool)
+    (quad, chosen), = seen
+    return best, verdict, chosen, quad
+
+
+_ORACLE_CASES = [("chi_plus", "C"), ("chi_plus", "P1"), ("desitter", "T1"),
+                 ("desitter", "P1")]
+
+
+def _oracle_pool(eq, n, seed=11):
+    rng = np.random.default_rng(seed)
+    return (rng.normal(size=(n, eq.dim ** 2))
+            + 1j * rng.normal(size=(n, eq.dim ** 2)))
+
+
+def _assert_scan_matches_one_pass(eq, g, n, monkeypatch):
+    pts, pool = sample_momenta(eq.d, 12, 42), _oracle_pool(eq, n)
+    best, verdict, chosen, quad = _oracle_scan(eq, g, pts, pool, monkeypatch)
+    ref_best, ref_verdict, ref_chosen, ref_quad = _one_pass_oracle(eq, g, pts,
+                                                                   pool)
+    assert quad.tobytes() == ref_quad.tobytes(), n
+    assert (best.hex(), verdict) == (ref_best.hex(), ref_verdict), n
+    assert chosen == ref_chosen, n
+
+
+@pytest.mark.parametrize("name,label", _ORACLE_CASES)
+def test_blocked_oracle_is_bit_identical_across_block_edges(name, label,
+                                                           monkeypatch):
+    eq = catalog_equation(name)
+    g = SymmetryElement.parse(label, eq.d)
+    block = symmetry.STACK_BYTES // (16 * eq.dim ** 2)  # 8,192 or 2,048 rows
+    for n in (1, 7, 8, block - 1, block, block + 1, 100_000):
+        _assert_scan_matches_one_pass(eq, g, n, monkeypatch)
+
+
+@pytest.mark.parametrize("name,label", _ORACLE_CASES)
+def test_oracle_with_one_row_blocks_is_bit_identical(name, label,
+                                                     monkeypatch):
+    # every block a single row, which numpy alone would hand to GEMV; 3,001
+    # one-row blocks meet every kind of edge that 1e5 would, in 1/30 the time
+    eq = catalog_equation(name)
+    g = SymmetryElement.parse(label, eq.d)
+    monkeypatch.setattr(symmetry, "STACK_BYTES", 1)
+    for n in (1, 2, 7, 8, 3_001):
+        _assert_scan_matches_one_pass(eq, g, n, monkeypatch)
+
+
+@pytest.mark.parametrize("where", ["first", "last_of_block", "first_of_block",
+                                   "last"])
+def test_oracle_nan_row_raises_in_any_block(where):
+    eq = catalog_equation("chi_plus")
+    block = symmetry.STACK_BYTES // (16 * eq.dim ** 2)
+    pool = _oracle_pool(eq, 2 * block + 100)     # a partial final block
+    row = dict(first=0, last_of_block=block - 1, first_of_block=block,
+               last=len(pool) - 1)[where]
+    pool[row, 1] = np.nan
+    with pytest.raises(ValueError,
+                       match="^chi_plus/P1: non-finite oracle residual$"):
+        random_search_oracle(eq, SymmetryElement.parse("P1", 3),
+                             sample_momenta(3, 12, 42), pool=pool)
+
+
+@pytest.mark.parametrize("pool,n_candidates", [
+    (np.zeros((0, 4), dtype=complex), 100_000),      # an empty pool
+    (None, -1), (None, 0),                           # no candidate to draw
+    (np.ones((5, 3), dtype=complex), 100_000),       # 3 wide, not 2^2
+    (np.ones(4, dtype=complex), 100_000)],           # not a pool of rows
+    ids=["empty", "negative_count", "zero_count", "width_3", "one_axis"])
+def test_oracle_rejects_a_pool_it_cannot_scan(pool, n_candidates,
+                                              monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the pool must be checked before any scan")
+
+    monkeypatch.setattr(symmetry, "intertwine_condition", unreachable)
+    with pytest.raises(ValueError, match="^chi_plus/P1: oracle pool of shape"):
+        random_search_oracle(catalog_equation("chi_plus"),
+                             SymmetryElement.parse("P1", 3),
+                             sample_momenta(3, 12, 42),
+                             n_candidates=n_candidates, pool=pool)
+
+
+def test_oracle_peak_memory():
+    # 7.2 MB with three pool-sized temporaries (u @ r and two einsums of a
+    # 1e5x4 pool), 1.6 MB scanned in blocks: quad and argpartition's (n,)
+    # arrays, one block's product (symmetry.STACK_BYTES) and the polish
+    eq = catalog_equation("chi_plus")
+    g, pts = SymmetryElement.parse("P1", 3), sample_momenta(3, 12, 42)
+    pool = _oracle_pool(eq, 100_000)
+    random_search_oracle(eq, g, pts, pool=pool)   # lazy set-up outside
+    tracemalloc.start()
+    try:
+        random_search_oracle(eq, g, pts, pool=pool)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5e6
+
+
 def test_projection_relations():
     res = verify_projection_relations()
     assert set(res) == {"P1", "P2", "P3", "T1", "T2", "C"}
