@@ -27,7 +27,7 @@ Coherence checks the invariant elements, which form an XOR group: the
 products M_b conj^{c_b}(M_j) composing to g = g_b g_j take one GEMM.  Both
 the holdout score and coherence read the relative residual
 |H M - M Htilde| / (|H| |M|) from the Sylvester maps at their own points,
-one product per M (:func:`_residuals`).
+one GEMM per element with its Ms as rows (:func:`_residuals`).
 
 The random-search oracle shares only :func:`intertwine_condition` with that
 route.  It scores a pool of random M against the Gram matrix of the stacked
@@ -246,13 +246,17 @@ def _sylvester(htilde, h):
 
 def _residuals(k, ms, h_norms):
     """Worst relative residual |H M - M Htilde| / (|H| |M|) over the points
-    for each M of an (E, C, dim, dim) stack, read from element e's Sylvester
-    map k[e] as one product k vec(M) per M: its value does not depend on the
-    other Ms scored with it.  ``h_norms`` holds |H| per point; NaN propagates."""
-    vec = ms.reshape(ms.shape[:2] + (-1, 1))
-    r = (k[:, None] @ vec).reshape(ms.shape[:2] + (len(h_norms), -1))
-    den = h_norms * np.linalg.norm(vec, axis=(-2, -1))[..., None]
-    return np.max(np.linalg.norm(r, axis=-1) / den, axis=-1)
+    for each M of an (E, C, dim, dim) stack: element e's vec(M)s are the rows
+    of one GEMM with its Sylvester map k[e]^T (a single row twice: numpy sends
+    one row to GEMV, which rounds otherwise), so a value does not depend on
+    the other Ms; |r|^2 and |M|^2 are ``np.vecdot``s of float views, which
+    warn on overflow.  ``h_norms`` holds |H| per point; NaN propagates."""
+    vec = ms.reshape(ms.shape[:2] + (-1,))
+    rows = np.concatenate([vec, vec], axis=1) if vec.shape[1] == 1 else vec
+    r = (rows @ k.mT)[:, :vec.shape[1]].view(float)
+    r, v = r.reshape(ms.shape[:2] + (len(h_norms), -1)), vec.view(float)
+    den = h_norms * np.sqrt(np.vecdot(v, v))[..., None]
+    return np.max(np.sqrt(np.vecdot(r, r)) / den, axis=-1)
 
 
 def _solve_chunk(eq, htilde, h, n_fit, n_holdout, seed):

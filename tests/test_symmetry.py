@@ -970,6 +970,17 @@ def test_open_elements_fall_back_to_every_member(monkeypatch):
     assert keeping(2) == default != fifth      # the first random member
 
 
+def _random_scoring(name, width):
+    """Every element's Htilde, H, Sylvester map and |H| at 4 points, and
+    ``width`` random candidates per element."""
+    eq = catalog_equation(name)
+    ht, h = intertwine_condition(eq, group_elements(eq.d), as_batch(
+        sample_momenta(eq.d, 4, 3)))
+    c = np.random.default_rng(3).normal(
+        size=(len(ht), width, eq.dim, eq.dim, 2)) @ [1, 1j]
+    return ht, h, symmetry._sylvester(ht, h), np.linalg.norm(h, axis=(1, 2)), c
+
+
 @pytest.mark.parametrize("name, widths", [("chi_4c", (3, 34)),
                                           ("phi_diag", (9, 40))])
 def test_a_candidates_residual_does_not_depend_on_its_width(name, widths,
@@ -989,15 +1000,49 @@ def test_a_candidates_residual_does_not_depend_on_its_width(name, widths,
     assert _fingerprint(classify_equation(eq)) == want
     assert set(seen) == set(widths)
     # and on random candidates at every element's holdout map
-    ht, h = intertwine_condition(eq, group_elements(eq.d), as_batch(
-        sample_momenta(eq.d, 4, 3)))
-    k, h_norms = symmetry._sylvester(ht, h), np.linalg.norm(h, axis=(1, 2))
-    c = np.random.default_rng(3).normal(
-        size=(len(ht), widths[1], eq.dim, eq.dim, 2)) @ [1, 1j]
+    _, _, k, h_norms, c = _random_scoring(name, widths[1])
     full = symmetry._residuals(k, c, h_norms)
     for width in (1, widths[0], widths[1] - 1):
         assert (symmetry._residuals(k, c[:, :width], h_norms).tobytes()
                 == full[:, :width].tobytes()), width
+
+
+@pytest.mark.parametrize("name", ["weyl_canonical", "dirac_massless"])
+def test_residuals_are_the_same_on_every_slice_and_target(name):
+    # single solves score slices of candidates and coherence scores chunks of
+    # targets: every contiguous slice (width 1 included) and every target on
+    # its own gives the bits of the full call
+    _, _, k, h_norms, c = _random_scoring(name, 32)
+    full = symmetry._residuals(k, c, h_norms)
+    assert full.shape == (32, 32)
+    for lo in range(32):
+        for hi in range(lo + 1, 33):
+            assert (symmetry._residuals(k, c[:, lo:hi], h_norms).tobytes()
+                    == full[:, lo:hi].tobytes()), (lo, hi)
+    for i in range(32):
+        assert (symmetry._residuals(k[i:i + 1], c[i:i + 1], h_norms).tobytes()
+                == full[i:i + 1].tobytes()), i
+
+
+@pytest.mark.parametrize("name", ["weyl_canonical", "dirac_massless"])
+def test_residuals_equal_the_product_formula_on_failing_candidates(name):
+    # random candidates fail with O(1) residuals, so a misread row or point
+    # shows here, where true intertwiners' rounding-level residuals hide it
+    ht, h, k, h_norms, c = _random_scoring(name, 8)
+    got = symmetry._residuals(k, c, h_norms)
+    want = product_residuals(c, ht[:, None], h)
+    assert want.min() > 1e-2
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("k_scale, m_scale", [(1e200, 1.0), (1e-160, 1e160)])
+def test_residuals_warn_when_a_squared_norm_overflows(k_scale, m_scale):
+    # finite inputs whose |r|^2 (first case) or |M|^2 (second) overflows:
+    # the warning that pytest.ini and CI's warning-as-error runs turn into
+    # an error must still be raised
+    _, _, k, h_norms, c = _random_scoring("weyl_canonical", 3)
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        symmetry._residuals(k * k_scale, c * m_scale, h_norms * k_scale)
 
 
 def test_a_nullity_one_group_is_scored_once(monkeypatch):
