@@ -3,8 +3,10 @@
 A momentum component is a float at one point or an ``(n,)`` array over a
 batch of points; every function here accepts either, elementwise, so one
 coefficient closure serves both.  Matrix values multiply with ``@``.  A
-derivative part may also carry a leading (d,) axis, one slot per momentum
-axis (:func:`seed` with no axis); the arithmetic broadcasts it unchanged.
+:func:`seed` puts a leading (d,) axis, one slot per momentum axis, on the
+derivative part; the arithmetic broadcasts it unchanged.  Seeds nest: a seed
+of seeded components adds its axis in front of theirs, so the eps of the eps
+of a twice-seeded evaluation is the (d, d, ...) stack of second derivatives.
 A seeded evaluation's value chain performs exactly the plain one's
 operations, so it is the plain value bit for bit; ``==`` compares values, so
 a coefficient that tests a component reads the numbers under any seed.
@@ -17,11 +19,11 @@ import numpy as np
 
 
 class Dual:
-    """A value carrying its first derivative along one real direction, or
-    along every momentum axis at once (``eps`` then has a leading (d,) axis).
+    """A value carrying its first derivatives along every momentum axis at
+    once, on a leading (d,) axis of ``eps``.
 
     Both components may themselves be ``Dual``, so nested evaluation yields
-    exact second derivatives, or ndarrays: a whole batch of scalars, or a
+    exact higher derivatives, or ndarrays: a whole batch of scalars, or a
     (stack of) matrices.  Only the operations the fields need are implemented.
     ``==`` compares values through every layer, so a Dual is unhashable.
     """
@@ -102,32 +104,18 @@ def eps(x):
     return x.eps if isinstance(x, Dual) else 0.0
 
 
-def seed(p, k=None):
-    """Momentum components with a unit derivative seed on axis ``k``.
-
-    With ``k`` None every axis is seeded at once (vector forward mode): the
-    ``eps`` of component j is the unit vector e_j on a leading (d,) axis,
-    shaped to broadcast over a batch, so one evaluation carries all d
-    partials.  A single-axis seed may nest inside or around it; seeding all
-    axes of components already seeded on all axes raises ValueError, since
-    the two derivative axes would silently broadcast together.
+def seed(p):
+    """Momentum components with a unit derivative seed on every axis at once
+    (vector forward mode): the ``eps`` of component j is the unit vector e_j
+    on a leading (d,) axis, so one evaluation carries all d partials.  The
+    units get a singleton axis for each derivative axis (and batch axis) the
+    components already carry, so seeding seeded components nests, the new
+    axis in front.
     """
-    if k is not None:
-        return tuple(Dual(c, 1.0 if j == k else 0.0) for j, c in enumerate(p))
-    if any(_seeded_all_axes(c) for c in p):
-        raise ValueError("components are already seeded on all axes")
-    d = len(p)
-    units = np.eye(d).reshape((d, d) + (1,) * np.ndim(value(p[0])))
+    d, c = len(p), p[0]
+    units = np.eye(d).reshape(
+        (d, d) + (1,) * np.ndim(c.eps if isinstance(c, Dual) else c))
     return tuple(Dual(c, units[j]) for j, c in enumerate(p))
-
-
-def _seeded_all_axes(c) -> bool:
-    """True when some seed layer of the component c carries a (d,) axis."""
-    while isinstance(c, Dual):
-        if np.ndim(c.eps) > np.ndim(value(c)):
-            return True
-        c = c.val
-    return False
 
 
 def sqrt(x):

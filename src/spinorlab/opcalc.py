@@ -12,10 +12,11 @@ factor, the adjoint or d/dp_k.  Products are never multiplied out into
 terms.  A momentum argument is a tuple of d components, each a float (one
 point: fields evaluate to (dim, dim) matrices) or an (n,) array (a batch, see
 :func:`as_batch`: (n, dim, dim) stacks), through the same code.  A derivative
-evaluates the same expression on components seeded as
-:class:`spinorlab.dual.Dual` (nested seeds give second derivatives), so the
-pass/fail paths never touch finite differences.  Seeded along every axis at
-once, one evaluation gives all d partials as a (d, ..., dim, dim) stack.
+evaluates the same expression on components seeded along every axis at once
+as :class:`spinorlab.dual.Dual`, so the pass/fail paths never touch finite
+differences: one evaluation gives all d partials as a (d, ..., dim, dim)
+stack, and a partial d/dp_k is slice k of it.  Nested seeds give second
+derivatives: a partial node read on a seeded argument seeds it again.
 
 Every evaluation memoises its read-only values on its argument
 (:class:`_Argument`, and :func:`per_argument` for scalar functions), so a
@@ -44,7 +45,7 @@ import functools
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -115,6 +116,16 @@ def _lift(c):
     return c
 
 
+def _slice(x, k: int):
+    """Slice k of the leading axis of every array in x, through the Dual
+    layers; a plain 0.0 (a part that is constant in p) stays 0.0.  Below a
+    nested seed an array keeps a singleton for each derivative axis it
+    lacks, which broadcasts as if absent."""
+    if isinstance(x, dual.Dual):
+        return dual.Dual(_slice(x.val, k), _slice(x.eps, k))
+    return x[k] if np.ndim(x) else x
+
+
 def _zeros(p: "_Argument", dim: int, lead: tuple = ()) -> np.ndarray:
     return np.zeros(lead + p.batch + (dim, dim), dtype=complex)
 
@@ -123,15 +134,15 @@ class _Argument(tuple):
     """A momentum argument that memoises what is evaluated on it.
 
     ``values`` maps id(field) to (field, value) for every field evaluated on
-    it, and ``seeds`` maps an axis (None: every axis) to the seeded argument,
-    made once.  Each entry holds its key objects, so an id cannot be reused
-    while the argument lives, and the memo dies with the argument.  ``batch``
-    is () at a point and (n,) on a batch.
+    it, and ``seeds`` is the argument seeded along every axis, made once
+    (None until then).  Each entry holds its key objects, so an id cannot be
+    reused while the argument lives, and the memo dies with the argument.
+    ``batch`` is () at a point and (n,) on a batch.
     """
 
     def __new__(cls, components):
         self = super().__new__(cls, components)
-        self.values, self.seeds = {}, {}
+        self.values, self.seeds = {}, None
         self.batch = getattr(dual.value(self[0]), "shape", ())
         return self
 
@@ -139,12 +150,11 @@ class _Argument(tuple):
     def of(cls, p) -> "_Argument":
         return p if isinstance(p, cls) else cls(p)
 
-    def seeded(self, k: Optional[int] = None) -> "_Argument":
-        """This argument seeded along axis k (every axis when k is None)."""
-        out = self.seeds.get(k)
-        if out is None:
-            out = self.seeds[k] = _Argument(dual.seed(self, k))
-        return out
+    def seeded(self) -> "_Argument":
+        """This argument seeded along every axis (nested, if it is seeded)."""
+        if self.seeds is None:
+            self.seeds = _Argument(dual.seed(self))
+        return self.seeds
 
 
 def per_argument(fn: Callable) -> Callable:
@@ -236,18 +246,18 @@ class OperatorField:
     def deriv(self, p: Point) -> np.ndarray:
         """All d exact partial derivatives at p (a point or a batch), as one
         (d, ..., dim, dim) stack from a single evaluation on p seeded along
-        every axis at once.  One partial d/dp_k is :meth:`partial`."""
+        every axis at once, the one that every :meth:`partial` reads."""
         p = _Argument.of(p)
         return (_zeros(p, self.dim, (self.d,))
                 + dual.eps(self._eval(p.seeded())))
 
     def partial(self, k: int) -> "OperatorField":
-        """d/dp_k as a field: the eps part of its value on p seeded along k.
-        The same node on every call."""
+        """d/dp_k as a field: slice k of the eps part of its value on p
+        seeded along every axis.  The same node on every call."""
         if k not in self._derived:
             self._derived[k] = self._combine(
                 lambda p: _zeros(p, self.dim)
-                + dual.eps(self._eval(p.seeded(k))))
+                + _slice(dual.eps(self._eval(p.seeded())), k))
         return self._derived[k]
 
     # -- algebra -----------------------------------------------------------

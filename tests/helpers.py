@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from spinorlab import opcalc
+from spinorlab import dual, opcalc
 from spinorlab.linalg import mat_max
 from spinorlab.opcalc import Commutator, _pack, _product
 from spinorlab.position import position_from_unitary
@@ -33,6 +33,25 @@ def nan_at(point):
     """Coefficient that is NaN where p[0] == point[0] and 0 elsewhere, at a
     point or on a batch: adding it to a field poisons that one point."""
     return lambda p: np.where(p[0] == point[0], np.nan, 0.0)
+
+
+def seed_axis(p, k):
+    """p seeded along axis k alone, the reference for one partial that is
+    independent of the all-axes seed: the eps of each component is an array
+    shaped like it (like its eps, if it is seeded), ones on axis k and zeros
+    elsewhere.  A scalar eps would make an all-axes seed nested around it
+    miscount the component's axes."""
+    return opcalc._Argument(tuple(
+        dual.Dual(c, np.full(np.shape(c.eps if isinstance(c, dual.Dual)
+                                      else c), float(j == k)))
+        for j, c in enumerate(p)))
+
+
+def axis_partial(f, p, k):
+    """d f/dp_k at p (a point or a batch) from one evaluation of the field f
+    on p seeded along axis k alone (:func:`seed_axis`)."""
+    p = opcalc._Argument.of(p)
+    return opcalc._zeros(p, f.dim) + dual.eps(f(seed_axis(p, k)))
 
 
 def pair(g, i, j):

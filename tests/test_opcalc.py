@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import at_pairs, dense_commutator, nan_at, pair, parts
+from helpers import (at_pairs, axis_partial, dense_commutator, nan_at, pair,
+                     parts, seed_axis)
 from spinorlab import dual, opcalc, position
 from spinorlab.clifford import pauli
 from spinorlab.equations import abs_p3, catalog_unitary, energy
@@ -283,13 +284,14 @@ def test_stacked_values_fold_x0_from_one_evaluation():
 EPS = np.finfo(float).eps
 
 def per_axis_jet(op, p):
-    """The earlier jet, one seeded evaluation per part and axis, kept as the
-    reference for the all-axes one."""
+    """The earlier jet, one evaluation per part and axis on p seeded along
+    that axis alone (:func:`helpers.axis_partial`), kept as the reference for
+    the all-axes one."""
     ks = range(op.d)
     return Jet(op.a(p), np.stack([f(p) for f in op.b]),
-               np.stack([op.a.partial(k)(p) for k in ks]),
-               np.array([[f.partial(l)(p) for l in ks] for f in op.b]),
-               op.x0(p), np.stack([op.x0.partial(k)(p) for k in ks]))
+               np.stack([axis_partial(op.a, p, k) for k in ks]),
+               np.array([[axis_partial(f, p, l) for l in ks] for f in op.b]),
+               op.x0(p), np.stack([axis_partial(op.x0, p, k) for k in ks]))
 
 
 def _comm_parts(comm):
@@ -364,9 +366,9 @@ def test_jet_values_are_the_plain_values_byte_for_byte(seed):
 
 def test_dual_equality_reads_the_value_under_any_seed():
     for p in (sample_momenta(3, 1, 5)[0], as_batch(sample_momenta(3, 4, 5))):
-        for q in (dual.seed(p, 1), dual.seed(p), dual.seed(dual.seed(p), 1),
-                  dual.seed(dual.seed(p, 0), 2)):
-            for c, x, other in zip(q, p, dual.seed(p, 2)):
+        for q in (seed_axis(p, 1), dual.seed(p), seed_axis(dual.seed(p), 1),
+                  seed_axis(seed_axis(p, 0), 2), dual.seed(dual.seed(p))):
+            for c, x, other in zip(q, p, seed_axis(p, 2)):
                 assert isinstance(c, dual.Dual)
                 assert np.all(c == x) and np.all(x == c) and np.all(c == other)
                 assert not np.any(c == x + 1.0)
@@ -374,14 +376,22 @@ def test_dual_equality_reads_the_value_under_any_seed():
         hash(dual.Dual(1.0, 0.0))
 
 
-def test_seeding_all_axes_twice_raises():
-    for p in (sample_momenta(3, 1, 7)[0], as_batch(sample_momenta(3, 4, 7))):
-        with pytest.raises(ValueError, match="already seeded on all axes"):
-            dual.seed(dual.seed(p))
-        with pytest.raises(ValueError, match="already seeded on all axes"):
-            dual.seed(dual.seed(dual.seed(p), 1))
-        dual.seed(dual.seed(p, 1))          # a single-axis seed nests
-        dual.seed(dual.seed(p), 1)
+def test_nested_seeds_give_exact_higher_derivatives():
+    # at a point, on a batch of 5 and on a batch of d = 3 points, where a
+    # mis-shaped unit axis would broadcast silently instead of raising
+    for p in (sample_momenta(3, 1, 7)[0], as_batch(sample_momenta(3, 5, 7)),
+              as_batch(sample_momenta(3, 3, 7))):
+        x = np.array(p)
+        e = np.sqrt(np.sum(x * x, axis=0))
+        eye = np.eye(3).reshape((3, 3) + (1,) * (x.ndim - 1))
+        want = (eye - x[:, None] * x[None] / (e * e)) / e
+        got = dual.eps(dual.eps(energy(dual.seed(dual.seed(p)))))
+        assert got.shape == (3, 3) + e.shape
+        assert np.all(np.abs(got - want) <= 4 * EPS / e)
+        q = dual.seed(dual.seed(dual.seed(p)))
+        third = dual.eps(dual.eps(dual.eps(q[0] * q[0] * q[1])))
+        assert np.all(third[0, 0, 1] == 2.0) and np.all(third[0, 1, 0] == 2.0)
+        assert np.all(third[2, 2, 2] == 0.0)
 
 
 @settings(deadline=None, max_examples=5)
@@ -393,7 +403,7 @@ def test_all_axes_seed_over_a_single_axis_partial(seed):
         for k in range(3):
             g = f.partial(k)
             got = g.deriv(p)
-            want = np.stack([g.partial(l)(p) for l in range(3)])
+            want = np.stack([axis_partial(g, p, l) for l in range(3)])
             assert got.shape == want.shape and np.array_equal(got, want)
 
 
@@ -653,6 +663,32 @@ def test_no_stale_hit_from_transient_nodes():
         assert np.array_equal(da, leaf(c).partial(0).deriv(p))
 
 
+def test_deriv_and_every_partial_share_one_seeded_evaluation(monkeypatch):
+    # on one argument, deriv and all d partials compute the field once, on
+    # its seeded argument, and each partial is its slice of deriv
+    fields = [catalog_unitary(name).closed for name in ("U2", "V1")]
+    computed, ev = [], OperatorField._eval
+
+    def spy(self, q):
+        q = opcalc._Argument.of(q)
+        if any(self is f for f in fields) and id(self) not in q.values:
+            computed.append((self, q))
+        return ev(self, q)
+
+    monkeypatch.setattr(OperatorField, "_eval", spy)
+    for f in fields:
+        for p in (as_batch(sample_momenta(3, 4, 3)),
+                  opcalc._Argument(sample_momenta(3, 1, 3)[0])):
+            computed.clear()
+            deriv = f.deriv(p)
+            for k in range(3):
+                got = f.partial(k)(p)
+                assert got.shape == deriv[k].shape
+                assert got.tobytes() == deriv[k].tobytes()
+            assert len(computed) == 1
+            assert computed[0][0] is f and computed[0][1] is p.seeded()
+
+
 def test_values_inside_a_build_are_read_only():
     f = catalog_unitary("V1").closed
     p = as_batch(sample_momenta(3, 4, 1))
@@ -677,8 +713,7 @@ def test_values_inside_a_build_are_read_only():
 def test_xpsi_evaluates_each_conjugating_term_once_per_argument(monkeypatch):
     calls, seeds = [], []                   # pin every argument they saw
     seed = dual.seed
-    monkeypatch.setattr(dual, "seed", lambda q, k=None: (
-        seeds.append((q, k)), seed(q, k))[1])
+    monkeypatch.setattr(dual, "seed", lambda q: (seeds.append(q), seed(q))[1])
 
     def counted(f):
         return OperatorField(f.dim, f.d, [
@@ -691,8 +726,8 @@ def test_xpsi_evaluates_each_conjugating_term_once_per_argument(monkeypatch):
     per_argument = Counter((f, i, id(q)) for f, i, q in calls)
     assert len({(f, i) for f, i, _ in calls}) == 5
     assert max(per_argument.values()) == 1
-    # each seeded argument is made once: per argument and axis
-    assert max(Counter((id(q), k) for q, k in seeds).values()) == 1
+    # each argument is seeded once
+    assert max(Counter(id(q) for q in seeds).values()) == 1
 
 
 @settings(deadline=None, max_examples=3)

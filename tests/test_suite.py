@@ -135,10 +135,10 @@ def test_a_composed_map_that_is_not_unitary_fails_its_check(monkeypatch):
 
 
 def test_each_set_of_points_is_one_argument_per_run(monkeypatch):
-    # U2's closed form is computed once per distinct argument: 4 times on the
-    # 12 sample points (plainly and seeded along each of the 3 axes; 11 times
-    # when each check built its own argument), once on the 2-point unitarity
-    # probe (3 times), 4 times on the covariance check's 4 points and once on
+    # U2's closed form is computed once per distinct argument: 2 times on the
+    # 12 sample points (plainly and seeded along every axis; 11 times when
+    # each check built its own argument), once on the 2-point unitarity
+    # probe (3 times), 2 times on the covariance check's 4 points and once on
     # the 6 points with p3 > 0 of tU2_alt_norm_p3pos
     u2, ev = eqs.catalog_unitary("U2").closed, opcalc.OperatorField._eval
     computed = Counter()
@@ -152,7 +152,7 @@ def test_each_set_of_points_is_one_argument_per_run(monkeypatch):
     monkeypatch.setattr(opcalc.OperatorField, "_eval", spy)
     monkeypatch.setattr(opcalc.OperatorField, "__call__", spy)
     run_verify_all(CFG)
-    assert computed == {(12,): 4, (2,): 1, (4,): 4, (6,): 1}
+    assert computed == {(12,): 2, (2,): 1, (4,): 2, (6,): 1}
 
 
 def test_bitwise_equal_points_share_an_argument():
