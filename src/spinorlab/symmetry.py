@@ -18,11 +18,13 @@ sample momenta (the group and its sign images are built once per d).  Per
 chunk of elements within ``STACK_BYTES``, one stacked QR of the Sylvester
 maps M |-> H(p_i) M - M Htilde(p_i), written into two diagonal views of one
 zeroed stack (:func:`_sylvester`), and one SVD of their square R factors
-give singular values, Vh and nullities as arrays: an invariance claim must
-survive a holdout test at 1e-7 (per nullity, candidates sliced from Vh,
-scored and normalised as stacks), a non-invariance claim needs
-sigma_min > 1e-4 sigma_max, and an element in the gap between, or whose
-nullspace has no member that passes the holdout, is :class:`Indeterminate`.
+give singular values, Vh and nullities as arrays.  An invariance claim must
+survive a holdout test at 1e-7: per nullity, one candidate per element is
+scored as a stack (its basis vector, or a seeded random member of a larger
+nullspace), and all 32 random members, then the basis, only for an element
+it leaves open.  A non-invariance claim needs sigma_min > 1e-4 sigma_max,
+and an element in the gap between, or whose nullspace has no member that
+passes the holdout, is :class:`Indeterminate`.
 Coherence checks the invariant elements, which form an XOR group: the
 products M_b conj^{c_b}(M_j) composing to g = g_b g_j take one GEMM.  Both
 the holdout score and coherence read the relative residual
@@ -250,13 +252,15 @@ def _residuals(k, ms, h_norms):
     of one GEMM with its Sylvester map k[e]^T (a single row twice: numpy sends
     one row to GEMV, which rounds otherwise), so a value does not depend on
     the other Ms; |r|^2 and |M|^2 are ``np.vecdot``s of float views, which
-    warn on overflow.  ``h_norms`` holds |H| per point; NaN propagates."""
+    warn on overflow.  ``h_norms`` holds |H| per point; the max over points
+    is elementwise (faster than np.max on a short axis), NaN propagates."""
     vec = ms.reshape(ms.shape[:2] + (-1,))
     rows = np.concatenate([vec, vec], axis=1) if vec.shape[1] == 1 else vec
     r = (rows @ k.mT)[:, :vec.shape[1]].view(float)
     r, v = r.reshape(ms.shape[:2] + (len(h_norms), -1)), vec.view(float)
     den = h_norms * np.sqrt(np.vecdot(v, v))[..., None]
-    return np.max(np.sqrt(np.vecdot(r, r)) / den, axis=-1)
+    return functools.reduce(np.maximum, np.moveaxis(
+        np.sqrt(np.vecdot(r, r)) / den, -1, 0))
 
 
 def _solve_chunk(eq, htilde, h, n_fit, n_holdout, seed):
@@ -271,19 +275,20 @@ def _solve_chunk(eq, htilde, h, n_fit, n_holdout, seed):
                               "falls between thresholds")
            for k, lo, hi in zip(nullities, smin, smax)]
     for k in set(nullities) - {0}:
-        # the basis and, if k > 1, 32 random members (invertible almost
-        # surely if any member is); the first good one is kept
+        # if k > 1, 32 seeded random members, then the basis: det M is a
+        # polynomial on the nullspace, so the first member is invertible
+        # almost surely if any is; all only if it fails, the first good kept
         idx = np.flatnonzero(nullity == k)
         cands = vh[idx, -k:].conj()
         if k > 1:
             w = np.random.default_rng(seed + 1).normal(size=(32, 2, k))
-            cands = np.concatenate([cands, (w[:, 0] + 1j * w[:, 1]) @ cands],
+            cands = np.concatenate([(w[:, 0] + 1j * w[:, 1]) @ cands, cands],
                                    axis=1)
         cands = cands.reshape(len(idx), -1, eq.dim, eq.dim)
         k_hold = _sylvester(htilde[idx, hold], h[hold])
         h_norms = np.linalg.norm(h[hold], axis=(-2, -1))
         n = cands.shape[1]
-        for width in sorted({min(k + 1, n), n}):    # the rest if needed
+        for width in sorted({1, n}):                # the rest if needed
             block = cands[:, :width]
             hres = _residuals(k_hold, block, h_norms)
             good = (cond2(block) <= 1e6) & (hres <= HOLDOUT_TOL)

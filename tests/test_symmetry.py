@@ -800,10 +800,10 @@ def _solve_one_by_one(eq, g, seed, nullspace=svd_nullspace):
         return Indeterminate(float(smin / smax), f"sigma_min/sigma_max = "
                              f"{smin / smax:.3e} falls between thresholds")
     candidates = vh[len(vh) - nullity:].conj()
-    if nullity > 1:
+    if nullity > 1:     # the random members first, the basis last
         w = np.random.default_rng(seed + 1).normal(size=(32, 2, nullity))
-        candidates = np.vstack([candidates,
-                                (w[:, 0] + 1j * w[:, 1]) @ candidates])
+        candidates = np.vstack([(w[:, 0] + 1j * w[:, 1]) @ candidates,
+                                candidates])
     candidates = candidates.reshape(-1, eq.dim, eq.dim)
     hres = symmetry._residuals(_kron_map(ht[hold], h[hold])[None],
                                candidates[None],
@@ -947,10 +947,11 @@ def test_indeterminate_elements_are_results_in_place_across_chunks(
 
 
 def test_open_elements_fall_back_to_every_member(monkeypatch):
-    # chi_4c's nullspaces are two-dimensional: the basis and the first random
-    # member are scored first, and all 34 candidates when none of them is
-    # good.  Marking all but the listed candidates singular forces that
-    # fallback; the element must keep its first good candidate
+    # chi_4c's nullspaces are two-dimensional: the first random member is
+    # scored first, and all 34 candidates (32 random members, then the
+    # basis) when it is not good.  Marking all but the listed candidates
+    # singular forces that fallback; the element must keep its first good
+    # candidate
     eq = catalog_equation("chi_4c")
     default = _fingerprint(classify_equation(eq))
     cond2 = symmetry.cond2
@@ -965,9 +966,71 @@ def test_open_elements_fall_back_to_every_member(monkeypatch):
         assert all(v.invariant for v in rep.verdicts)
         return _fingerprint(rep)
 
-    fifth = keeping(5)
-    assert keeping(5, 9) == fifth != keeping(9)
-    assert keeping(2) == default != fifth      # the first random member
+    fourth = keeping(3)
+    assert keeping(3, 7) == fourth != keeping(7)
+    assert keeping(0) == default != fourth     # the first random member
+
+
+@pytest.mark.parametrize("seed", [42, 5, 7])
+def test_the_first_round_scores_one_candidate_per_element(seed, monkeypatch):
+    # a generic member of a nullspace is invertible almost surely if any
+    # member is, so the first candidate (the basis vector at nullity 1, the
+    # first random member above) decides every catalog element: one cond2
+    # stack per (chunk, nullity) group, one matrix per element, no fallback
+    nullspace, cond2, groups, blocks = (symmetry.svd_nullspace,
+                                        symmetry.cond2, [], [])
+
+    def spy_nullspace(m, *args):
+        s, vh, nullity = nullspace(m, *args)
+        groups.append(nullity[nullity > 0].tolist())
+        return s, vh, nullity
+
+    def spy_cond2(block):
+        blocks.append(block.shape[:2])
+        return cond2(block)
+
+    monkeypatch.setattr(symmetry, "svd_nullspace", spy_nullspace)
+    monkeypatch.setattr(symmetry, "cond2", spy_cond2)
+    for name in EQUATION_NAMES:
+        groups.clear()
+        blocks.clear()
+        classify_equation(catalog_equation(name), seed=seed)
+        assert len(blocks) == sum(len(set(g)) for g in groups) > 0, name
+        assert [w for _, w in blocks] == [1] * len(blocks), name
+        assert sum(e for e, _ in blocks) == sum(map(len, groups)), name
+
+
+def test_the_fallback_scores_the_basis_last(monkeypatch):
+    # every random member marked singular: the basis, scored last in the
+    # fallback round, still decides.  dirac_massless's elements keep their
+    # first invertible basis vector; chi_4c's basis vectors are singular,
+    # so its elements are left open
+    cond2 = symmetry.cond2
+
+    def random_members_singular(block):
+        # nullity 2 throughout: column 0 alone in the first round, then 32
+        # random members and the basis in columns 32 and 33
+        return np.where(np.arange(block.shape[1]) < 32, np.inf, cond2(block))
+
+    monkeypatch.setattr(symmetry, "cond2", random_members_singular)
+    for name in ("dirac_massless", "chi_4c"):
+        eq = catalog_equation(name)
+        elements = group_elements(eq.d)
+        ht, h = intertwine_condition(eq, elements, as_batch(
+            symmetry._fit_and_holdout(eq.d, 12, 4, 42)))
+        _, vh, nullity = svd_nullspace(symmetry._sylvester(ht[:, :12], h[:12]))
+        assert (nullity == 2).all()
+        bases = vh[:, -2:].conj().reshape(-1, 2, eq.dim, eq.dim)
+        for basis, got in zip(bases, solve_intertwiner(eq, elements)):
+            invertible = basis[cond2(basis) <= 1e6]
+            if name == "chi_4c":
+                assert not len(invertible)
+                assert got.reason == ("nullspace found but no invertible "
+                                      "member passed the holdout test")
+                continue
+            want = invertible[0] / np.linalg.norm(invertible[0])
+            assert got.matrix.tobytes() == (want * np.sqrt(eq.dim)).tobytes()
+            assert got.holdout_residual <= symmetry.HOLDOUT_TOL
 
 
 def _random_scoring(name, width):
@@ -981,11 +1044,11 @@ def _random_scoring(name, width):
     return ht, h, symmetry._sylvester(ht, h), np.linalg.norm(h, axis=(1, 2)), c
 
 
-@pytest.mark.parametrize("name, widths", [("chi_4c", (3, 34)),
-                                          ("phi_diag", (9, 40))])
+@pytest.mark.parametrize("name, widths", [("chi_4c", (1, 34)),
+                                          ("phi_diag", (1, 40))])
 def test_a_candidates_residual_does_not_depend_on_its_width(name, widths,
                                                             monkeypatch):
-    # the first width (the basis and one random member) is made to fail, so
+    # the first width (the first random member) is made to fail, so
     # every element is scored again among all its members: the same first
     # good candidate is kept with the same residual, bit for bit
     eq = catalog_equation(name)
