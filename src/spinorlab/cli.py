@@ -3,8 +3,10 @@
 Subcommands: ``report``, ``verify-all``, ``algebra``, ``transform``,
 ``position``, ``content``.  ``algebra``, ``transform`` and ``position`` run
 the matching rows of the check registry and print the ``verify-all``
-document.  JSON output is byte-deterministic for a fixed configuration; every
-float is serialized with 17 significant digits.
+document.  Every subcommand takes one flag per ``RunConfig`` field and
+rejects a flag that none of its checks reads; tolerances and the holdout
+size are constants.  JSON output is byte-deterministic for a fixed
+configuration; every float is serialized with 17 significant digits.
 
 Exit codes: 0 pass, 1 check failure, 2 usage error, 3 a ``report`` failing
 nothing with an element undecided (``"invariant": null``, a ``"reason"``).
@@ -129,9 +131,8 @@ def _equation(args, reads):
 
 
 def cmd_report(args) -> int:
-    cfg, eq = _equation(args, {"seed", "samples", "holdout"})
-    report = classify_equation(eq, seed=cfg.seed, n_fit=cfg.samples,
-                               n_holdout=cfg.holdout)
+    cfg, eq = _equation(args, {"seed", "samples"})
+    report = classify_equation(eq, seed=cfg.seed, n_fit=cfg.samples)
     undecided = any(v.invariant is None for v in report.verdicts)
     if args.element is not None:    # the summary stays the full group's
         report = replace(report,

@@ -124,8 +124,8 @@ def catalog_equation(name: str, m: float = 1.0, kappa: float = 1.0,
 @functools.lru_cache(maxsize=256)
 def _catalog_equation(name: str, m: float, kappa: float,
                       corrupt_reduction: bool) -> EquationSpec:
-    if m < 0:
-        raise ValueError("mass must be non-negative")
+    if m < 0 or kappa < 0:
+        raise ValueError("mass and kappa must be non-negative")
     s = -1.0 if name.endswith("_minus") else 1.0
 
     if name == "dirac_massless":

@@ -309,9 +309,9 @@ def helicity_field(gs: GeneratorSet, check_points) -> OperatorField:
     return h_op.a
 
 
-def _half_integer(x, tol=1e-7) -> float:
+def _half_integer(x) -> float:
     r = round(2.0 * x) / 2.0
-    if abs(x - r) > tol:
+    if abs(x - r) > 1e-7:
         raise ContentNotInvariant(f"helicity {x} is not a half-integer")
     return r
 

@@ -18,6 +18,8 @@ from .clifford import gamma_set, verify_clifford
 from .linalg import NotUnitary
 from .opcalc import sample_momenta, shared_batches
 
+TOL = 1e-9          # the tolerance of every check without its own
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -34,19 +36,13 @@ class CheckResult:
 class RunConfig:
     seed: int = 42
     samples: int = 12
-    holdout: int = 4
-    tol: float = 1e-9
     mass: float = 1.0
     kappa: float = 1.0
     corrupt_reduction: bool = False
 
     def __post_init__(self):
-        if not (0.0 < self.tol <= 1e-6):
-            raise ValueError("tol must lie in (0, 1e-6]")
         if self.samples < 8:
             raise ValueError("samples must be >= 8")
-        if self.holdout < 4:
-            raise ValueError("holdout must be >= 4")
         if not (math.isfinite(self.mass) and math.isfinite(self.kappa)):
             raise ValueError("mass and kappa must be finite")
 
@@ -70,11 +66,11 @@ def _unitary(name, cfg):
     yield CheckResult(f"unitary/{name}", eqs.unitarity_residual(u, s3), 1e-10)
     if u.exponent is not None:
         yield CheckResult(f"exp_vs_closed/{name}",
-                          eqs.exp_closed_residual(u, s3), cfg.tol)
+                          eqs.exp_closed_residual(u, s3), TOL)
     if u.source is not None and u.target is not None:
         yield CheckResult(f"transform/{name}", _transform(
             u, s3, m=cfg.mass, kappa=cfg.kappa,
-            corrupt_reduction=cfg.corrupt_reduction), cfg.tol)
+            corrupt_reduction=cfg.corrupt_reduction), TOL)
 
 
 def _transform(u, samples, **params):
@@ -87,10 +83,9 @@ def _transform(u, samples, **params):
 
 def _projectors(cfg):
     for key, val in eqs.verify_projectors(_s3(cfg), m=cfg.mass).items():
-        yield CheckResult(f"projector/{key}", val, cfg.tol)
-    for key, val in symmetry.verify_projection_relations(
-            seed=cfg.seed, n_holdout=cfg.holdout).items():
-        yield CheckResult(f"projection_relations/{key}", val, cfg.tol)
+        yield CheckResult(f"projector/{key}", val, TOL)
+    for key, val in symmetry.verify_projection_relations(cfg.seed).items():
+        yield CheckResult(f"projection_relations/{key}", val, TOL)
 
 
 def _algebra(name, cfg):
@@ -112,7 +107,7 @@ def _covariance(cfg):
 
 def _position(name, cfg):
     rep = position.verify_position(name, _s3(cfg))
-    yield CheckResult(f"position/{name}", rep["closed_vs_conjugation"], cfg.tol)
+    yield CheckResult(f"position/{name}", rep["closed_vs_conjugation"], TOL)
     yield CheckResult(f"position_canonical/{name}",
                       rep["canonical_commutator"], 1e-10)
 
@@ -136,7 +131,7 @@ def _dispersion_and_structure(cfg):
                           eqs.dispersion_residual(eq, samples), 1e-10)
     s3 = _s3(cfg)
     yield CheckResult("structure/chi_4c_block_reduction",
-                      eqs.block_reduction_residual(s3), cfg.tol)
+                      eqs.block_reduction_residual(s3), TOL)
     yield CheckResult("structure/lambda_minus_2i",
                       eqs.lambda_consistency_residual(s3), 1e-14)
 
@@ -148,34 +143,32 @@ def _registry():
                     1e-12) for name in ("rep26", "weyl")])]
     for name in eqs.UNITARY_NAMES:
         u = eqs.catalog_unitary(name)
-        wired = u.source is not None and u.target is not None
-        reads = sampled     # unitary/ has its own tolerance
-        if wired or u.exponent is not None:
-            reads |= {"tol"}
-        if wired:           # transform/ reads its equations' parameters
+        reads = sampled
+        if u.source is not None and u.target is not None:
+            # transform/ reads its equations' parameters
             reads = reads.union(*(eqs.catalog_equation(e).params for e in (
                 u.source, u.target) if isinstance(e, str)))
         out.append(Entry("transform", name, reads, partial(_unitary, name)))
     out += [
-        Entry("transform", "tU2*tU1", sampled | {"tol"}, lambda cfg: [
+        Entry("transform", "tU2*tU1", sampled, lambda cfg: [
             CheckResult("transform/tU2*tU1", _transform(
-                eqs.composed_tu(), _s3(cfg)), cfg.tol)]),
-        Entry("transform", "tU2_alt_norm_p3pos", sampled | {"tol"},
+                eqs.composed_tu(), _s3(cfg)), TOL)]),
+        Entry("transform", "tU2_alt_norm_p3pos", sampled,
               lambda cfg: [CheckResult(
                   "transform/tU2_alt_norm_p3pos",
-                  eqs.tu2_alt_normalization_residual(_s3(cfg)), cfg.tol)]),
-        Entry(None, None, sampled | {"holdout", "tol", "mass"}, _projectors),
+                  eqs.tu2_alt_normalization_residual(_s3(cfg)), TOL)]),
+        Entry(None, None, sampled | {"mass"}, _projectors),
     ]
     out += [Entry("algebra", name,
                   frozenset({"seed", "mass"} if name == "flat" else {"seed"}),
                   partial(_algebra, name))
             for name in poincare.GENERATOR_NAMES]
     out.append(Entry(None, None, frozenset({"seed"}), _covariance))
-    out += [Entry("position", name, sampled | {"tol"},
-                  partial(_position, name)) for name in position.POSITION_NAMES]
+    out += [Entry("position", name, sampled, partial(_position, name))
+            for name in position.POSITION_NAMES]
     out += [
         Entry(None, None, sampled, _content),
-        Entry(None, None, sampled | {"mass", "kappa", "tol"},
+        Entry(None, None, sampled | {"mass", "kappa"},
               _dispersion_and_structure),
     ]
     return tuple(out)

@@ -19,10 +19,10 @@ chunk of elements within ``STACK_BYTES``, one stacked QR of the Sylvester
 maps M |-> H(p_i) M - M Htilde(p_i), written into two diagonal views of one
 zeroed stack (:func:`_sylvester`), and one SVD of their square R factors
 give singular values, Vh and nullities as arrays.  An invariance claim must
-survive a holdout test at 1e-7: per nullity, one candidate per element is
-scored as a stack (its basis vector, or a seeded random member of a larger
-nullspace), and all 32 random members, then the basis, only for an element
-it leaves open.  A non-invariance claim needs sigma_min > 1e-4 sigma_max,
+survive a holdout test at 1e-7 on ``HOLDOUT_POINTS`` momenta of their own
+seed: per nullity, one candidate per element is scored as a stack (its
+basis vector, or a seeded random member of a larger nullspace), and all 32
+random members, then the basis, only for an element it leaves open.  A non-invariance claim needs sigma_min > 1e-4 sigma_max,
 and an element in the gap between, or whose nullspace has no member that
 passes the holdout, is :class:`Indeterminate`.
 Coherence checks the invariant elements, which form an XOR group: the
@@ -50,6 +50,7 @@ from .linalg import (TOL_NULLSPACE, cond2, dagger, mat_max, polar_unitary,
 from .opcalc import as_batch, sample_momenta
 
 HOLDOUT_TOL = 1e-7            # relative residual for confirmed invariance
+HOLDOUT_POINTS = 4            # momenta of the holdout test, own seed
 CERTIFICATE_TOL = 1e-4        # sigma_min/sigma_max floor for non-invariance
 N_POLISH = 8                  # best oracle candidates that are polished
 POLISH_STEPS = 1500           # power-iteration steps of that polish
@@ -187,36 +188,36 @@ class Indeterminate:
     reason: str
 
 
-def solve_intertwiner(eq, g, n_fit: int = 12, n_holdout: int = 4,
-                      seed: int = 42, conditions=None):
+def solve_intertwiner(eq, g, n_fit: int = 12, seed: int = 42,
+                      conditions=None):
     """Nullspace solve: an Intertwiner, NonInvariance or Indeterminate.
 
     ``g`` is one element, or a sequence solved from one evaluation of H (a
-    list of results).  ``conditions`` may pass their (Htilde, H) stacks from
-    :func:`intertwine_condition` over the fit, holdout and further momenta;
-    a non-finite entry in any row raises ValueError naming that sample.
+    list of results).  Each is fit on ``n_fit`` momenta and held out on
+    ``HOLDOUT_POINTS`` more.  ``conditions`` may pass their (Htilde, H)
+    stacks from :func:`intertwine_condition` over the fit, holdout and
+    further momenta; a non-finite entry in any row raises ValueError naming
+    that sample.
     """
     if n_fit < 2 * eq.d + 4:
         raise ValueError(
             f"{eq.name}: n_fit = {n_fit} is below 2d + 4 = {2 * eq.d + 4}")
-    if n_holdout < 4:
-        raise ValueError("n_holdout must be >= 4")
     single = isinstance(g, SymmetryElement)
     elements = [g] if single else list(g)
     if not elements:
         return []
     htilde, h = conditions or intertwine_condition(
-        eq, elements, as_batch(_fit_and_holdout(eq.d, n_fit, n_holdout, seed)))
+        eq, elements, as_batch(_fit_and_holdout(eq.d, n_fit, seed)))
     _require_finite(eq, htilde, h)
     out = [r for part in _chunks(len(elements), 16 * n_fit * eq.dim ** 4)
-           for r in _solve_chunk(eq, htilde[part], h, n_fit, n_holdout, seed)]
+           for r in _solve_chunk(eq, htilde[part], h, n_fit, seed)]
     return out[0] if single else out
 
 
-def _fit_and_holdout(d: int, n_fit: int, n_holdout: int, seed: int) -> list:
+def _fit_and_holdout(d: int, n_fit: int, seed: int) -> list:
     """The fit momenta, then the holdout momenta, drawn from their own seed."""
     return (sample_momenta(d, n_fit, seed)
-            + sample_momenta(d, n_holdout, seed + 7919))
+            + sample_momenta(d, HOLDOUT_POINTS, seed + 7919))
 
 
 def _require_finite(eq, htilde, h):
@@ -263,10 +264,10 @@ def _residuals(k, ms, h_norms):
         np.sqrt(np.vecdot(r, r)) / den, -1, 0))
 
 
-def _solve_chunk(eq, htilde, h, n_fit, n_holdout, seed):
+def _solve_chunk(eq, htilde, h, n_fit, seed):
     """One result per element (row of ``htilde``): one stacked nullspace, then
     per nullity one holdout map, score, normalisation and polar stack."""
-    fit, hold = slice(n_fit), slice(n_fit, n_fit + n_holdout)
+    fit, hold = slice(n_fit), slice(n_fit, n_fit + HOLDOUT_POINTS)
     s, vh, nullity = svd_nullspace(_sylvester(htilde[:, fit], h[fit]),
                                    TOL_NULLSPACE)
     nullities, (smax, smin) = nullity.tolist(), s[:, [0, -1]].T.tolist()
@@ -337,16 +338,16 @@ class ClassificationReport:
         raise KeyError(label)
 
 
-def classify_equation(eq, seed: int = 42, n_fit: int = 12,
-                      n_holdout: int = 4) -> ClassificationReport:
+def classify_equation(eq, seed: int = 42,
+                      n_fit: int = 12) -> ClassificationReport:
     """Solve every group element, check each decided verdict against the one
     that ``eq.breaks`` gives it (agreement) and check coherence."""
     elements = group_elements(eq.d)
     htilde, h = intertwine_condition(eq, elements, as_batch(
-        _fit_and_holdout(eq.d, n_fit, n_holdout, seed)
+        _fit_and_holdout(eq.d, n_fit, seed)
         + sample_momenta(eq.d, 4, seed + 31)))
-    outs = solve_intertwiner(eq, elements, n_fit=n_fit, n_holdout=n_holdout,
-                             seed=seed, conditions=(htilde, h))
+    outs = solve_intertwiner(eq, elements, n_fit=n_fit, seed=seed,
+                             conditions=(htilde, h))
     verdicts = [ElementVerdict(g, True, out.holdout_residual, out)
                 if isinstance(out, Intertwiner)
                 else ElementVerdict(g, False, out.relative, None)
@@ -356,7 +357,7 @@ def classify_equation(eq, seed: int = 42, n_fit: int = 12,
     breaks = SymmetryElement.parse(eq.breaks, eq.d)
     agreement = all(v.invariant in (None, g.keeps(breaks))
                     for g, v in zip(elements, verdicts))
-    check = slice(n_fit + n_holdout, None)
+    check = slice(n_fit + HOLDOUT_POINTS, None)
     coherence_ok = bool(_coherence(verdicts, htilde[:, check], h[check]) <= 1e-6)
 
     return ClassificationReport(eq.name, tuple(verdicts), agreement,
@@ -392,16 +393,13 @@ def _coherence(verdicts, check_t, check_h) -> float:
 
 # -- random-search oracle -----------------------------------------------------
 
-def random_search_oracle(eq, g: SymmetryElement, points,
-                         n_candidates: int = 100_000, seed: int = 42,
-                         pool: Optional[np.ndarray] = None):
+def random_search_oracle(eq, g: SymmetryElement, points, pool: np.ndarray):
     """Independent invariance probe: random candidates plus power-iteration polish.
 
-    Draws ``n_candidates`` random matrices (or takes the rows v of ``pool``)
-    and scores each by its relative condition residual
-    sqrt(v^H G v / (|v|^2 |H|^2)), G the Gram matrix of the stacked map,
-    one real matrix product per row block within ``STACK_BYTES``, the square
-    root taken only at the minimum.  The ``N_POLISH`` best are driven
+    Takes the rows v of ``pool`` and scores each by its relative condition
+    residual sqrt(v^H G v / (|v|^2 |H|^2)), G the Gram matrix of the stacked
+    map, one real matrix product per row block within ``STACK_BYTES``, the
+    square root taken only at the minimum.  The ``N_POLISH`` best are driven
     towards the minimum of that quadratic residual by ``POLISH_STEPS`` steps
     of normalised power iteration with I - G/|G|_2, taken as one matrix
     power by repeated squaring; |G|_2 comes from squarings of G as well.
@@ -411,7 +409,7 @@ def random_search_oracle(eq, g: SymmetryElement, points,
     residual, or a pool that is empty or not dim^2 wide, raises ValueError:
     NaN never reads as non-invariance.
     """
-    shape = np.shape(pool) if pool is not None else (n_candidates, eq.dim ** 2)
+    shape = np.shape(pool)
     if len(shape) != 2 or shape[0] < 1 or shape[1] != eq.dim ** 2:
         raise ValueError(f"{eq.name}/{g.label}: oracle pool of shape {shape}, "
                          f"not (n >= 1, {eq.dim ** 2})")
@@ -426,10 +424,6 @@ def random_search_oracle(eq, g: SymmetryElement, points,
     n2 = len(gram)
     scale2 = np.vdot(h, h).real
 
-    if pool is None:
-        rng = np.random.default_rng(seed)
-        pool = rng.normal(size=(n_candidates, n2)) \
-            + 1j * rng.normal(size=(n_candidates, n2))
     # v^H G v = u^T R u on the interleaved (re, im) view u of v
     pool = np.ascontiguousarray(pool, dtype=complex)
     u = pool.view(float)
@@ -487,7 +481,7 @@ def _normalised_power(m, k: int, w):
 
 # -- projector / reflection interplay ----------------------------------------
 
-def verify_projection_relations(seed: int = 42, n_holdout: int = 4) -> dict:
+def verify_projection_relations(seed: int = 42) -> dict:
     """Solved four-component intertwiners swap or fix the block projectors.
 
     An element that keeps chi_4c fixes Q+ and Q- if it also keeps the parity
@@ -501,7 +495,7 @@ def verify_projection_relations(seed: int = 42, n_holdout: int = 4) -> dict:
     elements = [SymmetryElement.parse(label, 3) for label in labels]
     breaks = SymmetryElement.parse(eqs.catalog_equation("chi_plus").breaks, 3)
     outs = solve_intertwiner(eqs.catalog_equation("chi_4c"), elements,
-                             n_holdout=n_holdout, seed=seed)
+                             seed=seed)
     q, res = (eqs.Q_PLUS, eqs.Q_MINUS), {}
     for label, g, out in zip(labels, elements, outs):
         m = out.matrix if isinstance(out, Intertwiner) else np.nan * q[0]

@@ -13,6 +13,7 @@ from helpers import kept
 from spinorlab.cli import dumps, main
 from spinorlab.equations import EQUATION_NAMES, catalog_equation
 from spinorlab.poincare import CONTENT_SETS
+from spinorlab.suite import RunConfig
 
 
 def run_cli(*args):
@@ -157,7 +158,7 @@ def test_content_chi_minus_has_half_integer_helicities(capsys):
 
 
 def test_invalid_config_rejected():
-    code, _, _ = run_cli("verify-all", "--tol", "0.5")
+    code, _, _ = run_cli("verify-all", "--mass", "-1")
     assert code == 2
     code, _, _ = run_cli("verify-all", "--samples", "4")
     assert code == 2
@@ -188,12 +189,12 @@ def test_dumps_rejects_non_finite_floats(x):
 
 @pytest.mark.parametrize("argv", [
     ["position", "--name", "XW", "--mass", "7"],
-    ["algebra", "--generators", "psi", "--tol", "1e-8"],
+    ["algebra", "--generators", "psi", "--samples", "16"],
     ["transform", "--name", "U1", "--corrupt-reduction"],
     ["transform", "--name", "bogus"],
     ["algebra", "--generators", "flat", "--mass", "nan"],
     ["content", "--equation", "chi_plus", "--mass", "7"],
-    ["report", "--equation", "weyl_plus", "--tol", "1e-7"],
+    ["report", "--equation", "weyl_plus", "--kappa", "2"],
     ["report", "--equation", "weyl_plus", "--mass", "7"],
     ["report", "--equation", "flat_plus", "--corrupt-reduction"],
     ["content", "--equation", "weyl_plus", "--corrupt-reduction"],
@@ -202,6 +203,40 @@ def test_dumps_rejects_non_finite_floats(x):
 ])
 def test_unread_flag_empty_selection_or_bad_value_exits_2(argv, capsys):
     assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+# every subcommand but report, one subject each (flat and V2 read --mass)
+SUBCOMMANDS = [["verify-all"], ["algebra", "--generators", "flat"],
+               ["transform", "--name", "V2"], ["position", "--name", "XW"],
+               ["content", "--equation", "chi_plus"]]
+
+
+def test_config_fields_are_the_only_flags(capsys):
+    assert {f.name for f in dataclasses.fields(RunConfig)} == {
+        "seed", "samples", "mass", "kappa", "corrupt_reduction"}
+    for argv in SUBCOMMANDS + [["report", "--equation", "chi_plus"]]:
+        for flag in (["--tol", "1e-9"], ["--holdout", "4"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + flag)
+            assert exc.value.code == 2, argv + flag
+            assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("flag, param, reader", [
+    ("--mass", "m", "flat_plus"), ("--kappa", "kappa", "desitter")])
+def test_negative_mass_or_kappa_exits_2_with_one_error_line(flag, param,
+                                                            reader, capsys):
+    with pytest.raises(ValueError, match="non-negative"):
+        catalog_equation(reader, **{param: -1.0})
+    for argv in SUBCOMMANDS + [["report", "--equation", reader]]:
+        assert main(argv + [flag, "-1"]) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    # argparse reads -1e-300 as a missing argument: a usage error as well
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-all", flag, "-1e-300"])
+    assert exc.value.code == 2
     assert capsys.readouterr().out == ""
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from spinorlab import equations as eqs
-from spinorlab import opcalc, poincare, position, suite, symmetry
+from spinorlab import opcalc, poincare, position, suite
 from spinorlab.cli import build_parser
 from spinorlab.opcalc import sample_momenta
 from spinorlab.suite import REGISTRY, RunConfig, run_checks, run_verify_all
@@ -63,42 +63,26 @@ def test_every_config_field_is_read_by_some_entry():
 
 
 _S = frozenset({"seed", "samples"})
-_ST = _S | {"tol"}
 # the RunConfig fields each registry entry reads, by its first check's name
 READS = {
     "clifford/rep26": frozenset(),
-    **{f"unitary/{n}": _ST for n in ("U1", "U2", "V")},
-    "unitary/tU1": _S, "unitary/tU2": _S,
-    "unitary/V1": _ST | {"corrupt_reduction"},
-    "unitary/V2": _ST | {"mass"},
-    "transform/tU2*tU1": _ST, "transform/tU2_alt_norm_p3pos": _ST,
-    "projector/q_idempotent": _ST | {"holdout", "mass"},
+    **{f"unitary/{n}": _S for n in ("U1", "U2", "tU1", "tU2", "V")},
+    "unitary/V1": _S | {"corrupt_reduction"},
+    "unitary/V2": _S | {"mass"},
+    "transform/tU2*tU1": _S, "transform/tU2_alt_norm_p3pos": _S,
+    "projector/q_idempotent": _S | {"mass"},
     **{f"algebra/{n}": {"seed"} for n in poincare.GENERATOR_NAMES},
     "algebra/flat": {"seed", "mass"},
     "covariance/chi_to_phi_by_U2": {"seed"},
-    **{f"position/{n}": _ST for n in position.POSITION_NAMES},
+    **{f"position/{n}": _S for n in position.POSITION_NAMES},
     "content/dirac_massless": _S,
-    "dispersion/dirac_massless": _ST | {"mass", "kappa"},
+    "dispersion/dirac_massless": _S | {"mass", "kappa"},
 }
 
 
 def test_every_entry_reads_its_pinned_fields():
     assert len(REGISTRY) == len(READS)
     assert {next(iter(e.run(CFG))).name: e.reads for e in REGISTRY} == READS
-
-
-def test_holdout_reaches_the_intertwiner_solver(monkeypatch):
-    seen = []
-    solve = symmetry.solve_intertwiner
-
-    def spy(*args, **kwargs):
-        seen.append(kwargs["n_holdout"])
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(symmetry, "solve_intertwiner", spy)
-    entry, = [e for e in REGISTRY if e.run is suite._projectors]
-    list(entry.run(RunConfig(holdout=9)))
-    assert seen and set(seen) == {9}
 
 
 @pytest.mark.parametrize("field", ["mass", "kappa"])

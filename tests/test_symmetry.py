@@ -169,8 +169,6 @@ def test_solver_validates_sample_counts():
     g = SymmetryElement.parse("C", 3)
     with pytest.raises(ValueError):
         solve_intertwiner(eq, g, n_fit=4)
-    with pytest.raises(ValueError):
-        solve_intertwiner(eq, g, n_holdout=2)
 
 
 @pytest.mark.parametrize("name, minimum", [("flat_plus", 8), ("chi_plus", 10),
@@ -260,14 +258,20 @@ def test_corruption_flips_a_verdict():
 
 # -- oracle and projector relations ------------------------------------------------
 
+def _oracle_pool(eq, n, seed=11):
+    rng = np.random.default_rng(seed)
+    return (rng.normal(size=(n, eq.dim ** 2))
+            + 1j * rng.normal(size=(n, eq.dim ** 2)))
+
+
 def test_oracle_agrees_on_spot_checks():
     eq = catalog_equation("chi_plus")
-    pts = sample_momenta(3, 12, 42)
+    pts, pool = sample_momenta(3, 12, 42), _oracle_pool(eq, 20_000, 5)
     best, verdict = random_search_oracle(eq, SymmetryElement.parse("C", 3),
-                                         pts, n_candidates=20_000, seed=5)
+                                         pts, pool)
     assert verdict and best < 1e-3
     best, verdict = random_search_oracle(eq, SymmetryElement.parse("P1", 3),
-                                         pts, n_candidates=20_000, seed=5)
+                                         pts, pool)
     assert not verdict and best > 1e-2
 
 
@@ -325,7 +329,8 @@ def test_oracle_makes_no_svd_or_eigensolver_call(monkeypatch):
     pts = sample_momenta(3, 12, 42)
     for label, want in (("C", True), ("P1", False)):
         best, verdict = random_search_oracle(
-            eq, SymmetryElement.parse(label, 3), pts, n_candidates=2_000)
+            eq, SymmetryElement.parse(label, 3), pts,
+            _oracle_pool(eq, 2_000, 42))
         assert verdict == want and np.isfinite(best)
 
 
@@ -336,7 +341,7 @@ def test_oracle_raises_on_nan_in_h():
                        match="^chi_plus: non-finite H at sample 3$"):
         random_search_oracle(_poisoned(eq, pts[3]),
                              SymmetryElement.parse("P1", 3), pts,
-                             n_candidates=2_000)
+                             _oracle_pool(eq, 2_000, 42))
 
 
 def test_oracle_best_propagates_nan():
@@ -360,7 +365,7 @@ def test_oracle_zero_gram_is_invariant_without_polish():
         warnings.simplefilter("error")
         assert random_search_oracle(eq, SymmetryElement.parse("P1", 3),
                                     sample_momenta(3, 12, 42),
-                                    n_candidates=2_000) == (0.0, True)
+                                    _oracle_pool(eq, 2_000, 42)) == (0.0, True)
 
 
 def test_oracle_zero_shift_keeps_the_start_vectors():
@@ -371,7 +376,7 @@ def test_oracle_zero_shift_keeps_the_start_vectors():
         warnings.simplefilter("error")
         best, verdict = random_search_oracle(
             eq, SymmetryElement.parse("P1", 1), sample_momenta(1, 12, 42),
-            n_candidates=2_000)
+            _oracle_pool(eq, 2_000, 42))
     assert not verdict and abs(best - 2.0) <= 1e-15
 
 
@@ -449,12 +454,6 @@ _ORACLE_CASES = [("chi_plus", "C"), ("chi_plus", "P1"), ("desitter", "T1"),
                  ("desitter", "P1")]
 
 
-def _oracle_pool(eq, n, seed=11):
-    rng = np.random.default_rng(seed)
-    return (rng.normal(size=(n, eq.dim ** 2))
-            + 1j * rng.normal(size=(n, eq.dim ** 2)))
-
-
 def _assert_scan_matches_one_pass(eq, g, n, monkeypatch):
     pts, pool = sample_momenta(eq.d, 12, 42), _oracle_pool(eq, n)
     best, verdict, chosen, quad = _oracle_scan(eq, g, pts, pool, monkeypatch)
@@ -502,14 +501,12 @@ def test_oracle_nan_row_raises_in_any_block(where):
                              sample_momenta(3, 12, 42), pool=pool)
 
 
-@pytest.mark.parametrize("pool,n_candidates", [
-    (np.zeros((0, 4), dtype=complex), 100_000),      # an empty pool
-    (None, -1), (None, 0),                           # no candidate to draw
-    (np.ones((5, 3), dtype=complex), 100_000),       # 3 wide, not 2^2
-    (np.ones(4, dtype=complex), 100_000)],           # not a pool of rows
-    ids=["empty", "negative_count", "zero_count", "width_3", "one_axis"])
-def test_oracle_rejects_a_pool_it_cannot_scan(pool, n_candidates,
-                                              monkeypatch):
+@pytest.mark.parametrize("pool", [
+    np.zeros((0, 4), dtype=complex),                 # an empty pool
+    np.ones((5, 3), dtype=complex),                  # 3 wide, not 2^2
+    np.ones(4, dtype=complex)],                      # not a pool of rows
+    ids=["empty", "width_3", "one_axis"])
+def test_oracle_rejects_a_pool_it_cannot_scan(pool, monkeypatch):
     def unreachable(*args):
         raise AssertionError("the pool must be checked before any scan")
 
@@ -517,8 +514,7 @@ def test_oracle_rejects_a_pool_it_cannot_scan(pool, n_candidates,
     with pytest.raises(ValueError, match="^chi_plus/P1: oracle pool of shape"):
         random_search_oracle(catalog_equation("chi_plus"),
                              SymmetryElement.parse("P1", 3),
-                             sample_momenta(3, 12, 42),
-                             n_candidates=n_candidates, pool=pool)
+                             sample_momenta(3, 12, 42), pool=pool)
 
 
 def test_oracle_peak_memory():
@@ -1017,7 +1013,7 @@ def test_the_fallback_scores_the_basis_last(monkeypatch):
         eq = catalog_equation(name)
         elements = group_elements(eq.d)
         ht, h = intertwine_condition(eq, elements, as_batch(
-            symmetry._fit_and_holdout(eq.d, 12, 4, 42)))
+            symmetry._fit_and_holdout(eq.d, 12, 42)))
         _, vh, nullity = svd_nullspace(symmetry._sylvester(ht[:, :12], h[:12]))
         assert (nullity == 2).all()
         bases = vh[:, -2:].conj().reshape(-1, 2, eq.dim, eq.dim)
@@ -1115,7 +1111,7 @@ def test_a_nullity_one_group_is_scored_once(monkeypatch):
     eq = catalog_equation("weyl_plus")
     elements = group_elements(eq.d)
     ht, h = intertwine_condition(eq, elements, as_batch(
-        symmetry._fit_and_holdout(eq.d, 12, 4, 42)))
+        symmetry._fit_and_holdout(eq.d, 12, 42)))
     h = h + (np.arange(len(h)) >= 12)[:, None, None] * 0.3 * pauli(3)
     residuals, shapes = symmetry._residuals, []
     monkeypatch.setattr(symmetry, "_residuals", lambda k, ms, h_norms: (
