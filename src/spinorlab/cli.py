@@ -8,8 +8,10 @@ rejects a flag that none of its checks reads; tolerances and the holdout
 size are constants.  JSON output is byte-deterministic for a fixed
 configuration; every float is serialized with 17 significant digits.
 
-Exit codes: 0 pass, 1 check failure, 2 usage error, 3 a ``report`` failing
-nothing with an element undecided (``"invariant": null``, a ``"reason"``).
+Exit codes: 0 pass, 1 check failure (for ``content``, a content that varies
+within a p3 branch or is not the one ``CONTENT_SETS`` states), 2 usage
+error, 3 a ``report`` failing nothing with an element undecided
+(``"invariant": null``, a ``"reason"``).
 """
 
 import argparse
@@ -157,22 +159,24 @@ def cmd_checks(args) -> int:
 
 def cmd_content(args) -> int:
     cfg, eq = _equation(args, {"seed", "samples"})
-    gs = poincare.generator_set(poincare.CONTENT_SETS[args.equation])
-    samples = sample_momenta(3, cfg.samples, cfg.seed)
+    gs_name, stated = poincare.CONTENT_SETS[args.equation]
     try:
-        branches = poincare.irrep_content_by_branch(eq, gs, samples)
+        branches = poincare.irrep_content(eq, poincare.generator_set(
+            gs_name), sample_momenta(3, cfg.samples, cfg.seed))
     except poincare.ContentNotInvariant as exc:
         print(f"content not invariant: {exc}", file=sys.stderr)
         return 1
-    doc = {"equation": args.equation,
-           "content_by_p3_branch": {
-               k: [[s, h] for s, h in v] for k, v in sorted(branches.items())}}
-    md_lines = [f"# Irrep content: {args.equation}", ""]
-    for k, v in sorted(branches.items()):
-        md_lines.append(f"p3 {k}: " + ", ".join(
-            f"(eps={s:+d}, s={h:+.1f})" for s, h in v))
+    wrong = [k for k, v in stated.items() if branches.get(k) != v]
+    if wrong:        # before the output, as for a failing check
+        print(f"content not as stated on p3 branch {', '.join(wrong)}: "
+              f"stated {[stated[k] for k in wrong]}", file=sys.stderr)
+    doc = {"equation": args.equation, "content_by_p3_branch": {
+        k: [list(label) for label in v] for k, v in branches.items()}}
+    md_lines = [f"# Irrep content: {args.equation}", ""] + [
+        f"p3 {k}: " + ", ".join(f"(eps={s:+d}, s={h:+.1f})" for s, h in v)
+        for k, v in sorted(branches.items())]
     _emit(args, doc, "\n".join(md_lines) + "\n")
-    return 0
+    return 1 if wrong else 0
 
 
 _HELP = {"corrupt_reduction": "negative control: rebuild the two-component "

@@ -183,10 +183,19 @@ def _generator_set(name: str, m: float) -> GeneratorSet:
 GENERATOR_NAMES = ("psi", "chi", "phi", "phi_pos", "phi_neg", "chi2",
                    "flat", "weyl")
 
-# equation -> the generator set whose helicity labels its irrep content
-CONTENT_SETS = {"dirac_massless": "psi", "chi_4c": "chi", "phi_diag": "phi",
-                "weyl_plus": "weyl", "chi_plus": "chi2",
-                "chi_minus": "chi2_lower"}
+# equation -> (the generator set whose helicity labels its irrep content,
+# the stated content per p3 branch): all four labels, or helicity +eps/2
+# (_UP) or -eps/2 (_DOWN), which chi_plus and chi_minus tie to the sign of p3
+_FOUR = ((-1, -0.5), (-1, 0.5), (1, -0.5), (1, 0.5))
+_UP, _DOWN = ((-1, -0.5), (1, 0.5)), ((-1, 0.5), (1, -0.5))
+CONTENT_SETS = {
+    "dirac_massless": ("psi", {"+": _FOUR, "-": _FOUR}),
+    "chi_4c": ("chi", {"+": _FOUR, "-": _FOUR}),
+    "phi_diag": ("phi", {"+": _FOUR, "-": _FOUR}),
+    "weyl_plus": ("weyl", {"+": _UP, "-": _UP}),
+    "chi_plus": ("chi2", {"+": _UP, "-": _DOWN}),
+    "chi_minus": ("chi2_lower", {"+": _DOWN, "-": _UP}),
+}
 
 
 # -- structure constants and their calibration --------------------------------
@@ -316,43 +325,26 @@ def _half_integer(x) -> float:
     return r
 
 
-def irrep_content(eq, gs: GeneratorSet, samples, u=None) -> tuple:
-    """Multiset of (energy sign, helicity) labels, identical at every sample.
+def irrep_content(eq, gs: GeneratorSet, samples) -> dict:
+    """{"+": labels, "-": labels}: the multiset of (energy sign, helicity)
+    labels on each p3 branch present in the samples.
 
     H(p) is diagonalized at each sample; within each energy-sign eigenspace
-    the helicity field is jointly diagonalized.  Given a unitary field ``u``,
-    both are first conjugated to u H u^dagger and u h u^dagger.  A content
-    that varies across samples raises ContentNotInvariant.
+    the helicity field is jointly diagonalized.  A content that varies
+    within a branch raises ContentNotInvariant.
     """
-    h_field = helicity_field(gs, samples[:2])
-    ham = eq.hamiltonian
-    if u is not None:
-        ham, h_field = u @ ham @ u.adjoint(), u @ h_field @ u.adjoint()
     p = as_batch(samples)
-    contents = set()
-    w_all, v_all = np.linalg.eigh(ham(p))
-    for w, v, hel_p in zip(w_all, v_all, h_field(p)):
-        labels = []
-        for sign in (1.0, -1.0):
-            idx = np.where(np.sign(w) == sign)[0]
-            if idx.size == 0:
-                continue
-            q = v[:, idx]
-            hel = np.linalg.eigvalsh(q.conj().T @ hel_p @ q)
-            labels.extend((int(sign), _half_integer(x)) for x in hel)
-        content = tuple(sorted(labels))
-        contents.add(content)
-    if len(contents) != 1:
-        raise ContentNotInvariant(
-            f"{eq.name}: content not invariant across samples: {contents}")
-    return content
-
-
-def irrep_content_by_branch(eq, gs: GeneratorSet, samples) -> dict:
-    """Content computed separately on the p3 > 0 and p3 < 0 sample branches."""
+    w_all, v_all = np.linalg.eigh(eq.hamiltonian(p))
+    hel_all = helicity_field(gs, samples[:2])(p)
     out = {}
-    for sign, key in ((1.0, "+"), (-1.0, "-")):
-        branch = [p for p in samples if np.sign(p[2]) == sign]
-        if branch:
-            out[key] = irrep_content(eq, gs, branch)
+    for key, rows in (("+", p[2] > 0), ("-", p[2] < 0)):
+        for w, v, hel_p in zip(w_all[rows], v_all[rows], hel_all[rows]):
+            blocks = [(eps, v[:, np.sign(w) == eps]) for eps in (1, -1)]
+            content = tuple(sorted(
+                (eps, _half_integer(x)) for eps, q in blocks
+                for x in np.linalg.eigvalsh(q.conj().T @ hel_p @ q)))
+            if out.setdefault(key, content) != content:
+                raise ContentNotInvariant(
+                    f"{eq.name}: content not invariant on the p3 {key} "
+                    f"branch: {out[key]} and {content}")
     return out

@@ -113,14 +113,13 @@ def _position(name, cfg):
 
 
 def _content(cfg):
-    def content(name):
-        gs = poincare.generator_set(poincare.CONTENT_SETS[name])
-        return poincare.irrep_content(eqs.catalog_equation(name), gs, _s3(cfg))
-    psi = ((-1, -0.5), (-1, 0.5), (1, -0.5), (1, 0.5))
-    yield CheckResult("content/dirac_massless",
-                      0.0 if content("dirac_massless") == psi else 1.0, 0.5)
-    yield CheckResult("content/weyl_plus",
-                      0.0 if len(content("weyl_plus")) == 2 else 1.0, 0.5)
+    for name in ("dirac_massless", "weyl_plus"):    # against CONTENT_SETS
+        gs_name, stated = poincare.CONTENT_SETS[name]
+        content = poincare.irrep_content(eqs.catalog_equation(name),
+                                         poincare.generator_set(gs_name),
+                                         _s3(cfg))
+        yield CheckResult(f"content/{name}",
+                          0.0 if content == stated else 1.0, 0.5)
 
 
 def _dispersion_and_structure(cfg):

@@ -150,21 +150,20 @@ def test_criterion_07_position():
 
 
 def test_criterion_08_irrep_content():
+    four = ((-1, -0.5), (-1, 0.5), (1, -0.5), (1, 0.5))
     psi = poincare.irrep_content(eqs.catalog_equation("dirac_massless"),
                                  poincare.generator_set("psi"), S3)
-    assert psi == ((-1, -0.5), (-1, 0.5), (1, -0.5), (1, 0.5))
+    assert psi == {"+": four, "-": four}
     weyl = poincare.irrep_content(eqs.catalog_equation("weyl_plus"),
                                   poincare.generator_set("weyl"), S3)
-    assert len(weyl) == 2
-    for uname in ("U1", "U2"):
-        conj = poincare.irrep_content(
-            eqs.catalog_equation("dirac_massless"),
-            poincare.generator_set("psi"), S3,
-            u=eqs.catalog_unitary(uname).closed)
-        assert conj == psi
-    _announce(8, True, "irrep content: four labels for the massless "
-              "four-component equation, two for Weyl, sample- and "
-              "conjugation-invariant")
+    assert weyl == {"+": ((-1, -0.5), (1, 0.5)), "-": ((-1, -0.5), (1, 0.5))}
+    for uname, gs in (("U1", "chi"), ("U2", "phi")):
+        image = eqs.catalog_equation(eqs.catalog_unitary(uname).target)
+        assert poincare.irrep_content(
+            image, poincare.generator_set(gs), S3) == psi
+    _announce(8, True, "irrep content: four labels on each p3 branch for "
+              "the massless four-component equation and its images under "
+              "U1 and U2 U1, helicity +eps/2 on both branches for Weyl")
 
 
 def test_criterion_09_dispersion():

@@ -157,6 +157,33 @@ def test_content_chi_minus_has_half_integer_helicities(capsys):
     assert branches["-"] == [[-1, -0.5], [1, 0.5]]
 
 
+@pytest.mark.parametrize("seed", ["42", "5", "7"])
+@pytest.mark.parametrize("equation", sorted(CONTENT_SETS))
+def test_content_exits_0_printing_its_stated_content(capsys, equation, seed):
+    assert main(["content", "--equation", equation, "--seed", seed]) == 0
+    out, err = capsys.readouterr()
+    stated = CONTENT_SETS[equation][1]
+    assert json.loads(out)["content_by_p3_branch"] == {
+        k: [list(label) for label in v] for k, v in stated.items()}
+    assert err == ""
+
+
+@pytest.mark.parametrize("stated, branches", [
+    (CONTENT_SETS["chi_minus"][1], "+, -"),   # differs on both branches
+    (CONTENT_SETS["weyl_plus"][1], "-"),      # +eps/2 on both: - differs
+])
+def test_content_not_as_stated_exits_1_naming_the_branch(capsys, monkeypatch,
+                                                         stated, branches):
+    monkeypatch.setitem(CONTENT_SETS, "chi_plus", ("chi2", stated))
+    assert main(["content", "--equation", "chi_plus"]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith(f"content not as stated on p3 branch {branches}:")
+    assert err.count("\n") == 1
+    # the document still prints what was found
+    assert json.loads(out)["content_by_p3_branch"] == {
+        "+": [[-1, -0.5], [1, 0.5]], "-": [[-1, 0.5], [1, -0.5]]}
+
+
 def test_invalid_config_rejected():
     code, _, _ = run_cli("verify-all", "--mass", "-1")
     assert code == 2

@@ -17,13 +17,16 @@ from spinorlab.opcalc import (DiffOp1, OperatorField, as_batch,
 from spinorlab.poincare import (GENERATOR_NAMES, ContentNotInvariant,
                                 _closure, _tensor_residual, algebra_residual,
                                 generator_set, helicity_field, irrep_content,
-                                irrep_content_by_branch,
                                 set_covariance_residual, structure_constants,
                                 structure_signs)
 from spinorlab.position import verify_position
 
 S3 = sample_momenta(3, 8, 42)
 S2 = sample_momenta(2, 8, 42)
+
+# (energy sign, helicity) labels: all four, helicity +eps/2, helicity -eps/2
+FOUR = ((-1, -0.5), (-1, 0.5), (1, -0.5), (1, 0.5))
+UP, DOWN = ((-1, -0.5), (1, 0.5)), ((-1, 0.5), (1, -0.5))
 
 
 def test_orbital_calibration():
@@ -128,34 +131,57 @@ def test_helicity_phi_on_axis():
 def test_irrep_content_dirac_massless():
     content = irrep_content(catalog_equation("dirac_massless"),
                             generator_set("psi"), S3)
-    assert content == ((-1, -0.5), (-1, 0.5), (1, -0.5), (1, 0.5))
+    assert content == {"+": FOUR, "-": FOUR}
 
 
 def test_irrep_content_weyl():
     content = irrep_content(catalog_equation("weyl_plus"),
                             generator_set("weyl"), S3)
-    assert content == ((-1, -0.5), (1, 0.5))
+    assert content == {"+": UP, "-": UP}
 
 
 def test_irrep_content_chi_plus_branches():
-    # the reduced equation carries a 2-label content on each p3 branch;
-    # mixing branches is reported as non-invariant content
+    # the reduced equation ties its helicity to the sign of p3: a 2-label
+    # content on each branch, and the two branches differ
+    branches = irrep_content(catalog_equation("chi_plus"),
+                             generator_set("chi2"), sample_momenta(3, 12, 42))
+    assert branches == {"+": UP, "-": DOWN}
+
+
+@pytest.mark.parametrize("sign, key, labels", [(1, "+", UP), (-1, "-", DOWN)])
+def test_irrep_content_reports_only_the_branches_sampled(sign, key, labels):
+    branch = [p for p in sample_momenta(3, 12, 42) if np.sign(p[2]) == sign]
+    assert irrep_content(catalog_equation("chi_plus"), generator_set("chi2"),
+                         branch) == {key: labels}
+
+
+def test_corrupted_reduction_is_not_invariant_within_a_branch():
+    branch = [p for p in sample_momenta(3, 12, 42) if p[2] > 0]
+    with pytest.raises(ContentNotInvariant, match="not a half-integer"):
+        irrep_content(catalog_equation("chi_plus", corrupt_reduction=True),
+                      generator_set("chi2"), branch)
+
+
+def test_content_that_varies_within_a_branch_raises_naming_it():
+    # sign(p2) H: the energy signs, and so the labels, flip with p2 on
+    # either p3 branch
     eq = catalog_equation("chi_plus")
-    gs = generator_set("chi2")
-    branches = irrep_content_by_branch(eq, gs, sample_momenta(3, 12, 42))
-    assert branches["+"] == ((-1, -0.5), (1, 0.5))
-    assert branches["-"] == ((-1, 0.5), (1, -0.5))
-    with pytest.raises(ContentNotInvariant):
-        irrep_content(eq, gs, sample_momenta(3, 12, 42))
+    flipped = dataclasses.replace(
+        eq, hamiltonian=eq.hamiltonian.scale(lambda p: np.sign(p[1])))
+    branch = [p for p in sample_momenta(3, 12, 42) if p[2] < 0]
+    assert {np.sign(p[1]) for p in branch} == {-1.0, 1.0}
+    with pytest.raises(ContentNotInvariant, match="on the p3 - branch"):
+        irrep_content(flipped, generator_set("chi2"), branch)
 
 
 def test_content_invariant_under_conjugation():
-    eq = catalog_equation("dirac_massless")
-    gs = generator_set("psi")
-    base = irrep_content(eq, gs, S3)
-    for uname in ("U1", "U2"):
-        u = catalog_unitary(uname).closed
-        assert irrep_content(eq, gs, S3, u=u) == base
+    # U1 carries dirac_massless to chi_4c and U2 carries chi_4c to phi_diag;
+    # their generator sets give dirac_massless's content on both branches
+    base = irrep_content(catalog_equation("dirac_massless"),
+                         generator_set("psi"), S3)
+    for uname, gs in (("U1", "chi"), ("U2", "phi")):
+        eq = catalog_equation(catalog_unitary(uname).target)
+        assert irrep_content(eq, generator_set(gs), S3) == base
 
 
 def test_helicity_requires_d3():

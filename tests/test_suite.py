@@ -200,6 +200,18 @@ def test_verify_all_peak_memory():
     assert left <= 0.1e6
 
 
+@pytest.mark.parametrize("name", ["dirac_massless", "weyl_plus"])
+def test_a_content_row_fails_unless_the_content_is_as_stated(
+        verify_all, monkeypatch, name):
+    gs_name, stated = poincare.CONTENT_SETS[name]
+    assert verify_all[f"content/{name}"].passed
+    # the other branch's labels stated for the + branch
+    monkeypatch.setitem(poincare.CONTENT_SETS, name, (gs_name, {
+        "+": ((-1, 0.5), (1, -0.5)), "-": stated["-"]}))
+    failing = [c.name for c in run_checks(CFG) if not c.passed]
+    assert failing == [f"content/{name}"]
+
+
 # the public residuals that take sample points, each on one catalog subject
 RESIDUALS = {
     "verify_transform": lambda s: eqs.verify_transform(
@@ -222,7 +234,7 @@ RESIDUALS = {
         eqs.catalog_unitary("U2").closed, s),
     "irrep_content": lambda s: poincare.irrep_content(
         eqs.catalog_equation("weyl_plus"),
-        poincare.generator_set(poincare.CONTENT_SETS["weyl_plus"]), s),
+        poincare.generator_set(poincare.CONTENT_SETS["weyl_plus"][0]), s),
     "verify_position": lambda s: position.verify_position("Xpsi", s),
 }
 
