@@ -4,8 +4,8 @@ Subcommands: ``report``, ``verify-all``, ``algebra``, ``transform``,
 ``position``, ``content``.  ``algebra``, ``transform`` and ``position`` run
 the matching rows of the check registry and print the ``verify-all``
 document.  Every subcommand takes one flag per ``RunConfig`` field and
-rejects a flag that none of its checks reads; tolerances and the holdout
-size are constants.  JSON output is byte-deterministic for a fixed
+rejects a flag that none of its checks reads; tolerances and the fit and
+holdout sizes are constants.  JSON output is byte-deterministic for a fixed
 configuration; every float is serialized with 17 significant digits.
 
 Exit codes: 0 pass, 1 check failure (for ``content``, a content that varies
@@ -133,8 +133,8 @@ def _equation(args, reads):
 
 
 def cmd_report(args) -> int:
-    cfg, eq = _equation(args, {"seed", "samples"})
-    report = classify_equation(eq, seed=cfg.seed, n_fit=cfg.samples)
+    cfg, eq = _equation(args, {"seed"})
+    report = classify_equation(eq, seed=cfg.seed)
     undecided = any(v.invariant is None for v in report.verdicts)
     if args.element is not None:    # the summary stays the full group's
         report = replace(report,

@@ -71,6 +71,11 @@ def abs_p3(p):
 
 
 @per_argument
+def e_plus_abs_p3(p):
+    return energy(p) + abs_p3(p)
+
+
+@per_argument
 def e3(p):
     return dual.sign(p[2])
 
@@ -291,12 +296,11 @@ def _catalog_unitary(name: str, m: float) -> UnitarySpec:
         xi = (
             lambda p: p[0] - p[1] * e3(p),
             lambda p: p[1] + e3(p) * p[0],
-            lambda p: e3(p) * (energy(p) + abs_p3(p)),
+            lambda p: e3(p) * e_plus_abs_p3(p),
         )
-        def norm(p):
-            E = energy(p)
-            return 2.0 * dual.sqrt(E * (E + abs_p3(p)))   # = 2 sqrt(xi.p)
-        terms = [(lambda p: (energy(p) + abs_p3(p)) / norm(p), I2)]
+        def norm(p):                            # = 2 sqrt(xi.p)
+            return 2.0 * dual.sqrt(energy(p) * e_plus_abs_p3(p))
+        terms = [(lambda p: e_plus_abs_p3(p) / norm(p), I2)]
         for k in range(3):
             terms.append((lambda p, _x=xi[k]: _x(p) / norm(p), 1j * pauli(k + 1)))
         return UnitarySpec("V", 2, 3, OperatorField(2, 3, terms),
@@ -330,9 +334,9 @@ def verify_transform(u: UnitarySpec, samples, m: float = 1.0,
                           corrupt_reduction=corrupt_reduction).hamiltonian
     ht = u.target if isinstance(u.target, OperatorField) else \
         catalog_equation(u.target, m=m, kappa=kappa).hamiltonian
+    require_unitary(u.name, u.closed, samples)
     p = as_batch(samples)
     up = u.closed(p)
-    require_unitary(u.name, up, samples)
     return mat_max(up @ hs(p) @ dagger(up) - ht(p))
 
 

@@ -50,9 +50,9 @@ def expm(m) -> np.ndarray:
     return (v * np.exp(1j * w)[..., None, :]) @ dagger(v)
 
 
-def svd_nullspace(m, tol: float = TOL_NULLSPACE):
-    """Right singular subspace with sigma < tol*sigma_max, of one matrix
-    (rows, cols) or of each member of a stack (..., rows, cols).
+def svd_nullspace(m):
+    """Right singular subspace with sigma < TOL_NULLSPACE * sigma_max, of
+    one matrix (rows, cols) or of each member of a stack (..., rows, cols).
 
     Returns arrays (singular values, vh, nullity), nullity 0-d for one
     matrix.  They come from the SVD of the R factor of m = QR (the R-SVD:
@@ -62,14 +62,13 @@ def svd_nullspace(m, tol: float = TOL_NULLSPACE):
     for vh (the full standard basis).  A non-finite entry raises
     ``np.linalg.LinAlgError``.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     r = np.linalg.qr(np.asarray(np.atleast_2d(m), dtype=complex), mode="r")
     # r is square for a tall m; a wide one needs all the rows of vh
     _, s, vh = np.linalg.svd(r, full_matrices=r.shape[-2] < r.shape[-1])
     n = vh.shape[-1]
     smax = s[..., 0] if s.shape[-1] else np.zeros(s.shape[:-1])
-    nullity, zero = n - (s >= tol * smax[..., None]).sum(-1), smax == 0.0
+    nullity = n - (s >= TOL_NULLSPACE * smax[..., None]).sum(-1)
+    zero = smax == 0.0
     if zero.any():
         vh[zero], nullity = np.eye(n), np.where(zero, n, nullity)
     return s, vh, nullity

@@ -572,27 +572,22 @@ def diffop_commutator(jet: Jet) -> Commutator:
                       np.moveaxis(x0_b, -nb - 3, 0), x0_sq, second)
 
 
-def require_unitary(name: str, values, points: Sequence[Point]) -> None:
+def require_unitary(name: str, field: OperatorField, points) -> None:
     """The one unitarity gate: raise NotUnitary, naming the first failing
-    point, unless each member of ``values`` (the field evaluated at
-    ``points``) is unitary to 1e-8 and finite."""
+    point, unless ``field`` is unitary to 1e-8 and finite at each of
+    ``points`` (no check for none), evaluated on the points' batch."""
+    if not points:
+        return
+    values = field(as_batch(points))
     if not (unitarity_defect(values) <= 1e-8):
         bad = next(q for q, v in zip(points, values)
                    if not (unitarity_defect(v) <= 1e-8))
         raise NotUnitary(f"{name} is not unitary at {bad}")
 
 
-def check_unitary(u: OperatorField, probe: Sequence[Point]) -> None:
-    """:func:`require_unitary` for u at the probe points (no check on an
-    empty probe); a caller that conjugates several operators by one field
-    checks it once."""
-    if probe:
-        require_unitary("conjugating field", u(as_batch(probe)), probe)
-
-
 def conjugate_by_unitary(u: OperatorField, g: DiffOp1) -> DiffOp1:
     """u^-1 g u for a unitary field u (u^-1 = u^dagger).  Unitarity is not
-    checked here: a caller checks u once with :func:`check_unitary`.
+    checked here: a caller checks u once with :func:`require_unitary`.
 
     Zeroth part u^-1 A u + sum_k u^-1 B_k (i du/dp_k); derivative
     coefficients u^-1 B_k u; the x0 coefficient conjugates like A.

@@ -38,10 +38,10 @@ import numpy as np
 
 from . import dual
 from .clifford import gamma_set, pauli, spin_matrix
-from .equations import abs_p3, catalog_equation, e3, energy
+from .equations import catalog_equation, e3, e_plus_abs_p3, energy
 from .linalg import mat_max
-from .opcalc import (DiffOp1, OperatorField, as_batch, check_unitary,
-                     conjugate_by_unitary, diffop_commutator, sample_momenta,
+from .opcalc import (DiffOp1, OperatorField, as_batch, conjugate_by_unitary,
+                     diffop_commutator, require_unitary, sample_momenta,
                      stacked_jet, stacked_values)
 
 _REP = gamma_set("rep26")
@@ -110,7 +110,7 @@ def _assemble(name: str, h: OperatorField, spin=None,
 
 
 def _over_e_plus_p3(p):
-    return 1.0 / (energy(p) + abs_p3(p))
+    return 1.0 / e_plus_abs_p3(p)
 
 
 def generator_set(name: str, m: float = 1.0) -> GeneratorSet:
@@ -288,7 +288,7 @@ def set_covariance_residual(gs_src: GeneratorSet, gs_tgt: GeneratorSet,
     and C (the x0 coefficient); u is checked for unitarity once, and each
     set's values are one stacked evaluation."""
     p, ud = as_batch(samples), u.adjoint()
-    check_unitary(ud, samples[:2])
+    require_unitary("conjugating field", ud, samples[:2])
     conj = [conjugate_by_unitary(ud, op) for _, op in gs_src.members()]
     (a1, b1, c1), (a2, b2, c2) = (
         stacked_values(ops, p) for ops in (conj, [op for _, op in
@@ -331,9 +331,11 @@ def irrep_content(eq, gs: GeneratorSet, samples) -> dict:
 
     H(p) is diagonalized at each sample; within each energy-sign eigenspace
     the helicity field is jointly diagonalized.  A content that varies
-    within a branch raises ContentNotInvariant.
+    within a branch raises ContentNotInvariant; p3 = 0 raises ValueError.
     """
     p = as_batch(samples)
+    if (p[2] == 0).any():
+        raise ValueError(f"{eq.name}: sample {np.argmax(p[2] == 0)} has p3 = 0")
     w_all, v_all = np.linalg.eigh(eq.hamiltonian(p))
     hel_all = helicity_field(gs, samples[:2])(p)
     out = {}

@@ -32,11 +32,11 @@ import functools
 import numpy as np
 
 from .clifford import gamma_set, pauli, spin_matrix
-from .equations import abs_p3, catalog_unitary, e3, energy
+from .equations import catalog_unitary, e3, e_plus_abs_p3, energy
 from .linalg import mat_max
 # diffop_commutator stays bound here: bench/tracing.py patches this binding
-from .opcalc import (DiffOp1, OperatorField, as_batch, check_unitary,
-                     conjugate_by_unitary, diffop_commutator, stacked_values)
+from .opcalc import (DiffOp1, OperatorField, as_batch, conjugate_by_unitary,
+                     diffop_commutator, require_unitary, stacked_values)
 
 _REP = gamma_set("rep26")
 G3 = _REP.gamma(3)
@@ -73,7 +73,7 @@ def position_from_unitary(name: str, probe=()) -> tuple:
     if name not in _TABLE:
         raise ValueError(f"unknown position operator {name!r}")
     u = conjugating_field(name)
-    check_unitary(u, probe)
+    require_unitary("conjugating field", u, probe)
     return _conjugated(u)
 
 
@@ -84,7 +84,7 @@ def _conjugated(u: OperatorField) -> tuple:
 
 
 def _inv_e_eplus(p):
-    return 1.0 / (energy(p) * (energy(p) + abs_p3(p)))
+    return 1.0 / (energy(p) * e_plus_abs_p3(p))
 
 
 @functools.cache

@@ -14,17 +14,18 @@ conjugation in position space reverses every momentum component before the
 spatial reflection S is applied.
 
 H is evaluated once per solve or classification, on the sign images of the
-sample momenta (the group and its sign images are built once per d).  Per
-chunk of elements within ``STACK_BYTES``, one stacked QR of the Sylvester
-maps M |-> H(p_i) M - M Htilde(p_i), written into two diagonal views of one
+``FIT_POINTS`` fit and ``HOLDOUT_POINTS`` holdout momenta (the group and
+its sign images are built once per d).  Per chunk of elements within
+``STACK_BYTES``, one stacked QR of the Sylvester maps
+M |-> H(p_i) M - M Htilde(p_i), written into two diagonal views of one
 zeroed stack (:func:`_sylvester`), and one SVD of their square R factors
 give singular values, Vh and nullities as arrays.  An invariance claim must
-survive a holdout test at 1e-7 on ``HOLDOUT_POINTS`` momenta of their own
-seed: per nullity, one candidate per element is scored as a stack (its
-basis vector, or a seeded random member of a larger nullspace), and all 32
-random members, then the basis, only for an element it leaves open.  A non-invariance claim needs sigma_min > 1e-4 sigma_max,
-and an element in the gap between, or whose nullspace has no member that
-passes the holdout, is :class:`Indeterminate`.
+survive a holdout test at 1e-7 on momenta of their own seed: per nullity,
+one candidate per element is scored as a stack (its basis vector, or a
+seeded random member of a larger nullspace), and all 32 random members,
+then the basis, only for an element it leaves open.  A non-invariance claim
+needs sigma_min > 1e-4 sigma_max; an element in the gap between, or whose
+nullspace has no member that passes the holdout, is :class:`Indeterminate`.
 Coherence checks the invariant elements, which form an XOR group: the
 products M_b conj^{c_b}(M_j) composing to g = g_b g_j take one GEMM.  Both
 the holdout score and coherence read the relative residual
@@ -45,11 +46,11 @@ from typing import Optional
 import numpy as np
 
 from . import equations as eqs
-from .linalg import (TOL_NULLSPACE, cond2, dagger, mat_max, polar_unitary,
-                     svd_nullspace)
+from .linalg import cond2, dagger, mat_max, polar_unitary, svd_nullspace
 from .opcalc import as_batch, sample_momenta
 
 HOLDOUT_TOL = 1e-7            # relative residual for confirmed invariance
+FIT_POINTS = 12               # momenta of the fit, at least 2d + 4
 HOLDOUT_POINTS = 4            # momenta of the holdout test, own seed
 CERTIFICATE_TOL = 1e-4        # sigma_min/sigma_max floor for non-invariance
 N_POLISH = 8                  # best oracle candidates that are polished
@@ -188,35 +189,31 @@ class Indeterminate:
     reason: str
 
 
-def solve_intertwiner(eq, g, n_fit: int = 12, seed: int = 42,
-                      conditions=None):
+def solve_intertwiner(eq, g, seed: int = 42, conditions=None):
     """Nullspace solve: an Intertwiner, NonInvariance or Indeterminate.
 
     ``g`` is one element, or a sequence solved from one evaluation of H (a
-    list of results).  Each is fit on ``n_fit`` momenta and held out on
+    list of results).  Each is fit on ``FIT_POINTS`` momenta and held out on
     ``HOLDOUT_POINTS`` more.  ``conditions`` may pass their (Htilde, H)
     stacks from :func:`intertwine_condition` over the fit, holdout and
     further momenta; a non-finite entry in any row raises ValueError naming
     that sample.
     """
-    if n_fit < 2 * eq.d + 4:
-        raise ValueError(
-            f"{eq.name}: n_fit = {n_fit} is below 2d + 4 = {2 * eq.d + 4}")
     single = isinstance(g, SymmetryElement)
     elements = [g] if single else list(g)
     if not elements:
         return []
     htilde, h = conditions or intertwine_condition(
-        eq, elements, as_batch(_fit_and_holdout(eq.d, n_fit, seed)))
+        eq, elements, as_batch(_fit_and_holdout(eq.d, seed)))
     _require_finite(eq, htilde, h)
-    out = [r for part in _chunks(len(elements), 16 * n_fit * eq.dim ** 4)
-           for r in _solve_chunk(eq, htilde[part], h, n_fit, seed)]
+    out = [r for part in _chunks(len(elements), 16 * FIT_POINTS * eq.dim ** 4)
+           for r in _solve_chunk(eq, htilde[part], h, seed)]
     return out[0] if single else out
 
 
-def _fit_and_holdout(d: int, n_fit: int, seed: int) -> list:
+def _fit_and_holdout(d: int, seed: int) -> list:
     """The fit momenta, then the holdout momenta, drawn from their own seed."""
-    return (sample_momenta(d, n_fit, seed)
+    return (sample_momenta(d, FIT_POINTS, seed)
             + sample_momenta(d, HOLDOUT_POINTS, seed + 7919))
 
 
@@ -264,12 +261,12 @@ def _residuals(k, ms, h_norms):
         np.sqrt(np.vecdot(r, r)) / den, -1, 0))
 
 
-def _solve_chunk(eq, htilde, h, n_fit, seed):
+def _solve_chunk(eq, htilde, h, seed):
     """One result per element (row of ``htilde``): one stacked nullspace, then
     per nullity one holdout map, score, normalisation and polar stack."""
-    fit, hold = slice(n_fit), slice(n_fit, n_fit + HOLDOUT_POINTS)
-    s, vh, nullity = svd_nullspace(_sylvester(htilde[:, fit], h[fit]),
-                                   TOL_NULLSPACE)
+    fit = slice(FIT_POINTS)
+    hold = slice(FIT_POINTS, FIT_POINTS + HOLDOUT_POINTS)
+    s, vh, nullity = svd_nullspace(_sylvester(htilde[:, fit], h[fit]))
     nullities, (smax, smin) = nullity.tolist(), s[:, [0, -1]].T.tolist()
     out = [None if k else NonInvariance(lo, hi) if lo > CERTIFICATE_TOL * hi
            else Indeterminate(lo / hi, f"sigma_min/sigma_max = {lo / hi:.3e} "
@@ -338,16 +335,13 @@ class ClassificationReport:
         raise KeyError(label)
 
 
-def classify_equation(eq, seed: int = 42,
-                      n_fit: int = 12) -> ClassificationReport:
+def classify_equation(eq, seed: int = 42) -> ClassificationReport:
     """Solve every group element, check each decided verdict against the one
     that ``eq.breaks`` gives it (agreement) and check coherence."""
     elements = group_elements(eq.d)
     htilde, h = intertwine_condition(eq, elements, as_batch(
-        _fit_and_holdout(eq.d, n_fit, seed)
-        + sample_momenta(eq.d, 4, seed + 31)))
-    outs = solve_intertwiner(eq, elements, n_fit=n_fit, seed=seed,
-                             conditions=(htilde, h))
+        _fit_and_holdout(eq.d, seed) + sample_momenta(eq.d, 4, seed + 31)))
+    outs = solve_intertwiner(eq, elements, seed=seed, conditions=(htilde, h))
     verdicts = [ElementVerdict(g, True, out.holdout_residual, out)
                 if isinstance(out, Intertwiner)
                 else ElementVerdict(g, False, out.relative, None)
@@ -357,7 +351,7 @@ def classify_equation(eq, seed: int = 42,
     breaks = SymmetryElement.parse(eq.breaks, eq.d)
     agreement = all(v.invariant in (None, g.keeps(breaks))
                     for g, v in zip(elements, verdicts))
-    check = slice(n_fit + HOLDOUT_POINTS, None)
+    check = slice(FIT_POINTS + HOLDOUT_POINTS, None)
     coherence_ok = bool(_coherence(verdicts, htilde[:, check], h[check]) <= 1e-6)
 
     return ClassificationReport(eq.name, tuple(verdicts), agreement,

@@ -67,7 +67,7 @@ def _basis(vh, nullity):
 
 
 def test_nullspace_rank_deficient_diag():
-    s, vh, nullity = svd_nullspace(np.diag([1.0, 0.0]), 1e-10)
+    s, vh, nullity = svd_nullspace(np.diag([1.0, 0.0]))
     assert nullity.shape == () and nullity == 1
     assert proportional(_basis(vh, nullity), np.array([[0.0, 1.0]]))
 
@@ -75,19 +75,22 @@ def test_nullspace_rank_deficient_diag():
 def test_nullspace_full_rank_unitary_empty():
     rng = np.random.default_rng(7)
     q, _ = np.linalg.qr(random_complex(rng, (4, 4)))
-    s, vh, nullity = svd_nullspace(q, 1e-10)
+    s, vh, nullity = svd_nullspace(q)
     assert nullity == 0 and _basis(vh, nullity).shape == (0, 4)
 
 
 def test_nullspace_zero_matrix_flagged():
-    s, vh, nullity = svd_nullspace(np.zeros((3, 3)), 1e-10)
+    s, vh, nullity = svd_nullspace(np.zeros((3, 3)))
     assert nullity == 3 and not s.any()
     assert np.array_equal(_basis(vh, nullity), np.eye(3))
 
 
-def test_nullspace_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        svd_nullspace(np.eye(2), 0.0)
+@pytest.mark.parametrize("scale, nullity", [(0.5, 1), (2.0, 0)])
+def test_nullspace_threshold_is_tol_nullspace(scale, nullity):
+    # sigma below TOL_NULLSPACE * sigma_max is null, at or above it is not
+    s, vh, got = svd_nullspace(np.diag([1.0, scale * TOL_NULLSPACE]))
+    assert got == nullity
+    assert s[1] == scale * TOL_NULLSPACE
 
 
 def test_polar_scaling_removal():
@@ -160,11 +163,10 @@ def test_nullspace_vectors_annihilate(seed, dim, rank):
     b = random_complex(rng, (rank, dim))
     m = a @ b                                   # rank-deficient by construction
     smax = np.linalg.svd(m, compute_uv=False)[0]
-    tol = 1e-8
-    s, vh, nullity = svd_nullspace(m, tol)
+    s, vh, nullity = svd_nullspace(m)
     assert nullity >= dim - rank
     for v in _basis(vh, nullity):
-        assert np.linalg.norm(m @ v) <= 10 * tol * smax
+        assert np.linalg.norm(m @ v) <= 10 * TOL_NULLSPACE * smax
 
 
 def test_worst_is_the_max_and_zero_for_none():

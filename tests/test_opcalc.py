@@ -16,8 +16,8 @@ from spinorlab.clifford import pauli
 from spinorlab.equations import abs_p3, catalog_unitary, energy
 from spinorlab.linalg import NotUnitary, mat_max
 from spinorlab.opcalc import (DiffOp1, Jet, OperatorField, as_batch,
-                              check_unitary, conjugate_by_unitary,
-                              diffop_commutator, sample_momenta, stacked_jet,
+                              conjugate_by_unitary, diffop_commutator,
+                              require_unitary, sample_momenta, stacked_jet,
                               stacked_values)
 from spinorlab.poincare import GENERATOR_NAMES, generator_set
 from spinorlab.position import (POSITION_NAMES, position_closed_form,
@@ -186,7 +186,7 @@ def test_commutator_antisymmetry():
 def test_conjugation_by_identity_is_noop():
     ident = OperatorField.constant(np.eye(2), 3)
     g = DiffOp1.position_component(0, 2, 3)
-    check_unitary(ident, sample_momenta(3, 2, 1))
+    require_unitary("identity", ident, sample_momenta(3, 2, 1))
     conj = conjugate_by_unitary(ident, g)
     p = (0.5, -1.0, 2.0)
     assert mat_max(conj.a(p)) == 0.0
@@ -221,7 +221,7 @@ def test_conjugation_rejects_non_unitary():
     bad = OperatorField.constant(2.0 * np.eye(2), 3)
     g = DiffOp1.position_component(0, 2, 3)
     with pytest.raises(ValueError, match="not unitary"):
-        check_unitary(bad, [(1.0, 1.0, 1.0)])
+        require_unitary("bad", bad, [(1.0, 1.0, 1.0)])
         conjugate_by_unitary(bad, g)
 
 
@@ -254,7 +254,7 @@ def test_conjugation_unitarity_guard_fails_closed_on_nan():
     u = OperatorField.constant(np.eye(2), 3) \
         + OperatorField(2, 3, [(nan_at(probe[1]), np.eye(2))])
     with pytest.raises(ValueError, match="not unitary"):
-        check_unitary(u, probe)
+        require_unitary("u", u, probe)
         conjugate_by_unitary(u, DiffOp1.position_component(0, 2, 3))
 
 
@@ -262,11 +262,12 @@ def test_conjugation_by_a_non_unitary_field_raises():
     probe = sample_momenta(3, 2, 1)
     x0 = DiffOp1.position_component(0, 4, 3)
     u = catalog_unitary("U2").closed
-    check_unitary(u, probe)                             # unitary: no raise
+    require_unitary("U2", u, probe)                     # unitary: no raise
     conjugate_by_unitary(u, x0)
-    with pytest.raises(NotUnitary):
-        check_unitary(u.scale(1.5), probe)
+    with pytest.raises(NotUnitary, match=r"^1.5 U2 is not unitary at \("):
+        require_unitary("1.5 U2", u.scale(1.5), probe)
         conjugate_by_unitary(u.scale(1.5), x0)
+    require_unitary("1.5 U2", u.scale(1.5), [])         # no points: no check
     conjugate_by_unitary(u.scale(1.5), x0)              # no check
 
 

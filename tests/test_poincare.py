@@ -155,6 +155,19 @@ def test_irrep_content_reports_only_the_branches_sampled(sign, key, labels):
                          branch) == {key: labels}
 
 
+@pytest.mark.parametrize("samples, index", [
+    ([(1.0, 2.0, 0.0), (0.5, -1.0, 0.0)], 0),     # no sample on a branch
+    (S3[:3] + [(1.0, 2.0, 0.0)] + S3[3:], 3),    # one among both branches
+])
+def test_irrep_content_rejects_a_sample_on_neither_branch(samples, index):
+    # p3 = 0 is on neither p3 branch: the content fails closed, naming the
+    # equation and the sample, instead of leaving the sample out
+    with pytest.raises(ValueError,
+                       match=f"^weyl_plus: sample {index} has p3 = 0$"):
+        irrep_content(catalog_equation("weyl_plus"), generator_set("weyl"),
+                      samples)
+
+
 def test_corrupted_reduction_is_not_invariant_within_a_branch():
     branch = [p for p in sample_momenta(3, 12, 42) if p[2] > 0]
     with pytest.raises(ContentNotInvariant, match="not a half-integer"):

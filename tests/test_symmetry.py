@@ -164,25 +164,12 @@ def test_solver_chi_plus_examples():
     assert out.relative > 1e-2
 
 
-def test_solver_validates_sample_counts():
-    eq = catalog_equation("chi_plus")
-    g = SymmetryElement.parse("C", 3)
-    with pytest.raises(ValueError):
-        solve_intertwiner(eq, g, n_fit=4)
-
-
-@pytest.mark.parametrize("name, minimum", [("flat_plus", 8), ("chi_plus", 10),
-                                           ("desitter", 12)])
-def test_too_few_fit_points_name_the_equation_and_the_minimum(name, minimum):
-    # 2d + 4 fit points at least, for one element and for the whole group
-    eq = catalog_equation(name)
-    message = f"^{name}: n_fit = {minimum - 1} is below 2d \\+ 4 = {minimum}$"
-    with pytest.raises(ValueError, match=message):
-        solve_intertwiner(eq, group_elements(eq.d)[0], n_fit=minimum - 1)
-    with pytest.raises(ValueError, match=message):
-        classify_equation(eq, n_fit=minimum - 1)
-    assert isinstance(solve_intertwiner(eq, group_elements(eq.d)[0],
-                                        n_fit=minimum), Intertwiner)
+def test_fit_points_are_at_least_2d_plus_4_for_every_equation():
+    # the fit size is one constant: an added equation of larger d fails
+    # here instead of fitting on fewer than 2d + 4 momenta
+    for name in EQUATION_NAMES:
+        d = catalog_equation(name).d
+        assert symmetry.FIT_POINTS >= 2 * d + 4, (name, d)
 
 
 def test_invariant_nullspaces_are_one_dimensional_2x2():
@@ -1013,7 +1000,7 @@ def test_the_fallback_scores_the_basis_last(monkeypatch):
         eq = catalog_equation(name)
         elements = group_elements(eq.d)
         ht, h = intertwine_condition(eq, elements, as_batch(
-            symmetry._fit_and_holdout(eq.d, 12, 42)))
+            symmetry._fit_and_holdout(eq.d, 42)))
         _, vh, nullity = svd_nullspace(symmetry._sylvester(ht[:, :12], h[:12]))
         assert (nullity == 2).all()
         bases = vh[:, -2:].conj().reshape(-1, 2, eq.dim, eq.dim)
@@ -1111,7 +1098,7 @@ def test_a_nullity_one_group_is_scored_once(monkeypatch):
     eq = catalog_equation("weyl_plus")
     elements = group_elements(eq.d)
     ht, h = intertwine_condition(eq, elements, as_batch(
-        symmetry._fit_and_holdout(eq.d, 12, 42)))
+        symmetry._fit_and_holdout(eq.d, 42)))
     h = h + (np.arange(len(h)) >= 12)[:, None, None] * 0.3 * pauli(3)
     residuals, shapes = symmetry._residuals, []
     monkeypatch.setattr(symmetry, "_residuals", lambda k, ms, h_norms: (
