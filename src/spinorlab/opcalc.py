@@ -31,10 +31,11 @@ argument per set of points, so its memo serves the whole run.
 :func:`stacked_jet` evaluates a family of operators (a generator set, the
 components of a position operator) once, on one shared all-axes seeded
 argument, into one :class:`Jet` of values and partials, never evaluating a
-structurally zero part, and :func:`diffop_commutator` gives the commutators
-of its member pairs i < j from block GEMMs over live members and B slots,
-each read in one layout: members first, (*rows, *columns, *batch, dim, dim);
-a self-commutator such as [A, A] is gathered at the pairs, then subtracted.
+structurally zero part.  :func:`diffop_commutator` gives the commutators of
+its member pairs i < j from block GEMMs over live members and B slots, read
+members first, (*rows, *columns, *batch, dim, dim), through index tables
+built once per structure (:func:`_plan`); a self-commutator such as [A, A]
+is gathered at the pairs, then subtracted.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -411,8 +413,8 @@ class Commutator:
     symmetrized second-derivative coefficient norm (the worst over every pair
     and the batch), so callers can check each x0 coefficient on its own and
     that nothing leaks outside first order.  b[k] and x0_b[k] are the parts of
-    i d/dp_k.  Each part has one leading axis over the member pairs
-    ``np.triu_indices(G, 1)`` (after the derivative axis k for b and x0_b).
+    i d/dp_k.  Each part is a new array with one leading axis over the member
+    pairs ``np.triu_indices(G, 1)`` (after the axis k for b and x0_b).
     """
 
     a: np.ndarray
@@ -446,26 +448,49 @@ def _product(xl, yr, mx: tuple, my: tuple, dim: int) -> np.ndarray:
     return z.transpose(*rows, *cols, *range(nb), nb + i, nb + i + 1 + j)
 
 
-def _operands(s: Jet, nb: int) -> SimpleNamespace:
-    """A stacked jet packed once for block GEMMs: its live B slots i*d + k
-    and B and x0 members (``slots``, ``b``, ``c``: those whose part or its
-    derivative is not all zero), and each part as the left (``*l``) or right
-    (``*r``) operand that the terms read; ``b_rows``/``b_cols`` (B of the
-    live members) and ``s_rows``/``s_cols`` (B at the live slots) have one
-    slot (i, k) per block, as one factor of a commutator."""
-    live = lambda x, dx, n: x.reshape(n, -1).any(1) | dx.reshape(n, -1).any(1)
-    (g, d), shape = s.b.shape[:2], s.a.shape[1:]
-    in_slots = live(s.b, s.db, g * d)
-    slots, c = np.flatnonzero(in_slots), np.flatnonzero(live(s.x0, s.dx0, g))
-    b = np.flatnonzero(in_slots.reshape(g, d).any(1))
-    one = lambda x: np.expand_dims(x, -nb - 3)      # a summed axis of one
-    bl, cl, bs = s.b[b], one(s.x0[c]), one(s.b.reshape(-1, *shape)[slots])
+@functools.lru_cache(maxsize=128)
+def _plan(g: int, d: int, slots: tuple, c: tuple) -> SimpleNamespace:
+    """The index tables of :func:`diffop_commutator` for g members, d axes,
+    the live B slots i*d + k and the live x0 members c: ``at[rows, cols,
+    swap]``, the mask of the pairs (i, j) with i live in rows and j in cols
+    (swapped: j in rows, i in cols), and the members' places there.  Every
+    call on one structure shares these arrays, so they are only ever read."""
+    b = np.array(sorted({s // d for s in slots}), int)
+    slots, c, (i, j) = np.array(slots, int), np.array(c, int), np.triu_indices(g, 1)
+    # each member's place among all, the live B and the live x0 members
+    place = {"every": np.arange(g), "b": np.full(g, -1), "c": np.full(g, -1)}
+    place["b"][b], place["c"][c] = np.arange(len(b)), np.arange(len(c))
+    at = {}
+    for rn, cn, swap in itertools.product(place, place, (0, 1)):
+        r, s = place[rn][(i, j)[swap]], place[cn][(j, i)[swap]]
+        m = (r >= 0) & (s >= 0)
+        at[rn, cn, swap] = m, r[m], s[m]
+    n, (si, sk) = len(slots), np.divmod(slots, d)
+    live = np.full(g * d, n)                # each slot's place among the live
+    live[slots] = np.arange(n)
+    return SimpleNamespace(slots=slots, b=b, c=c, pairs=len(i), at=at,
+                           own=place["b"][si] * d + sk,   # in b_rows
+                           rows=live[si[:, None] * d + sk])
+
+
+def _operands(s: Jet, nb: int, plan: SimpleNamespace) -> SimpleNamespace:
+    """A stacked jet packed once for block GEMMs, on its plan's live B slots
+    and members: each part as the left (``*l``) or right (``*r``) operand
+    that the terms read; ``b_rows``/``b_cols`` (B of the live members) and
+    ``s_rows``/``s_cols`` (B at the live slots), read from one packing of B,
+    have one slot (i, k) per block, as one factor of a commutator."""
+    (*batch, _, dim), one = s.a.shape[1:], lambda x: np.expand_dims(x, -nb - 3)
     left, right = lambda x: _pack(x, nb), lambda x: _pack(x, nb, True)
+    bl, cl = s.b[plan.b], one(s.x0[plan.c])
+    b_rows = left(one(bl))
+    blocks = b_rows.reshape(*batch, -1, dim, dim)
+    cols = lambda z: np.swapaxes(z, -3, -2).reshape(*batch, dim, -1)
+    s_blocks = blocks[..., plan.own, :, :]
     return SimpleNamespace(
-        slots=slots, b=b, c=c, al=left(one(s.a)), ar=right(one(s.a)),
-        bl=left(bl), b_rows=left(one(bl)), b_cols=right(one(bl)),
-        s_rows=left(bs), s_cols=right(bs), dar=right(s.da),
-        dbr=right(s.db[b]), cl=left(cl), cr=right(cl), dcr=right(s.dx0[c]))
+        al=left(one(s.a)), ar=right(one(s.a)), bl=left(bl), b_rows=b_rows,
+        b_cols=cols(blocks), s_rows=s_blocks.reshape(*batch, -1, dim),
+        s_cols=cols(s_blocks), dar=right(s.da), dbr=right(s.db[plan.b]),
+        cl=left(cl), cr=right(cl), dcr=right(s.dx0[plan.c]))
 
 
 def diffop_commutator(jet: Jet) -> Commutator:
@@ -488,39 +513,29 @@ def diffop_commutator(jet: Jet) -> Commutator:
     second order on the live B slots): those whose B (or x0) part or its
     derivative has an entry that is not exactly zero (a NaN counts as live,
     so it reaches the result), and written into a zeroed result at the pairs
-    it reaches.
+    it reaches, through the index tables of that structure (:func:`_plan`).
     """
     shape = jet.a.shape[1:]
     g, d, nb, dim = len(jet.a), jet.b.shape[1], len(shape) - 2, shape[-1]
-    x = _operands(jet, nb)
-    b, c = x.b, x.c
-    i, j = np.triu_indices(g, 1)
+    live = lambda x, dx, n: tuple(np.flatnonzero(
+        x.reshape(n, -1).any(1) | dx.reshape(n, -1).any(1)).tolist())
+    plan = _plan(g, d, live(jet.b, jet.db, g * d), live(jet.x0, jet.dx0, g))
+    x, b, c = _operands(jet, nb, plan), plan.b, plan.c
     mm = lambda l, r, mx, my: _product(l, r, mx, my, dim)
-    zeros = lambda *axes: np.zeros((len(i),) + axes + shape, complex)
-    # each member's place among all, the live B and the live x0 members
-    every, (pb, pc) = np.arange(g), np.full((2, g), -1)
-    pb[b], pc[c] = np.arange(len(b)), np.arange(len(c))
-
-    def at(z, rows, cols, swap=False):
-        """The mask of the pairs (i, j) with i live in rows and j in cols
-        (swapped: j in rows, i in cols), and the blocks of z there."""
-        r, s = (rows[j], cols[i]) if swap else (rows[i], cols[j])
-        m = (r >= 0) & (s >= 0)
-        return m, z[r[m], s[m]]
+    zeros = lambda *axes: np.zeros((plan.pairs,) + axes + shape, complex)
 
     def skew(z, rows):
         """The mask of the pairs with both members live in rows, and z at
         (i, j) minus z at (j, i) there: gathered, then subtracted."""
-        m, v = at(z, rows, rows)
-        return m, v - at(z, rows, rows, swap=True)[1]
+        m, r, s = plan.at[rows, rows, 0]
+        return m, z[r, s] - z[s, r]
 
     def spread(z, rows, cols, *axes):
         """z at (i, j) minus z at (j, i), where live, on zeroed pairs."""
         out = zeros(*axes)
-        m, v = at(z, rows, cols)
-        out[m] = v
-        m, v = at(z, rows, cols, swap=True)
-        out[m] -= v
+        (m, r, s), (n, t, u) = (plan.at[rows, cols, swap] for swap in (0, 1))
+        out[m] = z[r, s]
+        out[n] -= z[t, u]
         return out
 
     def comm(xl, yr, yl, xr, mx, my):
@@ -535,34 +550,32 @@ def diffop_commutator(jet: Jet) -> Commutator:
     def second_order():
         """max |[Bs, Bt] + [B(i,l), B(j,k)]| / 2 over the live slots s =
         (i, k), t = (j, l), from one GEMM; a dead partner reads pad slot n."""
-        n, (si, sk) = len(x.slots), np.divmod(x.slots, d)
+        n, rows = len(plan.slots), plan.rows
         xy = mm(x.s_rows, x.s_cols, (n,), (n,))
         bb = np.zeros((n + 1, n + 1) + shape, complex)
         np.subtract(xy, np.swapaxes(xy, 0, 1), out=bb[:n, :n])
-        place = np.full(g * d, n)           # each slot's place among the live
-        place[x.slots] = np.arange(n)
-        rows = place[si[:, None] * d + sk]  # (i, l) for s = (i, k), t = (j, l)
         return 0.5 * mat_max(bb[:n, :n] + bb[rows, rows.T])
 
     def zeroth_order():
-        a = skew(mm(x.al, x.ar, (g,), (g,)), every)[1]
-        a += 1j * spread(mm(x.bl, x.dar, (len(b),), (g,)), pb, every)
+        a = skew(mm(x.al, x.ar, (g,), (g,)), "every")[1]
+        a += 1j * spread(mm(x.bl, x.dar, (len(b),), (g,)), "b", "every")
         return a
 
     def first_order():
         out = spread(comm(x.al, x.b_cols, x.b_rows, x.ar, (g,), (len(b), d)),
-                     every, pb, d)
-        m, v = skew(mm(x.bl, x.dbr, (len(b),), (len(b), d)), pb)
+                     "every", "b", d)
+        m, v = skew(mm(x.bl, x.dbr, (len(b),), (len(b), d)), "b")
         out[m] += 1j * v
         return out
 
     def x0_parts():
-        x0_a = spread(comm(x.al, x.cr, x.cl, x.ar, (g,), (len(c),)), every, pc)
-        x0_a += 1j * spread(mm(x.bl, x.dcr, (len(b),), (len(c),)), pb, pc)
+        x0_a = spread(comm(x.al, x.cr, x.cl, x.ar, (g,), (len(c),)),
+                      "every", "c")
+        x0_a += 1j * spread(mm(x.bl, x.dcr, (len(b),), (len(c),)), "b", "c")
         x0_b = spread(comm(x.cl, x.b_cols, x.b_rows, x.cr, (len(c),),
-                           (len(b), d)), pc, pb, d)
+                           (len(b), d)), "c", "b", d)
         x0_sq = zeros()
-        m, v = skew(mm(x.cl, x.cr, (len(c),), (len(c),)), pc)
+        m, v = skew(mm(x.cl, x.cr, (len(c),), (len(c),)), "c")
         x0_sq[m] = v
         return x0_a, x0_b, x0_sq
 

@@ -244,19 +244,26 @@ def _closure(gs: GeneratorSet, p):
     return diffop_commutator(jet), jet.a, jet.x0, jet.b
 
 
+@functools.cache
+def _pair_rows(d: int, sign_jj: float, sign_jp: float) -> np.ndarray:
+    """The pair rows i < j of i (s_JJ f_JJ + s_JP f_JP), read-only."""
+    f_jj, f_jp = structure_constants(d)
+    f = (1j * (sign_jj * f_jj + sign_jp * f_jp))[np.triu_indices(len(f_jj), 1)]
+    f.flags.writeable = False
+    return f
+
+
 def _tensor_residual(closure, sign_jj, sign_jp) -> float:
     """max |[G_i, G_j] - i f_ij^c G_c| over the pairs i < j, parts, x0
     coefficients and the batch: the max over every pair, as both sides are
     exactly antisymmetric in (i, j).  The right-hand side, linear in the
     members, has no x0^2 part, and its B part no x0 part (C carries no
-    derivative); its parts are GEMMs of the pair rows of f over the member
-    axis, read against the commutator's parts in their pair layout.
+    derivative); its parts are GEMMs of the pair rows of f (built once per
+    d and signs) over the member axis, read against the commutator's parts.
     """
     comm, a, c, b = closure
-    f_jj, f_jp = structure_constants(len(comm.b))
-    size = len(f_jj)
-    f = (1j * (sign_jj * f_jj + sign_jp * f_jp))[np.triu_indices(size, 1)]
-    rhs = lambda x: (f @ x.reshape(size, -1)).reshape((len(f),) + x.shape[1:])
+    f = _pair_rows(len(comm.b), sign_jj, sign_jp)
+    rhs = lambda x: (f @ x.reshape(len(x), -1)).reshape((len(f),) + x.shape[1:])
     return mat_max(comm.a - rhs(a), comm.x0_a - rhs(c), comm.x0_sq,
                    comm.b - np.moveaxis(rhs(b), 1, 0), comm.x0_b)
 
@@ -329,8 +336,8 @@ def irrep_content(eq, gs: GeneratorSet, samples) -> dict:
     """{"+": labels, "-": labels}: the multiset of (energy sign, helicity)
     labels on each p3 branch present in the samples.
 
-    H(p) is diagonalized at each sample; within each energy-sign eigenspace
-    the helicity field is jointly diagonalized.  A content that varies
+    H(p) is diagonalized at each sample, and the helicity field within each
+    energy-sign eigenspace (:func:`_block_helicities`).  A content that varies
     within a branch raises ContentNotInvariant; p3 = 0 raises ValueError.
     """
     p = as_batch(samples)
@@ -340,13 +347,23 @@ def irrep_content(eq, gs: GeneratorSet, samples) -> dict:
     hel_all = helicity_field(gs, samples[:2])(p)
     out = {}
     for key, rows in (("+", p[2] > 0), ("-", p[2] < 0)):
-        for w, v, hel_p in zip(w_all[rows], v_all[rows], hel_all[rows]):
-            blocks = [(eps, v[:, np.sign(w) == eps]) for eps in (1, -1)]
-            content = tuple(sorted(
-                (eps, _half_integer(x)) for eps, q in blocks
-                for x in np.linalg.eigvalsh(q.conj().T @ hel_p @ q)))
+        w, v, hel = w_all[rows], v_all[rows], hel_all[rows]
+        for xs in zip(*(_block_helicities(w, v, hel, eps) for eps in (1, -1))):
+            content = tuple(sorted((eps, _half_integer(x)) for eps, x_eps
+                                   in zip((1, -1), xs) for x in x_eps))
             if out.setdefault(key, content) != content:
                 raise ContentNotInvariant(
                     f"{eq.name}: content not invariant on the p3 {key} "
                     f"branch: {out[key]} and {content}")
     return out
+
+
+def _block_helicities(w, v, hel, eps):
+    """The helicity's eigenvalues on each sample's energy-sign eps eigenspace
+    of H (eigenpairs w, v): one stacked eigvalsh if its size never varies."""
+    m = np.sign(w) == eps
+    if len(set(m.sum(1).tolist())) == 1:
+        q = np.take_along_axis(v, np.nonzero(m)[1].reshape(len(m), 1, -1), 2)
+        return np.linalg.eigvalsh(np.swapaxes(q.conj(), -1, -2) @ hel @ q)
+    return [np.linalg.eigvalsh(vs[:, ms].conj().T @ hs @ vs[:, ms])
+            for vs, hs, ms in zip(v, hel, m)]

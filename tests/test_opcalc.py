@@ -530,6 +530,76 @@ def test_self_commutators_fail_closed_on_nan_in_one_member():
         assert not nan[:, np.arange(8) != 3].any()
 
 
+# -- the index tables: one plan per structure ---------------------------------
+
+def _assert_matches_where_the_reference_is_finite(jet):
+    """The parts equal the reference's wherever it is not NaN.  A NaN also
+    reaches the reference through products with structurally zero parts
+    (NaN * 0), which the live-member terms never compute."""
+    got, want = diffop_commutator(jet), at_pairs(dense_commutator(jet))
+    for x, y in zip(_comm_parts(got), _comm_parts(want)):
+        finite = ~np.isnan(y)
+        assert x.shape == y.shape and np.array_equal(x[finite], y[finite])
+    assert np.array_equal(got.a, want.a, equal_nan=True)
+    assert np.array_equal(got.second_order, want.second_order, equal_nan=True)
+    return got
+
+
+def test_nan_in_a_dead_slot_gets_its_own_plan_and_reaches_its_pairs():
+    # slot (1, 0) is dead: its B part and derivative are exactly zero.  A NaN
+    # written there at one sample makes it live, under a structure of its own
+    jet = stacked_jet(_partly_dead_operators(),
+                      as_batch(sample_momenta(3, 8, 5)))
+    assert not jet.b[1, 0].any() and not jet.db[1, 0].any()
+    poisoned = dataclasses.replace(jet, b=jet.b.copy())
+    poisoned.b[1, 0, 3] = np.nan
+    opcalc._plan.cache_clear()
+    _assert_matches_the_reference(jet)
+    got = _assert_matches_where_the_reference_is_finite(poisoned)
+    assert opcalc._plan.cache_info().misses == 2
+    # the NaN reaches every pair with member 1, at sample 3 only, and the
+    # second order; the pairs (i, j) are (0,1) (0,2) (0,3) (1,2) (1,3) (2,3)
+    for part in (got.a, got.b[0]):
+        nan = np.isnan(part).any(axis=(-2, -1))
+        assert nan[:, 3].tolist() == [True, False, False, True, True, False]
+        assert not nan[:, np.arange(8) != 3].any()
+    assert math.isnan(got.second_order)
+    assert not np.isnan(diffop_commutator(jet).b).any()
+    assert opcalc._plan.cache_info().hits == 1
+
+
+def test_one_structure_builds_one_plan():
+    # two batches of one generator set: one plan, read by the second call
+    ops = [op for _, op in generator_set("psi").members()]
+    opcalc._plan.cache_clear()
+    for seed in (5, 7):
+        _assert_matches_the_reference(stacked_jet(ops, as_batch(
+            sample_momenta(3, 8, seed))))
+    info = opcalc._plan.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_plan_cache_is_bounded():
+    # more structures than the cache holds, each a subset of the live B
+    # slots of one jet zeroed: the cache stays at its size, and every
+    # commutator still equals the reference
+    jet = stacked_jet(_generic_operators() + _partly_dead_operators(),
+                      as_batch(sample_momenta(3, 8, 5)))
+    size = opcalc._plan.cache_info().maxsize
+    assert size is not None
+    opcalc._plan.cache_clear()
+    live = [(i, k) for i in range(7) for k in range(3) if jet.b[i, k].any()]
+    assert 2 ** len(live) > size + 8
+    for n in range(size + 8):
+        b, db = jet.b.copy(), jet.db.copy()
+        for bit, (i, k) in enumerate(live):
+            if n >> bit & 1:
+                b[i, k] = db[i, k] = 0
+        _assert_matches_the_reference(dataclasses.replace(jet, b=b, db=db))
+    info = opcalc._plan.cache_info()
+    assert info.misses == size + 8 and info.currsize == size
+
+
 def _part_families():
     """(label, operators): psi, the chi set conjugated by U2, the built
     position operators, and the bare position components (a zero A part)."""

@@ -7,15 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import dense_commutator, nan_at
-from spinorlab import opcalc
+from spinorlab import cli, opcalc
 from spinorlab.clifford import pauli
-from spinorlab.equations import catalog_equation, catalog_unitary
+from spinorlab.equations import catalog_equation, catalog_unitary, energy
 from spinorlab.linalg import NotUnitary, mat_max
 from spinorlab.opcalc import (DiffOp1, OperatorField, as_batch,
                               diffop_commutator, sample_momenta,
                               stacked_jet, stacked_values)
-from spinorlab.poincare import (GENERATOR_NAMES, ContentNotInvariant,
-                                _closure, _tensor_residual, algebra_residual,
+from spinorlab.poincare import (CONTENT_SETS, GENERATOR_NAMES,
+                                ContentNotInvariant, _block_helicities,
+                                _closure, _half_integer, _tensor_residual,
+                                algebra_residual,
                                 generator_set, helicity_field, irrep_content,
                                 set_covariance_residual, structure_constants,
                                 structure_signs)
@@ -195,6 +197,78 @@ def test_content_invariant_under_conjugation():
     for uname, gs in (("U1", "chi"), ("U2", "phi")):
         eq = catalog_equation(catalog_unitary(uname).target)
         assert irrep_content(eq, generator_set(gs), S3) == base
+
+
+def per_sample_content(eq, gs, samples):
+    """The earlier content, one eigvalsh per sample and energy sign, kept as
+    the reference for the stacked one."""
+    p = as_batch(samples)
+    w_all, v_all = np.linalg.eigh(eq.hamiltonian(p))
+    hel_all = helicity_field(gs, samples[:2])(p)
+    out = {}
+    for key, rows in (("+", p[2] > 0), ("-", p[2] < 0)):
+        for w, v, hel_p in zip(w_all[rows], v_all[rows], hel_all[rows]):
+            blocks = [(eps, v[:, np.sign(w) == eps]) for eps in (1, -1)]
+            content = tuple(sorted(
+                (eps, _half_integer(x)) for eps, q in blocks
+                for x in np.linalg.eigvalsh(q.conj().T @ hel_p @ q)))
+            assert out.setdefault(key, content) == content
+    return out
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("seed", [42, 5, 7])
+@pytest.mark.parametrize("name", sorted(CONTENT_SETS))
+def test_stacked_content_equals_the_per_sample_loop(name, seed, n):
+    eq, gs = catalog_equation(name), generator_set(CONTENT_SETS[name][0])
+    samples = sample_momenta(3, n, seed)
+    assert irrep_content(eq, gs, samples) == per_sample_content(eq, gs,
+                                                                samples)
+    # the helicities themselves are the per-sample ones bit for bit
+    p = as_batch(samples)
+    w, v = np.linalg.eigh(eq.hamiltonian(p))
+    hel = helicity_field(gs, samples[:2])(p)
+    for eps in (1, -1):
+        stacked = _block_helicities(w, v, hel, eps)
+        assert isinstance(stacked, np.ndarray) and stacked.shape[0] == n
+        for x, ws, vs, hs in zip(stacked, w, v, hel):
+            q = vs[:, np.sign(ws) == eps]
+            assert np.array_equal(x, np.linalg.eigvalsh(q.conj().T @ hs @ q))
+
+
+def test_unequal_block_sizes_take_the_per_sample_path(monkeypatch):
+    # H = sign(p2) E: both eigenvalues positive where p2 > 0 and both
+    # negative where p2 < 0, so the energy-sign blocks differ in size across
+    # the branch; each sample is solved on its own, and the content varies
+    branch = [p for p in sample_momenta(3, 12, 42) if p[2] < 0]
+    signs = [np.sign(p[1]) for p in branch]
+    assert set(signs) == {-1.0, 1.0}
+    eq = dataclasses.replace(
+        catalog_equation("chi_plus"), hamiltonian=OperatorField.scalar(
+            lambda p: np.sign(p[1]) * energy(p), 2, 3))
+    gs, p = generator_set("chi2"), as_batch(branch)
+    w, v = np.linalg.eigh(eq.hamiltonian(p))
+    hel = helicity_field(gs, branch[:2])(p)
+    for eps in (1, -1):
+        got = _block_helicities(w, v, hel, eps)
+        assert isinstance(got, list)
+        assert [len(x) for x in got] == [2 if s == eps else 0 for s in signs]
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: calls.append(a.shape) or eigvalsh(a))
+    with pytest.raises(ContentNotInvariant, match="on the p3 - branch"):
+        irrep_content(eq, gs, branch)
+    assert calls and all(len(shape) == 2 for shape in calls)
+
+
+@pytest.mark.parametrize("n", ["8", "16"])
+def test_corrupted_content_fails_in_one_line_on_a_stacked_branch(capsys, n):
+    assert cli.main(["content", "--equation", "chi_plus", "--samples", n,
+                     "--corrupt-reduction"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("content not invariant:") and err.count("\n") == 1
 
 
 def test_helicity_requires_d3():
