@@ -34,8 +34,8 @@ argument, into one :class:`Jet` of values and partials, never evaluating a
 structurally zero part.  :func:`diffop_commutator` gives the commutators of
 its member pairs i < j from block GEMMs over live members and B slots, read
 members first, (*rows, *columns, *batch, dim, dim), through index tables
-built once per structure (:func:`_plan`); a self-commutator such as [A, A]
-is gathered at the pairs, then subtracted.
+built once per structure (:func:`_plan`): a self-commutator is gathered at
+the pairs, then subtracted, and a central part's zero products are skipped.
 """
 
 from __future__ import annotations
@@ -245,13 +245,14 @@ class OperatorField:
 
     __call__ = _eval   # the entry bench/tracing.py wraps; nodes call _eval
 
-    def deriv(self, p: Point) -> np.ndarray:
+    def deriv(self, p: Point, out=None) -> np.ndarray:
         """All d exact partial derivatives at p (a point or a batch), as one
         (d, ..., dim, dim) stack from a single evaluation on p seeded along
-        every axis at once, the one that every :meth:`partial` reads."""
+        every axis at once, the one that every :meth:`partial` reads; added
+        into out (zeros of that shape) when it is given."""
         p = _Argument.of(p)
-        return (_zeros(p, self.dim, (self.d,))
-                + dual.eps(self._eval(p.seeded())))
+        out = _zeros(p, self.dim, (self.d,)) if out is None else out
+        return np.add(out, dual.eps(self._eval(p.seeded())), out=out)
 
     def partial(self, k: int) -> "OperatorField":
         """d/dp_k as a field: slice k of the eps part of its value on p
@@ -353,16 +354,16 @@ def stacked_jet(ops: Sequence[DiffOp1], p: Point) -> "Jet":
     axis, from one evaluation shared by them all: each (field, argument)
     pair is computed once (see :class:`_Argument`).
 
-    Per part one all-axes seeded evaluation (:meth:`OperatorField.deriv`)
-    gives every partial, and its value part, the plain value bit for bit
-    (see :mod:`spinorlab.dual`), is the value; an absent part is the
-    structurally zero field and is never evaluated.
+    Per part one all-axes seeded evaluation (:meth:`OperatorField.deriv`,
+    into its slot) gives every partial, and its value part, the plain value
+    bit for bit (see :mod:`spinorlab.dual`), is the value; an absent part is
+    the structurally zero field and is never evaluated.
     """
     p = _Argument.of(p)
     shape = p.batch + (ops[0].a.dim,) * 2
-    da, db, dx0 = _stacked(ops, (ops[0].d, *shape), lambda f: f.deriv(p))
-    a, b, x0 = _stacked(ops, shape,
-                        lambda f: dual.value(f._eval(p.seeded())))
+    da, db, dx0 = _stacked(ops, (ops[0].d, *shape), lambda f, o: f.deriv(p, o))
+    a, b, x0 = _stacked(ops, shape, lambda f, o: np.copyto(
+        o, dual.value(f._eval(p.seeded()))))
     return Jet(a, b, da, db, x0, dx0)
 
 
@@ -370,20 +371,21 @@ def stacked_values(ops: Sequence[DiffOp1], p: Point) -> tuple:
     """(A, B, C) of every operator of ops on p, stacked on a leading member
     axis, from one shared evaluation."""
     p = _Argument.of(p)
-    return _stacked(ops, p.batch + (ops[0].a.dim,) * 2, lambda f: f(p))
+    return _stacked(ops, p.batch + (ops[0].a.dim,) * 2,
+                    lambda f, o: np.copyto(o, f(p)))
 
 
-def _stacked(ops, shape: tuple, value: Callable) -> tuple:
-    """value(f), of the given shape, of every A, B_k and C part f of ops on
-    zeroed (G, *shape), (G, d, *shape) and (G, *shape) stacks: a
-    structurally zero part stays zero, never evaluated."""
+def _stacked(ops, shape: tuple, write: Callable) -> tuple:
+    """write(f, out) of every A, B_k and C part f of ops, into its slot out,
+    of the given shape, of zeroed (G, *shape), (G, d, *shape) and (G, *shape)
+    stacks: a structurally zero part stays zero, never evaluated."""
     g, d = len(ops), ops[0].d
     a, b, x0 = (np.zeros((g, *axes, *shape), complex)
                 for axes in ((), (d,), ()))
     for i, op in enumerate(ops):
         for out, f in ((a[i], op.a), *zip(b[i], op.b), (x0[i], op.x0)):
             if not f._is_zero():
-                out[...] = value(f)
+                write(f, out)
     return a, b, x0
 
 
@@ -414,7 +416,8 @@ class Commutator:
     and the batch), so callers can check each x0 coefficient on its own and
     that nothing leaks outside first order.  b[k] and x0_b[k] are the parts of
     i d/dp_k.  Each part is a new array with one leading axis over the member
-    pairs ``np.triu_indices(G, 1)`` (after the axis k for b and x0_b).
+    pairs ``np.triu_indices(G, 1)`` (after the axis k for b and x0_b).  A
+    central part (:func:`diffop_commutator`) gives its zero parts as zeros.
     """
 
     a: np.ndarray
@@ -473,24 +476,30 @@ def _plan(g: int, d: int, slots: tuple, c: tuple) -> SimpleNamespace:
                            rows=live[si[:, None] * d + sk])
 
 
-def _operands(s: Jet, nb: int, plan: SimpleNamespace) -> SimpleNamespace:
+def _operands(s: Jet, nb: int, plan: SimpleNamespace, central_b: bool,
+              central_c: bool) -> SimpleNamespace:
     """A stacked jet packed once for block GEMMs, on its plan's live B slots
     and members: each part as the left (``*l``) or right (``*r``) operand
     that the terms read; ``b_rows``/``b_cols`` (B of the live members) and
     ``s_rows``/``s_cols`` (B at the live slots), read from one packing of B,
-    have one slot (i, k) per block, as one factor of a commutator."""
+    have one slot (i, k) per block, as one factor of a commutator; those of
+    B's commutators (C's values) only when B (C) is not central."""
     (*batch, _, dim), one = s.a.shape[1:], lambda x: np.expand_dims(x, -nb - 3)
     left, right = lambda x: _pack(x, nb), lambda x: _pack(x, nb, True)
-    bl, cl = s.b[plan.b], one(s.x0[plan.c])
-    b_rows = left(one(bl))
-    blocks = b_rows.reshape(*batch, -1, dim, dim)
     cols = lambda z: np.swapaxes(z, -3, -2).reshape(*batch, dim, -1)
-    s_blocks = blocks[..., plan.own, :, :]
-    return SimpleNamespace(
-        al=left(one(s.a)), ar=right(one(s.a)), bl=left(bl), b_rows=b_rows,
-        b_cols=cols(blocks), s_rows=s_blocks.reshape(*batch, -1, dim),
-        s_cols=cols(s_blocks), dar=right(s.da), dbr=right(s.db[plan.b]),
-        cl=left(cl), cr=right(cl), dcr=right(s.dx0[plan.c]))
+    bl, cl = s.b[plan.b], one(s.x0[plan.c])
+    x = SimpleNamespace(al=left(one(s.a)), ar=right(one(s.a)), bl=left(bl),
+                        dar=right(s.da), dbr=right(s.db[plan.b]),
+                        dcr=right(s.dx0[plan.c]))
+    if not central_b:
+        x.b_rows = left(one(bl))
+        blocks = x.b_rows.reshape(*batch, -1, dim, dim)
+        s_blocks = blocks[..., plan.own, :, :]
+        x.b_cols, x.s_cols = cols(blocks), cols(s_blocks)
+        x.s_rows = s_blocks.reshape(*batch, -1, dim)
+    if not central_c:
+        x.cl, x.cr = left(cl), right(cl)
+    return x
 
 
 def diffop_commutator(jet: Jet) -> Commutator:
@@ -514,13 +523,22 @@ def diffop_commutator(jet: Jet) -> Commutator:
     derivative has an entry that is not exactly zero (a NaN counts as live,
     so it reaches the result), and written into a zeroed result at the pairs
     it reaches, through the index tables of that structure (:func:`_plan`).
+    The x0 stack C, and B, is central when each block is a finite real
+    multiple of 1 (a dead one is 0 * 1), read from the values on each call;
+    then [A, C], [C, B] and [C, C] (x0_a is i B dC alone), or [A, B], [C, B]
+    and the second order (0.0), are exact zeros and not formed.  All or
+    nothing per part: pruning members or slots changes the GEMMs' shapes and
+    so their rounding.  Real only: X cI and cI X round alike for real c.
     """
     shape = jet.a.shape[1:]
     g, d, nb, dim = len(jet.a), jet.b.shape[1], len(shape) - 2, shape[-1]
     live = lambda x, dx, n: tuple(np.flatnonzero(
         x.reshape(n, -1).any(1) | dx.reshape(n, -1).any(1)).tolist())
     plan = _plan(g, d, live(jet.b, jet.db, g * d), live(jet.x0, jet.dx0, g))
-    x, b, c = _operands(jet, nb, plan), plan.b, plan.c
+    eye = np.eye(dim, dtype=bool)
+    central_b, central_c = (np.isfinite(z[..., 0, 0]).all() and np.array_equal(
+        z, np.where(eye, z[..., :1, :1].real, 0)) for z in (jet.b, jet.x0))
+    x, b, c = _operands(jet, nb, plan, central_b, central_c), plan.b, plan.c
     mm = lambda l, r, mx, my: _product(l, r, mx, my, dim)
     zeros = lambda *axes: np.zeros((plan.pairs,) + axes + shape, complex)
 
@@ -562,24 +580,26 @@ def diffop_commutator(jet: Jet) -> Commutator:
         return a
 
     def first_order():
-        out = spread(comm(x.al, x.b_cols, x.b_rows, x.ar, (g,), (len(b), d)),
-                     "every", "b", d)
+        out = zeros(d) if central_b else spread(comm(
+            x.al, x.b_cols, x.b_rows, x.ar, (g,), (len(b), d)), "every", "b", d)
         m, v = skew(mm(x.bl, x.dbr, (len(b),), (len(b), d)), "b")
         out[m] += 1j * v
         return out
 
     def x0_parts():
-        x0_a = spread(comm(x.al, x.cr, x.cl, x.ar, (g,), (len(c),)),
-                      "every", "c")
-        x0_a += 1j * spread(mm(x.bl, x.dcr, (len(b),), (len(c),)), "b", "c")
-        x0_b = spread(comm(x.cl, x.b_cols, x.b_rows, x.cr, (len(c),),
-                           (len(b), d)), "c", "b", d)
+        x0_a = 1j * spread(mm(x.bl, x.dcr, (len(b),), (len(c),)), "b", "c")
+        if central_c:
+            return x0_a, zeros(d), zeros()
+        x0_a += spread(comm(x.al, x.cr, x.cl, x.ar, (g,), (len(c),)),
+                       "every", "c")
+        x0_b = zeros(d) if central_b else spread(comm(
+            x.cl, x.b_cols, x.b_rows, x.cr, (len(c),), (len(b), d)), "c", "b", d)
         x0_sq = zeros()
         m, v = skew(mm(x.cl, x.cr, (len(c),), (len(c),)), "c")
         x0_sq[m] = v
         return x0_a, x0_b, x0_sq
 
-    second = second_order()
+    second = 0.0 if central_b else second_order()
     a, first, (x0_a, x0_b, x0_sq) = zeroth_order(), first_order(), x0_parts()
     return Commutator(a, np.moveaxis(first, -nb - 3, 0), x0_a,
                       np.moveaxis(x0_b, -nb - 3, 0), x0_sq, second)

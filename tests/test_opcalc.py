@@ -418,9 +418,9 @@ def test_boost_jet_makes_one_all_axes_deriv_per_part(monkeypatch):
     calls = []
     deriv = OperatorField.deriv
 
-    def counted(self, p):
+    def counted(self, p, *out):
         calls.append(self)
-        return deriv(self, p)
+        return deriv(self, p, *out)
 
     monkeypatch.setattr(OperatorField, "deriv", counted)
     stacked_jet([op], as_batch(sample_momenta(3, 8, 5)))
@@ -631,8 +631,8 @@ def test_stacks_never_evaluate_a_zero_field(monkeypatch):
 
     def counted(name):
         method = getattr(OperatorField, name)
-        return lambda self, p: (calls.append((name, id(self))),
-                                method(self, p))[1]
+        return lambda self, p, *out: (calls.append((name, id(self))),
+                                      method(self, p, *out))[1]
 
     for name in ("_eval", "__call__", "deriv"):
         monkeypatch.setattr(OperatorField, name, counted(name))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import dense_commutator, nan_at
+from helpers import at_pairs, dense_commutator, nan_at
 from spinorlab import cli, opcalc
 from spinorlab.clifford import pauli
 from spinorlab.equations import catalog_equation, catalog_unitary, energy
@@ -392,18 +392,66 @@ def all_pairs_residual(closure, sign_jj, sign_jp) -> float:
                    comm.x0_b)
 
 
-def _noncommuting_x0_set():
-    """psi with non-scalar x0 parts on J01 and J02 that do not commute with
-    each other or with B, so that every x0 part of the commutator is
-    nonzero (on the realizations they are p_k times the identity)."""
-    gs = generator_set("psi")
+def _noncommuting_x0_set(name="psi"):
+    """A 4x4 set, psi unless named, with non-scalar x0 parts on J01 and J02
+    that do not commute with each other or (on psi) with B, so that every
+    x0 part of the commutator is nonzero (on the realizations they are p_k
+    times the identity)."""
+    gs = generator_set(name)
     J = dict(gs.J)
     for k, a in ((1, 1), (2, 2)):
         j0k = J[(0, k)]
         m = np.kron(pauli(a), np.eye(2))
         J[(0, k)] = DiffOp1(j0k.a, j0k.b, j0k.x0 + OperatorField(
             4, 3, [(lambda p, _k=k: p[_k - 1], m)]))
-    return dataclasses.replace(gs, name="psi_x0", J=J)
+    return dataclasses.replace(gs, name=f"{name}_x0", J=J)
+
+
+def _complex_x0_set():
+    """chi2 with its boosts' x0 parts, p_k times the identity, times
+    i e^{0.3i}: a complex multiple of the identity, whose products with a
+    block round differently on each side, so its x0 parts read rounding."""
+    gs = generator_set("chi2")
+    z = 1j * np.exp(0.3j)
+    J = {key: dataclasses.replace(op, x0=op.x0.scale(z))
+         for key, op in gs.J.items()}
+    return dataclasses.replace(gs, name="chi2_ix0", J=J)
+
+
+@pytest.mark.parametrize("seed", [5, 7, 42])
+def test_central_parts_form_no_block_products(monkeypatch, seed):
+    # a central x0 stack (each boost's is x0 p_k 1) skips [A, C], [C, B] and
+    # [C, C], 5 of the 12 block GEMMs; an all-central B (phi_pos, phi_neg,
+    # whose H is +-E 1) skips [A, B], [C, B] and the second order.  A
+    # non-scalar x0 part, or a complex multiple of 1, keeps all 12 on a
+    # non-central B, and 7 on phi_pos's central one.  Every set still
+    # equals the dense reference, bit for bit but for the complex multiple's
+    # x0 parts: its [C, B] and [C, C] read rounding here, where the
+    # reference's products happen to round to exact zeros
+    calls, product = [], opcalc._product
+    monkeypatch.setattr(opcalc, "_product", lambda *args: (
+        calls.append(args), product(*args))[1])
+    want = {**dict.fromkeys(GENERATOR_NAMES, 7), "phi_pos": 4, "phi_neg": 4,
+            "psi_x0": 12, "phi_pos_x0": 7, "chi2_ix0": 12}
+    sets = [generator_set(name) for name in GENERATOR_NAMES] + [
+        _noncommuting_x0_set(), _noncommuting_x0_set("phi_pos")]
+    for gs in sets + [_complex_x0_set()]:
+        jet = stacked_jet([op for _, op in gs.members()],
+                          as_batch(sample_momenta(gs.d, 8, seed)))
+        calls.clear()
+        got = diffop_commutator(jet)
+        assert len(calls) == want[gs.name], gs.name
+        ref = at_pairs(dense_commutator(jet))
+        exact = ("a", "b") + (("x0_a", "x0_b", "x0_sq")
+                              if gs.name != "chi2_ix0" else ())
+        for part in exact:
+            x, y = getattr(got, part), getattr(ref, part)
+            assert x.shape == y.shape and np.array_equal(x, y), (gs.name, part)
+        assert got.second_order == ref.second_order, gs.name
+    bound = 4 * np.finfo(float).eps * mat_max(jet.x0) * mat_max(jet.a, jet.b)
+    assert got.x0_b.any() and mat_max(got.x0_b, got.x0_sq) <= bound
+    assert mat_max(got.x0_a - ref.x0_a, got.x0_b - ref.x0_b,
+                   got.x0_sq - ref.x0_sq) <= bound
 
 
 @settings(deadline=None, max_examples=4)

@@ -119,8 +119,8 @@ def test_position_from_unitary_probes_once_and_rejects_non_unitary(
 def test_verify_position_reads_values_only(monkeypatch):
     derivs, commutators = [], []
     deriv, commutator = OperatorField.deriv, opcalc.diffop_commutator
-    monkeypatch.setattr(OperatorField, "deriv", lambda self, p: (
-        derivs.append(self), deriv(self, p))[1])
+    monkeypatch.setattr(OperatorField, "deriv", lambda self, p, *out: (
+        derivs.append(self), deriv(self, p, *out))[1])
     for module in (opcalc, position):
         monkeypatch.setattr(module, "diffop_commutator", lambda jet: (
             commutators.append(jet), commutator(jet))[1])
