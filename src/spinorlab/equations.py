@@ -317,6 +317,7 @@ def _catalog_unitary(name: str, m: float) -> UnitarySpec:
 UNITARY_NAMES = ("U1", "U2", "tU1", "tU2", "V1", "V", "V2")
 
 
+@functools.cache
 def composed_tu() -> UnitarySpec:
     """tU2*tU1: maps the massless four-component equation onto gamma0*E."""
     u1 = catalog_unitary("tU1").closed
@@ -368,6 +369,7 @@ Q_PLUS = 0.5 * (I4 + G3 @ G4)
 Q_MINUS = 0.5 * (I4 - G3 @ G4)
 
 
+@functools.lru_cache(maxsize=256)
 def chirality_projector_field(sign: float) -> OperatorField:
     """(1 -+ e3*gamma4)/2, the momentum-dependent subsidiary projectors."""
     return OperatorField(4, 3, [
@@ -376,6 +378,7 @@ def chirality_projector_field(sign: float) -> OperatorField:
     ])
 
 
+@functools.lru_cache(maxsize=256)
 def massive_constraint_field(m: float) -> OperatorField:
     """K(p) = (gamma3 gamma4 m + gamma4 p3)/q3 with K^2 = 1."""
     q3 = q3_of(m)

@@ -47,7 +47,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -329,8 +329,9 @@ class DiffOp1:
         return DiffOp1(f, (zero,) * f.d, zero)
 
     @staticmethod
+    @functools.cache
     def position_component(k: int, dim: int, d: int) -> "DiffOp1":
-        """x_k = i d/dp_k (k is 0-based)."""
+        """x_k = i d/dp_k (k is 0-based); one shared operator per k."""
         zero = OperatorField.zero(dim, d)
         b = tuple(OperatorField.constant(np.eye(dim, dtype=complex), d)
                   if j == k else zero for j in range(d))
@@ -354,16 +355,20 @@ def stacked_jet(ops: Sequence[DiffOp1], p: Point) -> "Jet":
     axis, from one evaluation shared by them all: each (field, argument)
     pair is computed once (see :class:`_Argument`).
 
-    Per part one all-axes seeded evaluation (:meth:`OperatorField.deriv`,
-    into its slot) gives every partial, and its value part, the plain value
-    bit for bit (see :mod:`spinorlab.dual`), is the value; an absent part is
-    the structurally zero field and is never evaluated.
+    In one pass over the parts, one all-axes seeded evaluation per part
+    (:meth:`OperatorField.deriv`, into its slot) gives every partial, and
+    its value part (read from the memo), the plain value bit for bit, is the
+    value; an absent part, the structurally zero field, is never evaluated.
     """
     p = _Argument.of(p)
     shape = p.batch + (ops[0].a.dim,) * 2
-    da, db, dx0 = _stacked(ops, (ops[0].d, *shape), lambda f, o: f.deriv(p, o))
-    a, b, x0 = _stacked(ops, shape, lambda f, o: np.copyto(
-        o, dual.value(f._eval(p.seeded()))))
+
+    def write(f, out, dout):
+        f.deriv(p, dout)
+        np.copyto(out, dual.value(f._eval(p.seeded())))
+
+    (a, b, x0), (da, db, dx0) = _stacked(ops, (shape, (ops[0].d, *shape)),
+                                         write)
     return Jet(a, b, da, db, x0, dx0)
 
 
@@ -371,22 +376,23 @@ def stacked_values(ops: Sequence[DiffOp1], p: Point) -> tuple:
     """(A, B, C) of every operator of ops on p, stacked on a leading member
     axis, from one shared evaluation."""
     p = _Argument.of(p)
-    return _stacked(ops, p.batch + (ops[0].a.dim,) * 2,
-                    lambda f, o: np.copyto(o, f(p)))
+    return _stacked(ops, (p.batch + (ops[0].a.dim,) * 2,),
+                    lambda f, o: np.copyto(o, f(p)))[0]
 
 
-def _stacked(ops, shape: tuple, write: Callable) -> tuple:
-    """write(f, out) of every A, B_k and C part f of ops, into its slot out,
-    of the given shape, of zeroed (G, *shape), (G, d, *shape) and (G, *shape)
-    stacks: a structurally zero part stays zero, never evaluated."""
+def _stacked(ops, shapes: tuple, write: Callable) -> list:
+    """write(f, *outs) of every A, B_k and C part f of ops, in one pass, outs
+    its slots in zeroed (G, *shape), (G, d, *shape) and (G, *shape) stacks
+    for each shape of shapes: a structurally zero part stays zero, unread."""
     g, d = len(ops), ops[0].d
-    a, b, x0 = (np.zeros((g, *axes, *shape), complex)
-                for axes in ((), (d,), ()))
+    stacks = [tuple(np.zeros((g, *axes, *shape), complex)
+                    for axes in ((), (d,), ())) for shape in shapes]
     for i, op in enumerate(ops):
-        for out, f in ((a[i], op.a), *zip(b[i], op.b), (x0[i], op.x0)):
+        for j, f in enumerate((op.a, *op.b, op.x0)):
             if not f._is_zero():
-                write(f, out)
-    return a, b, x0
+                write(f, *(a[i] if j == 0 else x0[i] if j > d else b[i, j - 1]
+                           for a, b, x0 in stacks))
+    return stacks
 
 
 @dataclass(frozen=True)
@@ -417,14 +423,15 @@ class Commutator:
     that nothing leaks outside first order.  b[k] and x0_b[k] are the parts of
     i d/dp_k.  Each part is a new array with one leading axis over the member
     pairs ``np.triu_indices(G, 1)`` (after the axis k for b and x0_b).  A
-    central part (:func:`diffop_commutator`) gives its zero parts as zeros.
+    part that a central stack (:func:`diffop_commutator`) makes an exact
+    zero is absent (None): x0_sq when C is central, x0_b when C or B is.
     """
 
     a: np.ndarray
     b: np.ndarray
     x0_a: np.ndarray
-    x0_b: np.ndarray
-    x0_sq: np.ndarray
+    x0_b: Optional[np.ndarray]
+    x0_sq: Optional[np.ndarray]
     second_order: float
 
 
@@ -525,10 +532,11 @@ def diffop_commutator(jet: Jet) -> Commutator:
     it reaches, through the index tables of that structure (:func:`_plan`).
     The x0 stack C, and B, is central when each block is a finite real
     multiple of 1 (a dead one is 0 * 1), read from the values on each call;
-    then [A, C], [C, B] and [C, C] (x0_a is i B dC alone), or [A, B], [C, B]
-    and the second order (0.0), are exact zeros and not formed.  All or
-    nothing per part: pruning members or slots changes the GEMMs' shapes and
-    so their rounding.  Real only: X cI and cI X round alike for real c.
+    then [A, C], [C, B] and [C, C] (x0_a is i B dC alone; x0_b and x0_sq are
+    absent), or [A, B], [C, B] and the second order (0.0; x0_b is absent),
+    are exact zeros and not formed.  All or nothing per part: pruning
+    members or slots changes the GEMMs' shapes and so their rounding.  Real
+    only: X cI and cI X round alike for real c.
     """
     shape = jet.a.shape[1:]
     g, d, nb, dim = len(jet.a), jet.b.shape[1], len(shape) - 2, shape[-1]
@@ -589,11 +597,12 @@ def diffop_commutator(jet: Jet) -> Commutator:
     def x0_parts():
         x0_a = 1j * spread(mm(x.bl, x.dcr, (len(b),), (len(c),)), "b", "c")
         if central_c:
-            return x0_a, zeros(d), zeros()
+            return x0_a, None, None
         x0_a += spread(comm(x.al, x.cr, x.cl, x.ar, (g,), (len(c),)),
                        "every", "c")
-        x0_b = zeros(d) if central_b else spread(comm(
-            x.cl, x.b_cols, x.b_rows, x.cr, (len(c),), (len(b), d)), "c", "b", d)
+        x0_b = None if central_b else np.moveaxis(spread(comm(
+            x.cl, x.b_cols, x.b_rows, x.cr, (len(c),), (len(b), d)),
+            "c", "b", d), -nb - 3, 0)
         x0_sq = zeros()
         m, v = skew(mm(x.cl, x.cr, (len(c),), (len(c),)), "c")
         x0_sq[m] = v
@@ -601,8 +610,8 @@ def diffop_commutator(jet: Jet) -> Commutator:
 
     second = 0.0 if central_b else second_order()
     a, first, (x0_a, x0_b, x0_sq) = zeroth_order(), first_order(), x0_parts()
-    return Commutator(a, np.moveaxis(first, -nb - 3, 0), x0_a,
-                      np.moveaxis(x0_b, -nb - 3, 0), x0_sq, second)
+    return Commutator(a, np.moveaxis(first, -nb - 3, 0), x0_a, x0_b, x0_sq,
+                      second)
 
 
 def require_unitary(name: str, field: OperatorField, points) -> None:
@@ -630,3 +639,10 @@ def conjugate_by_unitary(u: OperatorField, g: DiffOp1) -> DiffOp1:
     for k in range(g.d):
         a = a + ud @ g.b[k] @ u.partial(k).scale(1j)
     return DiffOp1(a, tuple(ud @ f @ u for f in g.b), ud @ g.x0 @ u)
+
+
+@functools.lru_cache(maxsize=64)
+def conjugated(u: OperatorField, ops: tuple) -> tuple:
+    """conjugate_by_unitary(u, g) for each g of ops, built once per (u, ops)
+    (compared by identity) and shared, read-only, as one graph."""
+    return tuple(conjugate_by_unitary(u, g) for g in ops)

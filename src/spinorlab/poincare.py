@@ -40,7 +40,7 @@ from . import dual
 from .clifford import gamma_set, pauli, spin_matrix
 from .equations import catalog_equation, e3, e_plus_abs_p3, energy
 from .linalg import mat_max
-from .opcalc import (DiffOp1, OperatorField, as_batch, conjugate_by_unitary,
+from .opcalc import (DiffOp1, OperatorField, as_batch, conjugated,
                      diffop_commutator, require_unitary, sample_momenta,
                      stacked_jet, stacked_values)
 
@@ -52,7 +52,7 @@ class ContentNotInvariant(Exception):
     """Irrep content differed across sample momenta (construction bug)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorSet:
     name: str
     dim: int
@@ -66,6 +66,7 @@ class GeneratorSet:
         return out
 
 
+@functools.cache
 def _orbital_rotation(k: int, l: int, dim: int, d: int) -> DiffOp1:
     """x_k p_l - x_l p_k, normal ordered (1-based spatial indices)."""
     zero = OperatorField.zero(dim, d)
@@ -75,12 +76,12 @@ def _orbital_rotation(k: int, l: int, dim: int, d: int) -> DiffOp1:
     return DiffOp1(zero, tuple(b), zero)
 
 
-def _boost(h: OperatorField, k: int) -> DiffOp1:
+def _boost(h: OperatorField, minus_h: OperatorField, k: int) -> DiffOp1:
     """x0 p_k - (1/2)[x_k, H]_+ = x0 p_k - H x_k - (i/2) dH/dp_k."""
     dim, d = h.dim, h.d
     a = h.partial(k - 1).scale(-0.5j)
     b = [OperatorField.zero(dim, d)] * d
-    b[k - 1] = h.scale(-1.0)
+    b[k - 1] = minus_h
     return DiffOp1(a, tuple(b), OperatorField.momentum(k - 1, dim, d))
 
 
@@ -88,9 +89,12 @@ def _assemble(name: str, h: OperatorField, spin=None,
               boost_extra=None) -> GeneratorSet:
     """P_0 = H, P_k = p_k, J_kl = x_k p_l - x_l p_k + spin[(k, l)] and
     J_0k = x0 p_k - (1/2)[x_k, H]_+ + boost_extra[k]; an added part is a
-    field or a constant matrix, and an absent one is zero."""
+    field or a constant matrix, and an absent one is zero.  A field that
+    sets share (the orbital parts, the phi family's spin fields), and -H in
+    the boosts of one set, is one node, evaluated once per argument."""
     dim, d = h.dim, h.d
     spin, boost_extra = spin or {}, boost_extra or {}
+    minus_h = h.scale(-1.0)
 
     def plus(op, f):
         if f is None:
@@ -105,12 +109,20 @@ def _assemble(name: str, h: OperatorField, spin=None,
         P[k] = DiffOp1.from_field(OperatorField.momentum(k - 1, dim, d))
         for l in range(k + 1, d + 1):
             J[(k, l)] = plus(_orbital_rotation(k, l, dim, d), spin.get((k, l)))
-        J[(0, k)] = plus(_boost(h, k), boost_extra.get(k))
+        J[(0, k)] = plus(_boost(h, minus_h, k), boost_extra.get(k))
     return GeneratorSet(name, dim, d, MappingProxyType(P), MappingProxyType(J))
 
 
 def _over_e_plus_p3(p):
     return 1.0 / e_plus_abs_p3(p)
+
+
+# S_{a b} p_b for a = 1, 2 reduces to +-S12 p_{2,1}: it and the J_a3 spin
+# fields are shared by phi, phi_pos and phi_neg
+_SAB_PB = {a: OperatorField(4, 3, [(f, spin_matrix(_REP, 1, 2))]) for a, f in
+           ((1, lambda p: p[1]), (2, lambda p: -p[0]))}
+_PHI_SPIN = {(a, 3): _SAB_PB[a].scale(lambda p: -e3(p) * _over_e_plus_p3(p))
+             for a in (1, 2)}
 
 
 def generator_set(name: str, m: float = 1.0) -> GeneratorSet:
@@ -141,21 +153,12 @@ def _generator_set(name: str, m: float) -> GeneratorSet:
                          {**spin, (1, 2): s12})
 
     if name in ("phi", "phi_pos", "phi_neg"):
-        if name == "phi":
-            g0 = G0
-        else:
-            g0 = (1.0 if name == "phi_pos" else -1.0) * np.eye(4, dtype=complex)
-        # S_{a b} p_b for a = 1, 2 reduces to +-S12 p_{2,1}
-        sab_pb = {
-            1: OperatorField(4, 3, [(lambda p: p[1], s12)]),
-            2: OperatorField(4, 3, [(lambda p: -p[0], s12)]),
-        }
-        spin = {(a, 3): sab_pb[a].scale(lambda p: -e3(p) * _over_e_plus_p3(p))
-                for a in (1, 2)}
-        extra = {a: (OperatorField.constant(g0, 3) @ sab_pb[a])
+        g0 = G0 if name == "phi" else (
+            1.0 if name == "phi_pos" else -1.0) * np.eye(4, dtype=complex)
+        extra = {a: (OperatorField.constant(g0, 3) @ _SAB_PB[a])
                  .scale(lambda p: -_over_e_plus_p3(p)) for a in (1, 2)}
         return _assemble(name, OperatorField(4, 3, [(energy, g0)]),
-                         {**spin, (1, 2): s12}, extra)
+                         {**_PHI_SPIN, (1, 2): s12}, extra)
 
     if name in ("chi2", "chi2_lower"):
         # two-component reduction of the "chi" set on the upper (lower)
@@ -259,13 +262,15 @@ def _tensor_residual(closure, sign_jj, sign_jp) -> float:
     exactly antisymmetric in (i, j).  The right-hand side, linear in the
     members, has no x0^2 part, and its B part no x0 part (C carries no
     derivative); its parts are GEMMs of the pair rows of f (built once per
-    d and signs) over the member axis, read against the commutator's parts.
+    d and signs) over the member axis, read against the commutator's parts;
+    an absent part (an exact zero) is not reduced.
     """
     comm, a, c, b = closure
     f = _pair_rows(len(comm.b), sign_jj, sign_jp)
     rhs = lambda x: (f @ x.reshape(len(x), -1)).reshape((len(f),) + x.shape[1:])
-    return mat_max(comm.a - rhs(a), comm.x0_a - rhs(c), comm.x0_sq,
-                   comm.b - np.moveaxis(rhs(b), 1, 0), comm.x0_b)
+    return mat_max(comm.a - rhs(a), comm.x0_a - rhs(c),
+                   comm.b - np.moveaxis(rhs(b), 1, 0),
+                   *(x for x in (comm.x0_sq, comm.x0_b) if x is not None))
 
 
 @functools.cache
@@ -292,14 +297,14 @@ def algebra_residual(gs: GeneratorSet, samples):
 def set_covariance_residual(gs_src: GeneratorSet, gs_tgt: GeneratorSet,
                             u: OperatorField, samples) -> float:
     """max | u G_src u^-1 - G_tgt | over members, samples and the parts A, B
-    and C (the x0 coefficient); u is checked for unitarity once, and each
-    set's values are one stacked evaluation."""
+    and C (the x0 coefficient); u is checked for unitarity on every call,
+    the source set is conjugated once per (u, set) (:func:`conjugated`), and
+    each set's values are one stacked evaluation."""
     p, ud = as_batch(samples), u.adjoint()
     require_unitary("conjugating field", ud, samples[:2])
-    conj = [conjugate_by_unitary(ud, op) for _, op in gs_src.members()]
-    (a1, b1, c1), (a2, b2, c2) = (
-        stacked_values(ops, p) for ops in (conj, [op for _, op in
-                                                  gs_tgt.members()]))
+    src, tgt = (tuple(op for _, op in gs.members()) for gs in (gs_src, gs_tgt))
+    (a1, b1, c1), (a2, b2, c2) = (stacked_values(ops, p)
+                                  for ops in (conjugated(ud, src), tgt))
     return mat_max(a1 - a2, b1 - b2, c1 - c2)
 
 
@@ -309,20 +314,25 @@ def helicity_field(gs: GeneratorSet, check_points) -> OperatorField:
     """h = sum_k p_k J_k / E with J_k = (1/2) eps_klm J_lm.
 
     The orbital derivative parts cancel identically (p x p = 0); this is
-    asserted at the check points and the surviving matrix field is returned.
+    asserted at each call's check points; the cached matrix field is returned.
     """
-    if gs.d != 3:
-        raise ValueError("helicity requires d = 3")
-    jvec = {1: gs.J[(2, 3)], 2: gs.J[(1, 3)].scale(-1.0), 3: gs.J[(1, 2)]}
-    terms = [jvec[k].scale(lambda p, _k=k: p[_k - 1] / energy(p))
-             for k in (1, 2, 3)]
-    h_op = terms[0] + terms[1] + terms[2]
+    h_op = _helicity_operator(gs)
     p = as_batch(check_points)
     if not (mat_max(*(bf(p) for bf in h_op.b)) <= 1e-10):
         raise RuntimeError("not a scalar helicity")
     if not (mat_max(h_op.x0(p)) <= 1e-12):
         raise RuntimeError("helicity acquired an x0 part")
     return h_op.a
+
+
+@functools.lru_cache(maxsize=64)
+def _helicity_operator(gs: GeneratorSet) -> DiffOp1:
+    if gs.d != 3:
+        raise ValueError("helicity requires d = 3")
+    jvec = {1: gs.J[(2, 3)], 2: gs.J[(1, 3)].scale(-1.0), 3: gs.J[(1, 2)]}
+    terms = [jvec[k].scale(lambda p, _k=k: p[_k - 1] / energy(p))
+             for k in (1, 2, 3)]
+    return terms[0] + terms[1] + terms[2]
 
 
 def _half_integer(x) -> float:

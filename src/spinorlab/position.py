@@ -35,7 +35,7 @@ from .clifford import gamma_set, pauli, spin_matrix
 from .equations import catalog_unitary, e3, e_plus_abs_p3, energy
 from .linalg import mat_max
 # diffop_commutator stays bound here: bench/tracing.py patches this binding
-from .opcalc import (DiffOp1, OperatorField, as_batch, conjugate_by_unitary,
+from .opcalc import (DiffOp1, OperatorField, as_batch, conjugated,
                      diffop_commutator, require_unitary, stacked_values)
 
 _REP = gamma_set("rep26")
@@ -74,13 +74,8 @@ def position_from_unitary(name: str, probe=()) -> tuple:
         raise ValueError(f"unknown position operator {name!r}")
     u = conjugating_field(name)
     require_unitary("conjugating field", u, probe)
-    return _conjugated(u)
-
-
-@functools.lru_cache(maxsize=16)
-def _conjugated(u: OperatorField) -> tuple:
-    return tuple(conjugate_by_unitary(
-        u, DiffOp1.position_component(k, u.dim, 3)) for k in range(3))
+    return conjugated(u, tuple(DiffOp1.position_component(k, u.dim, 3)
+                               for k in range(3)))
 
 
 def _inv_e_eplus(p):

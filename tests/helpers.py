@@ -1,5 +1,7 @@
 """Assertions shared by the test modules."""
 
+import dataclasses
+
 import numpy as np
 
 from spinorlab import dual, opcalc
@@ -107,6 +109,17 @@ def at_pairs(dense):
     return Commutator(dense.a[i, j], dense.b[:, i, j], dense.x0_a[i, j],
                       dense.x0_b[:, i, j], dense.x0_sq[i, j],
                       dense.second_order)
+
+
+def filled(comm, ref):
+    """comm with each absent part (None: an exact zero of a central stack)
+    read from ref, the reference at the pairs (:func:`at_pairs`), whose part
+    must then be exactly zero."""
+    absent = {name: getattr(ref, name) for name in ("x0_b", "x0_sq")
+              if getattr(comm, name) is None}
+    for name, zero in absent.items():
+        assert not np.any(zero), name
+    return dataclasses.replace(comm, **absent)
 
 
 def product_residuals(ms, htilde, h):

@@ -159,6 +159,18 @@ def test_constraint_squares_to_one_at_fixed_point():
     assert mat_max(k @ k - np.eye(4)) < 1e-14
 
 
+def test_fixed_operators_are_built_once():
+    from spinorlab.equations import (chirality_projector_field,
+                                     massive_constraint_field)
+    assert composed_tu() is composed_tu()
+    assert massive_constraint_field(2.0) is massive_constraint_field(2.0)
+    assert massive_constraint_field(2.0) is not massive_constraint_field(3.0)
+    for sign in (1.0, -1.0):
+        assert chirality_projector_field(sign) is \
+            chirality_projector_field(sign)
+    assert chirality_projector_field(1.0) is not chirality_projector_field(-1.0)
+
+
 def test_block_reduction():
     assert block_reduction_residual(S3_SAMPLES) <= 1e-9
 

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (at_pairs, axis_partial, dense_commutator, nan_at, pair,
-                     parts, seed_axis)
+from helpers import (at_pairs, axis_partial, dense_commutator, filled, nan_at,
+                     pair, parts, seed_axis)
 from spinorlab import dual, opcalc, position
 from spinorlab.clifford import pauli
 from spinorlab.equations import abs_p3, catalog_unitary, energy
@@ -336,7 +336,8 @@ def test_jets_and_commutators_are_bit_identical_to_the_references(seed):
             for x, y in zip(parts(jet), parts(per_axis_jet(op, p))):
                 assert x[i].shape == y.shape and np.array_equal(x[i], y), name
         # the pair parts are the reference's (G, G) parts at the pairs i < j
-        got, want = diffop_commutator(jet), at_pairs(dense_commutator(jet))
+        want = at_pairs(dense_commutator(jet))
+        got = filled(diffop_commutator(jet), want)
         for x, y in zip(_comm_parts(got), _comm_parts(want)):
             assert x.shape == y.shape and np.array_equal(x, y), name
         assert got.second_order == want.second_order, name
@@ -344,11 +345,48 @@ def test_jets_and_commutators_are_bit_identical_to_the_references(seed):
         # boost): its parts are products of the same shapes; the flattened
         # second-order product may round its sums differently
         two = stacked_jet([ops[0], ops[len(ops) // 2]], p)
-        one, ref = diffop_commutator(two), dense_commutator(two)
+        ref = dense_commutator(two)
+        one = filled(diffop_commutator(two), at_pairs(ref))
         for x, y in zip(_comm_parts(one), _comm_parts(at_pairs(ref))):
             assert x.shape == y.shape and np.array_equal(x, y), name
         bound = 4 * EPS * mat_max(two.b) ** 2
         assert abs(one.second_order - ref.second_order) <= bound, name
+
+
+def two_pass_jet(ops, p):
+    """The earlier jet, kept as the reference for the one-pass one: every
+    partial first, one deriv per live part into its zeroed slot, then every
+    value from the memo of the seeded argument."""
+    p = opcalc._Argument.of(p)
+    g, d, shape = len(ops), ops[0].d, p.batch + (ops[0].a.dim,) * 2
+
+    def stack(lead, write):
+        a, b, x0 = (np.zeros((g, *axes, *lead, *shape), complex)
+                    for axes in ((), (d,), ()))
+        for i, op in enumerate(ops):
+            for out, f in ((a[i], op.a), *zip(b[i], op.b), (x0[i], op.x0)):
+                if not f._is_zero():
+                    write(f, out)
+        return a, b, x0
+
+    da, db, dx0 = stack((d,), lambda f, o: f.deriv(p, o))
+    a, b, x0 = stack((), lambda f, o: np.copyto(
+        o, dual.value(f._eval(p.seeded()))))
+    return Jet(a, b, da, db, x0, dx0)
+
+
+@pytest.mark.parametrize("seed", [5, 7, 42])
+def test_one_pass_jet_is_the_two_pass_jet_byte_for_byte(seed):
+    # every generator set, every built position operator and the generic
+    # operators, on a batch and at its first point, each tree on a fresh
+    # argument so that neither reads the other's memo
+    for name, ops, p in _operator_sets(seed):
+        point = tuple(float(c[0]) for c in p)
+        for q in (p, point):
+            jet = stacked_jet(ops, opcalc._Argument(q))
+            for x, y in zip(parts(jet),
+                            parts(two_pass_jet(ops, opcalc._Argument(q)))):
+                assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
 
 
 @settings(deadline=None, max_examples=4)
@@ -451,7 +489,8 @@ def _partly_dead_operators(poison=None):
 
 
 def _assert_matches_the_reference(jet):
-    got, want = diffop_commutator(jet), dense_commutator(jet)
+    want = dense_commutator(jet)
+    got = filled(diffop_commutator(jet), at_pairs(want))
     for x, y in zip(_comm_parts(got), _comm_parts(at_pairs(want))):
         assert x.shape == y.shape and np.array_equal(x, y)
     assert got.second_order == want.second_order

@@ -1,13 +1,14 @@
 import dataclasses
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import at_pairs, dense_commutator, nan_at
-from spinorlab import cli, opcalc
+from helpers import at_pairs, dense_commutator, filled, nan_at
+from spinorlab import cli, opcalc, poincare, position
 from spinorlab.clifford import pauli
 from spinorlab.equations import catalog_equation, catalog_unitary, energy
 from spinorlab.linalg import NotUnitary, mat_max
@@ -22,6 +23,7 @@ from spinorlab.poincare import (CONTENT_SETS, GENERATOR_NAMES,
                                 set_covariance_residual, structure_constants,
                                 structure_signs)
 from spinorlab.position import verify_position
+from spinorlab.suite import RunConfig, run_verify_all
 
 S3 = sample_momenta(3, 8, 42)
 S2 = sample_momenta(2, 8, 42)
@@ -45,7 +47,9 @@ def test_rotation_commutator_closes_on_j13():
     i, j = names.index("J12"), names.index("J23")
     assert list(np.flatnonzero(f_jj[i, j])) == [names.index("J13")]
     p = S3[0]
-    comm = diffop_commutator(stacked_jet([gs.J[(1, 2)], gs.J[(2, 3)]], p))
+    jet = stacked_jet([gs.J[(1, 2)], gs.J[(2, 3)]], p)
+    # an absent part must be an exact zero of the dense reference
+    comm = filled(diffop_commutator(jet), at_pairs(dense_commutator(jet)))
     terms = [(1j * sjj * f_jj[i, j, c], stacked_values([op], p))
              for c, (_, op) in enumerate(gs.members()) if f_jj[i, j, c]]
     aw = sum(w * a[0] for w, (a, _, _) in terms)
@@ -366,12 +370,20 @@ def test_closure_fails_closed_on_nan_in_a_member_without_x0_part():
 def test_closure_fails_on_an_x0_part_that_vanishes_at_two_values_of_x0():
     # a planted x0 part x0 (x0 - 1.37) X is zero at x0 = 0 and at 1.37, and
     # not identically: its x0^1 and x0^2 coefficients read |X| or more
-    closure = _closure(generator_set("psi"), as_batch(S3))
-    comm, signs = closure[0], structure_signs(3)
+    gs, p = generator_set("psi"), as_batch(S3)
+    closure = _closure(gs, p)
+    # psi's x0 stack is central, so x0_sq and x0_b are absent: the
+    # reference's are zero
+    jet = stacked_jet([op for _, op in gs.members()], p)
+    comm = filled(closure[0], at_pairs(dense_commutator(jet)))
+    signs = structure_signs(3)
     x = np.full_like(comm.a, 1e-3)
     planted = dataclasses.replace(comm, x0_a=comm.x0_a - 1.37 * x,
                                   x0_sq=comm.x0_sq + x)
     assert _tensor_residual(closure, *signs) <= 1e-8
+    assert _tensor_residual((planted, *closure[1:]), *signs) >= 1e-3
+    # so is an x0 part of B alone, which the right-hand side never has
+    planted = dataclasses.replace(comm, x0_b=comm.x0_b + 1e-3)
     assert _tensor_residual((planted, *closure[1:]), *signs) >= 1e-3
 
 
@@ -442,6 +454,7 @@ def test_central_parts_form_no_block_products(monkeypatch, seed):
         got = diffop_commutator(jet)
         assert len(calls) == want[gs.name], gs.name
         ref = at_pairs(dense_commutator(jet))
+        got = filled(got, ref)
         exact = ("a", "b") + (("x0_a", "x0_b", "x0_sq")
                               if gs.name != "chi2_ix0" else ())
         for part in exact:
@@ -469,6 +482,92 @@ def test_pairs_residual_equals_the_all_pairs_reference(seed):
         for signs in ((1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)):
             want = all_pairs_residual(dense, *signs)
             assert _tensor_residual(closure, *signs) == want, gs.name
+
+
+def _shared_roles():
+    """id(field) -> its role, for every field that the catalog sets should
+    share: the orbital B parts per (dim, d, k, l, slot), each set's -H in
+    its boosts' B parts, the phi family's J_a3 spin fields and S_ab p_b."""
+    roles = {}
+    for gs in map(generator_set, GENERATOR_NAMES):
+        for (k, l), op in gs.J.items():
+            for s, f in enumerate(op.b):
+                if not f._is_zero():
+                    roles[id(f)] = (("orbital", gs.dim, gs.d, k, l, s) if k
+                                    else ("-H", gs.name))
+    for name in ("phi", "phi_pos", "phi_neg"):
+        for a in (1, 2):
+            roles[id(generator_set(name).J[(a, 3)].a)] = ("phi spin", a)
+            roles[id(poincare._SAB_PB[a])] = ("S_ab p_b", a)
+    return roles
+
+
+def test_generator_sets_share_their_fixed_fields():
+    sets = [generator_set(name) for name in GENERATOR_NAMES]
+    for gs in sets:
+        for other in sets:
+            if (other.dim, other.d) == (gs.dim, gs.d):
+                for (k, l), op in gs.J.items():
+                    if k:
+                        assert all(x is y for x, y in zip(
+                            op.b, other.J[(k, l)].b) if not x._is_zero())
+        minus_h = {id(gs.J[(0, k)].b[k - 1]) for k in range(1, gs.d + 1)}
+        assert len(minus_h) == 1, gs.name
+    p = as_batch(S3)
+    for name in ("phi", "phi_pos", "phi_neg"):
+        gs = generator_set(name)
+        assert np.array_equal(gs.J[(0, 1)].b[0](p), -gs.P[0].a(p))
+        for a in (1, 2):
+            assert gs.J[(a, 3)].a is generator_set("phi").J[(a, 3)].a
+    # one field per role: 12 orbital ones (5 per size at d = 3, where the
+    # leaf p_3 1 serves J13 and J23, and 2 at d = 2), one -H per set, the 2
+    # spin fields and the 2 S_ab p_b
+    roles = _shared_roles()
+    assert len(roles) == len(set(roles.values())) == 12 + 8 + 2 + 2
+
+
+def test_a_run_evaluates_each_shared_field_once_per_argument(monkeypatch):
+    roles, counts, held = _shared_roles(), Counter(), []
+    evaluate = OperatorField._eval
+
+    def spied(self, p):
+        q = opcalc._Argument.of(p)
+        if id(self) in roles and id(self) not in q.values:
+            counts[roles[id(self)], id(q)] += 1
+            held.append(q)            # no id is reused while counting
+        return evaluate(self, q)
+
+    for name in ("_eval", "__call__"):
+        monkeypatch.setattr(OperatorField, name, spied)
+    run_verify_all(RunConfig())
+    assert {role for role, _ in counts} == set(roles.values())
+    assert max(counts.values()) == 1
+
+
+def test_a_second_run_conjugates_nothing(monkeypatch):
+    calls, conjugate = [], opcalc.conjugate_by_unitary
+    for module in (opcalc, poincare, position):
+        if hasattr(module, "conjugate_by_unitary"):
+            monkeypatch.setattr(module, "conjugate_by_unitary", lambda u, g: (
+                calls.append(g), conjugate(u, g))[1])
+    run_verify_all(RunConfig())
+    calls.clear()
+    run_verify_all(RunConfig(seed=5))
+    assert calls == []
+
+
+def test_helicity_operator_is_built_once_and_checked_on_every_call(
+        monkeypatch):
+    gs = generator_set("psi")
+    h = helicity_field(gs, S3[:2])
+    assert helicity_field(gs, S3[2:4]) is h
+    # its B and x0 guards read each call's check points
+    seen, call = [], OperatorField.__call__
+    monkeypatch.setattr(OperatorField, "__call__", lambda self, p: (
+        seen.append(np.array(p)), call(self, p))[1])
+    assert helicity_field(gs, S3[4:6]) is h
+    assert len(seen) == gs.d + 1
+    assert all(np.array_equal(x, np.array(S3[4:6]).T) for x in seen)
 
 
 def test_generator_set_is_built_once_per_arguments():
