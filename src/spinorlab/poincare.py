@@ -72,8 +72,14 @@ def _orbital_rotation(k: int, l: int, dim: int, d: int) -> DiffOp1:
     zero = OperatorField.zero(dim, d)
     b = [zero] * d
     b[k - 1] = OperatorField.momentum(l - 1, dim, d)
-    b[l - 1] = OperatorField.momentum(k - 1, dim, d).scale(-1.0)
+    b[l - 1] = _minus_momentum(k - 1, dim, d)
     return DiffOp1(zero, tuple(b), zero)
+
+
+@functools.cache
+def _minus_momentum(k: int, dim: int, d: int) -> OperatorField:
+    """-p_k 1 (k 0-based): one node, the B_l of every J_kl with l > k."""
+    return OperatorField.momentum(k, dim, d).scale(-1.0)
 
 
 def _boost(h: OperatorField, minus_h: OperatorField, k: int) -> DiffOp1:

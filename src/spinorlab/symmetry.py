@@ -15,7 +15,8 @@ spatial reflection S is applied.
 
 H is evaluated once per solve or classification, on the sign images of the
 ``FIT_POINTS`` fit and ``HOLDOUT_POINTS`` holdout momenta (the group and
-its sign images are built once per d).  Per chunk of elements within
+its sign images are built once per d).  Elements whose Htilde is byte-equal
+at all of them pose one problem, solved once.  Per chunk of problems within
 ``STACK_BYTES``, one stacked QR of the Sylvester maps
 M |-> H(p_i) M - M Htilde(p_i), written into two diagonal views of one
 zeroed stack (:func:`_sylvester`), and one SVD of their square R factors
@@ -197,7 +198,9 @@ def solve_intertwiner(eq, g, seed: int = 42, conditions=None):
     ``HOLDOUT_POINTS`` more.  ``conditions`` may pass their (Htilde, H)
     stacks from :func:`intertwine_condition` over the fit, holdout and
     further momenta; a non-finite entry in any row raises ValueError naming
-    that sample.
+    that sample.  Elements whose Htilde rows are byte-equal at the fit and
+    holdout momenta are one problem, solved once: they share its result
+    (the matrices of every result are read-only).
     """
     single = isinstance(g, SymmetryElement)
     elements = [g] if single else list(g)
@@ -206,9 +209,16 @@ def solve_intertwiner(eq, g, seed: int = 42, conditions=None):
     htilde, h = conditions or intertwine_condition(
         eq, elements, as_batch(_fit_and_holdout(eq.d, seed)))
     _require_finite(eq, htilde, h)
-    out = [r for part in _chunks(len(elements), 16 * FIT_POINTS * eq.dim ** 4)
+    first = {}              # Htilde's bytes at the fit and holdout momenta
+    which = [first.setdefault(t.tobytes(), len(first))
+             for t in htilde[:, :FIT_POINTS + HOLDOUT_POINTS]]
+    n = len(first)
+    del first               # no key is held while the chunks are solved
+    if n < len(which):
+        htilde = htilde[np.unique(which, return_index=True)[1]]
+    out = [r for part in _chunks(n, 16 * FIT_POINTS * eq.dim ** 4)
            for r in _solve_chunk(eq, htilde[part], h, seed)]
-    return out[0] if single else out
+    return out[0] if single else [out[j] for j in which]
 
 
 def _fit_and_holdout(d: int, seed: int) -> list:
@@ -302,8 +312,9 @@ def _solve_chunk(eq, htilde, h, seed):
         ms /= np.sqrt(np.vecdot(flat.real, flat.real)
                       + np.vecdot(flat.imag, flat.imag))[:, None, None]
         ms *= np.sqrt(eq.dim)
-        for i, m, u, hr in zip(idx[found].tolist(), ms, polar_unitary(ms),
-                               hres[at].tolist()):
+        us = polar_unitary(ms)
+        ms.flags.writeable = us.flags.writeable = False   # may be shared
+        for i, m, u, hr in zip(idx[found].tolist(), ms, us, hres[at].tolist()):
             out[i] = Intertwiner(m, u, hr, k)
     return out
 

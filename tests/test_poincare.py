@@ -486,14 +486,16 @@ def test_pairs_residual_equals_the_all_pairs_reference(seed):
 
 def _shared_roles():
     """id(field) -> its role, for every field that the catalog sets should
-    share: the orbital B parts per (dim, d, k, l, slot), each set's -H in
-    its boosts' B parts, the phi family's J_a3 spin fields and S_ab p_b."""
+    share: the orbital B parts per (dim, d) and field (J_kl's B_k is p_l 1,
+    its B_l is -p_k 1), each set's -H in its boosts' B parts, the phi
+    family's J_a3 spin fields and S_ab p_b."""
     roles = {}
     for gs in map(generator_set, GENERATOR_NAMES):
         for (k, l), op in gs.J.items():
             for s, f in enumerate(op.b):
                 if not f._is_zero():
-                    roles[id(f)] = (("orbital", gs.dim, gs.d, k, l, s) if k
+                    field = ("p", l) if s == k - 1 else ("-p", k)
+                    roles[id(f)] = (("orbital", gs.dim, gs.d) + field if k
                                     else ("-H", gs.name))
     for name in ("phi", "phi_pos", "phi_neg"):
         for a in (1, 2):
@@ -519,11 +521,11 @@ def test_generator_sets_share_their_fixed_fields():
         assert np.array_equal(gs.J[(0, 1)].b[0](p), -gs.P[0].a(p))
         for a in (1, 2):
             assert gs.J[(a, 3)].a is generator_set("phi").J[(a, 3)].a
-    # one field per role: 12 orbital ones (5 per size at d = 3, where the
-    # leaf p_3 1 serves J13 and J23, and 2 at d = 2), one -H per set, the 2
-    # spin fields and the 2 S_ab p_b
+    # one field per role: 10 orbital ones (4 per size at d = 3, where the
+    # leaf p_3 1 serves J13 and J23 and one -p_1 1 serves J12 and J13, and 2
+    # at d = 2), one -H per set, the 2 spin fields and the 2 S_ab p_b
     roles = _shared_roles()
-    assert len(roles) == len(set(roles.values())) == 12 + 8 + 2 + 2
+    assert len(roles) == len(set(roles.values())) == 10 + 8 + 2 + 2
 
 
 def test_a_run_evaluates_each_shared_field_once_per_argument(monkeypatch):

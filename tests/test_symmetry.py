@@ -769,10 +769,11 @@ def test_sylvester_maps_equal_the_kron_reference_on_catalog_pairs(name):
             _assert_kron_maps(ht[:n_elements, :n], h[:n])
 
 
-def _solve_one_by_one(eq, g, seed, nullspace=svd_nullspace):
+def _solve_one_by_one(eq, g, seed, nullspace=svd_nullspace, conditions=None):
     """Reference: one element solved on its own as before the chunked solve,
-    scoring every candidate, with the same 2-D linalg calls."""
-    ht, h = intertwine_condition(eq, g, as_batch(
+    scoring every candidate, with the same 2-D linalg calls; ``conditions``
+    may pass its (Htilde, H) at the fit and holdout momenta."""
+    ht, h = conditions or intertwine_condition(eq, g, as_batch(
         sample_momenta(eq.d, 12, seed) + sample_momenta(eq.d, 4, seed + 7919)))
     fit, hold = slice(12), slice(12, 16)
     s, vh, nullity = nullspace(_kron_map(ht[fit], h[fit]))
@@ -854,6 +855,17 @@ def _fingerprint(rep):
     return out
 
 
+def _problems(eq, seed):
+    """Group element indices by the bytes of their Htilde at the fit and
+    holdout momenta of ``seed``: one list per distinct solve problem."""
+    ht, _ = intertwine_condition(eq, group_elements(eq.d), as_batch(
+        symmetry._fit_and_holdout(eq.d, seed)))
+    out = {}
+    for e, t in enumerate(ht):
+        out.setdefault(t.tobytes(), []).append(e)
+    return list(out.values())
+
+
 def _chunk_budget(eq, elements_per_chunk):
     """A ``STACK_BYTES`` that fits that many elements' Sylvester stacks."""
     return elements_per_chunk * 16 * 12 * eq.dim ** 4
@@ -863,10 +875,11 @@ def _chunk_budget(eq, elements_per_chunk):
                                   "phi_diag", "desitter"])
 def test_classification_is_bit_identical_at_every_chunk_length(name,
                                                                monkeypatch):
-    # nullity 1 (2x2 and 4x4, 64 elements), 2 and 8: one element per chunk,
-    # three (an odd count that leaves a short last chunk) and all at once
+    # nullity 1 (2x2 and 4x4, 64 elements), 2 and 8: one problem per chunk,
+    # three (a short last chunk where the count is not a multiple) and all
+    # at once; the problems are the distinct byte strings of Htilde
     eq = catalog_equation(name)
-    n = len(group_elements(eq.d))
+    n = len(_problems(eq, 7))
     want = _fingerprint(classify_equation(eq, seed=7))
     lengths = []
     nullspace = symmetry.svd_nullspace
@@ -877,7 +890,7 @@ def test_classification_is_bit_identical_at_every_chunk_length(name,
 
     monkeypatch.setattr(symmetry, "svd_nullspace", spy)
     for per_chunk, expected in ((1, [1] * n),
-                                (3, [3] * (n // 3) + [n % 3]),
+                                (3, [3] * (n // 3) + [n % 3] * (n % 3 > 0)),
                                 (n, [n])):
         monkeypatch.setattr(symmetry, "STACK_BYTES",
                             _chunk_budget(eq, per_chunk))
@@ -1094,7 +1107,8 @@ def test_residuals_warn_when_a_squared_norm_overflows(k_scale, m_scale):
 def test_a_nullity_one_group_is_scored_once(monkeypatch):
     # a nullity-1 group has no random members, so its one candidate is its
     # every width: shifting weyl_plus's holdout rows of H by 0.3 sigma3 fails
-    # every element there, and the 16 of nullity 1 are still scored once
+    # every element there, and the 16 of nullity 1, 12 distinct problems,
+    # are still scored once
     eq = catalog_equation("weyl_plus")
     elements = group_elements(eq.d)
     ht, h = intertwine_condition(eq, elements, as_batch(
@@ -1104,7 +1118,7 @@ def test_a_nullity_one_group_is_scored_once(monkeypatch):
     monkeypatch.setattr(symmetry, "_residuals", lambda k, ms, h_norms: (
         shapes.append(ms.shape), residuals(k, ms, h_norms))[1])
     out = solve_intertwiner(eq, elements, conditions=(ht, h))
-    assert shapes == [(16, 1, 2, 2)]
+    assert shapes == [(12, 1, 2, 2)]
     assert sum("no invertible member" in getattr(r, "reason", "")
                for r in out) == 16
 
@@ -1128,13 +1142,22 @@ def _edited(null, at, truncate, singular):
 def test_two_nullities_in_one_chunk_equal_the_one_by_one_reference(
         per_chunk, singular, monkeypatch):
     # every phi_diag element is invariant with an eight-dimensional
-    # nullspace; dropping the last basis vector of each odd element puts
+    # nullspace.  Its elements pose 4 distinct problems; each element's
+    # Htilde taken in a random unitary basis of its own, V Htilde V^dagger
+    # (intertwined by M V^dagger), keeps its nullity and makes all 32
+    # distinct.  Dropping the last basis vector of each odd element puts
     # nullities 8 and 7 side by side in every chunk, each with its own
     # random members.  Singular bases for one element of each nullity then
     # leave both open: each is undecided in its own row, the earlier one
     # though its nullity's group is scored second in its chunk
     eq = catalog_equation("phi_diag")
     elements = group_elements(eq.d)
+    ht, h = intertwine_condition(eq, elements, as_batch(
+        symmetry._fit_and_holdout(eq.d, 42)))
+    v = np.linalg.qr(np.random.default_rng(11).normal(
+        size=(len(elements), eq.dim, eq.dim, 2)) @ [1, 1j])[0]
+    ht = v[:, None] @ ht @ v.conj().mT[:, None]
+    assert len({t.tobytes() for t in ht}) == len(elements)
     truncate = set(range(1, len(elements), 2))
     nullspace, plant, chunks = symmetry.svd_nullspace, [set()], []
 
@@ -1153,20 +1176,116 @@ def test_two_nullities_in_one_chunk_equal_the_one_by_one_reference(
 
     def reference(at):
         return _solve_one_by_one(eq, elements[at], 42, lambda m: _edited(
-            svd_nullspace(m), at, truncate, plant[0]))
+            svd_nullspace(m), at, truncate, plant[0]), (ht[at], h))
 
-    for at, got in enumerate(solve_intertwiner(eq, elements)):
+    for at, got in enumerate(solve_intertwiner(eq, elements,
+                                               conditions=(ht, h))):
         assert got.nullity == (7 if at in truncate else 8)
         _same_result(got, reference(at))
     assert [set(c.tolist()) for c in chunks] == [{7, 8}] * len(chunks)
 
     plant[0] = singular
     chunks.clear()
-    got = solve_intertwiner(eq, elements)
+    got = solve_intertwiner(eq, elements, conditions=(ht, h))
     assert [at for at, r in enumerate(got)
             if isinstance(r, Indeterminate)] == sorted(singular)
     for at, r in enumerate(got):
         _same_result(r, reference(at))
+
+
+# the problems the catalog's group elements pose, the same at each seed tested
+_DISTINCT_PROBLEMS = {
+    "dirac_massless": 24, "weyl_plus": 24, "weyl_minus": 24, "chi_4c": 16,
+    "chi_plus": 16, "chi_minus": 16, "phi_diag": 4, "weyl_canonical": 6,
+    "flat_plus": 16, "flat_minus": 16, "desitter": 64, "dirac_massive": 32,
+    "hprime": 16, "spinless_plus": 16, "spinless_minus": 16,
+    "kappa_plus": 32, "kappa_minus": 32}
+
+
+def _spy_nullspace_rows(monkeypatch):
+    """The row count of every ``svd_nullspace`` stack solved from now."""
+    nullspace, rows = symmetry.svd_nullspace, []
+    monkeypatch.setattr(symmetry, "svd_nullspace", lambda m, *args: (
+        rows.append(len(m)), nullspace(m, *args))[1])
+    return rows
+
+
+@pytest.mark.parametrize("seed", [42, 5, 7])
+def test_each_distinct_problem_is_solved_once(seed, monkeypatch):
+    # the group acts on H only through the parity and the reality of its
+    # terms, so elements whose Htilde is byte-equal at every fit and holdout
+    # momentum pose one problem: 370 of the catalog's 544 element solves
+    rows, got = _spy_nullspace_rows(monkeypatch), {}
+    for name in EQUATION_NAMES:
+        eq = catalog_equation(name)
+        rows.clear()
+        classify_equation(eq, seed=seed)
+        got[name] = sum(rows)
+        assert got[name] == len(_problems(eq, seed)), name
+    assert got == _DISTINCT_PROBLEMS
+    assert sum(got.values()) == 370
+
+
+def test_conditions_that_differ_at_one_holdout_byte_are_two_problems(
+        monkeypatch):
+    # two copies of an invariant element's conditions, equal at the fit
+    # momenta: a finite error at one holdout momentum of the second leaves
+    # it undecided in its own row, and flipping the sign of its zeros (equal
+    # values, other bytes) makes it a problem of its own as well; only an
+    # equal copy shares the first's solve and result
+    eq = catalog_equation("weyl_plus")
+    g = SymmetryElement.parse("T1", eq.d)
+    (ht,), h = intertwine_condition(eq, [g], as_batch(
+        symmetry._fit_and_holdout(eq.d, 42)))
+    alone = solve_intertwiner(eq, g)
+    poisoned, signed = ht.copy(), ht.copy()
+    poisoned[12 + 1] += 1.0
+    zeros = signed.view(float) == 0
+    signed.view(float)[zeros] *= -1.0
+    assert zeros.any() and np.array_equal(signed, ht)
+    rows = _spy_nullspace_rows(monkeypatch)
+    for other, kind in ((poisoned, Indeterminate), (signed, Intertwiner),
+                        (ht.copy(), None)):
+        rows.clear()
+        first, second = solve_intertwiner(eq, [g, g], conditions=(
+            np.stack([ht, other]), h))
+        _same_result(first, alone)
+        if kind is None:
+            assert rows == [1] and second is first
+        else:
+            assert rows == [2] and type(second) is kind
+            assert second is not first
+
+
+def test_elements_of_one_problem_share_one_read_only_result():
+    eq = catalog_equation("phi_diag")
+    out = solve_intertwiner(eq, group_elements(eq.d))
+    problems = _problems(eq, 42)
+    assert len(problems) == len({id(r) for r in out}) == 4
+    for members in problems:
+        shared = out[members[0]]
+        assert all(out[e] is shared for e in members)
+        for a in (shared.matrix, shared.unitary_rep):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 0.0
+            with pytest.raises(ValueError):
+                a.flags.writeable = True
+
+
+def test_distinct_problems_are_solved_from_views_of_the_conditions(
+        monkeypatch):
+    # a stack whose problems are all distinct (desitter's 64), or a single
+    # element, is chunked from the conditions as given: no Htilde is copied
+    eq = catalog_equation("desitter")
+    elements = group_elements(eq.d)
+    ht, h = intertwine_condition(eq, elements, as_batch(
+        symmetry._fit_and_holdout(eq.d, 42)))
+    solve_chunk, views = symmetry._solve_chunk, []
+    monkeypatch.setattr(symmetry, "_solve_chunk", lambda eq, t, h, seed: (
+        views.append(np.shares_memory(t, ht)), solve_chunk(eq, t, h, seed))[1])
+    solve_intertwiner(eq, elements, conditions=(ht, h))
+    solve_intertwiner(eq, elements[5], conditions=(ht[5:6], h))
+    assert len(views) > 2 and all(views)
 
 
 def test_coherence_composes_with_the_conjugate_of_the_second_intertwiner():
